@@ -1,10 +1,12 @@
 """Bernstein-basis machinery on the unit box.
 
-Conversion from the monomial basis, de Casteljau evaluation, the basis
-upper bounds B(I/delta), degree elevation rows, and the vertex condition.
-Everything is scalar-generic: Fractions give exact coefficients, floats
-give binary64 ones.  Tensors are stored flat in row-major order, i.e. the
-linear position of index I is sum_j i_j * prod_{l>j}(delta_l + 1).
+Conversion from the monomial basis, de Casteljau evaluation and
+subdivision, the basis upper bounds B(I/delta), degree elevation rows, and
+the vertex condition.  Everything is scalar-generic: Fractions give exact
+coefficients, floats give binary64 ones.  Tensors are stored flat in
+row-major order, i.e. the linear position of index I is
+sum_j i_j * prod_{l>j}(delta_l + 1); ``coefficient_tensor`` reshapes them
+into numpy arrays (float64, or object arrays of Fractions) for subdivision.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .poly import Index, Polynomial, multi_binom
 
@@ -63,6 +67,12 @@ class BernsteinForm:
         if len(self.coeffs) != tensor_size(self.degree):
             raise ValueError("coefficient tensor size does not match degree")
 
+    @classmethod
+    def from_tensor(cls, tensor: np.ndarray) -> "BernsteinForm":
+        """Flat view of a coefficient tensor shaped (delta_1+1, ..., delta_n+1)."""
+        degree = tuple(s - 1 for s in tensor.shape)
+        return cls(degree, tuple(tensor.ravel().tolist()), degree)
+
     @property
     def dimension(self) -> int:
         return len(self.degree)
@@ -106,6 +116,32 @@ def to_bernstein(p: Polynomial, degree: Index | None = None) -> BernsteinForm:
                 pos += t * st[l]
             coeffs[pos] += scaled * w
     return BernsteinForm(delta, tuple(coeffs), p.degree)
+
+
+def coefficient_tensor(bf: BernsteinForm) -> np.ndarray:
+    """The coefficients as an array of shape (delta_1+1, ..., delta_n+1):
+    an object array when any coefficient is a Fraction, float64 otherwise."""
+    exact = any(isinstance(c, Fraction) for c in bf.coeffs)
+    shape = tuple(d + 1 for d in bf.degree)
+    return np.array(bf.coeffs, dtype=object if exact else float).reshape(shape)
+
+
+def subdivide(tensor: np.ndarray, axis: int, t) -> tuple[np.ndarray, np.ndarray]:
+    """De Casteljau split of a coefficient tensor along ``axis`` at t in (0,1).
+
+    Returns the tensors of the two pieces [0,t] and [t,1] of that axis, each
+    on its own unit box.  Every step is c_i + t (c_{i+1} - c_i), which keeps
+    a tensor that is constant along an axis exactly constant.
+    """
+    rows = np.moveaxis(tensor, axis, 0)
+    d = rows.shape[0] - 1
+    left = np.empty_like(rows)
+    right = np.empty_like(rows)
+    left[0], right[d] = rows[0], rows[d]
+    for r in range(1, d + 1):
+        rows = rows[:-1] + t * (rows[1:] - rows[:-1])
+        left[r], right[d - r] = rows[0], rows[-1]
+    return np.moveaxis(left, 0, axis), np.moveaxis(right, 0, axis)
 
 
 def bernstein_eval(bf: BernsteinForm, point: Sequence) -> object:

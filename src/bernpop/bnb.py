@@ -1,10 +1,15 @@
 """Branch-and-bound global minimization over boxes.
 
-Each popped box is mapped onto the unit box, its Bernstein form is
-bounded at the configured relaxation level, and the box is then resolved
-by one of: exactness (vertex condition or placeholder recovery), the
-incumbent cutoff test, the monotonicity test (which spawns a reduced
-"edge" subproblem solved recursively), or bisection.
+Each box carries one representation: the Bernstein coefficient tensor of
+the objective on it (and one per polynomial constraint).  Only the root
+of a (sub)problem is converted from the monomial basis; children get their
+tensors by a de Casteljau split of the parent along the bisected axis,
+and edge subproblems by a face slice.  A popped box is bounded at the
+configured relaxation level and then resolved by one of: infeasibility
+(some constraint tensor is positive), exactness (vertex condition or
+placeholder recovery), the incumbent cutoff test, the monotonicity test
+(which spawns a reduced "edge" subproblem solved recursively), or
+bisection.
 
 The worklist is best-first on the parent bound; statistics for the main
 run and for the recursive edge subproblems are tracked separately.
@@ -20,19 +25,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .bernstein import min_coefficient, to_bernstein, upper_bounds
-from .poly import Box, Polynomial, restrict_facet, to_unit_box
-from .relax import (
-    LEVEL_0,
-    LEVEL_1,
-    LEVEL_2,
-    LEVEL_FIRST,
-    LEVELS,
-    CutMatrix,
-    bound_at_level,
-    build_cut_matrix,
-    semialgebraic_rows,
+import numpy as np
+
+from .bernstein import (
+    BernsteinForm,
+    coefficient_tensor,
+    min_coefficient,
+    subdivide,
+    to_bernstein,
+    upper_bounds,
 )
+from .poly import AffineMap, Box, Polynomial, restrict_facet, to_unit_box
+from .relax import LEVEL_0, LEVEL_2, LEVELS, bound_at_level, build_cut_matrix
 
 SPLIT_LONGEST = "longest_edge"
 SPLIT_ZERO = "zero_centered"
@@ -65,6 +69,7 @@ class BnbStats:
     mono_count: int = 0
     edge_subdivisions: int = 0
     edge_cutoffs: int = 0
+    infeasible_count: int = 0
     elapsed: float = 0.0
     edge_elapsed: float = 0.0
 
@@ -89,42 +94,66 @@ def cutoff_test(lower: object, incumbent: object, epsilon) -> bool:
     return lower >= incumbent - slack
 
 
-def split_box(box: Box, strategy: str = SPLIT_LONGEST) -> tuple[Box, Box]:
-    """Bisect the widest axis; the zero-centered strategy splits at the
-    origin instead whenever it lies strictly inside that side."""
+def split_node(box: Box, tensors: tuple, strategy: str) -> tuple[tuple, tuple]:
+    """Bisect the widest axis of ``box`` and split each of its coefficient
+    tensors alongside; returns (left box, left tensors), (right box, right
+    tensors).  The zero-centered strategy splits at the origin instead of
+    the midpoint whenever it lies strictly inside that side."""
     axis = box.widest_axis()
     lo, hi = box.lower[axis], box.upper[axis]
     at = lo + (hi - lo) / 2
+    exact = isinstance(at, Fraction)
+    t = Fraction(1, 2) if exact else 0.5
     if strategy == SPLIT_ZERO and lo < 0 < hi:
-        at = type(at)(0) if isinstance(at, Fraction) else 0.0
-    return box.split(axis, at)
+        at = Fraction(0) if exact else 0.0
+        t = (at - lo) / (hi - lo)
+    left, right = box.split(axis, at)
+    halves = [subdivide(x, axis, t) for x in tensors]
+    return (left, tuple(h[0] for h in halves)), (right, tuple(h[1] for h in halves))
+
+
+def split_box(box: Box, strategy: str = SPLIT_LONGEST) -> tuple[Box, Box]:
+    """The two halves of ``box`` that ``split_node`` makes."""
+    (left, _), (right, _) = split_node(box, (), strategy)
+    return left, right
+
+
+def box_tensor(p: Polynomial, box: Box, degree=None) -> np.ndarray:
+    """Coefficient tensor of ``p`` on ``box``, converted from the monomial basis."""
+    q, _ = to_unit_box(p, box)
+    return coefficient_tensor(to_bernstein(q, degree))
 
 
 def monotonicity_test(p: Polynomial, box: Box) -> tuple[str, ...]:
-    """Per-axis derivative sign over the box via Bernstein enclosures:
-    '+' when all coefficients of dp/dx_r are positive, '-' when all are
-    negative, 'mixed' otherwise."""
-    return _monotonicity_signs([p.derivative(r) for r in range(p.dimension)], box)
+    """Per-axis derivative sign of ``p`` over ``box`` (see ``_monotonicity_signs``)."""
+    return _monotonicity_signs(box_tensor(p, box))
 
 
-def _monotonicity_signs(derivs: Sequence[Polynomial], box: Box) -> tuple[str, ...]:
+def _monotonicity_signs(tensor: np.ndarray) -> tuple[str, ...]:
+    """Per-axis derivative sign read off the coefficient tensor.
+
+    The forward differences b_{I+e_r} - b_I are, up to the positive factor
+    delta_r / width_r, the Bernstein coefficients of dp/dx_r on the box, so
+    all positive gives '+', all negative gives '-', anything else 'mixed'.
+    An axis along which the tensor is constant gives '+': the objective
+    does not depend on it, and fixing its lower bound is lossless.
+    """
     signs = []
-    for d in derivs:
-        if d.is_zero():
-            # objective constant along this axis: fixing the lower bound is lossless
+    for r in range(tensor.ndim):
+        diff = np.diff(tensor, axis=r)
+        if not diff.any() or (diff > 0).all():
             signs.append("+")
-            continue
-        q, _ = to_unit_box(d, box)
-        bf = to_bernstein(q)
-        lo = min(bf.coeffs)
-        hi = max(bf.coeffs)
-        if lo > 0:
-            signs.append("+")
-        elif hi < 0:
+        elif (diff < 0).all():
             signs.append("-")
         else:
             signs.append("mixed")
     return tuple(signs)
+
+
+def _face(tensor: np.ndarray, signs: Sequence[str]) -> np.ndarray:
+    """Coefficient tensor of the face that ``edge_subproblem`` keeps: index
+    0 on '+' axes, delta_r on '-' axes, the whole range on mixed ones."""
+    return tensor[tuple({"+": 0, "-": -1}.get(s, slice(None)) for s in signs)]
 
 
 def edge_subproblem(
@@ -217,7 +246,12 @@ def branch_and_bound(
     cfg: BnbConfig,
     degree=None,
 ) -> BnbResult:
-    """Globally minimize ``p`` over ``box`` subject to g_i(x) <= 0."""
+    """Globally minimize ``p`` over ``box`` subject to g_i(x) <= 0.
+
+    The relaxation degree is ``degree`` (default: the objective's), raised
+    where a constraint needs more.  A problem whose every box is pruned as
+    infeasible ends with no bounds and ``converged`` false.
+    """
     if box.dimension != p.dimension:
         raise ValueError("box dimension does not match objective")
     for g in constraints:
@@ -226,10 +260,18 @@ def branch_and_bound(
     stats = BnbStats()
     state = _RunState(p, tuple(constraints), cfg.max_boxes)
     start = time.perf_counter()
-    lower = _solve_problem(
-        p, tuple(constraints), box, cfg, state, lift=lambda pt: pt, stats=stats,
-        depth=0, degree=degree,
-    )
+    if p.dimension == 0:
+        lower = p.eval(())
+        state.offer(())
+    else:
+        delta = tuple(degree) if degree is not None else p.degree
+        for g in constraints:
+            delta = tuple(max(a, b) for a, b in zip(delta, g.degree))
+        tensors = tuple(box_tensor(f, box, delta) for f in (p, *constraints))
+        lower = _solve_problem(
+            p, tuple(constraints), box, tensors, cfg, state, lift=lambda pt: pt,
+            stats=stats, depth=0,
+        )
     stats.elapsed = time.perf_counter() - start - stats.edge_elapsed
     upper = state.incumbent
     converged = (
@@ -248,23 +290,21 @@ def branch_and_bound(
     )
 
 
-def _solve_problem(p, constraints, box, cfg, state, lift, stats, depth, degree=None):
-    """Worklist loop for one (sub)problem; returns its lower bound."""
-    if p.dimension == 0:
-        val = p.eval(())
-        state.offer(lift(()))
-        return val
+def _solve_problem(p, constraints, box, tensors, cfg, state, lift, stats, depth):
+    """Worklist loop for one (sub)problem; returns its lower bound.
 
-    delta = tuple(degree) if degree is not None else p.degree
-    for g in constraints:
-        delta = tuple(max(a, b) for a, b in zip(delta, g.degree))
+    ``tensors`` holds the coefficient tensors of the objective and of each
+    constraint on ``box``, all of one degree; every box in the worklist
+    carries its own tuple of them.
+    """
+    delta = tuple(s - 1 for s in tensors[0].shape)
     exact = cfg.exact
+    zero = Fraction(0) if exact else 0.0
     u = upper_bounds(delta, exact=exact) if cfg.level != LEVEL_0 else None
     cuts = build_cut_matrix(delta, exact) if cfg.level == LEVEL_2 else None
-    derivs = [p.derivative(r) for r in range(p.dimension)]
 
     counter = itertools.count()
-    heap: list = [(-math.inf, next(counter), box)]
+    heap: list = [(-math.inf, next(counter), box, tensors)]
     contrib = None
 
     def add_contrib(value):
@@ -275,21 +315,22 @@ def _solve_problem(p, constraints, box, cfg, state, lift, stats, depth, degree=N
     while heap:
         if not state.charge():
             while heap:
-                parent_bound, _, _ = heapq.heappop(heap)
+                parent_bound = heapq.heappop(heap)[0]
                 add_contrib(parent_bound)
             break
-        _, _, cur = heapq.heappop(heap)
+        _, _, cur, (t, *g_tensors) = heapq.heappop(heap)
         if depth == 0:
             stats.subdivisions += 1
         else:
             stats.edge_subdivisions += 1
 
-        q, amap = to_unit_box(p, cur)
-        bf = to_bernstein(q, delta)
-        extra_rows = ()
-        if constraints:
-            g_units = [to_unit_box(g, cur)[0] for g in constraints]
-            extra_rows = semialgebraic_rows(g_units, delta, exact)
+        if any(g.min() > 0 for g in g_tensors):
+            # some constraint is positive on the whole box: nothing feasible here
+            stats.infeasible_count += 1
+            continue
+        amap = AffineMap.from_box(cur)
+        bf = BernsteinForm.from_tensor(t)
+        extra_rows = [(g.ravel().tolist(), zero) for g in g_tensors]
         outcome = bound_at_level(
             bf, cfg.level, u=u, cuts=cuts, extra_rows=extra_rows,
             mapping=amap, exact=exact,
@@ -311,7 +352,7 @@ def _solve_problem(p, constraints, box, cfg, state, lift, stats, depth, degree=N
             add_contrib(bound)
             continue
         if not constraints:
-            signs = _monotonicity_signs(derivs, cur)
+            signs = _monotonicity_signs(t)
             if any(s != "mixed" for s in signs):
                 stats.mono_count += 1
                 reduced, reduced_box, fixed = edge_subproblem(p, cur, signs)
@@ -323,8 +364,8 @@ def _solve_problem(p, constraints, box, cfg, state, lift, stats, depth, degree=N
                 else:
                     t0 = time.perf_counter()
                     sub_lower = _solve_problem(
-                        reduced, (), reduced_box, cfg, state, sub_lift, stats,
-                        depth + 1,
+                        reduced, (), reduced_box, (_face(t, signs),), cfg, state,
+                        sub_lift, stats, depth + 1,
                     )
                     if depth == 0:  # nested recursion is inside this window
                         stats.edge_elapsed += time.perf_counter() - t0
@@ -333,9 +374,8 @@ def _solve_problem(p, constraints, box, cfg, state, lift, stats, depth, degree=N
         if cur.width(cur.widest_axis()) <= cfg.min_box_width:
             add_contrib(bound)
             continue
-        left, right = split_box(cur, cfg.split)
-        heapq.heappush(heap, (_key(bound), next(counter), left))
-        heapq.heappush(heap, (_key(bound), next(counter), right))
+        for child, child_tensors in split_node(cur, (t, *g_tensors), cfg.split):
+            heapq.heappush(heap, (_key(bound), next(counter), child, child_tensors))
 
     return contrib
 

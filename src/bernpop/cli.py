@@ -31,7 +31,6 @@ from .relax import (
     LEVEL_FIRST,
     build_cut_matrix,
     first_lp_bound,
-    polyhedral_rows,
     relax0,
     relax1,
     relax1_lp,
@@ -85,24 +84,16 @@ def _run_relax(args) -> tuple[int, dict]:
     exact = args.arith == "rational"
     problem = problems.load_problem(_existing(args.input), exact)
     p = problem.objective
+    constraints = problem.all_constraints()
     degree = p.degree
     if args.degree:
         degree = _parse_degree(args.degree, p.degree)
+    for g in constraints:  # the relaxation degree must cover every constraint
+        degree = tuple(max(a, b) for a, b in zip(degree, g.degree))
     q, amap = to_unit_box(p, problem.box)
     bf = to_bernstein(q, degree)
-    extra_rows = []
-    if problem.constraints_poly:
-        g_units = [to_unit_box(g, problem.box)[0] for g in problem.constraints_poly]
-        extra_rows.extend(semialgebraic_rows(g_units, degree, exact))
-    if problem.constraints_linear:
-        a_mat, b_vec = problem.constraints_linear
-        scale, offset = amap.scale, amap.offset
-        a_unit = [[row[j] * scale[j] for j in range(len(row))] for row in a_mat]
-        b_unit = [
-            b - sum(row[j] * offset[j] for j in range(len(row)))
-            for row, b in zip(a_mat, b_vec)
-        ]
-        extra_rows.extend(polyhedral_rows(a_unit, b_unit, degree))
+    g_units = [to_unit_box(g, problem.box)[0] for g in constraints]
+    extra_rows = semialgebraic_rows(g_units, degree, exact)
 
     want = _LEVEL_ORDER[args.level]
     bounds: dict = {}
@@ -181,7 +172,7 @@ def _bnb_config(args, problem=None) -> bnb_mod.BnbConfig:
 def _bnb_section(result, exact: bool) -> dict:
     s = result.stats
     return {
-        "lower": float(result.lower_bound),
+        "lower": None if result.lower_bound is None else float(result.lower_bound),
         "upper": None if result.upper_bound is None else float(result.upper_bound),
         "witness": _witness_json(result.witness, exact),
         "converged": result.converged,
@@ -191,6 +182,7 @@ def _bnb_section(result, exact: bool) -> dict:
             "mono_count": s.mono_count,
             "edge_subdivisions": s.edge_subdivisions,
             "edge_cutoffs": s.edge_cutoffs,
+            "infeasible_count": s.infeasible_count,
         },
     }
 
@@ -204,7 +196,7 @@ def _run_bnb(args) -> tuple[int, dict]:
     cfg = _bnb_config(args, problem)
     t0 = time.perf_counter()
     result = bnb_mod.branch_and_bound(
-        problem.objective, problem.constraints_poly, problem.box, cfg, degree=degree
+        problem.objective, problem.all_constraints(), problem.box, cfg, degree=degree
     )
     elapsed = time.perf_counter() - t0
     report = {
@@ -222,9 +214,11 @@ def _run_bnb(args) -> tuple[int, dict]:
 
 
 def _run_lyapunov(args) -> tuple[int, dict]:
-    case = lyap_mod.load_lyapunov_case(_existing(args.input))
+    exact = args.arith == "rational"
+    case = lyap_mod.load_lyapunov_case(_existing(args.input), exact)
     cfg = lyap_mod.default_config(max_boxes=args.max_boxes)
     cfg.level = args.level
+    cfg.exact = exact
     verdict = lyap_mod.verify_lyapunov(case, cfg)
     reached = not (verdict.v_run.exhausted or verdict.vdot_run.exhausted)
     report = {
@@ -247,6 +241,7 @@ def _run_lyapunov(args) -> tuple[int, dict]:
 
 def _run_bench(args) -> tuple[int, dict]:
     registry = lyap_mod.benchmark_registry()
+    exact = args.arith == "rational"
     names = args.names or sorted(registry["pop"]) + sorted(registry["lyapunov"])
     tasks = []
     for name in names:
@@ -260,25 +255,28 @@ def _run_bench(args) -> tuple[int, dict]:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_bench_one, [(k, n, args.level) for k, n in tasks]))
+            results = list(
+                pool.map(_bench_one, [(k, n, args.level, exact) for k, n in tasks])
+            )
     else:
-        results = [_bench_one((k, n, args.level)) for k, n in tasks]
+        results = [_bench_one((k, n, args.level, exact)) for k, n in tasks]
     ok = all(r.pop("_ok") for r in results)
     report = {"mode": "bench", "level": args.level, "results": results}
     return (0 if ok else 2), report
 
 
 def _bench_one(task) -> dict:
-    kind, name, level = task
-    registry = lyap_mod.benchmark_registry()
+    kind, name, level, exact = task
+    registry = lyap_mod.benchmark_registry(exact)
     if kind == "pop":
         problem = registry["pop"][name]
         cfg = bnb_mod.BnbConfig(
-            level=level, epsilon=problem.epsilon or 1e-6, max_boxes=200_000
+            level=level, epsilon=problem.epsilon or 1e-6, max_boxes=200_000,
+            exact=exact,
         )
         t0 = time.perf_counter()
         result = bnb_mod.branch_and_bound(
-            problem.objective, problem.constraints_poly, problem.box, cfg
+            problem.objective, problem.all_constraints(), problem.box, cfg
         )
         row = bnb_mod.report_row(name, level, result)
         row["kind"] = "pop"
@@ -289,6 +287,7 @@ def _bench_one(task) -> dict:
     case = registry["lyapunov"][name]
     cfg = lyap_mod.default_config()
     cfg.level = level
+    cfg.exact = exact
     verdict = lyap_mod.verify_lyapunov(case, cfg)
     return {
         "kind": "lyapunov",
@@ -339,10 +338,10 @@ def _print_report(report: dict, output: str) -> None:
             "opt": sec["upper"],
         }
         print(bnb_mod.format_report([row]))
-        print(
-            f"bounds: [{sec['lower']:.10g}, {sec['upper']:.10g}]"
-            f"  converged: {sec['converged']}"
+        lower, upper = (
+            "-" if v is None else f"{v:.10g}" for v in (sec["lower"], sec["upper"])
         )
+        print(f"bounds: [{lower}, {upper}]  converged: {sec['converged']}")
         if sec["witness"] is not None:
             print(f"witness: {sec['witness']}")
     elif mode == "lyapunov":

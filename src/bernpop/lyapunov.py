@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .bernstein import to_bernstein, upper_bounds
-from .bnb import SPLIT_ZERO, BnbConfig, split_box
-from .poly import Box, Polynomial, lie_derivative, to_unit_box
+from .bernstein import BernsteinForm, coefficient_tensor, to_bernstein, upper_bounds
+from .bnb import SPLIT_ZERO, BnbConfig, split_node
+from .poly import AffineMap, Box, Polynomial, lie_derivative, to_unit_box
 from .problems import (
     load_fixture,
     load_problem,
@@ -104,29 +104,30 @@ def certify_nonnegative(p: Polynomial, region: Box, cfg: Optional[BnbConfig] = N
     if cfg is None:
         cfg = default_config()
     start = time.perf_counter()
-    u_cache: dict = {}
     run = VerificationRun(0.0, 0, 0, 0, 0.0, False)
     lower = None
-    # depth-first entries: (box, gray ancestor bounds, guaranteed parent bound);
-    # the history restarts once a box lies in a single orthant, because the
-    # zero-decomposition splits before that are structural, not chasing
-    stack: list[tuple[Box, tuple, object]] = [(region, (), None)]
+    # the region's coefficient tensor is the only conversion; every other
+    # box gets its tensor by splitting its parent's
+    root = coefficient_tensor(to_bernstein(to_unit_box(p, region)[0]))
+    u = upper_bounds(p.degree, exact=cfg.exact)
+    # depth-first entries: (box, tensor, gray ancestor bounds, guaranteed
+    # parent bound); the history restarts once a box lies in a single
+    # orthant, because the zero-decomposition splits before that are
+    # structural, not chasing
+    stack: list[tuple[Box, object, tuple, object]] = [(region, root, (), None)]
     while stack:
         if run.nodes >= cfg.max_boxes:
             run.exhausted = True
-            for _, _, guaranteed in stack:
+            for _, _, _, guaranteed in stack:
                 fallback = -float("inf") if guaranteed is None else guaranteed
                 if lower is None or fallback < lower:
                     lower = fallback
             break
-        box, hist, _ = stack.pop()
+        box, tensor, hist, _ = stack.pop()
         run.nodes += 1
-        q, amap = to_unit_box(p, box)
-        bf = to_bernstein(q)
-        if bf.degree not in u_cache:
-            u_cache[bf.degree] = upper_bounds(bf.degree, exact=cfg.exact)
         outcome = bound_at_level(
-            bf, cfg.level, u=u_cache[bf.degree], mapping=amap, exact=cfg.exact
+            BernsteinForm.from_tensor(tensor), cfg.level, u=u,
+            mapping=AffineMap.from_box(box), exact=cfg.exact,
         )
         bound = outcome.bound
         straddles = any(lo < 0 < hi for lo, hi in zip(box.lower, box.upper))
@@ -138,9 +139,8 @@ def certify_nonnegative(p: Polynomial, region: Box, cfg: Optional[BnbConfig] = N
             run.stalled_boxes += 1
         else:
             child_hist = () if straddles else hist + (bound,)
-            left, right = split_box(box, SPLIT_ZERO)
-            stack.append((left, child_hist, bound))
-            stack.append((right, child_hist, bound))
+            for child, (child_tensor,) in split_node(box, (tensor,), SPLIT_ZERO):
+                stack.append((child, child_tensor, child_hist, bound))
             continue
         if lower is None or bound < lower:
             lower = bound

@@ -61,6 +61,21 @@ class PopProblem:
     known_optimum: Optional[float] = None
     epsilon: Optional[float] = None
 
+    def all_constraints(self) -> tuple:
+        """Every side constraint as a polynomial g(x) <= 0: the polynomial
+        ones, then each linear row a.x <= b as the degree-1 a.x - b (with
+        Fraction coefficients when the problem was read exactly)."""
+        n = self.objective.dimension
+        linear = []
+        if self.constraints_linear:
+            a_mat, b_vec = self.constraints_linear
+            for row, b in zip(a_mat, b_vec):
+                terms = {(0,) * n: -b}
+                for j, a in enumerate(row):
+                    terms[tuple(int(l == j) for l in range(n))] = a
+                linear.append(Polynomial(n, terms))
+        return tuple(self.constraints_poly) + tuple(linear)
+
 
 def load_problem(source, exact: bool = False) -> PopProblem:
     """Parse a problem from a dict, JSON text, or file path."""

@@ -4,22 +4,26 @@ from fractions import Fraction
 
 import pytest
 
+import numpy as np
+
 from bernpop.bernstein import (
     BernsteinForm,
     bernstein_basis_polynomial,
     bernstein_eval,
+    coefficient_tensor,
     elevation_row,
     iter_indices,
     max_coefficient,
     min_coefficient,
     monomial_bernstein_row,
+    subdivide,
     to_bernstein,
     upper_bounds,
     vertex_condition,
     vertex_point,
 )
 from bernpop.poly import Box, Polynomial, to_unit_box
-from conftest import grid_min, himmelblau, himmelblau_exact, random_polynomial
+from conftest import grid_min, himmelblau, himmelblau_exact, motzkin3, random_polynomial
 
 
 def test_to_bernstein_square():
@@ -217,3 +221,73 @@ def test_enclosure_gap_shrinks_with_degree():
         lo, _ = min_coefficient(bf)
         errors.append(true_min - lo)
     assert errors[0] >= errors[1] >= errors[2] > 0
+
+
+# ---------------------------------------------------------------------------
+# subdivision: a split tensor must equal a fresh conversion on the sub-box
+
+
+def _fresh_tensor(p, box):
+    q, _ = to_unit_box(p, box)
+    return coefficient_tensor(to_bernstein(q))
+
+
+def _descend(p, box, depth, rng, pick_t):
+    """Follow a random path of ``depth`` splits from ``box``: a random axis,
+    a split parameter from ``pick_t``, a random side.  Returns the last box
+    and the tensor reached by de Casteljau splits alone."""
+    tensor = _fresh_tensor(p, box)
+    for _ in range(depth):
+        axis = rng.randrange(p.dimension)
+        t = pick_t()
+        lo, hi = box.lower[axis], box.upper[axis]
+        side = rng.randrange(2)
+        tensor = subdivide(tensor, axis, t)[side]
+        box = box.split(axis, lo + t * (hi - lo))[side]
+    return box, tensor
+
+
+def test_subdivide_univariate_square():
+    left, right = subdivide(np.array([0, 0, 1], dtype=object), 0, Fraction(1, 2))
+    assert list(left) == [0, 0, Fraction(1, 4)]
+    assert list(right) == [Fraction(1, 4), Fraction(1, 2), 1]
+
+
+def test_subdivide_keeps_constant_axis_exact(rng):
+    # a tensor constant along axis 1 stays so at a non-dyadic split point
+    col = np.array([rng.uniform(-5, 5) for _ in range(4)])
+    tensor = np.repeat(col[:, None], 3, axis=1)
+    for half in subdivide(tensor, 1, 0.3) + subdivide(tensor, 0, 0.3):
+        assert (np.diff(half, axis=1) == 0).all()
+
+
+@pytest.mark.parametrize("name", ["himmelblau", "motzkin3"])
+def test_exact_descendant_equals_fresh_conversion(name):
+    rng = random.Random(7)
+    if name == "himmelblau":
+        p, box = himmelblau_exact(), Box((Fraction(-5),) * 2, (Fraction(5),) * 2)
+    else:
+        m = motzkin3()
+        p = Polynomial(3, {i: Fraction(c) for i, c in m.terms.items()})
+        box = Box((Fraction(-1, 2),) * 3, (Fraction(1, 2),) * 3)
+
+    def pick_t():  # halves as in bisection, other points as in zero-centred splits
+        return Fraction(1, 2) if rng.random() < 0.5 else Fraction(rng.randint(1, 6), 7)
+
+    leaf, tensor = _descend(p, box, 20, rng, pick_t)
+    assert tensor.dtype == object
+    assert (tensor == _fresh_tensor(p, leaf)).all()
+
+
+@pytest.mark.parametrize("name", ["himmelblau", "motzkin3"])
+def test_float_descendant_drift(name):
+    if name == "himmelblau":
+        p, box = himmelblau(), Box((-5.0, -5.0), (5.0, 5.0))
+    else:
+        p, box = motzkin3(), Box((-0.5,) * 3, (0.5,) * 3)
+    scale = np.abs(_fresh_tensor(p, box)).max()
+    for seed in range(5):
+        rng = random.Random(seed)
+        leaf, tensor = _descend(p, box, 40, rng, lambda: 0.5)
+        assert tensor.dtype == float
+        assert np.abs(tensor - _fresh_tensor(p, leaf)).max() <= 1e-12 * scale

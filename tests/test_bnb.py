@@ -4,6 +4,8 @@ import pytest
 
 from bernpop.bnb import (
     BnbConfig,
+    _face,
+    box_tensor,
     branch_and_bound,
     cutoff_test,
     edge_subproblem,
@@ -15,7 +17,7 @@ from bernpop.bnb import (
 )
 from bernpop.bernstein import to_bernstein
 from bernpop.poly import Box, Polynomial, to_unit_box
-from conftest import algebraic4, himmelblau
+from conftest import algebraic4, himmelblau, himmelblau_exact, random_box, random_polynomial
 
 
 def test_cutoff_prunes_above_incumbent():
@@ -231,3 +233,81 @@ def test_report_row_and_format():
     assert row["label"] == "square" and row["opt"] == pytest.approx(res.upper_bound)
     text = format_report([row])
     assert "Sub" in text and "square" in text.splitlines()[1]
+
+
+def _derivative_signs(p, box):
+    """Reference sign test: convert every partial derivative on the box."""
+    signs = []
+    for r in range(p.dimension):
+        d = p.derivative(r)
+        if d.is_zero():
+            signs.append("+")
+            continue
+        q, _ = to_unit_box(d, box)
+        coeffs = to_bernstein(q).coeffs
+        signs.append("+" if min(coeffs) > 0 else "-" if max(coeffs) < 0 else "mixed")
+    return tuple(signs)
+
+
+def test_tensor_sign_test_at_least_as_decisive(rng):
+    import itertools
+
+    decisive = 0
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        p = random_polynomial(rng, n, 3)
+        box = random_box(rng, n)
+        signs = monotonicity_test(p, box)
+        for ref, got in zip(_derivative_signs(p, box), signs):
+            if ref != "mixed":
+                assert got == ref
+                decisive += 1
+        # and never wrong: a decisive sign holds on a grid of the box
+        axes = [[lo + (hi - lo) * k / 4 for k in range(5)] for lo, hi in zip(box.lower, box.upper)]
+        for r, s in enumerate(signs):
+            d = p.derivative(r)
+            for pt in itertools.product(*axes):
+                if s == "+":
+                    assert d.eval(pt) >= -1e-9
+                elif s == "-":
+                    assert d.eval(pt) <= 1e-9
+    assert decisive > 100
+
+
+def test_face_slice_equals_restricted_conversion():
+    from fractions import Fraction
+
+    p = himmelblau_exact()
+    box = Box((Fraction(1), Fraction(-2)), (Fraction(4), Fraction(3)))
+    tensor = box_tensor(p, box)
+    for signs in (("+", "mixed"), ("-", "mixed"), ("mixed", "+"), ("mixed", "-")):
+        reduced, rbox, _ = edge_subproblem(p, box, signs)
+        assert (_face(tensor, signs) == box_tensor(reduced, rbox, (4,))).all()
+
+
+def _constrained_square():
+    # minimise x^2 + y^2 - x on [-1,1]^2 subject to x + 1/2 <= 0
+    p = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): -1.0})
+    g = Polynomial(2, {(1, 0): 1.0, (0, 0): 0.5})
+    return p, g, Box((-1.0, -1.0), (1.0, 1.0))
+
+
+@pytest.mark.parametrize("level", ["0", "1", "2"])
+def test_infeasible_boxes_are_pruned(level):
+    p, g, box = _constrained_square()
+    res = branch_and_bound(p, (g,), box, BnbConfig(level=level, epsilon=1e-6))
+    assert res.converged
+    assert res.stats.infeasible_count > 0
+    assert res.lower_bound <= 0.75 <= res.upper_bound <= 0.75 + 1e-6
+    assert g.eval(res.witness) <= 0
+    assert res.witness == pytest.approx((-0.5, 0.0), abs=1e-3)
+
+
+def test_all_boxes_infeasible_ends_without_bounds():
+    x = Polynomial.variable(1, 0)
+    g = Polynomial(1, {(2,): 1.0, (0,): 2.0})  # x^2 + 2 <= 0 has no solution
+    res = branch_and_bound(x, (g,), Box((-1.0,), (1.0,)), BnbConfig(level="1"))
+    assert not res.converged
+    assert res.lower_bound is None and res.upper_bound is None
+    assert res.witness is None
+    assert res.stats.infeasible_count == 1

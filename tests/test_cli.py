@@ -178,3 +178,117 @@ def test_text_output_table_shape(capsys, fixture_dir):
     header = out.splitlines()[0]
     for col in ("ID", "Ineq", "Sub", "Time", "Cutoff", "Mono", "Sub*", "Cutoff*", "Time*", "Opt"):
         assert col in header
+
+
+def _write_problem(tmp_path, name, data):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _linear_objective_problem(tmp_path):
+    # minimise -x - y on [0,1]^2 subject to x + y <= 1; the optimum is -1
+    return _write_problem(tmp_path, "lin", {
+        "dimension": 2,
+        "objective": [
+            {"exponents": [1, 0], "coeff": -1}, {"exponents": [0, 1], "coeff": -1},
+        ],
+        "box": {"lower": [0, 0], "upper": [1, 1]},
+        "constraints_linear": {"A": [[1, 1]], "b": [1]},
+    })
+
+
+def test_bnb_honours_linear_constraints(capsys, tmp_path):
+    path = _linear_objective_problem(tmp_path)
+    for level in ("0", "first", "1", "2"):
+        code, out, _ = _run(
+            capsys, ["bnb", "--level", level, "--max-boxes", "2000", "--output", "json", path]
+        )
+        sec = json.loads(out)["bnb"]
+        assert code == (0 if sec["converged"] else 2)
+        x, y = sec["witness"]
+        assert x + y <= 1 + 1e-12
+        assert sec["upper"] >= -1 - 1e-12
+        if sec["converged"]:
+            assert sec["upper"] == pytest.approx(-1.0, abs=1e-6)
+        if level == "2":
+            assert sec["converged"]
+            assert sec["lower"] == pytest.approx(-1.0, abs=1e-12)
+            assert sec["upper"] == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_relax_linear_constraints_rational(capsys, tmp_path):
+    path = _linear_objective_problem(tmp_path)
+    code, out, _ = _run(
+        capsys, ["relax", "--level", "2", "--arith", "rational", "--output", "json", path]
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["exact_bounds"]["p1"] == "-1"
+    assert report["exact_bounds"]["p2"] == "-1"
+
+
+@pytest.mark.parametrize("level", ["0", "1", "2"])
+def test_bnb_prunes_infeasible_boxes(capsys, tmp_path, level):
+    # minimise x^2 + y^2 - x on [-1,1]^2 subject to x + 1/2 <= 0; optimum 3/4 at (-1/2, 0)
+    path = _write_problem(tmp_path, "half", {
+        "dimension": 2,
+        "objective": [
+            {"exponents": [2, 0], "coeff": 1}, {"exponents": [0, 2], "coeff": 1},
+            {"exponents": [1, 0], "coeff": -1},
+        ],
+        "box": {"lower": [-1, -1], "upper": [1, 1]},
+        "constraints_poly": [
+            [{"exponents": [1, 0], "coeff": 1}, {"exponents": [0, 0], "coeff": 0.5}]
+        ],
+    })
+    code, out, _ = _run(capsys, ["bnb", "--level", level, "--output", "json", path])
+    assert code == 0
+    sec = json.loads(out)["bnb"]
+    assert sec["converged"]
+    assert sec["lower"] <= 0.75 <= sec["upper"] <= 0.75 + 1e-6
+    assert sec["witness"] == pytest.approx([-0.5, 0.0], abs=1e-3)
+    assert sec["witness"][0] <= -0.5
+    assert sec["stats"]["infeasible_count"] > 0
+
+
+def test_bnb_infeasible_problem_is_a_clean_verdict(capsys, tmp_path):
+    # x^2 + 2 <= 0 holds nowhere
+    path = _write_problem(tmp_path, "empty", {
+        "dimension": 1,
+        "objective": [{"exponents": [1], "coeff": 1}],
+        "box": {"lower": [-1], "upper": [1]},
+        "constraints_poly": [
+            [{"exponents": [2], "coeff": 1}, {"exponents": [0], "coeff": 2}]
+        ],
+    })
+    code, out, _ = _run(capsys, ["bnb", "--level", "0", "--output", "json", path])
+    assert code == 2
+    sec = json.loads(out)["bnb"]
+    assert sec["lower"] is None and sec["upper"] is None and sec["witness"] is None
+    assert not sec["converged"]
+    code, out, _ = _run(capsys, ["bnb", "--level", "0", path])
+    assert code == 2
+    assert "bounds: [-, -]" in out
+
+
+def test_lyapunov_rational_mode_is_exact(capsys, fixture_dir):
+    code, out, _ = _run(
+        capsys,
+        ["lyapunov", "--arith", "rational", "--output", "json", str(fixture_dir / "lyap1.json")],
+    )
+    assert code == 0
+    verdict = json.loads(out)["verdict"]
+    assert verdict["v_bound"] == 0 and verdict["vdot_bound"] == 0
+    assert verdict["stable"] is True
+
+
+def test_bench_rational_mode_is_exact(capsys):
+    code, out, _ = _run(
+        capsys,
+        ["bench", "--level", "1", "--arith", "rational", "--output", "json", "square1d", "lyap1"],
+    )
+    assert code == 0
+    rows = {r["label"]: r for r in json.loads(out)["results"]}
+    assert rows["lyap1"]["v_bound"] == 0 and rows["lyap1"]["vdot_bound"] == 0
+    assert rows["square1d"]["opt"] == 0

@@ -55,6 +55,22 @@ def test_load_problem_full_schema():
     assert prob.constraints_linear[1] == [1.0]
 
 
+def test_all_constraints_turns_linear_rows_into_polynomials():
+    data = {
+        "dimension": 2,
+        "objective": [{"exponents": [2, 0], "coeff": 1}],
+        "box": {"lower": [0, 0], "upper": [1, 1]},
+        "constraints_poly": [[{"exponents": [1, 0], "coeff": 1}]],
+        "constraints_linear": {"A": [[0.1, -2], [0, 3]], "b": ["1/3", 0]},
+    }
+    poly_g, row1, row2 = load_problem(data, exact=True).all_constraints()
+    assert poly_g.terms == {(1, 0): 1}
+    assert row1.terms == {(1, 0): Fraction(1, 10), (0, 1): -2, (0, 0): Fraction(-1, 3)}
+    assert all(isinstance(c, Fraction) for c in row1.terms.values())
+    assert row2.terms == {(0, 1): 3}
+    assert row1.degree == (1, 1) and row2.degree == (0, 1)
+
+
 def test_load_problem_missing_key():
     with pytest.raises(ValueError):
         load_problem({"dimension": 1})
