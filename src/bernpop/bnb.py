@@ -6,10 +6,10 @@ of a (sub)problem is converted from the monomial basis; children get their
 tensors by a de Casteljau split of the parent along the bisected axis,
 and edge subproblems by a face slice.  A popped box is bounded at the
 configured relaxation level and then resolved by one of: infeasibility
-(some constraint tensor is positive), exactness (vertex condition or
-placeholder recovery), the incumbent cutoff test, the monotonicity test
-(which spawns a reduced "edge" subproblem solved recursively), or
-bisection.
+(some constraint tensor is positive, or the box's LP has no feasible
+point), exactness (vertex condition or placeholder recovery), the
+incumbent cutoff test, the monotonicity test (which spawns a reduced
+"edge" subproblem solved recursively), or bisection.
 
 The worklist is best-first on the parent bound; statistics for the main
 run and for the recursive edge subproblems are tracked separately.
@@ -70,6 +70,9 @@ class BnbStats:
     edge_subdivisions: int = 0
     edge_cutoffs: int = 0
     infeasible_count: int = 0
+    lp_solves: int = 0
+    lp_pivots: int = 0
+    lp_fallbacks: int = 0
     elapsed: float = 0.0
     edge_elapsed: float = 0.0
 
@@ -335,6 +338,13 @@ def _solve_problem(p, constraints, box, tensors, cfg, state, lift, stats, depth)
             bf, cfg.level, u=u, cuts=cuts, extra_rows=extra_rows,
             mapping=amap, exact=exact,
         )
+        stats.lp_solves += outcome.lp_solves
+        stats.lp_pivots += outcome.pivots
+        stats.lp_fallbacks += outcome.lp_fallbacks
+        if outcome.infeasible:
+            # the box's LP has no feasible point, confirmed in Fractions
+            stats.infeasible_count += 1
+            continue
         bound = outcome.bound
 
         _, pt = sample_upper_bound(p, cur, bf, constraints, amap)

@@ -69,6 +69,11 @@ def _parse_degree(text: str, objective_degree: tuple) -> tuple:
     return tuple(parts)
 
 
+def _bound_json(bound):
+    """A bound as a float; None (an infeasible LP) stays None."""
+    return None if bound is None else float(bound)
+
+
 def _witness_json(witness, exact: bool):
     if witness is None:
         return None
@@ -123,8 +128,8 @@ def _run_relax(args) -> tuple[int, dict]:
             else relax1(bf, u, amap, exact)
         )
         timings["p1"] = time.perf_counter() - t0
-        bounds["p1"] = float(out1.bound)
-        if exact:
+        bounds["p1"] = _bound_json(out1.bound)
+        if exact and out1.bound is not None:
             exact_strs["p1"] = _fraction_str(out1.bound)
         if out1.exact:
             witness = witness or out1.witness
@@ -133,11 +138,12 @@ def _run_relax(args) -> tuple[int, dict]:
         cuts = build_cut_matrix(degree, exact)
         out2 = relax2_iterative(bf, u, cuts, extra_rows, amap, exact)
         timings["p2"] = time.perf_counter() - t0
-        bounds["p2"] = float(out2.bound)
-        if exact:
+        bounds["p2"] = _bound_json(out2.bound)
+        if exact and out2.bound is not None:
             exact_strs["p2"] = _fraction_str(out2.bound)
         bounds["p2_activated_rows"] = len(out2.activated_rows)
         bounds["p2_iterations"] = out2.iterations
+        bounds["p2_pivots"] = out2.pivots
         if out2.exact:
             witness = witness or out2.witness
 
@@ -172,8 +178,8 @@ def _bnb_config(args, problem=None) -> bnb_mod.BnbConfig:
 def _bnb_section(result, exact: bool) -> dict:
     s = result.stats
     return {
-        "lower": None if result.lower_bound is None else float(result.lower_bound),
-        "upper": None if result.upper_bound is None else float(result.upper_bound),
+        "lower": _bound_json(result.lower_bound),
+        "upper": _bound_json(result.upper_bound),
         "witness": _witness_json(result.witness, exact),
         "converged": result.converged,
         "stats": {
@@ -183,6 +189,9 @@ def _bnb_section(result, exact: bool) -> dict:
             "edge_subdivisions": s.edge_subdivisions,
             "edge_cutoffs": s.edge_cutoffs,
             "infeasible_count": s.infeasible_count,
+            "lp_solves": s.lp_solves,
+            "lp_pivots": s.lp_pivots,
+            "lp_fallbacks": s.lp_fallbacks,
         },
     }
 
@@ -311,7 +320,8 @@ def _print_report(report: dict, output: str) -> None:
         print(f"problem {report['problem']}  degree {tuple(report['degree'])}")
         for key in ("p0", "first", "p1", "p2"):
             if key in report["bounds"]:
-                line = f"  {key:>5} = {report['bounds'][key]:.10g}"
+                value = report["bounds"][key]
+                line = f"  {key:>5} = {'-' if value is None else format(value, '.10g')}"
                 if "exact_bounds" in report and key in report["exact_bounds"]:
                     line += f"  (= {report['exact_bounds'][key]})"
                 print(line)
@@ -319,6 +329,7 @@ def _print_report(report: dict, output: str) -> None:
             print(
                 f"  cut rows activated: {report['bounds']['p2_activated_rows']}"
                 f" in {report['bounds']['p2_iterations']} iterations"
+                f" ({report['bounds']['p2_pivots']} pivots)"
             )
         if "witness" in report:
             print(f"  exactness witness: {report['witness']}")

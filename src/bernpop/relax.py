@@ -58,7 +58,11 @@ class RelaxationOutcome:
     activated_rows: tuple = ()
     witness: Optional[tuple] = None
     exact: bool = False
-    iterations: int = 0
+    iterations: int = 0  # cut rounds
+    infeasible: bool = False  # the LP has no feasible point (then bound is None)
+    lp_solves: int = 0
+    pivots: int = 0
+    lp_fallbacks: int = 0  # warm solves redone cold (see simplex.CutLP)
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +335,19 @@ def relax0(bf: BernsteinForm, mapping: Optional[AffineMap] = None) -> Relaxation
     return RelaxationOutcome(bound=value, exact=is_exact, witness=witness)
 
 
-def _greedy_knapsack(coeffs: Sequence, u: Sequence, exact: bool) -> tuple[object, list]:
+def _greedy_knapsack(coeffs: Sequence, u: Sequence, exact: bool) -> tuple[object, list, int]:
+    """Fill the cheapest coefficients to their caps until the unit mass is
+    spent; returns the bound, z, and the last variable filled.
+
+    That last variable is the one basic variable of an optimal basis of
+    the level-1 LP: every other variable sits at 0 or at its cap, with
+    c_j <= c_last where filled and c_j >= c_last where not.
+    """
     order = sorted(range(len(coeffs)), key=lambda i: (coeffs[i], i))
     remaining = Fraction(1) if exact else 1.0
     z = [Fraction(0) if exact else 0.0] * len(coeffs)
     bound = Fraction(0) if exact else 0.0
+    last = order[0]
     for i in order:
         if remaining <= 0:
             break
@@ -343,9 +355,10 @@ def _greedy_knapsack(coeffs: Sequence, u: Sequence, exact: bool) -> tuple[object
         z[i] = take
         bound += coeffs[i] * take
         remaining -= take
+        last = i
     if remaining > (0 if exact else 1e-12):
         raise AssertionError("upper bounds sum below one; corner caps must be 1")
-    return bound, z
+    return bound, z, last
 
 
 def relax1(
@@ -360,7 +373,7 @@ def relax1(
     cheapest coefficients to their caps is optimal; ties break by index
     order.  Corner caps equal one, hence sum(u) >= 1 always.
     """
-    bound, z = _greedy_knapsack(bf.coeffs, u, exact)
+    bound, z, _ = _greedy_knapsack(bf.coeffs, u, exact)
     is_exact, witness = _certify(bf, z, bound, mapping, exact)
     return RelaxationOutcome(bound=bound, z=z, exact=is_exact, witness=witness)
 
@@ -416,16 +429,9 @@ def relax1_lp(
     mapping: Optional[AffineMap] = None,
     exact: bool = False,
 ) -> RelaxationOutcome:
-    """Level 1 through the simplex; needed once side constraints appear,
-    and kept as a cross-check of the greedy."""
-    lp = _level1_lp(bf, u, extra_rows, exact)
-    sol = simplex.solve(lp, exact=exact)
-    if sol.status != simplex.OPTIMAL:
-        raise RuntimeError(f"level-1 LP ended with status {sol.status}")
-    is_exact, witness = (
-        _certify(bf, sol.z, sol.value, mapping, exact) if not extra_rows else (False, None)
-    )
-    return RelaxationOutcome(bound=sol.value, z=sol.z, exact=is_exact, witness=witness)
+    """Level 1 with side constraints: the greedy basis re-optimised after
+    appending ``extra_rows`` (the zero-round case of the level-2 loop)."""
+    return _cut_loop(bf, u, None, extra_rows, mapping, exact, 0)
 
 
 def relax2_iterative(
@@ -442,32 +448,63 @@ def relax2_iterative(
     Starts from the level-1 LP, then repeatedly moves every violated
     elevation row into the working set until the optimum satisfies the
     whole system; the result equals the one-shot solve of the full LP.
+    One ``simplex.CutLP`` lives for the whole loop: it starts from the
+    greedy basis and each round's rows are appended to it and re-optimised
+    in place by the dual simplex.
     """
     if violation_tol is None:
         violation_tol = 0 if exact else _VIOLATION_TOL
+    return _cut_loop(bf, u, cuts, extra_rows, mapping, exact, violation_tol)
+
+
+def _cut_loop(bf, u, cuts, extra_rows, mapping, exact, violation_tol) -> RelaxationOutcome:
+    """Solve the level-1 LP plus ``extra_rows``, then (when ``cuts`` is
+    given) add violated rows of ``cuts`` until none is left.
+
+    An infeasible LP ends in an outcome with no bound and ``infeasible``
+    set.  Float mode confirms infeasibility by re-solving the Fraction
+    images of the same rows; a float verdict the exact solve refutes is
+    an error rather than a pruned box.
+    """
+    bound, z, last = _greedy_knapsack(bf.coeffs, u, exact)
+    lp = simplex.CutLP(bf.coeffs, u, z, last, exact)
+    lp.append_rows(extra_rows)
+    sol = simplex.LPSolution(simplex.OPTIMAL, value=bound, z=z)
     active: list[int] = []
     active_set: set[int] = set()
-    iterations = 0
+    rounds = solves = pivots = 0
     while True:
-        iterations += 1
-        if not active and not extra_rows:
-            # the cut-free start is the separable level-1 LP: greedy is exact
-            g_bound, g_z = _greedy_knapsack(bf.coeffs, u, exact)
-            sol = simplex.LPSolution(simplex.OPTIMAL, value=g_bound, z=g_z)
-        else:
-            rows = list(extra_rows) + [cuts.row(i) for i in active]
-            lp = _level1_lp(bf, u, rows, exact)
-            sol = simplex.solve(lp, exact=exact)
+        if lp.row_count:  # otherwise the greedy fill is the optimum
+            sol = simplex.solve(lp, exact)
+            solves += 1
+            pivots += sol.iterations
+            if sol.status == simplex.INFEASIBLE and not exact:
+                check = simplex.solve(lp.exact_image(), True)
+                solves += 1
+                pivots += check.iterations
+                if check.status != simplex.INFEASIBLE:
+                    raise RuntimeError(
+                        f"float LP reported infeasible, exact re-solve ended {check.status}"
+                    )
+            if sol.status == simplex.INFEASIBLE:
+                return RelaxationOutcome(
+                    bound=None, activated_rows=tuple(active), iterations=rounds,
+                    infeasible=True, lp_solves=solves, pivots=pivots,
+                    lp_fallbacks=lp.fallbacks,
+                )
             if sol.status != simplex.OPTIMAL:
-                raise RuntimeError(f"level-2 LP ended with status {sol.status}")
+                raise RuntimeError(f"LP ended with status {sol.status}")
+        if cuts is None:
+            break
+        rounds += 1
         violated = cuts.scan_violations(sol.z, violation_tol, active_set)
         if not violated:
             break
         active.extend(violated)
         active_set.update(violated)
-    constrained = bool(extra_rows)
+        lp.append_rows([cuts.row(i) for i in violated])
     is_exact, witness = (
-        _certify(bf, sol.z, sol.value, mapping, exact) if not constrained else (False, None)
+        _certify(bf, sol.z, sol.value, mapping, exact) if not extra_rows else (False, None)
     )
     return RelaxationOutcome(
         bound=sol.value,
@@ -475,7 +512,10 @@ def relax2_iterative(
         activated_rows=tuple(active),
         exact=is_exact,
         witness=witness,
-        iterations=iterations,
+        iterations=rounds,
+        lp_solves=solves,
+        pivots=pivots,
+        lp_fallbacks=lp.fallbacks,
     )
 
 

@@ -1,22 +1,39 @@
-"""A dense two-phase bounded-variable primal simplex.
+"""Dense bounded-variable simplex engines.
 
 Small LPs only: the relaxations produce problems with a few hundred
-variables and a handful of rows, so the basis is refactorized from scratch
-at every pivot.  Two arithmetic modes share the same algorithm:
+variables and at most a few hundred rows, so every engine keeps an explicit
+basis inverse.  Variable bounds are handled implicitly (never as rows).
 
-* float mode: numpy linear algebra, Dantzig pricing with a Bland fallback
-  once the objective stalls, tolerances around 1e-8/1e-9;
-* exact mode: Fractions throughout, Bland's rule always, zero tolerances.
+* ``CutLP`` is the runtime engine.  It holds the level-1 LP
+  ``min c.z, sum z = 1, 0 <= z <= u`` plus inequality rows appended one
+  batch at a time, and re-optimises in place with a bounded dual simplex.
+  It starts from the greedy knapsack basis, which is dual feasible; each
+  appended row enters with its slack basic, which keeps it dual feasible,
+  and the basis inverse grows by a block formula.  Pivots update the
+  inverse in product form and the entering column is chosen by a
+  vectorised dual ratio test.  Float mode refactorizes on entry to each
+  solve and every 64 pivots, and checks dual feasibility on a fresh
+  factorization before it returns; if that check fails it falls back to
+  the two-phase engine below.  Exact mode works on object arrays of
+  Fractions with zero tolerances and a Bland-style rule, and never
+  refactorizes: product-form updates are exact.
+* ``_FloatEngine`` and ``_ExactEngine`` form a two-phase primal simplex
+  for a general ``LinearProgram`` (``None`` stands for an infinite bound).
+  The float engine uses numpy, product-form updates with periodic
+  refactorization, Dantzig pricing with a Bland fallback once the
+  objective stalls, and tolerances around 1e-8/1e-9.  The exact engine
+  uses Fractions, Bland's rule and zero tolerances, and solves two
+  Gaussian eliminations per pivot.
 
-Variable bounds are handled implicitly (never as rows); ``None`` stands
-for an infinite bound.
+``solve`` dispatches on its argument: a ``CutLP`` is re-optimised in
+place, a ``LinearProgram`` is solved from scratch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -75,11 +92,265 @@ class LPSolution:
     iterations: int = 0
 
 
-def solve(lp: LinearProgram, exact: bool = False) -> LPSolution:
-    """Solve ``lp``; statuses are returned, never raised."""
+def solve(lp, exact: bool = False) -> LPSolution:
+    """Solve ``lp``; statuses are returned, never raised.
+
+    A ``CutLP`` is re-optimised in place in its own arithmetic, and the
+    solution's ``iterations`` are the pivots of this call; a
+    ``LinearProgram`` is solved from scratch by the two-phase engine.
+    """
+    if isinstance(lp, CutLP):
+        return lp.reoptimize()
     if exact:
         return _ExactEngine(lp).run()
     return _FloatEngine(lp).run()
+
+
+# ---------------------------------------------------------------------------
+# warm-started dual simplex for the level-1 LP plus appended rows
+
+
+class CutLP:
+    """``min c.z, sum z = 1, 0 <= z <= u`` plus rows ``a.z <= b`` appended
+    over its life, kept at an optimal basis by a bounded dual simplex.
+
+    ``start`` is a vertex of the level-1 LP whose one basic variable is
+    ``basic`` and whose other nonzero entries sit at their caps; the caller
+    guarantees that this basis is dual feasible, i.e. ``c_j <= c_basic``
+    where ``z_j`` is at its cap and ``c_j >= c_basic`` where it is 0 (the
+    greedy knapsack fill has this property).  Every variable, slacks
+    included, has lower bound 0; slacks have no upper bound.  Columns are
+    the n structural variables followed by one slack per appended row; row
+    0 is the unit-mass equality.
+    """
+
+    def __init__(self, c: Sequence, upper: Sequence, start: Sequence, basic: int,
+                 exact: bool = False):
+        n = len(c)
+        self.exact = exact
+        self.n = n
+        self.fallbacks = 0
+        self._cold = False  # set by a fallback: later solves are cold as well
+        self._start = (list(c), list(upper), list(start), basic)
+        self._rows: list = []
+        self._zero, self._one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+        self.c = self._vector(c)
+        self.hi = self._vector(upper)
+        self.G = self._ones((1, n))
+        self.h = self._ones(1)
+        self.basis = np.array([basic])
+        self.is_basic = np.zeros(n, dtype=bool)
+        self.is_basic[basic] = True
+        self.at_upper = np.array([j != basic and v != 0 for j, v in enumerate(start)])
+        self.x = np.where(self.at_upper, self.hi, self._zero)
+        self.x[basic] = self.h[0] - self.x.sum()
+        self.b_inv = self._ones((1, 1))
+        self.d = self.c - self.c[basic]
+
+    # scalar-field helpers: float64 arrays, or object arrays of Fractions
+    def _vector(self, values) -> np.ndarray:
+        if self.exact:
+            return np.array([Fraction(v) for v in values], dtype=object)
+        return np.asarray(values, dtype=float)
+
+    def _matrix(self, rows) -> np.ndarray:
+        if self.exact:
+            return np.array([[Fraction(v) for v in r] for r in rows], dtype=object)
+        return np.asarray(rows, dtype=float)
+
+    def _zeros(self, shape) -> np.ndarray:
+        return np.full(shape, self._zero, dtype=object if self.exact else float)
+
+    def _ones(self, shape) -> np.ndarray:
+        return np.full(shape, self._one, dtype=object if self.exact else float)
+
+    @property
+    def row_count(self) -> int:
+        """Appended inequality rows (the unit-mass row not counted)."""
+        return len(self._rows)
+
+    def append_rows(self, rows: Sequence) -> None:
+        """Append rows ``(a, b)`` meaning ``a.z <= b``, each with its slack
+        basic; the inverse grows by ``[[B^-1, 0], [-A_B B^-1, I]]``."""
+        if not rows:
+            return
+        self._rows.extend(rows)
+        k = len(rows)
+        a = self._matrix([r for r, _ in rows])
+        b = self._vector([rhs for _, rhs in rows])
+        m, cols = self.G.shape
+        eye = self._zeros((k, k))
+        np.fill_diagonal(eye, self._one)
+        g = self._zeros((m + k, cols + k))
+        g[:m, :cols] = self.G
+        g[m:, : self.n] = a
+        g[m:, cols:] = eye
+        b_inv = self._zeros((m + k, m + k))
+        b_inv[:m, :m] = self.b_inv
+        b_inv[m:, :m] = -(g[m:, self.basis] @ self.b_inv)
+        b_inv[m:, m:] = eye
+        self.G, self.b_inv = g, b_inv
+        self.h = np.concatenate([self.h, b])
+        self.x = np.concatenate([self.x, b - a @ self.x[: self.n]])
+        self.c = np.concatenate([self.c, self._zeros(k)])
+        self.d = np.concatenate([self.d, self._zeros(k)])
+        self.hi = np.concatenate([self.hi, np.full(k, np.inf, dtype=self.hi.dtype)])
+        self.at_upper = np.concatenate([self.at_upper, np.zeros(k, dtype=bool)])
+        self.is_basic = np.concatenate([self.is_basic, np.ones(k, dtype=bool)])
+        self.basis = np.concatenate([self.basis, np.arange(cols, cols + k)])
+
+    def exact_image(self) -> "CutLP":
+        """The same LP in Fractions (floats convert exactly), from the same
+        start and with the same rows."""
+        c, upper, start, basic = self._start
+        image = CutLP(c, upper, start, basic, exact=True)
+        image.append_rows(self._rows)
+        return image
+
+    def reoptimize(self) -> LPSolution:
+        """Run the dual simplex from the current basis to an optimum."""
+        if self._cold:
+            return self._cold_solve()
+        pivots = since_factor = 0
+        if not self.exact:
+            self._refactor()
+        cap = 50 * (self.G.shape[0] + self.G.shape[1])
+        while True:
+            r = self._leaving_row()
+            if r is None:
+                if self.exact:
+                    return self._solution(pivots)
+                if since_factor:  # confirm on a fresh factorization
+                    self._refactor()
+                    since_factor = 0
+                    continue
+                if not self._dual_feasible():
+                    return self._fallback(pivots)
+                return self._solution(pivots)
+            if pivots >= cap:
+                if self.exact:
+                    return LPSolution(ITERATION_LIMIT, iterations=pivots)
+                return self._fallback(pivots)
+            alpha = self.b_inv[r] @ self.G
+            q = self._entering(r, alpha)
+            if q is None:
+                if not self.exact and since_factor:
+                    self._refactor()
+                    since_factor = 0
+                    continue
+                return LPSolution(INFEASIBLE, iterations=pivots)
+            stable = self._pivot(r, q, alpha)
+            pivots += 1
+            since_factor += 1
+            if not self.exact and (not stable or since_factor >= 64):
+                self._refactor()
+                since_factor = 0
+
+    def _refactor(self) -> None:
+        """Float mode: recompute the inverse, basic values and reduced costs."""
+        B = self.G[:, self.basis]
+        try:
+            self.b_inv = np.linalg.inv(B)
+        except np.linalg.LinAlgError:
+            self.b_inv = np.linalg.pinv(B)
+        nb = ~self.is_basic
+        self.x[self.basis] = self.b_inv @ (self.h - self.G[:, nb] @ self.x[nb])
+        self.d = self.c - (self.c[self.basis] @ self.b_inv) @ self.G
+        self.d[self.basis] = 0.0
+
+    def _leaving_row(self) -> Optional[int]:
+        """Basis position of a primal-infeasible basic variable, or None:
+        the largest violation in float mode, the smallest variable index
+        in exact mode."""
+        xb = self.x[self.basis]
+        if self.exact:
+            bad = np.nonzero((xb < 0) | (xb > self.hi[self.basis]))[0]
+            if not bad.size:
+                return None
+            return int(bad[np.argmin(self.basis[bad])])
+        viol = np.maximum(-xb, xb - self.hi[self.basis])
+        r = int(np.argmax(viol))
+        return r if viol[r] > _FEAS_TOL else None
+
+    def _entering(self, r: int, alpha: np.ndarray) -> Optional[int]:
+        """Dual ratio test on row ``alpha`` of the tableau; None when no
+        nonbasic variable can move the leaving one toward its bound."""
+        tol = 0 if self.exact else _PIVOT_TOL
+        up = self.x[self.basis[r]] < 0  # the leaving variable must increase
+        sign = np.where(self.at_upper, -1, 1) * (1 if up else -1)
+        movable = ~self.is_basic & (self.hi != 0)
+        cand = np.nonzero(movable & (sign * alpha < -tol))[0]
+        if not cand.size:
+            return None
+        dd = np.where(self.at_upper[cand], -self.d[cand], self.d[cand])
+        size = np.abs(alpha[cand])
+        if self.exact:
+            return int(cand[np.argmin(dd / size)])  # ties: smallest index
+        ratios = np.maximum(dd, 0.0) / size
+        ties = np.nonzero(ratios <= ratios.min() + 1e-12)[0]
+        return int(cand[ties[np.argmax(size[ties])]])  # ties: largest pivot
+
+    def _pivot(self, r: int, q: int, alpha: np.ndarray) -> bool:
+        """Swap basic ``basis[r]`` for nonbasic ``q``; returns whether the
+        pivot element was large enough for a product-form update."""
+        leaving = self.basis[r]
+        up = self.x[leaving] < 0
+        theta = self.d[q] / alpha[q]
+        self.d = self.d - theta * alpha
+        self.d[self.basis] = self._zero
+        self.d[leaving] = -theta
+        self.d[q] = self._zero
+        col = self.b_inv @ self.G[:, q]
+        piv = col[r]
+        target = self._zero if up else self.hi[leaving]
+        step = (self.x[leaving] - target) / piv
+        self.x[self.basis] = self.x[self.basis] - step * col
+        self.x[q] = self.x[q] + step
+        self.x[leaving] = target
+        self.basis[r] = q
+        self.is_basic[q], self.is_basic[leaving] = True, False
+        self.at_upper[q], self.at_upper[leaving] = False, not up
+        row = self.b_inv[r] / piv
+        self.b_inv = self.b_inv - np.outer(col, row)
+        self.b_inv[r] = row
+        return self.exact or abs(piv) > 1e-7
+
+    def _dual_feasible(self) -> bool:
+        tol = _COST_TOL * max(1.0, float(np.abs(self.c).max()))
+        movable = ~self.is_basic & (self.hi != 0)
+        wrong = np.where(self.at_upper, self.d > tol, self.d < -tol)
+        return not (movable & wrong).any()
+
+    def _solution(self, pivots: int) -> LPSolution:
+        z = self.x[: self.n]
+        value = self.c[: self.n] @ z
+        return LPSolution(
+            OPTIMAL,
+            value=value if self.exact else float(value),
+            z=z.tolist(),
+            iterations=pivots,
+        )
+
+    def _fallback(self, pivots: int) -> LPSolution:
+        self.fallbacks += 1
+        self._cold = True
+        sol = self._cold_solve()
+        sol.iterations += pivots
+        return sol
+
+    def _cold_solve(self) -> LPSolution:
+        """The two-phase solve of the same rows."""
+        c, upper, _, _ = self._start
+        lp = LinearProgram(
+            c=list(c),
+            a_ub=[list(a) for a, _ in self._rows],
+            b_ub=[b for _, b in self._rows],
+            a_eq=[[1.0] * self.n],
+            b_eq=[1.0],
+            lower=[0.0] * self.n,
+            upper=list(upper),
+        )
+        return _FloatEngine(lp).run()
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +408,7 @@ class _FloatEngine:
             col = self.n_struct + i
             self.G[i, col] = 1.0 if resid[i] >= 0 else -1.0
             self.value[col] = abs(resid[i])
-        self.basis = list(range(self.n_struct, self.n_total))
+        self.basis = np.arange(self.n_struct, self.n_total)
         self.in_basis = np.zeros(self.n_total, dtype=bool)
         self.in_basis[self.basis] = True
 
@@ -199,6 +470,33 @@ class _FloatEngine:
         except np.linalg.LinAlgError:
             return np.linalg.pinv(B)
 
+    def _ratio_test(self, entering: int, direction: float, d_b: np.ndarray):
+        """Largest step before a basic variable (or the entering variable
+        itself) hits a bound: (step, basis position or -1 for a bound flip,
+        whether the leaving variable ends at its upper bound).  Ties within
+        1e-12 go to the smallest basic index, and a leaving variable beats
+        a bound flip."""
+        t_best = np.inf
+        leave_pos = -1
+        leave_to_upper = False
+        span = self.hi[entering] - self.lo[entering]
+        if np.isfinite(span):
+            t_best = span
+        step = direction * d_b
+        falls = step > _PIVOT_TOL
+        lim = np.where(falls, self.lo[self.basis], self.hi[self.basis])
+        hits = (falls | (step < -_PIVOT_TOL)) & np.isfinite(lim)
+        if hits.any():
+            t = np.full(self.m, np.inf)
+            t[hits] = (self.value[self.basis][hits] - lim[hits]) / step[hits]
+            t_min = t.min()
+            if t_min <= t_best + 1e-12:
+                ties = np.nonzero(t <= t_min + 1e-12)[0]
+                leave_pos = int(ties[np.argmin(self.basis[ties])])
+                t_best = t[leave_pos]
+                leave_to_upper = not falls[leave_pos]
+        return t_best, leave_pos, leave_to_upper
+
     def _iterate(self, cvec) -> str:
         m = self.m
         bland = False
@@ -254,35 +552,7 @@ class _FloatEngine:
                 direction = 1.0 if down[entering] else -1.0
 
             d_b = b_inv @ self.G[:, entering] if m else np.zeros(0)
-            # largest step before a basic variable (or the entering variable
-            # itself) hits a bound
-            t_best = np.inf
-            leave_pos = -1
-            leave_to_upper = False
-            span = self.hi[entering] - self.lo[entering]
-            if np.isfinite(span):
-                t_best = span
-            for pos in range(m):
-                step = direction * d_b[pos]
-                j = self.basis[pos]
-                if step > _PIVOT_TOL:
-                    lim = self.lo[j]
-                    if np.isfinite(lim):
-                        t = (self.value[j] - lim) / step
-                        if t < t_best - 1e-12 or (
-                            abs(t - t_best) <= 1e-12
-                            and (leave_pos < 0 or j < self.basis[leave_pos])
-                        ):
-                            t_best, leave_pos, leave_to_upper = t, pos, False
-                elif step < -_PIVOT_TOL:
-                    lim = self.hi[j]
-                    if np.isfinite(lim):
-                        t = (lim - self.value[j]) / (-step)
-                        if t < t_best - 1e-12 or (
-                            abs(t - t_best) <= 1e-12
-                            and (leave_pos < 0 or j < self.basis[leave_pos])
-                        ):
-                            t_best, leave_pos, leave_to_upper = t, pos, True
+            t_best, leave_pos, leave_to_upper = self._ratio_test(entering, direction, d_b)
             if not np.isfinite(t_best):
                 return UNBOUNDED
             t_best = max(t_best, 0.0)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -311,3 +312,28 @@ def test_all_boxes_infeasible_ends_without_bounds():
     assert res.lower_bound is None and res.upper_bound is None
     assert res.witness is None
     assert res.stats.infeasible_count == 1
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("level", ["1", "2"])
+def test_infeasible_lp_prunes_the_box(level, exact):
+    # x^2 + 1 <= 0 on [-1, 1]: the root coefficients of g are 2, 0, 2, so no
+    # constraint tensor is positive, but the middle one is capped at 1/2 and
+    # no z satisfies the row; the LP's infeasibility prunes the box
+    one = Fraction(1) if exact else 1.0
+    x = Polynomial(1, {(1,): one})
+    g = Polynomial(1, {(2,): one, (0,): one})
+    box = Box((-one,), (one,))
+    res = branch_and_bound(x, (g,), box, BnbConfig(level=level, exact=exact))
+    assert not res.converged
+    assert res.lower_bound is None and res.upper_bound is None and res.witness is None
+    assert res.stats.infeasible_count == 1
+    assert res.stats.lp_solves == (1 if exact else 2)  # float adds the exact re-check
+
+
+def test_lp_work_is_counted():
+    p, box = himmelblau(), Box((-5.0, -5.0), (5.0, 5.0))
+    l2 = branch_and_bound(p, (), box, BnbConfig(level="2", epsilon=1e-3)).stats
+    assert l2.lp_solves > 0 and l2.lp_pivots > 0 and l2.lp_fallbacks == 0
+    l0 = branch_and_bound(p, (), box, BnbConfig(level="0", epsilon=1e-3)).stats
+    assert l0.lp_solves == 0 and l0.lp_pivots == 0

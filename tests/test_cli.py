@@ -292,3 +292,42 @@ def test_bench_rational_mode_is_exact(capsys):
     rows = {r["label"]: r for r in json.loads(out)["results"]}
     assert rows["lyap1"]["v_bound"] == 0 and rows["lyap1"]["vdot_bound"] == 0
     assert rows["square1d"]["opt"] == 0
+
+
+@pytest.mark.parametrize("level", ["1", "2"])
+def test_bnb_infeasible_lp_is_a_clean_verdict(capsys, tmp_path, level):
+    # x^2 + 1 <= 0 holds nowhere, yet its coefficients 2, 0, 2 are not all
+    # positive: only the LP (the middle cap is 1/2) shows it
+    path = _write_problem(tmp_path, "empty_lp", {
+        "dimension": 1,
+        "objective": [{"exponents": [1], "coeff": 1}],
+        "box": {"lower": [-1], "upper": [1]},
+        "constraints_poly": [
+            [{"exponents": [2], "coeff": 1}, {"exponents": [0], "coeff": 1}]
+        ],
+    })
+    for arith in ("float", "rational"):
+        code, out, _ = _run(
+            capsys, ["bnb", "--level", level, "--arith", arith, "--output", "json", path]
+        )
+        assert code == 2
+        sec = json.loads(out)["bnb"]
+        assert sec["lower"] is None and sec["upper"] is None and sec["witness"] is None
+        assert not sec["converged"]
+        assert sec["stats"]["infeasible_count"] == 1
+    code, out, _ = _run(capsys, ["relax", "--level", level, "--output", "json", path])
+    assert code == 0
+    assert json.loads(out)["bounds"]["p1" if level == "1" else "p2"] is None
+
+
+def test_lp_work_in_json_reports(capsys, fixture_dir):
+    path = str(fixture_dir / "himmelblau.json")
+    code, out, _ = _run(capsys, ["relax", "--level", "2", "--output", "json", path])
+    bounds = json.loads(out)["bounds"]
+    assert bounds["p2_pivots"] > 0 and bounds["p2_iterations"] > 0
+    for level, positive in (("2", True), ("0", False)):
+        code, out, _ = _run(capsys, ["bnb", "--level", level, "--eps", "1e-3", "--output", "json", path])
+        stats = json.loads(out)["bnb"]["stats"]
+        assert (stats["lp_solves"] > 0) == positive
+        assert (stats["lp_pivots"] > 0) == positive
+        assert stats["lp_fallbacks"] == 0

@@ -392,3 +392,197 @@ def test_exact_mode_relaxations():
     r1 = relax1(bf, u, amap, exact=True)
     assert abs(float(r1.bound) + 911.47) < 0.01
     assert isinstance(r1.bound, Fraction)
+
+
+# -- warm-started cut loop --------------------------------------------------
+
+
+def _costly_corner_instance(rng, degree, with_rows):
+    """Exact coefficients (corners made dear, so elevation rows bind), caps,
+    and optionally two side rows that the basis values at a random point
+    satisfy, which keeps the full level-2 LP feasible."""
+    coeffs = []
+    for idx in iter_indices(degree):
+        v = Fraction(rng.randint(-40, 40), 8)
+        if all(i in (0, d) for i, d in zip(idx, degree)):
+            v += 25
+        coeffs.append(v)
+    bf = relax.BernsteinForm(degree, tuple(coeffs), degree)
+    rows = []
+    if with_rows:
+        point = [Fraction(rng.randint(1, 7), 8) for _ in degree]
+        z0 = relax._basis_values(point, degree, exact=True)
+        for _ in range(2):
+            a = [Fraction(rng.randint(-8, 8), 4) for _ in z0]
+            rows.append((a, sum(x * y for x, y in zip(a, z0)) + Fraction(rng.randint(0, 4), 16)))
+    return bf, rows
+
+
+def _float_image(bf, rows):
+    fbf = relax.BernsteinForm(bf.degree, tuple(map(float, bf.coeffs)), bf.degree)
+    return fbf, [([float(v) for v in a], float(b)) for a, b in rows]
+
+
+def _assert_exact_level2_optimal(bf, u, cuts, rows, out):
+    """The cold exact solve of the rows the loop activated has the loop's
+    value, and the loop's z violates no row of the full system.  The full
+    LP's feasible set lies inside the active one and contains z, so the
+    full optimum is that value too."""
+    active = list(rows) + [cuts.row(i) for i in out.activated_rows]
+    cold = simplex.solve(relax._level1_lp(bf, u, active, exact=True), exact=True)
+    assert cold.status == simplex.OPTIMAL
+    assert out.bound == cold.value
+    assert cuts.scan_violations(out.z, 0, set()) == []
+
+
+@pytest.mark.parametrize("degree", [(2, 2), (3, 2), (4, 4), (2, 2, 2), (6,)])
+@pytest.mark.parametrize("with_rows", [False, True])
+def test_warm_loop_equals_cold_full_lp(rng, degree, with_rows):
+    cuts_q = build_cut_matrix(degree, exact=True)
+    cuts_f = build_cut_matrix(degree)
+    u_q, u_f = upper_bounds(degree, exact=True), upper_bounds(degree)
+    pivots = 0
+    for trial in range(3):
+        bf_q, rows_q = _costly_corner_instance(rng, degree, with_rows)
+        bf_f, rows_f = _float_image(bf_q, rows_q)
+        warm = relax2_iterative(bf_f, u_f, cuts_f, extra_rows=rows_f)
+        cold = relax2_monolithic(bf_f, u_f, cuts_f, extra_rows=rows_f)
+        assert warm.bound == pytest.approx(cold.bound, rel=1e-9, abs=1e-12)
+        pivots += warm.pivots
+
+        warm_q = relax2_iterative(bf_q, u_q, cuts_q, extra_rows=rows_q, exact=True)
+        assert isinstance(warm_q.bound, Fraction)
+        _assert_exact_level2_optimal(bf_q, u_q, cuts_q, rows_q, warm_q)
+        if trial == 0 and cuts_q.row_count <= 30:  # the cold exact solve of every row is slow
+            mono = relax2_monolithic(bf_q, u_q, cuts_q, extra_rows=rows_q, exact=True)
+            assert warm_q.bound == mono.bound
+
+        for bf, u, rows, exact in ((bf_f, u_f, rows_f, False), (bf_q, u_q, rows_q, True)):
+            lp1 = relax1_lp(bf, u, rows, exact=exact)
+            cold1 = simplex.solve(relax._level1_lp(bf, u, rows, exact), exact=exact)
+            if exact:
+                assert lp1.bound == cold1.value
+            else:
+                assert lp1.bound == pytest.approx(cold1.value, rel=1e-9, abs=1e-12)
+    assert pivots > 0  # the instances exercise the dual simplex
+
+
+@pytest.mark.parametrize(
+    "name, degree, coeffs, rows",
+    [
+        # all coefficients equal: every greedy tie breaks by index
+        ("equal", (1, 2), [1] * 6, [([1, 1, 1, 0, 0, 0], Fraction(1, 2))]),
+        # the cheapest corner takes the whole mass at its cap: no fractional variable
+        ("capped", (2,), [0, 1, 2], [([1, 0, 0], Fraction(1, 2))]),
+        # a degree-0 axis
+        ("flat axis", (3, 0), [3, -2, -1, 4], [([0, 1, 0, 0], Fraction(1, 4))]),
+        # the one-variable LP
+        ("one variable", (0,), [3], [([1], 2)]),
+    ],
+)
+@pytest.mark.parametrize("with_rows", [False, True])
+def test_warm_loop_degenerate_starts(name, degree, coeffs, rows, with_rows):
+    rows = rows if with_rows else []
+    bf_q = relax.BernsteinForm(degree, tuple(Fraction(v) for v in coeffs), degree)
+    rows_q = [([Fraction(v) for v in a], Fraction(b)) for a, b in rows]
+    bf_f, rows_f = _float_image(bf_q, rows_q)
+    for bf, r, exact in ((bf_f, rows_f, False), (bf_q, rows_q, True)):
+        u = upper_bounds(degree, exact=exact)
+        cuts = build_cut_matrix(degree, exact)
+        warm = relax2_iterative(bf, u, cuts, extra_rows=r, exact=exact)
+        cold = relax2_monolithic(bf, u, cuts, extra_rows=r, exact=exact)
+        lp1 = relax1_lp(bf, u, r, exact=exact)
+        cold1 = simplex.solve(relax._level1_lp(bf, u, r, exact), exact=exact)
+        if exact:
+            assert warm.bound == cold.bound and lp1.bound == cold1.value
+        else:
+            assert warm.bound == pytest.approx(cold.bound, rel=1e-9, abs=1e-12)
+            assert lp1.bound == pytest.approx(cold1.value, rel=1e-9, abs=1e-12)
+
+
+def test_greedy_names_the_basic_variable():
+    # c = (2, 0, 1), caps (1, 1/2, 1): z1 fills its cap, z2 takes the rest
+    bound, z, last = relax._greedy_knapsack([2, 0, 1], [1, Fraction(1, 2), 1], True)
+    assert (bound, z, last) == (Fraction(1, 2), [0, Fraction(1, 2), Fraction(1, 2)], 2)
+    # the cheapest corner takes all the mass at its cap
+    assert relax._greedy_knapsack([0.0, 1.0, 2.0], [1.0, 0.5, 1.0], False)[1:] == ([1.0, 0.0, 0.0], 0)
+
+
+def test_exact_loop_never_refactorizes(monkeypatch):
+    calls = []
+    original = simplex.CutLP._refactor
+
+    def counting(self):
+        calls.append(self.exact)
+        original(self)
+
+    monkeypatch.setattr(simplex.CutLP, "_refactor", counting)
+    for exact in (True, False):
+        bf, _ = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4), exact=exact)
+        u = upper_bounds((4, 4), exact=exact)
+        out = relax2_iterative(bf, u, build_cut_matrix((4, 4), exact), exact=exact)
+        assert out.pivots > 0
+    assert calls and not any(calls)  # only the float run refactorized
+
+
+def test_float_infeasibility_is_confirmed_exactly(monkeypatch):
+    # a float verdict of infeasibility is re-checked in Fractions before a
+    # box may be pruned; a verdict the exact solve refutes is an error
+    bf, _ = _square_sum_form()
+    u = upper_bounds((2, 2))
+    row = ([1.0] * 9, 2.0)  # harmless: sum z = 1 already
+    real = simplex.CutLP.reoptimize
+
+    def lying(self):
+        return real(self) if self.exact else simplex.LPSolution(simplex.INFEASIBLE)
+
+    monkeypatch.setattr(simplex.CutLP, "reoptimize", lying)
+    with pytest.raises(RuntimeError, match="exact re-solve"):
+        relax1_lp(bf, u, [row])
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_infeasible_lp_is_an_outcome(exact):
+    # x^2 + 1 <= 0 on [-1, 1]: coefficients 2, 0, 2, and the middle cap is 1/2
+    one = Fraction(1) if exact else 1.0
+    bf = to_bernstein(Polynomial(1, {(1,): one}), (2,))
+    rows = [([2 * one, 0 * one, 2 * one], 0 * one)]
+    u = upper_bounds((2,), exact=exact)
+    for out in (
+        relax1_lp(bf, u, rows, exact=exact),
+        relax2_iterative(bf, u, build_cut_matrix((2,), exact), rows, exact=exact),
+    ):
+        assert out.infeasible and out.bound is None
+        assert out.lp_solves == (1 if exact else 2)  # float adds the exact re-check
+
+
+def test_lp_counters():
+    bf, amap = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
+    u = upper_bounds((4, 4))
+    out2 = bound_at_level(bf, "2", u=u)
+    assert out2.lp_solves > 0 and out2.pivots > 0 and out2.lp_fallbacks == 0
+    for level in ("0", "first", "1"):
+        out = bound_at_level(bf, level, u=u)
+        assert out.lp_solves == 0 and out.pivots == 0
+
+
+def test_level2_against_highs():
+    optimize = pytest.importorskip("scipy.optimize")
+    import random
+
+    rng = random.Random(5)
+    for degree in ((3, 3), (2, 2, 2), (6,)):
+        cuts = build_cut_matrix(degree)
+        u = upper_bounds(degree)
+        rows = [cuts.row(i) for i in range(cuts.row_count)]
+        for _ in range(3):
+            bf, _ = _float_image(*_costly_corner_instance(rng, degree, False))
+            res = optimize.linprog(
+                bf.coeffs,
+                A_ub=[r for r, _ in rows], b_ub=[b for _, b in rows],
+                A_eq=[[1.0] * len(u)], b_eq=[1.0],
+                bounds=list(zip([0.0] * len(u), u)), method="highs",
+            )
+            assert res.status == 0
+            ours = relax2_iterative(bf, u, cuts).bound
+            assert ours == pytest.approx(res.fun, rel=1e-7, abs=1e-7)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bernpop import simplex
@@ -168,3 +169,102 @@ def test_primal_invariants_at_optimum(rng):
             assert sum(a * z for a, z in zip(row, sol.z)) <= rhs + 1e-8
         for z, lo, hi in zip(sol.z, lp.lower, lp.upper):
             assert lo - 1e-8 <= z <= hi + 1e-8
+
+
+# -- the warm-started dual simplex (CutLP) ----------------------------------
+
+
+def _cut_lp(c, u, exact=False):
+    from bernpop.relax import _greedy_knapsack
+
+    _, z, last = _greedy_knapsack(c, u, exact)
+    return simplex.CutLP(c, u, z, last, exact)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_cut_lp_reoptimizes_in_place(exact):
+    F = Fraction if exact else float
+    c = [F(3), F(1), F(2)]
+    u = [F(1), F(1, 2) if exact else 0.5, F(1)]
+    lp = _cut_lp(c, u, exact)  # greedy: z = (0, 1/2, 1/2), value 3/2
+    lp.append_rows([([F(0), F(0), F(1)], F(1, 4) if exact else 0.25)])
+    sol = solve(lp, exact)
+    assert sol.status == OPTIMAL and sol.iterations > 0
+    assert sol.value == pytest.approx(F(7, 4) if exact else 1.75)  # z = (1/4, 1/2, 1/4)
+    lp.append_rows([([F(1), F(0), F(0)], F(0))])  # now z0 = 0 too: nothing fits
+    assert solve(lp, exact).status == INFEASIBLE
+    if exact:
+        assert isinstance(sol.value, Fraction)
+
+
+def test_cut_lp_exact_image_keeps_rows():
+    lp = _cut_lp([3.0, 1.0, 2.0], [1.0, 0.5, 1.0])
+    lp.append_rows([([0.0, 0.0, 1.0], 0.1)])
+    image = lp.exact_image()
+    assert image.exact and image.row_count == 1
+    t = Fraction(0.1)  # the exact image of the float rhs
+    assert solve(image).value == 3 * (Fraction(1, 2) - t) + Fraction(1, 2) + 2 * t
+
+
+def test_cut_lp_fallback_is_counted_and_cold(monkeypatch):
+    # a failed dual-feasibility check hands the same rows to the two-phase engine
+    lp = _cut_lp([3.0, 1.0, 2.0], [1.0, 0.5, 1.0])
+    lp.append_rows([([0.0, 0.0, 1.0], 0.25)])
+    monkeypatch.setattr(simplex.CutLP, "_dual_feasible", lambda self: False)
+    sol = solve(lp)
+    assert sol.status == OPTIMAL and sol.value == pytest.approx(1.75)
+    assert lp.fallbacks == 1
+    lp.append_rows([([0.0, 1.0, 0.0], 0.25)])  # later solves stay cold
+    assert solve(lp).value == pytest.approx(0.5 * 3 + 0.25 + 0.25 * 2)
+    assert lp.fallbacks == 1
+
+
+def _loop_ratio_test(eng, entering, direction, d_b):
+    """The per-row loop the vectorised ratio test replaced (reference)."""
+    t_best, leave_pos, leave_to_upper = np.inf, -1, False
+    span = eng.hi[entering] - eng.lo[entering]
+    if np.isfinite(span):
+        t_best = span
+    for pos in range(eng.m):
+        step = direction * d_b[pos]
+        j = eng.basis[pos]
+        if step > simplex._PIVOT_TOL and np.isfinite(eng.lo[j]):
+            t, to_upper = (eng.value[j] - eng.lo[j]) / step, False
+        elif step < -simplex._PIVOT_TOL and np.isfinite(eng.hi[j]):
+            t, to_upper = (eng.hi[j] - eng.value[j]) / (-step), True
+        else:
+            continue
+        if t < t_best - 1e-12 or (
+            abs(t - t_best) <= 1e-12 and (leave_pos < 0 or j < eng.basis[leave_pos])
+        ):
+            t_best, leave_pos, leave_to_upper = t, pos, to_upper
+    return t_best, leave_pos, leave_to_upper
+
+
+def test_vectorised_ratio_test_matches_loop(rng):
+    nprng = np.random.default_rng(7)
+    for _ in range(300):
+        eng = simplex._FloatEngine(_random_feasible_lp(rng))
+        eng.value = nprng.uniform(-1, 3, eng.n_total)
+        eng.basis = nprng.permutation(eng.n_total)[: eng.m]
+        # exact ties and zero steps are the cases a rule change would show
+        eng.value[eng.basis[::2]] = 1.0
+        d_b = nprng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], eng.m)
+        entering = int(nprng.integers(eng.n_total))
+        direction = float(nprng.choice([-1.0, 1.0]))
+        got = eng._ratio_test(entering, direction, d_b)
+        want = _loop_ratio_test(eng, entering, direction, d_b)
+        assert (got[1], got[2]) == (want[1], want[2])
+        assert got[0] == want[0] or (np.isinf(got[0]) and np.isinf(want[0]))
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import bernpop, bernpop.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
