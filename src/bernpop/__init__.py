@@ -3,7 +3,7 @@ optimization over boxes, with a Lyapunov-certificate verification mode."""
 
 from .poly import AffineMap, Box, Polynomial, lie_derivative, parse_polynomial
 from .bernstein import BernsteinForm, to_bernstein, upper_bounds
-from .simplex import LinearProgram, LPSolution
+from .simplex import LPSolution
 from .relax import (
     CutMatrix,
     RelaxationOutcome,
@@ -30,7 +30,6 @@ __all__ = [
     "BnbStats",
     "Box",
     "CutMatrix",
-    "LinearProgram",
     "LPSolution",
     "LyapunovCase",
     "OdeSystem",

@@ -77,16 +77,6 @@ class BernsteinForm:
     def dimension(self) -> int:
         return len(self.degree)
 
-    def to_polynomial(self) -> Polynomial:
-        """Expand back to the monomial basis (exact with Fraction coeffs)."""
-        out = Polynomial.zero(self.dimension)
-        for pos, idx in enumerate(iter_indices(self.degree)):
-            c = self.coeffs[pos]
-            if c == 0:
-                continue
-            out = out + bernstein_basis_polynomial(idx, self.degree).scale(c)
-        return out
-
 
 def to_bernstein(p: Polynomial, degree: Index | None = None) -> BernsteinForm:
     """Bernstein coefficients b_I = sum_{J<=I} C(I,J)/C(delta,J) p_J.
@@ -170,21 +160,6 @@ def bernstein_eval(bf: BernsteinForm, point: Sequence) -> object:
             new[blk] = row[0]
         vals = new
     return vals[0]
-
-
-def bernstein_basis_polynomial(idx: Index, degree: Index) -> Polynomial:
-    """The basis polynomial B_{I,delta} expanded in the monomial basis."""
-    n = len(degree)
-    out = Polynomial.constant(n, 1)
-    for l, (i, d) in enumerate(zip(idx, degree)):
-        # beta_{i,d}(x_l) = C(d,i) x^i (1-x)^{d-i}
-        terms = {}
-        for t in range(d - i + 1):
-            e = [0] * n
-            e[l] = i + t
-            terms[tuple(e)] = math.comb(d, i) * math.comb(d - i, t) * (-1) ** t
-        out = out * Polynomial(n, terms)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +257,6 @@ def min_coefficient(bf: BernsteinForm) -> tuple[object, Index]:
         if best is None or c < best:
             best, best_idx = c, idx
     return best, best_idx
-
-
-def max_coefficient(bf: BernsteinForm) -> object:
-    return max(bf.coeffs)
 
 
 def vertex_condition(bf: BernsteinForm, idx: Index) -> bool:

@@ -115,21 +115,10 @@ def split_node(box: Box, tensors: tuple, strategy: str) -> tuple[tuple, tuple]:
     return (left, tuple(h[0] for h in halves)), (right, tuple(h[1] for h in halves))
 
 
-def split_box(box: Box, strategy: str = SPLIT_LONGEST) -> tuple[Box, Box]:
-    """The two halves of ``box`` that ``split_node`` makes."""
-    (left, _), (right, _) = split_node(box, (), strategy)
-    return left, right
-
-
 def box_tensor(p: Polynomial, box: Box, degree=None) -> np.ndarray:
     """Coefficient tensor of ``p`` on ``box``, converted from the monomial basis."""
     q, _ = to_unit_box(p, box)
     return coefficient_tensor(to_bernstein(q, degree))
-
-
-def monotonicity_test(p: Polynomial, box: Box) -> tuple[str, ...]:
-    """Per-axis derivative sign of ``p`` over ``box`` (see ``_monotonicity_signs``)."""
-    return _monotonicity_signs(box_tensor(p, box))
 
 
 def _monotonicity_signs(tensor: np.ndarray) -> tuple[str, ...]:

@@ -23,22 +23,12 @@ from . import bnb as bnb_mod
 from . import lyapunov as lyap_mod
 from . import problems
 from .bernstein import to_bernstein, upper_bounds
+from .bnb import box_tensor
 from .poly import to_unit_box
-from .relax import (
-    LEVEL_0,
-    LEVEL_1,
-    LEVEL_2,
-    LEVEL_FIRST,
-    build_cut_matrix,
-    first_lp_bound,
-    relax0,
-    relax1,
-    relax1_lp,
-    relax2_iterative,
-    semialgebraic_rows,
-)
+from .relax import LEVEL_0, LEVEL_1, LEVEL_2, LEVEL_FIRST, bound_at_level
 
-_LEVEL_ORDER = {LEVEL_0: 0, LEVEL_FIRST: 1, LEVEL_1: 2, LEVEL_2: 3}
+# the level chain in order of strength, with each level's report key
+_LEVEL_KEYS = {LEVEL_0: "p0", LEVEL_FIRST: "first", LEVEL_1: "p1", LEVEL_2: "p2"}
 
 
 def _fraction_str(value) -> str:
@@ -74,6 +64,17 @@ def _bound_json(bound):
     return None if bound is None else float(bound)
 
 
+def _verdict_bounds(verdict) -> dict:
+    """The two certificate bounds as floats, plus their exact strings when
+    they are Fractions (exact mode)."""
+    named = {"v_bound": verdict.v_bound, "vdot_bound": verdict.vdot_bound}
+    out = {k: float(v) for k, v in named.items()}
+    exact_strs = {k: _fraction_str(v) for k, v in named.items() if isinstance(v, Fraction)}
+    if exact_strs:
+        out["exact_bounds"] = exact_strs
+    return out
+
+
 def _witness_json(witness, exact: bool):
     if witness is None:
         return None
@@ -97,55 +98,33 @@ def _run_relax(args) -> tuple[int, dict]:
         degree = tuple(max(a, b) for a, b in zip(degree, g.degree))
     q, amap = to_unit_box(p, problem.box)
     bf = to_bernstein(q, degree)
-    g_units = [to_unit_box(g, problem.box)[0] for g in constraints]
-    extra_rows = semialgebraic_rows(g_units, degree, exact)
+    zero = Fraction(0) if exact else 0.0
+    extra_rows = [
+        (box_tensor(g, problem.box, degree).ravel().tolist(), zero) for g in constraints
+    ]
+    u = upper_bounds(degree, exact=exact)
 
-    want = _LEVEL_ORDER[args.level]
     bounds: dict = {}
     exact_strs: dict = {}
     timings: dict = {}
     witness = None
-
-    t0 = time.perf_counter()
-    out0 = relax0(bf, amap)
-    timings["p0"] = time.perf_counter() - t0
-    bounds["p0"] = float(out0.bound)
-    if exact:
-        exact_strs["p0"] = _fraction_str(out0.bound)
-    if out0.exact and not extra_rows:
-        witness = out0.witness
-
-    if want >= 1:
-        u = upper_bounds(degree, exact=exact)
+    levels = list(_LEVEL_KEYS)
+    for level in levels[: levels.index(args.level) + 1]:
+        key = _LEVEL_KEYS[level]
         t0 = time.perf_counter()
-        bounds["first"] = float(first_lp_bound(bf, u))
-        timings["first"] = time.perf_counter() - t0
-    if want >= 2:
-        t0 = time.perf_counter()
-        out1 = (
-            relax1_lp(bf, u, extra_rows, amap, exact)
-            if extra_rows
-            else relax1(bf, u, amap, exact)
+        out = bound_at_level(
+            bf, level, u=u, extra_rows=extra_rows, mapping=amap, exact=exact
         )
-        timings["p1"] = time.perf_counter() - t0
-        bounds["p1"] = _bound_json(out1.bound)
-        if exact and out1.bound is not None:
-            exact_strs["p1"] = _fraction_str(out1.bound)
-        if out1.exact:
-            witness = witness or out1.witness
-    if want >= 3:
-        t0 = time.perf_counter()
-        cuts = build_cut_matrix(degree, exact)
-        out2 = relax2_iterative(bf, u, cuts, extra_rows, amap, exact)
-        timings["p2"] = time.perf_counter() - t0
-        bounds["p2"] = _bound_json(out2.bound)
-        if exact and out2.bound is not None:
-            exact_strs["p2"] = _fraction_str(out2.bound)
-        bounds["p2_activated_rows"] = len(out2.activated_rows)
-        bounds["p2_iterations"] = out2.iterations
-        bounds["p2_pivots"] = out2.pivots
-        if out2.exact:
-            witness = witness or out2.witness
+        timings[key] = time.perf_counter() - t0
+        bounds[key] = _bound_json(out.bound)
+        if exact and out.bound is not None and level != LEVEL_FIRST:
+            exact_strs[key] = _fraction_str(out.bound)
+        if out.exact:
+            witness = witness or out.witness
+        if level == LEVEL_2:
+            bounds["p2_activated_rows"] = len(out.activated_rows)
+            bounds["p2_iterations"] = out.iterations
+            bounds["p2_pivots"] = out.pivots
 
     report = {
         "mode": "relax",
@@ -235,8 +214,7 @@ def _run_lyapunov(args) -> tuple[int, dict]:
         "problem": case.name,
         "level": cfg.level,
         "verdict": {
-            "v_bound": verdict.v_bound,
-            "vdot_bound": verdict.vdot_bound,
+            **_verdict_bounds(verdict),
             "stable": verdict.stable,
             "nodes": [verdict.v_run.nodes, verdict.vdot_run.nodes],
         },
@@ -298,17 +276,19 @@ def _bench_one(task) -> dict:
     cfg.level = level
     cfg.exact = exact
     verdict = lyap_mod.verify_lyapunov(case, cfg)
-    return {
+    row = {
         "kind": "lyapunov",
         "label": name,
         "level": level,
-        "v_bound": verdict.v_bound,
-        "vdot_bound": verdict.vdot_bound,
+        **_verdict_bounds(verdict),
         "stable": verdict.stable,
         "expected": case.expected_verdict,
         "time_total": verdict.v_run.elapsed + verdict.vdot_run.elapsed,
         "_ok": not (verdict.v_run.exhausted or verdict.vdot_run.exhausted),
     }
+    if case.note:
+        row["note"] = case.note
+    return row
 
 
 def _print_report(report: dict, output: str) -> None:
@@ -359,8 +339,12 @@ def _print_report(report: dict, output: str) -> None:
         v = report["verdict"]
         mark = "verified" if v["stable"] else "NOT verified"
         print(f"case {report['problem']} (level {report['level']}): {mark}")
-        print(f"  p_V*    = {v['v_bound']:.6g}")
-        print(f"  p_Vdot* = {v['vdot_bound']:.6g}")
+        exact_strs = v.get("exact_bounds", {})
+        for label, key in (("p_V*   ", "v_bound"), ("p_Vdot*", "vdot_bound")):
+            line = f"  {label} = {v[key]:.6g}"
+            if key in exact_strs:
+                line += f"  (= {exact_strs[key]})"
+            print(line)
     else:  # bench
         pop_rows = [r for r in report["results"] if r["kind"] == "pop"]
         if pop_rows:
@@ -374,6 +358,8 @@ def _print_report(report: dict, output: str) -> None:
                     f"{'verified' if r['stable'] else 'not verified'} "
                     f"(expected {r['expected']}; {mark})"
                 )
+                if "note" in r:
+                    print(f"  note: {r['note']}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -34,7 +34,8 @@ from .problems import (
 )
 from .relax import LEVEL_FIRST, bound_at_level
 
-# a certificate counts as verified once both bounds clear this precision
+# a float-mode certificate counts as verified once both bounds clear this
+# precision; exact mode needs both bounds >= 0
 STABILITY_TOL = 1e-9
 
 # minimal per-two-generations improvement factor; h^2 scaling of a
@@ -63,11 +64,12 @@ class LyapunovCase:
     region: Box
     expected_verdict: str  # "pass" | "fail"
     printed_vdot: Optional[Polynomial] = None
+    note: Optional[str] = None  # what the fixture says about its verdict
 
 
 @dataclass
 class VerificationRun:
-    lower_bound: float
+    lower_bound: object  # a Fraction in exact mode
     nodes: int
     verified_boxes: int
     stalled_boxes: int
@@ -77,8 +79,8 @@ class VerificationRun:
 
 @dataclass
 class Verdict:
-    v_bound: float
-    vdot_bound: float
+    v_bound: object
+    vdot_bound: object
     stable: bool
     v_run: VerificationRun
     vdot_run: VerificationRun
@@ -96,16 +98,20 @@ def default_config(max_boxes: int = 50_000) -> BnbConfig:
 def certify_nonnegative(p: Polynomial, region: Box, cfg: Optional[BnbConfig] = None) -> VerificationRun:
     """Lower-bound ``p`` over ``region`` for certification purposes.
 
-    Boxes are resolved as verified (bound >= -epsilon), stalled (bound
-    still negative but improving no faster than the equilibrium rate), or
-    split further.  The returned lower bound is the minimum over resolved
-    boxes, so a stall reports the obstacle that blocked certification.
+    Boxes are resolved as verified, stalled (bound still negative but
+    improving no faster than the equilibrium rate), or split further.  In
+    exact mode a box is verified on bound >= 0, a proof; float mode keeps
+    a slack of epsilon (bound >= -epsilon) until its bounds carry a
+    rounding error radius.  The returned lower bound is the minimum over
+    resolved boxes (a Fraction in exact mode), so a stall reports the
+    obstacle that blocked certification.
     """
     if cfg is None:
         cfg = default_config()
     start = time.perf_counter()
     run = VerificationRun(0.0, 0, 0, 0, 0.0, False)
     lower = None
+    threshold = 0 if cfg.exact else -cfg.epsilon
     # the region's coefficient tensor is the only conversion; every other
     # box gets its tensor by splitting its parent's
     root = coefficient_tensor(to_bernstein(to_unit_box(p, region)[0]))
@@ -131,7 +137,7 @@ def certify_nonnegative(p: Polynomial, region: Box, cfg: Optional[BnbConfig] = N
         )
         bound = outcome.bound
         straddles = any(lo < 0 < hi for lo, hi in zip(box.lower, box.upper))
-        if bound >= -cfg.epsilon:
+        if bound >= threshold:
             run.verified_boxes += 1
         elif not straddles and len(hist) >= 2 and bound <= hist[-2] / _STALL_FACTOR:
             run.stalled_boxes += 1
@@ -144,13 +150,16 @@ def certify_nonnegative(p: Polynomial, region: Box, cfg: Optional[BnbConfig] = N
             continue
         if lower is None or bound < lower:
             lower = bound
-    run.lower_bound = float(lower) if lower is not None else 0.0
+    if lower is None:
+        lower = 0
+    run.lower_bound = lower if cfg.exact else float(lower)
     run.elapsed = time.perf_counter() - start
     return run
 
 
 def verify_lyapunov(case: LyapunovCase, cfg: Optional[BnbConfig] = None) -> Verdict:
-    """Check min V >= 0 and min -dV/dt >= 0 over the region."""
+    """Check min V >= 0 and min -dV/dt >= 0 over the region: exactly in
+    exact mode, within ``STABILITY_TOL`` in float mode."""
     if cfg is None:
         cfg = default_config()
     origin = tuple(0 for _ in range(case.v.dimension))
@@ -159,10 +168,8 @@ def verify_lyapunov(case: LyapunovCase, cfg: Optional[BnbConfig] = None) -> Verd
     vdot = lie_derivative(case.v, case.system.f)
     v_run = certify_nonnegative(case.v, case.region, cfg)
     vdot_run = certify_nonnegative(-vdot, case.region, cfg)
-    stable = (
-        v_run.lower_bound >= -STABILITY_TOL
-        and vdot_run.lower_bound >= -STABILITY_TOL
-    )
+    tol = 0 if cfg.exact else STABILITY_TOL
+    stable = v_run.lower_bound >= -tol and vdot_run.lower_bound >= -tol
     return Verdict(
         v_bound=v_run.lower_bound,
         vdot_bound=vdot_run.lower_bound,
@@ -205,6 +212,7 @@ def load_lyapunov_case(source, exact: bool = False) -> LyapunovCase:
         region=region,
         expected_verdict=data.get("expected_verdict", "pass"),
         printed_vdot=printed,
+        note=data.get("note"),
     )
 
 
@@ -218,33 +226,3 @@ def benchmark_registry(exact: bool = False) -> dict:
     }
     return {"pop": pops, "lyapunov": lyap}
 
-
-def cross_check_appendix_derivatives(registry: Optional[dict] = None, tol: float = 1e-9) -> list[dict]:
-    """Compare the recomputed flow derivative of each bundled case against
-    the derivative polynomial printed in its source.
-
-    Transcribed long expansions are typo-prone, so the registry always
-    trusts the recomputed derivative; this report surfaces where the two
-    disagree, term by term.
-    """
-    if registry is None:
-        registry = benchmark_registry()
-    reports = []
-    for name, case in registry["lyapunov"].items():
-        computed = lie_derivative(case.v, case.system.f)
-        diffs = {}
-        if case.printed_vdot is not None:
-            keys = set(computed.terms) | set(case.printed_vdot.terms)
-            for idx in sorted(keys):
-                a = float(computed.terms.get(idx, 0))
-                b = float(case.printed_vdot.terms.get(idx, 0))
-                if abs(a - b) > tol:
-                    diffs[idx] = (a, b)
-        reports.append(
-            {
-                "name": name,
-                "match": not diffs,
-                "diffs": diffs,
-            }
-        )
-    return reports

@@ -20,11 +20,6 @@ from typing import Mapping, Sequence
 Index = tuple[int, ...]
 
 
-def index_le(i: Index, j: Index) -> bool:
-    """Componentwise comparison of multi-indices."""
-    return all(a <= b for a, b in zip(i, j))
-
-
 def index_add(i: Index, j: Index) -> Index:
     return tuple(a + b for a, b in zip(i, j))
 

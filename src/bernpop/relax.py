@@ -10,13 +10,14 @@ coefficients b of the objective:
 * level 2: level 1 plus the degree-elevation inequalities between lower
   and top degree placeholders, added on demand as cutting planes.
 
-Polyhedral and semialgebraic side constraints append extra rows to the
-same LP shell.
+Side constraints g(x) <= 0 reach the LP as rows b(g) . z <= 0, one per
+constraint, read off the constraint's own coefficient tensor at the
+relaxation degree (linear constraints are degree-1 polynomials).  Every
+LP is a ``simplex.CutLP``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -31,13 +32,12 @@ from .bernstein import (
     min_coefficient,
     ravel_index,
     tensor_size,
-    to_bernstein,
     univariate_elevation,
     upper_bounds,
     vertex_condition,
     vertex_point,
 )
-from .poly import AffineMap, Index, Polynomial
+from .poly import AffineMap, Index
 
 LEVEL_0 = "0"
 LEVEL_FIRST = "first"
@@ -62,7 +62,7 @@ class RelaxationOutcome:
     infeasible: bool = False  # the LP has no feasible point (then bound is None)
     lp_solves: int = 0
     pivots: int = 0
-    lp_fallbacks: int = 0  # warm solves redone cold (see simplex.CutLP)
+    lp_fallbacks: int = 0  # float solves redone from the start (see simplex.CutLP)
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +161,6 @@ class CutMatrix:
                 return coeffs, rhs[local]
         raise IndexError(row_id)
 
-    def rows(self):
-        """Iterate (row_id, coefficients, rhs) over every inequality."""
-        for row_id in range(self.row_count):
-            coeffs, rhs = self.row(row_id)
-            yield row_id, coeffs, rhs
-
     def scan_violations(self, z, tol, skip: set[int]) -> list[int]:
         """Ids of rows with b^(I,K) . z > rhs + tol, in canonical order."""
         out = []
@@ -216,44 +210,44 @@ def exactness_check(
 ) -> Optional[tuple]:
     """Try to read a true minimizer off an optimal placeholder vector.
 
-    Builds the nominal point x~ with x~_j = sum_I (i_j/delta_j) z_I (the
-    coordinate polynomials' Bernstein coefficients are exactly i_j/delta_j)
-    and accepts iff z reproduces the basis values at x~.  On acceptance the
-    point is mapped back to original coordinates; on rejection ``None`` is
-    returned, which does not preclude the bound being tight.
+    Accepts iff z reproduces the basis values at the nominal point x~ (see
+    ``_nominal_point``).  On acceptance the point is mapped back to
+    original coordinates; on rejection ``None`` is returned, which does
+    not preclude the bound being tight.
     """
-    n = len(degree)
-    if mapping is None:
-        mapping = AffineMap.identity(n)
+    point = _nominal_point(z, degree, exact)
+    if not _reproduces(z, point, degree, tol, exact):
+        return None
+    return (mapping or AffineMap.identity(len(degree)))(point)
+
+
+def _nominal_point(z: Sequence, degree: Index, exact: bool) -> tuple:
+    """x~ with x~_j = sum_I (i_j/delta_j) z_I, clipped to [0, 1] (the
+    coordinate polynomials' Bernstein coefficients are exactly i_j/delta_j);
+    degree-0 axes give 0."""
+    point = []
+    for j, d in enumerate(degree):
+        acc = Fraction(0) if exact else 0.0
+        if d:
+            for pos, idx in enumerate(iter_indices(degree)):
+                if z[pos]:
+                    acc += (Fraction(idx[j], d) if exact else idx[j] / d) * z[pos]
+        point.append(min(max(acc, 0), 1))
+    return tuple(point)
+
+
+def _reproduces(z: Sequence, point: tuple, degree: Index, tol, exact: bool) -> bool:
+    """Whether z is a probability vector equal to the basis values at point."""
     total = sum(z)
     if exact:
         if total != 1 or any(v < 0 for v in z):
-            return None
+            return False
     elif abs(total - 1) > 1e-6 or min(z) < -1e-7:
-        return None
-    point = []
-    for j in range(n):
-        if degree[j] == 0:
-            point.append(Fraction(0) if exact else 0.0)
-            continue
-        acc = Fraction(0) if exact else 0.0
-        for pos, idx in enumerate(iter_indices(degree)):
-            if z[pos] == 0:
-                continue
-            if exact:
-                acc += Fraction(idx[j], degree[j]) * z[pos]
-            else:
-                acc += (idx[j] / degree[j]) * z[pos]
-        point.append(min(max(acc, 0), 1))
+        return False
     basis = _basis_values(point, degree, exact)
-    for pos in range(len(basis)):
-        diff = z[pos] - basis[pos]
-        if exact:
-            if diff != 0:
-                return None
-        elif abs(diff) > tol:
-            return None
-    return mapping(point)
+    if exact:
+        return all(v == b for v, b in zip(z, basis))
+    return all(abs(v - b) <= tol for v, b in zip(z, basis))
 
 
 def _basis_values(point: Sequence, degree: Index, exact: bool) -> list:
@@ -289,30 +283,13 @@ def _certify(bf, z, bound, mapping, exact) -> tuple[bool, Optional[tuple]]:
     """Exactness of a relaxation value: formal z-recovery, then cheap
     candidate points whose objective value already attains the bound."""
     mapping = mapping or AffineMap.identity(bf.dimension)
-    witness = exactness_check(z, bf.degree, mapping, exact=exact)
-    if witness is not None:
-        return True, witness
+    point = _nominal_point(z, bf.degree, exact)
+    if _reproduces(z, point, bf.degree, 1e-7, exact):
+        return True, mapping(point)
     # the nominal point can attain the bound even when z is not unique
-    candidates = []
-    n = bf.dimension
-    if any(d > 0 for d in bf.degree):
-        point = []
-        for j in range(n):
-            if bf.degree[j] == 0:
-                point.append(Fraction(0) if exact else 0.0)
-                continue
-            acc = Fraction(0) if exact else 0.0
-            for pos, idx in enumerate(iter_indices(bf.degree)):
-                if z[pos]:
-                    acc += (
-                        Fraction(idx[j], bf.degree[j]) * z[pos]
-                        if exact
-                        else (idx[j] / bf.degree[j]) * z[pos]
-                    )
-            point.append(min(max(acc, 0), 1))
-        candidates.append(tuple(point))
+    candidates = [point] if any(d > 0 for d in bf.degree) else []
     half = Fraction(1, 2) if exact else 0.5
-    candidates.append((half,) * n)
+    candidates.append((half,) * bf.dimension)
     for point in candidates:
         if _value_matches(bf, point, bound, exact):
             return True, mapping(point)
@@ -407,21 +384,6 @@ def first_lp_bound(bf: BernsteinForm, u: Sequence):
     return candidate if candidate > b[0] else b[0]
 
 
-def _level1_lp(bf, u, extra_rows=(), exact=False) -> simplex.LinearProgram:
-    n = len(bf.coeffs)
-    a_ub = [list(r) for r, _ in extra_rows]
-    b_ub = [rhs for _, rhs in extra_rows]
-    return simplex.LinearProgram(
-        c=list(bf.coeffs),
-        a_ub=a_ub,
-        b_ub=b_ub,
-        a_eq=[[Fraction(1) if exact else 1.0] * n],
-        b_eq=[Fraction(1) if exact else 1.0],
-        lower=[Fraction(0) if exact else 0.0] * n,
-        upper=list(u),
-    )
-
-
 def relax1_lp(
     bf: BernsteinForm,
     u: Sequence,
@@ -447,7 +409,7 @@ def relax2_iterative(
 
     Starts from the level-1 LP, then repeatedly moves every violated
     elevation row into the working set until the optimum satisfies the
-    whole system; the result equals the one-shot solve of the full LP.
+    whole system; the result equals the optimum of the full LP.
     One ``simplex.CutLP`` lives for the whole loop: it starts from the
     greedy basis and each round's rows are appended to it and re-optimised
     in place by the dual simplex.
@@ -475,11 +437,11 @@ def _cut_loop(bf, u, cuts, extra_rows, mapping, exact, violation_tol) -> Relaxat
     rounds = solves = pivots = 0
     while True:
         if lp.row_count:  # otherwise the greedy fill is the optimum
-            sol = simplex.solve(lp, exact)
+            sol = simplex.solve(lp)
             solves += 1
             pivots += sol.iterations
             if sol.status == simplex.INFEASIBLE and not exact:
-                check = simplex.solve(lp.exact_image(), True)
+                check = simplex.solve(lp.exact_image())
                 solves += 1
                 pivots += check.iterations
                 if check.status != simplex.INFEASIBLE:
@@ -517,119 +479,6 @@ def _cut_loop(bf, u, cuts, extra_rows, mapping, exact, violation_tol) -> Relaxat
         pivots=pivots,
         lp_fallbacks=lp.fallbacks,
     )
-
-
-def relax2_monolithic(
-    bf: BernsteinForm,
-    u: Sequence,
-    cuts: CutMatrix,
-    extra_rows: Sequence = (),
-    exact: bool = False,
-) -> RelaxationOutcome:
-    """One-shot solve of the full level-2 LP (cross-check for the loop)."""
-    rows = list(extra_rows) + [cuts.row(i) for i in range(cuts.row_count)]
-    lp = _level1_lp(bf, u, rows, exact)
-    sol = simplex.solve(lp, exact=exact)
-    if sol.status != simplex.OPTIMAL:
-        raise RuntimeError(f"monolithic LP ended with status {sol.status}")
-    return RelaxationOutcome(bound=sol.value, z=sol.z)
-
-
-# ---------------------------------------------------------------------------
-# extra rows: polyhedra, semialgebraic constraints, and nonneg-polynomial cuts
-
-
-def polyhedral_rows(a0: Sequence[Sequence], b0: Sequence, degree: Index) -> list:
-    """Rows sum_I (A0 . I/delta) z_I <= b0 for a polyhedron already mapped
-    to unit-box coordinates (the basis satisfies sum (I/delta) B_I = x)."""
-    n = len(degree)
-    rows = []
-    for arow, rhs in zip(a0, b0):
-        if len(arow) != n:
-            raise ValueError("polyhedral row width does not match dimension")
-        coeffs = []
-        for idx in iter_indices(degree):
-            val = 0.0
-            for j in range(n):
-                if degree[j]:
-                    val += arow[j] * (idx[j] / degree[j])
-            coeffs.append(val)
-        rows.append((coeffs, rhs))
-    return rows
-
-
-def add_polyhedral_cuts(
-    lp: simplex.LinearProgram, a0: Sequence[Sequence], b0: Sequence, degree: Index
-) -> simplex.LinearProgram:
-    rows = polyhedral_rows(a0, b0, degree)
-    return simplex.LinearProgram(
-        c=list(lp.c),
-        a_ub=[list(r) for r in lp.a_ub] + [list(r) for r, _ in rows],
-        b_ub=list(lp.b_ub) + [rhs for _, rhs in rows],
-        a_eq=[list(r) for r in lp.a_eq],
-        b_eq=list(lp.b_eq),
-        lower=list(lp.lower),
-        upper=list(lp.upper),
-    )
-
-
-def semialgebraic_rows(
-    constraints: Sequence[Polynomial], degree: Index, exact: bool = False
-) -> list:
-    """One row b_delta(g_i) . z <= 0 per constraint g_i(x) <= 0 on the unit box."""
-    rows = []
-    for g in constraints:
-        if any(e > d for e, d in zip(g.degree, degree)):
-            raise ValueError(
-                f"constraint degree {g.degree} exceeds relaxation degree {degree}"
-            )
-        bform = to_bernstein(g, degree)
-        zero = Fraction(0) if exact else 0.0
-        rows.append((list(bform.coeffs), zero))
-    return rows
-
-
-def add_semialgebraic_cuts(
-    lp: simplex.LinearProgram,
-    constraints: Sequence[Polynomial],
-    degree: Index,
-    exact: bool = False,
-) -> simplex.LinearProgram:
-    rows = semialgebraic_rows(constraints, degree, exact)
-    return simplex.LinearProgram(
-        c=list(lp.c),
-        a_ub=[list(r) for r in lp.a_ub] + [list(r) for r, _ in rows],
-        b_ub=list(lp.b_ub) + [rhs for _, rhs in rows],
-        a_eq=[list(r) for r in lp.a_eq],
-        b_eq=list(lp.b_eq),
-        lower=list(lp.lower),
-        upper=list(lp.upper),
-    )
-
-
-def dsos_cuts(degree: Index, d: int, exact: bool = False) -> list:
-    """Rows stating (x_i - x_j)^(2d) >= 0 and (x_i + x_j)^(2d) >= 0.
-
-    Expressed as -b_delta(P) . z <= 0; requires 2d <= min(delta_i, delta_j)
-    for the pair, otherwise the pair is skipped with an error when nothing
-    fits.
-    """
-    n = len(degree)
-    if d < 1:
-        raise ValueError("cut degree must be at least 1")
-    rows = []
-    for i, j in itertools.combinations(range(n), 2):
-        if 2 * d > min(degree[i], degree[j]):
-            raise ValueError(
-                f"2d={2 * d} exceeds min degree of pair ({i},{j})"
-            )
-        xi = Polynomial.variable(n, i)
-        xj = Polynomial.variable(n, j)
-        for p in ((xi - xj) ** (2 * d), (xi + xj) ** (2 * d)):
-            bform = to_bernstein(p, degree)
-            row = [-c for c in bform.coeffs]
-            rows.append((row, Fraction(0) if exact else 0.0))
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,20 @@
-"""Shared fixtures: benchmark polynomials and brute-force oracles."""
+"""Shared fixtures: benchmark polynomials, brute-force oracles, and the
+LP-duality certificate that checks exact LP optima."""
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from bernpop.poly import Box, Polynomial
+from bernpop import simplex
+from bernpop.bernstein import iter_indices
+from bernpop.poly import Box, Polynomial, lie_derivative
+from bernpop.relax import _greedy_knapsack
 
 
 def himmelblau() -> Polynomial:
@@ -76,3 +82,95 @@ def grid_min(p: Polynomial, box: Box, points_per_axis: int = 9) -> float:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)
+
+
+# -- monomial expansions of Bernstein forms (test references) ---------------
+
+
+def bernstein_basis_polynomial(idx, degree) -> Polynomial:
+    """The basis polynomial B_{I,delta} expanded in the monomial basis."""
+    n = len(degree)
+    out = Polynomial.constant(n, 1)
+    for l, (i, d) in enumerate(zip(idx, degree)):
+        # beta_{i,d}(x_l) = C(d,i) x^i (1-x)^{d-i}
+        terms = {}
+        for t in range(d - i + 1):
+            e = [0] * n
+            e[l] = i + t
+            terms[tuple(e)] = math.comb(d, i) * math.comb(d - i, t) * (-1) ** t
+        out = out * Polynomial(n, terms)
+    return out
+
+
+def bernstein_to_polynomial(bf) -> Polynomial:
+    """Expand a Bernstein form back to the monomial basis (exact with
+    Fraction coefficients)."""
+    out = Polynomial.zero(bf.dimension)
+    for pos, idx in enumerate(iter_indices(bf.degree)):
+        if bf.coeffs[pos] != 0:
+            out = out + bernstein_basis_polynomial(idx, bf.degree).scale(bf.coeffs[pos])
+    return out
+
+
+def cross_check_appendix_derivatives(registry, tol: float = 1e-9) -> list[dict]:
+    """Compare the recomputed flow derivative of each bundled case against
+    the derivative polynomial printed in its source, term by term."""
+    reports = []
+    for name, case in registry["lyapunov"].items():
+        computed = lie_derivative(case.v, case.system.f)
+        diffs = {}
+        if case.printed_vdot is not None:
+            for idx in sorted(set(computed.terms) | set(case.printed_vdot.terms)):
+                a = float(computed.terms.get(idx, 0))
+                b = float(case.printed_vdot.terms.get(idx, 0))
+                if abs(a - b) > tol:
+                    diffs[idx] = (a, b)
+        reports.append({"name": name, "match": not diffs, "diffs": diffs})
+    return reports
+
+
+# -- the LP oracles -----------------------------------------------------------
+
+
+def one_shot_lp(coeffs, u, rows, exact=False):
+    """The one-shot full LP: a fresh ``CutLP`` from the greedy start with
+    every row appended at once, solved (the float fallback's own path).
+    Returns (lp, solution)."""
+    _, z, last = _greedy_knapsack(coeffs, u, exact)
+    lp = simplex.CutLP(coeffs, u, z, last, exact)
+    lp.append_rows(list(rows))
+    return lp, simplex.solve(lp)
+
+
+def _fractions(values) -> np.ndarray:
+    """Object array of the exact values of numbers (floats convert exactly)."""
+    return np.vectorize(Fraction, otypes=[object])(np.array(values, dtype=object))
+
+
+def assert_lp_duality(lp, sol) -> None:
+    """LP-duality certificate of a solved exact ``CutLP`` at its final
+    basis, all in Fractions and against the LP's input data: y solves
+    y.B = c_B (checked, so the solver's inverse is not trusted), x is
+    primal feasible, each reduced cost has the sign its bound allows, and
+    c.x equals the dual objective."""
+    assert lp.exact and sol.status == simplex.OPTIMAL
+    c, upper, _, _ = lp._start
+    n, k = len(c), lp.row_count
+    G = _fractions(
+        [[1] * n + [0] * k]
+        + [list(a) + [int(i == r) for i in range(k)] for r, (a, _) in enumerate(lp._rows)]
+    )
+    h = _fractions([1] + [b for _, b in lp._rows])
+    cost = _fractions(list(c) + [0] * k)
+    cap = list(map(Fraction, upper)) + [None] * k
+    x, basis = lp.x, [int(j) for j in lp.basis]
+    y = cost[basis] @ lp.b_inv
+    assert (y @ G[:, basis] == cost[basis]).all()
+    assert (G @ x == h).all()
+    assert all(v >= 0 and (hi is None or v <= hi) for v, hi in zip(x, cap))
+    d = cost - y @ G
+    assert all(dj <= 0 for dj, v in zip(d, x) if v > 0)
+    assert all(dj >= 0 for dj, v, hi in zip(d, x, cap) if hi is None or v < hi)
+    dual = y @ h + sum(dj * hi for dj, hi in zip(d, cap) if dj < 0)
+    assert cost @ x == dual == sol.value
+    assert list(x[:n]) == list(sol.z)

@@ -10,10 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from bernpop import simplex
 from bernpop.bernstein import (
     bernstein_eval,
-    max_coefficient,
     min_coefficient,
     to_bernstein,
     upper_bounds,
@@ -35,9 +33,8 @@ from bernpop.relax import (
     relax1,
     relax1_lp,
     relax2_iterative,
-    relax2_monolithic,
 )
-from conftest import algebraic4, grid_min, himmelblau, motzkin3, random_polynomial
+from conftest import algebraic4, grid_min, himmelblau, motzkin3, one_shot_lp, random_polynomial
 
 
 def _report(num: int, description: str, body) -> None:
@@ -222,6 +219,12 @@ def test_criterion_6b_greedy_equals_simplex():
     _report(6, "(b) knapsack greedy equals the simplex on the level-1 LP", body)
 
 
+def _one_shot_level2(bf, u, cuts):
+    """The one-shot full level-2 LP: every elevation row appended at once
+    to a fresh LP, solved once."""
+    return one_shot_lp(bf.coeffs, u, [cuts.row(i) for i in range(cuts.row_count)])[1].value
+
+
 def test_criterion_6c_iterative_equals_monolithic():
     def body():
         rng = random.Random(60323)
@@ -231,14 +234,12 @@ def test_criterion_6c_iterative_equals_monolithic():
             u = upper_bounds((2, 2))
             cuts = build_cut_matrix((2, 2))
             a = relax2_iterative(bf, u, cuts).bound
-            b = relax2_monolithic(bf, u, cuts).bound
+            b = _one_shot_level2(bf, u, cuts)
             assert abs(a - b) <= 1e-8
         bf, _ = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
         u = upper_bounds((4, 4))
         cuts = build_cut_matrix((4, 4))
-        assert abs(
-            relax2_iterative(bf, u, cuts).bound - relax2_monolithic(bf, u, cuts).bound
-        ) <= 1e-8
+        assert abs(relax2_iterative(bf, u, cuts).bound - _one_shot_level2(bf, u, cuts)) <= 1e-8
 
     _report(6, "(c) on-demand cut loop equals the one-shot full LP", body)
 
@@ -253,7 +254,7 @@ def test_criterion_6d_roundtrip_and_enclosure():
                 z = (rng.random(), rng.random())
                 assert abs(bernstein_eval(bf, z) - p.eval(z)) <= 1e-9
             lo, _ = min_coefficient(bf)
-            hi = max_coefficient(bf)
+            hi = max(bf.coeffs)
             box = Box((0.0, 0.0), (1.0, 1.0))
             assert lo <= grid_min(p, box, 17) + 1e-9
             assert hi >= -grid_min(p.scale(-1), box, 17) - 1e-9

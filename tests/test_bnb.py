@@ -5,16 +5,18 @@ import pytest
 
 from bernpop.bnb import (
     BnbConfig,
+    SPLIT_LONGEST,
+    SPLIT_ZERO,
     _face,
+    _monotonicity_signs,
     box_tensor,
     branch_and_bound,
     cutoff_test,
     edge_subproblem,
     format_report,
-    monotonicity_test,
     report_row,
     sample_upper_bound,
-    split_box,
+    split_node,
 )
 from bernpop.bernstein import to_bernstein
 from bernpop.poly import Box, Polynomial, to_unit_box
@@ -38,30 +40,30 @@ def test_cutoff_without_incumbent():
 
 
 def test_split_longest_edge():
-    left, right = split_box(Box((0.0, 0.0), (1.0, 1.0)))
+    (left, _), (right, _) = split_node(Box((0.0, 0.0), (1.0, 1.0)), (), SPLIT_LONGEST)
     assert left.upper == (0.5, 1.0)
     assert right.lower == (0.5, 0.0)
 
 
 def test_split_zero_centered():
-    left, right = split_box(Box((-1.0,), (1.0,)), "zero_centered")
+    (left, _), (right, _) = split_node(Box((-1.0,), (1.0,)), (), SPLIT_ZERO)
     assert left.upper == (0.0,) and right.lower == (0.0,)
-    left, right = split_box(Box((-1.0,), (3.0,)), "zero_centered")
+    (left, _), (right, _) = split_node(Box((-1.0,), (3.0,)), (), SPLIT_ZERO)
     assert left.upper == (0.0,) and right.lower == (0.0,)
 
 
 def test_split_zero_centered_falls_back_to_midpoint():
-    left, right = split_box(Box((1.0,), (3.0,)), "zero_centered")
+    (left, _), (right, _) = split_node(Box((1.0,), (3.0,)), (), SPLIT_ZERO)
     assert left.upper == (2.0,)
 
 
 def test_monotonicity_signs():
     x = Polynomial.variable(1, 0)
-    assert monotonicity_test(x, Box((-2.0,), (5.0,))) == ("+",)
+    assert _monotonicity_signs(box_tensor(x, Box((-2.0,), (5.0,)))) == ("+",)
     square = Polynomial(1, {(2,): 1})
-    assert monotonicity_test(square, Box((-1.0,), (1.0,))) == ("mixed",)
-    assert monotonicity_test(square, Box((0.1,), (1.0,))) == ("+",)
-    assert monotonicity_test(square, Box((-1.0,), (-0.1,))) == ("-",)
+    assert _monotonicity_signs(box_tensor(square, Box((-1.0,), (1.0,)))) == ("mixed",)
+    assert _monotonicity_signs(box_tensor(square, Box((0.1,), (1.0,)))) == ("+",)
+    assert _monotonicity_signs(box_tensor(square, Box((-1.0,), (-0.1,)))) == ("-",)
 
 
 def test_edge_subproblem_single_axis():
@@ -258,7 +260,7 @@ def test_tensor_sign_test_at_least_as_decisive(rng):
         n = rng.randint(1, 3)
         p = random_polynomial(rng, n, 3)
         box = random_box(rng, n)
-        signs = monotonicity_test(p, box)
+        signs = _monotonicity_signs(box_tensor(p, box))
         for ref, got in zip(_derivative_signs(p, box), signs):
             if ref != "mixed":
                 assert got == ref

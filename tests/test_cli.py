@@ -331,3 +331,36 @@ def test_lp_work_in_json_reports(capsys, fixture_dir):
         assert (stats["lp_solves"] > 0) == positive
         assert (stats["lp_pivots"] > 0) == positive
         assert stats["lp_fallbacks"] == 0
+
+
+def test_lyapunov_rational_mode_rejects_negative_certificate(capsys, tmp_path):
+    # V = x^2 - 1e-10 is negative at the origin: the exact verdict rejects
+    # it and reports the V bound exactly, -1/10^10
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps({
+        "name": "neg", "dimension": 1, "variables": ["x"], "V": "x^2-0.0000000001",
+        "odes": ["-x"], "region": {"lower": [-1], "upper": [1]},
+    }))
+    with pytest.warns(UserWarning):
+        code, out, _ = _run(
+            capsys, ["lyapunov", "--arith", "rational", "--output", "json", str(path)]
+        )
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"]["stable"] is False
+    assert report["verdict"]["v_bound"] == -1e-10
+    assert report["verdict"]["exact_bounds"] == {"v_bound": "-1/10000000000", "vdot_bound": "0"}
+    with pytest.warns(UserWarning):
+        _, out, _ = _run(capsys, ["lyapunov", "--arith", "rational", str(path)])
+    assert "NOT verified" in out and "(= -1/10000000000)" in out
+
+
+def test_bench_says_whose_verdict_expected_is(capsys):
+    # lyap7's expected "pass" is the unrounded source certificate's; the
+    # bundled rounded one is rejected, and the report says why
+    code, out, _ = _run(capsys, ["bench", "--output", "json", "lyap7"])
+    (row,) = json.loads(out)["results"]
+    assert row["expected"] == "pass" and row["stable"] is False
+    assert "unrounded source certificate" in row["note"] and "-1/5000" in row["note"]
+    code, out, _ = _run(capsys, ["bench", "lyap7"])
+    assert "DIFFERS" in out and "note: expected_verdict is that of the unrounded" in out

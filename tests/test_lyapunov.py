@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from bernpop.lyapunov import (
@@ -6,11 +8,12 @@ from bernpop.lyapunov import (
     OdeSystem,
     benchmark_registry,
     certify_nonnegative,
-    cross_check_appendix_derivatives,
     default_config,
+    load_lyapunov_case,
     verify_lyapunov,
 )
 from bernpop.poly import Box, Polynomial, lie_derivative
+from conftest import cross_check_appendix_derivatives
 
 
 @pytest.fixture(scope="module")
@@ -110,3 +113,25 @@ def test_budget_exhaustion_reports_conservative_bound():
     run = certify_nonnegative(p, Box((-1.0, -1.0), (1.0, 1.0)), cfg)
     assert run.exhausted
     assert run.lower_bound <= 0.0
+
+
+# V = x^2 - 1e-10 is negative at the origin, by 1/10^10
+_NEGATIVE_AT_ORIGIN = {
+    "name": "neg", "dimension": 1, "variables": ["x"], "V": "x^2-0.0000000001",
+    "odes": ["-x"], "region": {"lower": [-1], "upper": [1]},
+}
+
+
+def test_exact_verdict_is_a_proof():
+    # exact mode closes boxes and judges on bound >= 0, with no slack, and
+    # keeps the bound a Fraction; float mode keeps its 1e-9 slack
+    cfg = default_config()
+    cfg.exact = True
+    with pytest.warns(UserWarning):
+        exact = verify_lyapunov(load_lyapunov_case(_NEGATIVE_AT_ORIGIN, exact=True), cfg)
+    assert not exact.stable
+    assert exact.v_bound == Fraction(-1, 10**10) and isinstance(exact.v_bound, Fraction)
+    assert exact.vdot_bound == 0
+    with pytest.warns(UserWarning):
+        floating = verify_lyapunov(load_lyapunov_case(_NEGATIVE_AT_ORIGIN))
+    assert floating.stable and floating.v_bound == pytest.approx(-1e-10)

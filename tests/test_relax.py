@@ -3,29 +3,28 @@ from fractions import Fraction
 import pytest
 
 from bernpop import relax, simplex
-from bernpop.bernstein import (
-    bernstein_basis_polynomial,
-    iter_indices,
-    to_bernstein,
-    upper_bounds,
-)
+from bernpop.bernstein import iter_indices, to_bernstein, upper_bounds
+from bernpop.bnb import box_tensor
 from bernpop.poly import AffineMap, Box, Polynomial, to_unit_box
 from bernpop.relax import (
-    CutMatrix,
-    add_polyhedral_cuts,
-    add_semialgebraic_cuts,
     bound_at_level,
     build_cut_matrix,
-    dsos_cuts,
     exactness_check,
     first_lp_bound,
     relax0,
     relax1,
     relax1_lp,
     relax2_iterative,
-    relax2_monolithic,
 )
-from conftest import grid_min, himmelblau, random_polynomial
+from conftest import (
+    assert_lp_duality,
+    bernstein_basis_polynomial,
+    bernstein_to_polynomial,
+    grid_min,
+    himmelblau,
+    one_shot_lp,
+    random_polynomial,
+)
 
 
 def _unit_form(p, box, degree=None, exact=False):
@@ -150,7 +149,7 @@ def test_cut_matrix_univariate_row():
 
 def test_cut_matrix_rows_nonnegative_rhs_in_unit():
     cuts = build_cut_matrix((2, 2))
-    for _, coeffs, rhs in cuts.rows():
+    for coeffs, rhs in map(cuts.row, range(cuts.row_count)):
         assert all(c >= 0 for c in coeffs)
         assert 0 < rhs <= 1
 
@@ -201,8 +200,8 @@ def test_iterative_equals_monolithic(rng):
         u = upper_bounds((2, 2))
         cuts = build_cut_matrix((2, 2))
         it = relax2_iterative(bf, u, cuts)
-        mono = relax2_monolithic(bf, u, cuts)
-        assert it.bound == pytest.approx(mono.bound, abs=1e-8)
+        _, mono = one_shot_lp(bf.coeffs, u, map(cuts.row, range(cuts.row_count)))
+        assert it.bound == pytest.approx(mono.value, abs=1e-8)
 
 
 def test_relaxation_ordering_and_soundness(rng):
@@ -283,38 +282,41 @@ def test_exactness_check_rejects_bivariate_vertex_solution():
     assert out.exact
 
 
-# -- extra rows -----------------------------------------------------------------
+# -- side-constraint rows --------------------------------------------------------
+# a constraint g(x) <= 0 is the row b(g) . z <= 0, read off g's coefficient
+# tensor at the relaxation degree, as the branch-and-bound and the CLI build it
+
+_UNIT_SQUARE = Box((0.0, 0.0), (1.0, 1.0))
+
+
+def _constraint_row(g, degree):
+    return box_tensor(g, _UNIT_SQUARE, degree).ravel().tolist(), 0.0
 
 
 def test_polyhedral_rows_enumeration():
-    rows = relax.polyhedral_rows([[1.0, 1.0]], [1.0], (1, 1))
-    coeffs, rhs = rows[0]
-    assert coeffs == [0.0, 1.0, 1.0, 2.0]
-    assert rhs == 1.0
+    # x1 + x2 <= 1: the row is sum_I (i1 + i2 - 1) z_I at degree (1,1)
+    g = Polynomial(2, {(1, 0): 1.0, (0, 1): 1.0, (0, 0): -1.0})
+    coeffs, rhs = _constraint_row(g, (1, 1))
+    assert coeffs == [-1.0, 0.0, 0.0, 1.0]
+    assert rhs == 0.0
 
 
 def test_polyhedral_redundant_constraint():
     bf, _ = _square_sum_form()
     u = upper_bounds((2, 2))
     base = relax1_lp(bf, u)
-    rows = relax.polyhedral_rows([[1.0, 0.0]], [1.0], (2, 2))  # x1 <= 1
-    constrained = relax1_lp(bf, u, rows)
+    g = Polynomial(2, {(1, 0): 1.0, (0, 0): -1.0})  # x1 <= 1
+    constrained = relax1_lp(bf, u, [_constraint_row(g, (2, 2))])
     assert constrained.bound == pytest.approx(base.bound, abs=1e-9)
-
-
-def test_add_polyhedral_empty_is_identity():
-    lp = simplex.LinearProgram(c=[1.0, 1.0], lower=[0.0, 0.0], upper=[1.0, 1.0])
-    lp2 = add_polyhedral_cuts(lp, [], [], (1, 1))
-    assert lp2.a_ub == [] and lp2.b_ub == []
 
 
 def test_semialgebraic_row_shapes():
     g = Polynomial(2, {(0, 0): -1.0})  # always satisfied
-    rows = relax.semialgebraic_rows([g], (2, 2))
-    assert rows[0][0] == [-1.0] * 9 and rows[0][1] == 0.0
+    row = _constraint_row(g, (2, 2))
+    assert row[0] == [-1.0] * 9 and row[1] == 0.0
 
     g2 = Polynomial(2, {(1, 0): 1.0, (0, 0): -1.0})  # x1 - 1 <= 0
-    row2 = relax.semialgebraic_rows([g2], (2, 2))[0][0]
+    row2 = _constraint_row(g2, (2, 2))[0]
     from bernpop.bernstein import monomial_bernstein_row
 
     mono = monomial_bernstein_row((1, 0), (2, 2))
@@ -326,9 +328,9 @@ def test_semialgebraic_slack_constraint_no_change():
     u = upper_bounds((2, 2))
     base = relax2_iterative(bf, u, build_cut_matrix((2, 2)))
     # g = q - c with c above the max coefficient is never active
-    q_poly = bf.to_polynomial()
+    q_poly = bernstein_to_polynomial(bf)
     slack = q_poly - Polynomial.constant(2, max(bf.coeffs) + 1.0)
-    rows = relax.semialgebraic_rows([slack], (2, 2))
+    rows = [_constraint_row(slack, (2, 2))]
     constrained = relax2_iterative(bf, u, build_cut_matrix((2, 2)), extra_rows=rows)
     assert constrained.bound == pytest.approx(base.bound, abs=1e-7)
 
@@ -336,37 +338,7 @@ def test_semialgebraic_slack_constraint_no_change():
 def test_semialgebraic_degree_overflow():
     g = Polynomial(2, {(3, 0): 1.0})
     with pytest.raises(ValueError):
-        relax.semialgebraic_rows([g], (2, 2))
-
-
-def test_dsos_no_pairs_in_one_dimension():
-    assert dsos_cuts((4,), 1) == []
-
-
-def test_dsos_rows_match_conversion():
-    rows = dsos_cuts((2, 2), 1)
-    p = Polynomial(2, {(2, 0): 1, (1, 1): -2, (0, 2): 1})  # (x1 - x2)^2
-    expected = [-c for c in to_bernstein(p, (2, 2)).coeffs]
-    assert rows[0][0] == pytest.approx(expected)
-    # coefficient of the (1,1) cell is -(-1/2)
-    assert rows[0][0][4] == pytest.approx(0.5)
-
-
-def test_dsos_rows_hold_at_true_points(rng):
-    rows = dsos_cuts((2, 2), 1)
-    for _ in range(20):
-        x = (rng.random(), rng.random())
-        z = [
-            bernstein_basis_polynomial(idx, (2, 2)).eval(x)
-            for idx in iter_indices((2, 2))
-        ]
-        for coeffs, rhs in rows:
-            assert sum(c * v for c, v in zip(coeffs, z)) <= rhs + 1e-9
-
-
-def test_dsos_degree_guard():
-    with pytest.raises(ValueError):
-        dsos_cuts((2, 2), 2)
+        _constraint_row(g, (2, 2))
 
 
 # -- dispatch -------------------------------------------------------------------
@@ -423,47 +395,76 @@ def _float_image(bf, rows):
     return fbf, [([float(v) for v in a], float(b)) for a, b in rows]
 
 
-def _assert_exact_level2_optimal(bf, u, cuts, rows, out):
-    """The cold exact solve of the rows the loop activated has the loop's
-    value, and the loop's z violates no row of the full system.  The full
-    LP's feasible set lies inside the active one and contains z, so the
-    full optimum is that value too."""
+def _all_rows(cuts):
+    return [cuts.row(i) for i in range(cuts.row_count)]
+
+
+def _record_solves(monkeypatch) -> list:
+    """Every (lp, solution) pair that goes through ``simplex.solve``."""
+    solved = []
+    real = simplex.solve
+
+    def recording(lp):
+        sol = real(lp)
+        solved.append((lp, sol))
+        return sol
+
+    monkeypatch.setattr(simplex, "solve", recording)
+    return solved
+
+
+def _assert_exact_optimal(solved, bf, u, active, out):
+    """The exact outcome is the optimum of the LP with the ``active`` rows:
+    the loop's final ``CutLP`` (a fresh one when the greedy fill needed no
+    solve) holds those rows and carries a duality certificate for the
+    outcome's value."""
+    lp, sol = solved[-1] if solved else one_shot_lp(bf.coeffs, u, active, exact=True)
+    assert lp._rows == list(active)
+    assert_lp_duality(lp, sol)
+    assert out.bound == sol.value
+
+
+def _assert_exact_level2_optimal(solved, bf, u, cuts, rows, out):
+    """The certificate proves the loop's value optimal over the rows it
+    activated, and the loop's z violates no row of the full system.  The
+    full LP's feasible set lies inside the active one and contains z, so
+    the full optimum is that value too."""
     active = list(rows) + [cuts.row(i) for i in out.activated_rows]
-    cold = simplex.solve(relax._level1_lp(bf, u, active, exact=True), exact=True)
-    assert cold.status == simplex.OPTIMAL
-    assert out.bound == cold.value
+    _assert_exact_optimal(solved, bf, u, active, out)
     assert cuts.scan_violations(out.z, 0, set()) == []
 
 
 @pytest.mark.parametrize("degree", [(2, 2), (3, 2), (4, 4), (2, 2, 2), (6,)])
 @pytest.mark.parametrize("with_rows", [False, True])
-def test_warm_loop_equals_cold_full_lp(rng, degree, with_rows):
+def test_warm_loop_equals_cold_full_lp(rng, monkeypatch, degree, with_rows):
     cuts_q = build_cut_matrix(degree, exact=True)
     cuts_f = build_cut_matrix(degree)
     u_q, u_f = upper_bounds(degree, exact=True), upper_bounds(degree)
+    solved = _record_solves(monkeypatch)
     pivots = 0
     for trial in range(3):
         bf_q, rows_q = _costly_corner_instance(rng, degree, with_rows)
         bf_f, rows_f = _float_image(bf_q, rows_q)
         warm = relax2_iterative(bf_f, u_f, cuts_f, extra_rows=rows_f)
-        cold = relax2_monolithic(bf_f, u_f, cuts_f, extra_rows=rows_f)
-        assert warm.bound == pytest.approx(cold.bound, rel=1e-9, abs=1e-12)
+        _, cold = one_shot_lp(bf_f.coeffs, u_f, rows_f + _all_rows(cuts_f))
+        assert warm.bound == pytest.approx(cold.value, rel=1e-9, abs=1e-12)
         pivots += warm.pivots
 
+        solved.clear()
         warm_q = relax2_iterative(bf_q, u_q, cuts_q, extra_rows=rows_q, exact=True)
         assert isinstance(warm_q.bound, Fraction)
-        _assert_exact_level2_optimal(bf_q, u_q, cuts_q, rows_q, warm_q)
-        if trial == 0 and cuts_q.row_count <= 30:  # the cold exact solve of every row is slow
-            mono = relax2_monolithic(bf_q, u_q, cuts_q, extra_rows=rows_q, exact=True)
-            assert warm_q.bound == mono.bound
+        _assert_exact_level2_optimal(solved, bf_q, u_q, cuts_q, rows_q, warm_q)
+        assert warm.bound == pytest.approx(float(warm_q.bound), rel=1e-9, abs=1e-12)
+        if trial == 0 and cuts_q.row_count <= 30:  # the exact one-shot LP of every row is slow
+            lp, mono = one_shot_lp(bf_q.coeffs, u_q, rows_q + _all_rows(cuts_q), exact=True)
+            assert_lp_duality(lp, mono)
+            assert warm_q.bound == mono.value
 
-        for bf, u, rows, exact in ((bf_f, u_f, rows_f, False), (bf_q, u_q, rows_q, True)):
-            lp1 = relax1_lp(bf, u, rows, exact=exact)
-            cold1 = simplex.solve(relax._level1_lp(bf, u, rows, exact), exact=exact)
-            if exact:
-                assert lp1.bound == cold1.value
-            else:
-                assert lp1.bound == pytest.approx(cold1.value, rel=1e-9, abs=1e-12)
+        solved.clear()
+        lp1_q = relax1_lp(bf_q, u_q, rows_q, exact=True)
+        _assert_exact_optimal(solved, bf_q, u_q, rows_q, lp1_q)
+        lp1_f = relax1_lp(bf_f, u_f, rows_f)
+        assert lp1_f.bound == pytest.approx(float(lp1_q.bound), rel=1e-9, abs=1e-12)
     assert pivots > 0  # the instances exercise the dual simplex
 
 
@@ -481,23 +482,30 @@ def test_warm_loop_equals_cold_full_lp(rng, degree, with_rows):
     ],
 )
 @pytest.mark.parametrize("with_rows", [False, True])
-def test_warm_loop_degenerate_starts(name, degree, coeffs, rows, with_rows):
+def test_warm_loop_degenerate_starts(monkeypatch, name, degree, coeffs, rows, with_rows):
     rows = rows if with_rows else []
     bf_q = relax.BernsteinForm(degree, tuple(Fraction(v) for v in coeffs), degree)
     rows_q = [([Fraction(v) for v in a], Fraction(b)) for a, b in rows]
     bf_f, rows_f = _float_image(bf_q, rows_q)
-    for bf, r, exact in ((bf_f, rows_f, False), (bf_q, rows_q, True)):
-        u = upper_bounds(degree, exact=exact)
-        cuts = build_cut_matrix(degree, exact)
-        warm = relax2_iterative(bf, u, cuts, extra_rows=r, exact=exact)
-        cold = relax2_monolithic(bf, u, cuts, extra_rows=r, exact=exact)
-        lp1 = relax1_lp(bf, u, r, exact=exact)
-        cold1 = simplex.solve(relax._level1_lp(bf, u, r, exact), exact=exact)
-        if exact:
-            assert warm.bound == cold.bound and lp1.bound == cold1.value
-        else:
-            assert warm.bound == pytest.approx(cold.bound, rel=1e-9, abs=1e-12)
-            assert lp1.bound == pytest.approx(cold1.value, rel=1e-9, abs=1e-12)
+    solved = _record_solves(monkeypatch)
+
+    u_q, cuts_q = upper_bounds(degree, exact=True), build_cut_matrix(degree, True)
+    warm_q = relax2_iterative(bf_q, u_q, cuts_q, extra_rows=rows_q, exact=True)
+    _assert_exact_level2_optimal(solved, bf_q, u_q, cuts_q, rows_q, warm_q)
+    lp, mono = one_shot_lp(bf_q.coeffs, u_q, rows_q + _all_rows(cuts_q), exact=True)
+    assert_lp_duality(lp, mono)
+    assert warm_q.bound == mono.value
+    solved.clear()
+    lp1_q = relax1_lp(bf_q, u_q, rows_q, exact=True)
+    _assert_exact_optimal(solved, bf_q, u_q, rows_q, lp1_q)
+
+    u_f, cuts_f = upper_bounds(degree), build_cut_matrix(degree)
+    warm = relax2_iterative(bf_f, u_f, cuts_f, extra_rows=rows_f)
+    _, cold = one_shot_lp(bf_f.coeffs, u_f, rows_f + _all_rows(cuts_f))
+    lp1 = relax1_lp(bf_f, u_f, rows_f)
+    pairs = ((warm.bound, cold.value), (warm.bound, warm_q.bound), (lp1.bound, lp1_q.bound))
+    for got, want in pairs:
+        assert got == pytest.approx(float(want), rel=1e-9, abs=1e-12)
 
 
 def test_greedy_names_the_basic_variable():

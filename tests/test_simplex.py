@@ -7,46 +7,49 @@ import pytest
 from bernpop import simplex
 from bernpop.bernstein import to_bernstein, upper_bounds
 from bernpop.poly import Box, Polynomial, to_unit_box
-from bernpop.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, solve
+from bernpop.relax import _greedy_knapsack
+from bernpop.simplex import INFEASIBLE, OPTIMAL, solve
+from conftest import assert_lp_duality, one_shot_lp
 
 
-def test_min_over_interval():
-    lp = LinearProgram(c=[1.0], lower=[0.0], upper=[1.0])
-    sol = solve(lp)
-    assert sol.status == OPTIMAL
-    assert sol.value == pytest.approx(0.0)
+def _cut_lp(c, u, exact=False):
+    _, z, last = _greedy_knapsack(c, u, exact)
+    return simplex.CutLP(c, u, z, last, exact)
 
 
-def test_max_via_negation():
-    lp = LinearProgram(c=[-1.0], lower=[0.0], upper=[3.0])
-    sol = solve(lp)
-    assert sol.value == pytest.approx(-3.0)
+def _random_lp(rng):
+    """Exact data of a feasible LP: costs, caps, and rows that the known
+    point ``z0`` (sum z0 = 1, z0 <= u) satisfies with some slack."""
+    n = rng.randint(2, 6)
+    weights = [rng.randint(1, 9) for _ in range(n)]
+    z0 = [Fraction(w, sum(weights)) for w in weights]
+    u = [min(Fraction(1), v + Fraction(rng.randint(1, 8), 16)) for v in z0]
+    c = [Fraction(rng.randint(-24, 24), 8) for _ in range(n)]
+    rows = []
+    for _ in range(rng.randint(1, 3)):
+        a = [Fraction(rng.randint(-8, 8), 4) for _ in range(n)]
+        rows.append((a, sum(x * y for x, y in zip(a, z0)) + Fraction(rng.randint(1, 8), 16)))
+    return c, u, rows, z0
 
 
-def test_unbounded():
-    lp = LinearProgram(c=[-1.0], lower=[0.0], upper=[None])
-    assert solve(lp).status == UNBOUNDED
+def _float_data(c, u, rows):
+    rows = [([float(v) for v in a], float(b)) for a, b in rows]
+    return [float(v) for v in c], [float(v) for v in u], rows
 
 
 def test_infeasible():
-    lp = LinearProgram(
-        c=[1.0], a_ub=[[1.0]], b_ub=[1.0], a_eq=[[1.0]], b_eq=[2.0],
-        lower=[0.0], upper=[None],
-    )
-    assert solve(lp).status == INFEASIBLE
+    # sum z = 1 cannot hold below a row that caps the whole mass at 1/2
+    for exact in (False, True):
+        F = Fraction if exact else float
+        lp = _cut_lp([F(1), F(2)], [F(1), F(1)], exact)
+        lp.append_rows([([F(1), F(1)], F(1) / 2)])
+        assert solve(lp).status == INFEASIBLE
 
 
 def test_equality_and_inequality_mix():
     # min x + y st x + y = 1, x - y <= 0, 0 <= x,y <= 1 -> value 1
-    lp = LinearProgram(
-        c=[1.0, 1.0],
-        a_ub=[[1.0, -1.0]],
-        b_ub=[0.0],
-        a_eq=[[1.0, 1.0]],
-        b_eq=[1.0],
-        lower=[0.0, 0.0],
-        upper=[1.0, 1.0],
-    )
+    lp = _cut_lp([1.0, 1.0], [1.0, 1.0])
+    lp.append_rows([([1.0, -1.0], 0.0)])
     sol = solve(lp)
     assert sol.status == OPTIMAL
     assert sol.value == pytest.approx(1.0)
@@ -54,131 +57,78 @@ def test_equality_and_inequality_mix():
     assert sol.z[0] <= sol.z[1] + 1e-9
 
 
-def test_negative_lower_bounds():
-    lp = LinearProgram(
-        c=[1.0, 2.0],
-        a_ub=[[1.0, 1.0]],
-        b_ub=[1.0],
-        lower=[-1.0, -2.0],
-        upper=[5.0, 5.0],
-    )
-    sol = solve(lp)
-    assert sol.value == pytest.approx(-5.0)
-
-
 def test_level1_shell_for_two_squares():
     # the level-1 LP for (2z1-1)^2 + (2z2-1)^2 at degree (2,2) has value -0.5
     p = Polynomial(2, {(2, 0): 1, (0, 2): 1})
     q, _ = to_unit_box(p, Box((-1.0, -1.0), (1.0, 1.0)))
     bf = to_bernstein(q, (2, 2))
-    u = upper_bounds((2, 2))
-    lp = LinearProgram(
-        c=list(bf.coeffs),
-        a_eq=[[1.0] * 9],
-        b_eq=[1.0],
-        lower=[0.0] * 9,
-        upper=list(u),
-    )
-    sol = solve(lp)
+    sol = solve(_cut_lp(list(bf.coeffs), upper_bounds((2, 2))))
     assert sol.status == OPTIMAL
     assert sol.value == pytest.approx(-0.5, abs=1e-9)
 
 
 def test_knapsack_against_greedy(rng):
-    # min c.z, sum z = 1, 0 <= z <= u is a fractional knapsack
+    # a row that halves the greedy's basic variable is the greedy with that
+    # cap halved (infeasible once the caps sum below one): the dual simplex
+    # must re-optimise to it
     for _ in range(25):
         n = rng.randint(2, 8)
         c = [rng.uniform(-5, 5) for _ in range(n)]
         u = [rng.uniform(0.2, 1.5) for _ in range(n)]
         if sum(u) < 1.2:
             u[0] += 1.2
-        lp = LinearProgram(
-            c=c, a_eq=[[1.0] * n], b_eq=[1.0], lower=[0.0] * n, upper=list(u)
-        )
+        lp = _cut_lp(c, u)
+        _, z, last = _greedy_knapsack(c, u, False)
+        cap = z[last] / 2
+        lp.append_rows([([float(j == last) for j in range(n)], cap)])
         sol = solve(lp)
+        tighter = [cap if j == last else v for j, v in enumerate(u)]
+        if sum(tighter) < 1:
+            assert sol.status == INFEASIBLE
+            continue
         assert sol.status == OPTIMAL
-        remaining, greedy = 1.0, 0.0
-        for i in sorted(range(n), key=lambda i: (c[i], i)):
-            take = min(u[i], remaining)
-            greedy += take * c[i]
-            remaining -= take
-            if remaining <= 1e-12:
-                break
-        assert sol.value == pytest.approx(greedy, abs=1e-8)
-
-
-def _random_feasible_lp(rng, exact=False):
-    n = rng.randint(2, 5)
-    m = rng.randint(1, 3)
-    point = [rng.uniform(0, 1) for _ in range(n)]
-    a_ub = [[rng.uniform(-2, 2) for _ in range(n)] for _ in range(m)]
-    b_ub = [sum(a * x for a, x in zip(row, point)) + rng.uniform(0.1, 1) for row in a_ub]
-    c = [rng.uniform(-3, 3) for _ in range(n)]
-    if exact:
-        # the very same data, read exactly
-        return LinearProgram(
-            c=[Fraction(v) for v in c],
-            a_ub=[[Fraction(v) for v in row] for row in a_ub],
-            b_ub=[Fraction(v) for v in b_ub],
-            lower=[Fraction(0)] * n,
-            upper=[Fraction(2)] * n,
-        )
-    return LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub, lower=[0.0] * n, upper=[2.0] * n)
+        assert sol.value == pytest.approx(_greedy_knapsack(c, tighter, False)[0], abs=1e-8)
 
 
 def test_weak_duality_on_random_lps(rng):
-    for _ in range(100):
-        lp = _random_feasible_lp(rng)
-        sol = solve(lp)
-        assert sol.status == OPTIMAL
-        assert sol.dual_bound <= sol.value + 1e-6
-        assert sol.dual_bound == pytest.approx(sol.value, abs=1e-6)
+    # the exact optimum carries a duality certificate, and no feasible
+    # point (here the one the rows were built around) beats it
+    for _ in range(50):
+        c, u, rows, z0 = _random_lp(rng)
+        lp, sol = one_shot_lp(c, u, rows, exact=True)
+        assert_lp_duality(lp, sol)
+        assert sol.value <= sum(x * y for x, y in zip(c, z0))
 
 
 def test_exact_matches_float(rng):
     for _ in range(20):
-        seed = rng.randint(0, 10**9)
-        lp_f = _random_feasible_lp(random.Random(seed))
-        lp_q = _random_feasible_lp(random.Random(seed), exact=True)
-        sol_f = solve(lp_f)
-        sol_q = solve(lp_q, exact=True)
+        c, u, rows, _ = _random_lp(rng)
+        _, sol_q = one_shot_lp(c, u, rows, exact=True)
+        _, sol_f = one_shot_lp(*_float_data(c, u, rows))
         assert sol_f.status == OPTIMAL and sol_q.status == OPTIMAL
-        assert abs(float(sol_q.value) - sol_f.value) <= 1e-6
+        assert abs(float(sol_q.value) - sol_f.value) <= 1e-9
 
 
 def test_exact_solution_is_rational():
-    lp = LinearProgram(
-        c=[Fraction(1), Fraction(-1)],
-        a_ub=[[Fraction(1), Fraction(1)]],
-        b_ub=[Fraction(3, 2)],
-        lower=[Fraction(0), Fraction(0)],
-        upper=[Fraction(1), Fraction(1)],
-    )
-    sol = solve(lp, exact=True)
+    F = Fraction
+    lp = _cut_lp([F(1), F(-1), F(0)], [F(1), F(1, 2), F(1)], exact=True)
+    lp.append_rows([([F(0), F(1), F(1)], F(3, 4))])  # z0 must take 1/4
+    sol = solve(lp)
     assert sol.status == OPTIMAL
-    assert sol.value == Fraction(-1)
+    assert sol.value == Fraction(-1, 4)
     assert all(isinstance(v, Fraction) for v in sol.z)
 
 
 def test_primal_invariants_at_optimum(rng):
     for _ in range(30):
-        lp = _random_feasible_lp(rng)
-        sol = solve(lp)
+        c, u, rows = _float_data(*_random_lp(rng)[:3])
+        _, sol = one_shot_lp(c, u, rows)
         assert sol.status == OPTIMAL
-        for row, rhs in zip(lp.a_ub, lp.b_ub):
+        for row, rhs in rows:
             assert sum(a * z for a, z in zip(row, sol.z)) <= rhs + 1e-8
-        for z, lo, hi in zip(sol.z, lp.lower, lp.upper):
-            assert lo - 1e-8 <= z <= hi + 1e-8
-
-
-# -- the warm-started dual simplex (CutLP) ----------------------------------
-
-
-def _cut_lp(c, u, exact=False):
-    from bernpop.relax import _greedy_knapsack
-
-    _, z, last = _greedy_knapsack(c, u, exact)
-    return simplex.CutLP(c, u, z, last, exact)
+        for z, hi in zip(sol.z, u):
+            assert -1e-8 <= z <= hi + 1e-8
+        assert sum(sol.z) == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -188,11 +138,13 @@ def test_cut_lp_reoptimizes_in_place(exact):
     u = [F(1), F(1, 2) if exact else 0.5, F(1)]
     lp = _cut_lp(c, u, exact)  # greedy: z = (0, 1/2, 1/2), value 3/2
     lp.append_rows([([F(0), F(0), F(1)], F(1, 4) if exact else 0.25)])
-    sol = solve(lp, exact)
+    sol = solve(lp)
     assert sol.status == OPTIMAL and sol.iterations > 0
     assert sol.value == pytest.approx(F(7, 4) if exact else 1.75)  # z = (1/4, 1/2, 1/4)
+    if exact:
+        assert_lp_duality(lp, sol)
     lp.append_rows([([F(1), F(0), F(0)], F(0))])  # now z0 = 0 too: nothing fits
-    assert solve(lp, exact).status == INFEASIBLE
+    assert solve(lp).status == INFEASIBLE
     if exact:
         assert isinstance(sol.value, Fraction)
 
@@ -203,59 +155,119 @@ def test_cut_lp_exact_image_keeps_rows():
     image = lp.exact_image()
     assert image.exact and image.row_count == 1
     t = Fraction(0.1)  # the exact image of the float rhs
-    assert solve(image).value == 3 * (Fraction(1, 2) - t) + Fraction(1, 2) + 2 * t
+    sol = solve(image)
+    assert sol.value == 3 * (Fraction(1, 2) - t) + Fraction(1, 2) + 2 * t
+    assert_lp_duality(image, sol)
 
 
-def test_cut_lp_fallback_is_counted_and_cold(monkeypatch):
-    # a failed dual-feasibility check hands the same rows to the two-phase engine
-    lp = _cut_lp([3.0, 1.0, 2.0], [1.0, 0.5, 1.0])
-    lp.append_rows([([0.0, 0.0, 1.0], 0.25)])
+def _count_exact_images(monkeypatch) -> list:
+    calls = []
+    real = simplex.CutLP.exact_image
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(simplex.CutLP, "exact_image", counting)
+    return calls
+
+
+def _fallback_instance(rng):
+    c, u, rows = _float_data(*_random_lp(rng)[:3])
+    lp = _cut_lp(c, u)
+    lp.append_rows(rows)
+    want = solve(lp.exact_image())  # before any check is forced to fail
+    return lp, want
+
+
+def test_cut_lp_fallback_is_counted_and_cold(monkeypatch, rng):
+    # a float solve that keeps failing its dual-feasibility check is redone
+    # from the greedy start with every row at once, then, failing again,
+    # answered by the exact image; one fallback either way
+    lp, want = _fallback_instance(rng)
+    images = _count_exact_images(monkeypatch)
     monkeypatch.setattr(simplex.CutLP, "_dual_feasible", lambda self: False)
     sol = solve(lp)
-    assert sol.status == OPTIMAL and sol.value == pytest.approx(1.75)
-    assert lp.fallbacks == 1
-    lp.append_rows([([0.0, 1.0, 0.0], 0.25)])  # later solves stay cold
-    assert solve(lp).value == pytest.approx(0.5 * 3 + 0.25 + 0.25 * 2)
-    assert lp.fallbacks == 1
+    assert sol.status == OPTIMAL and lp.fallbacks == 1 and len(images) == 1
+    assert sol.value == pytest.approx(float(want.value), rel=1e-9, abs=1e-12)
+    assert isinstance(sol.value, float) and all(isinstance(v, float) for v in sol.z)
 
 
-def _loop_ratio_test(eng, entering, direction, d_b):
-    """The per-row loop the vectorised ratio test replaced (reference)."""
-    t_best, leave_pos, leave_to_upper = np.inf, -1, False
-    span = eng.hi[entering] - eng.lo[entering]
-    if np.isfinite(span):
-        t_best = span
-    for pos in range(eng.m):
-        step = direction * d_b[pos]
-        j = eng.basis[pos]
-        if step > simplex._PIVOT_TOL and np.isfinite(eng.lo[j]):
-            t, to_upper = (eng.value[j] - eng.lo[j]) / step, False
-        elif step < -simplex._PIVOT_TOL and np.isfinite(eng.hi[j]):
-            t, to_upper = (eng.hi[j] - eng.value[j]) / (-step), True
-        else:
+def test_cut_lp_fallback_restarts_before_the_exact_image(monkeypatch, rng):
+    # when only the warm solve fails, the fresh restart answers: the exact
+    # image, far slower on big LPs, is never solved
+    for _ in range(10):
+        lp, want = _fallback_instance(rng)
+        images = _count_exact_images(monkeypatch)
+        real = simplex.CutLP._dual_feasible
+        failed = []
+
+        def first_fails(self):
+            if not failed:
+                failed.append(True)
+                return False
+            return real(self)
+
+        monkeypatch.setattr(simplex.CutLP, "_dual_feasible", first_fails)
+        sol = solve(lp)
+        monkeypatch.undo()
+        assert sol.status == OPTIMAL and lp.fallbacks == 1 and not images
+        assert sol.value == pytest.approx(float(want.value), rel=1e-9, abs=1e-12)
+        # the rebuilt LP keeps its rows, and later solves run warm again
+        lp.append_rows([([1.0] * lp.n, 1.0)])  # redundant: sum z = 1 already
+        assert solve(lp).value == pytest.approx(sol.value, rel=1e-9, abs=1e-12)
+        assert lp.fallbacks == 1
+
+
+def _loop_entering(lp, r, alpha):
+    """The per-candidate loop the vectorised dual ratio test stands for
+    (reference): the smallest ratio, ties within 1e-12 to the largest
+    |alpha| and then the smallest index; exact ties to the smallest index."""
+    up = lp.x[lp.basis[r]] < 0
+    tol = 0 if lp.exact else simplex._PIVOT_TOL
+    ratios = {}
+    for j in range(len(alpha)):
+        if lp.is_basic[j] or lp.hi[j] == 0:
             continue
-        if t < t_best - 1e-12 or (
-            abs(t - t_best) <= 1e-12 and (leave_pos < 0 or j < eng.basis[leave_pos])
-        ):
-            t_best, leave_pos, leave_to_upper = t, pos, to_upper
-    return t_best, leave_pos, leave_to_upper
+        sign = (-1 if lp.at_upper[j] else 1) * (1 if up else -1)
+        if not sign * alpha[j] < -tol:
+            continue
+        dd = -lp.d[j] if lp.at_upper[j] else lp.d[j]
+        ratios[j] = dd / abs(alpha[j]) if lp.exact else max(dd, 0.0) / abs(alpha[j])
+    if not ratios:
+        return None
+    low = min(ratios.values())
+    if lp.exact:
+        return min(j for j, v in ratios.items() if v == low)
+    ties = [j for j, v in ratios.items() if v <= low + 1e-12]
+    return max(ties, key=lambda j: (abs(alpha[j]), -j))
 
 
 def test_vectorised_ratio_test_matches_loop(rng):
     nprng = np.random.default_rng(7)
-    for _ in range(300):
-        eng = simplex._FloatEngine(_random_feasible_lp(rng))
-        eng.value = nprng.uniform(-1, 3, eng.n_total)
-        eng.basis = nprng.permutation(eng.n_total)[: eng.m]
-        # exact ties and zero steps are the cases a rule change would show
-        eng.value[eng.basis[::2]] = 1.0
-        d_b = nprng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], eng.m)
-        entering = int(nprng.integers(eng.n_total))
-        direction = float(nprng.choice([-1.0, 1.0]))
-        got = eng._ratio_test(entering, direction, d_b)
-        want = _loop_ratio_test(eng, entering, direction, d_b)
-        assert (got[1], got[2]) == (want[1], want[2])
-        assert got[0] == want[0] or (np.isinf(got[0]) and np.isinf(want[0]))
+    for trial in range(300):
+        exact = trial % 2 == 1
+        c, u, rows, _ = _random_lp(rng)
+        if not exact:
+            c, u, rows = _float_data(c, u, rows)
+        lp = _cut_lp(c, u, exact)
+        lp.append_rows(rows)
+        cols = lp.G.shape[1]
+        # random states; exact ties and zero entries are the cases a rule
+        # change would show
+        lp.basis = nprng.permutation(cols)[: lp.G.shape[0]]
+        lp.is_basic = np.isin(np.arange(cols), lp.basis)
+        lp.at_upper = ~lp.is_basic & nprng.choice([False, True], cols) & (lp.hi < np.inf)
+        values = [-1, Fraction(-1, 2), 0, Fraction(1, 2), 1]
+
+        def pick(k):
+            return [values[i] if exact else float(values[i]) for i in nprng.integers(5, size=k)]
+
+        lp.d = np.array(pick(cols), dtype=object if exact else float)
+        alpha = np.array(pick(cols), dtype=object if exact else float)
+        r = int(nprng.integers(lp.G.shape[0]))
+        lp.x[lp.basis[r]] = pick(1)[0] - (Fraction(1, 4) if exact else 0.25)
+        assert lp._entering(r, alpha) == _loop_entering(lp, r, alpha)
 
 
 def test_numpy_is_the_only_runtime_dependency():
