@@ -1,10 +1,10 @@
 """Bernstein-basis machinery on the unit box.
 
 Conversion from the monomial basis, de Casteljau evaluation and
-subdivision, the basis upper bounds B(I/delta), degree elevation rows, and
-the vertex condition.  Everything is scalar-generic: Fractions give exact
-coefficients, floats give binary64 ones.  Tensors are stored flat in
-row-major order, i.e. the linear position of index I is
+subdivision, the basis upper bounds B(I/delta), univariate degree
+elevation, and the vertex condition.  Everything is scalar-generic:
+Fractions give exact coefficients, floats give binary64 ones.  Tensors are
+stored flat in row-major order, i.e. the linear position of index I is
 sum_j i_j * prod_{l>j}(delta_l + 1); ``coefficient_tensor`` reshapes them
 into numpy arrays (float64, or object arrays of Fractions) for subdivision.
 """
@@ -37,13 +37,6 @@ def strides(degree: Index) -> tuple[int, ...]:
     for j in range(len(degree) - 2, -1, -1):
         out[j] = out[j + 1] * (degree[j + 1] + 1)
     return tuple(out)
-
-
-def ravel_index(idx: Index, degree: Index) -> int:
-    pos = 0
-    for i, s in zip(idx, strides(degree)):
-        pos += i * s
-    return pos
 
 
 def iter_indices(degree: Index) -> Iterator[Index]:
@@ -206,31 +199,6 @@ def univariate_elevation(k: int, m: int, exact: bool = False) -> list[list]:
                 row.append(Fraction(num, den) if exact else num / den)
         rows.append(row)
     return rows
-
-
-def elevation_row(idx: Index, low: Index, degree: Index, exact: bool = False) -> list:
-    """Coefficients of B_{I,K} in the degree-delta basis, flat over J <= delta.
-
-    All entries are nonnegative, and for fixed J the rows over I <= K sum
-    to one (elevating the unit partition gives the unit partition).
-    """
-    if not all(i <= k for i, k in zip(idx, low)):
-        raise ValueError("index exceeds its own degree")
-    if not all(k <= d for k, d in zip(low, degree)):
-        raise ValueError("low degree exceeds target degree")
-    per_axis = [
-        univariate_elevation(k, d, exact)[i]
-        for i, k, d in zip(idx, low, degree)
-    ]
-    out = []
-    for jdx in iter_indices(degree):
-        w = Fraction(1) if exact else 1.0
-        for l, j in enumerate(jdx):
-            w *= per_axis[l][j]
-            if w == 0:
-                break
-        out.append(w)
-    return out
 
 
 def monomial_bernstein_row(idx: Index, degree: Index, exact: bool = False) -> list:

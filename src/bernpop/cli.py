@@ -117,7 +117,7 @@ def _run_relax(args) -> tuple[int, dict]:
         )
         timings[key] = time.perf_counter() - t0
         bounds[key] = _bound_json(out.bound)
-        if exact and out.bound is not None and level != LEVEL_FIRST:
+        if exact and out.bound is not None:
             exact_strs[key] = _fraction_str(out.bound)
         if out.exact:
             witness = witness or out.witness

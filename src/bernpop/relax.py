@@ -30,7 +30,6 @@ from .bernstein import (
     _beta_peak,
     iter_indices,
     min_coefficient,
-    ravel_index,
     tensor_size,
     univariate_elevation,
     upper_bounds,
@@ -72,124 +71,83 @@ class RelaxationOutcome:
 class CutMatrix:
     """All degree-elevation inequalities for a fixed top degree.
 
-    One row per pair (I, K) with I <= K <= delta and K != delta.  Rows are
-    ordered by (|K|, K lex, I lex).  Lower-bound rows 0 <= b^(I,K) . z are
+    One row per pair (I, K) with I <= K <= delta and K != delta.  Row ids
+    follow (|K|, K lex, I lex).  Lower-bound rows 0 <= b^(I,K) . z are
     omitted (the coefficients are nonnegative and z >= 0 already), and the
     per-K unit-partition equalities are implied by sum z = 1 because every
     elevation column sums to one.
 
-    The matrix is immutable and safe to share between concurrent solves;
-    float mode keeps only per-axis elevation factors and expands Kronecker
-    products on demand.
+    Row (I, K) is the Kronecker product over the axes of the univariate
+    elevation rows e^(i_l, k_l), and its right-hand side the product of
+    the peaks beta_{i_l,k_l}(i_l/k_l), so only per-axis factors are kept:
+    for axis l, ``_elevation[l]`` stacks ``univariate_elevation(k,
+    delta_l)`` for k = 0..delta_l (row (k, i) at position k(k+1)/2 + i)
+    and ``_peaks[l]`` holds the matching peaks.  A position of the system
+    is one per-axis position per axis, flattened row-major; ``_row_id``
+    maps it to its row id (-1 for K = delta) and ``_pos_of`` back.  Scans
+    and row materialization are per-axis products, on float64 arrays or
+    on object arrays of Fractions alike; no row is expanded unless asked
+    for.  The matrix is immutable and safe to share between solves.
     """
 
     def __init__(self, degree: Index, exact: bool = False):
         self.degree = tuple(degree)
         self.exact = exact
-        self._blocks = []  # (K, per-axis elevation matrices, rhs vector, offset)
-        offset = 0
-        lows = sorted(
-            (k for k in iter_indices(self.degree) if k != self.degree),
-            key=lambda k: (sum(k), k),
-        )
-        for low in lows:
-            size = tensor_size(low)
-            if exact:
-                axes = [
-                    univariate_elevation(k, d, exact=True)
-                    for k, d in zip(low, self.degree)
-                ]
-            else:
-                axes = [
-                    np.array(univariate_elevation(k, d), dtype=float)
-                    for k, d in zip(low, self.degree)
-                ]
-            rhs = []
-            for idx in iter_indices(low):
-                w = Fraction(1) if exact else 1.0
-                for i, k in zip(idx, low):
-                    w *= _beta_peak(i, k, exact)
-                rhs.append(w)
-            self._blocks.append((low, axes, rhs, offset))
-            offset += size
-        self.row_count = offset
-        self._pairs: list[tuple[Index, Index]] = []
-        for low, _, _, _ in self._blocks:
-            for idx in iter_indices(low):
-                self._pairs.append((idx, low))
-        # small systems are expanded to one dense matrix so every scan is a
-        # single matvec; big ones stay as per-axis Kronecker factors
-        self._dense = None
-        self._dense_rhs = None
-        if not exact and self.row_count * tensor_size(self.degree) <= 5_000_000:
-            chunks, rhs_all = [], []
-            for low, axes, rhs, _ in self._blocks:
-                block = axes[0]
-                for ax in axes[1:]:
-                    block = np.kron(block, ax)
-                chunks.append(block.reshape(tensor_size(low), tensor_size(self.degree)))
-                rhs_all.extend(rhs)
-            if chunks:
-                self._dense = np.vstack(chunks)
-                self._dense_rhs = np.asarray(rhs_all, dtype=float)
+        dtype = object if exact else float
+        self._elevation, self._peaks = [], []
+        total = lex = np.zeros((), dtype=np.int64)  # |K| and K's rank per position
+        self._rhs = np.ones(1, dtype=dtype)
+        for d in self.degree:
+            self._elevation.append(np.array(
+                [row for k in range(d + 1) for row in univariate_elevation(k, d, exact)],
+                dtype=dtype,
+            ))
+            peaks = np.array(
+                [_beta_peak(i, k, exact) for k in range(d + 1) for i in range(k + 1)],
+                dtype=dtype,
+            )
+            self._peaks.append(peaks)
+            self._rhs = np.multiply.outer(self._rhs, peaks).ravel()
+            low = np.repeat(np.arange(d + 1), np.arange(1, d + 2))
+            total = np.add.outer(total, low)
+            lex = np.add.outer(lex * (d + 1), low)
+        self._shape = tuple(len(r) for r in self._peaks)
+        # within one K the row-major positions already run over I in lex order
+        order = np.argsort((total * tensor_size(self.degree) + lex).ravel(), kind="stable")
+        self.row_count = order.size - tensor_size(self.degree)  # K = delta sorts last
+        self._pos_of = order[: self.row_count]
+        self._row_id = np.full(order.size, -1, dtype=np.int64)
+        self._row_id[self._pos_of] = np.arange(self.row_count)
 
-    def pair(self, row_id: int) -> tuple[Index, Index]:
-        """(I, K) for a global row id."""
-        return self._pairs[row_id]
-
-    def row(self, row_id: int) -> tuple[list, object]:
-        """Materialize one row as (coefficients over J <= delta, rhs)."""
-        if self._dense is not None:
-            return self._dense[row_id].tolist(), float(self._dense_rhs[row_id])
-        idx, low = self._pairs[row_id]
-        for blk_low, axes, rhs, offset in self._blocks:
-            if blk_low == low:
-                local = ravel_index(idx, low)
-                if self.exact:
-                    per_axis = [ax[i] for ax, i in zip(axes, idx)]
-                    coeffs = []
-                    for jdx in iter_indices(self.degree):
-                        w = Fraction(1)
-                        for l, j in enumerate(jdx):
-                            w *= per_axis[l][j]
-                        coeffs.append(w)
-                else:
-                    vec = np.array([1.0])
-                    for ax, i in zip(axes, idx):
-                        vec = np.kron(vec, ax[i])
-                    coeffs = vec.tolist()
-                return coeffs, rhs[local]
-        raise IndexError(row_id)
+    def rows(self, ids: Sequence[int]) -> list[tuple[list, object]]:
+        """Materialize rows as (coefficients over J <= delta, rhs) pairs."""
+        flat = self._pos_of[np.asarray(ids, dtype=np.int64)]
+        per_axis = []
+        for size in reversed(self._shape):
+            flat, pos = np.divmod(flat, size)
+            per_axis.insert(0, pos)
+        coeffs = rhs = 1
+        for l, (pos, d) in enumerate(zip(per_axis, self.degree)):
+            shape = [-1] + [1] * len(self.degree)
+            shape[l + 1] = d + 1
+            coeffs = coeffs * self._elevation[l][pos].reshape(shape)
+            rhs = rhs * self._peaks[l][pos]
+        coeffs = np.reshape(coeffs, (len(ids), tensor_size(self.degree)))
+        return list(zip(coeffs.tolist(), rhs.tolist()))
 
     def scan_violations(self, z, tol, skip: set[int]) -> list[int]:
-        """Ids of rows with b^(I,K) . z > rhs + tol, in canonical order."""
-        out = []
+        """Ids of rows with b^(I,K) . z > rhs + tol, ascending.
+
+        One matrix product per axis contracts that axis of z against its
+        elevation rows and rotates it to the back; after the last axis
+        the values lie in position order."""
         if self.exact:
             z = [Fraction(v) for v in z]
-            for row_id in range(self.row_count):
-                if row_id in skip:
-                    continue
-                coeffs, rhs = self.row(row_id)
-                lhs = sum(c * v for c, v in zip(coeffs, z) if c != 0)
-                if lhs > rhs + tol:
-                    out.append(row_id)
-            return out
-        if self._dense is not None:
-            zv = np.asarray(z, dtype=float)
-            bad = np.nonzero(self._dense @ zv > self._dense_rhs + tol)[0]
-            return [int(i) for i in bad if int(i) not in skip]
-        zt = np.asarray(z, dtype=float).reshape([d + 1 for d in self.degree])
-        for low, axes, rhs, offset in self._blocks:
-            vals = zt
-            for l, ax in enumerate(axes):
-                vals = np.moveaxis(np.tensordot(ax, vals, axes=(1, l)), 0, l)
-            flat = vals.ravel()
-            bad = np.nonzero(flat > np.asarray(rhs, dtype=float) + tol)[0]
-            for local in bad:
-                row_id = offset + int(local)
-                if row_id not in skip:
-                    out.append(row_id)
-        return out
+        vals = np.asarray(z, dtype=self._rhs.dtype)
+        for elevation, d in zip(self._elevation, self.degree):
+            vals = (elevation @ vals.reshape(d + 1, -1)).T
+        ids = self._row_id[np.nonzero(vals.ravel() > self._rhs + tol)[0]]
+        return [i for i in np.sort(ids[ids >= 0]).tolist() if i not in skip]
 
 
 def build_cut_matrix(degree: Index, exact: bool = False) -> CutMatrix:
@@ -464,7 +422,7 @@ def _cut_loop(bf, u, cuts, extra_rows, mapping, exact, violation_tol) -> Relaxat
             break
         active.extend(violated)
         active_set.update(violated)
-        lp.append_rows([cuts.row(i) for i in violated])
+        lp.append_rows(cuts.rows(violated))
     is_exact, witness = (
         _certify(bf, sol.z, sol.value, mapping, exact) if not extra_rows else (False, None)
     )

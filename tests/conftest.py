@@ -3,6 +3,14 @@ LP-duality certificate that checks exact LP optima."""
 
 from __future__ import annotations
 
+import os
+
+# numpy's BLAS pool only contends on the tests' small products (several
+# times slower on a busy machine), so it gets one thread unless the
+# environment says otherwise; this must precede the first numpy import
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import itertools
 import math
 import random
@@ -12,7 +20,7 @@ import numpy as np
 import pytest
 
 from bernpop import simplex
-from bernpop.bernstein import iter_indices
+from bernpop.bernstein import iter_indices, univariate_elevation
 from bernpop.poly import Box, Polynomial, lie_derivative
 from bernpop.relax import _greedy_knapsack
 
@@ -127,6 +135,42 @@ def cross_check_appendix_derivatives(registry, tol: float = 1e-9) -> list[dict]:
                     diffs[idx] = (a, b)
         reports.append({"name": name, "match": not diffs, "diffs": diffs})
     return reports
+
+
+# -- the elevation rows, one at a time (references for relax.CutMatrix) ------
+
+
+def elevation_row(idx, low, degree, exact=False) -> list:
+    """Coefficients of B_{I,K} in the degree-delta basis, flat over J <= delta.
+
+    All entries are nonnegative, and for fixed J the rows over I <= K sum
+    to one (elevating the unit partition gives the unit partition).
+    """
+    if not all(i <= k for i, k in zip(idx, low)):
+        raise ValueError("index exceeds its own degree")
+    if not all(k <= d for k, d in zip(low, degree)):
+        raise ValueError("low degree exceeds target degree")
+    per_axis = [
+        univariate_elevation(k, d, exact)[i]
+        for i, k, d in zip(idx, low, degree)
+    ]
+    out = []
+    for jdx in iter_indices(degree):
+        w = Fraction(1) if exact else 1.0
+        for l, j in enumerate(jdx):
+            w *= per_axis[l][j]
+            if w == 0:
+                break
+        out.append(w)
+    return out
+
+
+def cut_pairs(degree) -> list:
+    """(I, K) of every row of ``build_cut_matrix(degree)``, in row-id order:
+    by |K|, then K lex, then I lex, with K = degree left out."""
+    degree = tuple(degree)
+    lows = sorted((k for k in iter_indices(degree) if k != degree), key=lambda k: (sum(k), k))
+    return [(idx, low) for low in lows for idx in iter_indices(low)]
 
 
 # -- the LP oracles -----------------------------------------------------------

@@ -222,7 +222,7 @@ def test_criterion_6b_greedy_equals_simplex():
 def _one_shot_level2(bf, u, cuts):
     """The one-shot full level-2 LP: every elevation row appended at once
     to a fresh LP, solved once."""
-    return one_shot_lp(bf.coeffs, u, [cuts.row(i) for i in range(cuts.row_count)])[1].value
+    return one_shot_lp(bf.coeffs, u, cuts.rows(range(cuts.row_count)))[1].value
 
 
 def test_criterion_6c_iterative_equals_monolithic():

@@ -10,7 +10,6 @@ from bernpop.bernstein import (
     BernsteinForm,
     bernstein_eval,
     coefficient_tensor,
-    elevation_row,
     iter_indices,
     min_coefficient,
     monomial_bernstein_row,
@@ -24,6 +23,7 @@ from bernpop.poly import Box, Polynomial, to_unit_box
 from conftest import (
     bernstein_basis_polynomial,
     bernstein_to_polynomial,
+    elevation_row,
     grid_min,
     himmelblau,
     himmelblau_exact,

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,20 @@ def test_rational_mode_reports_fraction_strings(capsys, fixture_dir):
     report = json.loads(out)
     assert report["exact_bounds"]["p0"] == "-1170"
     assert report["bounds"]["p0"] == -1170.0
+
+
+def test_rational_relax_reports_every_level_exactly(capsys, fixture_dir):
+    argv = ["relax", "--level", "2", "--arith", "rational", str(fixture_dir / "himmelblau.json")]
+    code, out, _ = _run(capsys, argv + ["--output", "json"])
+    assert code == 0
+    report = json.loads(out)
+    exact = {k: Fraction(v) for k, v in report["exact_bounds"].items()}
+    assert set(exact) == {"p0", "first", "p1", "p2"}
+    assert exact["p0"] <= exact["first"] <= exact["p1"] <= exact["p2"]
+    for key, value in exact.items():
+        assert report["bounds"][key] == float(value)
+    code, out, _ = _run(capsys, argv)
+    assert code == 0 and f"(= {report['exact_bounds']['first']})" in out
 
 
 def test_json_report_roundtrips_bytewise(capsys, fixture_dir):

@@ -20,6 +20,8 @@ from conftest import (
     assert_lp_duality,
     bernstein_basis_polynomial,
     bernstein_to_polynomial,
+    cut_pairs,
+    elevation_row,
     grid_min,
     himmelblau,
     one_shot_lp,
@@ -141,28 +143,88 @@ def test_cut_matrix_row_count_formula():
 
 
 def test_cut_matrix_univariate_row():
-    cuts = build_cut_matrix((1,))
-    coeffs, rhs = cuts.row(0)
+    [(coeffs, rhs)] = build_cut_matrix((1,)).rows([0])
     assert coeffs == [1.0, 1.0] and rhs == 1.0
-    assert cuts.pair(0) == ((0,), (0,))
+    assert cut_pairs((1,)) == [((0,), (0,))]
 
 
 def test_cut_matrix_rows_nonnegative_rhs_in_unit():
     cuts = build_cut_matrix((2, 2))
-    for coeffs, rhs in map(cuts.row, range(cuts.row_count)):
+    for coeffs, rhs in cuts.rows(range(cuts.row_count)):
         assert all(c >= 0 for c in coeffs)
         assert 0 < rhs <= 1
 
 
 def test_cut_matrix_rows_match_elevation(rng):
-    from bernpop.bernstein import elevation_row
+    # rows(ids) in both fields against one elevation row at a time, with
+    # the ids in the order cut_pairs lists: (|K|, K lex, I lex)
+    for exact in (False, True):
+        for degree in [(4,), (3, 2), (1, 2, 1), (0, 3), (2, 2, 2)]:
+            cuts = build_cut_matrix(degree, exact)
+            pairs = cut_pairs(degree)
+            keys = [(sum(low), low, idx) for idx, low in pairs]
+            assert len(pairs) == cuts.row_count and keys == sorted(set(keys))
+            rows = cuts.rows(range(cuts.row_count))
+            for (coeffs, rhs), (idx, low) in zip(rows, pairs):
+                assert coeffs == elevation_row(idx, low, degree, exact)
+                peak = Fraction(1) if exact else 1.0
+                for i, k in zip(idx, low):
+                    peak *= relax._beta_peak(i, k, exact)
+                assert rhs == peak and type(rhs) is type(peak)
+            ids = rng.sample(range(cuts.row_count), min(5, cuts.row_count))
+            assert cuts.rows(ids) == [rows[i] for i in ids]
+            assert cuts.rows([]) == []
 
-    cuts = build_cut_matrix((3, 2))
-    for row_id in rng.sample(range(cuts.row_count), 10):
-        idx, low = cuts.pair(row_id)
-        coeffs, _ = cuts.row(row_id)
-        direct = elevation_row(idx, low, (3, 2))
-        assert coeffs == pytest.approx(direct, abs=1e-12)
+
+def _scan_vectors(rng, degree) -> list:
+    """Rational z to scan: level-1 optima of costly-corner instances (they
+    violate elevation rows), a point mass, and a mixture of up to eight
+    point masses."""
+    u = upper_bounds(degree, exact=True)
+    out = [
+        relax1(_costly_corner_instance(rng, degree, False)[0], u, exact=True).z
+        for _ in range(2)
+    ]
+    mass = [Fraction(0)] * len(u)
+    mass[rng.randrange(len(u))] = Fraction(1)
+    mix = [Fraction(0)] * len(u)
+    for j in rng.sample(range(len(u)), min(8, len(u))):
+        mix[j] = Fraction(rng.randint(1, 9))
+    return out + [mass, [w / sum(mix) for w in mix]]
+
+
+def _brute_force_scan(rows, z, tol) -> list:
+    """Violated rows by one dot product per materialized row."""
+    support = [(j, v) for j, v in enumerate(z) if v]
+    return [i for i, (a, b) in enumerate(rows) if sum(a[j] * v for j, v in support) > b + tol]
+
+
+@pytest.mark.parametrize("degree", [(4,), (3, 2), (1, 2, 1), (0, 3), (2, 2, 2), (4, 4, 6)])
+@pytest.mark.parametrize("exact", [False, True])
+def test_scan_matches_brute_force(rng, degree, exact):
+    cuts = build_cut_matrix(degree, exact)
+    rows = cuts.rows(range(cuts.row_count))
+    tol = 0 if exact else 1e-9
+    found = 0
+    for z in _scan_vectors(rng, degree):
+        if not exact:
+            z = [float(v) for v in z]
+        hits = cuts.scan_violations(z, tol, set())
+        assert hits == sorted(hits) == _brute_force_scan(rows, z, tol)
+        found += len(hits)
+        skip = set(rng.sample(hits, len(hits) // 2)) | set(rng.sample(range(cuts.row_count), 3))
+        assert cuts.scan_violations(z, tol, skip) == [i for i in hits if i not in skip]
+    assert found  # the vectors do violate rows
+
+
+def test_float_and_exact_scans_agree_at_degree_4444(rng):
+    degree = (4, 4, 4, 4)
+    cuts_q, cuts_f = build_cut_matrix(degree, exact=True), build_cut_matrix(degree)
+    assert cuts_q.row_count == cuts_f.row_count == 50_000
+    bf, _ = _costly_corner_instance(rng, degree, False)
+    z = relax1(bf, upper_bounds(degree, exact=True), exact=True).z
+    hits = cuts_q.scan_violations(z, Fraction(1, 10**9), set())
+    assert hits and hits == cuts_f.scan_violations([float(v) for v in z], 1e-9, set())
 
 
 # -- level 2 -------------------------------------------------------------------
@@ -200,7 +262,7 @@ def test_iterative_equals_monolithic(rng):
         u = upper_bounds((2, 2))
         cuts = build_cut_matrix((2, 2))
         it = relax2_iterative(bf, u, cuts)
-        _, mono = one_shot_lp(bf.coeffs, u, map(cuts.row, range(cuts.row_count)))
+        _, mono = one_shot_lp(bf.coeffs, u, cuts.rows(range(cuts.row_count)))
         assert it.bound == pytest.approx(mono.value, abs=1e-8)
 
 
@@ -396,7 +458,7 @@ def _float_image(bf, rows):
 
 
 def _all_rows(cuts):
-    return [cuts.row(i) for i in range(cuts.row_count)]
+    return cuts.rows(range(cuts.row_count))
 
 
 def _record_solves(monkeypatch) -> list:
@@ -429,7 +491,7 @@ def _assert_exact_level2_optimal(solved, bf, u, cuts, rows, out):
     activated, and the loop's z violates no row of the full system.  The
     full LP's feasible set lies inside the active one and contains z, so
     the full optimum is that value too."""
-    active = list(rows) + [cuts.row(i) for i in out.activated_rows]
+    active = list(rows) + cuts.rows(out.activated_rows)
     _assert_exact_optimal(solved, bf, u, active, out)
     assert cuts.scan_violations(out.z, 0, set()) == []
 
@@ -582,7 +644,7 @@ def test_level2_against_highs():
     for degree in ((3, 3), (2, 2, 2), (6,)):
         cuts = build_cut_matrix(degree)
         u = upper_bounds(degree)
-        rows = [cuts.row(i) for i in range(cuts.row_count)]
+        rows = cuts.rows(range(cuts.row_count))
         for _ in range(3):
             bf, _ = _float_image(*_costly_corner_instance(rng, degree, False))
             res = optimize.linprog(
