@@ -1,112 +1,88 @@
 """Bernstein-basis machinery on the unit box.
 
 Conversion from the monomial basis, de Casteljau evaluation and
-subdivision, the basis upper bounds B(I/delta), univariate degree
-elevation, and the vertex condition.  Everything is scalar-generic:
-Fractions give exact coefficients, floats give binary64 ones.  Tensors are
-stored flat in row-major order, i.e. the linear position of index I is
-sum_j i_j * prod_{l>j}(delta_l + 1); ``coefficient_tensor`` reshapes them
-into numpy arrays (float64, or object arrays of Fractions) for subdivision.
+subdivision, the basis upper bounds B(I/delta), and the vertex condition.
+A polynomial's Bernstein form is one coefficient tensor of shape
+(delta_1+1, ..., delta_n+1): float64 for binary64 coefficients, or an
+object array of Fractions for exact ones.  The caller names the field
+(``to_bernstein`` infers it from the coefficients only when it is left
+out).  Every kernel works on the whole
+tensor with per-axis array operations (outer products of per-axis
+vectors, de Casteljau steps on trailing-axis slices), applied in the
+same arithmetic order as the per-coefficient formulas, so both fields
+give the values those formulas give.  Flat positions, where a caller
+needs them, are the tensor's row-major order.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .poly import Index, Polynomial, multi_binom
 
-# ---------------------------------------------------------------------------
-# index helpers
+# float64 holds every integer below this exactly
+_EXACT_INT = 2**53
 
 
-def tensor_size(degree: Index) -> int:
-    size = 1
-    for d in degree:
-        size *= d + 1
-    return size
-
-
-def strides(degree: Index) -> tuple[int, ...]:
-    out = [1] * len(degree)
-    for j in range(len(degree) - 2, -1, -1):
-        out[j] = out[j + 1] * (degree[j + 1] + 1)
-    return tuple(out)
-
-
-def iter_indices(degree: Index) -> Iterator[Index]:
-    """All I <= degree in row-major (lexicographic) order."""
-    return itertools.product(*(range(d + 1) for d in degree))
-
-
-# ---------------------------------------------------------------------------
-# conversion and evaluation
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BernsteinForm:
-    """Dense coefficient tensor of a polynomial in the degree-delta basis."""
+    """Coefficient tensor of a polynomial in the degree-delta basis."""
 
-    degree: Index
-    coeffs: tuple
-    source_degree: Index
+    tensor: np.ndarray
+    degree: Index = field(init=False)
 
     def __post_init__(self):
-        if len(self.coeffs) != tensor_size(self.degree):
-            raise ValueError("coefficient tensor size does not match degree")
-
-    @classmethod
-    def from_tensor(cls, tensor: np.ndarray) -> "BernsteinForm":
-        """Flat view of a coefficient tensor shaped (delta_1+1, ..., delta_n+1)."""
-        degree = tuple(s - 1 for s in tensor.shape)
-        return cls(degree, tuple(tensor.ravel().tolist()), degree)
+        object.__setattr__(self, "degree", tuple(s - 1 for s in self.tensor.shape))
 
     @property
     def dimension(self) -> int:
         return len(self.degree)
 
 
-def to_bernstein(p: Polynomial, degree: Index | None = None) -> BernsteinForm:
+def _field(exact: bool) -> tuple[object, type]:
+    """Zero and numpy dtype of a field."""
+    return (Fraction(0), object) if exact else (0.0, float)
+
+
+def to_bernstein(
+    p: Polynomial, degree: Index | None = None, exact: bool | None = None
+) -> BernsteinForm:
     """Bernstein coefficients b_I = sum_{J<=I} C(I,J)/C(delta,J) p_J.
 
     ``degree`` may elevate above the polynomial's own degree; it can never
-    be smaller.
+    be smaller.  ``exact`` picks the field of the tensor; left out, it is
+    exact iff some coefficient is a Fraction, so a polynomial with no
+    terms gets float64 unless its caller says otherwise.
+
+    Monomial p_J adds p_J / C(delta,J) times the outer product of the
+    per-axis vectors C(i_l, j_l), i_l = j_l..delta_l, to the slab
+    [j_1:, ..., j_n:], one monomial after another in term order.
     """
     delta = tuple(degree) if degree is not None else p.degree
     if len(delta) != p.dimension:
         raise ValueError("degree vector length mismatch")
     if any(d < e for d, e in zip(delta, p.degree)):
         raise ValueError(f"degree {delta} below polynomial degree {p.degree}")
-    st = strides(delta)
-    coeffs = [0] * tensor_size(delta)
+    if exact is None:
+        exact = any(isinstance(c, Fraction) for c in p.terms.values())
+    zero, dtype = _field(exact)
+    tensor = np.full(tuple(d + 1 for d in delta), zero, dtype=dtype)
     for jdx, c in p.terms.items():
-        scaled = c / multi_binom(delta, jdx)
-        axis_binoms = [
-            [math.comb(i, j) for i in range(j, d + 1)]
-            for j, d in zip(jdx, delta)
-        ]
-        base = sum(j * s for j, s in zip(jdx, st))
-        for offs in itertools.product(*(range(len(ab)) for ab in axis_binoms)):
-            w = 1
-            pos = base
-            for l, t in enumerate(offs):
-                w *= axis_binoms[l][t]
-                pos += t * st[l]
-            coeffs[pos] += scaled * w
-    return BernsteinForm(delta, tuple(coeffs), p.degree)
-
-
-def coefficient_tensor(bf: BernsteinForm) -> np.ndarray:
-    """The coefficients as an array of shape (delta_1+1, ..., delta_n+1):
-    an object array when any coefficient is a Fraction, float64 otherwise."""
-    exact = any(isinstance(c, Fraction) for c in bf.coeffs)
-    shape = tuple(d + 1 for d in bf.degree)
-    return np.array(bf.coeffs, dtype=object if exact else float).reshape(shape)
+        scaled = (Fraction(c) if exact else c) / multi_binom(delta, jdx)
+        axes = [[math.comb(i, j) for i in range(j, d + 1)] for j, d in zip(jdx, delta)]
+        # the binomial products are exact in float64 below 2^53; above, they
+        # are taken in Python ints so that each weight is rounded only once
+        in_float = not exact and math.prod(a[-1] for a in axes) < _EXACT_INT
+        weights = outer_chain(axes, float if in_float else object)
+        if not exact:
+            scaled, weights = float(scaled), weights.astype(float, copy=False)
+        tensor[tuple(slice(j, None) for j in jdx)] += scaled * weights
+    return BernsteinForm(tensor)
 
 
 def subdivide(tensor: np.ndarray, axis: int, t) -> tuple[np.ndarray, np.ndarray]:
@@ -128,35 +104,27 @@ def subdivide(tensor: np.ndarray, axis: int, t) -> tuple[np.ndarray, np.ndarray]
 
 
 def bernstein_eval(bf: BernsteinForm, point: Sequence) -> object:
-    """De Casteljau evaluation, one tensor axis at a time.  Requires x in [0,1]^n."""
+    """De Casteljau evaluation, one tensor axis at a time, last axis first:
+    each step is (1 - x) c_i + x c_{i+1} on whole trailing-axis slices.
+    Requires x in [0,1]^n."""
     if len(point) != bf.dimension:
         raise ValueError("point length mismatch")
     for x in point:
         if x < 0 or x > 1:
             raise ValueError(f"point coordinate {x} outside [0,1]")
-    vals = list(bf.coeffs)
-    shape = [d + 1 for d in bf.degree]
-    # reduce the trailing (contiguous) axis repeatedly
-    for axis in range(bf.dimension - 1, -1, -1):
-        m = shape[axis]
-        x = point[axis]
-        lead = 1
-        for s in shape[:axis]:
-            lead *= s
-        new = [0] * lead
-        for blk in range(lead):
-            row = vals[blk * m : (blk + 1) * m]
-            for r in range(m - 1):
-                row = [
-                    (1 - x) * row[i] + x * row[i + 1] for i in range(len(row) - 1)
-                ]
-            new[blk] = row[0]
-        vals = new
-    return vals[0]
+    vals = bf.tensor
+    for x in reversed(point):
+        a, b = 1 - x, x
+        if vals.dtype != object:  # a Fraction times a float rounds the Fraction first
+            a, b = float(a), float(b)
+        for _ in range(vals.shape[-1] - 1):
+            vals = a * vals[..., :-1] + b * vals[..., 1:]
+        vals = vals[..., 0]
+    return vals.item()
 
 
 # ---------------------------------------------------------------------------
-# bounds, elevation, vertex condition
+# bounds and the vertex condition
 
 
 def _beta_peak(i: int, d: int, exact: bool):
@@ -169,62 +137,25 @@ def _beta_peak(i: int, d: int, exact: bool):
     return math.comb(d, i) * t**i * (1 - t) ** (d - i)
 
 
-def upper_bounds(degree: Index, exact: bool = False) -> list:
+def outer_chain(per_axis: Sequence[Sequence], dtype) -> np.ndarray:
+    """The tensor w_I = 1 * v_1[i_1] * ... * v_n[i_n] of per-axis vectors
+    v_l, multiplied left to right (float64, or object for Python numbers)."""
+    out = np.ones((), dtype=dtype)
+    for v in per_axis:
+        out = np.multiply.outer(out, np.array(v, dtype=dtype))
+    return out
+
+
+def upper_bounds(degree: Index, exact: bool = False) -> np.ndarray:
     """u_I = B_{I,delta}(I/delta) for all I, flat row-major."""
-    per_axis = [
-        [_beta_peak(i, d, exact) for i in range(d + 1)] for d in degree
-    ]
-    out = []
-    for idx in iter_indices(degree):
-        w = Fraction(1) if exact else 1.0
-        for l, i in enumerate(idx):
-            w *= per_axis[l][i]
-        out.append(w)
-    return out
-
-
-def univariate_elevation(k: int, m: int, exact: bool = False) -> list[list]:
-    """Rows e[i][j] expressing beta_{i,k} = sum_j e[i][j] beta_{j,m} (k <= m)."""
-    if k > m:
-        raise ValueError("cannot elevate to a smaller degree")
-    rows = []
-    for i in range(k + 1):
-        row = []
-        for j in range(m + 1):
-            num = math.comb(k, i) * math.comb(m - k, j - i) if i <= j <= i + m - k else 0
-            if num == 0:
-                row.append(Fraction(0) if exact else 0.0)
-            else:
-                den = math.comb(m, j)
-                row.append(Fraction(num, den) if exact else num / den)
-        rows.append(row)
-    return rows
-
-
-def monomial_bernstein_row(idx: Index, degree: Index, exact: bool = False) -> list:
-    """Coefficients of x^I in the degree-delta basis: C(J,I)/C(delta,I) for J >= I."""
-    if not all(i <= d for i, d in zip(idx, degree)):
-        raise ValueError("index exceeds degree")
-    den = multi_binom(degree, idx)
-    out = []
-    for jdx in iter_indices(degree):
-        if all(j >= i for i, j in zip(idx, jdx)):
-            num = multi_binom(jdx, idx)
-            out.append(Fraction(num, den) if exact else num / den)
-        else:
-            out.append(Fraction(0) if exact else 0.0)
-    return out
+    peaks = [[_beta_peak(i, d, exact) for i in range(d + 1)] for d in degree]
+    return outer_chain(peaks, _field(exact)[1]).ravel()
 
 
 def min_coefficient(bf: BernsteinForm) -> tuple[object, Index]:
     """Smallest Bernstein coefficient and its lexicographically first index."""
-    best = None
-    best_idx: Index = ()
-    for pos, idx in enumerate(iter_indices(bf.degree)):
-        c = bf.coeffs[pos]
-        if best is None or c < best:
-            best, best_idx = c, idx
-    return best, best_idx
+    pos = int(np.argmin(bf.tensor))
+    return bf.tensor.item(pos), tuple(int(i) for i in np.unravel_index(pos, bf.tensor.shape))
 
 
 def vertex_condition(bf: BernsteinForm, idx: Index) -> bool:

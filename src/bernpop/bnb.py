@@ -27,14 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bernstein import (
-    BernsteinForm,
-    coefficient_tensor,
-    min_coefficient,
-    subdivide,
-    to_bernstein,
-    upper_bounds,
-)
+from .bernstein import BernsteinForm, min_coefficient, subdivide, to_bernstein, upper_bounds
 from .poly import AffineMap, Box, Polynomial, restrict_facet, to_unit_box
 from .relax import LEVEL_0, LEVEL_2, LEVELS, bound_at_level, build_cut_matrix
 
@@ -115,10 +108,11 @@ def split_node(box: Box, tensors: tuple, strategy: str) -> tuple[tuple, tuple]:
     return (left, tuple(h[0] for h in halves)), (right, tuple(h[1] for h in halves))
 
 
-def box_tensor(p: Polynomial, box: Box, degree=None) -> np.ndarray:
-    """Coefficient tensor of ``p`` on ``box``, converted from the monomial basis."""
+def box_tensor(p: Polynomial, box: Box, degree=None, exact: bool = False) -> np.ndarray:
+    """Coefficient tensor of ``p`` on ``box``, converted from the monomial
+    basis, in Fractions when ``exact`` and in float64 otherwise."""
     q, _ = to_unit_box(p, box)
-    return coefficient_tensor(to_bernstein(q, degree))
+    return to_bernstein(q, degree, exact).tensor
 
 
 def _monotonicity_signs(tensor: np.ndarray) -> tuple[str, ...]:
@@ -259,7 +253,7 @@ def branch_and_bound(
         delta = tuple(degree) if degree is not None else p.degree
         for g in constraints:
             delta = tuple(max(a, b) for a, b in zip(delta, g.degree))
-        tensors = tuple(box_tensor(f, box, delta) for f in (p, *constraints))
+        tensors = tuple(box_tensor(f, box, delta, cfg.exact) for f in (p, *constraints))
         lower = _solve_problem(
             p, tuple(constraints), box, tensors, cfg, state, lift=lambda pt: pt,
             stats=stats, depth=0,
@@ -321,7 +315,7 @@ def _solve_problem(p, constraints, box, tensors, cfg, state, lift, stats, depth)
             stats.infeasible_count += 1
             continue
         amap = AffineMap.from_box(cur)
-        bf = BernsteinForm.from_tensor(t)
+        bf = BernsteinForm(t)
         extra_rows = [(g.ravel().tolist(), zero) for g in g_tensors]
         outcome = bound_at_level(
             bf, cfg.level, u=u, cuts=cuts, extra_rows=extra_rows,

@@ -97,10 +97,10 @@ def _run_relax(args) -> tuple[int, dict]:
     for g in constraints:  # the relaxation degree must cover every constraint
         degree = tuple(max(a, b) for a, b in zip(degree, g.degree))
     q, amap = to_unit_box(p, problem.box)
-    bf = to_bernstein(q, degree)
+    bf = to_bernstein(q, degree, exact)
     zero = Fraction(0) if exact else 0.0
     extra_rows = [
-        (box_tensor(g, problem.box, degree).ravel().tolist(), zero) for g in constraints
+        (box_tensor(g, problem.box, degree, exact).ravel().tolist(), zero) for g in constraints
     ]
     u = upper_bounds(degree, exact=exact)
 

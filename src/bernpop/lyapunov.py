@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .bernstein import BernsteinForm, coefficient_tensor, to_bernstein, upper_bounds
+from .bernstein import BernsteinForm, to_bernstein, upper_bounds
 from .bnb import SPLIT_ZERO, BnbConfig, split_node
 from .poly import AffineMap, Box, Polynomial, lie_derivative, to_unit_box
 from .problems import (
@@ -114,7 +114,7 @@ def certify_nonnegative(p: Polynomial, region: Box, cfg: Optional[BnbConfig] = N
     threshold = 0 if cfg.exact else -cfg.epsilon
     # the region's coefficient tensor is the only conversion; every other
     # box gets its tensor by splitting its parent's
-    root = coefficient_tensor(to_bernstein(to_unit_box(p, region)[0]))
+    root = to_bernstein(to_unit_box(p, region)[0], exact=cfg.exact).tensor
     u = upper_bounds(p.degree, exact=cfg.exact)
     # depth-first entries: (box, tensor, gray ancestor bounds, guaranteed
     # parent bound); the history restarts once a box lies in a single
@@ -132,7 +132,7 @@ def certify_nonnegative(p: Polynomial, region: Box, cfg: Optional[BnbConfig] = N
         box, tensor, hist, _ = stack.pop()
         run.nodes += 1
         outcome = bound_at_level(
-            BernsteinForm.from_tensor(tensor), cfg.level, u=u,
+            BernsteinForm(tensor), cfg.level, u=u,
             mapping=AffineMap.from_box(box), exact=cfg.exact,
         )
         bound = outcome.bound

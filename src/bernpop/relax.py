@@ -18,6 +18,7 @@ LP is a ``simplex.CutLP``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -28,10 +29,10 @@ from . import simplex
 from .bernstein import (
     BernsteinForm,
     _beta_peak,
-    iter_indices,
+    _field,
+    bernstein_eval,
     min_coefficient,
-    tensor_size,
-    univariate_elevation,
+    outer_chain,
     upper_bounds,
     vertex_condition,
     vertex_point,
@@ -46,6 +47,9 @@ LEVELS = (LEVEL_0, LEVEL_FIRST, LEVEL_1, LEVEL_2)
 
 _VIOLATION_TOL = 1e-9
 _VALUE_TOL = 1e-9
+
+# Fraction(numerator, denominator) elementwise over object arrays
+_fraction = np.frompyfunc(Fraction, 2, 1)
 
 
 @dataclass
@@ -80,9 +84,13 @@ class CutMatrix:
     Row (I, K) is the Kronecker product over the axes of the univariate
     elevation rows e^(i_l, k_l), and its right-hand side the product of
     the peaks beta_{i_l,k_l}(i_l/k_l), so only per-axis factors are kept:
-    for axis l, ``_elevation[l]`` stacks ``univariate_elevation(k,
-    delta_l)`` for k = 0..delta_l (row (k, i) at position k(k+1)/2 + i)
-    and ``_peaks[l]`` holds the matching peaks.  A position of the system
+    for axis l, ``_elevation[l]`` stacks the rows beta_{i,k} = sum_j
+    C(k,i) C(delta_l-k, j-i) / C(delta_l, j) beta_{j,delta_l} for k =
+    0..delta_l (row (k, i) at position k(k+1)/2 + i), ``_numer[l]`` their
+    integer numerators, and ``_peaks[l]`` the matching peaks.  Exact rows
+    are built from the numerators: one Fraction per coefficient, the
+    integer product over the axes divided by the column's product of
+    C(delta_l, j_l).  A position of the system
     is one per-axis position per axis, flattened row-major; ``_row_id``
     maps it to its row id (-1 for K = delta) and ``_pos_of`` back.  Scans
     and row materialization are per-axis products, on float64 arrays or
@@ -94,14 +102,23 @@ class CutMatrix:
         self.degree = tuple(degree)
         self.exact = exact
         dtype = object if exact else float
-        self._elevation, self._peaks = [], []
+        self._size = math.prod(d + 1 for d in self.degree)
+        self._numer, self._elevation, self._peaks = [], [], []
         total = lex = np.zeros((), dtype=np.int64)  # |K| and K's rank per position
         self._rhs = np.ones(1, dtype=dtype)
+        denom = np.ones((), dtype=object)
         for d in self.degree:
-            self._elevation.append(np.array(
-                [row for k in range(d + 1) for row in univariate_elevation(k, d, exact)],
-                dtype=dtype,
-            ))
+            numer = np.array(
+                [[math.comb(k, i) * math.comb(d - k, j - i) if i <= j <= i + d - k else 0
+                  for j in range(d + 1)] for k in range(d + 1) for i in range(k + 1)],
+                dtype=object,
+            )
+            column = np.array([math.comb(d, j) for j in range(d + 1)], dtype=object)
+            self._numer.append(numer)
+            self._elevation.append(
+                _fraction(numer, column) if exact else (numer / column).astype(float)
+            )
+            denom = np.multiply.outer(denom, column)
             peaks = np.array(
                 [_beta_peak(i, k, exact) for k in range(d + 1) for i in range(k + 1)],
                 dtype=dtype,
@@ -111,10 +128,11 @@ class CutMatrix:
             low = np.repeat(np.arange(d + 1), np.arange(1, d + 2))
             total = np.add.outer(total, low)
             lex = np.add.outer(lex * (d + 1), low)
+        self._denom = denom.ravel()
         self._shape = tuple(len(r) for r in self._peaks)
         # within one K the row-major positions already run over I in lex order
-        order = np.argsort((total * tensor_size(self.degree) + lex).ravel(), kind="stable")
-        self.row_count = order.size - tensor_size(self.degree)  # K = delta sorts last
+        order = np.argsort((total * self._size + lex).ravel(), kind="stable")
+        self.row_count = order.size - self._size  # K = delta sorts last
         self._pos_of = order[: self.row_count]
         self._row_id = np.full(order.size, -1, dtype=np.int64)
         self._row_id[self._pos_of] = np.arange(self.row_count)
@@ -127,12 +145,18 @@ class CutMatrix:
             flat, pos = np.divmod(flat, size)
             per_axis.insert(0, pos)
         coeffs = rhs = 1
+        factors = self._numer if self.exact else self._elevation
         for l, (pos, d) in enumerate(zip(per_axis, self.degree)):
             shape = [-1] + [1] * len(self.degree)
             shape[l + 1] = d + 1
-            coeffs = coeffs * self._elevation[l][pos].reshape(shape)
+            coeffs = coeffs * factors[l][pos].reshape(shape)
             rhs = rhs * self._peaks[l][pos]
-        coeffs = np.reshape(coeffs, (len(ids), tensor_size(self.degree)))
+        coeffs = np.reshape(coeffs, (len(ids), self._size))
+        if self.exact:
+            nonzero = coeffs != 0
+            denom = np.broadcast_to(self._denom, coeffs.shape)[nonzero]
+            numer, coeffs = coeffs[nonzero], np.full(coeffs.shape, Fraction(0), dtype=object)
+            coeffs[nonzero] = _fraction(numer, denom)
         return list(zip(coeffs.tolist(), rhs.tolist()))
 
     def scan_violations(self, z, tol, skip: set[int]) -> list[int]:
@@ -182,14 +206,20 @@ def exactness_check(
 def _nominal_point(z: Sequence, degree: Index, exact: bool) -> tuple:
     """x~ with x~_j = sum_I (i_j/delta_j) z_I, clipped to [0, 1] (the
     coordinate polynomials' Bernstein coefficients are exactly i_j/delta_j);
-    degree-0 axes give 0."""
+    degree-0 axes give 0.  Each sum runs over the positions in row-major
+    order from 0, as one accumulation of the weighted tensor, so float
+    sums round as the plain loop does."""
+    zero, dtype = _field(exact)
+    z = np.reshape(np.asarray(z, dtype=dtype), [d + 1 for d in degree])
     point = []
     for j, d in enumerate(degree):
-        acc = Fraction(0) if exact else 0.0
+        acc = zero
         if d:
-            for pos, idx in enumerate(iter_indices(degree)):
-                if z[pos]:
-                    acc += (Fraction(idx[j], d) if exact else idx[j] / d) * z[pos]
+            shape = [1] * len(degree)
+            shape[j] = d + 1
+            weights = [Fraction(i, d) if exact else i / d for i in range(d + 1)]
+            terms = (np.array(weights, dtype=dtype).reshape(shape) * z).ravel()
+            acc = np.add.accumulate(np.concatenate(([zero], terms)), dtype=dtype).item(terms.size)
         point.append(min(max(acc, 0), 1))
     return tuple(point)
 
@@ -204,32 +234,21 @@ def _reproduces(z: Sequence, point: tuple, degree: Index, tol, exact: bool) -> b
         return False
     basis = _basis_values(point, degree, exact)
     if exact:
-        return all(v == b for v, b in zip(z, basis))
-    return all(abs(v - b) <= tol for v, b in zip(z, basis))
+        return bool((np.asarray(z, dtype=object) == basis).all())
+    return bool((np.abs(np.asarray(z, dtype=float) - basis) <= tol).all())
 
 
-def _basis_values(point: Sequence, degree: Index, exact: bool) -> list:
-    """B_{I,delta}(x) for all I, flat row-major."""
-    import math as _math
-
-    per_axis = []
-    for x, d in zip(point, degree):
-        col = []
-        for i in range(d + 1):
-            col.append(_math.comb(d, i) * x**i * (1 - x) ** (d - i))
-        per_axis.append(col)
-    out = []
-    for idx in iter_indices(degree):
-        w = Fraction(1) if exact else 1.0
-        for l, i in enumerate(idx):
-            w *= per_axis[l][i]
-        out.append(w)
-    return out
+def _basis_values(point: Sequence, degree: Index, exact: bool) -> np.ndarray:
+    """B_{I,delta}(x) for all I, flat row-major: the outer product of the
+    per-axis values beta_{i,d}(x_l)."""
+    per_axis = [
+        [math.comb(d, i) * x**i * (1 - x) ** (d - i) for i in range(d + 1)]
+        for x, d in zip(point, degree)
+    ]
+    return outer_chain(per_axis, _field(exact)[1]).ravel()
 
 
 def _value_matches(bf: BernsteinForm, point, bound, exact: bool) -> bool:
-    from .bernstein import bernstein_eval
-
     val = bernstein_eval(bf, point)
     if exact:
         return val == bound
@@ -270,6 +289,16 @@ def relax0(bf: BernsteinForm, mapping: Optional[AffineMap] = None) -> Relaxation
     return RelaxationOutcome(bound=value, exact=is_exact, witness=witness)
 
 
+def _ascending(coeffs: np.ndarray) -> np.ndarray:
+    """Positions by ascending coefficient, ties in position order: a stable
+    sort, numpy's on float64 and Python's on Fractions (which needs fewer
+    comparisons, each a Fraction comparison)."""
+    if coeffs.dtype != object:
+        return np.argsort(coeffs, kind="stable")
+    values = coeffs.tolist()
+    return np.array(sorted(range(len(values)), key=values.__getitem__), dtype=np.intp)
+
+
 def _greedy_knapsack(coeffs: Sequence, u: Sequence, exact: bool) -> tuple[object, list, int]:
     """Fill the cheapest coefficients to their caps until the unit mass is
     spent; returns the bound, z, and the last variable filled.
@@ -278,17 +307,18 @@ def _greedy_knapsack(coeffs: Sequence, u: Sequence, exact: bool) -> tuple[object
     the level-1 LP: every other variable sits at 0 or at its cap, with
     c_j <= c_last where filled and c_j >= c_last where not.
     """
-    order = sorted(range(len(coeffs)), key=lambda i: (coeffs[i], i))
+    coeffs, u = np.ravel(coeffs), np.ravel(u)
+    order = _ascending(coeffs)
     remaining = Fraction(1) if exact else 1.0
     z = [Fraction(0) if exact else 0.0] * len(coeffs)
     bound = Fraction(0) if exact else 0.0
-    last = order[0]
-    for i in order:
+    last = int(order[0])
+    for i, c, cap in zip(order.tolist(), coeffs[order].tolist(), u[order].tolist()):
         if remaining <= 0:
             break
-        take = u[i] if u[i] < remaining else remaining
+        take = cap if cap < remaining else remaining
         z[i] = take
-        bound += coeffs[i] * take
+        bound += c * take
         remaining -= take
         last = i
     if remaining > (0 if exact else 1e-12):
@@ -308,7 +338,7 @@ def relax1(
     cheapest coefficients to their caps is optimal; ties break by index
     order.  Corner caps equal one, hence sum(u) >= 1 always.
     """
-    bound, z, _ = _greedy_knapsack(bf.coeffs, u, exact)
+    bound, z, _ = _greedy_knapsack(bf.tensor, u, exact)
     is_exact, witness = _certify(bf, z, bound, mapping, exact)
     return RelaxationOutcome(bound=bound, z=z, exact=is_exact, witness=witness)
 
@@ -321,25 +351,19 @@ def first_lp_bound(bf: BernsteinForm, u: Sequence):
     q is the largest prefix of nonpositive coefficients whose caps still
     fit inside the unit mass.
     """
-    coeffs = bf.coeffs
-    order = sorted(range(len(coeffs)), key=lambda i: (coeffs[i], i))
-    b = [coeffs[i] for i in order]
-    uu = [u[i] for i in order]
-    if b[0] >= 0:
-        return b[0]
-    n = len(b)
-    last_nonpos = max(i for i in range(n) if b[i] <= 0)  # 0-based l-1
-    q = 0
-    acc = 0
-    for i in range(last_nonpos):  # i+1 <= l-1 in 1-based terms
-        if acc + uu[i] <= 1:
-            acc += uu[i]
-            q = i + 1
-        else:
-            break
-    partial = sum(b[j] * uu[j] for j in range(q))
-    candidate = b[q] + partial
-    return candidate if candidate > b[0] else b[0]
+    coeffs = bf.tensor.ravel()
+    order = _ascending(coeffs)
+    b, uu = coeffs[order], np.ravel(u)[order]
+    b0 = b.item(0)
+    if b0 >= 0:
+        return b0
+    last_nonpos = int(np.count_nonzero(b <= 0)) - 1  # 0-based l-1
+    # running sums of the caps, added in order as a loop would; they never
+    # decrease, so q counts the prefix that stays within the unit mass
+    q = int(np.count_nonzero(np.add.accumulate(uu[:last_nonpos]) <= 1))
+    partial = np.add.accumulate(b[:q] * uu[:q]).item(q - 1) if q else 0
+    candidate = b.item(q) + partial
+    return candidate if candidate > b0 else b0
 
 
 def relax1_lp(
@@ -386,8 +410,9 @@ def _cut_loop(bf, u, cuts, extra_rows, mapping, exact, violation_tol) -> Relaxat
     images of the same rows; a float verdict the exact solve refutes is
     an error rather than a pruned box.
     """
-    bound, z, last = _greedy_knapsack(bf.coeffs, u, exact)
-    lp = simplex.CutLP(bf.coeffs, u, z, last, exact)
+    coeffs, u = bf.tensor.ravel(), np.ravel(u)
+    bound, z, last = _greedy_knapsack(coeffs, u, exact)
+    lp = simplex.CutLP(coeffs.tolist(), u.tolist(), z, last, exact)
     lp.append_rows(extra_rows)
     sol = simplex.LPSolution(simplex.OPTIMAL, value=bound, z=z)
     active: list[int] = []

@@ -1,4 +1,5 @@
-"""Shared fixtures: benchmark polynomials, brute-force oracles, and the
+"""Shared fixtures: benchmark polynomials, brute-force oracles, the
+per-coefficient loop versions of the Bernstein kernels, and the
 LP-duality certificate that checks exact LP optima."""
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 import pytest
 
 from bernpop import simplex
-from bernpop.bernstein import iter_indices, univariate_elevation
-from bernpop.poly import Box, Polynomial, lie_derivative
+from bernpop.bernstein import _beta_peak
+from bernpop.poly import Box, Polynomial, lie_derivative, multi_binom
 from bernpop.relax import _greedy_knapsack
 
 
@@ -92,6 +93,173 @@ def rng() -> random.Random:
     return random.Random(20240817)
 
 
+def iter_indices(degree):
+    """All I <= degree in row-major (lexicographic) order."""
+    return itertools.product(*(range(d + 1) for d in degree))
+
+
+# -- the kernels one coefficient at a time (references for bernpop.bernstein
+# and the exactness recovery in bernpop.relax); tensors are flat row-major
+# sequences here, as bernpop once stored them
+
+
+def loop_to_bernstein(p: Polynomial, degree=None) -> tuple:
+    """b_I = sum_{J<=I} C(I,J)/C(delta,J) p_J, accumulated position by
+    position in term order; positions no term reaches stay the integer 0."""
+    delta = tuple(degree) if degree is not None else p.degree
+    shape = [d + 1 for d in delta]
+    strides = [math.prod(shape[l + 1:]) for l in range(len(delta))]
+    coeffs = [0] * math.prod(shape)
+    for jdx, c in p.terms.items():
+        scaled = c / multi_binom(delta, jdx)
+        axis_binoms = [[math.comb(i, j) for i in range(j, d + 1)] for j, d in zip(jdx, delta)]
+        base = sum(j * s for j, s in zip(jdx, strides))
+        for offs in itertools.product(*(range(len(ab)) for ab in axis_binoms)):
+            w = 1
+            pos = base
+            for l, t in enumerate(offs):
+                w *= axis_binoms[l][t]
+                pos += t * strides[l]
+            coeffs[pos] += scaled * w
+    return tuple(coeffs)
+
+
+def loop_bernstein_eval(coeffs, degree, point):
+    """De Casteljau on one row of the flat tensor at a time, last axis first."""
+    vals = list(coeffs)
+    shape = [d + 1 for d in degree]
+    for axis in range(len(degree) - 1, -1, -1):
+        m, x = shape[axis], point[axis]
+        lead = math.prod(shape[:axis])
+        new = [0] * lead
+        for blk in range(lead):
+            row = vals[blk * m : (blk + 1) * m]
+            for _ in range(m - 1):
+                row = [(1 - x) * row[i] + x * row[i + 1] for i in range(len(row) - 1)]
+            new[blk] = row[0]
+        vals = new
+    return vals[0]
+
+
+def loop_min_coefficient(coeffs, degree):
+    """Smallest coefficient and its lexicographically first index."""
+    best, best_idx = None, ()
+    for c, idx in zip(coeffs, iter_indices(degree)):
+        if best is None or c < best:
+            best, best_idx = c, idx
+    return best, best_idx
+
+
+def _loop_products(per_axis, degree, exact) -> list:
+    out = []
+    for idx in iter_indices(degree):
+        w = Fraction(1) if exact else 1.0
+        for l, i in enumerate(idx):
+            w *= per_axis[l][i]
+        out.append(w)
+    return out
+
+
+def loop_upper_bounds(degree, exact=False) -> list:
+    """u_I = B_{I,delta}(I/delta), flat row-major."""
+    per_axis = [[_beta_peak(i, d, exact) for i in range(d + 1)] for d in degree]
+    return _loop_products(per_axis, degree, exact)
+
+
+def loop_basis_values(point, degree, exact=False) -> list:
+    """B_{I,delta}(x) for all I, flat row-major."""
+    per_axis = [
+        [math.comb(d, i) * x**i * (1 - x) ** (d - i) for i in range(d + 1)]
+        for x, d in zip(point, degree)
+    ]
+    return _loop_products(per_axis, degree, exact)
+
+
+def loop_nominal_point(z, degree, exact=False) -> tuple:
+    """x~_j = sum_I (i_j/delta_j) z_I over the nonzero z_I, clipped to [0,1]."""
+    point = []
+    for j, d in enumerate(degree):
+        acc = Fraction(0) if exact else 0.0
+        if d:
+            for pos, idx in enumerate(iter_indices(degree)):
+                if z[pos]:
+                    acc += (Fraction(idx[j], d) if exact else idx[j] / d) * z[pos]
+        point.append(min(max(acc, 0), 1))
+    return tuple(point)
+
+
+def loop_greedy_knapsack(coeffs, u, exact=False):
+    """The level-1 greedy fill in a sorted((c_i, i)) order: (bound, z, last)."""
+    order = sorted(range(len(coeffs)), key=lambda i: (coeffs[i], i))
+    remaining = Fraction(1) if exact else 1.0
+    z = [Fraction(0) if exact else 0.0] * len(coeffs)
+    bound = Fraction(0) if exact else 0.0
+    last = order[0]
+    for i in order:
+        if remaining <= 0:
+            break
+        take = u[i] if u[i] < remaining else remaining
+        z[i] = take
+        bound += coeffs[i] * take
+        remaining -= take
+        last = i
+    return bound, z, last
+
+
+def loop_first_lp_bound(coeffs, u):
+    """max(b_1, b_{q+1} + sum_{j<=q} b_j u_j) over the sorted coefficients."""
+    order = sorted(range(len(coeffs)), key=lambda i: (coeffs[i], i))
+    b = [coeffs[i] for i in order]
+    uu = [u[i] for i in order]
+    if b[0] >= 0:
+        return b[0]
+    last_nonpos = max(i for i in range(len(b)) if b[i] <= 0)
+    q = 0
+    acc = 0
+    for i in range(last_nonpos):
+        if acc + uu[i] <= 1:
+            acc += uu[i]
+            q = i + 1
+        else:
+            break
+    partial = sum(b[j] * uu[j] for j in range(q))
+    candidate = b[q] + partial
+    return candidate if candidate > b[0] else b[0]
+
+
+def univariate_elevation(k: int, m: int, exact: bool = False) -> list[list]:
+    """Rows e[i][j] expressing beta_{i,k} = sum_j e[i][j] beta_{j,m} (k <= m)."""
+    if k > m:
+        raise ValueError("cannot elevate to a smaller degree")
+    rows = []
+    for i in range(k + 1):
+        row = []
+        for j in range(m + 1):
+            num = math.comb(k, i) * math.comb(m - k, j - i) if i <= j <= i + m - k else 0
+            if num == 0:
+                row.append(Fraction(0) if exact else 0.0)
+            else:
+                den = math.comb(m, j)
+                row.append(Fraction(num, den) if exact else num / den)
+        rows.append(row)
+    return rows
+
+
+def monomial_bernstein_row(idx, degree, exact: bool = False) -> list:
+    """Coefficients of x^I in the degree-delta basis: C(J,I)/C(delta,I) for J >= I."""
+    if not all(i <= d for i, d in zip(idx, degree)):
+        raise ValueError("index exceeds degree")
+    den = multi_binom(degree, idx)
+    out = []
+    for jdx in iter_indices(degree):
+        if all(j >= i for i, j in zip(idx, jdx)):
+            num = multi_binom(jdx, idx)
+            out.append(Fraction(num, den) if exact else num / den)
+        else:
+            out.append(Fraction(0) if exact else 0.0)
+    return out
+
+
 # -- monomial expansions of Bernstein forms (test references) ---------------
 
 
@@ -114,9 +282,9 @@ def bernstein_to_polynomial(bf) -> Polynomial:
     """Expand a Bernstein form back to the monomial basis (exact with
     Fraction coefficients)."""
     out = Polynomial.zero(bf.dimension)
-    for pos, idx in enumerate(iter_indices(bf.degree)):
-        if bf.coeffs[pos] != 0:
-            out = out + bernstein_basis_polynomial(idx, bf.degree).scale(bf.coeffs[pos])
+    for idx in iter_indices(bf.degree):
+        if bf.tensor[idx] != 0:
+            out = out + bernstein_basis_polynomial(idx, bf.degree).scale(bf.tensor[idx])
     return out
 
 
@@ -180,6 +348,7 @@ def one_shot_lp(coeffs, u, rows, exact=False):
     """The one-shot full LP: a fresh ``CutLP`` from the greedy start with
     every row appended at once, solved (the float fallback's own path).
     Returns (lp, solution)."""
+    coeffs, u = np.ravel(coeffs).tolist(), np.ravel(u).tolist()
     _, z, last = _greedy_knapsack(coeffs, u, exact)
     lp = simplex.CutLP(coeffs, u, z, last, exact)
     lp.append_rows(list(rows))

@@ -222,7 +222,7 @@ def test_criterion_6b_greedy_equals_simplex():
 def _one_shot_level2(bf, u, cuts):
     """The one-shot full level-2 LP: every elevation row appended at once
     to a fresh LP, solved once."""
-    return one_shot_lp(bf.coeffs, u, cuts.rows(range(cuts.row_count)))[1].value
+    return one_shot_lp(bf.tensor, u, cuts.rows(range(cuts.row_count)))[1].value
 
 
 def test_criterion_6c_iterative_equals_monolithic():
@@ -254,7 +254,7 @@ def test_criterion_6d_roundtrip_and_enclosure():
                 z = (rng.random(), rng.random())
                 assert abs(bernstein_eval(bf, z) - p.eval(z)) <= 1e-9
             lo, _ = min_coefficient(bf)
-            hi = max(bf.coeffs)
+            hi = bf.tensor.max()
             box = Box((0.0, 0.0), (1.0, 1.0))
             assert lo <= grid_min(p, box, 17) + 1e-9
             assert hi >= -grid_min(p.scale(-1), box, 17) - 1e-9

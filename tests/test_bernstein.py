@@ -9,10 +9,7 @@ import numpy as np
 from bernpop.bernstein import (
     BernsteinForm,
     bernstein_eval,
-    coefficient_tensor,
-    iter_indices,
     min_coefficient,
-    monomial_bernstein_row,
     subdivide,
     to_bernstein,
     upper_bounds,
@@ -27,6 +24,8 @@ from conftest import (
     grid_min,
     himmelblau,
     himmelblau_exact,
+    iter_indices,
+    monomial_bernstein_row,
     motzkin3,
     random_polynomial,
 )
@@ -34,17 +33,17 @@ from conftest import (
 
 def test_to_bernstein_square():
     bf = to_bernstein(Polynomial(1, {(2,): 1}), (2,))
-    assert bf.coeffs == (0, 0, 1)
+    assert bf.tensor.tolist() == [0, 0, 1]
 
 
 def test_to_bernstein_unit_partition():
     bf = to_bernstein(Polynomial.constant(2, 1), (2, 3))
-    assert all(c == 1 for c in bf.coeffs)
+    assert (bf.tensor == 1).all()
 
 
 def test_to_bernstein_linear():
     bf = to_bernstein(Polynomial(1, {(1,): Fraction(1)}), (2,))
-    assert bf.coeffs == (0, Fraction(1, 2), 1)
+    assert bf.tensor.tolist() == [0, Fraction(1, 2), 1]
 
 
 def test_to_bernstein_rejects_small_degree():
@@ -104,7 +103,7 @@ def test_enclosure_against_grid(rng):
         p = random_polynomial(rng, 2, 3)
         bf = to_bernstein(p)
         lo, _ = min_coefficient(bf)
-        hi = max(bf.coeffs)
+        hi = bf.tensor.max()
         sampled = grid_min(p, Box((0.0, 0.0), (1.0, 1.0)), 17)
         assert lo <= sampled + 1e-9
         sampled_max = -grid_min(p.scale(-1), Box((0.0, 0.0), (1.0, 1.0)), 17)
@@ -112,7 +111,7 @@ def test_enclosure_against_grid(rng):
 
 
 def test_upper_bounds_univariate():
-    assert upper_bounds((2,)) == [1.0, 0.5, 1.0]
+    assert upper_bounds((2,)).tolist() == [1.0, 0.5, 1.0]
 
 
 def test_upper_bounds_product():
@@ -164,7 +163,7 @@ def test_elevation_matches_expand_then_convert(rng):
                 2, {i: Fraction(c) for i, c in basis_poly.terms.items()}
             )
             oracle = to_bernstein(exact_poly, degree)
-            assert tuple(row) == oracle.coeffs
+            assert row == oracle.tensor.ravel().tolist()
 
 
 def test_monomial_row_trivial_cases():
@@ -179,7 +178,7 @@ def test_monomial_row_matches_conversion():
     for idx in [(1, 0), (2, 1), (0, 2)]:
         row = monomial_bernstein_row(idx, (2, 2), exact=True)
         mono = Polynomial(2, {idx: Fraction(1)})
-        assert tuple(row) == to_bernstein(mono, (2, 2)).coeffs
+        assert row == to_bernstein(mono, (2, 2)).tensor.ravel().tolist()
 
 
 def test_min_coefficient_himmelblau():
@@ -199,7 +198,7 @@ def test_min_coefficient_symmetric_square():
 
 
 def test_min_coefficient_tie_break():
-    bf = BernsteinForm((1, 1), (0.5, 0.0, 0.0, 1.0), (1, 1))
+    bf = BernsteinForm(np.array([[0.5, 0.0], [0.0, 1.0]]))
     _, idx = min_coefficient(bf)
     assert idx == (0, 1)
 
@@ -235,7 +234,7 @@ def test_enclosure_gap_shrinks_with_degree():
 
 def _fresh_tensor(p, box):
     q, _ = to_unit_box(p, box)
-    return coefficient_tensor(to_bernstein(q))
+    return to_bernstein(q).tensor
 
 
 def _descend(p, box, depth, rng, pick_t):

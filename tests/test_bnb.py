@@ -247,8 +247,8 @@ def _derivative_signs(p, box):
             signs.append("+")
             continue
         q, _ = to_unit_box(d, box)
-        coeffs = to_bernstein(q).coeffs
-        signs.append("+" if min(coeffs) > 0 else "-" if max(coeffs) < 0 else "mixed")
+        coeffs = to_bernstein(q).tensor
+        signs.append("+" if coeffs.min() > 0 else "-" if coeffs.max() < 0 else "mixed")
     return tuple(signs)
 
 
@@ -282,10 +282,10 @@ def test_face_slice_equals_restricted_conversion():
 
     p = himmelblau_exact()
     box = Box((Fraction(1), Fraction(-2)), (Fraction(4), Fraction(3)))
-    tensor = box_tensor(p, box)
+    tensor = box_tensor(p, box, exact=True)
     for signs in (("+", "mixed"), ("-", "mixed"), ("mixed", "+"), ("mixed", "-")):
         reduced, rbox, _ = edge_subproblem(p, box, signs)
-        assert (_face(tensor, signs) == box_tensor(reduced, rbox, (4,))).all()
+        assert (_face(tensor, signs) == box_tensor(reduced, rbox, (4,), exact=True)).all()
 
 
 def _constrained_square():

@@ -379,3 +379,20 @@ def test_bench_says_whose_verdict_expected_is(capsys):
     assert "unrounded source certificate" in row["note"] and "-1/5000" in row["note"]
     code, out, _ = _run(capsys, ["bench", "lyap7"])
     assert "DIFFERS" in out and "note: expected_verdict is that of the unrounded" in out
+
+
+def test_lyapunov_rational_mode_keeps_a_vanishing_derivative_exact(capsys, tmp_path):
+    # the harmonic oscillator conserves V = x^2 + y^2, so -dV/dt cancels to
+    # the polynomial with no terms; its exact bound is still a Fraction
+    path = tmp_path / "osc.json"
+    path.write_text(json.dumps({
+        "name": "osc", "dimension": 2, "variables": ["x", "y"], "V": "x^2+y^2",
+        "odes": ["y", "-x"], "region": {"lower": [-1, -1], "upper": [1, 1]},
+    }))
+    code, out, _ = _run(
+        capsys, ["lyapunov", "--arith", "rational", "--output", "json", str(path)]
+    )
+    assert code == 0
+    verdict = json.loads(out)["verdict"]
+    assert verdict["stable"] is True
+    assert verdict["exact_bounds"] == {"v_bound": "0", "vdot_bound": "0"}

@@ -56,6 +56,17 @@ def test_certify_simple_nonnegative():
     assert run.lower_bound >= -STABILITY_TOL
 
 
+def test_certify_zero_polynomial_exactly():
+    # the field comes from the configuration, not from the coefficients:
+    # a polynomial with no terms still gets a Fraction bound in exact mode
+    cfg = default_config()
+    cfg.exact = True
+    box = Box((Fraction(-1),) * 2, (Fraction(1),) * 2)
+    run = certify_nonnegative(Polynomial.zero(2), box, cfg)
+    assert run.lower_bound == 0 and isinstance(run.lower_bound, Fraction)
+    assert run.verified_boxes == run.nodes == 1
+
+
 def test_certify_detects_negative_values():
     p = Polynomial(1, {(2,): 1.0, (0,): -0.5})  # x^2 - 0.5
     run = certify_nonnegative(p, Box((-1.0,), (1.0,)))

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bernpop import relax, simplex
-from bernpop.bernstein import iter_indices, to_bernstein, upper_bounds
+from bernpop.bernstein import BernsteinForm, to_bernstein, upper_bounds
 from bernpop.bnb import box_tensor
 from bernpop.poly import AffineMap, Box, Polynomial, to_unit_box
 from bernpop.relax import (
@@ -24,6 +25,8 @@ from conftest import (
     elevation_row,
     grid_min,
     himmelblau,
+    iter_indices,
+    monomial_bernstein_row,
     one_shot_lp,
     random_polynomial,
 )
@@ -110,7 +113,7 @@ def test_first_lp_square_sum():
 
 def test_first_lp_nonnegative_coeffs():
     bf = to_bernstein(Polynomial(1, {(1,): 1, (0,): 2}), (2,))
-    assert first_lp_bound(bf, upper_bounds((2,))) == min(bf.coeffs)
+    assert first_lp_bound(bf, upper_bounds((2,))) == bf.tensor.min()
 
 
 def test_first_lp_below_relax1(rng):
@@ -262,7 +265,7 @@ def test_iterative_equals_monolithic(rng):
         u = upper_bounds((2, 2))
         cuts = build_cut_matrix((2, 2))
         it = relax2_iterative(bf, u, cuts)
-        _, mono = one_shot_lp(bf.coeffs, u, cuts.rows(range(cuts.row_count)))
+        _, mono = one_shot_lp(bf.tensor, u, cuts.rows(range(cuts.row_count)))
         assert it.bound == pytest.approx(mono.value, abs=1e-8)
 
 
@@ -379,8 +382,6 @@ def test_semialgebraic_row_shapes():
 
     g2 = Polynomial(2, {(1, 0): 1.0, (0, 0): -1.0})  # x1 - 1 <= 0
     row2 = _constraint_row(g2, (2, 2))[0]
-    from bernpop.bernstein import monomial_bernstein_row
-
     mono = monomial_bernstein_row((1, 0), (2, 2))
     assert row2 == pytest.approx([m - 1.0 for m in mono])
 
@@ -391,7 +392,7 @@ def test_semialgebraic_slack_constraint_no_change():
     base = relax2_iterative(bf, u, build_cut_matrix((2, 2)))
     # g = q - c with c above the max coefficient is never active
     q_poly = bernstein_to_polynomial(bf)
-    slack = q_poly - Polynomial.constant(2, max(bf.coeffs) + 1.0)
+    slack = q_poly - Polynomial.constant(2, bf.tensor.max() + 1.0)
     rows = [_constraint_row(slack, (2, 2))]
     constrained = relax2_iterative(bf, u, build_cut_matrix((2, 2)), extra_rows=rows)
     assert constrained.bound == pytest.approx(base.bound, abs=1e-7)
@@ -441,7 +442,7 @@ def _costly_corner_instance(rng, degree, with_rows):
         if all(i in (0, d) for i, d in zip(idx, degree)):
             v += 25
         coeffs.append(v)
-    bf = relax.BernsteinForm(degree, tuple(coeffs), degree)
+    bf = BernsteinForm(np.array(coeffs, dtype=object).reshape([d + 1 for d in degree]))
     rows = []
     if with_rows:
         point = [Fraction(rng.randint(1, 7), 8) for _ in degree]
@@ -453,7 +454,7 @@ def _costly_corner_instance(rng, degree, with_rows):
 
 
 def _float_image(bf, rows):
-    fbf = relax.BernsteinForm(bf.degree, tuple(map(float, bf.coeffs)), bf.degree)
+    fbf = BernsteinForm(bf.tensor.astype(float))
     return fbf, [([float(v) for v in a], float(b)) for a, b in rows]
 
 
@@ -480,7 +481,7 @@ def _assert_exact_optimal(solved, bf, u, active, out):
     the loop's final ``CutLP`` (a fresh one when the greedy fill needed no
     solve) holds those rows and carries a duality certificate for the
     outcome's value."""
-    lp, sol = solved[-1] if solved else one_shot_lp(bf.coeffs, u, active, exact=True)
+    lp, sol = solved[-1] if solved else one_shot_lp(bf.tensor, u, active, exact=True)
     assert lp._rows == list(active)
     assert_lp_duality(lp, sol)
     assert out.bound == sol.value
@@ -508,7 +509,7 @@ def test_warm_loop_equals_cold_full_lp(rng, monkeypatch, degree, with_rows):
         bf_q, rows_q = _costly_corner_instance(rng, degree, with_rows)
         bf_f, rows_f = _float_image(bf_q, rows_q)
         warm = relax2_iterative(bf_f, u_f, cuts_f, extra_rows=rows_f)
-        _, cold = one_shot_lp(bf_f.coeffs, u_f, rows_f + _all_rows(cuts_f))
+        _, cold = one_shot_lp(bf_f.tensor, u_f, rows_f + _all_rows(cuts_f))
         assert warm.bound == pytest.approx(cold.value, rel=1e-9, abs=1e-12)
         pivots += warm.pivots
 
@@ -518,7 +519,7 @@ def test_warm_loop_equals_cold_full_lp(rng, monkeypatch, degree, with_rows):
         _assert_exact_level2_optimal(solved, bf_q, u_q, cuts_q, rows_q, warm_q)
         assert warm.bound == pytest.approx(float(warm_q.bound), rel=1e-9, abs=1e-12)
         if trial == 0 and cuts_q.row_count <= 30:  # the exact one-shot LP of every row is slow
-            lp, mono = one_shot_lp(bf_q.coeffs, u_q, rows_q + _all_rows(cuts_q), exact=True)
+            lp, mono = one_shot_lp(bf_q.tensor, u_q, rows_q + _all_rows(cuts_q), exact=True)
             assert_lp_duality(lp, mono)
             assert warm_q.bound == mono.value
 
@@ -546,7 +547,9 @@ def test_warm_loop_equals_cold_full_lp(rng, monkeypatch, degree, with_rows):
 @pytest.mark.parametrize("with_rows", [False, True])
 def test_warm_loop_degenerate_starts(monkeypatch, name, degree, coeffs, rows, with_rows):
     rows = rows if with_rows else []
-    bf_q = relax.BernsteinForm(degree, tuple(Fraction(v) for v in coeffs), degree)
+    bf_q = BernsteinForm(
+        np.array([Fraction(v) for v in coeffs], dtype=object).reshape([d + 1 for d in degree])
+    )
     rows_q = [([Fraction(v) for v in a], Fraction(b)) for a, b in rows]
     bf_f, rows_f = _float_image(bf_q, rows_q)
     solved = _record_solves(monkeypatch)
@@ -554,7 +557,7 @@ def test_warm_loop_degenerate_starts(monkeypatch, name, degree, coeffs, rows, wi
     u_q, cuts_q = upper_bounds(degree, exact=True), build_cut_matrix(degree, True)
     warm_q = relax2_iterative(bf_q, u_q, cuts_q, extra_rows=rows_q, exact=True)
     _assert_exact_level2_optimal(solved, bf_q, u_q, cuts_q, rows_q, warm_q)
-    lp, mono = one_shot_lp(bf_q.coeffs, u_q, rows_q + _all_rows(cuts_q), exact=True)
+    lp, mono = one_shot_lp(bf_q.tensor, u_q, rows_q + _all_rows(cuts_q), exact=True)
     assert_lp_duality(lp, mono)
     assert warm_q.bound == mono.value
     solved.clear()
@@ -563,7 +566,7 @@ def test_warm_loop_degenerate_starts(monkeypatch, name, degree, coeffs, rows, wi
 
     u_f, cuts_f = upper_bounds(degree), build_cut_matrix(degree)
     warm = relax2_iterative(bf_f, u_f, cuts_f, extra_rows=rows_f)
-    _, cold = one_shot_lp(bf_f.coeffs, u_f, rows_f + _all_rows(cuts_f))
+    _, cold = one_shot_lp(bf_f.tensor, u_f, rows_f + _all_rows(cuts_f))
     lp1 = relax1_lp(bf_f, u_f, rows_f)
     pairs = ((warm.bound, cold.value), (warm.bound, warm_q.bound), (lp1.bound, lp1_q.bound))
     for got, want in pairs:
@@ -648,7 +651,7 @@ def test_level2_against_highs():
         for _ in range(3):
             bf, _ = _float_image(*_costly_corner_instance(rng, degree, False))
             res = optimize.linprog(
-                bf.coeffs,
+                bf.tensor.ravel(),
                 A_ub=[r for r, _ in rows], b_ub=[b for _, b in rows],
                 A_eq=[[1.0] * len(u)], b_eq=[1.0],
                 bounds=list(zip([0.0] * len(u), u)), method="highs",

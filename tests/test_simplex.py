@@ -62,7 +62,7 @@ def test_level1_shell_for_two_squares():
     p = Polynomial(2, {(2, 0): 1, (0, 2): 1})
     q, _ = to_unit_box(p, Box((-1.0, -1.0), (1.0, 1.0)))
     bf = to_bernstein(q, (2, 2))
-    sol = solve(_cut_lp(list(bf.coeffs), upper_bounds((2, 2))))
+    sol = solve(_cut_lp(bf.tensor.ravel().tolist(), upper_bounds((2, 2)).tolist()))
     assert sol.status == OPTIMAL
     assert sol.value == pytest.approx(-0.5, abs=1e-9)
 
