@@ -7,11 +7,10 @@ from .simplex import LPSolution
 from .relax import (
     CutMatrix,
     RelaxationOutcome,
+    bound_at_level,
     build_cut_matrix,
     first_lp_bound,
     relax0,
-    relax1,
-    relax2_iterative,
 )
 from .bnb import BnbConfig, BnbResult, BnbStats, branch_and_bound
 from .lyapunov import (
@@ -37,14 +36,13 @@ __all__ = [
     "RelaxationOutcome",
     "Verdict",
     "benchmark_registry",
+    "bound_at_level",
     "branch_and_bound",
     "build_cut_matrix",
     "first_lp_bound",
     "lie_derivative",
     "parse_polynomial",
     "relax0",
-    "relax1",
-    "relax2_iterative",
     "to_bernstein",
     "upper_bounds",
     "verify_lyapunov",

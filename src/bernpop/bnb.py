@@ -165,33 +165,13 @@ def edge_subproblem(
     return reduced, reduced_box, fixed
 
 
-def sample_upper_bound(
-    p: Polynomial,
-    box: Box,
-    bf=None,
-    constraints: Sequence[Polynomial] = (),
-    mapping=None,
-) -> tuple[object, Optional[tuple]]:
-    """Candidate upper bound from the box center and the grid point of the
-    argmin Bernstein coefficient; infeasible candidates are skipped."""
-    candidates = [box.center()]
-    if bf is not None and mapping is not None:
-        _, idx = min_coefficient(bf)
-        z = tuple(
-            (Fraction(i, d) if isinstance(box.lower[0], Fraction) else i / d)
-            if d
-            else 0
-            for i, d in zip(idx, bf.degree)
-        )
-        candidates.append(mapping(z))
-    best, best_pt = None, None
-    for pt in candidates:
-        if any(g.eval(pt) > 0 for g in constraints):
-            continue
-        val = p.eval(pt)
-        if best is None or val < best:
-            best, best_pt = val, pt
-    return best, best_pt
+def sample_upper_bound(box: Box, bf: BernsteinForm, mapping: AffineMap) -> list[tuple]:
+    """Candidate points for the incumbent, in the order to offer them: the
+    box center, then the grid point of the argmin Bernstein coefficient."""
+    _, idx = min_coefficient(bf)
+    exact = isinstance(box.lower[0], Fraction)
+    grid = tuple((Fraction(i, d) if exact else i / d) if d else 0 for i, d in zip(idx, bf.degree))
+    return [box.center(), mapping(grid)]
 
 
 class _RunState:
@@ -214,9 +194,8 @@ class _RunState:
         return True
 
     def offer(self, point: tuple) -> None:
-        """Evaluate the top-level objective at a candidate feasible point."""
-        if point is None:
-            return
+        """Take a candidate point as the incumbent if it satisfies every
+        constraint and the top-level objective is strictly lower there."""
         if any(g.eval(point) > 0 for g in self.constraints):
             return
         val = self.objective.eval(point)
@@ -243,6 +222,8 @@ def branch_and_bound(
     for g in constraints:
         if g.dimension != p.dimension:
             raise ValueError("constraint dimension does not match objective")
+    if cfg.exact:  # floats convert exactly; splits and sample points take the box's field
+        box = Box(tuple(map(Fraction, box.lower)), tuple(map(Fraction, box.upper)))
     stats = BnbStats()
     state = _RunState(p, tuple(constraints), cfg.max_boxes)
     start = time.perf_counter()
@@ -330,8 +311,7 @@ def _solve_problem(p, constraints, box, tensors, cfg, state, lift, stats, depth)
             continue
         bound = outcome.bound
 
-        _, pt = sample_upper_bound(p, cur, bf, constraints, amap)
-        if pt is not None:
+        for pt in sample_upper_bound(cur, bf, amap):
             state.offer(lift(pt))
         if outcome.exact and not constraints:
             state.offer(lift(outcome.witness))

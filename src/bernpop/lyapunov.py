@@ -108,6 +108,8 @@ def certify_nonnegative(p: Polynomial, region: Box, cfg: Optional[BnbConfig] = N
     """
     if cfg is None:
         cfg = default_config()
+    if cfg.exact:  # floats convert exactly; the splits take the box's field
+        region = Box(tuple(map(Fraction, region.lower)), tuple(map(Fraction, region.upper)))
     start = time.perf_counter()
     run = VerificationRun(0.0, 0, 0, 0, 0.0, False)
     lower = None

@@ -12,8 +12,10 @@ coefficients b of the objective:
 
 Side constraints g(x) <= 0 reach the LP as rows b(g) . z <= 0, one per
 constraint, read off the constraint's own coefficient tensor at the
-relaxation degree (linear constraints are degree-1 polynomials).  Every
-LP is a ``simplex.CutLP``.
+relaxation degree (linear constraints are degree-1 polynomials).  Levels
+1 and 2 share one cut loop, and ``bound_at_level`` is the one entry point
+to every level.  Every LP is a ``simplex.CutLP``, built only once there
+is a row to append: with none, the greedy fill is the optimum.
 """
 
 from __future__ import annotations
@@ -274,7 +276,7 @@ def _certify(bf, z, bound, mapping, exact) -> tuple[bool, Optional[tuple]]:
 
 
 # ---------------------------------------------------------------------------
-# the three relaxations
+# the relaxation levels
 
 
 def relax0(bf: BernsteinForm, mapping: Optional[AffineMap] = None) -> RelaxationOutcome:
@@ -301,7 +303,9 @@ def _ascending(coeffs: np.ndarray) -> np.ndarray:
 
 def _greedy_knapsack(coeffs: Sequence, u: Sequence, exact: bool) -> tuple[object, list, int]:
     """Fill the cheapest coefficients to their caps until the unit mass is
-    spent; returns the bound, z, and the last variable filled.
+    spent; returns the bound, z, and the last variable filled.  The
+    level-1 LP  min b.z, sum z = 1, 0 <= z <= u  is separable, so this
+    fill is optimal; ties break by index order.
 
     That last variable is the one basic variable of an optimal basis of
     the level-1 LP: every other variable sits at 0 or at its cap, with
@@ -324,23 +328,6 @@ def _greedy_knapsack(coeffs: Sequence, u: Sequence, exact: bool) -> tuple[object
     if remaining > (0 if exact else 1e-12):
         raise AssertionError("upper bounds sum below one; corner caps must be 1")
     return bound, z, last
-
-
-def relax1(
-    bf: BernsteinForm,
-    u: Sequence,
-    mapping: Optional[AffineMap] = None,
-    exact: bool = False,
-) -> RelaxationOutcome:
-    """Level 1 via the continuous-knapsack greedy.
-
-    The LP  min b.z, sum z = 1, 0 <= z <= u  is separable, so filling the
-    cheapest coefficients to their caps is optimal; ties break by index
-    order.  Corner caps equal one, hence sum(u) >= 1 always.
-    """
-    bound, z, _ = _greedy_knapsack(bf.tensor, u, exact)
-    is_exact, witness = _certify(bf, z, bound, mapping, exact)
-    return RelaxationOutcome(bound=bound, z=z, exact=is_exact, witness=witness)
 
 
 def first_lp_bound(bf: BernsteinForm, u: Sequence):
@@ -366,60 +353,31 @@ def first_lp_bound(bf: BernsteinForm, u: Sequence):
     return candidate if candidate > b0 else b0
 
 
-def relax1_lp(
-    bf: BernsteinForm,
-    u: Sequence,
-    extra_rows: Sequence = (),
-    mapping: Optional[AffineMap] = None,
-    exact: bool = False,
-) -> RelaxationOutcome:
-    """Level 1 with side constraints: the greedy basis re-optimised after
-    appending ``extra_rows`` (the zero-round case of the level-2 loop)."""
-    return _cut_loop(bf, u, None, extra_rows, mapping, exact, 0)
-
-
-def relax2_iterative(
-    bf: BernsteinForm,
-    u: Sequence,
-    cuts: CutMatrix,
-    extra_rows: Sequence = (),
-    mapping: Optional[AffineMap] = None,
-    exact: bool = False,
-    violation_tol: Optional[float] = None,
-) -> RelaxationOutcome:
-    """Level 2 by on-demand row generation.
-
-    Starts from the level-1 LP, then repeatedly moves every violated
-    elevation row into the working set until the optimum satisfies the
-    whole system; the result equals the optimum of the full LP.
-    One ``simplex.CutLP`` lives for the whole loop: it starts from the
-    greedy basis and each round's rows are appended to it and re-optimised
-    in place by the dual simplex.
-    """
-    if violation_tol is None:
-        violation_tol = 0 if exact else _VIOLATION_TOL
-    return _cut_loop(bf, u, cuts, extra_rows, mapping, exact, violation_tol)
-
-
-def _cut_loop(bf, u, cuts, extra_rows, mapping, exact, violation_tol) -> RelaxationOutcome:
-    """Solve the level-1 LP plus ``extra_rows``, then (when ``cuts`` is
-    given) add violated rows of ``cuts`` until none is left.
+def _cut_loop(bf, u, cuts, extra_rows, mapping, exact) -> RelaxationOutcome:
+    """Level 1 (no ``cuts``) or level 2: the greedy fill of the level-1 LP,
+    re-optimised after appending ``extra_rows`` and then, round by round,
+    the rows of ``cuts`` it violates until none is left; the result is the
+    optimum of the full system.  One ``simplex.CutLP`` serves the loop,
+    built from the greedy basis once there is a row to append, so a bound
+    with no rows builds no LP.
 
     An infeasible LP ends in an outcome with no bound and ``infeasible``
     set.  Float mode confirms infeasibility by re-solving the Fraction
     images of the same rows; a float verdict the exact solve refutes is
     an error rather than a pruned box.
     """
-    coeffs, u = bf.tensor.ravel(), np.ravel(u)
-    bound, z, last = _greedy_knapsack(coeffs, u, exact)
-    lp = simplex.CutLP(coeffs.tolist(), u.tolist(), z, last, exact)
-    lp.append_rows(extra_rows)
-    sol = simplex.LPSolution(simplex.OPTIMAL, value=bound, z=z)
+    value, z, last = _greedy_knapsack(bf.tensor, u, exact)
+    tol = 0 if exact else _VIOLATION_TOL
+    lp, rows = None, extra_rows
     active: list[int] = []
     active_set: set[int] = set()
     rounds = solves = pivots = 0
     while True:
-        if lp.row_count:  # otherwise the greedy fill is the optimum
+        if rows:
+            if lp is None:
+                coeffs, caps = bf.tensor.ravel().tolist(), np.ravel(u).tolist()
+                lp = simplex.CutLP(coeffs, caps, z, last, exact)
+            lp.append_rows(rows)
             sol = simplex.solve(lp)
             solves += 1
             pivots += sol.iterations
@@ -439,28 +397,21 @@ def _cut_loop(bf, u, cuts, extra_rows, mapping, exact, violation_tol) -> Relaxat
                 )
             if sol.status != simplex.OPTIMAL:
                 raise RuntimeError(f"LP ended with status {sol.status}")
+            value, z = sol.value, sol.z
         if cuts is None:
             break
         rounds += 1
-        violated = cuts.scan_violations(sol.z, violation_tol, active_set)
+        violated = cuts.scan_violations(z, tol, active_set)
         if not violated:
             break
         active.extend(violated)
         active_set.update(violated)
-        lp.append_rows(cuts.rows(violated))
-    is_exact, witness = (
-        _certify(bf, sol.z, sol.value, mapping, exact) if not extra_rows else (False, None)
-    )
+        rows = cuts.rows(violated)
+    is_exact, witness = (False, None) if extra_rows else _certify(bf, z, value, mapping, exact)
     return RelaxationOutcome(
-        bound=sol.value,
-        z=sol.z,
-        activated_rows=tuple(active),
-        exact=is_exact,
-        witness=witness,
-        iterations=rounds,
-        lp_solves=solves,
-        pivots=pivots,
-        lp_fallbacks=lp.fallbacks,
+        bound=value, z=z, activated_rows=tuple(active), exact=is_exact, witness=witness,
+        iterations=rounds, lp_solves=solves, pivots=pivots,
+        lp_fallbacks=lp.fallbacks if lp else 0,
     )
 
 
@@ -477,7 +428,10 @@ def bound_at_level(
     mapping: Optional[AffineMap] = None,
     exact: bool = False,
 ) -> RelaxationOutcome:
-    """Compute the bound of one relaxation level on a unit-box form."""
+    """Compute the bound of one relaxation level on a unit-box form: the
+    one entry point to every level.  ``u`` defaults to the caps of the
+    form's degree, and ``cuts``, read at level 2 only, to its full cut
+    matrix."""
     if level == LEVEL_0:
         out = relax0(bf, mapping)
         if extra_rows:
@@ -489,11 +443,9 @@ def bound_at_level(
     if level == LEVEL_FIRST:
         return RelaxationOutcome(bound=first_lp_bound(bf, u))
     if level == LEVEL_1:
-        if extra_rows:
-            return relax1_lp(bf, u, extra_rows, mapping, exact)
-        return relax1(bf, u, mapping, exact)
+        return _cut_loop(bf, u, None, extra_rows, mapping, exact)
     if level == LEVEL_2:
         if cuts is None:
             cuts = build_cut_matrix(bf.degree, exact)
-        return relax2_iterative(bf, u, cuts, extra_rows, mapping, exact)
+        return _cut_loop(bf, u, cuts, extra_rows, mapping, exact)
     raise ValueError(f"unknown level {level!r}")

@@ -26,13 +26,11 @@ from bernpop.lyapunov import (
 from bernpop.poly import AffineMap, Box, Polynomial, lie_derivative, to_unit_box
 from bernpop.problems import load_fixture
 from bernpop.relax import (
+    bound_at_level,
     build_cut_matrix,
     exactness_check,
     first_lp_bound,
     relax0,
-    relax1,
-    relax1_lp,
-    relax2_iterative,
 )
 from conftest import algebraic4, grid_min, himmelblau, motzkin3, one_shot_lp, random_polynomial
 
@@ -63,15 +61,15 @@ def test_criterion_1_example_chain():
         bf1, amap1 = _unit_form(Polynomial(1, {(2,): 1}), Box((-1.0,), (1.0,)), (2,))
         u1 = upper_bounds((2,))
         assert abs(relax0(bf1, amap1).bound - (-1.0)) <= 1e-9
-        assert abs(relax1(bf1, u1, amap1).bound - 0.0) <= 1e-9
+        assert abs(bound_at_level(bf1, "1", u=u1, mapping=amap1).bound - 0.0) <= 1e-9
 
         bf2, amap2 = _unit_form(
             Polynomial(2, {(2, 0): 1, (0, 2): 1}), Box((-1.0, -1.0), (1.0, 1.0)), (2, 2)
         )
         u2 = upper_bounds((2, 2))
         assert abs(relax0(bf2, amap2).bound - (-2.0)) <= 1e-9
-        assert abs(relax1(bf2, u2, amap2).bound - (-0.5)) <= 1e-9
-        out2 = relax2_iterative(bf2, u2, build_cut_matrix((2, 2)), mapping=amap2)
+        assert abs(bound_at_level(bf2, "1", u=u2, mapping=amap2).bound - (-0.5)) <= 1e-9
+        out2 = bound_at_level(bf2, "2", u=u2, cuts=build_cut_matrix((2, 2)), mapping=amap2)
         assert abs(out2.bound - 0.0) <= 1e-9
         assert time.perf_counter() - start < 1.0
 
@@ -84,10 +82,10 @@ def test_criterion_2_himmelblau_degree44():
         bf, amap = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
         u = upper_bounds((4, 4))
         assert relax0(bf, amap).bound == -1170.0
-        assert abs(relax1(bf, u, amap).bound - (-911.47)) <= 0.01
+        assert abs(bound_at_level(bf, "1", u=u, mapping=amap).bound - (-911.47)) <= 0.01
         cuts = build_cut_matrix((4, 4))
         assert cuts.row_count == 200
-        out = relax2_iterative(bf, u, cuts, mapping=amap)
+        out = bound_at_level(bf, "2", u=u, cuts=cuts, mapping=amap)
         assert abs(out.bound - (-856.42)) <= 0.01
         assert len(out.activated_rows) <= 10
         assert time.perf_counter() - start < 5.0
@@ -103,9 +101,7 @@ def test_criterion_3_degree_elevation():
         got = {}
         for degree, expected in targets.items():
             bf = to_bernstein(q, degree)
-            out = relax2_iterative(
-                bf, upper_bounds(degree), build_cut_matrix(degree)
-            )
+            out = bound_at_level(bf, "2", u=upper_bounds(degree), cuts=build_cut_matrix(degree))
             got[degree] = out.bound
         assert time.perf_counter() - start < 60.0
         for degree, expected in targets.items():
@@ -198,8 +194,8 @@ def test_criterion_6a_relaxation_ordering():
             cuts = build_cut_matrix(bf.degree)
             p0 = relax0(bf).bound
             pf = first_lp_bound(bf, u)
-            p1 = relax1(bf, u).bound
-            p2 = relax2_iterative(bf, u, cuts).bound
+            p1 = bound_at_level(bf, "1", u=u).bound
+            p2 = bound_at_level(bf, "2", u=u, cuts=cuts).bound
             sampled = grid_min(p, Box((0.0,) * n, (1.0,) * n), 9 if n < 3 else 7)
             assert p0 <= pf + 1e-9 <= p1 + 2e-8 and p1 <= p2 + 1e-8
             assert p2 <= sampled + 1e-7
@@ -208,13 +204,21 @@ def test_criterion_6a_relaxation_ordering():
 
 
 def test_criterion_6b_greedy_equals_simplex():
+    optimize = pytest.importorskip("scipy.optimize")
+
     def body():
+        # the greedy fill of level 1 against scipy's HiGHS on the same LP
         rng = random.Random(60322)
         for _ in range(50):
             p = random_polynomial(rng, 2, 3)
             bf = to_bernstein(p)
             u = upper_bounds(bf.degree)
-            assert abs(relax1(bf, u).bound - relax1_lp(bf, u).bound) <= 1e-8
+            res = optimize.linprog(
+                bf.tensor.ravel(), A_eq=[[1.0] * len(u)], b_eq=[1.0],
+                bounds=list(zip([0.0] * len(u), u)), method="highs",
+            )
+            assert res.status == 0
+            assert abs(bound_at_level(bf, "1", u=u).bound - res.fun) <= 1e-8
 
     _report(6, "(b) knapsack greedy equals the simplex on the level-1 LP", body)
 
@@ -233,13 +237,14 @@ def test_criterion_6c_iterative_equals_monolithic():
             bf = to_bernstein(p, (2, 2))
             u = upper_bounds((2, 2))
             cuts = build_cut_matrix((2, 2))
-            a = relax2_iterative(bf, u, cuts).bound
+            a = bound_at_level(bf, "2", u=u, cuts=cuts).bound
             b = _one_shot_level2(bf, u, cuts)
             assert abs(a - b) <= 1e-8
         bf, _ = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
         u = upper_bounds((4, 4))
         cuts = build_cut_matrix((4, 4))
-        assert abs(relax2_iterative(bf, u, cuts).bound - _one_shot_level2(bf, u, cuts)) <= 1e-8
+        a = bound_at_level(bf, "2", u=u, cuts=cuts).bound
+        assert abs(a - _one_shot_level2(bf, u, cuts)) <= 1e-8
 
     _report(6, "(c) on-demand cut loop equals the one-shot full LP", body)
 

@@ -7,6 +7,7 @@ from bernpop.bnb import (
     BnbConfig,
     SPLIT_LONGEST,
     SPLIT_ZERO,
+    _RunState,
     _face,
     _monotonicity_signs,
     box_tensor,
@@ -91,23 +92,36 @@ def test_edge_subproblem_square_on_positive_interval():
 
 def test_sample_upper_bound_center():
     square = Polynomial(1, {(2,): 1})
-    val, pt = sample_upper_bound(square, Box((-1.0,), (1.0,)))
-    assert val == pytest.approx(0.0) and pt == (0.0,)
+    box = Box((-1.0,), (1.0,))
+    q, amap = to_unit_box(square, box)
+    center, grid = sample_upper_bound(box, to_bernstein(q, (2,)), amap)
+    assert center == (0.0,) and square.eval(center) == pytest.approx(0.0)
+    assert grid == (0.0,)  # the middle coefficient, -1, is the smallest
 
 
 def test_sample_upper_bound_grid_argmin():
     box = Box((-5.0, -5.0), (5.0, 5.0))
     q, amap = to_unit_box(himmelblau(), box)
     bf = to_bernstein(q, (4, 4))
-    val, pt = sample_upper_bound(himmelblau(), box, bf, (), amap)
-    assert val is not None and val >= 0.0
+    points = sample_upper_bound(box, bf, amap)
+    assert points[0] == (0.0, 0.0) and len(points) == 2
+    assert himmelblau().eval(points[1]) >= 0.0
+    # the state takes the lower of the two
+    state = _RunState(himmelblau(), (), 10)
+    for pt in points:
+        state.offer(pt)
+    assert state.incumbent == min(himmelblau().eval(pt) for pt in points)
 
 
 def test_sample_upper_bound_infeasible():
     p = Polynomial(1, {(2,): 1})
     g = Polynomial(1, {(1,): 1, (0,): 1})  # x + 1 <= 0, never on [0,1]
-    val, pt = sample_upper_bound(p, Box((0.0,), (1.0,)), constraints=[g])
-    assert val is None and pt is None
+    box = Box((0.0,), (1.0,))
+    q, amap = to_unit_box(p, box)
+    state = _RunState(p, (g,), 10)
+    for pt in sample_upper_bound(box, to_bernstein(q, (2,)), amap):
+        state.offer(pt)
+    assert state.incumbent is None and state.witness is None
 
 
 def test_config_validation():
@@ -208,6 +222,25 @@ def test_exact_arithmetic_run():
     assert isinstance(res.upper_bound, Fraction)
     assert res.upper_bound == 0
     assert res.lower_bound <= 0
+
+
+@pytest.mark.parametrize("level", ["0", "1", "2"])
+def test_exact_mode_on_float_box_computes_in_fractions(level):
+    # exact mode converts a float box to Fractions (exactly), so the run is
+    # the one on the matching Fraction box
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    p = x * x - y.scale(Fraction(1, 3)) + y * y
+    cfg = BnbConfig(level=level, epsilon=1e-6, exact=True)
+    on_floats = branch_and_bound(p, (), Box((-1.0, -1.0), (1.0, 1.0)), cfg)
+    on_fractions = branch_and_bound(p, (), Box((Fraction(-1),) * 2, (Fraction(1),) * 2), cfg)
+    for res in (on_floats, on_fractions):
+        assert isinstance(res.lower_bound, Fraction) and isinstance(res.upper_bound, Fraction)
+        assert all(isinstance(v, Fraction) for v in res.witness)
+    assert on_floats.lower_bound == on_fractions.lower_bound
+    assert on_floats.upper_bound == on_fractions.upper_bound
+    assert on_floats.witness == on_fractions.witness
+    if level == "1":
+        assert on_floats.lower_bound == Fraction(-87383, 3145728)
 
 
 def test_bound_soundness_on_random_boxes(rng):

@@ -146,3 +146,19 @@ def test_exact_verdict_is_a_proof():
     with pytest.warns(UserWarning):
         floating = verify_lyapunov(load_lyapunov_case(_NEGATIVE_AT_ORIGIN))
     assert floating.stable and floating.v_bound == pytest.approx(-1e-10)
+
+
+def test_exact_certification_on_float_box_computes_in_fractions():
+    # x^2 - xy/2 + y^2 on [-1, 1]^2: the float region is converted to
+    # Fractions (exactly), so the bound is the Fraction-region one, -1/128
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    p = x * x - (x * y).scale(Fraction(1, 2)) + y * y
+    cfg = default_config()
+    cfg.exact = True
+    on_floats = certify_nonnegative(p, Box((-1.0, -1.0), (1.0, 1.0)), cfg)
+    on_fractions = certify_nonnegative(p, Box((Fraction(-1),) * 2, (Fraction(1),) * 2), cfg)
+    assert isinstance(on_floats.lower_bound, Fraction)
+    assert on_floats.lower_bound == on_fractions.lower_bound == Fraction(-1, 128)
+    assert (on_floats.nodes, on_floats.verified_boxes, on_floats.stalled_boxes) == (
+        on_fractions.nodes, on_fractions.verified_boxes, on_fractions.stalled_boxes
+    )

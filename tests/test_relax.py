@@ -13,9 +13,6 @@ from bernpop.relax import (
     exactness_check,
     first_lp_bound,
     relax0,
-    relax1,
-    relax1_lp,
-    relax2_iterative,
 )
 from conftest import (
     assert_lp_duality,
@@ -78,7 +75,7 @@ def test_relax0_constant_exact():
 def test_relax1_univariate_square():
     p = Polynomial(1, {(2,): 1})
     bf, amap = _unit_form(p, Box((-1.0,), (1.0,)), (2,))
-    out = relax1(bf, upper_bounds((2,)), amap)
+    out = bound_at_level(bf, "1", u=upper_bounds((2,)), mapping=amap)
     assert out.bound == pytest.approx(0.0, abs=1e-12)
     assert out.exact
     assert out.witness[0] == pytest.approx(0.0)
@@ -86,24 +83,29 @@ def test_relax1_univariate_square():
 
 def test_relax1_square_sum():
     bf, amap = _square_sum_form()
-    out = relax1(bf, upper_bounds((2, 2)), amap)
+    out = bound_at_level(bf, "1", u=upper_bounds((2, 2)), mapping=amap)
     assert out.bound == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_relax1_himmelblau():
     bf, amap = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
-    out = relax1(bf, upper_bounds((4, 4)), amap)
+    out = bound_at_level(bf, "1", u=upper_bounds((4, 4)), mapping=amap)
     assert out.bound == pytest.approx(-911.47, abs=0.01)
 
 
 def test_relax1_matches_simplex(rng):
+    # the greedy fill against an LP solve that does not trust it: an
+    # LP-duality certificate, in Fractions, at the greedy basis of the
+    # LP's exact image proves that basis optimal
     for _ in range(50):
         p = random_polynomial(rng, 2, 3)
         bf = to_bernstein(p)
         u = upper_bounds(bf.degree)
-        greedy = relax1(bf, u)
-        lp = relax1_lp(bf, u)
-        assert greedy.bound == pytest.approx(lp.bound, abs=1e-8)
+        greedy = bound_at_level(bf, "1", u=u)
+        lp, sol = one_shot_lp([Fraction(v) for v in bf.tensor.ravel().tolist()],
+                              [Fraction(v) for v in u], [], exact=True)
+        assert_lp_duality(lp, sol)
+        assert greedy.bound == pytest.approx(float(sol.value), abs=1e-8)
 
 
 def test_first_lp_square_sum():
@@ -121,7 +123,7 @@ def test_first_lp_below_relax1(rng):
         p = random_polynomial(rng, 2, 3)
         bf = to_bernstein(p)
         u = upper_bounds(bf.degree)
-        assert first_lp_bound(bf, u) <= relax1(bf, u).bound + 1e-9
+        assert first_lp_bound(bf, u) <= bound_at_level(bf, "1", u=u).bound + 1e-9
 
 
 # -- cut matrix ---------------------------------------------------------------
@@ -185,7 +187,7 @@ def _scan_vectors(rng, degree) -> list:
     point masses."""
     u = upper_bounds(degree, exact=True)
     out = [
-        relax1(_costly_corner_instance(rng, degree, False)[0], u, exact=True).z
+        bound_at_level(_costly_corner_instance(rng, degree, False)[0], "1", u=u, exact=True).z
         for _ in range(2)
     ]
     mass = [Fraction(0)] * len(u)
@@ -225,7 +227,7 @@ def test_float_and_exact_scans_agree_at_degree_4444(rng):
     cuts_q, cuts_f = build_cut_matrix(degree, exact=True), build_cut_matrix(degree)
     assert cuts_q.row_count == cuts_f.row_count == 50_000
     bf, _ = _costly_corner_instance(rng, degree, False)
-    z = relax1(bf, upper_bounds(degree, exact=True), exact=True).z
+    z = bound_at_level(bf, "1", u=upper_bounds(degree, exact=True), exact=True).z
     hits = cuts_q.scan_violations(z, Fraction(1, 10**9), set())
     assert hits and hits == cuts_f.scan_violations([float(v) for v in z], 1e-9, set())
 
@@ -237,7 +239,7 @@ def test_relax2_square_sum_exact_value():
     bf, amap = _square_sum_form()
     u = upper_bounds((2, 2))
     cuts = build_cut_matrix((2, 2))
-    out = relax2_iterative(bf, u, cuts, mapping=amap)
+    out = bound_at_level(bf, "2", u=u, cuts=cuts, mapping=amap)
     assert out.bound == pytest.approx(0.0, abs=1e-9)
     assert out.exact
 
@@ -246,14 +248,14 @@ def test_relax2_himmelblau():
     bf, amap = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
     u = upper_bounds((4, 4))
     cuts = build_cut_matrix((4, 4))
-    out = relax2_iterative(bf, u, cuts, mapping=amap)
+    out = bound_at_level(bf, "2", u=u, cuts=cuts, mapping=amap)
     assert out.bound == pytest.approx(-856.42, abs=0.01)
     assert len(out.activated_rows) <= 10
 
 
 def test_relax2_constant():
     bf = to_bernstein(Polynomial.constant(2, 1), (2, 2))
-    out = relax2_iterative(bf, upper_bounds((2, 2)), build_cut_matrix((2, 2)))
+    out = bound_at_level(bf, "2", u=upper_bounds((2, 2)), cuts=build_cut_matrix((2, 2)))
     assert out.bound == pytest.approx(1.0)
     assert out.activated_rows == ()
 
@@ -264,7 +266,7 @@ def test_iterative_equals_monolithic(rng):
         bf = to_bernstein(p, (2, 2))
         u = upper_bounds((2, 2))
         cuts = build_cut_matrix((2, 2))
-        it = relax2_iterative(bf, u, cuts)
+        it = bound_at_level(bf, "2", u=u, cuts=cuts)
         _, mono = one_shot_lp(bf.tensor, u, cuts.rows(range(cuts.row_count)))
         assert it.bound == pytest.approx(mono.value, abs=1e-8)
 
@@ -278,8 +280,8 @@ def test_relaxation_ordering_and_soundness(rng):
         cuts = build_cut_matrix(bf.degree)
         p0 = relax0(bf).bound
         pf = first_lp_bound(bf, u)
-        p1 = relax1(bf, u).bound
-        p2 = relax2_iterative(bf, u, cuts).bound
+        p1 = bound_at_level(bf, "1", u=u).bound
+        p2 = bound_at_level(bf, "2", u=u, cuts=cuts).bound
         box = Box((0.0,) * n, (1.0,) * n)
         sampled = grid_min(p, box, 9 if n < 3 else 7)
         assert p0 <= pf + 1e-9
@@ -313,7 +315,7 @@ def test_relax2_monotone_in_degree():
     bounds = []
     for d in ((4, 4), (5, 4), (5, 5), (6, 6)):
         bf = to_bernstein(q, d)
-        out = relax2_iterative(bf, upper_bounds(d), build_cut_matrix(d))
+        out = bound_at_level(bf, "2", u=upper_bounds(d), cuts=build_cut_matrix(d))
         bounds.append(out.bound)
     for weaker, stronger in zip(bounds, bounds[1:]):
         assert weaker <= stronger + 1e-7
@@ -339,7 +341,7 @@ def test_exactness_check_rejects_bivariate_vertex_solution():
     bf, amap = _square_sum_form()
     u = upper_bounds((2, 2))
     cuts = build_cut_matrix((2, 2))
-    out = relax2_iterative(bf, u, cuts, mapping=amap)
+    out = bound_at_level(bf, "2", u=u, cuts=cuts, mapping=amap)
     # the solver's optimal z is a basic solution, never the basis-value
     # vector of a single point here
     assert exactness_check(out.z, (2, 2), amap) is None
@@ -369,9 +371,9 @@ def test_polyhedral_rows_enumeration():
 def test_polyhedral_redundant_constraint():
     bf, _ = _square_sum_form()
     u = upper_bounds((2, 2))
-    base = relax1_lp(bf, u)
+    base = bound_at_level(bf, "1", u=u)
     g = Polynomial(2, {(1, 0): 1.0, (0, 0): -1.0})  # x1 <= 1
-    constrained = relax1_lp(bf, u, [_constraint_row(g, (2, 2))])
+    constrained = bound_at_level(bf, "1", u=u, extra_rows=[_constraint_row(g, (2, 2))])
     assert constrained.bound == pytest.approx(base.bound, abs=1e-9)
 
 
@@ -389,12 +391,12 @@ def test_semialgebraic_row_shapes():
 def test_semialgebraic_slack_constraint_no_change():
     bf, _ = _square_sum_form()
     u = upper_bounds((2, 2))
-    base = relax2_iterative(bf, u, build_cut_matrix((2, 2)))
+    base = bound_at_level(bf, "2", u=u, cuts=build_cut_matrix((2, 2)))
     # g = q - c with c above the max coefficient is never active
     q_poly = bernstein_to_polynomial(bf)
     slack = q_poly - Polynomial.constant(2, bf.tensor.max() + 1.0)
     rows = [_constraint_row(slack, (2, 2))]
-    constrained = relax2_iterative(bf, u, build_cut_matrix((2, 2)), extra_rows=rows)
+    constrained = bound_at_level(bf, "2", u=u, cuts=build_cut_matrix((2, 2)), extra_rows=rows)
     assert constrained.bound == pytest.approx(base.bound, abs=1e-7)
 
 
@@ -424,7 +426,7 @@ def test_exact_mode_relaxations():
     out = relax0(bf, amap)
     assert out.bound == Fraction(-1170)
     u = upper_bounds((4, 4), exact=True)
-    r1 = relax1(bf, u, amap, exact=True)
+    r1 = bound_at_level(bf, "1", u=u, mapping=amap, exact=True)
     assert abs(float(r1.bound) + 911.47) < 0.01
     assert isinstance(r1.bound, Fraction)
 
@@ -508,13 +510,13 @@ def test_warm_loop_equals_cold_full_lp(rng, monkeypatch, degree, with_rows):
     for trial in range(3):
         bf_q, rows_q = _costly_corner_instance(rng, degree, with_rows)
         bf_f, rows_f = _float_image(bf_q, rows_q)
-        warm = relax2_iterative(bf_f, u_f, cuts_f, extra_rows=rows_f)
+        warm = bound_at_level(bf_f, "2", u=u_f, cuts=cuts_f, extra_rows=rows_f)
         _, cold = one_shot_lp(bf_f.tensor, u_f, rows_f + _all_rows(cuts_f))
         assert warm.bound == pytest.approx(cold.value, rel=1e-9, abs=1e-12)
         pivots += warm.pivots
 
         solved.clear()
-        warm_q = relax2_iterative(bf_q, u_q, cuts_q, extra_rows=rows_q, exact=True)
+        warm_q = bound_at_level(bf_q, "2", u=u_q, cuts=cuts_q, extra_rows=rows_q, exact=True)
         assert isinstance(warm_q.bound, Fraction)
         _assert_exact_level2_optimal(solved, bf_q, u_q, cuts_q, rows_q, warm_q)
         assert warm.bound == pytest.approx(float(warm_q.bound), rel=1e-9, abs=1e-12)
@@ -524,9 +526,9 @@ def test_warm_loop_equals_cold_full_lp(rng, monkeypatch, degree, with_rows):
             assert warm_q.bound == mono.value
 
         solved.clear()
-        lp1_q = relax1_lp(bf_q, u_q, rows_q, exact=True)
+        lp1_q = bound_at_level(bf_q, "1", u=u_q, extra_rows=rows_q, exact=True)
         _assert_exact_optimal(solved, bf_q, u_q, rows_q, lp1_q)
-        lp1_f = relax1_lp(bf_f, u_f, rows_f)
+        lp1_f = bound_at_level(bf_f, "1", u=u_f, extra_rows=rows_f)
         assert lp1_f.bound == pytest.approx(float(lp1_q.bound), rel=1e-9, abs=1e-12)
     assert pivots > 0  # the instances exercise the dual simplex
 
@@ -555,19 +557,19 @@ def test_warm_loop_degenerate_starts(monkeypatch, name, degree, coeffs, rows, wi
     solved = _record_solves(monkeypatch)
 
     u_q, cuts_q = upper_bounds(degree, exact=True), build_cut_matrix(degree, True)
-    warm_q = relax2_iterative(bf_q, u_q, cuts_q, extra_rows=rows_q, exact=True)
+    warm_q = bound_at_level(bf_q, "2", u=u_q, cuts=cuts_q, extra_rows=rows_q, exact=True)
     _assert_exact_level2_optimal(solved, bf_q, u_q, cuts_q, rows_q, warm_q)
     lp, mono = one_shot_lp(bf_q.tensor, u_q, rows_q + _all_rows(cuts_q), exact=True)
     assert_lp_duality(lp, mono)
     assert warm_q.bound == mono.value
     solved.clear()
-    lp1_q = relax1_lp(bf_q, u_q, rows_q, exact=True)
+    lp1_q = bound_at_level(bf_q, "1", u=u_q, extra_rows=rows_q, exact=True)
     _assert_exact_optimal(solved, bf_q, u_q, rows_q, lp1_q)
 
     u_f, cuts_f = upper_bounds(degree), build_cut_matrix(degree)
-    warm = relax2_iterative(bf_f, u_f, cuts_f, extra_rows=rows_f)
+    warm = bound_at_level(bf_f, "2", u=u_f, cuts=cuts_f, extra_rows=rows_f)
     _, cold = one_shot_lp(bf_f.tensor, u_f, rows_f + _all_rows(cuts_f))
-    lp1 = relax1_lp(bf_f, u_f, rows_f)
+    lp1 = bound_at_level(bf_f, "1", u=u_f, extra_rows=rows_f)
     pairs = ((warm.bound, cold.value), (warm.bound, warm_q.bound), (lp1.bound, lp1_q.bound))
     for got, want in pairs:
         assert got == pytest.approx(float(want), rel=1e-9, abs=1e-12)
@@ -593,7 +595,7 @@ def test_exact_loop_never_refactorizes(monkeypatch):
     for exact in (True, False):
         bf, _ = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4), exact=exact)
         u = upper_bounds((4, 4), exact=exact)
-        out = relax2_iterative(bf, u, build_cut_matrix((4, 4), exact), exact=exact)
+        out = bound_at_level(bf, "2", u=u, cuts=build_cut_matrix((4, 4), exact), exact=exact)
         assert out.pivots > 0
     assert calls and not any(calls)  # only the float run refactorized
 
@@ -611,7 +613,7 @@ def test_float_infeasibility_is_confirmed_exactly(monkeypatch):
 
     monkeypatch.setattr(simplex.CutLP, "reoptimize", lying)
     with pytest.raises(RuntimeError, match="exact re-solve"):
-        relax1_lp(bf, u, [row])
+        bound_at_level(bf, "1", u=u, extra_rows=[row])
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -622,8 +624,8 @@ def test_infeasible_lp_is_an_outcome(exact):
     rows = [([2 * one, 0 * one, 2 * one], 0 * one)]
     u = upper_bounds((2,), exact=exact)
     for out in (
-        relax1_lp(bf, u, rows, exact=exact),
-        relax2_iterative(bf, u, build_cut_matrix((2,), exact), rows, exact=exact),
+        bound_at_level(bf, "1", u=u, extra_rows=rows, exact=exact),
+        bound_at_level(bf, "2", u=u, extra_rows=rows, exact=exact),
     ):
         assert out.infeasible and out.bound is None
         assert out.lp_solves == (1 if exact else 2)  # float adds the exact re-check
@@ -637,6 +639,40 @@ def test_lp_counters():
     for level in ("0", "first", "1"):
         out = bound_at_level(bf, level, u=u)
         assert out.lp_solves == 0 and out.pivots == 0
+
+
+def test_bound_without_rows_builds_no_lp(monkeypatch):
+    built = []
+    real = simplex.CutLP
+
+    class Counting(real):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "CutLP", Counting)
+    # level 1 with no side rows: the greedy fill and its certificate
+    bf, amap = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
+    u = upper_bounds((4, 4))
+    out = bound_at_level(bf, "1", u=u, mapping=amap)
+    bound, z, _ = relax._greedy_knapsack(bf.tensor, u, False)
+    assert (out.bound, out.z) == (bound, z)
+    assert (out.exact, out.witness) == relax._certify(bf, z, bound, amap, False)
+    assert out.lp_solves == out.iterations == 0 and not built
+    # level 2 where the greedy fill violates no cut: x + y, whose greedy
+    # fill is the indicator of the corner (0, 0)
+    for exact in (False, True):
+        one = Fraction(1) if exact else 1.0
+        bf = to_bernstein(Polynomial(2, {(1, 0): one, (0, 1): one}), (2, 2), exact)
+        out = bound_at_level(bf, "2", exact=exact)
+        assert out.bound == 0 and isinstance(out.bound, type(one))
+        assert out.z == [one] + [0 * one] * 8
+        assert out.exact and out.witness == (0, 0)
+        assert out.iterations == 1 and out.activated_rows == () and out.lp_solves == 0
+    assert not built
+    # a bound with rows does build its LP
+    bound_at_level(_square_sum_form()[0], "2")
+    assert len(built) == 1
 
 
 def test_level2_against_highs():
@@ -657,5 +693,5 @@ def test_level2_against_highs():
                 bounds=list(zip([0.0] * len(u), u)), method="highs",
             )
             assert res.status == 0
-            ours = relax2_iterative(bf, u, cuts).bound
+            ours = bound_at_level(bf, "2", u=u, cuts=cuts).bound
             assert ours == pytest.approx(res.fun, rel=1e-7, abs=1e-7)
