@@ -4,9 +4,11 @@ Conversion from the monomial basis, de Casteljau evaluation and
 subdivision, the basis upper bounds B(I/delta), and the vertex condition.
 A polynomial's Bernstein form is one coefficient tensor of shape
 (delta_1+1, ..., delta_n+1): float64 for binary64 coefficients, or an
-object array of Fractions for exact ones.  The caller names the field
-(``to_bernstein`` infers it from the coefficients only when it is left
-out).  Every kernel works on the whole
+object array of Fractions for exact ones.  A ``Field`` carries what the
+two differ in (dtype, constants, conversion, ratios, tolerances); the
+caller names it at an entry point (``to_bernstein`` infers it from the
+coefficients only when it is left out), and below that it is read off the
+tensor's dtype by ``field_of``.  Every kernel works on the whole
 tensor with per-axis array operations (outer products of per-axis
 vectors, de Casteljau steps on trailing-axis slices), applied in the
 same arithmetic order as the per-coefficient formulas, so both fields
@@ -16,10 +18,12 @@ needs them, are the tensor's row-major order.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,7 +38,7 @@ class BernsteinForm:
     """Coefficient tensor of a polynomial in the degree-delta basis."""
 
     tensor: np.ndarray
-    degree: Index = field(init=False)
+    degree: Index = dataclasses.field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "degree", tuple(s - 1 for s in self.tensor.shape))
@@ -44,9 +48,40 @@ class BernsteinForm:
         return len(self.degree)
 
 
-def _field(exact: bool) -> tuple[object, type]:
-    """Zero and numpy dtype of a field."""
-    return (Fraction(0), object) if exact else (0.0, float)
+@dataclass(frozen=True)
+class Field:
+    """One scalar field: binary64 on float64 arrays, or the rationals on
+    object arrays of Fractions.  ``of`` converts a scalar into it, ``ratio(i,
+    d)`` is i/d in it, ``array`` converts (nested) sequences, and ``tol(t)``
+    is a float tolerance: t, or 0 in exact arithmetic."""
+
+    exact: bool
+    dtype: type
+    zero: object
+    one: object
+    half: object
+    of: Callable
+    ratio: Callable
+    array: Callable
+    tol: Callable
+
+
+_fractions = np.frompyfunc(Fraction, 1, 1)  # Fraction(v) elementwise over object arrays
+
+FLOAT = Field(False, float, 0.0, 1.0, 0.5, of=float, ratio=operator.truediv,
+              array=lambda v: np.asarray(v, dtype=float), tol=lambda t: t)
+EXACT = Field(True, object, Fraction(0), Fraction(1), Fraction(1, 2), of=Fraction, ratio=Fraction,
+              array=lambda v: _fractions(np.array(v, dtype=object)), tol=lambda t: 0)
+
+
+def field(exact: bool) -> Field:
+    """The field an entry point's ``exact`` flag names."""
+    return EXACT if exact else FLOAT
+
+
+def field_of(tensor: np.ndarray) -> Field:
+    """The field of a coefficient tensor: exact iff its dtype is object."""
+    return EXACT if tensor.dtype == object else FLOAT
 
 
 def to_bernstein(
@@ -70,17 +105,18 @@ def to_bernstein(
         raise ValueError(f"degree {delta} below polynomial degree {p.degree}")
     if exact is None:
         exact = any(isinstance(c, Fraction) for c in p.terms.values())
-    zero, dtype = _field(exact)
-    tensor = np.full(tuple(d + 1 for d in delta), zero, dtype=dtype)
+    F = field(exact)
+    tensor = np.full(tuple(d + 1 for d in delta), F.zero, dtype=F.dtype)
     for jdx, c in p.terms.items():
-        scaled = (Fraction(c) if exact else c) / multi_binom(delta, jdx)
         axes = [[math.comb(i, j) for i in range(j, d + 1)] for j, d in zip(jdx, delta)]
-        # the binomial products are exact in float64 below 2^53; above, they
-        # are taken in Python ints so that each weight is rounded only once
-        in_float = not exact and math.prod(a[-1] for a in axes) < _EXACT_INT
-        weights = outer_chain(axes, float if in_float else object)
-        if not exact:
-            scaled, weights = float(scaled), weights.astype(float, copy=False)
+        if F.exact:
+            scaled, weights = Fraction(c) / multi_binom(delta, jdx), outer_chain(axes, object)
+        else:
+            # round once: a Fraction coefficient is divided before it is converted,
+            # and binomial products of 2^53 or more are taken in Python ints
+            in_float = math.prod(a[-1] for a in axes) < _EXACT_INT
+            weights = outer_chain(axes, float if in_float else object).astype(float, copy=False)
+            scaled = float(c / multi_binom(delta, jdx))
         tensor[tuple(slice(j, None) for j in jdx)] += scaled * weights
     return BernsteinForm(tensor)
 
@@ -127,13 +163,11 @@ def bernstein_eval(bf: BernsteinForm, point: Sequence) -> object:
 # bounds and the vertex condition
 
 
-def _beta_peak(i: int, d: int, exact: bool):
+def _beta_peak(i: int, d: int, F: Field):
     """max of beta_{i,d} on [0,1], attained at i/d; degree-0 axes give 1."""
-    if d == 0:
-        return Fraction(1) if exact else 1.0
-    if i == 0 or i == d:
-        return Fraction(1) if exact else 1.0
-    t = Fraction(i, d) if exact else i / d
+    if d == 0 or i == 0 or i == d:
+        return F.one
+    t = F.ratio(i, d)
     return math.comb(d, i) * t**i * (1 - t) ** (d - i)
 
 
@@ -148,8 +182,9 @@ def outer_chain(per_axis: Sequence[Sequence], dtype) -> np.ndarray:
 
 def upper_bounds(degree: Index, exact: bool = False) -> np.ndarray:
     """u_I = B_{I,delta}(I/delta) for all I, flat row-major."""
-    peaks = [[_beta_peak(i, d, exact) for i in range(d + 1)] for d in degree]
-    return outer_chain(peaks, _field(exact)[1]).ravel()
+    F = field(exact)
+    peaks = [[_beta_peak(i, d, F) for i in range(d + 1)] for d in degree]
+    return outer_chain(peaks, F.dtype).ravel()
 
 
 def min_coefficient(bf: BernsteinForm) -> tuple[object, Index]:

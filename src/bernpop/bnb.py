@@ -22,14 +22,15 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bernstein import BernsteinForm, min_coefficient, subdivide, to_bernstein, upper_bounds
+from .bernstein import (
+    FLOAT, BernsteinForm, field, field_of, min_coefficient, subdivide, to_bernstein, upper_bounds,
+)
 from .poly import AffineMap, Box, Polynomial, restrict_facet, to_unit_box
-from .relax import LEVEL_0, LEVEL_2, LEVELS, bound_at_level, build_cut_matrix
+from .relax import LEVEL_0, LEVEL_2, LEVELS, bound_at_level, build_cut_matrix, constraint_rows
 
 SPLIT_LONGEST = "longest_edge"
 SPLIT_ZERO = "zero_centered"
@@ -94,14 +95,14 @@ def split_node(box: Box, tensors: tuple, strategy: str) -> tuple[tuple, tuple]:
     """Bisect the widest axis of ``box`` and split each of its coefficient
     tensors alongside; returns (left box, left tensors), (right box, right
     tensors).  The zero-centered strategy splits at the origin instead of
-    the midpoint whenever it lies strictly inside that side."""
+    the midpoint whenever it lies strictly inside that side.  The box's
+    coordinates are in the tensors' field (float with no tensors)."""
+    F = field_of(tensors[0]) if tensors else FLOAT
     axis = box.widest_axis()
     lo, hi = box.lower[axis], box.upper[axis]
-    at = lo + (hi - lo) / 2
-    exact = isinstance(at, Fraction)
-    t = Fraction(1, 2) if exact else 0.5
+    at, t = lo + (hi - lo) / 2, F.half
     if strategy == SPLIT_ZERO and lo < 0 < hi:
-        at = Fraction(0) if exact else 0.0
+        at = F.zero
         t = (at - lo) / (hi - lo)
     left, right = box.split(axis, at)
     halves = [subdivide(x, axis, t) for x in tensors]
@@ -169,8 +170,8 @@ def sample_upper_bound(box: Box, bf: BernsteinForm, mapping: AffineMap) -> list[
     """Candidate points for the incumbent, in the order to offer them: the
     box center, then the grid point of the argmin Bernstein coefficient."""
     _, idx = min_coefficient(bf)
-    exact = isinstance(box.lower[0], Fraction)
-    grid = tuple((Fraction(i, d) if exact else i / d) if d else 0 for i, d in zip(idx, bf.degree))
+    F = field_of(bf.tensor)
+    grid = tuple(F.ratio(i, d) if d else 0 for i, d in zip(idx, bf.degree))
     return [box.center(), mapping(grid)]
 
 
@@ -222,8 +223,8 @@ def branch_and_bound(
     for g in constraints:
         if g.dimension != p.dimension:
             raise ValueError("constraint dimension does not match objective")
-    if cfg.exact:  # floats convert exactly; splits and sample points take the box's field
-        box = Box(tuple(map(Fraction, box.lower)), tuple(map(Fraction, box.upper)))
+    F = field(cfg.exact)  # the box in the tensors' field (floats convert to Fractions exactly)
+    box = Box(tuple(map(F.of, box.lower)), tuple(map(F.of, box.upper)))
     stats = BnbStats()
     state = _RunState(p, tuple(constraints), cfg.max_boxes)
     start = time.perf_counter()
@@ -234,7 +235,7 @@ def branch_and_bound(
         delta = tuple(degree) if degree is not None else p.degree
         for g in constraints:
             delta = tuple(max(a, b) for a, b in zip(delta, g.degree))
-        tensors = tuple(box_tensor(f, box, delta, cfg.exact) for f in (p, *constraints))
+        tensors = tuple(box_tensor(f, box, delta, F.exact) for f in (p, *constraints))
         lower = _solve_problem(
             p, tuple(constraints), box, tensors, cfg, state, lift=lambda pt: pt,
             stats=stats, depth=0,
@@ -265,10 +266,8 @@ def _solve_problem(p, constraints, box, tensors, cfg, state, lift, stats, depth)
     carries its own tuple of them.
     """
     delta = tuple(s - 1 for s in tensors[0].shape)
-    exact = cfg.exact
-    zero = Fraction(0) if exact else 0.0
-    u = upper_bounds(delta, exact=exact) if cfg.level != LEVEL_0 else None
-    cuts = build_cut_matrix(delta, exact) if cfg.level == LEVEL_2 else None
+    u = None if cfg.level == LEVEL_0 else upper_bounds(delta, exact=cfg.exact)
+    cuts = None if cfg.level != LEVEL_2 else build_cut_matrix(delta, cfg.exact)
 
     counter = itertools.count()
     heap: list = [(-math.inf, next(counter), box, tensors)]
@@ -297,10 +296,8 @@ def _solve_problem(p, constraints, box, tensors, cfg, state, lift, stats, depth)
             continue
         amap = AffineMap.from_box(cur)
         bf = BernsteinForm(t)
-        extra_rows = [(g.ravel().tolist(), zero) for g in g_tensors]
         outcome = bound_at_level(
-            bf, cfg.level, u=u, cuts=cuts, extra_rows=extra_rows,
-            mapping=amap, exact=exact,
+            bf, cfg.level, u=u, cuts=cuts, extra_rows=constraint_rows(g_tensors), mapping=amap
         )
         stats.lp_solves += outcome.lp_solves
         stats.lp_pivots += outcome.pivots
@@ -348,13 +345,9 @@ def _solve_problem(p, constraints, box, tensors, cfg, state, lift, stats, depth)
             add_contrib(bound)
             continue
         for child, child_tensors in split_node(cur, (t, *g_tensors), cfg.split):
-            heapq.heappush(heap, (_key(bound), next(counter), child, child_tensors))
+            heapq.heappush(heap, (float(bound), next(counter), child, child_tensors))
 
     return contrib
-
-
-def _key(bound) -> float:
-    return float(bound)
 
 
 def _make_lift(outer: Callable, fixed: list) -> Callable:

@@ -25,14 +25,14 @@ from . import problems
 from .bernstein import to_bernstein, upper_bounds
 from .bnb import box_tensor
 from .poly import to_unit_box
-from .relax import LEVEL_0, LEVEL_1, LEVEL_2, LEVEL_FIRST, bound_at_level
+from .relax import LEVEL_0, LEVEL_1, LEVEL_2, LEVEL_FIRST, bound_at_level, constraint_rows
 
 # the level chain in order of strength, with each level's report key
 _LEVEL_KEYS = {LEVEL_0: "p0", LEVEL_FIRST: "first", LEVEL_1: "p1", LEVEL_2: "p2"}
 
 
 def _fraction_str(value) -> str:
-    return str(Fraction(value)) if not isinstance(value, Fraction) else str(value)
+    return str(Fraction(value))
 
 
 def _existing(path: str) -> str:
@@ -98,10 +98,7 @@ def _run_relax(args) -> tuple[int, dict]:
         degree = tuple(max(a, b) for a, b in zip(degree, g.degree))
     q, amap = to_unit_box(p, problem.box)
     bf = to_bernstein(q, degree, exact)
-    zero = Fraction(0) if exact else 0.0
-    extra_rows = [
-        (box_tensor(g, problem.box, degree, exact).ravel().tolist(), zero) for g in constraints
-    ]
+    extra_rows = constraint_rows([box_tensor(g, problem.box, degree, exact) for g in constraints])
     u = upper_bounds(degree, exact=exact)
 
     bounds: dict = {}
@@ -112,9 +109,7 @@ def _run_relax(args) -> tuple[int, dict]:
     for level in levels[: levels.index(args.level) + 1]:
         key = _LEVEL_KEYS[level]
         t0 = time.perf_counter()
-        out = bound_at_level(
-            bf, level, u=u, extra_rows=extra_rows, mapping=amap, exact=exact
-        )
+        out = bound_at_level(bf, level, u=u, extra_rows=extra_rows, mapping=amap)
         timings[key] = time.perf_counter() - t0
         bounds[key] = _bound_json(out.bound)
         if exact and out.bound is not None:

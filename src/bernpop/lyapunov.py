@@ -19,16 +19,16 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .bernstein import BernsteinForm, to_bernstein, upper_bounds
+from .bernstein import BernsteinForm, field, to_bernstein, upper_bounds
 from .bnb import SPLIT_ZERO, BnbConfig, split_node
 from .poly import AffineMap, Box, Polynomial, lie_derivative, to_unit_box
 from .problems import (
     load_fixture,
     load_problem,
     lyapunov_fixture_names,
+    parse_coeff,
     poly_from_text,
     pop_fixture_names,
 )
@@ -108,16 +108,16 @@ def certify_nonnegative(p: Polynomial, region: Box, cfg: Optional[BnbConfig] = N
     """
     if cfg is None:
         cfg = default_config()
-    if cfg.exact:  # floats convert exactly; the splits take the box's field
-        region = Box(tuple(map(Fraction, region.lower)), tuple(map(Fraction, region.upper)))
+    F = field(cfg.exact)  # the region in the tensors' field (floats convert to Fractions exactly)
+    region = Box(tuple(map(F.of, region.lower)), tuple(map(F.of, region.upper)))
     start = time.perf_counter()
     run = VerificationRun(0.0, 0, 0, 0, 0.0, False)
     lower = None
-    threshold = 0 if cfg.exact else -cfg.epsilon
+    threshold = -F.tol(cfg.epsilon)
     # the region's coefficient tensor is the only conversion; every other
     # box gets its tensor by splitting its parent's
-    root = to_bernstein(to_unit_box(p, region)[0], exact=cfg.exact).tensor
-    u = upper_bounds(p.degree, exact=cfg.exact)
+    root = to_bernstein(to_unit_box(p, region)[0], exact=F.exact).tensor
+    u = upper_bounds(p.degree, exact=F.exact)
     # depth-first entries: (box, tensor, gray ancestor bounds, guaranteed
     # parent bound); the history restarts once a box lies in a single
     # orthant, because the zero-decomposition splits before that are
@@ -133,10 +133,8 @@ def certify_nonnegative(p: Polynomial, region: Box, cfg: Optional[BnbConfig] = N
             break
         box, tensor, hist, _ = stack.pop()
         run.nodes += 1
-        outcome = bound_at_level(
-            BernsteinForm(tensor), cfg.level, u=u,
-            mapping=AffineMap.from_box(box), exact=cfg.exact,
-        )
+        amap = AffineMap.from_box(box)
+        outcome = bound_at_level(BernsteinForm(tensor), cfg.level, u=u, mapping=amap)
         bound = outcome.bound
         straddles = any(lo < 0 < hi for lo, hi in zip(box.lower, box.upper))
         if bound >= threshold:
@@ -152,9 +150,7 @@ def certify_nonnegative(p: Polynomial, region: Box, cfg: Optional[BnbConfig] = N
             continue
         if lower is None or bound < lower:
             lower = bound
-    if lower is None:
-        lower = 0
-    run.lower_bound = lower if cfg.exact else float(lower)
+    run.lower_bound = F.zero if lower is None else lower
     run.elapsed = time.perf_counter() - start
     return run
 
@@ -164,13 +160,14 @@ def verify_lyapunov(case: LyapunovCase, cfg: Optional[BnbConfig] = None) -> Verd
     exact mode, within ``STABILITY_TOL`` in float mode."""
     if cfg is None:
         cfg = default_config()
-    origin = tuple(0 for _ in range(case.v.dimension))
-    if abs(float(case.v.eval(origin))) > 1e-12:
-        warnings.warn(f"{case.name}: V(0) = {case.v.eval(origin)}, expected 0")
+    F = field(cfg.exact)
+    v0 = case.v.eval(tuple(0 for _ in range(case.v.dimension)))
+    if abs(v0) > F.tol(1e-12):
+        warnings.warn(f"{case.name}: V(0) = {v0}, expected 0")
     vdot = lie_derivative(case.v, case.system.f)
     v_run = certify_nonnegative(case.v, case.region, cfg)
     vdot_run = certify_nonnegative(-vdot, case.region, cfg)
-    tol = 0 if cfg.exact else STABILITY_TOL
+    tol = F.tol(STABILITY_TOL)
     stable = v_run.lower_bound >= -tol and vdot_run.lower_bound >= -tol
     return Verdict(
         v_bound=v_run.lower_bound,
@@ -196,14 +193,16 @@ def load_lyapunov_case(source, exact: bool = False) -> LyapunovCase:
         data = json.loads(source)
     else:
         data = source
-    dim = int(data["dimension"])
-    variables = data.get("variables", ["x", "y", "z"][:dim])
-    v = poly_from_text(data["V"], variables, exact)
-    f = tuple(poly_from_text(ode, variables, exact) for ode in data["odes"])
-    region = Box(
-        tuple(Fraction(b) if exact else float(b) for b in data["region"]["lower"]),
-        tuple(Fraction(b) if exact else float(b) for b in data["region"]["upper"]),
-    )
+    try:
+        dim = int(data["dimension"])
+        variables = data.get("variables", ["x", "y", "z"][:dim])
+        v = poly_from_text(data["V"], variables, exact)
+        f = tuple(poly_from_text(ode, variables, exact) for ode in data["odes"])
+        lower = tuple(parse_coeff(b, exact) for b in data["region"]["lower"])
+        upper = tuple(parse_coeff(b, exact) for b in data["region"]["upper"])
+    except KeyError as missing:
+        raise ValueError(f"Lyapunov case file is missing key {missing}") from None
+    region = Box(lower, upper)
     printed = None
     if data.get("printed_vdot"):
         printed = poly_from_text(data["printed_vdot"], variables, exact)

@@ -25,19 +25,20 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .bernstein import field
 from .poly import Box, Polynomial, parse_polynomial
 
 
 def parse_coeff(value, exact: bool = False):
-    """Number or string to a scalar; strings (e.g. "1/3") are exact."""
+    """Number or string to a scalar; strings (e.g. "1/3") are exact, and
+    in exact mode a float is read from its decimal literal."""
     if isinstance(value, str):
-        c = Fraction(value)
-        return c if exact else float(c)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        value = Fraction(value)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"bad coefficient {value!r}")
-    if exact:
-        return Fraction(value) if isinstance(value, int) else Fraction(str(value))
-    return float(value)
+    elif exact and isinstance(value, float):
+        value = Fraction(str(value))
+    return field(exact).of(value)
 
 
 def poly_from_terms(dimension: int, entries: Sequence[dict], exact: bool = False) -> Polynomial:
@@ -149,10 +150,9 @@ def lyapunov_fixture_names() -> list[str]:
 
 
 def poly_from_text(text: str, variables: Sequence[str], exact: bool = False) -> Polynomial:
+    F = field(exact)
     terms = parse_polynomial(text, variables)
-    if not exact:
-        terms = {i: float(c) for i, c in terms.items()}
-    return Polynomial(len(variables), terms)
+    return Polynomial(len(variables), {i: F.of(c) for i, c in terms.items()})
 
 
 def canonical_json(data) -> str:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,9 +29,11 @@ import numpy as np
 from . import simplex
 from .bernstein import (
     BernsteinForm,
+    Field,
     _beta_peak,
-    _field,
     bernstein_eval,
+    field,
+    field_of,
     min_coefficient,
     outer_chain,
     upper_bounds,
@@ -49,9 +50,6 @@ LEVELS = (LEVEL_0, LEVEL_FIRST, LEVEL_1, LEVEL_2)
 
 _VIOLATION_TOL = 1e-9
 _VALUE_TOL = 1e-9
-
-# Fraction(numerator, denominator) elementwise over object arrays
-_fraction = np.frompyfunc(Fraction, 2, 1)
 
 
 @dataclass
@@ -89,10 +87,10 @@ class CutMatrix:
     for axis l, ``_elevation[l]`` stacks the rows beta_{i,k} = sum_j
     C(k,i) C(delta_l-k, j-i) / C(delta_l, j) beta_{j,delta_l} for k =
     0..delta_l (row (k, i) at position k(k+1)/2 + i), ``_numer[l]`` their
-    integer numerators, and ``_peaks[l]`` the matching peaks.  Exact rows
-    are built from the numerators: one Fraction per coefficient, the
-    integer product over the axes divided by the column's product of
-    C(delta_l, j_l).  A position of the system
+    integer numerators, and ``_peaks[l]`` the matching peaks, in the field
+    ``F``.  Exact rows are built from the numerators: one Fraction per
+    coefficient, the integer product over the axes divided by the column's
+    product of C(delta_l, j_l).  A position of the system
     is one per-axis position per axis, flattened row-major; ``_row_id``
     maps it to its row id (-1 for K = delta) and ``_pos_of`` back.  Scans
     and row materialization are per-axis products, on float64 arrays or
@@ -100,14 +98,13 @@ class CutMatrix:
     for.  The matrix is immutable and safe to share between solves.
     """
 
-    def __init__(self, degree: Index, exact: bool = False):
+    def __init__(self, degree: Index, F: Field):
         self.degree = tuple(degree)
-        self.exact = exact
-        dtype = object if exact else float
+        self.field = F
         self._size = math.prod(d + 1 for d in self.degree)
         self._numer, self._elevation, self._peaks = [], [], []
         total = lex = np.zeros((), dtype=np.int64)  # |K| and K's rank per position
-        self._rhs = np.ones(1, dtype=dtype)
+        self._rhs = np.ones(1, dtype=F.dtype)
         denom = np.ones((), dtype=object)
         for d in self.degree:
             numer = np.array(
@@ -117,13 +114,11 @@ class CutMatrix:
             )
             column = np.array([math.comb(d, j) for j in range(d + 1)], dtype=object)
             self._numer.append(numer)
-            self._elevation.append(
-                _fraction(numer, column) if exact else (numer / column).astype(float)
-            )
+            self._elevation.append(np.frompyfunc(F.ratio, 2, 1)(numer, column).astype(F.dtype))
             denom = np.multiply.outer(denom, column)
             peaks = np.array(
-                [_beta_peak(i, k, exact) for k in range(d + 1) for i in range(k + 1)],
-                dtype=dtype,
+                [_beta_peak(i, k, F) for k in range(d + 1) for i in range(k + 1)],
+                dtype=F.dtype,
             )
             self._peaks.append(peaks)
             self._rhs = np.multiply.outer(self._rhs, peaks).ravel()
@@ -147,18 +142,18 @@ class CutMatrix:
             flat, pos = np.divmod(flat, size)
             per_axis.insert(0, pos)
         coeffs = rhs = 1
-        factors = self._numer if self.exact else self._elevation
+        factors = self._numer if self.field.exact else self._elevation
         for l, (pos, d) in enumerate(zip(per_axis, self.degree)):
             shape = [-1] + [1] * len(self.degree)
             shape[l + 1] = d + 1
             coeffs = coeffs * factors[l][pos].reshape(shape)
             rhs = rhs * self._peaks[l][pos]
         coeffs = np.reshape(coeffs, (len(ids), self._size))
-        if self.exact:
+        if self.field.exact:
             nonzero = coeffs != 0
             denom = np.broadcast_to(self._denom, coeffs.shape)[nonzero]
-            numer, coeffs = coeffs[nonzero], np.full(coeffs.shape, Fraction(0), dtype=object)
-            coeffs[nonzero] = _fraction(numer, denom)
+            numer, coeffs = coeffs[nonzero], np.full(coeffs.shape, self.field.zero, dtype=object)
+            coeffs[nonzero] = np.frompyfunc(self.field.ratio, 2, 1)(numer, denom)
         return list(zip(coeffs.tolist(), rhs.tolist()))
 
     def scan_violations(self, z, tol, skip: set[int]) -> list[int]:
@@ -167,9 +162,7 @@ class CutMatrix:
         One matrix product per axis contracts that axis of z against its
         elevation rows and rotates it to the back; after the last axis
         the values lie in position order."""
-        if self.exact:
-            z = [Fraction(v) for v in z]
-        vals = np.asarray(z, dtype=self._rhs.dtype)
+        vals = self.field.array(z)
         for elevation, d in zip(self._elevation, self.degree):
             vals = (elevation @ vals.reshape(d + 1, -1)).T
         ids = self._row_id[np.nonzero(vals.ravel() > self._rhs + tol)[0]]
@@ -178,7 +171,13 @@ class CutMatrix:
 
 def build_cut_matrix(degree: Index, exact: bool = False) -> CutMatrix:
     """Construct the full inequality system for ``degree`` (objective-free)."""
-    return CutMatrix(degree, exact)
+    return CutMatrix(degree, field(exact))
+
+
+def constraint_rows(tensors: Sequence[np.ndarray]) -> list[tuple[list, object]]:
+    """The LP rows b(g) . z <= 0 of side constraints g(x) <= 0, from their
+    coefficient tensors at the relaxation degree."""
+    return [(g.ravel().tolist(), field_of(g).zero) for g in tensors]
 
 
 # ---------------------------------------------------------------------------
@@ -199,78 +198,72 @@ def exactness_check(
     original coordinates; on rejection ``None`` is returned, which does
     not preclude the bound being tight.
     """
-    point = _nominal_point(z, degree, exact)
-    if not _reproduces(z, point, degree, tol, exact):
+    F = field(exact)
+    point = _nominal_point(z, degree, F)
+    if not _reproduces(z, point, degree, tol, F):
         return None
     return (mapping or AffineMap.identity(len(degree)))(point)
 
 
-def _nominal_point(z: Sequence, degree: Index, exact: bool) -> tuple:
+def _nominal_point(z: Sequence, degree: Index, F: Field) -> tuple:
     """x~ with x~_j = sum_I (i_j/delta_j) z_I, clipped to [0, 1] (the
     coordinate polynomials' Bernstein coefficients are exactly i_j/delta_j);
     degree-0 axes give 0.  Each sum runs over the positions in row-major
     order from 0, as one accumulation of the weighted tensor, so float
     sums round as the plain loop does."""
-    zero, dtype = _field(exact)
-    z = np.reshape(np.asarray(z, dtype=dtype), [d + 1 for d in degree])
+    z = np.reshape(np.asarray(z, dtype=F.dtype), [d + 1 for d in degree])
     point = []
     for j, d in enumerate(degree):
-        acc = zero
+        acc = F.zero
         if d:
             shape = [1] * len(degree)
             shape[j] = d + 1
-            weights = [Fraction(i, d) if exact else i / d for i in range(d + 1)]
-            terms = (np.array(weights, dtype=dtype).reshape(shape) * z).ravel()
-            acc = np.add.accumulate(np.concatenate(([zero], terms)), dtype=dtype).item(terms.size)
+            weights = np.array([F.ratio(i, d) for i in range(d + 1)], dtype=F.dtype)
+            terms = np.concatenate(([F.zero], (weights.reshape(shape) * z).ravel()))
+            acc = np.add.accumulate(terms, dtype=F.dtype).item(terms.size - 1)
         point.append(min(max(acc, 0), 1))
     return tuple(point)
 
 
-def _reproduces(z: Sequence, point: tuple, degree: Index, tol, exact: bool) -> bool:
-    """Whether z is a probability vector equal to the basis values at point."""
-    total = sum(z)
-    if exact:
-        if total != 1 or any(v < 0 for v in z):
-            return False
-    elif abs(total - 1) > 1e-6 or min(z) < -1e-7:
+def _reproduces(z: Sequence, point: tuple, degree: Index, tol, F: Field) -> bool:
+    """Whether z is a probability vector equal to the basis values at point
+    (within ``tol``, in float arithmetic)."""
+    if abs(sum(z) - 1) > F.tol(1e-6) or min(z) < -F.tol(1e-7):
         return False
-    basis = _basis_values(point, degree, exact)
-    if exact:
-        return bool((np.asarray(z, dtype=object) == basis).all())
-    return bool((np.abs(np.asarray(z, dtype=float) - basis) <= tol).all())
+    basis = _basis_values(point, degree, F)
+    return bool((np.abs(np.asarray(z, dtype=F.dtype) - basis) <= F.tol(tol)).all())
 
 
-def _basis_values(point: Sequence, degree: Index, exact: bool) -> np.ndarray:
+def _basis_values(point: Sequence, degree: Index, F: Field) -> np.ndarray:
     """B_{I,delta}(x) for all I, flat row-major: the outer product of the
     per-axis values beta_{i,d}(x_l)."""
     per_axis = [
         [math.comb(d, i) * x**i * (1 - x) ** (d - i) for i in range(d + 1)]
         for x, d in zip(point, degree)
     ]
-    return outer_chain(per_axis, _field(exact)[1]).ravel()
+    return outer_chain(per_axis, F.dtype).ravel()
 
 
-def _value_matches(bf: BernsteinForm, point, bound, exact: bool) -> bool:
-    val = bernstein_eval(bf, point)
-    if exact:
-        return val == bound
-    scale = max(1.0, abs(float(bound)))
-    return abs(float(val) - float(bound)) <= _VALUE_TOL * scale
+def _value_matches(bf: BernsteinForm, point, bound, F: Field) -> bool:
+    """Whether the form takes the value ``bound`` at ``point``, in float
+    arithmetic up to a relative tolerance."""
+    bound = F.of(bound)
+    scale = max(F.one, abs(bound))
+    return abs(F.of(bernstein_eval(bf, point)) - bound) <= F.tol(_VALUE_TOL) * scale
 
 
-def _certify(bf, z, bound, mapping, exact) -> tuple[bool, Optional[tuple]]:
+def _certify(bf, z, bound, mapping, F: Field) -> tuple[bool, Optional[tuple]]:
     """Exactness of a relaxation value: formal z-recovery, then cheap
     candidate points whose objective value already attains the bound."""
     mapping = mapping or AffineMap.identity(bf.dimension)
-    point = _nominal_point(z, bf.degree, exact)
-    if _reproduces(z, point, bf.degree, 1e-7, exact):
+    point = _nominal_point(z, bf.degree, F)
+    if _reproduces(z, point, bf.degree, 1e-7, F):
         return True, mapping(point)
     # the nominal point can attain the bound even when z is not unique
     candidates = [point] if any(d > 0 for d in bf.degree) else []
-    half = Fraction(1, 2) if exact else 0.5
-    candidates.append((half,) * bf.dimension)
+    candidates.append((F.half,) * bf.dimension)
     for point in candidates:
-        if _value_matches(bf, point, bound, exact):
+        if _value_matches(bf, point, bound, F):
             return True, mapping(point)
     return False, None
 
@@ -301,7 +294,7 @@ def _ascending(coeffs: np.ndarray) -> np.ndarray:
     return np.array(sorted(range(len(values)), key=values.__getitem__), dtype=np.intp)
 
 
-def _greedy_knapsack(coeffs: Sequence, u: Sequence, exact: bool) -> tuple[object, list, int]:
+def _greedy_knapsack(coeffs: Sequence, u: Sequence, F: Field) -> tuple[object, list, int]:
     """Fill the cheapest coefficients to their caps until the unit mass is
     spent; returns the bound, z, and the last variable filled.  The
     level-1 LP  min b.z, sum z = 1, 0 <= z <= u  is separable, so this
@@ -313,9 +306,8 @@ def _greedy_knapsack(coeffs: Sequence, u: Sequence, exact: bool) -> tuple[object
     """
     coeffs, u = np.ravel(coeffs), np.ravel(u)
     order = _ascending(coeffs)
-    remaining = Fraction(1) if exact else 1.0
-    z = [Fraction(0) if exact else 0.0] * len(coeffs)
-    bound = Fraction(0) if exact else 0.0
+    remaining, bound = F.one, F.zero
+    z = [F.zero] * len(coeffs)
     last = int(order[0])
     for i, c, cap in zip(order.tolist(), coeffs[order].tolist(), u[order].tolist()):
         if remaining <= 0:
@@ -325,7 +317,7 @@ def _greedy_knapsack(coeffs: Sequence, u: Sequence, exact: bool) -> tuple[object
         bound += c * take
         remaining -= take
         last = i
-    if remaining > (0 if exact else 1e-12):
+    if remaining > F.tol(1e-12):
         raise AssertionError("upper bounds sum below one; corner caps must be 1")
     return bound, z, last
 
@@ -353,7 +345,7 @@ def first_lp_bound(bf: BernsteinForm, u: Sequence):
     return candidate if candidate > b0 else b0
 
 
-def _cut_loop(bf, u, cuts, extra_rows, mapping, exact) -> RelaxationOutcome:
+def _cut_loop(bf, u, cuts, extra_rows, mapping, F: Field) -> RelaxationOutcome:
     """Level 1 (no ``cuts``) or level 2: the greedy fill of the level-1 LP,
     re-optimised after appending ``extra_rows`` and then, round by round,
     the rows of ``cuts`` it violates until none is left; the result is the
@@ -366,8 +358,8 @@ def _cut_loop(bf, u, cuts, extra_rows, mapping, exact) -> RelaxationOutcome:
     images of the same rows; a float verdict the exact solve refutes is
     an error rather than a pruned box.
     """
-    value, z, last = _greedy_knapsack(bf.tensor, u, exact)
-    tol = 0 if exact else _VIOLATION_TOL
+    value, z, last = _greedy_knapsack(bf.tensor, u, F)
+    tol = F.tol(_VIOLATION_TOL)
     lp, rows = None, extra_rows
     active: list[int] = []
     active_set: set[int] = set()
@@ -376,12 +368,12 @@ def _cut_loop(bf, u, cuts, extra_rows, mapping, exact) -> RelaxationOutcome:
         if rows:
             if lp is None:
                 coeffs, caps = bf.tensor.ravel().tolist(), np.ravel(u).tolist()
-                lp = simplex.CutLP(coeffs, caps, z, last, exact)
+                lp = simplex.CutLP(coeffs, caps, z, last, F)
             lp.append_rows(rows)
             sol = simplex.solve(lp)
             solves += 1
             pivots += sol.iterations
-            if sol.status == simplex.INFEASIBLE and not exact:
+            if sol.status == simplex.INFEASIBLE and not F.exact:
                 check = simplex.solve(lp.exact_image())
                 solves += 1
                 pivots += check.iterations
@@ -407,7 +399,7 @@ def _cut_loop(bf, u, cuts, extra_rows, mapping, exact) -> RelaxationOutcome:
         active.extend(violated)
         active_set.update(violated)
         rows = cuts.rows(violated)
-    is_exact, witness = (False, None) if extra_rows else _certify(bf, z, value, mapping, exact)
+    is_exact, witness = (False, None) if extra_rows else _certify(bf, z, value, mapping, F)
     return RelaxationOutcome(
         bound=value, z=z, activated_rows=tuple(active), exact=is_exact, witness=witness,
         iterations=rounds, lp_solves=solves, pivots=pivots,
@@ -426,12 +418,16 @@ def bound_at_level(
     cuts: Optional[CutMatrix] = None,
     extra_rows: Sequence = (),
     mapping: Optional[AffineMap] = None,
-    exact: bool = False,
+    exact: Optional[bool] = None,
 ) -> RelaxationOutcome:
     """Compute the bound of one relaxation level on a unit-box form: the
-    one entry point to every level.  ``u`` defaults to the caps of the
-    form's degree, and ``cuts``, read at level 2 only, to its full cut
-    matrix."""
+    one entry point to every level.  The arithmetic is the field of the
+    form's tensor; ``exact``, if given, must name that field.  ``u``
+    defaults to the caps of the form's degree, and ``cuts``, read at
+    level 2 only, to its full cut matrix."""
+    F = field_of(bf.tensor)
+    if exact is not None and exact != F.exact:
+        raise ValueError(f"exact={exact} disagrees with the form's {bf.tensor.dtype} tensor")
     if level == LEVEL_0:
         out = relax0(bf, mapping)
         if extra_rows:
@@ -439,13 +435,13 @@ def bound_at_level(
             out = RelaxationOutcome(bound=out.bound)
         return out
     if u is None:
-        u = upper_bounds(bf.degree, exact=exact)
+        u = upper_bounds(bf.degree, exact=F.exact)
     if level == LEVEL_FIRST:
         return RelaxationOutcome(bound=first_lp_bound(bf, u))
     if level == LEVEL_1:
-        return _cut_loop(bf, u, None, extra_rows, mapping, exact)
+        return _cut_loop(bf, u, None, extra_rows, mapping, F)
     if level == LEVEL_2:
         if cuts is None:
-            cuts = build_cut_matrix(bf.degree, exact)
-        return _cut_loop(bf, u, cuts, extra_rows, mapping, exact)
+            cuts = build_cut_matrix(bf.degree, F.exact)
+        return _cut_loop(bf, u, cuts, extra_rows, mapping, F)
     raise ValueError(f"unknown level {level!r}")

@@ -11,7 +11,7 @@ which is dual feasible; each appended row enters with its slack basic,
 which keeps it dual feasible, and the basis inverse grows by a block
 formula.  Pivots update the inverse in product form and the entering
 column is chosen by a vectorised dual ratio test.  The same engine runs
-in both arithmetic modes:
+in both fields (a ``bernstein.Field``, fixed when the LP is built):
 
 * float mode refactorizes on entry to each solve and every 64 pivots, and
   checks dual feasibility on a fresh factorization before it returns.  A
@@ -31,10 +31,11 @@ in both arithmetic modes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .bernstein import EXACT, Field
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -74,48 +75,29 @@ class CutLP:
     0 is the unit-mass equality.
     """
 
-    def __init__(self, c: Sequence, upper: Sequence, start: Sequence, basic: int,
-                 exact: bool = False):
-        self.exact = exact
+    def __init__(self, c: Sequence, upper: Sequence, start: Sequence, basic: int, F: Field):
+        self.field, self.exact = F, F.exact
         self.n = len(c)
         self.fallbacks = 0
         self._start = (list(c), list(upper), list(start), basic)
-        self._zero, self._one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
         self._restart()
 
     def _restart(self) -> None:
         """Return to the start basis with no rows appended."""
+        F = self.field
         c, upper, start, basic = self._start
         self._rows: list = []
-        self.c = self._vector(c)
-        self.hi = self._vector(upper)
-        self.G = self._ones((1, self.n))
-        self.h = self._ones(1)
+        self.c, self.hi = F.array(c), F.array(upper)
+        self.G = np.full((1, self.n), F.one, dtype=F.dtype)
+        self.h = np.full(1, F.one, dtype=F.dtype)
         self.basis = np.array([basic])
         self.is_basic = np.zeros(self.n, dtype=bool)
         self.is_basic[basic] = True
         self.at_upper = np.array([j != basic and v != 0 for j, v in enumerate(start)])
-        self.x = np.where(self.at_upper, self.hi, self._zero)
+        self.x = np.where(self.at_upper, self.hi, F.zero)
         self.x[basic] = self.h[0] - self.x.sum()
-        self.b_inv = self._ones((1, 1))
+        self.b_inv = np.full((1, 1), F.one, dtype=F.dtype)
         self.d = self.c - self.c[basic]
-
-    # scalar-field helpers: float64 arrays, or object arrays of Fractions
-    def _vector(self, values) -> np.ndarray:
-        if self.exact:
-            return np.array([Fraction(v) for v in values], dtype=object)
-        return np.asarray(values, dtype=float)
-
-    def _matrix(self, rows) -> np.ndarray:
-        if self.exact:
-            return np.array([[Fraction(v) for v in r] for r in rows], dtype=object)
-        return np.asarray(rows, dtype=float)
-
-    def _zeros(self, shape) -> np.ndarray:
-        return np.full(shape, self._zero, dtype=object if self.exact else float)
-
-    def _ones(self, shape) -> np.ndarray:
-        return np.full(shape, self._one, dtype=object if self.exact else float)
 
     @property
     def row_count(self) -> int:
@@ -127,26 +109,28 @@ class CutLP:
         basic; the inverse grows by ``[[B^-1, 0], [-A_B B^-1, I]]``."""
         if not rows:
             return
+        F = self.field
         self._rows.extend(rows)
         k = len(rows)
-        a = self._matrix([r for r, _ in rows])
-        b = self._vector([rhs for _, rhs in rows])
+        a = F.array([r for r, _ in rows])
+        b = F.array([rhs for _, rhs in rows])
         m, cols = self.G.shape
-        eye = self._zeros((k, k))
-        np.fill_diagonal(eye, self._one)
-        g = self._zeros((m + k, cols + k))
+        eye = np.full((k, k), F.zero, dtype=F.dtype)
+        np.fill_diagonal(eye, F.one)
+        g = np.full((m + k, cols + k), F.zero, dtype=F.dtype)
         g[:m, :cols] = self.G
         g[m:, : self.n] = a
         g[m:, cols:] = eye
-        b_inv = self._zeros((m + k, m + k))
+        b_inv = np.full((m + k, m + k), F.zero, dtype=F.dtype)
         b_inv[:m, :m] = self.b_inv
         b_inv[m:, :m] = -(g[m:, self.basis] @ self.b_inv)
         b_inv[m:, m:] = eye
         self.G, self.b_inv = g, b_inv
         self.h = np.concatenate([self.h, b])
         self.x = np.concatenate([self.x, b - a @ self.x[: self.n]])
-        self.c = np.concatenate([self.c, self._zeros(k)])
-        self.d = np.concatenate([self.d, self._zeros(k)])
+        zeros = np.full(k, F.zero, dtype=F.dtype)
+        self.c = np.concatenate([self.c, zeros])
+        self.d = np.concatenate([self.d, zeros])
         self.hi = np.concatenate([self.hi, np.full(k, np.inf, dtype=self.hi.dtype)])
         self.at_upper = np.concatenate([self.at_upper, np.zeros(k, dtype=bool)])
         self.is_basic = np.concatenate([self.is_basic, np.ones(k, dtype=bool)])
@@ -156,7 +140,7 @@ class CutLP:
         """The same LP in Fractions (floats convert exactly), from the same
         start and with the same rows."""
         c, upper, start, basic = self._start
-        image = CutLP(c, upper, start, basic, exact=True)
+        image = CutLP(c, upper, start, basic, EXACT)
         image.append_rows(self._rows)
         return image
 
@@ -252,7 +236,7 @@ class CutLP:
     def _entering(self, r: int, alpha: np.ndarray) -> Optional[int]:
         """Dual ratio test on row ``alpha`` of the tableau; None when no
         nonbasic variable can move the leaving one toward its bound."""
-        tol = 0 if self.exact else _PIVOT_TOL
+        tol = self.field.tol(_PIVOT_TOL)
         up = self.x[self.basis[r]] < 0  # the leaving variable must increase
         sign = np.where(self.at_upper, -1, 1) * (1 if up else -1)
         movable = ~self.is_basic & (self.hi != 0)
@@ -274,12 +258,12 @@ class CutLP:
         up = self.x[leaving] < 0
         theta = self.d[q] / alpha[q]
         self.d = self.d - theta * alpha
-        self.d[self.basis] = self._zero
+        self.d[self.basis] = self.field.zero
         self.d[leaving] = -theta
-        self.d[q] = self._zero
+        self.d[q] = self.field.zero
         col = self.b_inv @ self.G[:, q]
         piv = col[r]
-        target = self._zero if up else self.hi[leaving]
+        target = self.field.zero if up else self.hi[leaving]
         step = (self.x[leaving] - target) / piv
         self.x[self.basis] = self.x[self.basis] - step * col
         self.x[q] = self.x[q] + step
@@ -300,10 +284,4 @@ class CutLP:
 
     def _solution(self, pivots: int) -> LPSolution:
         z = self.x[: self.n]
-        value = self.c[: self.n] @ z
-        return LPSolution(
-            OPTIMAL,
-            value=value if self.exact else float(value),
-            z=z.tolist(),
-            iterations=pivots,
-        )
+        return LPSolution(OPTIMAL, self.field.of(self.c[: self.n] @ z), z.tolist(), pivots)

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from bernpop import simplex
-from bernpop.bernstein import _beta_peak
+from bernpop.bernstein import _beta_peak, field
 from bernpop.poly import Box, Polynomial, lie_derivative, multi_binom
 from bernpop.relax import _greedy_knapsack
 
@@ -162,7 +162,7 @@ def _loop_products(per_axis, degree, exact) -> list:
 
 def loop_upper_bounds(degree, exact=False) -> list:
     """u_I = B_{I,delta}(I/delta), flat row-major."""
-    per_axis = [[_beta_peak(i, d, exact) for i in range(d + 1)] for d in degree]
+    per_axis = [[_beta_peak(i, d, field(exact)) for i in range(d + 1)] for d in degree]
     return _loop_products(per_axis, degree, exact)
 
 
@@ -349,8 +349,8 @@ def one_shot_lp(coeffs, u, rows, exact=False):
     every row appended at once, solved (the float fallback's own path).
     Returns (lp, solution)."""
     coeffs, u = np.ravel(coeffs).tolist(), np.ravel(u).tolist()
-    _, z, last = _greedy_knapsack(coeffs, u, exact)
-    lp = simplex.CutLP(coeffs, u, z, last, exact)
+    _, z, last = _greedy_knapsack(coeffs, u, field(exact))
+    lp = simplex.CutLP(coeffs, u, z, last, field(exact))
     lp.append_rows(list(rows))
     return lp, simplex.solve(lp)
 

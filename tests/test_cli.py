@@ -396,3 +396,20 @@ def test_lyapunov_rational_mode_keeps_a_vanishing_derivative_exact(capsys, tmp_p
     verdict = json.loads(out)["verdict"]
     assert verdict["stable"] is True
     assert verdict["exact_bounds"] == {"v_bound": "0", "vdot_bound": "0"}
+
+
+@pytest.mark.parametrize(
+    "region, message",
+    [({"lower": [None], "upper": [1]}, "bad coefficient None"), (None, "missing key 'region'")],
+    ids=["null bound", "no region"],
+)
+def test_lyapunov_bad_region_is_a_clean_error(capsys, tmp_path, region, message):
+    data = {"name": "bad", "dimension": 1, "variables": ["x"], "V": "x^2", "odes": ["-x"]}
+    if region is not None:
+        data["region"] = region
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    for arith in ("float", "rational"):
+        code, out, err = _run(capsys, ["lyapunov", "--arith", arith, str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err and "Traceback" not in err

@@ -15,6 +15,7 @@ import pytest
 from bernpop.bernstein import (
     BernsteinForm,
     bernstein_eval,
+    field,
     min_coefficient,
     to_bernstein,
     upper_bounds,
@@ -141,7 +142,7 @@ def test_basis_values_match_loop(exact):
         for point in _points(rng, len(degree)):
             if exact:
                 point = tuple(Fraction(x) for x in point)
-            got = _basis_values(point, degree, exact)
+            got = _basis_values(point, degree, field(exact))
             assert got.tolist() == loop_basis_values(point, degree, exact)
 
 
@@ -166,7 +167,7 @@ def test_nominal_point_matches_loop(exact):
     for degree in [(0,), (3,), (2, 0, 3), (4, 4), (1, 2, 3, 2), (0, 0)]:
         size = int(np.prod([d + 1 for d in degree]))
         for z in _probability_vectors(rng, size, exact):
-            assert _nominal_point(z, degree, exact) == loop_nominal_point(z, degree, exact)
+            assert _nominal_point(z, degree, field(exact)) == loop_nominal_point(z, degree, exact)
 
 
 @pytest.mark.parametrize("exact", FIELDS)
@@ -183,6 +184,6 @@ def test_greedy_and_first_lp_match_loop(exact):
             tensor = np.array(coeffs, dtype=object if exact else float)
             tensor = tensor.reshape([d + 1 for d in degree])
             want = loop_greedy_knapsack(coeffs, u.tolist(), exact)
-            assert _greedy_knapsack(tensor, u, exact) == want
+            assert _greedy_knapsack(tensor, u, field(exact)) == want
             want = loop_first_lp_bound(coeffs, u.tolist())
             assert first_lp_bound(BernsteinForm(tensor), u) == want

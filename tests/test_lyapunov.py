@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -162,3 +163,44 @@ def test_exact_certification_on_float_box_computes_in_fractions():
     assert (on_floats.nodes, on_floats.verified_boxes, on_floats.stalled_boxes) == (
         on_fractions.nodes, on_fractions.verified_boxes, on_fractions.stalled_boxes
     )
+
+
+# V = x^2 - 1e-13 is negative at the origin, by less than float mode's 1e-12
+_SLIGHTLY_NEGATIVE_AT_ORIGIN = dict(_NEGATIVE_AT_ORIGIN, V="x^2-0.0000000000001")
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_exact_mode_warns_on_any_nonzero_value_at_origin(exact):
+    # exact mode warns on any V(0) != 0 and rejects V; float mode keeps
+    # both its 1e-12 warning threshold and its 1e-9 verdict slack
+    cfg = default_config()
+    cfg.exact = exact
+    case = load_lyapunov_case(_SLIGHTLY_NEGATIVE_AT_ORIGIN, exact)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        verdict = verify_lyapunov(case, cfg)
+    messages = [str(w.message) for w in caught]
+    assert messages == (["neg: V(0) = -1/10000000000000, expected 0"] if exact else [])
+    assert verdict.stable is not exact
+
+
+def test_region_bounds_parse_as_problem_boxes_do():
+    # decimals read exactly in rational mode, "p/q" strings in both modes
+    data = dict(_NEGATIVE_AT_ORIGIN, region={"lower": ["-1/3"], "upper": [0.1]})
+    exact = load_lyapunov_case(data, exact=True).region
+    assert exact == Box((Fraction(-1, 3),), (Fraction(1, 10),))
+    assert load_lyapunov_case(data).region == Box((-1 / 3,), (0.1,))
+
+
+@pytest.mark.parametrize(
+    "region",
+    [None, {"lower": [None], "upper": [1]}, {"upper": [1]}],
+    ids=["no region", "null", "no lower"],
+)
+def test_bad_region_is_a_value_error(region):
+    data = {k: v for k, v in _NEGATIVE_AT_ORIGIN.items() if k != "region"}
+    if region is not None:
+        data["region"] = region
+    for exact in (False, True):
+        with pytest.raises(ValueError):
+            load_lyapunov_case(data, exact)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bernpop import relax, simplex
-from bernpop.bernstein import BernsteinForm, to_bernstein, upper_bounds
+from bernpop.bernstein import BernsteinForm, field, to_bernstein, upper_bounds
 from bernpop.bnb import box_tensor
 from bernpop.poly import AffineMap, Box, Polynomial, to_unit_box
 from bernpop.relax import (
@@ -174,7 +174,7 @@ def test_cut_matrix_rows_match_elevation(rng):
                 assert coeffs == elevation_row(idx, low, degree, exact)
                 peak = Fraction(1) if exact else 1.0
                 for i, k in zip(idx, low):
-                    peak *= relax._beta_peak(i, k, exact)
+                    peak *= relax._beta_peak(i, k, field(exact))
                 assert rhs == peak and type(rhs) is type(peak)
             ids = rng.sample(range(cuts.row_count), min(5, cuts.row_count))
             assert cuts.rows(ids) == [rows[i] for i in ids]
@@ -448,7 +448,7 @@ def _costly_corner_instance(rng, degree, with_rows):
     rows = []
     if with_rows:
         point = [Fraction(rng.randint(1, 7), 8) for _ in degree]
-        z0 = relax._basis_values(point, degree, exact=True)
+        z0 = relax._basis_values(point, degree, field(True))
         for _ in range(2):
             a = [Fraction(rng.randint(-8, 8), 4) for _ in z0]
             rows.append((a, sum(x * y for x, y in zip(a, z0)) + Fraction(rng.randint(0, 4), 16)))
@@ -577,10 +577,11 @@ def test_warm_loop_degenerate_starts(monkeypatch, name, degree, coeffs, rows, wi
 
 def test_greedy_names_the_basic_variable():
     # c = (2, 0, 1), caps (1, 1/2, 1): z1 fills its cap, z2 takes the rest
-    bound, z, last = relax._greedy_knapsack([2, 0, 1], [1, Fraction(1, 2), 1], True)
+    bound, z, last = relax._greedy_knapsack([2, 0, 1], [1, Fraction(1, 2), 1], field(True))
     assert (bound, z, last) == (Fraction(1, 2), [0, Fraction(1, 2), Fraction(1, 2)], 2)
     # the cheapest corner takes all the mass at its cap
-    assert relax._greedy_knapsack([0.0, 1.0, 2.0], [1.0, 0.5, 1.0], False)[1:] == ([1.0, 0.0, 0.0], 0)
+    got = relax._greedy_knapsack([0.0, 1.0, 2.0], [1.0, 0.5, 1.0], field(False))
+    assert got[1:] == ([1.0, 0.0, 0.0], 0)
 
 
 def test_exact_loop_never_refactorizes(monkeypatch):
@@ -655,9 +656,9 @@ def test_bound_without_rows_builds_no_lp(monkeypatch):
     bf, amap = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
     u = upper_bounds((4, 4))
     out = bound_at_level(bf, "1", u=u, mapping=amap)
-    bound, z, _ = relax._greedy_knapsack(bf.tensor, u, False)
+    bound, z, _ = relax._greedy_knapsack(bf.tensor, u, field(False))
     assert (out.bound, out.z) == (bound, z)
-    assert (out.exact, out.witness) == relax._certify(bf, z, bound, amap, False)
+    assert (out.exact, out.witness) == relax._certify(bf, z, bound, amap, field(False))
     assert out.lp_solves == out.iterations == 0 and not built
     # level 2 where the greedy fill violates no cut: x + y, whose greedy
     # fill is the indicator of the corner (0, 0)
@@ -695,3 +696,15 @@ def test_level2_against_highs():
             assert res.status == 0
             ours = bound_at_level(bf, "2", u=u, cuts=cuts).bound
             assert ours == pytest.approx(res.fun, rel=1e-7, abs=1e-7)
+
+
+@pytest.mark.parametrize("level", ["first", "1", "2"])
+def test_bound_reads_the_field_off_the_tensor(level):
+    # x^2 - x/3 on [0, 1] from Fractions: an exact bound with no exact=
+    # argument, and an exact= that contradicts the tensor is an error
+    x = Polynomial.variable(1, 0)
+    bf = to_bernstein(x * x - x.scale(Fraction(1, 3)))
+    for out in (bound_at_level(bf, level), bound_at_level(bf, level, exact=True)):
+        assert isinstance(out.bound, Fraction) and out.bound == Fraction(-1, 12)
+    with pytest.raises(ValueError):
+        bound_at_level(bf, level, exact=False)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bernpop import simplex
-from bernpop.bernstein import to_bernstein, upper_bounds
+from bernpop.bernstein import field, to_bernstein, upper_bounds
 from bernpop.poly import Box, Polynomial, to_unit_box
 from bernpop.relax import _greedy_knapsack
 from bernpop.simplex import INFEASIBLE, OPTIMAL, solve
@@ -13,8 +13,8 @@ from conftest import assert_lp_duality, one_shot_lp
 
 
 def _cut_lp(c, u, exact=False):
-    _, z, last = _greedy_knapsack(c, u, exact)
-    return simplex.CutLP(c, u, z, last, exact)
+    _, z, last = _greedy_knapsack(c, u, field(exact))
+    return simplex.CutLP(c, u, z, last, field(exact))
 
 
 def _random_lp(rng):
@@ -78,7 +78,7 @@ def test_knapsack_against_greedy(rng):
         if sum(u) < 1.2:
             u[0] += 1.2
         lp = _cut_lp(c, u)
-        _, z, last = _greedy_knapsack(c, u, False)
+        _, z, last = _greedy_knapsack(c, u, field(False))
         cap = z[last] / 2
         lp.append_rows([([float(j == last) for j in range(n)], cap)])
         sol = solve(lp)
@@ -87,7 +87,7 @@ def test_knapsack_against_greedy(rng):
             assert sol.status == INFEASIBLE
             continue
         assert sol.status == OPTIMAL
-        assert sol.value == pytest.approx(_greedy_knapsack(c, tighter, False)[0], abs=1e-8)
+        assert sol.value == pytest.approx(_greedy_knapsack(c, tighter, field(False))[0], abs=1e-8)
 
 
 def test_weak_duality_on_random_lps(rng):
