@@ -4,11 +4,14 @@ Each box carries one representation: the Bernstein coefficient tensor of
 the objective on it (and one per polynomial constraint).  Only the root
 of a (sub)problem is converted from the monomial basis; children get their
 tensors by a de Casteljau split of the parent along the bisected axis,
-and edge subproblems by a face slice.  A popped box is bounded at the
-configured relaxation level and then resolved by one of: infeasibility
-(some constraint tensor is positive, or the box's LP has no feasible
-point), exactness (vertex condition or placeholder recovery), the
-incumbent cutoff test, the monotonicity test (which spawns a reduced
+and edge subproblems by a face slice.  A popped box first offers its
+sample points to the incumbent, and is then bounded at the configured
+relaxation level only as far as the incumbent cutoff needs: the bound
+stops at its first value that reaches the cutoff (see
+``relax.bound_at_level``'s ``stop_at``).  The box is then resolved by one
+of: infeasibility (some constraint tensor is positive, or the box's LP has
+no feasible point), exactness (vertex condition or placeholder recovery),
+the incumbent cutoff test, the monotonicity test (which spawns a reduced
 "edge" subproblem solved recursively), or bisection.
 
 The worklist is best-first on the parent bound; statistics for the main
@@ -67,6 +70,7 @@ class BnbStats:
     lp_solves: int = 0
     lp_pivots: int = 0
     lp_fallbacks: int = 0
+    early_stops: int = 0  # bounds stopped once they reached the cutoff
     elapsed: float = 0.0
     edge_elapsed: float = 0.0
 
@@ -80,15 +84,22 @@ class BnbResult:
     converged: bool
 
 
+def cutoff_threshold(incumbent: object, epsilon):
+    """The bound at which a box can no longer improve the incumbent by more
+    than the relative tolerance, incumbent - eps * max(1, |incumbent|);
+    None while there is no finite incumbent."""
+    if incumbent is None:
+        return None
+    if isinstance(incumbent, float) and math.isinf(incumbent):
+        return None
+    return incumbent - epsilon * max(1, abs(incumbent))
+
+
 def cutoff_test(lower: object, incumbent: object, epsilon) -> bool:
     """Prune a box whose bound cannot improve the incumbent by more than
     the relative tolerance: lower >= incumbent - eps * max(1, |incumbent|)."""
-    if incumbent is None:
-        return False
-    if isinstance(incumbent, float) and math.isinf(incumbent):
-        return False
-    slack = epsilon * max(1, abs(incumbent))
-    return lower >= incumbent - slack
+    threshold = cutoff_threshold(incumbent, epsilon)
+    return threshold is not None and lower >= threshold
 
 
 def split_node(box: Box, tensors: tuple, strategy: str) -> tuple[tuple, tuple]:
@@ -296,20 +307,23 @@ def _solve_problem(p, constraints, box, tensors, cfg, state, lift, stats, depth)
             continue
         amap = AffineMap.from_box(cur)
         bf = BernsteinForm(t)
+        # sample first, so that the bound need only reach the cutoff
+        for pt in sample_upper_bound(cur, bf, amap):
+            state.offer(lift(pt))
         outcome = bound_at_level(
-            bf, cfg.level, u=u, cuts=cuts, extra_rows=constraint_rows(g_tensors), mapping=amap
+            bf, cfg.level, u=u, cuts=cuts, extra_rows=constraint_rows(g_tensors), mapping=amap,
+            stop_at=cutoff_threshold(state.incumbent, cfg.epsilon),
         )
         stats.lp_solves += outcome.lp_solves
         stats.lp_pivots += outcome.pivots
         stats.lp_fallbacks += outcome.lp_fallbacks
+        stats.early_stops += outcome.stopped
         if outcome.infeasible:
             # the box's LP has no feasible point, confirmed in Fractions
             stats.infeasible_count += 1
             continue
         bound = outcome.bound
 
-        for pt in sample_upper_bound(cur, bf, amap):
-            state.offer(lift(pt))
         if outcome.exact and not constraints:
             state.offer(lift(outcome.witness))
             add_contrib(bound)

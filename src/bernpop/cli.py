@@ -166,6 +166,7 @@ def _bnb_section(result, exact: bool) -> dict:
             "lp_solves": s.lp_solves,
             "lp_pivots": s.lp_pivots,
             "lp_fallbacks": s.lp_fallbacks,
+            "early_stops": s.early_stops,
         },
     }
 

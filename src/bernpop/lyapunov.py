@@ -25,10 +25,11 @@ from .bernstein import BernsteinForm, field, to_bernstein, upper_bounds
 from .bnb import SPLIT_ZERO, BnbConfig, split_node
 from .poly import AffineMap, Box, Polynomial, lie_derivative, to_unit_box
 from .problems import (
+    checked,
     load_fixture,
     load_problem,
     lyapunov_fixture_names,
-    parse_coeff,
+    parse_box,
     poly_from_text,
     pop_fixture_names,
 )
@@ -193,16 +194,19 @@ def load_lyapunov_case(source, exact: bool = False) -> LyapunovCase:
         data = json.loads(source)
     else:
         data = source
+    if not isinstance(data, dict):
+        raise ValueError("Lyapunov case file must contain a JSON object")
     try:
-        dim = int(data["dimension"])
+        dim = checked(data["dimension"], int, '"dimension" must be an integer')
         variables = data.get("variables", ["x", "y", "z"][:dim])
+        for name in checked(variables, list, '"variables" must be a list of names'):
+            checked(name, str, '"variables" must be a list of names')
         v = poly_from_text(data["V"], variables, exact)
-        f = tuple(poly_from_text(ode, variables, exact) for ode in data["odes"])
-        lower = tuple(parse_coeff(b, exact) for b in data["region"]["lower"])
-        upper = tuple(parse_coeff(b, exact) for b in data["region"]["upper"])
+        odes = checked(data["odes"], list, '"odes" must be a list of strings')
+        f = tuple(poly_from_text(ode, variables, exact) for ode in odes)
+        region = parse_box(data, "region", exact)
     except KeyError as missing:
         raise ValueError(f"Lyapunov case file is missing key {missing}") from None
-    region = Box(lower, upper)
     printed = None
     if data.get("printed_vdot"):
         printed = poly_from_text(data["printed_vdot"], variables, exact)

@@ -41,10 +41,19 @@ def parse_coeff(value, exact: bool = False):
     return field(exact).of(value)
 
 
+def checked(value, kind, what: str):
+    """``value`` if it is an instance of ``kind``; a ValueError saying
+    ``what`` it must be otherwise."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what}, got {value!r}")
+    return value
+
+
 def poly_from_terms(dimension: int, entries: Sequence[dict], exact: bool = False) -> Polynomial:
+    what = "a polynomial must be a list of term objects"
     terms = {}
-    for entry in entries:
-        exps = entry.get("exponents")
+    for entry in checked(entries, list, what):
+        exps = checked(entry, dict, what).get("exponents")
         if not isinstance(exps, list) or len(exps) != dimension:
             raise ValueError(f"exponents {exps!r} do not match dimension {dimension}")
         idx = tuple(int(e) for e in exps)
@@ -78,6 +87,16 @@ class PopProblem:
         return tuple(self.constraints_poly) + tuple(linear)
 
 
+def parse_box(data: dict, key: str, exact: bool = False) -> Box:
+    """The box ``data[key]``: an object with lists "lower" and "upper"."""
+    what = f'"{key}" must be an object with "lower" and "upper" lists'
+    bounds = checked(data[key], dict, what)
+    lower, upper = (checked(bounds[side], list, what) for side in ("lower", "upper"))
+    return Box(
+        tuple(parse_coeff(v, exact) for v in lower), tuple(parse_coeff(v, exact) for v in upper)
+    )
+
+
 def load_problem(source, exact: bool = False) -> PopProblem:
     """Parse a problem from a dict, JSON text, or file path."""
     if isinstance(source, (str, Path)) and Path(str(source)).exists():
@@ -91,36 +110,38 @@ def load_problem(source, exact: bool = False) -> PopProblem:
         default_name = "problem"
     if not isinstance(data, dict):
         raise ValueError("problem file must contain a JSON object")
+    num = (int, float, type(None))
     try:
-        dim = int(data["dimension"])
+        dim = checked(data["dimension"], int, '"dimension" must be an integer')
         objective = poly_from_terms(dim, data["objective"], exact)
-        box_data = data["box"]
-        lower = tuple(parse_coeff(v, exact) for v in box_data["lower"])
-        upper = tuple(parse_coeff(v, exact) for v in box_data["upper"])
+        box = parse_box(data, "box", exact)
+        polys = data.get("constraints_poly", [])
+        checked(polys, list, '"constraints_poly" must be a list')
+        constraints = tuple(poly_from_terms(dim, entry, exact) for entry in polys)
+        linear = None
+        if data.get("constraints_linear"):
+            what = '"constraints_linear" must be an object with a list of rows "A" and a list "b"'
+            lin = checked(data["constraints_linear"], dict, what)
+            a_mat = [
+                [parse_coeff(v, exact) for v in checked(row, list, what)]
+                for row in checked(lin["A"], list, what)
+            ]
+            b_vec = [parse_coeff(v, exact) for v in checked(lin["b"], list, what)]
+            if any(len(row) != dim for row in a_mat) or len(a_mat) != len(b_vec):
+                raise ValueError("constraints_linear shapes are inconsistent")
+            linear = (a_mat, b_vec)
     except KeyError as missing:
         raise ValueError(f"problem file is missing key {missing}") from None
-    box = Box(lower, upper)
     if box.dimension != dim:
         raise ValueError("box dimension does not match problem dimension")
-    constraints = tuple(
-        poly_from_terms(dim, entry, exact) for entry in data.get("constraints_poly", [])
-    )
-    linear = None
-    if "constraints_linear" in data and data["constraints_linear"]:
-        lin = data["constraints_linear"]
-        a_mat = [[parse_coeff(v, exact) for v in row] for row in lin["A"]]
-        b_vec = [parse_coeff(v, exact) for v in lin["b"]]
-        if any(len(row) != dim for row in a_mat) or len(a_mat) != len(b_vec):
-            raise ValueError("constraints_linear shapes are inconsistent")
-        linear = (a_mat, b_vec)
     return PopProblem(
         name=data.get("name", default_name),
         objective=objective,
         box=box,
         constraints_poly=constraints,
         constraints_linear=linear,
-        known_optimum=data.get("known_optimum"),
-        epsilon=data.get("epsilon"),
+        known_optimum=checked(data.get("known_optimum"), num, '"known_optimum" must be a number'),
+        epsilon=checked(data.get("epsilon"), num, '"epsilon" must be a number'),
     )
 
 
@@ -151,7 +172,7 @@ def lyapunov_fixture_names() -> list[str]:
 
 def poly_from_text(text: str, variables: Sequence[str], exact: bool = False) -> Polynomial:
     F = field(exact)
-    terms = parse_polynomial(text, variables)
+    terms = parse_polynomial(checked(text, str, "a polynomial must be a string"), variables)
     return Polynomial(len(variables), {i: F.of(c) for i, c in terms.items()})
 
 

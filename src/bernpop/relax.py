@@ -16,6 +16,11 @@ relaxation degree (linear constraints are degree-1 polynomials).  Levels
 1 and 2 share one cut loop, and ``bound_at_level`` is the one entry point
 to every level.  Every LP is a ``simplex.CutLP``, built only once there
 is a row to append: with none, the greedy fill is the optimum.
+
+A caller that only needs the bound to reach a target (the branch-and-bound
+cutoff) passes it as ``stop_at``: the smallest coefficient, the greedy
+fill and each LP iterate are tried in turn, cheapest first, and the first
+that reaches the target is returned, marked ``stopped``.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ class RelaxationOutcome:
     lp_solves: int = 0
     pivots: int = 0
     lp_fallbacks: int = 0  # float solves redone from the start (see simplex.CutLP)
+    stopped: bool = False  # returned early: the bound already reached ``stop_at``
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +351,18 @@ def first_lp_bound(bf: BernsteinForm, u: Sequence):
     return candidate if candidate > b0 else b0
 
 
-def _cut_loop(bf, u, cuts, extra_rows, mapping, F: Field) -> RelaxationOutcome:
+def _cut_loop(bf, u, cuts, extra_rows, mapping, F: Field, stop_at=None) -> RelaxationOutcome:
     """Level 1 (no ``cuts``) or level 2: the greedy fill of the level-1 LP,
     re-optimised after appending ``extra_rows`` and then, round by round,
     the rows of ``cuts`` it violates until none is left; the result is the
     optimum of the full system.  One ``simplex.CutLP`` serves the loop,
     built from the greedy basis once there is a row to append, so a bound
     with no rows builds no LP.
+
+    Every value along the way, the greedy fill and each LP iterate, is the
+    optimum of a subsystem and so a lower bound of the full system.  Once
+    one reaches ``stop_at`` the loop returns it, uncertified and marked
+    ``stopped``, without appending or scanning further.
 
     An infeasible LP ends in an outcome with no bound and ``infeasible``
     set.  Float mode confirms infeasibility by re-solving the Fraction
@@ -365,11 +376,15 @@ def _cut_loop(bf, u, cuts, extra_rows, mapping, F: Field) -> RelaxationOutcome:
     active_set: set[int] = set()
     rounds = solves = pivots = 0
     while True:
+        stopped = stop_at is not None and value >= stop_at
+        if stopped:
+            break
         if rows:
             if lp is None:
                 coeffs, caps = bf.tensor.ravel().tolist(), np.ravel(u).tolist()
                 lp = simplex.CutLP(coeffs, caps, z, last, F)
             lp.append_rows(rows)
+            rows = ()
             sol = simplex.solve(lp)
             solves += 1
             pivots += sol.iterations
@@ -390,6 +405,7 @@ def _cut_loop(bf, u, cuts, extra_rows, mapping, F: Field) -> RelaxationOutcome:
             if sol.status != simplex.OPTIMAL:
                 raise RuntimeError(f"LP ended with status {sol.status}")
             value, z = sol.value, sol.z
+            continue  # check the new value before scanning
         if cuts is None:
             break
         rounds += 1
@@ -399,11 +415,12 @@ def _cut_loop(bf, u, cuts, extra_rows, mapping, F: Field) -> RelaxationOutcome:
         active.extend(violated)
         active_set.update(violated)
         rows = cuts.rows(violated)
-    is_exact, witness = (False, None) if extra_rows else _certify(bf, z, value, mapping, F)
+    uncertified = extra_rows or stopped
+    is_exact, witness = (False, None) if uncertified else _certify(bf, z, value, mapping, F)
     return RelaxationOutcome(
         bound=value, z=z, activated_rows=tuple(active), exact=is_exact, witness=witness,
         iterations=rounds, lp_solves=solves, pivots=pivots,
-        lp_fallbacks=lp.fallbacks if lp else 0,
+        lp_fallbacks=lp.fallbacks if lp else 0, stopped=stopped,
     )
 
 
@@ -419,29 +436,39 @@ def bound_at_level(
     extra_rows: Sequence = (),
     mapping: Optional[AffineMap] = None,
     exact: Optional[bool] = None,
+    stop_at=None,
 ) -> RelaxationOutcome:
     """Compute the bound of one relaxation level on a unit-box form: the
     one entry point to every level.  The arithmetic is the field of the
     form's tensor; ``exact``, if given, must name that field.  ``u``
     defaults to the caps of the form's degree, and ``cuts``, read at
-    level 2 only, to its full cut matrix."""
+    level 2 only, to its full cut matrix.
+
+    ``stop_at`` asks for a bound only as strong as needed to reach it:
+    above level 0, the level-0 outcome is returned when the smallest
+    coefficient reaches it, and the cut loop returns its first value that
+    does (see ``_cut_loop``); either is marked ``stopped``.  A stopped
+    bound is a valid lower bound at or below the level's full bound.
+    """
     F = field_of(bf.tensor)
     if exact is not None and exact != F.exact:
         raise ValueError(f"exact={exact} disagrees with the form's {bf.tensor.dtype} tensor")
-    if level == LEVEL_0:
+    if level not in LEVELS:
+        raise ValueError(f"unknown level {level!r}")
+    if level == LEVEL_0 or stop_at is not None:
         out = relax0(bf, mapping)
         if extra_rows:
             # constraint rows cannot weaken a box bound; drop certificates
             out = RelaxationOutcome(bound=out.bound)
-        return out
+        if level == LEVEL_0:
+            return out
+        if out.bound >= stop_at:
+            out.stopped = True
+            return out
     if u is None:
         u = upper_bounds(bf.degree, exact=F.exact)
     if level == LEVEL_FIRST:
         return RelaxationOutcome(bound=first_lp_bound(bf, u))
-    if level == LEVEL_1:
-        return _cut_loop(bf, u, None, extra_rows, mapping, F)
-    if level == LEVEL_2:
-        if cuts is None:
-            cuts = build_cut_matrix(bf.degree, F.exact)
-        return _cut_loop(bf, u, cuts, extra_rows, mapping, F)
-    raise ValueError(f"unknown level {level!r}")
+    if level == LEVEL_2 and cuts is None:
+        cuts = build_cut_matrix(bf.degree, F.exact)
+    return _cut_loop(bf, u, cuts if level == LEVEL_2 else None, extra_rows, mapping, F, stop_at)

@@ -13,13 +13,16 @@ formula.  Pivots update the inverse in product form and the entering
 column is chosen by a vectorised dual ratio test.  The same engine runs
 in both fields (a ``bernstein.Field``, fixed when the LP is built):
 
-* float mode refactorizes on entry to each solve and every 64 pivots, and
-  checks dual feasibility on a fresh factorization before it returns.  A
-  solve that fails that check or reaches its pivot cap is a fallback: the
-  LP is rebuilt from its greedy start with every row appended at once and
-  re-optimised on a fresh factorization.  Only if that fails too is the
-  exact image solved, and its optimum returned in floats; the exact image
-  is far slower on big LPs, so it is never the first resort.
+* float mode refactorizes every 64 pivots, and a solve that pivoted
+  confirms its optimum on a fresh factorization before it returns.  The
+  next solve starts from that inverse, extended by the block formula for
+  the rows appended since, so it does not refactorize on entry.  A solve
+  that fails its dual-feasibility check or reaches its pivot cap is a
+  fallback: the LP is rebuilt from its greedy start with every row
+  appended at once, whose block-formula inverse is exact, and
+  re-optimised.  Only if that fails too is the exact image solved, and
+  its optimum returned in floats; the exact image is far slower on big
+  LPs, so it is never the first resort.
 * exact mode works on object arrays of Fractions with zero tolerances and
   a Bland-style rule, and never refactorizes: product-form updates are
   exact.
@@ -174,8 +177,6 @@ class CutLP:
         that fails its dual-feasibility check or reaches the pivot cap ends
         with the private status ``_FAILED``."""
         pivots = since_factor = 0
-        if not self.exact:
-            self._refactor()
         cap = 50 * (self.G.shape[0] + self.G.shape[1])
         while True:
             r = self._leaving_row()

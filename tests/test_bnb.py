@@ -239,8 +239,13 @@ def test_exact_mode_on_float_box_computes_in_fractions(level):
     assert on_floats.lower_bound == on_fractions.lower_bound
     assert on_floats.upper_bound == on_fractions.upper_bound
     assert on_floats.witness == on_fractions.witness
+    # -1/36 is the true minimum, at (0, 1/6)
+    assert on_floats.lower_bound <= Fraction(-1, 36) <= on_floats.upper_bound
     if level == "1":
-        assert on_floats.lower_bound == Fraction(-87383, 3145728)
+        # the box that sets the lower bound stops at its smallest
+        # coefficient, which already reaches the cutoff
+        assert on_floats.lower_bound == Fraction(-3641, 131072)
+        assert on_floats.upper_bound == Fraction(-29127, 1048576)
 
 
 def test_bound_soundness_on_random_boxes(rng):

@@ -413,3 +413,93 @@ def test_lyapunov_bad_region_is_a_clean_error(capsys, tmp_path, region, message)
         code, out, err = _run(capsys, ["lyapunov", "--arith", arith, str(path)])
         assert code == 1 and out == ""
         assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
+_CLEAN_PROBLEM = {
+    "dimension": 1,
+    "objective": [{"exponents": [2], "coeff": 1}],
+    "box": {"lower": [-1], "upper": [1]},
+}
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("box", [[-1], [1]], '"box" must be an object'),
+        ("box", {"lower": -1, "upper": 1}, '"box" must be an object'),
+        ("objective", {"exponents": [2], "coeff": 1}, "list of term objects"),
+        ("objective", [[2, 1]], "list of term objects"),
+        ("dimension", [1], '"dimension" must be an integer'),
+        ("constraints_poly", 5, '"constraints_poly" must be a list'),
+        ("constraints_poly", [{"exponents": [1], "coeff": 1}], "list of term objects"),
+        ("constraints_linear", [[1]], '"constraints_linear" must be an object'),
+        ("constraints_linear", {"A": [1], "b": [1]}, '"constraints_linear" must be an object'),
+        ("epsilon", "x", '"epsilon" must be a number'),
+    ],
+    ids=[
+        "box as a list", "box bounds as numbers", "objective as one term", "terms as lists",
+        "dimension as a list", "constraints as a number", "constraint as one term",
+        "linear constraints as a list", "linear row as a number", "epsilon as a string",
+    ],
+)
+def test_bnb_wrongly_shaped_problem_is_a_clean_error(capsys, tmp_path, key, value, message):
+    path = _write_problem(tmp_path, "bad", {**_CLEAN_PROBLEM, key: value})
+    code, out, err = _run(capsys, ["bnb", path])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
+_CLEAN_CASE = {
+    "dimension": 1, "variables": ["x"], "V": "x^2", "odes": ["-x"],
+    "region": {"lower": [-1], "upper": [1]},
+}
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("region", [[-1], [1]], '"region" must be an object'),
+        ("V", 5, "a polynomial must be a string, got 5"),
+        ("odes", "-x", '"odes" must be a list of strings'),
+        ("odes", [3], "a polynomial must be a string, got 3"),
+        ("dimension", [1], '"dimension" must be an integer'),
+        ("variables", 5, '"variables" must be a list of names'),
+        ("variables", [0], '"variables" must be a list of names'),
+    ],
+    ids=[
+        "region as a list", "V as a number", "odes as a string", "ode as a number",
+        "dimension as a list", "variables as a number", "variable as a number",
+    ],
+)
+def test_lyapunov_wrongly_shaped_case_is_a_clean_error(capsys, tmp_path, key, value, message):
+    path = _write_problem(tmp_path, "bad", {**_CLEAN_CASE, key: value})
+    code, out, err = _run(capsys, ["lyapunov", path])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
+def test_bnb_reports_early_stops(capsys, fixture_dir):
+    # boxes whose bound reaches the incumbent cutoff before the full level-2
+    # cut loop ends stop there, and the JSON report counts them
+    path = str(fixture_dir / "himmelblau.json")
+    code, out, _ = _run(capsys, ["bnb", "--level", "2", "--output", "json", path])
+    assert code == 0
+    stats = json.loads(out)["bnb"]["stats"]
+    assert 0 < stats["early_stops"] <= stats["subdivisions"] + stats["edge_subdivisions"]
+
+
+def _without_timings(results):
+    timings = ("time", "time_edge", "time_total")
+    return [{k: v for k, v in r.items() if k not in timings} for r in results]
+
+
+def test_bench_jobs_match_a_serial_run(capsys):
+    reports = []
+    for jobs in ("1", "2"):
+        argv = ["bench", "--jobs", jobs, "--output", "json", "unitsq", "lyap1"]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        reports.append(json.loads(out))
+    serial, parallel = (_without_timings(r.pop("results")) for r in reports)
+    assert [r["label"] for r in serial] == ["unitsq", "lyap1"]
+    assert parallel == serial and reports[0] == reports[1]

@@ -708,3 +708,52 @@ def test_bound_reads_the_field_off_the_tensor(level):
         assert isinstance(out.bound, Fraction) and out.bound == Fraction(-1, 12)
     with pytest.raises(ValueError):
         bound_at_level(bf, level, exact=False)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("level", ["first", "1", "2"])
+def test_stop_at_returns_a_weaker_bound_only_once_it_reaches_the_target(rng, exact, level):
+    # a stopped bound is at most the full one and reaches its target; one
+    # that did not stop is the full bound, and stop_at=None changes nothing
+    stops = 0
+    for _ in range(8):
+        n = rng.randint(1, 2)
+        p = random_polynomial(rng, n, 3)
+        bf, amap = _unit_form(p, Box((0.0,) * n, (1.0,) * n), exact=exact)
+        full = bound_at_level(bf, level, mapping=amap)
+        assert bound_at_level(bf, level, mapping=amap, stop_at=None) == full
+        assert not full.stopped
+        p0 = relax0(bf).bound
+        for s in (p0 - 1, p0, (p0 + full.bound) / 2, full.bound, full.bound + 1):
+            out = bound_at_level(bf, level, mapping=amap, stop_at=s)
+            assert type(out.bound) is type(full.bound)
+            assert out.bound <= full.bound
+            if out.stopped:
+                stops += 1
+                assert out.bound >= s
+            else:
+                assert out == full
+    assert stops
+
+
+def test_stop_at_ends_the_cut_loop_before_the_next_lp(monkeypatch):
+    # himmelblau on [-5, 5]^2 needs several cut rounds at level 2; a target
+    # between the greedy fill and the full bound stops the loop at the
+    # first LP iterate that reaches it, with no further solve or scan
+    bf, amap = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
+    solved = _record_solves(monkeypatch)
+    full = bound_at_level(bf, "2", mapping=amap)
+    assert full.iterations > 2
+    values = [sol.value for _, sol in solved]
+    k = next(i for i, v in enumerate(values) if v > values[0])  # first rise
+    assert k < len(values) - 1
+    solved.clear()
+    out = bound_at_level(bf, "2", mapping=amap, stop_at=(values[0] + values[k]) / 2)
+    assert out.stopped and out.bound == values[k]
+    assert out.lp_solves == len(solved) == k + 1 and out.iterations == k + 1
+    assert not out.exact and out.witness is None
+    # a target the greedy fill reaches builds no LP
+    greedy = relax._greedy_knapsack(bf.tensor, upper_bounds((4, 4)), field(False))[0]
+    solved.clear()
+    out = bound_at_level(bf, "2", mapping=amap, stop_at=greedy)
+    assert out.stopped and out.bound == greedy and out.lp_solves == 0 and not solved

@@ -25,11 +25,16 @@ def _random_lp(rng):
     z0 = [Fraction(w, sum(weights)) for w in weights]
     u = [min(Fraction(1), v + Fraction(rng.randint(1, 8), 16)) for v in z0]
     c = [Fraction(rng.randint(-24, 24), 8) for _ in range(n)]
+    return c, u, _rows_around(rng, z0, rng.randint(1, 3)), z0
+
+
+def _rows_around(rng, z0, count):
+    """``count`` random rows that ``z0`` satisfies with some slack."""
     rows = []
-    for _ in range(rng.randint(1, 3)):
-        a = [Fraction(rng.randint(-8, 8), 4) for _ in range(n)]
+    for _ in range(count):
+        a = [Fraction(rng.randint(-8, 8), 4) for _ in range(len(z0))]
         rows.append((a, sum(x * y for x, y in zip(a, z0)) + Fraction(rng.randint(1, 8), 16)))
-    return c, u, rows, z0
+    return rows
 
 
 def _float_data(c, u, rows):
@@ -147,6 +152,50 @@ def test_cut_lp_reoptimizes_in_place(exact):
     assert solve(lp).status == INFEASIBLE
     if exact:
         assert isinstance(sol.value, Fraction)
+
+
+def _count_refactors(monkeypatch) -> list:
+    calls = []
+    real = simplex.CutLP._refactor
+
+    def counting(self):
+        calls.append(self)
+        real(self)
+
+    monkeypatch.setattr(simplex.CutLP, "_refactor", counting)
+    return calls
+
+
+def test_float_solve_factorizes_once_to_confirm(monkeypatch):
+    # the inverse a solve starts from is the last solve's confirmed one,
+    # grown by the block formula: a solve refactorizes only to confirm its
+    # optimum after pivoting, and one with no pivots not at all
+    calls = _count_refactors(monkeypatch)
+    lp = _cut_lp([3.0, 1.0, 2.0], [1.0, 0.5, 1.0])
+    lp.append_rows([([0.0, 0.0, 1.0], 0.25)])
+    sol = solve(lp)
+    assert sol.status == OPTIMAL and 0 < sol.iterations < 64 and len(calls) == 1
+    lp.append_rows([([1.0, 1.0, 1.0], 1.0)])  # redundant: sum z = 1 already
+    sol = solve(lp)
+    assert sol.status == OPTIMAL and sol.iterations == 0 and len(calls) == 1
+    assert sol.value == pytest.approx(1.75)
+
+
+def test_duality_holds_after_rounds_of_appends(rng):
+    # several append/solve rounds on one LP: the exact one carries a
+    # duality certificate at every final basis, and the float one, which
+    # starts each solve from the last inverse, keeps its value
+    for _ in range(20):
+        c, u, rows, z0 = _random_lp(rng)
+        rows += _rows_around(rng, z0, 4)
+        exact_lp, float_lp = _cut_lp(c, u, exact=True), _cut_lp(*_float_data(c, u, [])[:2])
+        for row in rows:
+            exact_lp.append_rows([row])
+            float_lp.append_rows(_float_data([], [], [row])[2])
+            want, got = solve(exact_lp), solve(float_lp)
+            assert_lp_duality(exact_lp, want)
+            assert got.status == OPTIMAL
+            assert got.value == pytest.approx(float(want.value), rel=1e-9, abs=1e-9)
 
 
 def test_cut_lp_exact_image_keeps_rows():
