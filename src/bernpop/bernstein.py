@@ -5,21 +5,28 @@ subdivision, the basis upper bounds B(I/delta), and the vertex condition.
 A polynomial's Bernstein form is one coefficient tensor of shape
 (delta_1+1, ..., delta_n+1): float64 for binary64 coefficients, or an
 object array of Fractions for exact ones.  A ``Field`` carries what the
-two differ in (dtype, constants, conversion, ratios, tolerances); the
-caller names it at an entry point (``to_bernstein`` infers it from the
-coefficients only when it is left out), and below that it is read off the
-tensor's dtype by ``field_of``.  Every kernel works on the whole
-tensor with per-axis array operations (outer products of per-axis
-vectors, de Casteljau steps on trailing-axis slices), applied in the
-same arithmetic order as the per-coefficient formulas, so both fields
-give the values those formulas give.  Flat positions, where a caller
-needs them, are the tensor's row-major order.
+two differ in (dtype, constants, conversion, ratios, tolerances, the
+integer image); the caller names it at an entry point (``to_bernstein``
+infers it from the coefficients only when it is left out), and below
+that it is read off the tensor's dtype by ``field_of``.  Every kernel
+works on the whole tensor with per-axis array operations (outer products
+of per-axis vectors, de Casteljau steps on trailing-axis slices), applied
+in the same arithmetic order as the per-coefficient formulas, so both
+fields give the values those formulas give.  Flat positions, where a
+caller needs them, are the tensor's row-major order.
+
+The tensor is Fractions, but exact kernels compute on its integer image
+(``integer_image``: integer numerators over one common denominator):
+conversion, subdivision, ordering and sign tests run on Python ints, and
+Fractions are built only for what a kernel returns.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,13 +54,24 @@ class BernsteinForm:
     def dimension(self) -> int:
         return len(self.degree)
 
+    @functools.cached_property
+    def minimum(self) -> tuple[object, Index]:
+        """Smallest coefficient and its lexicographically first index, found
+        once per form (on the integer image of an exact tensor)."""
+        values, _ = field_of(self.tensor).image(self.tensor)
+        pos = int(np.argmin(values))
+        idx = np.unravel_index(pos, self.tensor.shape)
+        return self.tensor.item(pos), tuple(int(i) for i in idx)
+
 
 @dataclass(frozen=True)
 class Field:
     """One scalar field: binary64 on float64 arrays, or the rationals on
     object arrays of Fractions.  ``of`` converts a scalar into it, ``ratio(i,
     d)`` is i/d in it, ``array`` converts (nested) sequences, and ``tol(t)``
-    is a float tolerance: t, or 0 in exact arithmetic."""
+    is a float tolerance: t, or 0 in exact arithmetic.  ``image(a)`` is a
+    pair (N, D) with a == N / D, D > 0 and N an array ordered as a is:
+    float64 arrays over 1, Fractions as ``integer_image``."""
 
     exact: bool
     dtype: type
@@ -64,14 +82,34 @@ class Field:
     ratio: Callable
     array: Callable
     tol: Callable
+    image: Callable
+
+
+def integer_image(values) -> tuple[np.ndarray, int]:
+    """Numerators N (an object array of Python ints, shaped as ``values``)
+    and one positive int D, the least common denominator, with values ==
+    N / D exactly (Fractions, ints, or floats by their exact ratios)."""
+    values = np.asarray(values, dtype=object)
+    ratios = [v.as_integer_ratio() for v in values.ravel().tolist()]
+    den = math.lcm(*[d for _, d in ratios])
+    numer = np.array([n * (den // d) for n, d in ratios], dtype=object)
+    return numer.reshape(values.shape), den
 
 
 _fractions = np.frompyfunc(Fraction, 1, 1)  # Fraction(v) elementwise over object arrays
+_ratios = np.frompyfunc(Fraction, 2, 1)  # Fraction(n, d) elementwise
+
+
+def _over(numer: np.ndarray, den: int) -> np.ndarray:
+    """The Fractions N / D, as an object array shaped as N."""
+    return np.asarray(_ratios(numer, den), dtype=object)
 
 FLOAT = Field(False, float, 0.0, 1.0, 0.5, of=float, ratio=operator.truediv,
-              array=lambda v: np.asarray(v, dtype=float), tol=lambda t: t)
+              array=lambda v: np.asarray(v, dtype=float), tol=lambda t: t,
+              image=lambda v: (np.asarray(v), 1))
 EXACT = Field(True, object, Fraction(0), Fraction(1), Fraction(1, 2), of=Fraction, ratio=Fraction,
-              array=lambda v: _fractions(np.array(v, dtype=object)), tol=lambda t: 0)
+              array=lambda v: _fractions(np.array(v, dtype=object)), tol=lambda t: 0,
+              image=integer_image)
 
 
 def field(exact: bool) -> Field:
@@ -96,7 +134,10 @@ def to_bernstein(
 
     Monomial p_J adds p_J / C(delta,J) times the outer product of the
     per-axis vectors C(i_l, j_l), i_l = j_l..delta_l, to the slab
-    [j_1:, ..., j_n:], one monomial after another in term order.
+    [j_1:, ..., j_n:], one monomial after another in term order.  Exact
+    conversion accumulates integers over L, the lcm of the terms'
+    den(p_J) C(delta,J): monomial J adds num(p_J) L / (den(p_J) C(delta,J))
+    times the same outer product, and b = N / L at the end.
     """
     delta = tuple(degree) if degree is not None else p.degree
     if len(delta) != p.dimension:
@@ -106,30 +147,58 @@ def to_bernstein(
     if exact is None:
         exact = any(isinstance(c, Fraction) for c in p.terms.values())
     F = field(exact)
-    tensor = np.full(tuple(d + 1 for d in delta), F.zero, dtype=F.dtype)
+    shape = tuple(d + 1 for d in delta)
+    if F.exact:
+        terms = [(jdx, Fraction(c), multi_binom(delta, jdx)) for jdx, c in p.terms.items()]
+        den = math.lcm(*[c.denominator * b for _, c, b in terms])
+        numer = np.zeros(shape, dtype=object)
+        for jdx, c, b in terms:
+            weights = outer_chain(_binomial_axes(jdx, delta), object)
+            scaled = c.numerator * (den // (c.denominator * b))
+            numer[tuple(slice(j, None) for j in jdx)] += scaled * weights
+        return BernsteinForm(_over(numer, den))
+    tensor = np.zeros(shape, dtype=float)
     for jdx, c in p.terms.items():
-        axes = [[math.comb(i, j) for i in range(j, d + 1)] for j, d in zip(jdx, delta)]
-        if F.exact:
-            scaled, weights = Fraction(c) / multi_binom(delta, jdx), outer_chain(axes, object)
-        else:
-            # round once: a Fraction coefficient is divided before it is converted,
-            # and binomial products of 2^53 or more are taken in Python ints
-            in_float = math.prod(a[-1] for a in axes) < _EXACT_INT
-            weights = outer_chain(axes, float if in_float else object).astype(float, copy=False)
-            scaled = float(c / multi_binom(delta, jdx))
+        axes = _binomial_axes(jdx, delta)
+        # round once: a Fraction coefficient is divided before it is converted,
+        # and binomial products of 2^53 or more are taken in Python ints
+        in_float = math.prod(a[-1] for a in axes) < _EXACT_INT
+        weights = outer_chain(axes, float if in_float else object).astype(float, copy=False)
+        scaled = float(c / multi_binom(delta, jdx))
         tensor[tuple(slice(j, None) for j in jdx)] += scaled * weights
     return BernsteinForm(tensor)
+
+
+def _binomial_axes(jdx: Index, delta: Index) -> list[list[int]]:
+    """The per-axis vectors C(i, j_l), i = j_l..delta_l."""
+    return [[math.comb(i, j) for i in range(j, d + 1)] for j, d in zip(jdx, delta)]
 
 
 def subdivide(tensor: np.ndarray, axis: int, t) -> tuple[np.ndarray, np.ndarray]:
     """De Casteljau split of a coefficient tensor along ``axis`` at t in (0,1).
 
     Returns the tensors of the two pieces [0,t] and [t,1] of that axis, each
-    on its own unit box.  Every step is c_i + t (c_{i+1} - c_i), which keeps
-    a tensor that is constant along an axis exactly constant.
+    on its own unit box.  Every float step is c_i + t (c_{i+1} - c_i), which
+    keeps a tensor that is constant along an axis exactly constant.  An
+    exact tensor needs a rational t = p/q (an int or a Fraction): on the
+    integer image N / D each step is (q - p) N_i + p N_{i+1}, step r lies
+    over D q^r, and both pieces are returned over D q^d.
     """
     rows = np.moveaxis(tensor, axis, 0)
     d = rows.shape[0] - 1
+    if field_of(tensor).exact:
+        if not isinstance(t, numbers.Rational):
+            raise ValueError(f"split point {t!r} of an exact tensor is not rational")
+        p, q = t.numerator, t.denominator
+        rows, den = integer_image(rows)
+        left, right = np.empty_like(rows), np.empty_like(rows)
+        left[0], right[d] = rows[0] * q**d, rows[d] * q**d
+        for r in range(1, d + 1):
+            rows = (q - p) * rows[:-1] + p * rows[1:]
+            scale = q ** (d - r)
+            left[r], right[d - r] = rows[0] * scale, rows[-1] * scale
+        den *= q**d
+        return np.moveaxis(_over(left, den), 0, axis), np.moveaxis(_over(right, den), 0, axis)
     left = np.empty_like(rows)
     right = np.empty_like(rows)
     left[0], right[d] = rows[0], rows[d]
@@ -188,9 +257,9 @@ def upper_bounds(degree: Index, exact: bool = False) -> np.ndarray:
 
 
 def min_coefficient(bf: BernsteinForm) -> tuple[object, Index]:
-    """Smallest Bernstein coefficient and its lexicographically first index."""
-    pos = int(np.argmin(bf.tensor))
-    return bf.tensor.item(pos), tuple(int(i) for i in np.unravel_index(pos, bf.tensor.shape))
+    """Smallest Bernstein coefficient and its lexicographically first index
+    (``BernsteinForm.minimum``, computed once per form)."""
+    return bf.minimum
 
 
 def vertex_condition(bf: BernsteinForm, idx: Index) -> bool:

@@ -23,14 +23,17 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .bernstein import (
-    FLOAT, BernsteinForm, field, field_of, min_coefficient, subdivide, to_bernstein, upper_bounds,
+    FLOAT, BernsteinForm, Field, field, field_of, integer_image, min_coefficient, subdivide,
+    to_bernstein, upper_bounds,
 )
 from .poly import AffineMap, Box, Polynomial, restrict_facet, to_unit_box
 from .relax import LEVEL_0, LEVEL_2, LEVELS, bound_at_level, build_cut_matrix, constraint_rows
@@ -67,6 +70,8 @@ class BnbStats:
     edge_subdivisions: int = 0
     edge_cutoffs: int = 0
     infeasible_count: int = 0
+    exact_count: int = 0  # closed with an exact bound (at either depth)
+    min_width_count: int = 0  # closed at the minimum box width (at either depth)
     lp_solves: int = 0
     lp_pivots: int = 0
     lp_fallbacks: int = 0
@@ -136,9 +141,10 @@ def _monotonicity_signs(tensor: np.ndarray) -> tuple[str, ...]:
     An axis along which the tensor is constant gives '+': the objective
     does not depend on it, and fixing its lower bound is lossless.
     """
+    values, _ = field_of(tensor).image(tensor)  # an exact tensor's signs are its numerators'
     signs = []
-    for r in range(tensor.ndim):
-        diff = np.diff(tensor, axis=r)
+    for r in range(values.ndim):
+        diff = np.diff(values, axis=r)
         if not diff.any() or (diff > 0).all():
             signs.append("+")
         elif (diff < 0).all():
@@ -186,12 +192,35 @@ def sample_upper_bound(box: Box, bf: BernsteinForm, mapping: AffineMap) -> list[
     return [box.center(), mapping(grid)]
 
 
+def _evaluator(p: Polynomial, F: Field) -> Callable:
+    """p's value at a point: ``p.eval``, or in exact mode, when p has
+    rational coefficients and a non-constant term, the same monomial sum
+    in integers at Fraction points.  With x_l = A_l / B over the point's
+    common denominator and c_I = C_I / E over the coefficients',
+    p(x) = sum_I C_I A^I B^(T - |I|) / (E B^T), T the largest total degree,
+    built as one Fraction: the value and type ``p.eval`` gives."""
+    rational = all(isinstance(c, numbers.Rational) for c in p.terms.values())
+    if not (F.exact and rational and any(map(any, p.terms))):
+        return p.eval
+    coeffs, scale = integer_image(list(p.terms.values()))
+    top = max(map(sum, p.terms))
+    terms = [(c, idx, top - sum(idx)) for c, idx in zip(coeffs.tolist(), p.terms)]
+
+    def evaluate(point: Sequence) -> Fraction:
+        nums, den = integer_image(point)
+        nums = nums.tolist()
+        total = sum(c * den**rest * math.prod(map(pow, nums, idx)) for c, idx, rest in terms)
+        return Fraction(total, scale * den**top)
+
+    return evaluate
+
+
 class _RunState:
     """Incumbent and node budget shared across the recursion."""
 
-    def __init__(self, objective, constraints, max_boxes):
-        self.objective = objective
-        self.constraints = constraints
+    def __init__(self, objective, constraints, max_boxes, F: Field = FLOAT):
+        self.objective = _evaluator(objective, F)
+        self.constraints = tuple(_evaluator(g, F) for g in constraints)
         self.max_boxes = max_boxes
         self.nodes = 0
         self.exhausted = False
@@ -208,9 +237,9 @@ class _RunState:
     def offer(self, point: tuple) -> None:
         """Take a candidate point as the incumbent if it satisfies every
         constraint and the top-level objective is strictly lower there."""
-        if any(g.eval(point) > 0 for g in self.constraints):
+        if any(g(point) > 0 for g in self.constraints):
             return
-        val = self.objective.eval(point)
+        val = self.objective(point)
         if self.incumbent is None or val < self.incumbent:
             self.incumbent = val
             self.witness = tuple(point)
@@ -237,7 +266,7 @@ def branch_and_bound(
     F = field(cfg.exact)  # the box in the tensors' field (floats convert to Fractions exactly)
     box = Box(tuple(map(F.of, box.lower)), tuple(map(F.of, box.upper)))
     stats = BnbStats()
-    state = _RunState(p, tuple(constraints), cfg.max_boxes)
+    state = _RunState(p, constraints, cfg.max_boxes, F)
     start = time.perf_counter()
     if p.dimension == 0:
         lower = p.eval(())
@@ -325,6 +354,7 @@ def _solve_problem(p, constraints, box, tensors, cfg, state, lift, stats, depth)
         bound = outcome.bound
 
         if outcome.exact and not constraints:
+            stats.exact_count += 1
             state.offer(lift(outcome.witness))
             add_contrib(bound)
             continue
@@ -356,6 +386,7 @@ def _solve_problem(p, constraints, box, tensors, cfg, state, lift, stats, depth)
                     add_contrib(sub_lower)
                 continue
         if cur.width(cur.widest_axis()) <= cfg.min_box_width:
+            stats.min_width_count += 1
             add_contrib(bound)
             continue
         for child, child_tensors in split_node(cur, (t, *g_tensors), cfg.split):

@@ -163,6 +163,8 @@ def _bnb_section(result, exact: bool) -> dict:
             "edge_subdivisions": s.edge_subdivisions,
             "edge_cutoffs": s.edge_cutoffs,
             "infeasible_count": s.infeasible_count,
+            "exact_count": s.exact_count,
+            "min_width_count": s.min_width_count,
             "lp_solves": s.lp_solves,
             "lp_pivots": s.lp_pivots,
             "lp_fallbacks": s.lp_fallbacks,

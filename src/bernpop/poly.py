@@ -160,9 +160,6 @@ class Polynomial:
             terms[tuple(new)] = terms.get(tuple(new), 0) + e * c
         return Polynomial(self.dimension, terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if not self.terms:
             return "Polynomial(0)"

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,6 +40,7 @@ from .bernstein import (
     bernstein_eval,
     field,
     field_of,
+    integer_image,
     min_coefficient,
     outer_chain,
     upper_bounds,
@@ -92,36 +94,41 @@ class CutMatrix:
     the peaks beta_{i_l,k_l}(i_l/k_l), so only per-axis factors are kept:
     for axis l, ``_elevation[l]`` stacks the rows beta_{i,k} = sum_j
     C(k,i) C(delta_l-k, j-i) / C(delta_l, j) beta_{j,delta_l} for k =
-    0..delta_l (row (k, i) at position k(k+1)/2 + i), ``_numer[l]`` their
-    integer numerators, and ``_peaks[l]`` the matching peaks, in the field
-    ``F``.  Exact rows are built from the numerators: one Fraction per
-    coefficient, the integer product over the axes divided by the column's
-    product of C(delta_l, j_l).  A position of the system
-    is one per-axis position per axis, flattened row-major; ``_row_id``
-    maps it to its row id (-1 for K = delta) and ``_pos_of`` back.  Scans
-    and row materialization are per-axis products, on float64 arrays or
-    on object arrays of Fractions alike; no row is expanded unless asked
-    for.  The matrix is immutable and safe to share between solves.
+    0..delta_l (row (k, i) at position k(k+1)/2 + i), and ``_peaks[l]``
+    the matching peaks, in the field ``F``.  ``_integer[l]`` holds the
+    same rows as integers over m_l = lcm_j C(delta_l, j), the numerator
+    of column j scaled by m_l / C(delta_l, j).  An exact row is the
+    integer product over the axes divided by ``_scale``, the product of
+    the m_l; an exact scan contracts the integer image of z against the
+    integer rows and compares cross-multiplied with the right-hand sides'
+    integer image ``_rhs_image``.  A position of the system is one
+    per-axis position per axis, flattened row-major; ``_row_id`` maps it
+    to its row id (-1 for K = delta) and ``_pos_of`` back.  Scans and row
+    materialization are per-axis products; no row is expanded unless
+    asked for.  The matrix is immutable and safe to share between solves.
     """
 
     def __init__(self, degree: Index, F: Field):
         self.degree = tuple(degree)
         self.field = F
         self._size = math.prod(d + 1 for d in self.degree)
-        self._numer, self._elevation, self._peaks = [], [], []
+        self._integer, self._elevation, self._peaks = [], [], []
         total = lex = np.zeros((), dtype=np.int64)  # |K| and K's rank per position
         self._rhs = np.ones(1, dtype=F.dtype)
-        denom = np.ones((), dtype=object)
+        self._scale = 1
         for d in self.degree:
             numer = np.array(
                 [[math.comb(k, i) * math.comb(d - k, j - i) if i <= j <= i + d - k else 0
                   for j in range(d + 1)] for k in range(d + 1) for i in range(k + 1)],
                 dtype=object,
             )
-            column = np.array([math.comb(d, j) for j in range(d + 1)], dtype=object)
-            self._numer.append(numer)
-            self._elevation.append(np.frompyfunc(F.ratio, 2, 1)(numer, column).astype(F.dtype))
-            denom = np.multiply.outer(denom, column)
+            column = [math.comb(d, j) for j in range(d + 1)]
+            m = math.lcm(*column)
+            self._integer.append(numer * np.array([m // c for c in column], dtype=object))
+            self._scale *= m
+            self._elevation.append(
+                np.frompyfunc(F.ratio, 2, 1)(numer, np.array(column, dtype=object)).astype(F.dtype)
+            )
             peaks = np.array(
                 [_beta_peak(i, k, F) for k in range(d + 1) for i in range(k + 1)],
                 dtype=F.dtype,
@@ -131,7 +138,7 @@ class CutMatrix:
             low = np.repeat(np.arange(d + 1), np.arange(1, d + 2))
             total = np.add.outer(total, low)
             lex = np.add.outer(lex * (d + 1), low)
-        self._denom = denom.ravel()
+        self._rhs_image = F.image(self._rhs)
         self._shape = tuple(len(r) for r in self._peaks)
         # within one K the row-major positions already run over I in lex order
         order = np.argsort((total * self._size + lex).ravel(), kind="stable")
@@ -148,7 +155,7 @@ class CutMatrix:
             flat, pos = np.divmod(flat, size)
             per_axis.insert(0, pos)
         coeffs = rhs = 1
-        factors = self._numer if self.field.exact else self._elevation
+        factors = self._integer if self.field.exact else self._elevation
         for l, (pos, d) in enumerate(zip(per_axis, self.degree)):
             shape = [-1] + [1] * len(self.degree)
             shape[l + 1] = d + 1
@@ -157,9 +164,8 @@ class CutMatrix:
         coeffs = np.reshape(coeffs, (len(ids), self._size))
         if self.field.exact:
             nonzero = coeffs != 0
-            denom = np.broadcast_to(self._denom, coeffs.shape)[nonzero]
             numer, coeffs = coeffs[nonzero], np.full(coeffs.shape, self.field.zero, dtype=object)
-            coeffs[nonzero] = np.frompyfunc(self.field.ratio, 2, 1)(numer, denom)
+            coeffs[nonzero] = np.frompyfunc(self.field.ratio, 2, 1)(numer, self._scale)
         return list(zip(coeffs.tolist(), rhs.tolist()))
 
     def scan_violations(self, z, tol, skip: set[int]) -> list[int]:
@@ -167,11 +173,22 @@ class CutMatrix:
 
         One matrix product per axis contracts that axis of z against its
         elevation rows and rotates it to the back; after the last axis
-        the values lie in position order."""
-        vals = self.field.array(z)
-        for elevation, d in zip(self._elevation, self.degree):
-            vals = (elevation @ vals.reshape(d + 1, -1)).T
-        ids = self._row_id[np.nonzero(vals.ravel() > self._rhs + tol)[0]]
+        the values lie in position order.  Exact scans run on integers:
+        with z = N / D, rhs = R / E and tol = a / b, a row is violated iff
+        (rows . N) E b > (R b + a E) D ``_scale``."""
+        if self.field.exact:
+            vals, den = integer_image(z)
+            for integer, d in zip(self._integer, self.degree):
+                vals = (integer @ vals.reshape(d + 1, -1)).T
+            (rhs, rhs_den), tol = self._rhs_image, Fraction(tol)
+            bound = (rhs * tol.denominator + tol.numerator * rhs_den) * (den * self._scale)
+            over = vals.ravel() * (rhs_den * tol.denominator) > bound
+        else:
+            vals = self.field.array(z)
+            for elevation, d in zip(self._elevation, self.degree):
+                vals = (elevation @ vals.reshape(d + 1, -1)).T
+            over = vals.ravel() > self._rhs + tol
+        ids = self._row_id[np.nonzero(over)[0]]
         return [i for i in np.sort(ids[ids >= 0]).tolist() if i not in skip]
 
 
@@ -188,27 +205,6 @@ def constraint_rows(tensors: Sequence[np.ndarray]) -> list[tuple[list, object]]:
 
 # ---------------------------------------------------------------------------
 # exactness recovery
-
-
-def exactness_check(
-    z: Sequence,
-    degree: Index,
-    mapping: Optional[AffineMap] = None,
-    tol: float = 1e-7,
-    exact: bool = False,
-) -> Optional[tuple]:
-    """Try to read a true minimizer off an optimal placeholder vector.
-
-    Accepts iff z reproduces the basis values at the nominal point x~ (see
-    ``_nominal_point``).  On acceptance the point is mapped back to
-    original coordinates; on rejection ``None`` is returned, which does
-    not preclude the bound being tight.
-    """
-    F = field(exact)
-    point = _nominal_point(z, degree, F)
-    if not _reproduces(z, point, degree, tol, F):
-        return None
-    return (mapping or AffineMap.identity(len(degree)))(point)
 
 
 def _nominal_point(z: Sequence, degree: Index, F: Field) -> tuple:
@@ -290,13 +286,15 @@ def relax0(bf: BernsteinForm, mapping: Optional[AffineMap] = None) -> Relaxation
     return RelaxationOutcome(bound=value, exact=is_exact, witness=witness)
 
 
-def _ascending(coeffs: np.ndarray) -> np.ndarray:
+def _ascending(coeffs: np.ndarray, F: Field) -> np.ndarray:
     """Positions by ascending coefficient, ties in position order: a stable
-    sort, numpy's on float64 and Python's on Fractions (which needs fewer
-    comparisons, each a Fraction comparison)."""
-    if coeffs.dtype != object:
-        return np.argsort(coeffs, kind="stable")
-    values = coeffs.tolist()
+    sort of the field's image (``Field.image``), numpy's on float64 and
+    Python's on the integer numerators of Fractions (faster than numpy's
+    on object arrays)."""
+    values, _ = F.image(coeffs)
+    if values.dtype != object:
+        return np.argsort(values, kind="stable")
+    values = values.tolist()
     return np.array(sorted(range(len(values)), key=values.__getitem__), dtype=np.intp)
 
 
@@ -311,7 +309,7 @@ def _greedy_knapsack(coeffs: Sequence, u: Sequence, F: Field) -> tuple[object, l
     c_j <= c_last where filled and c_j >= c_last where not.
     """
     coeffs, u = np.ravel(coeffs), np.ravel(u)
-    order = _ascending(coeffs)
+    order = _ascending(coeffs, F)
     remaining, bound = F.one, F.zero
     z = [F.zero] * len(coeffs)
     last = int(order[0])
@@ -337,7 +335,7 @@ def first_lp_bound(bf: BernsteinForm, u: Sequence):
     fit inside the unit mass.
     """
     coeffs = bf.tensor.ravel()
-    order = _ascending(coeffs)
+    order = _ascending(coeffs, field_of(bf.tensor))
     b, uu = coeffs[order], np.ravel(u)[order]
     b0 = b.item(0)
     if b0 >= 0:

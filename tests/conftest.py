@@ -22,8 +22,8 @@ import pytest
 
 from bernpop import simplex
 from bernpop.bernstein import _beta_peak, field
-from bernpop.poly import Box, Polynomial, lie_derivative, multi_binom
-from bernpop.relax import _greedy_knapsack
+from bernpop.poly import AffineMap, Box, Polynomial, lie_derivative, multi_binom
+from bernpop.relax import _greedy_knapsack, _nominal_point, _reproduces
 
 
 def himmelblau() -> Polynomial:
@@ -139,6 +139,21 @@ def loop_bernstein_eval(coeffs, degree, point):
             new[blk] = row[0]
         vals = new
     return vals[0]
+
+
+def loop_subdivide(tensor, axis, t):
+    """De Casteljau split along ``axis`` at t in the tensor's own
+    arithmetic: every step is c_i + t (c_{i+1} - c_i) on whole slices, in
+    Fractions on an object tensor; returns the [0,t] and [t,1] pieces."""
+    rows = np.moveaxis(tensor, axis, 0)
+    d = rows.shape[0] - 1
+    left = np.empty_like(rows)
+    right = np.empty_like(rows)
+    left[0], right[d] = rows[0], rows[d]
+    for r in range(1, d + 1):
+        rows = rows[:-1] + t * (rows[1:] - rows[:-1])
+        left[r], right[d - r] = rows[0], rows[-1]
+    return np.moveaxis(left, 0, axis), np.moveaxis(right, 0, axis)
 
 
 def loop_min_coefficient(coeffs, degree):
@@ -258,6 +273,18 @@ def monomial_bernstein_row(idx, degree, exact: bool = False) -> list:
         else:
             out.append(Fraction(0) if exact else 0.0)
     return out
+
+
+def exactness_check(z, degree, mapping=None, tol: float = 1e-7, exact: bool = False):
+    """The formal half of ``relax._certify``: read a true minimizer off an
+    optimal placeholder vector.  Accepts iff z reproduces the basis values
+    at the nominal point x~ and returns that point in original coordinates;
+    otherwise ``None``, which does not preclude the bound being tight."""
+    F = field(exact)
+    point = _nominal_point(z, degree, F)
+    if not _reproduces(z, point, degree, tol, F):
+        return None
+    return (mapping or AffineMap.identity(len(degree)))(point)
 
 
 # -- monomial expansions of Bernstein forms (test references) ---------------

@@ -28,11 +28,18 @@ from bernpop.problems import load_fixture
 from bernpop.relax import (
     bound_at_level,
     build_cut_matrix,
-    exactness_check,
     first_lp_bound,
     relax0,
 )
-from conftest import algebraic4, grid_min, himmelblau, motzkin3, one_shot_lp, random_polynomial
+from conftest import (
+    algebraic4,
+    exactness_check,
+    grid_min,
+    himmelblau,
+    motzkin3,
+    one_shot_lp,
+    random_polynomial,
+)
 
 
 def _report(num: int, description: str, body) -> None:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bernpop import bnb
 from bernpop.bnb import (
     BnbConfig,
     SPLIT_LONGEST,
@@ -281,7 +282,7 @@ def _derivative_signs(p, box):
     signs = []
     for r in range(p.dimension):
         d = p.derivative(r)
-        if d.is_zero():
+        if not d.terms:
             signs.append("+")
             continue
         q, _ = to_unit_box(d, box)
@@ -377,3 +378,47 @@ def test_lp_work_is_counted():
     assert l2.lp_solves > 0 and l2.lp_pivots > 0 and l2.lp_fallbacks == 0
     l0 = branch_and_bound(p, (), box, BnbConfig(level="0", epsilon=1e-3)).stats
     assert l0.lp_solves == 0 and l0.lp_pivots == 0
+
+
+def _d2_repro():
+    """x^2 + y^2 - x on [-1, 1]^2 subject to x + 1/2 <= 0: the box that
+    violates the constraint once crashed levels 1 and 2."""
+    p = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): -1.0})
+    g = Polynomial(2, {(1, 0): 1.0, (0, 0): 0.5})
+    return p, (g,), Box((-1.0, -1.0), (1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "case, level, min_box_width",
+    [
+        ("himmelblau", "0", 1e-12),
+        ("himmelblau", "2", 1e-12),
+        ("d2", "2", 1e-12),
+        ("himmelblau", "0", 0.5),
+    ],
+)
+def test_every_popped_node_closes_for_one_reason_or_splits(monkeypatch, case, level, min_box_width):
+    splits = []
+    real_split = bnb.split_node
+
+    def counted(*args):
+        splits.append(args)
+        return real_split(*args)
+
+    monkeypatch.setattr(bnb, "split_node", counted)
+    if case == "himmelblau":
+        p, constraints, box = himmelblau(), (), Box((-5.0, -5.0), (5.0, 5.0))
+    else:
+        p, constraints, box = _d2_repro()
+    cfg = BnbConfig(level=level, min_box_width=min_box_width)
+    res = branch_and_bound(p, constraints, box, cfg)
+    assert res.converged or min_box_width > 1e-12  # wide boxes close unconverged
+    s = res.stats
+    closures = (
+        s.cutoff_count + s.edge_cutoffs + s.mono_count + s.infeasible_count
+        + s.exact_count + s.min_width_count
+    )
+    assert s.subdivisions + s.edge_subdivisions == closures + len(splits)
+    assert (s.min_width_count > 0) == (min_box_width > 1e-12)
+    if case == "d2":
+        assert s.infeasible_count > 0

@@ -486,6 +486,8 @@ def test_bnb_reports_early_stops(capsys, fixture_dir):
     assert code == 0
     stats = json.loads(out)["bnb"]["stats"]
     assert 0 < stats["early_stops"] <= stats["subdivisions"] + stats["edge_subdivisions"]
+    # closures by reason sit beside the cutoff, monotone and infeasible counts
+    assert stats["exact_count"] >= 0 and stats["min_width_count"] == 0
 
 
 def _without_timings(results):

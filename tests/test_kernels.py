@@ -1,11 +1,14 @@
 """The tensor kernels of bernstein.py and relax.py against their
-per-coefficient loop versions (tests/conftest.py), in both fields.
+per-coefficient loop versions (tests/conftest.py), in both fields, and
+the exact kernels that run on integer images (subdivision, cut scans,
+the incumbent's evaluation) against their Fraction oracles.
 
-Every kernel applies the loop's arithmetic in the loop's order (products
-left to right, sums accumulated position by position in row-major
-order), so every comparison here is ``==``, floats included, and
-exactness holds in Fractions."""
+Every float kernel applies the loop's arithmetic in the loop's order
+(products left to right, sums accumulated position by position in
+row-major order), and every exact one computes the same rationals, so
+every comparison here is ``==``, floats included."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,15 +16,26 @@ import numpy as np
 import pytest
 
 from bernpop.bernstein import (
+    EXACT,
+    FLOAT,
     BernsteinForm,
     bernstein_eval,
     field,
+    integer_image,
     min_coefficient,
+    subdivide,
     to_bernstein,
     upper_bounds,
 )
+from bernpop.bnb import _evaluator
 from bernpop.poly import Polynomial
-from bernpop.relax import _basis_values, _greedy_knapsack, _nominal_point, first_lp_bound
+from bernpop.relax import (
+    _basis_values,
+    _greedy_knapsack,
+    _nominal_point,
+    build_cut_matrix,
+    first_lp_bound,
+)
 from conftest import (
     loop_basis_values,
     loop_bernstein_eval,
@@ -29,11 +43,16 @@ from conftest import (
     loop_greedy_knapsack,
     loop_min_coefficient,
     loop_nominal_point,
+    loop_subdivide,
     loop_to_bernstein,
     loop_upper_bounds,
 )
 
 FIELDS = [False, True]
+
+# primes above every degree here, so no binomial C(d, j) shares a factor
+# with these denominators, nor does a dyadic split point
+COPRIME = (7919, 7907 * 7919)
 
 
 def _scalar(rng, exact):
@@ -44,7 +63,8 @@ def _scalar(rng, exact):
 
 def _cases(exact, seed=2024):
     """(polynomial, degree) pairs in 1 to 4 variables: random terms, axes of
-    degree 0, elevated degrees, a single term and no term at all."""
+    degree 0, elevated degrees, a single term, no term at all, and
+    coefficients over denominators coprime to every binomial."""
     rng = random.Random(seed)
     cases = []
     for n in (1, 2, 3, 4):
@@ -59,6 +79,14 @@ def _cases(exact, seed=2024):
         single = tuple(rng.randint(0, 3) for _ in range(n))
         cases.append((Polynomial(n, {single: _scalar(rng, exact)}), single))
         cases.append((Polynomial.zero(n), tuple(rng.randint(0, 2) for _ in range(n))))
+    coprime = random.Random(seed + 1)
+    for n in (1, 2, 3):
+        terms = {}
+        for _ in range(4):
+            c = Fraction(coprime.randint(1, 60) * coprime.choice((-1, 1)), coprime.choice(COPRIME))
+            terms[tuple(coprime.randint(0, 3) for _ in range(n))] = c if exact else float(c)
+        p = Polynomial(n, terms)
+        cases += [(p, p.degree), (p, tuple(d + 1 for d in p.degree))]
     return cases
 
 
@@ -187,3 +215,115 @@ def test_greedy_and_first_lp_match_loop(exact):
             assert _greedy_knapsack(tensor, u, field(exact)) == want
             want = loop_first_lp_bound(coeffs, u.tolist())
             assert first_lp_bound(BernsteinForm(tensor), u) == want
+
+
+def test_integer_image():
+    values = np.array([[Fraction(1, 6), Fraction(-3, 4)], [2, Fraction(5, 7919)]], dtype=object)
+    numer, den = integer_image(values)
+    assert den == 12 * 7919 and numer.shape == values.shape
+    assert all(type(v) is int for v in numer.ravel())
+    assert [Fraction(n, den) for n in numer.ravel()] == values.ravel().tolist()
+    assert integer_image(np.array([], dtype=object))[1] == 1
+
+
+def _split_points(exact):
+    """t = 1/2, 1/3, 2/7, and the zero-centred t of [-2, 5], in the field."""
+    F = field(exact)
+    lo, hi = F.of(-2), F.of(5)
+    return [F.half, F.ratio(1, 3), F.ratio(2, 7), (F.zero - lo) / (hi - lo)]
+
+
+def _typed(tensor):
+    return [(type(v), v) for v in tensor.ravel().tolist()]
+
+
+@pytest.mark.parametrize("exact", FIELDS)
+def test_subdivide_matches_loop(exact):
+    # every axis of every case, degree-0 axes and 1-D tensors included
+    for p, degree in _cases(exact):
+        tensor = to_bernstein(p, degree, exact).tensor
+        for axis in range(tensor.ndim):
+            for t in _split_points(exact):
+                got, want = subdivide(tensor, axis, t), loop_subdivide(tensor, axis, t)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape and g.dtype == w.dtype
+                    assert _typed(g) == _typed(w)
+
+
+@pytest.mark.parametrize("exact", FIELDS)
+def test_subdivide_chains_match_loop(exact):
+    # 40 splits deep: denominators outgrow 64-bit integers
+    rng = random.Random(31)
+    cases = [c for c in _cases(exact) if c[0].terms and len(c[1]) < 4]
+    bits = 0
+    for p, degree in cases[::6]:
+        got = want = to_bernstein(p, degree, exact).tensor
+        for _ in range(40):
+            axis, side = rng.randrange(len(degree)), rng.randrange(2)
+            t = rng.choice(_split_points(exact))
+            got, want = subdivide(got, axis, t)[side], loop_subdivide(want, axis, t)[side]
+            assert _typed(got) == _typed(want)
+        if exact:
+            bits = max(bits, max(v.denominator.bit_length() for v in got.ravel()))
+    assert bits > 64 or not exact
+
+
+def test_subdivide_needs_a_rational_split_point_on_an_exact_tensor():
+    tensor = to_bernstein(Polynomial(2, {(2, 1): Fraction(1, 3)}), (2, 1), exact=True).tensor
+    for t in (0.5, np.float64(0.25)):
+        with pytest.raises(ValueError):
+            subdivide(tensor, 0, t)
+    left, right = subdivide(tensor, 1, Fraction(1, 2))
+    assert _typed(left) == _typed(loop_subdivide(tensor, 1, Fraction(1, 2))[0])
+
+
+@pytest.mark.parametrize("degree", [(4,), (3, 2), (0, 3), (2, 1, 2)])
+def test_exact_scan_matches_rows(degree):
+    # each row materialized by CutMatrix.rows, dotted with z in Fractions;
+    # a tolerance at the median excess drops some of the rows 0 finds
+    rng = random.Random(23)
+    cuts = build_cut_matrix(degree, exact=True)
+    rows = cuts.rows(range(cuts.row_count))
+    size = math.prod(d + 1 for d in degree)
+    found = 0
+    for scale in (1, 3):
+        for _ in range(2):
+            z = [Fraction(rng.randint(0, 9), rng.choice((1, 7) + COPRIME)) for _ in range(size)]
+            z[rng.randrange(size)] += 1
+            z = [scale * v / sum(z) for v in z]
+            excess = [sum(x * v for x, v in zip(a, z)) - b for a, b in rows]
+            over = sorted(e for e in excess if e > 0)
+            for tol in (0, Fraction(1, 7919)) + tuple(over[len(over) // 2:][:1]):
+                want = [i for i, e in enumerate(excess) if e > tol]
+                assert cuts.scan_violations(z, tol, set()) == want
+                skip = set(rng.sample(range(cuts.row_count), cuts.row_count // 3))
+                assert cuts.scan_violations(z, tol, skip) == [i for i in want if i not in skip]
+            found += len(over)
+    assert found
+
+
+def test_offer_evaluation_matches_monomial_loop():
+    # Fraction and int coefficients, constants and no term at all: the
+    # value and the type of Polynomial.eval at Fraction points
+    rng = random.Random(37)
+    polys = [p for p, _ in _cases(True)] + [
+        Polynomial(2, {(2, 1): 3, (0, 1): -1, (0, 0): 4}),
+        Polynomial(3, {(0, 0, 2): 1}),
+        Polynomial.constant(2, 5),
+        Polynomial.constant(2, Fraction(1, 3)),
+        Polynomial.zero(3),
+    ]
+    for p in polys:
+        evaluate = _evaluator(p, EXACT)
+        for _ in range(3):
+            point = tuple(
+                Fraction(rng.randint(-30, 30), rng.choice((1, 2, 7) + COPRIME))
+                for _ in range(p.dimension)
+            )
+            got, want = evaluate(point), p.eval(point)
+            assert got == want and type(got) is type(want)
+    # float coefficients keep the loop, and so does float mode
+    q = Polynomial(1, {(1,): 0.1, (0,): Fraction(1, 3)})
+    point = (Fraction(1, 3),)
+    assert _evaluator(q, EXACT)(point) == q.eval(point) and type(q.eval(point)) is float
+    assert _evaluator(q, FLOAT) == q.eval

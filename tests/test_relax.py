@@ -10,7 +10,6 @@ from bernpop.poly import AffineMap, Box, Polynomial, to_unit_box
 from bernpop.relax import (
     bound_at_level,
     build_cut_matrix,
-    exactness_check,
     first_lp_bound,
     relax0,
 )
@@ -20,6 +19,7 @@ from conftest import (
     bernstein_to_polynomial,
     cut_pairs,
     elevation_row,
+    exactness_check,
     grid_min,
     himmelblau,
     iter_indices,
