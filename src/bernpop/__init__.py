@@ -1,7 +1,7 @@
 """Bernstein-basis LP relaxations and branch-and-bound for polynomial
 optimization over boxes, with a Lyapunov-certificate verification mode."""
 
-from .poly import AffineMap, Box, Polynomial, lie_derivative, parse_polynomial
+from .poly import Box, Polynomial, lie_derivative, parse_polynomial
 from .bernstein import BernsteinForm, to_bernstein, upper_bounds
 from .simplex import LPSolution
 from .relax import (
@@ -22,7 +22,6 @@ from .lyapunov import (
 )
 
 __all__ = [
-    "AffineMap",
     "BernsteinForm",
     "BnbConfig",
     "BnbResult",

@@ -256,12 +256,6 @@ def upper_bounds(degree: Index, exact: bool = False) -> np.ndarray:
     return outer_chain(peaks, F.dtype).ravel()
 
 
-def min_coefficient(bf: BernsteinForm) -> tuple[object, Index]:
-    """Smallest Bernstein coefficient and its lexicographically first index
-    (``BernsteinForm.minimum``, computed once per form)."""
-    return bf.minimum
-
-
 def vertex_condition(bf: BernsteinForm, idx: Index) -> bool:
     """True iff every coordinate of ``idx`` sits at 0 or at delta_j."""
     if not all(i <= d for i, d in zip(idx, bf.degree)):

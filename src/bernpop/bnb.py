@@ -1,18 +1,19 @@
 """Branch-and-bound global minimization over boxes.
 
-Each box carries one representation: the Bernstein coefficient tensor of
-the objective on it (and one per polynomial constraint).  Only the root
-of a (sub)problem is converted from the monomial basis; children get their
-tensors by a de Casteljau split of the parent along the bisected axis,
-and edge subproblems by a face slice.  A popped box first offers its
-sample points to the incumbent, and is then bounded at the configured
-relaxation level only as far as the incumbent cutoff needs: the bound
-stops at its first value that reaches the cutoff (see
-``relax.bound_at_level``'s ``stop_at``).  The box is then resolved by one
-of: infeasibility (some constraint tensor is positive, or the box's LP has
-no feasible point), exactness (vertex condition or placeholder recovery),
-the incumbent cutoff test, the monotonicity test (which spawns a reduced
-"edge" subproblem solved recursively), or bisection.
+A (sub)problem is its box and, per box, one representation: the Bernstein
+coefficient tensor of the objective on it (and one per polynomial
+constraint).  Only the root is converted from the monomial basis
+(``relaxation_tensors``); children get their tensors by a de Casteljau
+split of the parent along the bisected axis, and edge subproblems by a
+face slice.  A popped box first offers its sample points to the
+incumbent, and is then bounded at the configured relaxation level only
+as far as the incumbent cutoff needs: the bound stops at its first value
+that reaches the cutoff (see ``relax.bound_at_level``'s ``stop_at``).
+The box is then resolved by one of: infeasibility (some constraint
+tensor is positive, or the box's LP has no feasible point), exactness
+(vertex condition or placeholder recovery), the incumbent cutoff test,
+the monotonicity test (which spawns a reduced "edge" subproblem solved
+recursively), or bisection.
 
 The worklist is best-first on the parent bound; statistics for the main
 run and for the recursive edge subproblems are tracked separately.
@@ -23,7 +24,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,10 +32,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .bernstein import (
-    FLOAT, BernsteinForm, Field, field, field_of, integer_image, min_coefficient, subdivide,
-    to_bernstein, upper_bounds,
+    FLOAT, BernsteinForm, Field, field, field_of, integer_image, subdivide, to_bernstein,
+    upper_bounds,
 )
-from .poly import AffineMap, Box, Polynomial, restrict_facet, to_unit_box
+from .poly import Box, Polynomial, to_unit_box
+from .poly import restrict_facet  # noqa: F401  (unused; perfbench/spans.py traces this binding)
 from .relax import LEVEL_0, LEVEL_2, LEVELS, bound_at_level, build_cut_matrix, constraint_rows
 
 SPLIT_LONGEST = "longest_edge"
@@ -91,8 +92,9 @@ class BnbResult:
 
 def cutoff_threshold(incumbent: object, epsilon):
     """The bound at which a box can no longer improve the incumbent by more
-    than the relative tolerance, incumbent - eps * max(1, |incumbent|);
-    None while there is no finite incumbent."""
+    than the relative tolerance, incumbent - eps * max(1, |incumbent|), in
+    the field of the incumbent and ``epsilon``; None while there is no
+    finite incumbent."""
     if incumbent is None:
         return None
     if isinstance(incumbent, float) and math.isinf(incumbent):
@@ -125,11 +127,15 @@ def split_node(box: Box, tensors: tuple, strategy: str) -> tuple[tuple, tuple]:
     return (left, tuple(h[0] for h in halves)), (right, tuple(h[1] for h in halves))
 
 
-def box_tensor(p: Polynomial, box: Box, degree=None, exact: bool = False) -> np.ndarray:
-    """Coefficient tensor of ``p`` on ``box``, converted from the monomial
-    basis, in Fractions when ``exact`` and in float64 otherwise."""
-    q, _ = to_unit_box(p, box)
-    return to_bernstein(q, degree, exact).tensor
+def relaxation_tensors(p: Polynomial, constraints: Sequence, box: Box, degree=None, exact=False):
+    """The coefficient tensors of ``p`` and of each constraint on ``box``
+    (Fractions when ``exact``), at the relaxation degree: ``degree``
+    (default: the objective's), raised where a constraint needs more."""
+    delta = tuple(degree) if degree is not None else p.degree
+    for g in constraints:
+        delta = tuple(max(a, b) for a, b in zip(delta, g.degree))
+    units = (to_unit_box(f, box)[0] for f in (p, *constraints))
+    return tuple(to_bernstein(q, delta, exact).tensor for q in units)
 
 
 def _monotonicity_signs(tensor: np.ndarray) -> tuple[str, ...]:
@@ -156,54 +162,47 @@ def _monotonicity_signs(tensor: np.ndarray) -> tuple[str, ...]:
 
 def _face(tensor: np.ndarray, signs: Sequence[str]) -> np.ndarray:
     """Coefficient tensor of the face that ``edge_subproblem`` keeps: index
-    0 on '+' axes, delta_r on '-' axes, the whole range on mixed ones."""
-    return tensor[tuple({"+": 0, "-": -1}.get(s, slice(None)) for s in signs)]
+    0 on '+' axes, delta_r on '-' axes, the whole range on mixed ones.  A
+    face with no mixed axis is a vertex, a 0-d tensor whose one
+    coefficient is the polynomial's value there."""
+    return tensor[(*({"+": 0, "-": -1}.get(s, slice(None)) for s in signs), ...)]
 
 
-def edge_subproblem(
-    p: Polynomial, box: Box, signs: Sequence[str]
-) -> tuple[Polynomial, Optional[Box], list[tuple[int, object]]]:
+def edge_subproblem(box: Box, signs: Sequence[str]) -> tuple[Optional[Box], list[tuple]]:
     """Fix every non-mixed axis at its active bound ('+' -> lower,
-    '-' -> upper) and drop those variables.  Returns the reduced
-    polynomial, the reduced box (None when no axis remains), and the
-    (axis, value) substitutions performed, in original axis order."""
-    fixed = []
-    for axis, s in enumerate(signs):
-        if s == "+":
-            fixed.append((axis, box.lower[axis]))
-        elif s == "-":
-            fixed.append((axis, box.upper[axis]))
+    '-' -> upper) and drop those variables.  Returns the reduced box (None
+    when no axis remains) and the (axis, value) substitutions performed,
+    in original axis order; the face tensor (``_face``) is the reduced
+    problem's objective."""
+    free = [r for r, s in enumerate(signs) if s == "mixed"]
+    active = {"+": box.lower, "-": box.upper}
+    fixed = [(r, active[s][r]) for r, s in enumerate(signs) if s in active]
     if not fixed:
         raise ValueError("no monotone axis to substitute")
-    reduced = p
-    reduced_box = box
-    for axis, value in reversed(fixed):
-        reduced = restrict_facet(reduced, axis, value)
-        reduced_box = reduced_box.drop_axis(axis) if reduced_box.dimension > 1 else None
-    return reduced, reduced_box, fixed
+    if not free:
+        return None, fixed
+    return Box(tuple(box.lower[r] for r in free), tuple(box.upper[r] for r in free)), fixed
 
 
-def sample_upper_bound(box: Box, bf: BernsteinForm, mapping: AffineMap) -> list[tuple]:
+def sample_upper_bound(box: Box, bf: BernsteinForm) -> list[tuple]:
     """Candidate points for the incumbent, in the order to offer them: the
     box center, then the grid point of the argmin Bernstein coefficient."""
-    _, idx = min_coefficient(bf)
+    _, idx = bf.minimum
     F = field_of(bf.tensor)
     grid = tuple(F.ratio(i, d) if d else 0 for i, d in zip(idx, bf.degree))
-    return [box.center(), mapping(grid)]
+    return [box.center(), box.point(grid)]
 
 
 def _evaluator(p: Polynomial, F: Field) -> Callable:
-    """p's value at a point: ``p.eval``, or in exact mode, when p has
-    rational coefficients and a non-constant term, the same monomial sum
-    in integers at Fraction points.  With x_l = A_l / B over the point's
-    common denominator and c_I = C_I / E over the coefficients',
-    p(x) = sum_I C_I A^I B^(T - |I|) / (E B^T), T the largest total degree,
-    built as one Fraction: the value and type ``p.eval`` gives."""
-    rational = all(isinstance(c, numbers.Rational) for c in p.terms.values())
-    if not (F.exact and rational and any(map(any, p.terms))):
+    """p's value at a point: ``p.eval``, or in exact mode the same monomial
+    sum in integers at Fraction points.  With x_l = A_l / B over the
+    point's common denominator and c_I = C_I / E over the coefficients',
+    p(x) = sum_I C_I A^I B^(T - |I|) / (E B^T), T the largest total
+    degree, built as one Fraction (also for a constant or zero p)."""
+    if not F.exact:
         return p.eval
     coeffs, scale = integer_image(list(p.terms.values()))
-    top = max(map(sum, p.terms))
+    top = max(map(sum, p.terms), default=0)
     terms = [(c, idx, top - sum(idx)) for c, idx in zip(coeffs.tolist(), p.terms)]
 
     def evaluate(point: Sequence) -> Fraction:
@@ -216,12 +215,14 @@ def _evaluator(p: Polynomial, F: Field) -> Callable:
 
 
 class _RunState:
-    """Incumbent and node budget shared across the recursion."""
+    """Incumbent, node budget and cutoff tolerance (in the run's field)
+    shared across the recursion."""
 
-    def __init__(self, objective, constraints, max_boxes, F: Field = FLOAT):
+    def __init__(self, objective, constraints, cfg: BnbConfig, F: Field = FLOAT):
         self.objective = _evaluator(objective, F)
         self.constraints = tuple(_evaluator(g, F) for g in constraints)
-        self.max_boxes = max_boxes
+        self.max_boxes = cfg.max_boxes
+        self.epsilon = F.of(cfg.epsilon)
         self.nodes = 0
         self.exhausted = False
         self.incumbent = None
@@ -254,32 +255,30 @@ def branch_and_bound(
 ) -> BnbResult:
     """Globally minimize ``p`` over ``box`` subject to g_i(x) <= 0.
 
-    The relaxation degree is ``degree`` (default: the objective's), raised
-    where a constraint needs more.  A problem whose every box is pruned as
-    infeasible ends with no bounds and ``converged`` false.
+    The run computes in one field, that of ``cfg.exact``: the objective,
+    the constraints and the box are converted into it first (floats
+    convert to Fractions exactly).  The relaxation degree is ``degree``
+    (default: the objective's), raised where a constraint needs more.  A
+    problem whose every box is pruned as infeasible ends with no bounds and
+    ``converged`` false.
     """
     if box.dimension != p.dimension:
         raise ValueError("box dimension does not match objective")
     for g in constraints:
         if g.dimension != p.dimension:
             raise ValueError("constraint dimension does not match objective")
-    F = field(cfg.exact)  # the box in the tensors' field (floats convert to Fractions exactly)
+    F = field(cfg.exact)
+    p, constraints = p.convert(F.of), tuple(g.convert(F.of) for g in constraints)
     box = Box(tuple(map(F.of, box.lower)), tuple(map(F.of, box.upper)))
     stats = BnbStats()
-    state = _RunState(p, constraints, cfg.max_boxes, F)
+    state = _RunState(p, constraints, cfg, F)
     start = time.perf_counter()
     if p.dimension == 0:
         lower = p.eval(())
         state.offer(())
     else:
-        delta = tuple(degree) if degree is not None else p.degree
-        for g in constraints:
-            delta = tuple(max(a, b) for a, b in zip(delta, g.degree))
-        tensors = tuple(box_tensor(f, box, delta, F.exact) for f in (p, *constraints))
-        lower = _solve_problem(
-            p, tuple(constraints), box, tensors, cfg, state, lift=lambda pt: pt,
-            stats=stats, depth=0,
-        )
+        tensors = relaxation_tensors(p, constraints, box, degree, F.exact)
+        lower = _solve_problem(box, tensors, cfg, state, lift=lambda pt: pt, stats=stats, depth=0)
     stats.elapsed = time.perf_counter() - start - stats.edge_elapsed
     upper = state.incumbent
     converged = (
@@ -298,12 +297,14 @@ def branch_and_bound(
     )
 
 
-def _solve_problem(p, constraints, box, tensors, cfg, state, lift, stats, depth):
+def _solve_problem(box, tensors, cfg, state, lift, stats, depth):
     """Worklist loop for one (sub)problem; returns its lower bound.
 
     ``tensors`` holds the coefficient tensors of the objective and of each
     constraint on ``box``, all of one degree; every box in the worklist
-    carries its own tuple of them.
+    carries its own tuple of them, and they are all the loop reads of the
+    problem.  ``lift`` maps a point of ``box`` to the top-level problem's
+    coordinates.
     """
     delta = tuple(s - 1 for s in tensors[0].shape)
     u = None if cfg.level == LEVEL_0 else upper_bounds(delta, exact=cfg.exact)
@@ -334,14 +335,13 @@ def _solve_problem(p, constraints, box, tensors, cfg, state, lift, stats, depth)
             # some constraint is positive on the whole box: nothing feasible here
             stats.infeasible_count += 1
             continue
-        amap = AffineMap.from_box(cur)
         bf = BernsteinForm(t)
         # sample first, so that the bound need only reach the cutoff
-        for pt in sample_upper_bound(cur, bf, amap):
+        for pt in sample_upper_bound(cur, bf):
             state.offer(lift(pt))
         outcome = bound_at_level(
-            bf, cfg.level, u=u, cuts=cuts, extra_rows=constraint_rows(g_tensors), mapping=amap,
-            stop_at=cutoff_threshold(state.incumbent, cfg.epsilon),
+            bf, cfg.level, u=u, cuts=cuts, extra_rows=constraint_rows(g_tensors), box=cur,
+            stop_at=cutoff_threshold(state.incumbent, state.epsilon),
         )
         stats.lp_solves += outcome.lp_solves
         stats.lp_pivots += outcome.pivots
@@ -353,33 +353,31 @@ def _solve_problem(p, constraints, box, tensors, cfg, state, lift, stats, depth)
             continue
         bound = outcome.bound
 
-        if outcome.exact and not constraints:
+        if outcome.exact and not g_tensors:
             stats.exact_count += 1
             state.offer(lift(outcome.witness))
             add_contrib(bound)
             continue
-        if cutoff_test(bound, state.incumbent, cfg.epsilon):
+        if cutoff_test(bound, state.incumbent, state.epsilon):
             if depth == 0:
                 stats.cutoff_count += 1
             else:
                 stats.edge_cutoffs += 1
             add_contrib(bound)
             continue
-        if not constraints:
+        if not g_tensors:
             signs = _monotonicity_signs(t)
             if any(s != "mixed" for s in signs):
                 stats.mono_count += 1
-                reduced, reduced_box, fixed = edge_subproblem(p, cur, signs)
+                reduced_box, fixed = edge_subproblem(cur, signs)
                 sub_lift = _make_lift(lift, fixed)
-                if reduced_box is None:
-                    val = reduced.eval(())
+                if reduced_box is None:  # a vertex: its one coefficient is the value there
                     state.offer(sub_lift(()))
-                    add_contrib(val)
+                    add_contrib(_face(t, signs).item())
                 else:
                     t0 = time.perf_counter()
                     sub_lower = _solve_problem(
-                        reduced, (), reduced_box, (_face(t, signs),), cfg, state,
-                        sub_lift, stats, depth + 1,
+                        reduced_box, (_face(t, signs),), cfg, state, sub_lift, stats, depth + 1,
                     )
                     if depth == 0:  # nested recursion is inside this window
                         stats.edge_elapsed += time.perf_counter() - t0

@@ -14,6 +14,7 @@ codes: 0 success, 2 not converged / verdict not reached, 1 input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -22,9 +23,7 @@ from fractions import Fraction
 from . import bnb as bnb_mod
 from . import lyapunov as lyap_mod
 from . import problems
-from .bernstein import to_bernstein, upper_bounds
-from .bnb import box_tensor
-from .poly import to_unit_box
+from .bernstein import BernsteinForm, upper_bounds
 from .relax import LEVEL_0, LEVEL_1, LEVEL_2, LEVEL_FIRST, bound_at_level, constraint_rows
 
 # the level chain in order of strength, with each level's report key
@@ -90,16 +89,11 @@ def _run_relax(args) -> tuple[int, dict]:
     exact = args.arith == "rational"
     problem = problems.load_problem(_existing(args.input), exact)
     p = problem.objective
-    constraints = problem.all_constraints()
-    degree = p.degree
-    if args.degree:
-        degree = _parse_degree(args.degree, p.degree)
-    for g in constraints:  # the relaxation degree must cover every constraint
-        degree = tuple(max(a, b) for a, b in zip(degree, g.degree))
-    q, amap = to_unit_box(p, problem.box)
-    bf = to_bernstein(q, degree, exact)
-    extra_rows = constraint_rows([box_tensor(g, problem.box, degree, exact) for g in constraints])
-    u = upper_bounds(degree, exact=exact)
+    degree = _parse_degree(args.degree, p.degree) if args.degree else None
+    t, *g_tensors = bnb_mod.relaxation_tensors(p, problem.all_constraints(), problem.box, degree, exact)
+    bf = BernsteinForm(t)
+    extra_rows = constraint_rows(g_tensors)
+    u = upper_bounds(bf.degree, exact=exact)
 
     bounds: dict = {}
     exact_strs: dict = {}
@@ -109,7 +103,7 @@ def _run_relax(args) -> tuple[int, dict]:
     for level in levels[: levels.index(args.level) + 1]:
         key = _LEVEL_KEYS[level]
         t0 = time.perf_counter()
-        out = bound_at_level(bf, level, u=u, extra_rows=extra_rows, mapping=amap)
+        out = bound_at_level(bf, level, u=u, extra_rows=extra_rows, box=problem.box)
         timings[key] = time.perf_counter() - t0
         bounds[key] = _bound_json(out.bound)
         if exact and out.bound is not None:
@@ -125,7 +119,7 @@ def _run_relax(args) -> tuple[int, dict]:
         "mode": "relax",
         "problem": problem.name,
         "level": args.level,
-        "degree": list(degree),
+        "degree": list(bf.degree),
         "bounds": bounds,
         "timings": timings,
     }
@@ -150,26 +144,14 @@ def _bnb_config(args, problem=None) -> bnb_mod.BnbConfig:
 
 
 def _bnb_section(result, exact: bool) -> dict:
-    s = result.stats
+    stats = dataclasses.asdict(result.stats)
+    del stats["elapsed"], stats["edge_elapsed"]  # the timings section reports them
     return {
         "lower": _bound_json(result.lower_bound),
         "upper": _bound_json(result.upper_bound),
         "witness": _witness_json(result.witness, exact),
         "converged": result.converged,
-        "stats": {
-            "subdivisions": s.subdivisions,
-            "cutoff_count": s.cutoff_count,
-            "mono_count": s.mono_count,
-            "edge_subdivisions": s.edge_subdivisions,
-            "edge_cutoffs": s.edge_cutoffs,
-            "infeasible_count": s.infeasible_count,
-            "exact_count": s.exact_count,
-            "min_width_count": s.min_width_count,
-            "lp_solves": s.lp_solves,
-            "lp_pivots": s.lp_pivots,
-            "lp_fallbacks": s.lp_fallbacks,
-            "early_stops": s.early_stops,
-        },
+        "stats": stats,
     }
 
 

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .bernstein import BernsteinForm, field, to_bernstein, upper_bounds
 from .bnb import SPLIT_ZERO, BnbConfig, split_node
-from .poly import AffineMap, Box, Polynomial, lie_derivative, to_unit_box
+from .poly import Box, Polynomial, lie_derivative, to_unit_box
 from .problems import (
     checked,
     load_fixture,
@@ -100,16 +100,19 @@ def certify_nonnegative(p: Polynomial, region: Box, cfg: Optional[BnbConfig] = N
     """Lower-bound ``p`` over ``region`` for certification purposes.
 
     Boxes are resolved as verified, stalled (bound still negative but
-    improving no faster than the equilibrium rate), or split further.  In
-    exact mode a box is verified on bound >= 0, a proof; float mode keeps
-    a slack of epsilon (bound >= -epsilon) until its bounds carry a
-    rounding error radius.  The returned lower bound is the minimum over
-    resolved boxes (a Fraction in exact mode), so a stall reports the
-    obstacle that blocked certification.
+    improving no faster than the equilibrium rate), or split further.
+    ``p`` and ``region`` are first converted into the field of
+    ``cfg.exact``.  In exact mode a box is verified on bound >= 0, a
+    proof; float mode keeps a slack of epsilon (bound >= -epsilon) until
+    its bounds carry a rounding error radius.  The returned lower bound is
+    the minimum over resolved boxes (a Fraction in exact mode), so a stall
+    reports the obstacle that blocked certification.  No witness is read,
+    so the bounds get no box.
     """
     if cfg is None:
         cfg = default_config()
-    F = field(cfg.exact)  # the region in the tensors' field (floats convert to Fractions exactly)
+    F = field(cfg.exact)  # floats convert to Fractions exactly
+    p = p.convert(F.of)
     region = Box(tuple(map(F.of, region.lower)), tuple(map(F.of, region.upper)))
     start = time.perf_counter()
     run = VerificationRun(0.0, 0, 0, 0, 0.0, False)
@@ -134,8 +137,7 @@ def certify_nonnegative(p: Polynomial, region: Box, cfg: Optional[BnbConfig] = N
             break
         box, tensor, hist, _ = stack.pop()
         run.nodes += 1
-        amap = AffineMap.from_box(box)
-        outcome = bound_at_level(BernsteinForm(tensor), cfg.level, u=u, mapping=amap)
+        outcome = bound_at_level(BernsteinForm(tensor), cfg.level, u=u)
         bound = outcome.bound
         straddles = any(lo < 0 < hi for lo, hi in zip(box.lower, box.upper))
         if bound >= threshold:
@@ -158,15 +160,18 @@ def certify_nonnegative(p: Polynomial, region: Box, cfg: Optional[BnbConfig] = N
 
 def verify_lyapunov(case: LyapunovCase, cfg: Optional[BnbConfig] = None) -> Verdict:
     """Check min V >= 0 and min -dV/dt >= 0 over the region: exactly in
-    exact mode, within ``STABILITY_TOL`` in float mode."""
+    exact mode, within ``STABILITY_TOL`` in float mode.  V and the vector
+    field are converted into the field of ``cfg.exact`` before dV/dt is
+    formed, so an exact verdict on float data is exact in that data."""
     if cfg is None:
         cfg = default_config()
     F = field(cfg.exact)
-    v0 = case.v.eval(tuple(0 for _ in range(case.v.dimension)))
+    v = case.v.convert(F.of)
+    v0 = v.eval(tuple(0 for _ in range(v.dimension)))
     if abs(v0) > F.tol(1e-12):
         warnings.warn(f"{case.name}: V(0) = {v0}, expected 0")
-    vdot = lie_derivative(case.v, case.system.f)
-    v_run = certify_nonnegative(case.v, case.region, cfg)
+    vdot = lie_derivative(v, [f.convert(F.of) for f in case.system.f])
+    v_run = certify_nonnegative(v, case.region, cfg)
     vdot_run = certify_nonnegative(-vdot, case.region, cfg)
     tol = F.tol(STABILITY_TOL)
     stable = v_run.lower_bound >= -tol and vdot_run.lower_bound >= -tol

@@ -1,4 +1,5 @@
-"""Sparse multivariate polynomials, boxes, and affine changes of variables.
+"""Sparse multivariate polynomials, boxes, and the change of variables
+from a box onto the unit box.
 
 Coefficients are generic scalars: ``float`` (binary64 mode) or
 :class:`fractions.Fraction` (exact mode).  Every operation below works for
@@ -121,6 +122,11 @@ class Polynomial:
             self.dimension, {i: factor * c for i, c in self.terms.items()}
         )
 
+    def convert(self, of) -> "Polynomial":
+        """The same polynomial with every coefficient passed through ``of``
+        (a field's ``of``: float, or Fraction, which converts exactly)."""
+        return Polynomial(self.dimension, {i: of(c) for i, c in self.terms.items()}, self.degree)
+
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative power")
@@ -235,57 +241,29 @@ class Box:
         lo2[axis] = at
         return Box(tuple(lo1), tuple(hi1)), Box(tuple(lo2), tuple(hi2))
 
-    def drop_axis(self, axis: int) -> "Box":
-        lo = self.lower[:axis] + self.lower[axis + 1 :]
-        hi = self.upper[:axis] + self.upper[axis + 1 :]
-        return Box(lo, hi)
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """Per-axis map x_j = offset_j + scale_j * z_j from the unit box."""
-
-    scale: tuple
-    offset: tuple
-
-    def __post_init__(self):
-        if len(self.scale) != len(self.offset):
-            raise ValueError("scale/offset length mismatch")
-        if any(not s > 0 for s in self.scale):
-            raise ValueError("scales must be positive")
-
-    @classmethod
-    def identity(cls, dimension: int) -> "AffineMap":
-        return cls((1,) * dimension, (0,) * dimension)
-
-    @classmethod
-    def from_box(cls, box: Box) -> "AffineMap":
-        scale = tuple(hi - lo for lo, hi in zip(box.lower, box.upper))
-        return cls(scale, box.lower)
-
-    def __call__(self, z: Sequence) -> tuple:
-        if len(z) != len(self.scale):
+    def point(self, z: Sequence) -> tuple:
+        """The point lo + (hi - lo) * z of the box at unit coordinates z."""
+        if len(z) != self.dimension:
             raise ValueError("point length mismatch")
-        return tuple(o + s * zi for o, s, zi in zip(self.offset, self.scale, z))
+        return tuple(lo + (hi - lo) * zi for lo, hi, zi in zip(self.lower, self.upper, z))
 
 
-def to_unit_box(p: Polynomial, box: Box) -> tuple[Polynomial, AffineMap]:
+def to_unit_box(p: Polynomial, box: Box) -> tuple[Polynomial, Box]:
     """Rewrite ``p`` on ``box`` as a polynomial on [0,1]^n.
 
-    Returns ``q`` with q(z) = p(offset + scale*z) and the map itself.  The
+    Returns ``q`` with q(z) = p(box.point(z)), and the box.  The
     substitution is expanded one variable at a time with exact integer
     binomials, so the only rounding in float mode comes from coefficient
     products and sums.
     """
     if box.dimension != p.dimension:
         raise ValueError("box dimension does not match polynomial")
-    amap = AffineMap.from_box(box)
     terms: dict[Index, object] = {}
     for idx, coeff in p.terms.items():
         # partial maps exponent tuples of the already-substituted prefix
         partial: dict[Index, object] = {(): coeff}
         for j, e in enumerate(idx):
-            o, s = amap.offset[j], amap.scale[j]
+            o, s = box.lower[j], box.width(j)
             # (o + s z)^e expanded once per axis
             expansion = [
                 math.comb(e, t) * (s**t) * (o ** (e - t)) for t in range(e + 1)
@@ -303,7 +281,7 @@ def to_unit_box(p: Polynomial, box: Box) -> tuple[Polynomial, AffineMap]:
             terms[key] = terms.get(key, 0) + c
     # keep the source degree vector: substitution cannot raise it, and the
     # Bernstein machinery expects the same tensor shape on every box
-    return Polynomial(p.dimension, terms, degree=p.degree), amap
+    return Polynomial(p.dimension, terms, degree=p.degree), box
 
 
 def restrict_facet(p: Polynomial, axis: int, value) -> Polynomial:

@@ -41,13 +41,12 @@ from .bernstein import (
     field,
     field_of,
     integer_image,
-    min_coefficient,
     outer_chain,
     upper_bounds,
     vertex_condition,
     vertex_point,
 )
-from .poly import AffineMap, Index
+from .poly import Box, Index
 
 LEVEL_0 = "0"
 LEVEL_FIRST = "first"
@@ -254,19 +253,24 @@ def _value_matches(bf: BernsteinForm, point, bound, F: Field) -> bool:
     return abs(F.of(bernstein_eval(bf, point)) - bound) <= F.tol(_VALUE_TOL) * scale
 
 
-def _certify(bf, z, bound, mapping, F: Field) -> tuple[bool, Optional[tuple]]:
+def _on_box(point: tuple, box: Optional[Box]) -> tuple:
+    """A unit-box point mapped onto ``box``; with no box it stays as is."""
+    return point if box is None else box.point(point)
+
+
+def _certify(bf, z, bound, box: Optional[Box], F: Field) -> tuple[bool, Optional[tuple]]:
     """Exactness of a relaxation value: formal z-recovery, then cheap
-    candidate points whose objective value already attains the bound."""
-    mapping = mapping or AffineMap.identity(bf.dimension)
+    candidate points whose objective value already attains the bound.
+    The witness is in ``box``'s coordinates (unit ones with no box)."""
     point = _nominal_point(z, bf.degree, F)
     if _reproduces(z, point, bf.degree, 1e-7, F):
-        return True, mapping(point)
+        return True, _on_box(point, box)
     # the nominal point can attain the bound even when z is not unique
     candidates = [point] if any(d > 0 for d in bf.degree) else []
     candidates.append((F.half,) * bf.dimension)
     for point in candidates:
         if _value_matches(bf, point, bound, F):
-            return True, mapping(point)
+            return True, _on_box(point, box)
     return False, None
 
 
@@ -274,15 +278,13 @@ def _certify(bf, z, bound, mapping, F: Field) -> tuple[bool, Optional[tuple]]:
 # the relaxation levels
 
 
-def relax0(bf: BernsteinForm, mapping: Optional[AffineMap] = None) -> RelaxationOutcome:
+def relax0(bf: BernsteinForm, box: Optional[Box] = None) -> RelaxationOutcome:
     """Level 0: the smallest Bernstein coefficient; exact iff the argmin
-    index satisfies the vertex condition."""
-    value, idx = min_coefficient(bf)
+    index satisfies the vertex condition, with that vertex of ``box`` (of
+    the unit box with no box) as the witness."""
+    value, idx = bf.minimum
     is_exact = vertex_condition(bf, idx)
-    witness = None
-    if is_exact:
-        corner = vertex_point(idx, bf.degree)
-        witness = (mapping or AffineMap.identity(bf.dimension))(corner)
+    witness = _on_box(vertex_point(idx, bf.degree), box) if is_exact else None
     return RelaxationOutcome(bound=value, exact=is_exact, witness=witness)
 
 
@@ -349,7 +351,7 @@ def first_lp_bound(bf: BernsteinForm, u: Sequence):
     return candidate if candidate > b0 else b0
 
 
-def _cut_loop(bf, u, cuts, extra_rows, mapping, F: Field, stop_at=None) -> RelaxationOutcome:
+def _cut_loop(bf, u, cuts, extra_rows, box, F: Field, stop_at=None) -> RelaxationOutcome:
     """Level 1 (no ``cuts``) or level 2: the greedy fill of the level-1 LP,
     re-optimised after appending ``extra_rows`` and then, round by round,
     the rows of ``cuts`` it violates until none is left; the result is the
@@ -414,7 +416,7 @@ def _cut_loop(bf, u, cuts, extra_rows, mapping, F: Field, stop_at=None) -> Relax
         active_set.update(violated)
         rows = cuts.rows(violated)
     uncertified = extra_rows or stopped
-    is_exact, witness = (False, None) if uncertified else _certify(bf, z, value, mapping, F)
+    is_exact, witness = (False, None) if uncertified else _certify(bf, z, value, box, F)
     return RelaxationOutcome(
         bound=value, z=z, activated_rows=tuple(active), exact=is_exact, witness=witness,
         iterations=rounds, lp_solves=solves, pivots=pivots,
@@ -432,7 +434,7 @@ def bound_at_level(
     u: Optional[Sequence] = None,
     cuts: Optional[CutMatrix] = None,
     extra_rows: Sequence = (),
-    mapping: Optional[AffineMap] = None,
+    box: Optional[Box] = None,
     exact: Optional[bool] = None,
     stop_at=None,
 ) -> RelaxationOutcome:
@@ -440,7 +442,9 @@ def bound_at_level(
     one entry point to every level.  The arithmetic is the field of the
     form's tensor; ``exact``, if given, must name that field.  ``u``
     defaults to the caps of the form's degree, and ``cuts``, read at
-    level 2 only, to its full cut matrix.
+    level 2 only, to its full cut matrix.  An exactness witness is a
+    point of ``box``, the box the form's unit box stands for; with no box
+    it stays in unit coordinates.
 
     ``stop_at`` asks for a bound only as strong as needed to reach it:
     above level 0, the level-0 outcome is returned when the smallest
@@ -454,7 +458,7 @@ def bound_at_level(
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}")
     if level == LEVEL_0 or stop_at is not None:
-        out = relax0(bf, mapping)
+        out = relax0(bf, box)
         if extra_rows:
             # constraint rows cannot weaken a box bound; drop certificates
             out = RelaxationOutcome(bound=out.bound)
@@ -469,4 +473,4 @@ def bound_at_level(
         return RelaxationOutcome(bound=first_lp_bound(bf, u))
     if level == LEVEL_2 and cuts is None:
         cuts = build_cut_matrix(bf.degree, F.exact)
-    return _cut_loop(bf, u, cuts if level == LEVEL_2 else None, extra_rows, mapping, F, stop_at)
+    return _cut_loop(bf, u, cuts if level == LEVEL_2 else None, extra_rows, box, F, stop_at)

@@ -21,9 +21,16 @@ import numpy as np
 import pytest
 
 from bernpop import simplex
-from bernpop.bernstein import _beta_peak, field
-from bernpop.poly import AffineMap, Box, Polynomial, lie_derivative, multi_binom
+from bernpop.bernstein import _beta_peak, field, to_bernstein
+from bernpop.poly import Box, Polynomial, lie_derivative, multi_binom, to_unit_box
 from bernpop.relax import _greedy_knapsack, _nominal_point, _reproduces
+
+
+def box_tensor(p: Polynomial, box: Box, degree=None, exact: bool = False) -> np.ndarray:
+    """Coefficient tensor of ``p`` on ``box``, converted from the monomial
+    basis, in Fractions when ``exact`` and in float64 otherwise."""
+    q, _ = to_unit_box(p, box)
+    return to_bernstein(q, degree, exact).tensor
 
 
 def himmelblau() -> Polynomial:
@@ -275,7 +282,7 @@ def monomial_bernstein_row(idx, degree, exact: bool = False) -> list:
     return out
 
 
-def exactness_check(z, degree, mapping=None, tol: float = 1e-7, exact: bool = False):
+def exactness_check(z, degree, box=None, tol: float = 1e-7, exact: bool = False):
     """The formal half of ``relax._certify``: read a true minimizer off an
     optimal placeholder vector.  Accepts iff z reproduces the basis values
     at the nominal point x~ and returns that point in original coordinates;
@@ -284,7 +291,7 @@ def exactness_check(z, degree, mapping=None, tol: float = 1e-7, exact: bool = Fa
     point = _nominal_point(z, degree, F)
     if not _reproduces(z, point, degree, tol, F):
         return None
-    return (mapping or AffineMap.identity(len(degree)))(point)
+    return point if box is None else box.point(point)
 
 
 # -- monomial expansions of Bernstein forms (test references) ---------------

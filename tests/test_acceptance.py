@@ -12,7 +12,6 @@ import pytest
 
 from bernpop.bernstein import (
     bernstein_eval,
-    min_coefficient,
     to_bernstein,
     upper_bounds,
 )
@@ -23,7 +22,7 @@ from bernpop.lyapunov import (
     load_lyapunov_case,
     verify_lyapunov,
 )
-from bernpop.poly import AffineMap, Box, Polynomial, lie_derivative, to_unit_box
+from bernpop.poly import Box, Polynomial, lie_derivative, to_unit_box
 from bernpop.problems import load_fixture
 from bernpop.relax import (
     bound_at_level,
@@ -58,25 +57,25 @@ def _unit_form(p, box, degree=None, exact=False):
             tuple(Fraction(v) for v in box.lower),
             tuple(Fraction(v) for v in box.upper),
         )
-    q, amap = to_unit_box(p, box)
-    return to_bernstein(q, degree or q.degree), amap
+    q, box = to_unit_box(p, box)
+    return to_bernstein(q, degree or q.degree), box
 
 
 def test_criterion_1_example_chain():
     def body():
         start = time.perf_counter()
-        bf1, amap1 = _unit_form(Polynomial(1, {(2,): 1}), Box((-1.0,), (1.0,)), (2,))
+        bf1, box1 = _unit_form(Polynomial(1, {(2,): 1}), Box((-1.0,), (1.0,)), (2,))
         u1 = upper_bounds((2,))
-        assert abs(relax0(bf1, amap1).bound - (-1.0)) <= 1e-9
-        assert abs(bound_at_level(bf1, "1", u=u1, mapping=amap1).bound - 0.0) <= 1e-9
+        assert abs(relax0(bf1, box1).bound - (-1.0)) <= 1e-9
+        assert abs(bound_at_level(bf1, "1", u=u1, box=box1).bound - 0.0) <= 1e-9
 
-        bf2, amap2 = _unit_form(
+        bf2, box2 = _unit_form(
             Polynomial(2, {(2, 0): 1, (0, 2): 1}), Box((-1.0, -1.0), (1.0, 1.0)), (2, 2)
         )
         u2 = upper_bounds((2, 2))
-        assert abs(relax0(bf2, amap2).bound - (-2.0)) <= 1e-9
-        assert abs(bound_at_level(bf2, "1", u=u2, mapping=amap2).bound - (-0.5)) <= 1e-9
-        out2 = bound_at_level(bf2, "2", u=u2, cuts=build_cut_matrix((2, 2)), mapping=amap2)
+        assert abs(relax0(bf2, box2).bound - (-2.0)) <= 1e-9
+        assert abs(bound_at_level(bf2, "1", u=u2, box=box2).bound - (-0.5)) <= 1e-9
+        out2 = bound_at_level(bf2, "2", u=u2, cuts=build_cut_matrix((2, 2)), box=box2)
         assert abs(out2.bound - 0.0) <= 1e-9
         assert time.perf_counter() - start < 1.0
 
@@ -86,13 +85,13 @@ def test_criterion_1_example_chain():
 def test_criterion_2_himmelblau_degree44():
     def body():
         start = time.perf_counter()
-        bf, amap = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
+        bf, box = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
         u = upper_bounds((4, 4))
-        assert relax0(bf, amap).bound == -1170.0
-        assert abs(bound_at_level(bf, "1", u=u, mapping=amap).bound - (-911.47)) <= 0.01
+        assert relax0(bf, box).bound == -1170.0
+        assert abs(bound_at_level(bf, "1", u=u, box=box).bound - (-911.47)) <= 0.01
         cuts = build_cut_matrix((4, 4))
         assert cuts.row_count == 200
-        out = bound_at_level(bf, "2", u=u, cuts=cuts, mapping=amap)
+        out = bound_at_level(bf, "2", u=u, cuts=cuts, box=box)
         assert abs(out.bound - (-856.42)) <= 0.01
         assert len(out.activated_rows) <= 10
         assert time.perf_counter() - start < 5.0
@@ -265,7 +264,7 @@ def test_criterion_6d_roundtrip_and_enclosure():
             for _ in range(200):
                 z = (rng.random(), rng.random())
                 assert abs(bernstein_eval(bf, z) - p.eval(z)) <= 1e-9
-            lo, _ = min_coefficient(bf)
+            lo, _ = bf.minimum
             hi = bf.tensor.max()
             box = Box((0.0, 0.0), (1.0, 1.0))
             assert lo <= grid_min(p, box, 17) + 1e-9
@@ -276,8 +275,8 @@ def test_criterion_6d_roundtrip_and_enclosure():
 
 def test_criterion_6e_exactness_recovery():
     def body():
-        amap = AffineMap.from_box(Box((-1.0,), (1.0,)))
-        witness = exactness_check([0.25, 0.5, 0.25], (2,), amap)
+        box = Box((-1.0,), (1.0,))
+        witness = exactness_check([0.25, 0.5, 0.25], (2,), box)
         assert witness is not None
         assert abs(witness[0] - 0.0) <= 1e-12
 
@@ -297,8 +296,8 @@ def test_criterion_7_exact_arithmetic():
             (himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4), Fraction(-1170)),
         ]
         for p, box, degree, expected in cases:
-            bf, amap = _unit_form(p, box, degree, exact=True)
-            out = relax0(bf, amap)
+            bf, box = _unit_form(p, box, degree, exact=True)
+            out = relax0(bf, box)
             assert isinstance(out.bound, Fraction)
             assert out.bound == expected
 

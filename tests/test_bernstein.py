@@ -9,7 +9,6 @@ import numpy as np
 from bernpop.bernstein import (
     BernsteinForm,
     bernstein_eval,
-    min_coefficient,
     subdivide,
     to_bernstein,
     upper_bounds,
@@ -63,7 +62,7 @@ def test_eval_symmetric_square():
 
 
 def test_eval_himmelblau_on_unit_box():
-    q, amap = to_unit_box(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)))
+    q, _ = to_unit_box(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)))
     bf = to_bernstein(q, (4, 4))
     # z = (0.8, 0.7) maps to (3, 2), a global root
     assert bernstein_eval(bf, (0.8, 0.7)) == pytest.approx(0.0, abs=1e-6)
@@ -102,7 +101,7 @@ def test_enclosure_against_grid(rng):
     for _ in range(8):
         p = random_polynomial(rng, 2, 3)
         bf = to_bernstein(p)
-        lo, _ = min_coefficient(bf)
+        lo, _ = bf.minimum
         hi = bf.tensor.max()
         sampled = grid_min(p, Box((0.0, 0.0), (1.0, 1.0)), 17)
         assert lo <= sampled + 1e-9
@@ -184,7 +183,7 @@ def test_monomial_row_matches_conversion():
 def test_min_coefficient_himmelblau():
     q, _ = to_unit_box(himmelblau_exact(), Box((Fraction(-5),) * 2, (Fraction(5),) * 2))
     bf = to_bernstein(q, (4, 4))
-    value, idx = min_coefficient(bf)
+    value, idx = bf.minimum
     assert value == -1170
     assert not vertex_condition(bf, idx)
 
@@ -192,14 +191,14 @@ def test_min_coefficient_himmelblau():
 def test_min_coefficient_symmetric_square():
     p, _ = to_unit_box(Polynomial(1, {(2,): 1}), Box((-1.0,), (1.0,)))
     bf = to_bernstein(p, (2,))
-    value, idx = min_coefficient(bf)
+    value, idx = bf.minimum
     assert value == pytest.approx(-1.0)
     assert idx == (1,)
 
 
 def test_min_coefficient_tie_break():
     bf = BernsteinForm(np.array([[0.5, 0.0], [0.0, 1.0]]))
-    _, idx = min_coefficient(bf)
+    _, idx = bf.minimum
     assert idx == (0, 1)
 
 
@@ -211,7 +210,7 @@ def test_vertex_condition_cases():
 
 def test_vertex_condition_certifies_linear():
     bf = to_bernstein(Polynomial(1, {(1,): 1}), (2,))
-    value, idx = min_coefficient(bf)
+    value, idx = bf.minimum
     assert value == 0 and idx == (0,)
     assert vertex_condition(bf, idx)
     assert vertex_point(idx, (2,)) == (0,)
@@ -223,7 +222,7 @@ def test_enclosure_gap_shrinks_with_degree():
     errors = []
     for d in (4, 6, 10):
         bf = to_bernstein(q, (d, d))
-        lo, _ = min_coefficient(bf)
+        lo, _ = bf.minimum
         errors.append(true_min - lo)
     assert errors[0] >= errors[1] >= errors[2] > 0
 

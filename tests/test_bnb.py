@@ -11,7 +11,6 @@ from bernpop.bnb import (
     _RunState,
     _face,
     _monotonicity_signs,
-    box_tensor,
     branch_and_bound,
     cutoff_test,
     edge_subproblem,
@@ -21,8 +20,9 @@ from bernpop.bnb import (
     split_node,
 )
 from bernpop.bernstein import to_bernstein
-from bernpop.poly import Box, Polynomial, to_unit_box
-from conftest import algebraic4, himmelblau, himmelblau_exact, random_box, random_polynomial
+from bernpop.poly import Box, Polynomial, restrict_facet, to_unit_box
+from bernpop.relax import RelaxationOutcome
+from conftest import algebraic4, box_tensor, himmelblau, himmelblau_exact, random_box, random_polynomial
 
 
 def test_cutoff_prunes_above_incumbent():
@@ -70,45 +70,65 @@ def test_monotonicity_signs():
 
 def test_edge_subproblem_single_axis():
     p = Polynomial(2, {(1, 0): 1, (0, 2): 1})  # x1 + x2^2
-    reduced, rbox, fixed = edge_subproblem(p, Box((0.0, 0.0), (1.0, 1.0)), ("+", "mixed"))
-    assert reduced.terms == {(2,): 1}
+    box = Box((0.0, 0.0), (1.0, 1.0))
+    rbox, fixed = edge_subproblem(box, ("+", "mixed"))
     assert rbox.lower == (0.0,) and rbox.upper == (1.0,)
     assert fixed == [(0, 0.0)]
+    # the face tensor is x2^2's on the reduced box
+    face = _face(box_tensor(p, box), ("+", "mixed"))
+    assert (face == box_tensor(Polynomial(1, {(2,): 1}), rbox, (2,))).all()
 
 
 def test_edge_subproblem_all_axes():
     p = Polynomial(2, {(1, 0): 1, (0, 1): -1})
-    reduced, rbox, fixed = edge_subproblem(p, Box((0.0, 0.0), (1.0, 1.0)), ("+", "-"))
+    box = Box((0.0, 0.0), (1.0, 1.0))
+    rbox, fixed = edge_subproblem(box, ("+", "-"))
     assert rbox is None
-    assert reduced.eval(()) == pytest.approx(-1.0)
+    assert _face(box_tensor(p, box), ("+", "-")).item() == pytest.approx(-1.0)
     assert fixed == [(0, 0.0), (1, 1.0)]
 
 
 def test_edge_subproblem_square_on_positive_interval():
     square = Polynomial(1, {(2,): 1})
-    reduced, rbox, _ = edge_subproblem(square, Box((0.1,), (1.0,)), ("+",))
+    box = Box((0.1,), (1.0,))
+    rbox, _ = edge_subproblem(box, ("+",))
     assert rbox is None
-    assert reduced.eval(()) == pytest.approx(0.01)
+    assert _face(box_tensor(square, box), ("+",)).item() == pytest.approx(0.01)
+
+
+def test_fully_fixed_vertex_contributes_its_coefficient(monkeypatch):
+    # x^2 on [1/10, 1] is increasing, so the monotone step fixes its only
+    # axis; a bound that is neither exact nor past the cutoff reaches it,
+    # and the vertex contributes the face's one coefficient, p(1/10)
+    square = Polynomial(1, {(2,): Fraction(1)})
+    weak = lambda bf, *args, **kwargs: RelaxationOutcome(bound=bf.minimum[0] - 1)
+    monkeypatch.setattr(bnb, "bound_at_level", weak)
+    box = Box((Fraction(1, 10),), (Fraction(1),))
+    res = branch_and_bound(square, (), box, BnbConfig(level="0", exact=True))
+    assert res.stats.mono_count == 1 and res.stats.subdivisions == 1
+    assert res.lower_bound == square.eval((Fraction(1, 10),)) == Fraction(1, 100)
+    assert res.upper_bound == Fraction(1, 100) and res.witness == (Fraction(1, 10),)
+    assert res.converged
 
 
 def test_sample_upper_bound_center():
     square = Polynomial(1, {(2,): 1})
     box = Box((-1.0,), (1.0,))
-    q, amap = to_unit_box(square, box)
-    center, grid = sample_upper_bound(box, to_bernstein(q, (2,)), amap)
+    q, _ = to_unit_box(square, box)
+    center, grid = sample_upper_bound(box, to_bernstein(q, (2,)))
     assert center == (0.0,) and square.eval(center) == pytest.approx(0.0)
     assert grid == (0.0,)  # the middle coefficient, -1, is the smallest
 
 
 def test_sample_upper_bound_grid_argmin():
     box = Box((-5.0, -5.0), (5.0, 5.0))
-    q, amap = to_unit_box(himmelblau(), box)
+    q, _ = to_unit_box(himmelblau(), box)
     bf = to_bernstein(q, (4, 4))
-    points = sample_upper_bound(box, bf, amap)
+    points = sample_upper_bound(box, bf)
     assert points[0] == (0.0, 0.0) and len(points) == 2
     assert himmelblau().eval(points[1]) >= 0.0
     # the state takes the lower of the two
-    state = _RunState(himmelblau(), (), 10)
+    state = _RunState(himmelblau(), (), BnbConfig(max_boxes=10))
     for pt in points:
         state.offer(pt)
     assert state.incumbent == min(himmelblau().eval(pt) for pt in points)
@@ -118,9 +138,9 @@ def test_sample_upper_bound_infeasible():
     p = Polynomial(1, {(2,): 1})
     g = Polynomial(1, {(1,): 1, (0,): 1})  # x + 1 <= 0, never on [0,1]
     box = Box((0.0,), (1.0,))
-    q, amap = to_unit_box(p, box)
-    state = _RunState(p, (g,), 10)
-    for pt in sample_upper_bound(box, to_bernstein(q, (2,)), amap):
+    q, _ = to_unit_box(p, box)
+    state = _RunState(p, (g,), BnbConfig(max_boxes=10))
+    for pt in sample_upper_bound(box, to_bernstein(q, (2,))):
         state.offer(pt)
     assert state.incumbent is None and state.witness is None
 
@@ -249,6 +269,25 @@ def test_exact_mode_on_float_box_computes_in_fractions(level):
         assert on_floats.upper_bound == Fraction(-29127, 1048576)
 
 
+@pytest.mark.parametrize("level", ["0", "2"])
+def test_exact_mode_on_float_coefficients_computes_in_fractions(level):
+    # x^2 - 0.3x: exact mode takes the float coefficients at their exact
+    # ratios, so the run, incumbent included, is the one on Fraction(c)
+    on_floats = Polynomial(1, {(2,): 1.0, (1,): -0.3})
+    on_fractions = on_floats.convert(Fraction)
+    cfg = BnbConfig(level=level, exact=True)
+    box = Box((-1.0,), (1.0,))
+    got, want = (branch_and_bound(p, (), box, cfg) for p in (on_floats, on_fractions))
+    assert isinstance(got.upper_bound, Fraction) and isinstance(got.lower_bound, Fraction)
+    assert (got.lower_bound, got.upper_bound, got.witness) == (
+        want.lower_bound, want.upper_bound, want.witness
+    )
+    assert got.lower_bound <= on_fractions.eval((Fraction(0.15),)) <= got.upper_bound
+    # the incumbent is a Fraction even where Polynomial.eval gives the int 0
+    zero = branch_and_bound(Polynomial.zero(1), (), box, cfg)
+    assert zero.upper_bound == zero.lower_bound == 0 and isinstance(zero.upper_bound, Fraction)
+
+
 def test_bound_soundness_on_random_boxes(rng):
     # every level's bound stays below a dense sample minimum on the box
     from bernpop.bernstein import to_bernstein
@@ -258,11 +297,11 @@ def test_bound_soundness_on_random_boxes(rng):
     for _ in range(10):
         p = random_polynomial(rng, 2, 3)
         box = random_box(rng, 2)
-        q, amap = to_unit_box(p, box)
+        q, _ = to_unit_box(p, box)
         bf = to_bernstein(q)
         sampled = grid_min(p, box, 9)
         for level in ("0", "first", "1", "2"):
-            out = bound_at_level(bf, level, mapping=amap)
+            out = bound_at_level(bf, level, box=box)
             assert out.bound <= sampled + 1e-7
 
 
@@ -323,7 +362,8 @@ def test_face_slice_equals_restricted_conversion():
     box = Box((Fraction(1), Fraction(-2)), (Fraction(4), Fraction(3)))
     tensor = box_tensor(p, box, exact=True)
     for signs in (("+", "mixed"), ("-", "mixed"), ("mixed", "+"), ("mixed", "-")):
-        reduced, rbox, _ = edge_subproblem(p, box, signs)
+        rbox, [(axis, value)] = edge_subproblem(box, signs)
+        reduced = restrict_facet(p, axis, value)
         assert (_face(tensor, signs) == box_tensor(reduced, rbox, (4,), exact=True)).all()
 
 

@@ -1,14 +1,17 @@
-"""Design gates on the package sources: counts that may fall, never grow.
+"""Design gates on the package sources: counts that may fall, never grow,
+and the bindings the benchmark's tracer patches.
 
 A mode branch is a line that picks its arithmetic from an ``exact`` flag
 or a value's type instead of reading it off a ``bernstein.Field``.  The
 ceiling is today's count; a change that lowers the count lowers it too.
 """
 
+import importlib.util
 import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bernpop"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bernpop"
 
 # the same pattern as grep -nE on src/bernpop/*.py
 MODE_BRANCH = re.compile(
@@ -26,3 +29,14 @@ def test_mode_branches_do_not_grow():
         if MODE_BRANCH.search(line)
     ]
     assert len(hits) <= MODE_BRANCH_CEILING, "\n".join(hits)
+
+
+def test_traced_bindings_exist():
+    # perfbench/spans.py patches each (owner, attribute) through the
+    # owner's own namespace; a binding dropped here would end every traced
+    # benchmark run in a KeyError
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, _ in spans.TARGETS if attr not in vars(owner)]
+    assert not missing, missing

@@ -22,7 +22,6 @@ from bernpop.bernstein import (
     bernstein_eval,
     field,
     integer_image,
-    min_coefficient,
     subdivide,
     to_bernstein,
     upper_bounds,
@@ -148,10 +147,10 @@ def test_bernstein_eval_matches_loop(exact):
 def test_min_coefficient_matches_loop(exact):
     for p, degree in _cases(exact):
         bf = to_bernstein(p, degree, exact)
-        assert min_coefficient(bf) == loop_min_coefficient(_flat(bf), degree)
+        assert bf.minimum == loop_min_coefficient(_flat(bf), degree)
     # ties go to the first index in row-major order
     ties = BernsteinForm(np.array([[2.0, -1.0, 0.0], [-1.0, 3.0, -1.0]]))
-    assert min_coefficient(ties) == (-1.0, (0, 1))
+    assert ties.minimum == (-1.0, (0, 1))
 
 
 @pytest.mark.parametrize("exact", FIELDS)
@@ -304,7 +303,7 @@ def test_exact_scan_matches_rows(degree):
 
 def test_offer_evaluation_matches_monomial_loop():
     # Fraction and int coefficients, constants and no term at all: the
-    # value and the type of Polynomial.eval at Fraction points
+    # value of Polynomial.eval at Fraction points, always as a Fraction
     rng = random.Random(37)
     polys = [p for p, _ in _cases(True)] + [
         Polynomial(2, {(2, 1): 3, (0, 1): -1, (0, 0): 4}),
@@ -321,9 +320,10 @@ def test_offer_evaluation_matches_monomial_loop():
                 for _ in range(p.dimension)
             )
             got, want = evaluate(point), p.eval(point)
-            assert got == want and type(got) is type(want)
-    # float coefficients keep the loop, and so does float mode
+            assert got == want and type(got) is Fraction
+    # float coefficients count at their exact ratios; float mode keeps the loop
     q = Polynomial(1, {(1,): 0.1, (0,): Fraction(1, 3)})
     point = (Fraction(1, 3),)
-    assert _evaluator(q, EXACT)(point) == q.eval(point) and type(q.eval(point)) is float
+    got = _evaluator(q, EXACT)(point)
+    assert got == q.convert(Fraction).eval(point) and type(got) is Fraction
     assert _evaluator(q, FLOAT) == q.eval

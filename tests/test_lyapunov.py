@@ -14,6 +14,7 @@ from bernpop.lyapunov import (
     verify_lyapunov,
 )
 from bernpop.poly import Box, Polynomial, lie_derivative
+from bernpop.problems import load_fixture
 from conftest import cross_check_appendix_derivatives
 
 
@@ -163,6 +164,24 @@ def test_exact_certification_on_float_box_computes_in_fractions():
     assert (on_floats.nodes, on_floats.verified_boxes, on_floats.stalled_boxes) == (
         on_fractions.nodes, on_fractions.verified_boxes, on_fractions.stalled_boxes
     )
+
+
+def test_exact_verdict_on_float_data_is_exact_in_that_data():
+    # lyap7 read in floats and verified exactly: V and f are converted to
+    # Fractions before dV/dt is formed, so the bounds are those of the
+    # Fraction(c) case, not of a float-rounded dV/dt
+    floats = load_lyapunov_case(load_fixture("lyap7"))
+    fractions = LyapunovCase(
+        floats.name,
+        OdeSystem(floats.system.dimension, tuple(f.convert(Fraction) for f in floats.system.f)),
+        floats.v.convert(Fraction), floats.region, floats.expected_verdict,
+    )
+    cfg = default_config()
+    cfg.exact = True
+    got, want = verify_lyapunov(floats, cfg), verify_lyapunov(fractions, cfg)
+    assert isinstance(got.vdot_bound, Fraction) and isinstance(got.v_bound, Fraction)
+    assert (got.v_bound, got.vdot_bound, got.stable) == (want.v_bound, want.vdot_bound, want.stable)
+    assert got.vdot_bound == pytest.approx(-2.0000000000042e-4, rel=1e-12)
 
 
 # V = x^2 - 1e-13 is negative at the origin, by less than float mode's 1e-12

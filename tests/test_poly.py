@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from bernpop.poly import (
-    AffineMap,
     Box,
     Polynomial,
     lie_derivative,
@@ -133,43 +132,52 @@ def test_box_validation():
         Box((0.0,), (float("inf"),))
 
 
-def test_affine_map_from_box():
-    amap = AffineMap.from_box(Box((-1.0, 0.0), (1.0, 4.0)))
-    assert amap.scale == (2.0, 4.0)
-    assert amap((0.5, 0.5)) == (0.0, 2.0)
+def test_box_point():
+    box = Box((-1.0, 0.0), (1.0, 4.0))
+    assert box.point((0.5, 0.5)) == (0.0, 2.0)
+    assert box.point((0, 1)) == (-1.0, 4.0)
+    assert box.point((1, 0)) == (1.0, 0.0)
+    # lo + (hi - lo) * z, in that order: one rounding per product and sum
+    z = (0.1, 0.7)
+    assert box.point(z) == (-1.0 + 2.0 * 0.1, 0.0 + 4.0 * 0.7)
+    exact = Box((Fraction(-1), Fraction(1, 3)), (Fraction(1, 2), Fraction(2)))
+    assert exact.point((Fraction(1, 3), 0)) == (Fraction(-1, 2), Fraction(1, 3))
+    with pytest.raises(ValueError):
+        box.point((0.5,))
 
 
 def test_to_unit_box_square():
     p = Polynomial(1, {(2,): 1})
-    q, amap = to_unit_box(p, Box((-1.0,), (1.0,)))
+    box = Box((-1.0,), (1.0,))
+    q, same = to_unit_box(p, box)
     assert q.terms == {(2,): 4.0, (1,): -4.0, (0,): 1.0}
-    assert amap.scale == (2.0,) and amap.offset == (-1.0,)
+    assert same is box and box.width(0) == 2.0 and box.lower == (-1.0,)
 
 
 def test_to_unit_box_identity():
     p = himmelblau()
-    q, amap = to_unit_box(p, Box((0.0, 0.0), (1.0, 1.0)))
+    q, box = to_unit_box(p, Box((0.0, 0.0), (1.0, 1.0)))
     assert q.terms == p.terms
-    assert amap.scale == (1.0, 1.0)
+    assert box.point((0.25, 0.5)) == (0.25, 0.5)
 
 
 def test_to_unit_box_preserves_range(rng):
     for _ in range(10):
         p = random_polynomial(rng, 2, 3)
         box = random_box(rng, 2)
-        q, amap = to_unit_box(p, box)
+        q, _ = to_unit_box(p, box)
         for _ in range(100):
             z = (rng.random(), rng.random())
-            assert math.isclose(q.eval(z), p.eval(amap(z)), rel_tol=0, abs_tol=1e-10)
+            assert math.isclose(q.eval(z), p.eval(box.point(z)), rel_tol=0, abs_tol=1e-10)
 
 
 def test_to_unit_box_exact_rational(rng):
     p = Polynomial(2, {(2, 1): Fraction(1, 3), (1, 0): Fraction(-2)})
     box = Box((Fraction(-1), Fraction(1, 2)), (Fraction(3), Fraction(2)))
-    q, amap = to_unit_box(p, box)
+    q, _ = to_unit_box(p, box)
     for _ in range(25):
         z = (Fraction(rng.randint(0, 16), 16), Fraction(rng.randint(0, 16), 16))
-        assert q.eval(z) == p.eval(amap(z))
+        assert q.eval(z) == p.eval(box.point(z))
 
 
 def test_restrict_facet_simple():

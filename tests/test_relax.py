@@ -5,8 +5,7 @@ import pytest
 
 from bernpop import relax, simplex
 from bernpop.bernstein import BernsteinForm, field, to_bernstein, upper_bounds
-from bernpop.bnb import box_tensor
-from bernpop.poly import AffineMap, Box, Polynomial, to_unit_box
+from bernpop.poly import Box, Polynomial, to_unit_box
 from bernpop.relax import (
     bound_at_level,
     build_cut_matrix,
@@ -15,6 +14,7 @@ from bernpop.relax import (
 )
 from conftest import (
     assert_lp_duality,
+    box_tensor,
     bernstein_basis_polynomial,
     bernstein_to_polynomial,
     cut_pairs,
@@ -36,9 +36,9 @@ def _unit_form(p, box, degree=None, exact=False):
             tuple(Fraction(v) for v in box.lower),
             tuple(Fraction(v) for v in box.upper),
         )
-    q, amap = to_unit_box(p, box)
+    q, box = to_unit_box(p, box)
     bf = to_bernstein(q, degree or q.degree)
-    return bf, amap
+    return bf, box
 
 
 def _square_sum_form(degree=(2, 2)):
@@ -50,15 +50,15 @@ def _square_sum_form(degree=(2, 2)):
 
 
 def test_relax0_himmelblau():
-    bf, amap = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
-    out = relax0(bf, amap)
+    bf, box = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
+    out = relax0(bf, box)
     assert out.bound == pytest.approx(-1170.0, abs=1e-8)
     assert not out.exact
 
 
 def test_relax0_square_sum():
-    bf, amap = _square_sum_form()
-    out = relax0(bf, amap)
+    bf, box = _square_sum_form()
+    out = relax0(bf, box)
     assert out.bound == pytest.approx(-2.0)
 
 
@@ -74,22 +74,22 @@ def test_relax0_constant_exact():
 
 def test_relax1_univariate_square():
     p = Polynomial(1, {(2,): 1})
-    bf, amap = _unit_form(p, Box((-1.0,), (1.0,)), (2,))
-    out = bound_at_level(bf, "1", u=upper_bounds((2,)), mapping=amap)
+    bf, box = _unit_form(p, Box((-1.0,), (1.0,)), (2,))
+    out = bound_at_level(bf, "1", u=upper_bounds((2,)), box=box)
     assert out.bound == pytest.approx(0.0, abs=1e-12)
     assert out.exact
     assert out.witness[0] == pytest.approx(0.0)
 
 
 def test_relax1_square_sum():
-    bf, amap = _square_sum_form()
-    out = bound_at_level(bf, "1", u=upper_bounds((2, 2)), mapping=amap)
+    bf, box = _square_sum_form()
+    out = bound_at_level(bf, "1", u=upper_bounds((2, 2)), box=box)
     assert out.bound == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_relax1_himmelblau():
-    bf, amap = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
-    out = bound_at_level(bf, "1", u=upper_bounds((4, 4)), mapping=amap)
+    bf, box = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
+    out = bound_at_level(bf, "1", u=upper_bounds((4, 4)), box=box)
     assert out.bound == pytest.approx(-911.47, abs=0.01)
 
 
@@ -236,19 +236,19 @@ def test_float_and_exact_scans_agree_at_degree_4444(rng):
 
 
 def test_relax2_square_sum_exact_value():
-    bf, amap = _square_sum_form()
+    bf, box = _square_sum_form()
     u = upper_bounds((2, 2))
     cuts = build_cut_matrix((2, 2))
-    out = bound_at_level(bf, "2", u=u, cuts=cuts, mapping=amap)
+    out = bound_at_level(bf, "2", u=u, cuts=cuts, box=box)
     assert out.bound == pytest.approx(0.0, abs=1e-9)
     assert out.exact
 
 
 def test_relax2_himmelblau():
-    bf, amap = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
+    bf, box = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
     u = upper_bounds((4, 4))
     cuts = build_cut_matrix((4, 4))
-    out = bound_at_level(bf, "2", u=u, cuts=cuts, mapping=amap)
+    out = bound_at_level(bf, "2", u=u, cuts=cuts, box=box)
     assert out.bound == pytest.approx(-856.42, abs=0.01)
     assert len(out.activated_rows) <= 10
 
@@ -325,8 +325,8 @@ def test_relax2_monotone_in_degree():
 
 
 def test_exactness_check_accepts_univariate_optimum():
-    amap = AffineMap.from_box(Box((-1.0,), (1.0,)))
-    witness = exactness_check([0.25, 0.5, 0.25], (2,), amap)
+    box = Box((-1.0,), (1.0,))
+    witness = exactness_check([0.25, 0.5, 0.25], (2,), box)
     assert witness is not None
     assert witness[0] == pytest.approx(0.0)
 
@@ -338,13 +338,13 @@ def test_exactness_check_accepts_corner_indicator():
 
 
 def test_exactness_check_rejects_bivariate_vertex_solution():
-    bf, amap = _square_sum_form()
+    bf, box = _square_sum_form()
     u = upper_bounds((2, 2))
     cuts = build_cut_matrix((2, 2))
-    out = bound_at_level(bf, "2", u=u, cuts=cuts, mapping=amap)
+    out = bound_at_level(bf, "2", u=u, cuts=cuts, box=box)
     # the solver's optimal z is a basic solution, never the basis-value
     # vector of a single point here
-    assert exactness_check(out.z, (2, 2), amap) is None
+    assert exactness_check(out.z, (2, 2), box) is None
     # yet the bound itself is exact (caught through a candidate point)
     assert out.exact
 
@@ -410,7 +410,7 @@ def test_semialgebraic_degree_overflow():
 
 
 def test_bound_at_level_dispatch():
-    bf, amap = _square_sum_form()
+    bf, box = _square_sum_form()
     assert bound_at_level(bf, "0").bound == pytest.approx(-2.0)
     assert bound_at_level(bf, "first").bound == pytest.approx(-0.5)
     assert bound_at_level(bf, "1").bound == pytest.approx(-0.5)
@@ -420,13 +420,13 @@ def test_bound_at_level_dispatch():
 
 
 def test_exact_mode_relaxations():
-    bf, amap = _unit_form(
+    bf, box = _unit_form(
         himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4), exact=True
     )
-    out = relax0(bf, amap)
+    out = relax0(bf, box)
     assert out.bound == Fraction(-1170)
     u = upper_bounds((4, 4), exact=True)
-    r1 = bound_at_level(bf, "1", u=u, mapping=amap, exact=True)
+    r1 = bound_at_level(bf, "1", u=u, box=box, exact=True)
     assert abs(float(r1.bound) + 911.47) < 0.01
     assert isinstance(r1.bound, Fraction)
 
@@ -633,7 +633,7 @@ def test_infeasible_lp_is_an_outcome(exact):
 
 
 def test_lp_counters():
-    bf, amap = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
+    bf, box = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
     u = upper_bounds((4, 4))
     out2 = bound_at_level(bf, "2", u=u)
     assert out2.lp_solves > 0 and out2.pivots > 0 and out2.lp_fallbacks == 0
@@ -653,12 +653,12 @@ def test_bound_without_rows_builds_no_lp(monkeypatch):
 
     monkeypatch.setattr(simplex, "CutLP", Counting)
     # level 1 with no side rows: the greedy fill and its certificate
-    bf, amap = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
+    bf, box = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
     u = upper_bounds((4, 4))
-    out = bound_at_level(bf, "1", u=u, mapping=amap)
+    out = bound_at_level(bf, "1", u=u, box=box)
     bound, z, _ = relax._greedy_knapsack(bf.tensor, u, field(False))
     assert (out.bound, out.z) == (bound, z)
-    assert (out.exact, out.witness) == relax._certify(bf, z, bound, amap, field(False))
+    assert (out.exact, out.witness) == relax._certify(bf, z, bound, box, field(False))
     assert out.lp_solves == out.iterations == 0 and not built
     # level 2 where the greedy fill violates no cut: x + y, whose greedy
     # fill is the indicator of the corner (0, 0)
@@ -719,13 +719,13 @@ def test_stop_at_returns_a_weaker_bound_only_once_it_reaches_the_target(rng, exa
     for _ in range(8):
         n = rng.randint(1, 2)
         p = random_polynomial(rng, n, 3)
-        bf, amap = _unit_form(p, Box((0.0,) * n, (1.0,) * n), exact=exact)
-        full = bound_at_level(bf, level, mapping=amap)
-        assert bound_at_level(bf, level, mapping=amap, stop_at=None) == full
+        bf, box = _unit_form(p, Box((0.0,) * n, (1.0,) * n), exact=exact)
+        full = bound_at_level(bf, level, box=box)
+        assert bound_at_level(bf, level, box=box, stop_at=None) == full
         assert not full.stopped
         p0 = relax0(bf).bound
         for s in (p0 - 1, p0, (p0 + full.bound) / 2, full.bound, full.bound + 1):
-            out = bound_at_level(bf, level, mapping=amap, stop_at=s)
+            out = bound_at_level(bf, level, box=box, stop_at=s)
             assert type(out.bound) is type(full.bound)
             assert out.bound <= full.bound
             if out.stopped:
@@ -740,20 +740,20 @@ def test_stop_at_ends_the_cut_loop_before_the_next_lp(monkeypatch):
     # himmelblau on [-5, 5]^2 needs several cut rounds at level 2; a target
     # between the greedy fill and the full bound stops the loop at the
     # first LP iterate that reaches it, with no further solve or scan
-    bf, amap = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
+    bf, box = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
     solved = _record_solves(monkeypatch)
-    full = bound_at_level(bf, "2", mapping=amap)
+    full = bound_at_level(bf, "2", box=box)
     assert full.iterations > 2
     values = [sol.value for _, sol in solved]
     k = next(i for i, v in enumerate(values) if v > values[0])  # first rise
     assert k < len(values) - 1
     solved.clear()
-    out = bound_at_level(bf, "2", mapping=amap, stop_at=(values[0] + values[k]) / 2)
+    out = bound_at_level(bf, "2", box=box, stop_at=(values[0] + values[k]) / 2)
     assert out.stopped and out.bound == values[k]
     assert out.lp_solves == len(solved) == k + 1 and out.iterations == k + 1
     assert not out.exact and out.witness is None
     # a target the greedy fill reaches builds no LP
     greedy = relax._greedy_knapsack(bf.tensor, upper_bounds((4, 4)), field(False))[0]
     solved.clear()
-    out = bound_at_level(bf, "2", mapping=amap, stop_at=greedy)
+    out = bound_at_level(bf, "2", box=box, stop_at=greedy)
     assert out.stopped and out.bound == greedy and out.lp_solves == 0 and not solved
