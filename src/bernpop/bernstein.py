@@ -1,9 +1,9 @@
 """Bernstein-basis machinery on the unit box.
 
 Conversion from the monomial basis, de Casteljau evaluation and
-subdivision, the basis upper bounds B(I/delta), and the vertex condition.
-A polynomial's Bernstein form is one coefficient tensor of shape
-(delta_1+1, ..., delta_n+1): float64 for binary64 coefficients, or an
+subdivision, and the basis upper bounds B(I/delta).  A polynomial's
+Bernstein form is one coefficient tensor of shape (delta_1+1, ...,
+delta_n+1): float64 for binary64 coefficients, or an
 object array of Fractions for exact ones.  A ``Field`` carries what the
 two differ in (dtype, constants, conversion, ratios, tolerances, the
 integer image); the caller names it at an entry point (``to_bernstein``
@@ -229,7 +229,7 @@ def bernstein_eval(bf: BernsteinForm, point: Sequence) -> object:
 
 
 # ---------------------------------------------------------------------------
-# bounds and the vertex condition
+# basis upper bounds
 
 
 def _beta_peak(i: int, d: int, F: Field):
@@ -255,14 +255,3 @@ def upper_bounds(degree: Index, exact: bool = False) -> np.ndarray:
     peaks = [[_beta_peak(i, d, F) for i in range(d + 1)] for d in degree]
     return outer_chain(peaks, F.dtype).ravel()
 
-
-def vertex_condition(bf: BernsteinForm, idx: Index) -> bool:
-    """True iff every coordinate of ``idx`` sits at 0 or at delta_j."""
-    if not all(i <= d for i, d in zip(idx, bf.degree)):
-        raise ValueError("index exceeds degree")
-    return all(i == 0 or i == d for i, d in zip(idx, bf.degree))
-
-
-def vertex_point(idx: Index, degree: Index) -> tuple:
-    """Unit-box corner matching a vertex index (0 -> 0, delta_j -> 1)."""
-    return tuple(0 if (i == 0 or d == 0) else 1 for i, d in zip(idx, degree))

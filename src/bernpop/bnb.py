@@ -6,17 +6,22 @@ constraint).  Only the root is converted from the monomial basis
 (``relaxation_tensors``); children get their tensors by a de Casteljau
 split of the parent along the bisected axis, and edge subproblems by a
 face slice.  A popped box first offers its sample points to the
-incumbent, and is then bounded at the configured relaxation level only
-as far as the incumbent cutoff needs: the bound stops at its first value
-that reaches the cutoff (see ``relax.bound_at_level``'s ``stop_at``).
-The box is then resolved by one of: infeasibility (some constraint
-tensor is positive, or the box's LP has no feasible point), exactness
-(vertex condition or placeholder recovery), the incumbent cutoff test,
-the monotonicity test (which spawns a reduced "edge" subproblem solved
+incumbent (its centre and its smallest coefficient's grid point), and is
+then bounded at the configured relaxation level only as far as the
+incumbent cutoff needs: the bound stops at its first value that reaches
+the cutoff (see ``relax.bound_at_level``'s ``stop_at``).  A bound that
+ran to the end with an LP solution z also offers z's nominal point.  The
+box is then resolved by one of: infeasibility (some constraint tensor is
+positive, or the box's LP has no feasible point), the incumbent cutoff
+test (which closes every box whose bound one of the offered points
+attains, since the incumbent is then at most that bound), the
+monotonicity test (which spawns a reduced "edge" subproblem solved
 recursively), or bisection.
 
-The worklist is best-first on the parent bound; statistics for the main
-run and for the recursive edge subproblems are tracked separately.
+The worklist is best-first on the parent bound; each entry carries that
+bound in the run's field, so an exhausted budget reports a valid lower
+bound.  Statistics for the main run and for the recursive edge
+subproblems are tracked separately.
 """
 
 from __future__ import annotations
@@ -37,7 +42,10 @@ from .bernstein import (
 )
 from .poly import Box, Polynomial, to_unit_box
 from .poly import restrict_facet  # noqa: F401  (unused; perfbench/spans.py traces this binding)
-from .relax import LEVEL_0, LEVEL_2, LEVELS, bound_at_level, build_cut_matrix, constraint_rows
+from .relax import (
+    LEVEL_0, LEVEL_2, LEVELS, bound_at_level, build_cut_matrix, constraint_rows, grid_point,
+    nominal_point,
+)
 
 SPLIT_LONGEST = "longest_edge"
 SPLIT_ZERO = "zero_centered"
@@ -71,7 +79,6 @@ class BnbStats:
     edge_subdivisions: int = 0
     edge_cutoffs: int = 0
     infeasible_count: int = 0
-    exact_count: int = 0  # closed with an exact bound (at either depth)
     min_width_count: int = 0  # closed at the minimum box width (at either depth)
     lp_solves: int = 0
     lp_pivots: int = 0
@@ -187,10 +194,7 @@ def edge_subproblem(box: Box, signs: Sequence[str]) -> tuple[Optional[Box], list
 def sample_upper_bound(box: Box, bf: BernsteinForm) -> list[tuple]:
     """Candidate points for the incumbent, in the order to offer them: the
     box center, then the grid point of the argmin Bernstein coefficient."""
-    _, idx = bf.minimum
-    F = field_of(bf.tensor)
-    grid = tuple(F.ratio(i, d) if d else 0 for i, d in zip(idx, bf.degree))
-    return [box.center(), box.point(grid)]
+    return [box.center(), box.point(grid_point(bf))]
 
 
 def _evaluator(p: Polynomial, F: Field) -> Callable:
@@ -282,11 +286,7 @@ def branch_and_bound(
     stats.elapsed = time.perf_counter() - start - stats.edge_elapsed
     upper = state.incumbent
     converged = (
-        not state.exhausted
-        and upper is not None
-        and lower is not None
-        and not (isinstance(lower, float) and math.isinf(lower))
-        and upper - lower <= cfg.epsilon * max(1, abs(upper))
+        not state.exhausted and lower is not None and cutoff_test(lower, upper, state.epsilon)
     )
     return BnbResult(
         lower_bound=lower,
@@ -304,14 +304,17 @@ def _solve_problem(box, tensors, cfg, state, lift, stats, depth):
     constraint on ``box``, all of one degree; every box in the worklist
     carries its own tuple of them, and they are all the loop reads of the
     problem.  ``lift`` maps a point of ``box`` to the top-level problem's
-    coordinates.
+    coordinates.  Heap entries are (float key, tie counter, bound in the
+    run's field, box, tensors); the root's bound is its smallest
+    coefficient, a valid bound on the box.
     """
-    delta = tuple(s - 1 for s in tensors[0].shape)
+    F, delta = field_of(tensors[0]), tuple(s - 1 for s in tensors[0].shape)
     u = None if cfg.level == LEVEL_0 else upper_bounds(delta, exact=cfg.exact)
     cuts = None if cfg.level != LEVEL_2 else build_cut_matrix(delta, cfg.exact)
 
     counter = itertools.count()
-    heap: list = [(-math.inf, next(counter), box, tensors)]
+    root_bound = BernsteinForm(tensors[0]).minimum[0]
+    heap: list = [(float(root_bound), next(counter), root_bound, box, tensors)]
     contrib = None
 
     def add_contrib(value):
@@ -322,10 +325,9 @@ def _solve_problem(box, tensors, cfg, state, lift, stats, depth):
     while heap:
         if not state.charge():
             while heap:
-                parent_bound = heapq.heappop(heap)[0]
-                add_contrib(parent_bound)
+                add_contrib(heapq.heappop(heap)[2])
             break
-        _, _, cur, (t, *g_tensors) = heapq.heappop(heap)
+        _, _, _, cur, (t, *g_tensors) = heapq.heappop(heap)
         if depth == 0:
             stats.subdivisions += 1
         else:
@@ -340,7 +342,7 @@ def _solve_problem(box, tensors, cfg, state, lift, stats, depth):
         for pt in sample_upper_bound(cur, bf):
             state.offer(lift(pt))
         outcome = bound_at_level(
-            bf, cfg.level, u=u, cuts=cuts, extra_rows=constraint_rows(g_tensors), box=cur,
+            bf, cfg.level, u=u, cuts=cuts, extra_rows=constraint_rows(g_tensors),
             stop_at=cutoff_threshold(state.incumbent, state.epsilon),
         )
         stats.lp_solves += outcome.lp_solves
@@ -352,12 +354,9 @@ def _solve_problem(box, tensors, cfg, state, lift, stats, depth):
             stats.infeasible_count += 1
             continue
         bound = outcome.bound
+        if outcome.z is not None and not outcome.stopped:
+            state.offer(lift(cur.point(nominal_point(outcome.z, delta, F))))
 
-        if outcome.exact and not g_tensors:
-            stats.exact_count += 1
-            state.offer(lift(outcome.witness))
-            add_contrib(bound)
-            continue
         if cutoff_test(bound, state.incumbent, state.epsilon):
             if depth == 0:
                 stats.cutoff_count += 1
@@ -388,7 +387,7 @@ def _solve_problem(box, tensors, cfg, state, lift, stats, depth):
             add_contrib(bound)
             continue
         for child, child_tensors in split_node(cur, (t, *g_tensors), cfg.split):
-            heapq.heappush(heap, (float(bound), next(counter), child, child_tensors))
+            heapq.heappush(heap, (float(bound), next(counter), bound, child, child_tensors))
 
     return contrib
 

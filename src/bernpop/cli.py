@@ -24,7 +24,7 @@ from . import bnb as bnb_mod
 from . import lyapunov as lyap_mod
 from . import problems
 from .bernstein import BernsteinForm, upper_bounds
-from .relax import LEVEL_0, LEVEL_1, LEVEL_2, LEVEL_FIRST, bound_at_level, constraint_rows
+from .relax import LEVEL_0, LEVEL_1, LEVEL_2, LEVEL_FIRST, bound_at_level, constraint_rows, witness
 
 # the level chain in order of strength, with each level's report key
 _LEVEL_KEYS = {LEVEL_0: "p0", LEVEL_FIRST: "first", LEVEL_1: "p1", LEVEL_2: "p2"}
@@ -98,18 +98,18 @@ def _run_relax(args) -> tuple[int, dict]:
     bounds: dict = {}
     exact_strs: dict = {}
     timings: dict = {}
-    witness = None
+    point = None
     levels = list(_LEVEL_KEYS)
     for level in levels[: levels.index(args.level) + 1]:
         key = _LEVEL_KEYS[level]
         t0 = time.perf_counter()
-        out = bound_at_level(bf, level, u=u, extra_rows=extra_rows, box=problem.box)
+        out = bound_at_level(bf, level, u=u, extra_rows=extra_rows)
         timings[key] = time.perf_counter() - t0
         bounds[key] = _bound_json(out.bound)
         if exact and out.bound is not None:
             exact_strs[key] = _fraction_str(out.bound)
-        if out.exact:
-            witness = witness or out.witness
+        if point is None and not extra_rows:
+            point = witness(bf, out)
         if level == LEVEL_2:
             bounds["p2_activated_rows"] = len(out.activated_rows)
             bounds["p2_iterations"] = out.iterations
@@ -125,8 +125,8 @@ def _run_relax(args) -> tuple[int, dict]:
     }
     if exact_strs:
         report["exact_bounds"] = exact_strs
-    if witness is not None:
-        report["witness"] = _witness_json(witness, exact)
+    if point is not None:
+        report["witness"] = _witness_json(problem.box.point(point), exact)
     return 0, report
 
 
@@ -292,7 +292,7 @@ def _print_report(report: dict, output: str) -> None:
                 f" ({report['bounds']['p2_pivots']} pivots)"
             )
         if "witness" in report:
-            print(f"  exactness witness: {report['witness']}")
+            print(f"  witness: {report['witness']}")
     elif mode == "bnb":
         sec = report["bnb"]
         s = sec["stats"]
@@ -392,6 +392,7 @@ def main(argv=None) -> int:
     }
     try:
         code, report = runners[args.mode](args)
+        _print_report(report, args.output)  # a non-finite value in JSON is a ValueError
     except json.JSONDecodeError as err:
         print(f"error: malformed JSON input: {err}", file=sys.stderr)
         return 1
@@ -401,7 +402,6 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    _print_report(report, args.output)
     return code
 
 

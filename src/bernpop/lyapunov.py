@@ -32,6 +32,7 @@ from .problems import (
     parse_box,
     poly_from_text,
     pop_fixture_names,
+    read_json_object,
 )
 from .relax import LEVEL_FIRST, bound_at_level
 
@@ -106,8 +107,7 @@ def certify_nonnegative(p: Polynomial, region: Box, cfg: Optional[BnbConfig] = N
     proof; float mode keeps a slack of epsilon (bound >= -epsilon) until
     its bounds carry a rounding error radius.  The returned lower bound is
     the minimum over resolved boxes (a Fraction in exact mode), so a stall
-    reports the obstacle that blocked certification.  No witness is read,
-    so the bounds get no box.
+    reports the obstacle that blocked certification.
     """
     if cfg is None:
         cfg = default_config()
@@ -189,18 +189,9 @@ def verify_lyapunov(case: LyapunovCase, cfg: Optional[BnbConfig] = None) -> Verd
 
 
 def load_lyapunov_case(source, exact: bool = False) -> LyapunovCase:
-    """Build a case from a fixture dict or JSON file with plain-text polys."""
-    import json
-    from pathlib import Path
-
-    if isinstance(source, (str, Path)) and Path(str(source)).exists():
-        data = json.loads(Path(source).read_text())
-    elif isinstance(source, str):
-        data = json.loads(source)
-    else:
-        data = source
-    if not isinstance(data, dict):
-        raise ValueError("Lyapunov case file must contain a JSON object")
+    """Build a case from a fixture dict, JSON text or JSON file with
+    plain-text polys."""
+    data, _ = read_json_object(source, "Lyapunov case file")
     try:
         dim = checked(data["dimension"], int, '"dimension" must be an integer')
         variables = data.get("variables", ["x", "y", "z"][:dim])

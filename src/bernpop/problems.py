@@ -97,19 +97,25 @@ def parse_box(data: dict, key: str, exact: bool = False) -> Box:
     )
 
 
-def load_problem(source, exact: bool = False) -> PopProblem:
-    """Parse a problem from a dict, JSON text, or file path."""
+def read_json_object(source, what: str) -> tuple[dict, Optional[str]]:
+    """The JSON object of a file path, of JSON text, or a dict as given,
+    with the file's stem (None for text or a dict); a ValueError saying
+    that ``what`` must contain a JSON object otherwise."""
+    stem = None
     if isinstance(source, (str, Path)) and Path(str(source)).exists():
-        data = json.loads(Path(source).read_text())
-        default_name = Path(source).stem
+        data, stem = json.loads(Path(source).read_text()), Path(source).stem
     elif isinstance(source, str):
         data = json.loads(source)
-        default_name = "problem"
     else:
         data = source
-        default_name = "problem"
     if not isinstance(data, dict):
-        raise ValueError("problem file must contain a JSON object")
+        raise ValueError(f"{what} must contain a JSON object")
+    return data, stem
+
+
+def load_problem(source, exact: bool = False) -> PopProblem:
+    """Parse a problem from a dict, JSON text, or file path."""
+    data, stem = read_json_object(source, "problem file")
     num = (int, float, type(None))
     try:
         dim = checked(data["dimension"], int, '"dimension" must be an integer')
@@ -135,7 +141,7 @@ def load_problem(source, exact: bool = False) -> PopProblem:
     if box.dimension != dim:
         raise ValueError("box dimension does not match problem dimension")
     return PopProblem(
-        name=data.get("name", default_name),
+        name=data.get("name", stem or "problem"),
         objective=objective,
         box=box,
         constraints_poly=constraints,
@@ -177,5 +183,7 @@ def poly_from_text(text: str, variables: Sequence[str], exact: bool = False) -> 
 
 
 def canonical_json(data) -> str:
-    """One canonical rendering so emitted reports re-serialize bytewise."""
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """One canonical rendering so emitted reports re-serialize bytewise.
+    A non-finite float is a ValueError: strict JSON has no NaN or
+    infinity."""
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -21,6 +21,13 @@ A caller that only needs the bound to reach a target (the branch-and-bound
 cutoff) passes it as ``stop_at``: the smallest coefficient, the greedy
 fill and each LP iterate are tried in turn, cheapest first, and the first
 that reaches the target is returned, marked ``stopped``.
+
+A relaxation certifies nothing beyond its bound.  Each level proposes a
+point (``grid_point`` of the smallest coefficient at level 0, the
+``nominal_point`` of the LP's z above it); branch-and-bound offers it to
+the incumbent, so the cutoff closes a box its own point attains, and
+``witness`` reports a proposed point or the centre where the objective
+attains the bound.
 """
 
 from __future__ import annotations
@@ -41,12 +48,9 @@ from .bernstein import (
     field,
     field_of,
     integer_image,
-    outer_chain,
     upper_bounds,
-    vertex_condition,
-    vertex_point,
 )
-from .poly import Box, Index
+from .poly import Index
 
 LEVEL_0 = "0"
 LEVEL_FIRST = "first"
@@ -60,13 +64,12 @@ _VALUE_TOL = 1e-9
 
 @dataclass
 class RelaxationOutcome:
-    """Bound plus whatever certificates the relaxation produced."""
+    """A relaxation's bound, its placeholder vector z (levels 1 and 2) and
+    the work it took."""
 
     bound: object
     z: Optional[list] = None
     activated_rows: tuple = ()
-    witness: Optional[tuple] = None
-    exact: bool = False
     iterations: int = 0  # cut rounds
     infeasible: bool = False  # the LP has no feasible point (then bound is None)
     lp_solves: int = 0
@@ -203,10 +206,10 @@ def constraint_rows(tensors: Sequence[np.ndarray]) -> list[tuple[list, object]]:
 
 
 # ---------------------------------------------------------------------------
-# exactness recovery
+# proposed points and the relaxation levels
 
 
-def _nominal_point(z: Sequence, degree: Index, F: Field) -> tuple:
+def nominal_point(z: Sequence, degree: Index, F: Field) -> tuple:
     """x~ with x~_j = sum_I (i_j/delta_j) z_I, clipped to [0, 1] (the
     coordinate polynomials' Bernstein coefficients are exactly i_j/delta_j);
     degree-0 axes give 0.  Each sum runs over the positions in row-major
@@ -226,66 +229,33 @@ def _nominal_point(z: Sequence, degree: Index, F: Field) -> tuple:
     return tuple(point)
 
 
-def _reproduces(z: Sequence, point: tuple, degree: Index, tol, F: Field) -> bool:
-    """Whether z is a probability vector equal to the basis values at point
-    (within ``tol``, in float arithmetic)."""
-    if abs(sum(z) - 1) > F.tol(1e-6) or min(z) < -F.tol(1e-7):
-        return False
-    basis = _basis_values(point, degree, F)
-    return bool((np.abs(np.asarray(z, dtype=F.dtype) - basis) <= F.tol(tol)).all())
+def grid_point(bf: BernsteinForm) -> tuple:
+    """The grid point I/delta of the smallest coefficient's index I;
+    degree-0 axes give 0."""
+    _, idx = bf.minimum
+    F = field_of(bf.tensor)
+    return tuple(F.ratio(i, d) if d else 0 for i, d in zip(idx, bf.degree))
 
 
-def _basis_values(point: Sequence, degree: Index, F: Field) -> np.ndarray:
-    """B_{I,delta}(x) for all I, flat row-major: the outer product of the
-    per-axis values beta_{i,d}(x_l)."""
-    per_axis = [
-        [math.comb(d, i) * x**i * (1 - x) ** (d - i) for i in range(d + 1)]
-        for x, d in zip(point, degree)
-    ]
-    return outer_chain(per_axis, F.dtype).ravel()
+def witness(bf: BernsteinForm, outcome: RelaxationOutcome) -> Optional[tuple]:
+    """A unit-box point where the form attains ``outcome.bound``, or None.
+    The level's proposed point (the nominal point of z, or with no z the
+    smallest coefficient's grid point) is tried first, then the centre;
+    a value counts when it equals the bound, exactly in rational mode and
+    to a relative tolerance in float."""
+    F = field_of(bf.tensor)
+    bound = F.of(outcome.bound)
+    proposed = grid_point(bf) if outcome.z is None else nominal_point(outcome.z, bf.degree, F)
+    tol = F.tol(_VALUE_TOL) * max(F.one, abs(bound))
+    for point in (proposed, (F.half,) * bf.dimension):
+        if abs(F.of(bernstein_eval(bf, point)) - bound) <= tol:
+            return point
+    return None
 
 
-def _value_matches(bf: BernsteinForm, point, bound, F: Field) -> bool:
-    """Whether the form takes the value ``bound`` at ``point``, in float
-    arithmetic up to a relative tolerance."""
-    bound = F.of(bound)
-    scale = max(F.one, abs(bound))
-    return abs(F.of(bernstein_eval(bf, point)) - bound) <= F.tol(_VALUE_TOL) * scale
-
-
-def _on_box(point: tuple, box: Optional[Box]) -> tuple:
-    """A unit-box point mapped onto ``box``; with no box it stays as is."""
-    return point if box is None else box.point(point)
-
-
-def _certify(bf, z, bound, box: Optional[Box], F: Field) -> tuple[bool, Optional[tuple]]:
-    """Exactness of a relaxation value: formal z-recovery, then cheap
-    candidate points whose objective value already attains the bound.
-    The witness is in ``box``'s coordinates (unit ones with no box)."""
-    point = _nominal_point(z, bf.degree, F)
-    if _reproduces(z, point, bf.degree, 1e-7, F):
-        return True, _on_box(point, box)
-    # the nominal point can attain the bound even when z is not unique
-    candidates = [point] if any(d > 0 for d in bf.degree) else []
-    candidates.append((F.half,) * bf.dimension)
-    for point in candidates:
-        if _value_matches(bf, point, bound, F):
-            return True, _on_box(point, box)
-    return False, None
-
-
-# ---------------------------------------------------------------------------
-# the relaxation levels
-
-
-def relax0(bf: BernsteinForm, box: Optional[Box] = None) -> RelaxationOutcome:
-    """Level 0: the smallest Bernstein coefficient; exact iff the argmin
-    index satisfies the vertex condition, with that vertex of ``box`` (of
-    the unit box with no box) as the witness."""
-    value, idx = bf.minimum
-    is_exact = vertex_condition(bf, idx)
-    witness = _on_box(vertex_point(idx, bf.degree), box) if is_exact else None
-    return RelaxationOutcome(bound=value, exact=is_exact, witness=witness)
+def relax0(bf: BernsteinForm) -> RelaxationOutcome:
+    """Level 0: the smallest Bernstein coefficient."""
+    return RelaxationOutcome(bound=bf.minimum[0])
 
 
 def _ascending(coeffs: np.ndarray, F: Field) -> np.ndarray:
@@ -351,7 +321,7 @@ def first_lp_bound(bf: BernsteinForm, u: Sequence):
     return candidate if candidate > b0 else b0
 
 
-def _cut_loop(bf, u, cuts, extra_rows, box, F: Field, stop_at=None) -> RelaxationOutcome:
+def _cut_loop(bf, u, cuts, extra_rows, F: Field, stop_at=None) -> RelaxationOutcome:
     """Level 1 (no ``cuts``) or level 2: the greedy fill of the level-1 LP,
     re-optimised after appending ``extra_rows`` and then, round by round,
     the rows of ``cuts`` it violates until none is left; the result is the
@@ -361,8 +331,8 @@ def _cut_loop(bf, u, cuts, extra_rows, box, F: Field, stop_at=None) -> Relaxatio
 
     Every value along the way, the greedy fill and each LP iterate, is the
     optimum of a subsystem and so a lower bound of the full system.  Once
-    one reaches ``stop_at`` the loop returns it, uncertified and marked
-    ``stopped``, without appending or scanning further.
+    one reaches ``stop_at`` the loop returns it, marked ``stopped``,
+    without appending or scanning further.
 
     An infeasible LP ends in an outcome with no bound and ``infeasible``
     set.  Float mode confirms infeasibility by re-solving the Fraction
@@ -415,12 +385,9 @@ def _cut_loop(bf, u, cuts, extra_rows, box, F: Field, stop_at=None) -> Relaxatio
         active.extend(violated)
         active_set.update(violated)
         rows = cuts.rows(violated)
-    uncertified = extra_rows or stopped
-    is_exact, witness = (False, None) if uncertified else _certify(bf, z, value, box, F)
     return RelaxationOutcome(
-        bound=value, z=z, activated_rows=tuple(active), exact=is_exact, witness=witness,
-        iterations=rounds, lp_solves=solves, pivots=pivots,
-        lp_fallbacks=lp.fallbacks if lp else 0, stopped=stopped,
+        bound=value, z=z, activated_rows=tuple(active), iterations=rounds, lp_solves=solves,
+        pivots=pivots, lp_fallbacks=lp.fallbacks if lp else 0, stopped=stopped,
     )
 
 
@@ -434,7 +401,6 @@ def bound_at_level(
     u: Optional[Sequence] = None,
     cuts: Optional[CutMatrix] = None,
     extra_rows: Sequence = (),
-    box: Optional[Box] = None,
     exact: Optional[bool] = None,
     stop_at=None,
 ) -> RelaxationOutcome:
@@ -442,9 +408,7 @@ def bound_at_level(
     one entry point to every level.  The arithmetic is the field of the
     form's tensor; ``exact``, if given, must name that field.  ``u``
     defaults to the caps of the form's degree, and ``cuts``, read at
-    level 2 only, to its full cut matrix.  An exactness witness is a
-    point of ``box``, the box the form's unit box stands for; with no box
-    it stays in unit coordinates.
+    level 2 only, to its full cut matrix.
 
     ``stop_at`` asks for a bound only as strong as needed to reach it:
     above level 0, the level-0 outcome is returned when the smallest
@@ -458,10 +422,7 @@ def bound_at_level(
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}")
     if level == LEVEL_0 or stop_at is not None:
-        out = relax0(bf, box)
-        if extra_rows:
-            # constraint rows cannot weaken a box bound; drop certificates
-            out = RelaxationOutcome(bound=out.bound)
+        out = relax0(bf)
         if level == LEVEL_0:
             return out
         if out.bound >= stop_at:
@@ -473,4 +434,4 @@ def bound_at_level(
         return RelaxationOutcome(bound=first_lp_bound(bf, u))
     if level == LEVEL_2 and cuts is None:
         cuts = build_cut_matrix(bf.degree, F.exact)
-    return _cut_loop(bf, u, cuts if level == LEVEL_2 else None, extra_rows, box, F, stop_at)
+    return _cut_loop(bf, u, cuts if level == LEVEL_2 else None, extra_rows, F, stop_at)

@@ -21,9 +21,9 @@ import numpy as np
 import pytest
 
 from bernpop import simplex
-from bernpop.bernstein import _beta_peak, field, to_bernstein
+from bernpop.bernstein import _beta_peak, field, outer_chain, to_bernstein
 from bernpop.poly import Box, Polynomial, lie_derivative, multi_binom, to_unit_box
-from bernpop.relax import _greedy_knapsack, _nominal_point, _reproduces
+from bernpop.relax import _greedy_knapsack, nominal_point
 
 
 def box_tensor(p: Polynomial, box: Box, degree=None, exact: bool = False) -> np.ndarray:
@@ -282,14 +282,33 @@ def monomial_bernstein_row(idx, degree, exact: bool = False) -> list:
     return out
 
 
+def basis_values(point, degree, F) -> np.ndarray:
+    """B_{I,delta}(x) for all I, flat row-major: the outer product of the
+    per-axis values beta_{i,d}(x_l)."""
+    per_axis = [
+        [math.comb(d, i) * x**i * (1 - x) ** (d - i) for i in range(d + 1)]
+        for x, d in zip(point, degree)
+    ]
+    return outer_chain(per_axis, F.dtype).ravel()
+
+
+def reproduces(z, point, degree, tol, F) -> bool:
+    """Whether z is a probability vector equal to the basis values at point
+    (within ``tol``, in float arithmetic)."""
+    if abs(sum(z) - 1) > F.tol(1e-6) or min(z) < -F.tol(1e-7):
+        return False
+    basis = basis_values(point, degree, F)
+    return bool((np.abs(np.asarray(z, dtype=F.dtype) - basis) <= F.tol(tol)).all())
+
+
 def exactness_check(z, degree, box=None, tol: float = 1e-7, exact: bool = False):
-    """The formal half of ``relax._certify``: read a true minimizer off an
-    optimal placeholder vector.  Accepts iff z reproduces the basis values
-    at the nominal point x~ and returns that point in original coordinates;
-    otherwise ``None``, which does not preclude the bound being tight."""
+    """Formal z-recovery: read a true minimizer off an optimal placeholder
+    vector.  Accepts iff z reproduces the basis values at the nominal point
+    x~ and returns that point in original coordinates; otherwise ``None``,
+    which does not preclude the bound being tight."""
     F = field(exact)
-    point = _nominal_point(z, degree, F)
-    if not _reproduces(z, point, degree, tol, F):
+    point = nominal_point(z, degree, F)
+    if not reproduces(z, point, degree, tol, F):
         return None
     return point if box is None else box.point(point)
 

@@ -66,16 +66,16 @@ def test_criterion_1_example_chain():
         start = time.perf_counter()
         bf1, box1 = _unit_form(Polynomial(1, {(2,): 1}), Box((-1.0,), (1.0,)), (2,))
         u1 = upper_bounds((2,))
-        assert abs(relax0(bf1, box1).bound - (-1.0)) <= 1e-9
-        assert abs(bound_at_level(bf1, "1", u=u1, box=box1).bound - 0.0) <= 1e-9
+        assert abs(relax0(bf1).bound - (-1.0)) <= 1e-9
+        assert abs(bound_at_level(bf1, "1", u=u1).bound - 0.0) <= 1e-9
 
         bf2, box2 = _unit_form(
             Polynomial(2, {(2, 0): 1, (0, 2): 1}), Box((-1.0, -1.0), (1.0, 1.0)), (2, 2)
         )
         u2 = upper_bounds((2, 2))
-        assert abs(relax0(bf2, box2).bound - (-2.0)) <= 1e-9
-        assert abs(bound_at_level(bf2, "1", u=u2, box=box2).bound - (-0.5)) <= 1e-9
-        out2 = bound_at_level(bf2, "2", u=u2, cuts=build_cut_matrix((2, 2)), box=box2)
+        assert abs(relax0(bf2).bound - (-2.0)) <= 1e-9
+        assert abs(bound_at_level(bf2, "1", u=u2).bound - (-0.5)) <= 1e-9
+        out2 = bound_at_level(bf2, "2", u=u2, cuts=build_cut_matrix((2, 2)))
         assert abs(out2.bound - 0.0) <= 1e-9
         assert time.perf_counter() - start < 1.0
 
@@ -87,11 +87,11 @@ def test_criterion_2_himmelblau_degree44():
         start = time.perf_counter()
         bf, box = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
         u = upper_bounds((4, 4))
-        assert relax0(bf, box).bound == -1170.0
-        assert abs(bound_at_level(bf, "1", u=u, box=box).bound - (-911.47)) <= 0.01
+        assert relax0(bf).bound == -1170.0
+        assert abs(bound_at_level(bf, "1", u=u).bound - (-911.47)) <= 0.01
         cuts = build_cut_matrix((4, 4))
         assert cuts.row_count == 200
-        out = bound_at_level(bf, "2", u=u, cuts=cuts, box=box)
+        out = bound_at_level(bf, "2", u=u, cuts=cuts)
         assert abs(out.bound - (-856.42)) <= 0.01
         assert len(out.activated_rows) <= 10
         assert time.perf_counter() - start < 5.0
@@ -297,7 +297,7 @@ def test_criterion_7_exact_arithmetic():
         ]
         for p, box, degree, expected in cases:
             bf, box = _unit_form(p, box, degree, exact=True)
-            out = relax0(bf, box)
+            out = relax0(bf)
             assert isinstance(out.bound, Fraction)
             assert out.bound == expected
 

@@ -12,10 +12,9 @@ from bernpop.bernstein import (
     subdivide,
     to_bernstein,
     upper_bounds,
-    vertex_condition,
-    vertex_point,
 )
 from bernpop.poly import Box, Polynomial, to_unit_box
+from bernpop.relax import grid_point
 from conftest import (
     bernstein_basis_polynomial,
     bernstein_to_polynomial,
@@ -184,8 +183,7 @@ def test_min_coefficient_himmelblau():
     q, _ = to_unit_box(himmelblau_exact(), Box((Fraction(-5),) * 2, (Fraction(5),) * 2))
     bf = to_bernstein(q, (4, 4))
     value, idx = bf.minimum
-    assert value == -1170
-    assert not vertex_condition(bf, idx)
+    assert value == -1170 and idx == (3, 3)  # an inner index, not a corner
 
 
 def test_min_coefficient_symmetric_square():
@@ -202,18 +200,14 @@ def test_min_coefficient_tie_break():
     assert idx == (0, 1)
 
 
-def test_vertex_condition_cases():
-    bf = to_bernstein(Polynomial.constant(2, 1), (2, 2))
-    assert vertex_condition(bf, (0, 2))
-    assert not vertex_condition(bf, (1, 1))
-
-
-def test_vertex_condition_certifies_linear():
+def test_linear_minimum_is_attained_at_its_corner():
+    # a corner coefficient is the polynomial's value at that corner, so
+    # the smallest coefficient's grid point attains it
     bf = to_bernstein(Polynomial(1, {(1,): 1}), (2,))
     value, idx = bf.minimum
     assert value == 0 and idx == (0,)
-    assert vertex_condition(bf, idx)
-    assert vertex_point(idx, (2,)) == (0,)
+    assert grid_point(bf) == (0,)
+    assert bernstein_eval(bf, grid_point(bf)) == value
 
 
 def test_enclosure_gap_shrinks_with_degree():

@@ -19,9 +19,10 @@ from bernpop.bnb import (
     sample_upper_bound,
     split_node,
 )
-from bernpop.bernstein import to_bernstein
+from bernpop.bernstein import FLOAT, to_bernstein
 from bernpop.poly import Box, Polynomial, restrict_facet, to_unit_box
-from bernpop.relax import RelaxationOutcome
+from bernpop.problems import load_fixture, load_problem
+from bernpop.relax import RelaxationOutcome, nominal_point
 from conftest import algebraic4, box_tensor, himmelblau, himmelblau_exact, random_box, random_polynomial
 
 
@@ -98,7 +99,7 @@ def test_edge_subproblem_square_on_positive_interval():
 
 def test_fully_fixed_vertex_contributes_its_coefficient(monkeypatch):
     # x^2 on [1/10, 1] is increasing, so the monotone step fixes its only
-    # axis; a bound that is neither exact nor past the cutoff reaches it,
+    # axis; a bound that is not past the cutoff reaches it,
     # and the vertex contributes the face's one coefficient, p(1/10)
     square = Polynomial(1, {(2,): Fraction(1)})
     weak = lambda bf, *args, **kwargs: RelaxationOutcome(bound=bf.minimum[0] - 1)
@@ -290,7 +291,7 @@ def test_exact_mode_on_float_coefficients_computes_in_fractions(level):
 
 def test_bound_soundness_on_random_boxes(rng):
     # every level's bound stays below a dense sample minimum on the box
-    from bernpop.bernstein import to_bernstein
+    from bernpop.bernstein import FLOAT, to_bernstein
     from bernpop.relax import bound_at_level
     from conftest import grid_min, random_box, random_polynomial
 
@@ -301,7 +302,7 @@ def test_bound_soundness_on_random_boxes(rng):
         bf = to_bernstein(q)
         sampled = grid_min(p, box, 9)
         for level in ("0", "first", "1", "2"):
-            out = bound_at_level(bf, level, box=box)
+            out = bound_at_level(bf, level)
             assert out.bound <= sampled + 1e-7
 
 
@@ -455,10 +456,102 @@ def test_every_popped_node_closes_for_one_reason_or_splits(monkeypatch, case, le
     assert res.converged or min_box_width > 1e-12  # wide boxes close unconverged
     s = res.stats
     closures = (
-        s.cutoff_count + s.edge_cutoffs + s.mono_count + s.infeasible_count
-        + s.exact_count + s.min_width_count
+        s.cutoff_count + s.edge_cutoffs + s.mono_count + s.infeasible_count + s.min_width_count
     )
     assert s.subdivisions + s.edge_subdivisions == closures + len(splits)
     assert (s.min_width_count > 0) == (min_box_width > 1e-12)
     if case == "d2":
         assert s.infeasible_count > 0
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_level0_closures_are_cutoff_closures(exact):
+    # at level 0 a box whose smallest coefficient is a corner one is closed
+    # by the cutoff: its grid point, offered before the bound, attains it;
+    # nodes, bounds and witness are those of the former exact closures,
+    # which are now counted with the cutoff closures (141 + 32 + 133)
+    problem = load_problem(load_fixture("himmelblau"), exact)
+    cfg = BnbConfig(level="0", epsilon=problem.epsilon, exact=exact)
+    res = branch_and_bound(problem.objective, (), problem.box, cfg)
+    s = res.stats
+    assert (s.subdivisions, s.edge_subdivisions) == (437, 206)
+    assert (s.cutoff_count, s.edge_cutoffs, s.mono_count) == (187, 119, 32)
+    if exact:
+        assert res.lower_bound == Fraction(-36112019881555, 56668397794435742564352)
+        assert res.upper_bound == Fraction(31980883136065, 1208925819614629174706176)
+        assert res.witness == (Fraction(3758545, 1048576), Fraction(-484475, 262144))
+    else:
+        assert res.lower_bound == -6.372822504752725e-10
+        assert res.upper_bound == 2.646061147970613e-11
+        assert res.witness == (3.584427833557129, -1.8481254577636719)
+    assert res.converged
+
+
+@pytest.mark.parametrize("level", ["1", "2"])
+def test_fully_bounded_box_offers_its_nominal_point(monkeypatch, level):
+    # each popped box offers its two sample points, then is bounded; a
+    # bound that ran to the end offers the nominal point of its z next,
+    # and one that stopped at the cutoff offers nothing
+    events = []
+    real_offer, real_bound = _RunState.offer, bnb.bound_at_level
+    real_sample = bnb.sample_upper_bound
+
+    def offer(self, point):
+        events.append(("offer", tuple(point)))
+        real_offer(self, point)
+
+    def bound(bf, *args, **kwargs):
+        out = real_bound(bf, *args, **kwargs)
+        events.append(("bound", out, bf))
+        return out
+
+    def sample(box, bf):
+        events.append(("sample", box))
+        return real_sample(box, bf)
+
+    monkeypatch.setattr(_RunState, "offer", offer)
+    monkeypatch.setattr(bnb, "bound_at_level", bound)
+    monkeypatch.setattr(bnb, "sample_upper_bound", sample)
+    res = branch_and_bound(himmelblau(), (), Box((-5.0, -5.0), (5.0, 5.0)), BnbConfig(level=level))
+    assert res.converged
+    offered = stopped = 0
+    for i, event in enumerate(events):
+        if event[0] != "bound":
+            continue
+        _, out, bf = event
+        box = next(e[1] for e in reversed(events[:i]) if e[0] == "sample")
+        after = events[i + 1] if i + 1 < len(events) else ("end",)
+        if out.z is not None and not out.stopped:
+            assert after[0] == "offer"
+            if box.dimension == 2:  # the main problem: its points need no lift
+                point = box.point(nominal_point(out.z, bf.degree, FLOAT))
+                assert after == ("offer", point)
+            offered += 1
+        else:
+            assert after[0] != "offer"
+            stopped += out.stopped
+    assert offered and stopped
+
+
+def test_exhausted_exact_run_reports_a_fraction_lower_bound():
+    # the lower bound of an exhausted run is the smallest bound left on the
+    # heap, kept in the run's field: here a box bound of -4675/192, which a
+    # float key would round above
+    problem = load_problem(load_fixture("himmelblau"), True)
+    cfg = BnbConfig(level="0", epsilon=1e-9, max_boxes=50, exact=True)
+    res = branch_and_bound(problem.objective, (), problem.box, cfg)
+    assert not res.converged
+    assert isinstance(res.lower_bound, Fraction)
+    assert res.lower_bound <= Fraction(-4675, 192)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_exhausted_run_lower_bound_is_finite_and_valid(exact):
+    # an edge subproblem cut off by the budget before its first box
+    # contributes its face's smallest coefficient, never -inf
+    problem = load_problem(load_fixture("himmelblau"), exact)
+    for budget in range(1, 60):
+        cfg = BnbConfig(level="0", epsilon=1e-9, max_boxes=budget, exact=exact)
+        res = branch_and_bound(problem.objective, (), problem.box, cfg)
+        assert not math.isinf(res.lower_bound)
+        assert res.lower_bound <= 0  # himmelblau's minimum

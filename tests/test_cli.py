@@ -487,7 +487,7 @@ def test_bnb_reports_early_stops(capsys, fixture_dir):
     stats = json.loads(out)["bnb"]["stats"]
     assert 0 < stats["early_stops"] <= stats["subdivisions"] + stats["edge_subdivisions"]
     # closures by reason sit beside the cutoff, monotone and infeasible counts
-    assert stats["exact_count"] >= 0 and stats["min_width_count"] == 0
+    assert stats["infeasible_count"] == 0 and stats["min_width_count"] == 0
 
 
 def _without_timings(results):
@@ -505,3 +505,36 @@ def test_bench_jobs_match_a_serial_run(capsys):
     serial, parallel = (_without_timings(r.pop("results")) for r in reports)
     assert [r["label"] for r in serial] == ["unitsq", "lyap1"]
     assert parallel == serial and reports[0] == reports[1]
+
+
+def _reject_non_finite(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@pytest.mark.parametrize("arith", ["float", "rational"])
+def test_exhausted_bnb_prints_strict_json(capsys, fixture_dir, arith):
+    # a budget that cuts an edge subproblem off before its first box once
+    # printed a lower bound of -Infinity
+    path = str(fixture_dir / "himmelblau.json")
+    argv = ["bnb", "--level", "0", "--max-boxes", "22", "--arith", arith, "--output", "json", path]
+    code, out, _ = _run(capsys, argv)
+    assert code == 2
+    sec = json.loads(out, parse_constant=_reject_non_finite)["bnb"]
+    assert not sec["converged"] and sec["lower"] <= 0.0 <= sec["upper"]
+
+
+def test_non_finite_report_value_is_a_clean_error(capsys, monkeypatch, fixture_dir):
+    import bernpop.bnb as bnb_mod
+
+    real = bnb_mod.branch_and_bound
+
+    def non_finite(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.lower_bound = float("-inf")
+        return res
+
+    monkeypatch.setattr(bnb_mod, "branch_and_bound", non_finite)
+    path = str(fixture_dir / "unitsq.json")
+    code, out, err = _run(capsys, ["bnb", "--output", "json", path])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err

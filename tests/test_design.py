@@ -18,7 +18,7 @@ MODE_BRANCH = re.compile(
     r"\bexact\b[^#]*\belse\b|^\s*(el)?if\b[^#]*\bexact\b|isinstance\([^)]*Fraction\)"
     r"|\bexact\b (or|and)\b|\b(or|and) (not )?(self\.|cfg\.)?exact\b"
 )
-MODE_BRANCH_CEILING = 24
+MODE_BRANCH_CEILING = 22
 
 
 def test_mode_branches_do_not_grow():

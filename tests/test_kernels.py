@@ -29,13 +29,13 @@ from bernpop.bernstein import (
 from bernpop.bnb import _evaluator
 from bernpop.poly import Polynomial
 from bernpop.relax import (
-    _basis_values,
     _greedy_knapsack,
-    _nominal_point,
     build_cut_matrix,
     first_lp_bound,
+    nominal_point,
 )
 from conftest import (
+    basis_values,
     loop_basis_values,
     loop_bernstein_eval,
     loop_first_lp_bound,
@@ -169,7 +169,7 @@ def test_basis_values_match_loop(exact):
         for point in _points(rng, len(degree)):
             if exact:
                 point = tuple(Fraction(x) for x in point)
-            got = _basis_values(point, degree, field(exact))
+            got = basis_values(point, degree, field(exact))
             assert got.tolist() == loop_basis_values(point, degree, exact)
 
 
@@ -194,7 +194,7 @@ def test_nominal_point_matches_loop(exact):
     for degree in [(0,), (3,), (2, 0, 3), (4, 4), (1, 2, 3, 2), (0, 0)]:
         size = int(np.prod([d + 1 for d in degree]))
         for z in _probability_vectors(rng, size, exact):
-            assert _nominal_point(z, degree, field(exact)) == loop_nominal_point(z, degree, exact)
+            assert nominal_point(z, degree, field(exact)) == loop_nominal_point(z, degree, exact)
 
 
 @pytest.mark.parametrize("exact", FIELDS)

@@ -11,6 +11,7 @@ from bernpop.problems import (
     parse_coeff,
     poly_from_terms,
     pop_fixture_names,
+    read_json_object,
 )
 
 
@@ -117,3 +118,20 @@ def test_canonical_json_roundtrip():
     once = canonical_json(doc)
     again = canonical_json(json.loads(once))
     assert once == again
+
+
+def test_canonical_json_rejects_non_finite_values():
+    for value in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError):
+            canonical_json({"lower": value})
+
+
+def test_read_json_object_from_path_text_or_dict(tmp_path):
+    path = tmp_path / "case.json"
+    path.write_text('{"a": 1}')
+    assert read_json_object(str(path), "case file") == ({"a": 1}, "case")
+    assert read_json_object(path, "case file") == ({"a": 1}, "case")
+    assert read_json_object('{"a": 1}', "case file") == ({"a": 1}, None)
+    assert read_json_object({"a": 1}, "case file") == ({"a": 1}, None)
+    with pytest.raises(ValueError, match="case file must contain a JSON object"):
+        read_json_object("[1, 2]", "case file")

@@ -14,6 +14,7 @@ from bernpop.relax import (
 )
 from conftest import (
     assert_lp_duality,
+    basis_values,
     box_tensor,
     bernstein_basis_polynomial,
     bernstein_to_polynomial,
@@ -51,22 +52,38 @@ def _square_sum_form(degree=(2, 2)):
 
 def test_relax0_himmelblau():
     bf, box = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
-    out = relax0(bf, box)
+    out = relax0(bf)
     assert out.bound == pytest.approx(-1170.0, abs=1e-8)
-    assert not out.exact
+    assert relax.witness(bf, out) is None
 
 
 def test_relax0_square_sum():
-    bf, box = _square_sum_form()
-    out = relax0(bf, box)
+    bf, _ = _square_sum_form()
+    out = relax0(bf)
     assert out.bound == pytest.approx(-2.0)
 
 
 def test_relax0_constant_exact():
     bf = to_bernstein(Polynomial.constant(2, 1), (2, 2))
     out = relax0(bf)
-    assert out.bound == 1 and out.exact
-    assert out.witness == (0, 0)
+    assert out.bound == 1 and relax.witness(bf, out) == (0, 0)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_witness_tries_the_proposed_point_then_the_centre(exact):
+    # (x - 1/2)^2 on [0, 1]: level 1 is tight, and the nominal point of its
+    # z attains it; the smallest coefficient, -1/4, is attained nowhere
+    one = Fraction(1) if exact else 1.0
+    x = Polynomial.variable(1, 0)
+    bf = to_bernstein(x * x - x + Polynomial.constant(1, one / 4), (2,), exact)
+    out = bound_at_level(bf, "1")
+    assert out.bound == 0 and relax.witness(bf, out) == (one / 2,)
+    assert relax.witness(bf, relax0(bf)) is None
+    # x^2 at a bound just above its minimum 0: a match within 1e-9 relative
+    # in float, none in rational mode
+    bf = to_bernstein(x * x.scale(one), (2,), exact)
+    near = relax.RelaxationOutcome(bound=one / 10**12)
+    assert relax.witness(bf, near) == (None if exact else (0.0,))
 
 
 # -- level 1 and the first-LP bound ------------------------------------------
@@ -75,21 +92,20 @@ def test_relax0_constant_exact():
 def test_relax1_univariate_square():
     p = Polynomial(1, {(2,): 1})
     bf, box = _unit_form(p, Box((-1.0,), (1.0,)), (2,))
-    out = bound_at_level(bf, "1", u=upper_bounds((2,)), box=box)
+    out = bound_at_level(bf, "1", u=upper_bounds((2,)))
     assert out.bound == pytest.approx(0.0, abs=1e-12)
-    assert out.exact
-    assert out.witness[0] == pytest.approx(0.0)
+    assert box.point(relax.witness(bf, out))[0] == pytest.approx(0.0)
 
 
 def test_relax1_square_sum():
     bf, box = _square_sum_form()
-    out = bound_at_level(bf, "1", u=upper_bounds((2, 2)), box=box)
+    out = bound_at_level(bf, "1", u=upper_bounds((2, 2)))
     assert out.bound == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_relax1_himmelblau():
     bf, box = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
-    out = bound_at_level(bf, "1", u=upper_bounds((4, 4)), box=box)
+    out = bound_at_level(bf, "1", u=upper_bounds((4, 4)))
     assert out.bound == pytest.approx(-911.47, abs=0.01)
 
 
@@ -239,16 +255,16 @@ def test_relax2_square_sum_exact_value():
     bf, box = _square_sum_form()
     u = upper_bounds((2, 2))
     cuts = build_cut_matrix((2, 2))
-    out = bound_at_level(bf, "2", u=u, cuts=cuts, box=box)
+    out = bound_at_level(bf, "2", u=u, cuts=cuts)
     assert out.bound == pytest.approx(0.0, abs=1e-9)
-    assert out.exact
+    assert box.point(relax.witness(bf, out)) == pytest.approx((0.0, 0.0), abs=1e-9)
 
 
 def test_relax2_himmelblau():
     bf, box = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
     u = upper_bounds((4, 4))
     cuts = build_cut_matrix((4, 4))
-    out = bound_at_level(bf, "2", u=u, cuts=cuts, box=box)
+    out = bound_at_level(bf, "2", u=u, cuts=cuts)
     assert out.bound == pytest.approx(-856.42, abs=0.01)
     assert len(out.activated_rows) <= 10
 
@@ -341,12 +357,12 @@ def test_exactness_check_rejects_bivariate_vertex_solution():
     bf, box = _square_sum_form()
     u = upper_bounds((2, 2))
     cuts = build_cut_matrix((2, 2))
-    out = bound_at_level(bf, "2", u=u, cuts=cuts, box=box)
+    out = bound_at_level(bf, "2", u=u, cuts=cuts)
     # the solver's optimal z is a basic solution, never the basis-value
     # vector of a single point here
     assert exactness_check(out.z, (2, 2), box) is None
-    # yet the bound itself is exact (caught through a candidate point)
-    assert out.exact
+    # yet the bound itself is attained (at a proposed point)
+    assert relax.witness(bf, out) is not None
 
 
 # -- side-constraint rows --------------------------------------------------------
@@ -423,10 +439,10 @@ def test_exact_mode_relaxations():
     bf, box = _unit_form(
         himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4), exact=True
     )
-    out = relax0(bf, box)
+    out = relax0(bf)
     assert out.bound == Fraction(-1170)
     u = upper_bounds((4, 4), exact=True)
-    r1 = bound_at_level(bf, "1", u=u, box=box, exact=True)
+    r1 = bound_at_level(bf, "1", u=u, exact=True)
     assert abs(float(r1.bound) + 911.47) < 0.01
     assert isinstance(r1.bound, Fraction)
 
@@ -448,7 +464,7 @@ def _costly_corner_instance(rng, degree, with_rows):
     rows = []
     if with_rows:
         point = [Fraction(rng.randint(1, 7), 8) for _ in degree]
-        z0 = relax._basis_values(point, degree, field(True))
+        z0 = basis_values(point, degree, field(True))
         for _ in range(2):
             a = [Fraction(rng.randint(-8, 8), 4) for _ in z0]
             rows.append((a, sum(x * y for x, y in zip(a, z0)) + Fraction(rng.randint(0, 4), 16)))
@@ -655,10 +671,10 @@ def test_bound_without_rows_builds_no_lp(monkeypatch):
     # level 1 with no side rows: the greedy fill and its certificate
     bf, box = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
     u = upper_bounds((4, 4))
-    out = bound_at_level(bf, "1", u=u, box=box)
+    out = bound_at_level(bf, "1", u=u)
     bound, z, _ = relax._greedy_knapsack(bf.tensor, u, field(False))
     assert (out.bound, out.z) == (bound, z)
-    assert (out.exact, out.witness) == relax._certify(bf, z, bound, box, field(False))
+    assert relax.witness(bf, out) is None  # level 1 is not tight here
     assert out.lp_solves == out.iterations == 0 and not built
     # level 2 where the greedy fill violates no cut: x + y, whose greedy
     # fill is the indicator of the corner (0, 0)
@@ -668,7 +684,7 @@ def test_bound_without_rows_builds_no_lp(monkeypatch):
         out = bound_at_level(bf, "2", exact=exact)
         assert out.bound == 0 and isinstance(out.bound, type(one))
         assert out.z == [one] + [0 * one] * 8
-        assert out.exact and out.witness == (0, 0)
+        assert relax.witness(bf, out) == (0, 0)
         assert out.iterations == 1 and out.activated_rows == () and out.lp_solves == 0
     assert not built
     # a bound with rows does build its LP
@@ -720,12 +736,12 @@ def test_stop_at_returns_a_weaker_bound_only_once_it_reaches_the_target(rng, exa
         n = rng.randint(1, 2)
         p = random_polynomial(rng, n, 3)
         bf, box = _unit_form(p, Box((0.0,) * n, (1.0,) * n), exact=exact)
-        full = bound_at_level(bf, level, box=box)
-        assert bound_at_level(bf, level, box=box, stop_at=None) == full
+        full = bound_at_level(bf, level)
+        assert bound_at_level(bf, level, stop_at=None) == full
         assert not full.stopped
         p0 = relax0(bf).bound
         for s in (p0 - 1, p0, (p0 + full.bound) / 2, full.bound, full.bound + 1):
-            out = bound_at_level(bf, level, box=box, stop_at=s)
+            out = bound_at_level(bf, level, stop_at=s)
             assert type(out.bound) is type(full.bound)
             assert out.bound <= full.bound
             if out.stopped:
@@ -742,18 +758,18 @@ def test_stop_at_ends_the_cut_loop_before_the_next_lp(monkeypatch):
     # first LP iterate that reaches it, with no further solve or scan
     bf, box = _unit_form(himmelblau(), Box((-5.0, -5.0), (5.0, 5.0)), (4, 4))
     solved = _record_solves(monkeypatch)
-    full = bound_at_level(bf, "2", box=box)
+    full = bound_at_level(bf, "2")
     assert full.iterations > 2
     values = [sol.value for _, sol in solved]
     k = next(i for i, v in enumerate(values) if v > values[0])  # first rise
     assert k < len(values) - 1
     solved.clear()
-    out = bound_at_level(bf, "2", box=box, stop_at=(values[0] + values[k]) / 2)
+    out = bound_at_level(bf, "2", stop_at=(values[0] + values[k]) / 2)
     assert out.stopped and out.bound == values[k]
     assert out.lp_solves == len(solved) == k + 1 and out.iterations == k + 1
-    assert not out.exact and out.witness is None
+    assert relax.witness(bf, out) is None  # a bound below the minimum is attained nowhere
     # a target the greedy fill reaches builds no LP
     greedy = relax._greedy_knapsack(bf.tensor, upper_bounds((4, 4)), field(False))[0]
     solved.clear()
-    out = bound_at_level(bf, "2", box=box, stop_at=greedy)
+    out = bound_at_level(bf, "2", stop_at=greedy)
     assert out.stopped and out.bound == greedy and out.lp_solves == 0 and not solved
