@@ -10,9 +10,9 @@ integer image); the caller names it at an entry point (``to_bernstein``
 infers it from the coefficients only when it is left out), and below
 that it is read off the tensor's dtype by ``field_of``.  Every kernel
 works on the whole tensor with per-axis array operations (outer products
-of per-axis vectors, de Casteljau steps on trailing-axis slices), applied
-in the same arithmetic order as the per-coefficient formulas, so both
-fields give the values those formulas give.  Flat positions, where a
+of per-axis vectors, de Casteljau steps on whole slices along one axis),
+applied in the same arithmetic order as the per-coefficient formulas, so
+both fields give the values those formulas give.  Flat positions, where a
 caller needs them, are the tensor's row-major order.
 
 The tensor is Fractions, but exact kernels compute on its integer image
@@ -55,11 +55,18 @@ class BernsteinForm:
         return len(self.degree)
 
     @functools.cached_property
+    def image(self) -> tuple[np.ndarray, object]:
+        """The tensor's ``Field.image`` (N, D), built once per form: the
+        tensor itself over 1 in float, integer numerators over their least
+        common denominator in exact mode.  N orders and signs as the
+        tensor does, so the minimum and the monotonicity signs read it."""
+        return field_of(self.tensor).image(self.tensor)
+
+    @functools.cached_property
     def minimum(self) -> tuple[object, Index]:
         """Smallest coefficient and its lexicographically first index, found
-        once per form (on the integer image of an exact tensor)."""
-        values, _ = field_of(self.tensor).image(self.tensor)
-        pos = int(np.argmin(values))
+        once per form (on the image)."""
+        pos = int(self.image[0].argmin())
         idx = np.unravel_index(pos, self.tensor.shape)
         return self.tensor.item(pos), tuple(int(i) for i in idx)
 
@@ -174,38 +181,50 @@ def _binomial_axes(jdx: Index, delta: Index) -> list[list[int]]:
     return [[math.comb(i, j) for i in range(j, d + 1)] for j, d in zip(jdx, delta)]
 
 
+def axis_view(tensor: np.ndarray, axis: int) -> np.ndarray:
+    """The tensor as a 3-D array (the axes before ``axis`` flattened, then
+    ``axis``, then the axes after it flattened): whole slices along one
+    axis are then ``[:, i]``, whatever the axis."""
+    shape = tensor.shape
+    return tensor.reshape(math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:]))
+
+
 def subdivide(tensor: np.ndarray, axis: int, t) -> tuple[np.ndarray, np.ndarray]:
     """De Casteljau split of a coefficient tensor along ``axis`` at t in (0,1).
 
     Returns the tensors of the two pieces [0,t] and [t,1] of that axis, each
-    on its own unit box.  Every float step is c_i + t (c_{i+1} - c_i), which
-    keeps a tensor that is constant along an axis exactly constant.  An
-    exact tensor needs a rational t = p/q (an int or a Fraction): on the
+    on its own unit box.  The steps run on whole slices of ``axis_view``.
+    Every float step is c_i + t (c_{i+1} - c_i), which keeps a tensor that
+    is constant along an axis exactly constant.  An exact tensor needs a rational t = p/q (an int or a Fraction): on the
     integer image N / D each step is (q - p) N_i + p N_{i+1}, step r lies
     over D q^r, and both pieces are returned over D q^d.
     """
-    rows = np.moveaxis(tensor, axis, 0)
-    d = rows.shape[0] - 1
+    shape = tensor.shape
+    d = shape[axis] - 1
     if field_of(tensor).exact:
         if not isinstance(t, numbers.Rational):
             raise ValueError(f"split point {t!r} of an exact tensor is not rational")
         p, q = t.numerator, t.denominator
-        rows, den = integer_image(rows)
+        rows, den = integer_image(axis_view(tensor, axis))
         left, right = np.empty_like(rows), np.empty_like(rows)
-        left[0], right[d] = rows[0] * q**d, rows[d] * q**d
+        left[:, 0], right[:, d] = rows[:, 0] * q**d, rows[:, d] * q**d
         for r in range(1, d + 1):
-            rows = (q - p) * rows[:-1] + p * rows[1:]
+            rows = (q - p) * rows[:, :-1] + p * rows[:, 1:]
             scale = q ** (d - r)
-            left[r], right[d - r] = rows[0] * scale, rows[-1] * scale
+            left[:, r], right[:, d - r] = rows[:, 0] * scale, rows[:, -1] * scale
         den *= q**d
-        return np.moveaxis(_over(left, den), 0, axis), np.moveaxis(_over(right, den), 0, axis)
-    left = np.empty_like(rows)
-    right = np.empty_like(rows)
-    left[0], right[d] = rows[0], rows[d]
+        return _over(left, den).reshape(shape), _over(right, den).reshape(shape)
+    # step r overwrites indices 0..d-r in place and index d-r keeps it, so
+    # the finished array is the right piece
+    right = axis_view(tensor, axis).copy()
+    left = np.empty_like(right)
+    left[:, 0] = right[:, 0]
     for r in range(1, d + 1):
-        rows = rows[:-1] + t * (rows[1:] - rows[:-1])
-        left[r], right[d - r] = rows[0], rows[-1]
-    return np.moveaxis(left, 0, axis), np.moveaxis(right, 0, axis)
+        step = right[:, 1 : d - r + 2] - right[:, : d - r + 1]
+        step *= t
+        right[:, : d - r + 1] += step
+        left[:, r] = right[:, 0]
+    return left.reshape(shape), right.reshape(shape)
 
 
 def bernstein_eval(bf: BernsteinForm, point: Sequence) -> object:

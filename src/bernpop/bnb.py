@@ -37,8 +37,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .bernstein import (
-    FLOAT, BernsteinForm, Field, field, field_of, integer_image, subdivide, to_bernstein,
-    upper_bounds,
+    FLOAT, BernsteinForm, Field, axis_view, field, field_of, integer_image, subdivide,
+    to_bernstein, upper_bounds,
 )
 from .poly import Box, Polynomial, to_unit_box
 from .poly import restrict_facet  # noqa: F401  (unused; perfbench/spans.py traces this binding)
@@ -80,10 +80,13 @@ class BnbStats:
     edge_cutoffs: int = 0
     infeasible_count: int = 0
     min_width_count: int = 0  # closed at the minimum box width (at either depth)
+    budget_count: int = 0  # left in a worklist when the node budget ran out (at either depth)
     lp_solves: int = 0
     lp_pivots: int = 0
     lp_fallbacks: int = 0
     early_stops: int = 0  # bounds stopped once they reached the cutoff
+    cut_rounds: int = 0  # cut-loop rounds (RelaxationOutcome.iterations)
+    rows_activated: int = 0  # cut rows the rounds appended
     elapsed: float = 0.0
     edge_elapsed: float = 0.0
 
@@ -145,7 +148,7 @@ def relaxation_tensors(p: Polynomial, constraints: Sequence, box: Box, degree=No
     return tuple(to_bernstein(q, delta, exact).tensor for q in units)
 
 
-def _monotonicity_signs(tensor: np.ndarray) -> tuple[str, ...]:
+def _monotonicity_signs(bf: BernsteinForm) -> tuple[str, ...]:
     """Per-axis derivative sign read off the coefficient tensor.
 
     The forward differences b_{I+e_r} - b_I are, up to the positive factor
@@ -153,11 +156,23 @@ def _monotonicity_signs(tensor: np.ndarray) -> tuple[str, ...]:
     all positive gives '+', all negative gives '-', anything else 'mixed'.
     An axis along which the tensor is constant gives '+': the objective
     does not depend on it, and fixing its lower bound is lossless.
+
+    The differences run on the form's image (an exact tensor's signs are
+    its numerators'), and only on axes that pass a screen by the first
+    smallest and first largest coefficients: a '+' axis has them at
+    indices 0 and delta_r, a '-' axis at delta_r and 0, and a constant
+    one both at 0.  Any other axis is 'mixed' without a difference.
     """
-    values, _ = field_of(tensor).image(tensor)  # an exact tensor's signs are its numerators'
+    values = bf.image[0]
+    low = bf.minimum[1]
+    high = np.unravel_index(int(values.argmax()), values.shape)
     signs = []
-    for r in range(values.ndim):
-        diff = np.diff(values, axis=r)
+    for r, d in enumerate(bf.degree):
+        if (low[r], high[r]) not in ((0, 0), (0, d), (d, 0)):
+            signs.append("mixed")
+            continue
+        rows = axis_view(values, r)
+        diff = rows[:, 1:] - rows[:, :-1]
         if not diff.any() or (diff > 0).all():
             signs.append("+")
         elif (diff < 0).all():
@@ -324,6 +339,7 @@ def _solve_problem(box, tensors, cfg, state, lift, stats, depth):
 
     while heap:
         if not state.charge():
+            stats.budget_count += len(heap)
             while heap:
                 add_contrib(heapq.heappop(heap)[2])
             break
@@ -349,6 +365,8 @@ def _solve_problem(box, tensors, cfg, state, lift, stats, depth):
         stats.lp_pivots += outcome.pivots
         stats.lp_fallbacks += outcome.lp_fallbacks
         stats.early_stops += outcome.stopped
+        stats.cut_rounds += outcome.iterations
+        stats.rows_activated += len(outcome.activated_rows)
         if outcome.infeasible:
             # the box's LP has no feasible point, confirmed in Fractions
             stats.infeasible_count += 1
@@ -365,7 +383,7 @@ def _solve_problem(box, tensors, cfg, state, lift, stats, depth):
             add_contrib(bound)
             continue
         if not g_tensors:
-            signs = _monotonicity_signs(t)
+            signs = _monotonicity_signs(bf)
             if any(s != "mixed" for s in signs):
                 stats.mono_count += 1
                 reduced_box, fixed = edge_subproblem(cur, signs)

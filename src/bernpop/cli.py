@@ -108,7 +108,7 @@ def _run_relax(args) -> tuple[int, dict]:
         bounds[key] = _bound_json(out.bound)
         if exact and out.bound is not None:
             exact_strs[key] = _fraction_str(out.bound)
-        if point is None and not extra_rows:
+        if point is None and not g_tensors:
             point = witness(bf, out)
         if level == LEVEL_2:
             bounds["p2_activated_rows"] = len(out.activated_rows)
@@ -218,10 +218,14 @@ def _run_bench(args) -> tuple[int, dict]:
             tasks.append(("lyapunov", name))
         else:
             raise ValueError(f"unknown benchmark {name!r}")
-    if args.jobs > 1:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, not {args.jobs}")
+    # a fork-started pool starts all its workers at once: no more than cases
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(_bench_one, [(k, n, args.level, exact) for k, n in tasks])
             )

@@ -15,7 +15,10 @@ constraint, read off the constraint's own coefficient tensor at the
 relaxation degree (linear constraints are degree-1 polynomials).  Levels
 1 and 2 share one cut loop, and ``bound_at_level`` is the one entry point
 to every level.  Every LP is a ``simplex.CutLP``, built only once there
-is a row to append: with none, the greedy fill is the optimum.
+is a row to append: with none, the greedy fill is the optimum.  Rows
+travel as one block (a, b), a coefficient matrix and its right-hand
+sides in the form's field, from the cut matrix or the constraints
+straight into ``CutLP.append_rows``.
 
 A caller that only needs the bound to reach a target (the branch-and-bound
 cutoff) passes it as ``stop_at``: the smallest coefficient, the greedy
@@ -149,8 +152,9 @@ class CutMatrix:
         self._row_id = np.full(order.size, -1, dtype=np.int64)
         self._row_id[self._pos_of] = np.arange(self.row_count)
 
-    def rows(self, ids: Sequence[int]) -> list[tuple[list, object]]:
-        """Materialize rows as (coefficients over J <= delta, rhs) pairs."""
+    def rows(self, ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Materialize rows as one block (a, b) in the field: a[i] the
+        coefficients over J <= delta of row ids[i], and b[i] its rhs."""
         flat = self._pos_of[np.asarray(ids, dtype=np.int64)]
         per_axis = []
         for size in reversed(self._shape):
@@ -168,7 +172,7 @@ class CutMatrix:
             nonzero = coeffs != 0
             numer, coeffs = coeffs[nonzero], np.full(coeffs.shape, self.field.zero, dtype=object)
             coeffs[nonzero] = np.frompyfunc(self.field.ratio, 2, 1)(numer, self._scale)
-        return list(zip(coeffs.tolist(), rhs.tolist()))
+        return coeffs, rhs
 
     def scan_violations(self, z, tol, skip: set[int]) -> list[int]:
         """Ids of rows with b^(I,K) . z > rhs + tol, ascending.
@@ -199,10 +203,14 @@ def build_cut_matrix(degree: Index, exact: bool = False) -> CutMatrix:
     return CutMatrix(degree, field(exact))
 
 
-def constraint_rows(tensors: Sequence[np.ndarray]) -> list[tuple[list, object]]:
+def constraint_rows(tensors: Sequence[np.ndarray]) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """The LP rows b(g) . z <= 0 of side constraints g(x) <= 0, from their
-    coefficient tensors at the relaxation degree."""
-    return [(g.ravel().tolist(), field_of(g).zero) for g in tensors]
+    coefficient tensors at the relaxation degree, as one block (a, b);
+    None when there is no constraint."""
+    if not tensors:
+        return None
+    F = field_of(tensors[0])
+    return np.stack([g.ravel() for g in tensors]), np.full(len(tensors), F.zero, dtype=F.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +357,12 @@ def _cut_loop(bf, u, cuts, extra_rows, F: Field, stop_at=None) -> RelaxationOutc
         stopped = stop_at is not None and value >= stop_at
         if stopped:
             break
-        if rows:
+        if rows is not None:
             if lp is None:
                 coeffs, caps = bf.tensor.ravel().tolist(), np.ravel(u).tolist()
                 lp = simplex.CutLP(coeffs, caps, z, last, F)
-            lp.append_rows(rows)
-            rows = ()
+            lp.append_rows(*rows)
+            rows = None
             sol = simplex.solve(lp)
             solves += 1
             pivots += sol.iterations
@@ -400,7 +408,7 @@ def bound_at_level(
     level: str,
     u: Optional[Sequence] = None,
     cuts: Optional[CutMatrix] = None,
-    extra_rows: Sequence = (),
+    extra_rows: Optional[tuple] = None,
     exact: Optional[bool] = None,
     stop_at=None,
 ) -> RelaxationOutcome:
@@ -408,7 +416,8 @@ def bound_at_level(
     one entry point to every level.  The arithmetic is the field of the
     form's tensor; ``exact``, if given, must name that field.  ``u``
     defaults to the caps of the form's degree, and ``cuts``, read at
-    level 2 only, to its full cut matrix.
+    level 2 only, to its full cut matrix.  ``extra_rows`` is a block
+    (a, b) of side rows a.z <= b, as ``constraint_rows`` builds it, or None.
 
     ``stop_at`` asks for a bound only as strong as needed to reach it:
     above level 0, the level-0 outcome is returned when the smallest

@@ -89,7 +89,6 @@ class CutLP:
         """Return to the start basis with no rows appended."""
         F = self.field
         c, upper, start, basic = self._start
-        self._rows: list = []
         self.c, self.hi = F.array(c), F.array(upper)
         self.G = np.full((1, self.n), F.one, dtype=F.dtype)
         self.h = np.full(1, F.one, dtype=F.dtype)
@@ -105,18 +104,24 @@ class CutLP:
     @property
     def row_count(self) -> int:
         """Appended inequality rows (the unit-mass row not counted)."""
-        return len(self._rows)
+        return self.G.shape[0] - 1
 
-    def append_rows(self, rows: Sequence) -> None:
-        """Append rows ``(a, b)`` meaning ``a.z <= b``, each with its slack
-        basic; the inverse grows by ``[[B^-1, 0], [-A_B B^-1, I]]``."""
-        if not rows:
-            return
+    @property
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The appended rows as one block (a, b): their coefficients over the
+        structural variables, one row each, and their right-hand sides
+        (views of the LP's own arrays, to read, not to write)."""
+        return self.G[1:, : self.n], self.h[1:]
+
+    def append_rows(self, a, b) -> None:
+        """Append the rows ``a[i].z <= b[i]`` of a block (a k x n matrix and
+        k right-hand sides, converted into the LP's field), each with its
+        slack basic; the inverse grows by ``[[B^-1, 0], [-A_B B^-1, I]]``."""
         F = self.field
-        self._rows.extend(rows)
-        k = len(rows)
-        a = F.array([r for r, _ in rows])
-        b = F.array([rhs for _, rhs in rows])
+        a, b = F.array(a), F.array(b)
+        k = len(b)
+        if not k:
+            return
         m, cols = self.G.shape
         eye = np.full((k, k), F.zero, dtype=F.dtype)
         np.fill_diagonal(eye, F.one)
@@ -144,7 +149,7 @@ class CutLP:
         start and with the same rows."""
         c, upper, start, basic = self._start
         image = CutLP(c, upper, start, basic, EXACT)
-        image.append_rows(self._rows)
+        image.append_rows(*self.rows)
         return image
 
     def reoptimize(self) -> LPSolution:
@@ -159,9 +164,9 @@ class CutLP:
             return sol
         self.fallbacks += 1
         pivots = sol.iterations
-        rows = self._rows
+        rows = self.rows
         self._restart()
-        self.append_rows(rows)
+        self.append_rows(*rows)
         sol = self._dual_simplex()
         pivots += sol.iterations
         if sol.status == _FAILED:
@@ -226,12 +231,12 @@ class CutLP:
         in exact mode."""
         xb = self.x[self.basis]
         if self.exact:
-            bad = np.nonzero((xb < 0) | (xb > self.hi[self.basis]))[0]
+            bad = ((xb < 0) | (xb > self.hi[self.basis])).nonzero()[0]
             if not bad.size:
                 return None
-            return int(bad[np.argmin(self.basis[bad])])
+            return int(bad[self.basis[bad].argmin()])
         viol = np.maximum(-xb, xb - self.hi[self.basis])
-        r = int(np.argmax(viol))
+        r = int(viol.argmax())
         return r if viol[r] > _FEAS_TOL else None
 
     def _entering(self, r: int, alpha: np.ndarray) -> Optional[int]:
@@ -239,18 +244,21 @@ class CutLP:
         nonbasic variable can move the leaving one toward its bound."""
         tol = self.field.tol(_PIVOT_TOL)
         up = self.x[self.basis[r]] < 0  # the leaving variable must increase
-        sign = np.where(self.at_upper, -1, 1) * (1 if up else -1)
+        # alpha signed by the direction each variable can move, negated at
+        # an upper bound: the candidates are the entries below -tol (up) or
+        # above tol (down)
+        signed = np.where(self.at_upper, -alpha, alpha)
         movable = ~self.is_basic & (self.hi != 0)
-        cand = np.nonzero(movable & (sign * alpha < -tol))[0]
+        cand = (movable & (signed < -tol if up else signed > tol)).nonzero()[0]
         if not cand.size:
             return None
         dd = np.where(self.at_upper[cand], -self.d[cand], self.d[cand])
         size = np.abs(alpha[cand])
         if self.exact:
-            return int(cand[np.argmin(dd / size)])  # ties: smallest index
+            return int(cand[(dd / size).argmin()])  # ties: smallest index
         ratios = np.maximum(dd, 0.0) / size
-        ties = np.nonzero(ratios <= ratios.min() + 1e-12)[0]
-        return int(cand[ties[np.argmax(size[ties])]])  # ties: largest pivot
+        ties = (ratios <= ratios.min() + 1e-12).nonzero()[0]
+        return int(cand[ties[size[ties].argmax()]])  # ties: largest pivot
 
     def _pivot(self, r: int, q: int, alpha: np.ndarray) -> bool:
         """Swap basic ``basis[r]`` for nonbasic ``q``; returns whether the
@@ -258,7 +266,7 @@ class CutLP:
         leaving = self.basis[r]
         up = self.x[leaving] < 0
         theta = self.d[q] / alpha[q]
-        self.d = self.d - theta * alpha
+        self.d -= theta * alpha
         self.d[self.basis] = self.field.zero
         self.d[leaving] = -theta
         self.d[q] = self.field.zero
@@ -266,14 +274,14 @@ class CutLP:
         piv = col[r]
         target = self.field.zero if up else self.hi[leaving]
         step = (self.x[leaving] - target) / piv
-        self.x[self.basis] = self.x[self.basis] - step * col
+        self.x[self.basis] -= step * col
         self.x[q] = self.x[q] + step
         self.x[leaving] = target
         self.basis[r] = q
         self.is_basic[q], self.is_basic[leaving] = True, False
         self.at_upper[q], self.at_upper[leaving] = False, not up
         row = self.b_inv[r] / piv
-        self.b_inv = self.b_inv - np.outer(col, row)
+        self.b_inv -= col[:, None] * row
         self.b_inv[r] = row
         return self.exact or abs(piv) > 1e-7
 

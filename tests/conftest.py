@@ -163,6 +163,28 @@ def loop_subdivide(tensor, axis, t):
     return np.moveaxis(left, 0, axis), np.moveaxis(right, 0, axis)
 
 
+def loop_monotonicity_signs(coeffs, degree) -> tuple:
+    """Per-axis sign of the forward differences b_{I+e_r} - b_I, one
+    coefficient pair at a time in the coefficients' own arithmetic: '+'
+    when all are positive or all are zero (a degree-0 axis has none), '-'
+    when all are negative, 'mixed' otherwise."""
+    strides = [math.prod(d + 1 for d in degree[l + 1:]) for l in range(len(degree))]
+    signs = []
+    for r, d in enumerate(degree):
+        diffs = [
+            coeffs[pos + strides[r]] - coeffs[pos]
+            for pos, idx in enumerate(iter_indices(degree))
+            if idx[r] < d
+        ]
+        if all(x == 0 for x in diffs) or all(x > 0 for x in diffs):
+            signs.append("+")
+        elif all(x < 0 for x in diffs):
+            signs.append("-")
+        else:
+            signs.append("mixed")
+    return tuple(signs)
+
+
 def loop_min_coefficient(coeffs, degree):
     """Smallest coefficient and its lexicographically first index."""
     best, best_idx = None, ()
@@ -397,14 +419,31 @@ def cut_pairs(degree) -> list:
 # -- the LP oracles -----------------------------------------------------------
 
 
+def row_block(rows):
+    """A list of rows (a, b), meaning a.z <= b, as the one block (A, b) of
+    coefficient rows and right-hand sides that ``CutLP.append_rows`` and
+    ``bound_at_level``'s ``extra_rows`` take; None for no rows, as
+    ``constraint_rows`` gives for no constraint."""
+    if not rows:
+        return None
+    return [a for a, _ in rows], [b for _, b in rows]
+
+
+def row_list(block) -> list:
+    """The rows (a, b) of a block (A, b), such as ``CutMatrix.rows`` and
+    ``CutLP.rows`` return, as (list, Python number) pairs."""
+    a, b = block
+    return list(zip(np.asarray(a).tolist(), np.asarray(b).tolist()))
+
+
 def one_shot_lp(coeffs, u, rows, exact=False):
     """The one-shot full LP: a fresh ``CutLP`` from the greedy start with
-    every row appended at once, solved (the float fallback's own path).
-    Returns (lp, solution)."""
+    every row of the list ``rows`` appended at once, solved (the float
+    fallback's own path).  Returns (lp, solution)."""
     coeffs, u = np.ravel(coeffs).tolist(), np.ravel(u).tolist()
     _, z, last = _greedy_knapsack(coeffs, u, field(exact))
     lp = simplex.CutLP(coeffs, u, z, last, field(exact))
-    lp.append_rows(list(rows))
+    lp.append_rows([a for a, _ in rows], [b for _, b in rows])
     return lp, simplex.solve(lp)
 
 
@@ -422,11 +461,12 @@ def assert_lp_duality(lp, sol) -> None:
     assert lp.exact and sol.status == simplex.OPTIMAL
     c, upper, _, _ = lp._start
     n, k = len(c), lp.row_count
+    rows = row_list(lp.rows)
     G = _fractions(
         [[1] * n + [0] * k]
-        + [list(a) + [int(i == r) for i in range(k)] for r, (a, _) in enumerate(lp._rows)]
+        + [list(a) + [int(i == r) for i in range(k)] for r, (a, _) in enumerate(rows)]
     )
-    h = _fractions([1] + [b for _, b in lp._rows])
+    h = _fractions([1] + [b for _, b in rows])
     cost = _fractions(list(c) + [0] * k)
     cap = list(map(Fraction, upper)) + [None] * k
     x, basis = lp.x, [int(j) for j in lp.basis]

@@ -38,6 +38,7 @@ from conftest import (
     motzkin3,
     one_shot_lp,
     random_polynomial,
+    row_list,
 )
 
 
@@ -232,7 +233,7 @@ def test_criterion_6b_greedy_equals_simplex():
 def _one_shot_level2(bf, u, cuts):
     """The one-shot full level-2 LP: every elevation row appended at once
     to a fresh LP, solved once."""
-    return one_shot_lp(bf.tensor, u, cuts.rows(range(cuts.row_count)))[1].value
+    return one_shot_lp(bf.tensor, u, row_list(cuts.rows(range(cuts.row_count))))[1].value
 
 
 def test_criterion_6c_iterative_equals_monolithic():

@@ -19,7 +19,7 @@ from bernpop.bnb import (
     sample_upper_bound,
     split_node,
 )
-from bernpop.bernstein import FLOAT, to_bernstein
+from bernpop.bernstein import FLOAT, BernsteinForm, to_bernstein
 from bernpop.poly import Box, Polynomial, restrict_facet, to_unit_box
 from bernpop.problems import load_fixture, load_problem
 from bernpop.relax import RelaxationOutcome, nominal_point
@@ -61,12 +61,15 @@ def test_split_zero_centered_falls_back_to_midpoint():
 
 
 def test_monotonicity_signs():
+    def signs(p, box):
+        return _monotonicity_signs(BernsteinForm(box_tensor(p, box)))
+
     x = Polynomial.variable(1, 0)
-    assert _monotonicity_signs(box_tensor(x, Box((-2.0,), (5.0,)))) == ("+",)
+    assert signs(x, Box((-2.0,), (5.0,))) == ("+",)
     square = Polynomial(1, {(2,): 1})
-    assert _monotonicity_signs(box_tensor(square, Box((-1.0,), (1.0,)))) == ("mixed",)
-    assert _monotonicity_signs(box_tensor(square, Box((0.1,), (1.0,)))) == ("+",)
-    assert _monotonicity_signs(box_tensor(square, Box((-1.0,), (-0.1,)))) == ("-",)
+    assert signs(square, Box((-1.0,), (1.0,))) == ("mixed",)
+    assert signs(square, Box((0.1,), (1.0,))) == ("+",)
+    assert signs(square, Box((-1.0,), (-0.1,))) == ("-",)
 
 
 def test_edge_subproblem_single_axis():
@@ -291,7 +294,7 @@ def test_exact_mode_on_float_coefficients_computes_in_fractions(level):
 
 def test_bound_soundness_on_random_boxes(rng):
     # every level's bound stays below a dense sample minimum on the box
-    from bernpop.bernstein import FLOAT, to_bernstein
+    from bernpop.bernstein import FLOAT, BernsteinForm, to_bernstein
     from bernpop.relax import bound_at_level
     from conftest import grid_min, random_box, random_polynomial
 
@@ -339,7 +342,7 @@ def test_tensor_sign_test_at_least_as_decisive(rng):
         n = rng.randint(1, 3)
         p = random_polynomial(rng, n, 3)
         box = random_box(rng, n)
-        signs = _monotonicity_signs(box_tensor(p, box))
+        signs = _monotonicity_signs(BernsteinForm(box_tensor(p, box)))
         for ref, got in zip(_derivative_signs(p, box), signs):
             if ref != "mixed":
                 assert got == ref
@@ -436,29 +439,44 @@ def _d2_repro():
         ("himmelblau", "2", 1e-12),
         ("d2", "2", 1e-12),
         ("himmelblau", "0", 0.5),
+        # 50 nodes: the budget runs out inside an edge subproblem, and both
+        # worklists drain
+        ("himmelblau_budget", "0", 1e-12),
     ],
 )
 def test_every_popped_node_closes_for_one_reason_or_splits(monkeypatch, case, level, min_box_width):
-    splits = []
-    real_split = bnb.split_node
+    splits, worklists = [], []
+    real_split, real_solve = bnb.split_node, bnb._solve_problem
 
     def counted(*args):
         splits.append(args)
         return real_split(*args)
 
+    def counted_worklist(*args, **kwargs):
+        worklists.append(args)
+        return real_solve(*args, **kwargs)
+
     monkeypatch.setattr(bnb, "split_node", counted)
-    if case == "himmelblau":
-        p, constraints, box = himmelblau(), (), Box((-5.0, -5.0), (5.0, 5.0))
-    else:
+    monkeypatch.setattr(bnb, "_solve_problem", counted_worklist)
+    if case == "d2":
         p, constraints, box = _d2_repro()
-    cfg = BnbConfig(level=level, min_box_width=min_box_width)
+    else:
+        p, constraints, box = himmelblau(), (), Box((-5.0, -5.0), (5.0, 5.0))
+    limited = case == "himmelblau_budget"
+    cfg = BnbConfig(level=level, min_box_width=min_box_width, max_boxes=50 if limited else 100_000)
     res = branch_and_bound(p, constraints, box, cfg)
-    assert res.converged or min_box_width > 1e-12  # wide boxes close unconverged
+    # wide boxes and a short budget close unconverged
+    assert res.converged == (min_box_width <= 1e-12 and not limited)
     s = res.stats
     closures = (
         s.cutoff_count + s.edge_cutoffs + s.mono_count + s.infeasible_count + s.min_width_count
     )
     assert s.subdivisions + s.edge_subdivisions == closures + len(splits)
+    # every entry pushed (one root per worklist, two per split) was popped
+    # or drained when the budget ran out
+    pushed = len(worklists) + 2 * len(splits)
+    assert pushed == s.subdivisions + s.edge_subdivisions + s.budget_count
+    assert (s.budget_count > 0) == limited
     assert (s.min_width_count > 0) == (min_box_width > 1e-12)
     if case == "d2":
         assert s.infeasible_count > 0
@@ -485,6 +503,25 @@ def test_level0_closures_are_cutoff_closures(exact):
         assert res.upper_bound == 2.646061147970613e-11
         assert res.witness == (3.584427833557129, -1.8481254577636719)
     assert res.converged
+
+
+def test_cut_counters_sum_the_run_outcomes(monkeypatch):
+    # the run's cut rounds and activated rows are those of its bounds,
+    # edge subproblems included
+    outcomes = []
+    real = bnb.bound_at_level
+
+    def recording(*args, **kwargs):
+        outcomes.append(real(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(bnb, "bound_at_level", recording)
+    problem = load_problem(load_fixture("himmelblau"))
+    cfg = BnbConfig(level="2", epsilon=problem.epsilon)
+    s = branch_and_bound(problem.objective, (), problem.box, cfg).stats
+    assert s.edge_subdivisions > 0
+    assert s.cut_rounds == sum(out.iterations for out in outcomes) > 0
+    assert s.rows_activated == sum(len(out.activated_rows) for out in outcomes) > 0
 
 
 @pytest.mark.parametrize("level", ["1", "2"])

@@ -488,6 +488,9 @@ def test_bnb_reports_early_stops(capsys, fixture_dir):
     assert 0 < stats["early_stops"] <= stats["subdivisions"] + stats["edge_subdivisions"]
     # closures by reason sit beside the cutoff, monotone and infeasible counts
     assert stats["infeasible_count"] == 0 and stats["min_width_count"] == 0
+    assert stats["budget_count"] == 0
+    # and the cut loop's work beside the LP counters
+    assert stats["cut_rounds"] > 0 and stats["rows_activated"] > 0
 
 
 def _without_timings(results):
@@ -507,6 +510,41 @@ def test_bench_jobs_match_a_serial_run(capsys):
     assert parallel == serial and reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_bench_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = _run(capsys, ["bench", "--jobs", jobs, "unitsq"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--jobs" in err
+
+
+def test_bench_pool_is_capped_at_the_cases(capsys, monkeypatch):
+    # a fork-started pool starts every worker at once, so two cases get two
+    # workers however many jobs are asked for, and one case runs serially;
+    # the recording pool runs the cases in this process and starts none
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    for names in (["unitsq", "lyap1"], ["unitsq"]):
+        code, _, _ = _run(capsys, ["bench", "--jobs", "5", "--output", "json", *names])
+        assert code == 0
+    assert sizes == [2]
+
+
 def _reject_non_finite(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
@@ -521,6 +559,7 @@ def test_exhausted_bnb_prints_strict_json(capsys, fixture_dir, arith):
     assert code == 2
     sec = json.loads(out, parse_constant=_reject_non_finite)["bnb"]
     assert not sec["converged"] and sec["lower"] <= 0.0 <= sec["upper"]
+    assert sec["stats"]["budget_count"] > 0
 
 
 def test_non_finite_report_value_is_a_clean_error(capsys, monkeypatch, fixture_dir):

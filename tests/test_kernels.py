@@ -26,7 +26,7 @@ from bernpop.bernstein import (
     to_bernstein,
     upper_bounds,
 )
-from bernpop.bnb import _evaluator
+from bernpop.bnb import _evaluator, _monotonicity_signs
 from bernpop.poly import Polynomial
 from bernpop.relax import (
     _greedy_knapsack,
@@ -41,10 +41,12 @@ from conftest import (
     loop_first_lp_bound,
     loop_greedy_knapsack,
     loop_min_coefficient,
+    loop_monotonicity_signs,
     loop_nominal_point,
     loop_subdivide,
     loop_to_bernstein,
     loop_upper_bounds,
+    row_list,
 )
 
 FIELDS = [False, True]
@@ -151,6 +153,64 @@ def test_min_coefficient_matches_loop(exact):
     # ties go to the first index in row-major order
     ties = BernsteinForm(np.array([[2.0, -1.0, 0.0], [-1.0, 3.0, -1.0]]))
     assert ties.minimum == (-1.0, (0, 1))
+
+
+def _profile(kind, n, rng):
+    """n values along one axis: strictly increasing ('+') or decreasing
+    ('-'), constant ('='), rising from a tie at the bottom ('t'), falling
+    from a tie at the top ('T'), or small random integers ('~')."""
+    steps = sorted(rng.sample(range(1, 30), n))
+    return {
+        "+": steps,
+        "-": steps[::-1],
+        "=": [steps[0]] * n,
+        "t": steps[:1] + steps[:-1],
+        "T": (steps[:1] + steps[:-1])[::-1],
+        "~": [rng.randint(-2, 2) for _ in range(n)],
+    }[kind]
+
+
+def _shaped_tensors(exact, seed=5):
+    """Tensors built as sums of per-axis profiles (``_profile``) and the
+    field's sevenths: monotone, constant and tied axes, ties at the first
+    smallest or largest coefficient, and degree-0 axes."""
+    rng = random.Random(seed)
+    F = field(exact)
+    out = []
+    for shape in [(1,), (4,), (1, 1), (3, 1), (1, 4), (3, 4), (2, 1, 3), (3, 3, 2), (2, 2, 2, 2)]:
+        for _ in range(12):
+            total = np.zeros(shape, dtype=int)
+            for r, n in enumerate(shape):
+                axis_shape = [1] * len(shape)
+                axis_shape[r] = n
+                values = _profile(rng.choice("+-=tT~"), n, rng)
+                total = total + np.array(values).reshape(axis_shape)
+            out.append(np.array([F.ratio(int(v), 7) for v in total.ravel()], dtype=F.dtype).reshape(shape))
+    return out
+
+
+@pytest.mark.parametrize("exact", FIELDS)
+def test_monotonicity_signs_match_loop(exact):
+    # on every case and every built tensor; the screen by the first
+    # smallest and largest coefficients is a necessary condition for a
+    # monotone axis, and both its outcomes occur: axes it rules out, and
+    # axes it passes that the differences still find mixed
+    tensors = [to_bernstein(p, degree, exact).tensor for p, degree in _cases(exact)]
+    ruled_out = passed_mixed = decisive = 0
+    for tensor in tensors + _shaped_tensors(exact):
+        bf = BernsteinForm(tensor)
+        got = _monotonicity_signs(bf)
+        assert got == loop_monotonicity_signs(_flat(bf), bf.degree)
+        coeffs = _flat(bf)
+        low = loop_min_coefficient(coeffs, bf.degree)[1]
+        high = np.unravel_index(coeffs.index(max(coeffs)), tensor.shape)
+        for r, (sign, d) in enumerate(zip(got, bf.degree)):
+            passes = (low[r], high[r]) in ((0, 0), (0, d), (d, 0))
+            assert passes or sign == "mixed"
+            ruled_out += not passes
+            passed_mixed += passes and sign == "mixed"
+            decisive += sign != "mixed"
+    assert ruled_out and passed_mixed and decisive
 
 
 @pytest.mark.parametrize("exact", FIELDS)
@@ -282,7 +342,7 @@ def test_exact_scan_matches_rows(degree):
     # a tolerance at the median excess drops some of the rows 0 finds
     rng = random.Random(23)
     cuts = build_cut_matrix(degree, exact=True)
-    rows = cuts.rows(range(cuts.row_count))
+    rows = row_list(cuts.rows(range(cuts.row_count)))
     size = math.prod(d + 1 for d in degree)
     found = 0
     for scale in (1, 3):

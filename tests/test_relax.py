@@ -27,6 +27,8 @@ from conftest import (
     monomial_bernstein_row,
     one_shot_lp,
     random_polynomial,
+    row_block,
+    row_list,
 )
 
 
@@ -164,14 +166,14 @@ def test_cut_matrix_row_count_formula():
 
 
 def test_cut_matrix_univariate_row():
-    [(coeffs, rhs)] = build_cut_matrix((1,)).rows([0])
+    [(coeffs, rhs)] = row_list(build_cut_matrix((1,)).rows([0]))
     assert coeffs == [1.0, 1.0] and rhs == 1.0
     assert cut_pairs((1,)) == [((0,), (0,))]
 
 
 def test_cut_matrix_rows_nonnegative_rhs_in_unit():
     cuts = build_cut_matrix((2, 2))
-    for coeffs, rhs in cuts.rows(range(cuts.row_count)):
+    for coeffs, rhs in row_list(cuts.rows(range(cuts.row_count))):
         assert all(c >= 0 for c in coeffs)
         assert 0 < rhs <= 1
 
@@ -185,7 +187,7 @@ def test_cut_matrix_rows_match_elevation(rng):
             pairs = cut_pairs(degree)
             keys = [(sum(low), low, idx) for idx, low in pairs]
             assert len(pairs) == cuts.row_count and keys == sorted(set(keys))
-            rows = cuts.rows(range(cuts.row_count))
+            rows = row_list(cuts.rows(range(cuts.row_count)))
             for (coeffs, rhs), (idx, low) in zip(rows, pairs):
                 assert coeffs == elevation_row(idx, low, degree, exact)
                 peak = Fraction(1) if exact else 1.0
@@ -193,8 +195,11 @@ def test_cut_matrix_rows_match_elevation(rng):
                     peak *= relax._beta_peak(i, k, field(exact))
                 assert rhs == peak and type(rhs) is type(peak)
             ids = rng.sample(range(cuts.row_count), min(5, cuts.row_count))
-            assert cuts.rows(ids) == [rows[i] for i in ids]
-            assert cuts.rows([]) == []
+            a, b = cuts.rows(ids)  # one block in the field
+            assert a.shape == (len(ids), cuts._size) and b.shape == (len(ids),)
+            assert a.dtype == b.dtype == (object if exact else float)
+            assert row_list((a, b)) == [rows[i] for i in ids]
+            assert row_list(cuts.rows([])) == []
 
 
 def _scan_vectors(rng, degree) -> list:
@@ -224,7 +229,7 @@ def _brute_force_scan(rows, z, tol) -> list:
 @pytest.mark.parametrize("exact", [False, True])
 def test_scan_matches_brute_force(rng, degree, exact):
     cuts = build_cut_matrix(degree, exact)
-    rows = cuts.rows(range(cuts.row_count))
+    rows = row_list(cuts.rows(range(cuts.row_count)))
     tol = 0 if exact else 1e-9
     found = 0
     for z in _scan_vectors(rng, degree):
@@ -283,7 +288,7 @@ def test_iterative_equals_monolithic(rng):
         u = upper_bounds((2, 2))
         cuts = build_cut_matrix((2, 2))
         it = bound_at_level(bf, "2", u=u, cuts=cuts)
-        _, mono = one_shot_lp(bf.tensor, u, cuts.rows(range(cuts.row_count)))
+        _, mono = one_shot_lp(bf.tensor, u, row_list(cuts.rows(range(cuts.row_count))))
         assert it.bound == pytest.approx(mono.value, abs=1e-8)
 
 
@@ -389,7 +394,7 @@ def test_polyhedral_redundant_constraint():
     u = upper_bounds((2, 2))
     base = bound_at_level(bf, "1", u=u)
     g = Polynomial(2, {(1, 0): 1.0, (0, 0): -1.0})  # x1 <= 1
-    constrained = bound_at_level(bf, "1", u=u, extra_rows=[_constraint_row(g, (2, 2))])
+    constrained = bound_at_level(bf, "1", u=u, extra_rows=row_block([_constraint_row(g, (2, 2))]))
     assert constrained.bound == pytest.approx(base.bound, abs=1e-9)
 
 
@@ -412,7 +417,9 @@ def test_semialgebraic_slack_constraint_no_change():
     q_poly = bernstein_to_polynomial(bf)
     slack = q_poly - Polynomial.constant(2, bf.tensor.max() + 1.0)
     rows = [_constraint_row(slack, (2, 2))]
-    constrained = bound_at_level(bf, "2", u=u, cuts=build_cut_matrix((2, 2)), extra_rows=rows)
+    constrained = bound_at_level(
+        bf, "2", u=u, cuts=build_cut_matrix((2, 2)), extra_rows=row_block(rows)
+    )
     assert constrained.bound == pytest.approx(base.bound, abs=1e-7)
 
 
@@ -477,7 +484,7 @@ def _float_image(bf, rows):
 
 
 def _all_rows(cuts):
-    return cuts.rows(range(cuts.row_count))
+    return row_list(cuts.rows(range(cuts.row_count)))
 
 
 def _record_solves(monkeypatch) -> list:
@@ -500,7 +507,7 @@ def _assert_exact_optimal(solved, bf, u, active, out):
     solve) holds those rows and carries a duality certificate for the
     outcome's value."""
     lp, sol = solved[-1] if solved else one_shot_lp(bf.tensor, u, active, exact=True)
-    assert lp._rows == list(active)
+    assert row_list(lp.rows) == list(active)
     assert_lp_duality(lp, sol)
     assert out.bound == sol.value
 
@@ -510,7 +517,7 @@ def _assert_exact_level2_optimal(solved, bf, u, cuts, rows, out):
     activated, and the loop's z violates no row of the full system.  The
     full LP's feasible set lies inside the active one and contains z, so
     the full optimum is that value too."""
-    active = list(rows) + cuts.rows(out.activated_rows)
+    active = list(rows) + row_list(cuts.rows(out.activated_rows))
     _assert_exact_optimal(solved, bf, u, active, out)
     assert cuts.scan_violations(out.z, 0, set()) == []
 
@@ -526,13 +533,15 @@ def test_warm_loop_equals_cold_full_lp(rng, monkeypatch, degree, with_rows):
     for trial in range(3):
         bf_q, rows_q = _costly_corner_instance(rng, degree, with_rows)
         bf_f, rows_f = _float_image(bf_q, rows_q)
-        warm = bound_at_level(bf_f, "2", u=u_f, cuts=cuts_f, extra_rows=rows_f)
+        warm = bound_at_level(bf_f, "2", u=u_f, cuts=cuts_f, extra_rows=row_block(rows_f))
         _, cold = one_shot_lp(bf_f.tensor, u_f, rows_f + _all_rows(cuts_f))
         assert warm.bound == pytest.approx(cold.value, rel=1e-9, abs=1e-12)
         pivots += warm.pivots
 
         solved.clear()
-        warm_q = bound_at_level(bf_q, "2", u=u_q, cuts=cuts_q, extra_rows=rows_q, exact=True)
+        warm_q = bound_at_level(
+            bf_q, "2", u=u_q, cuts=cuts_q, extra_rows=row_block(rows_q), exact=True
+        )
         assert isinstance(warm_q.bound, Fraction)
         _assert_exact_level2_optimal(solved, bf_q, u_q, cuts_q, rows_q, warm_q)
         assert warm.bound == pytest.approx(float(warm_q.bound), rel=1e-9, abs=1e-12)
@@ -542,9 +551,9 @@ def test_warm_loop_equals_cold_full_lp(rng, monkeypatch, degree, with_rows):
             assert warm_q.bound == mono.value
 
         solved.clear()
-        lp1_q = bound_at_level(bf_q, "1", u=u_q, extra_rows=rows_q, exact=True)
+        lp1_q = bound_at_level(bf_q, "1", u=u_q, extra_rows=row_block(rows_q), exact=True)
         _assert_exact_optimal(solved, bf_q, u_q, rows_q, lp1_q)
-        lp1_f = bound_at_level(bf_f, "1", u=u_f, extra_rows=rows_f)
+        lp1_f = bound_at_level(bf_f, "1", u=u_f, extra_rows=row_block(rows_f))
         assert lp1_f.bound == pytest.approx(float(lp1_q.bound), rel=1e-9, abs=1e-12)
     assert pivots > 0  # the instances exercise the dual simplex
 
@@ -573,19 +582,19 @@ def test_warm_loop_degenerate_starts(monkeypatch, name, degree, coeffs, rows, wi
     solved = _record_solves(monkeypatch)
 
     u_q, cuts_q = upper_bounds(degree, exact=True), build_cut_matrix(degree, True)
-    warm_q = bound_at_level(bf_q, "2", u=u_q, cuts=cuts_q, extra_rows=rows_q, exact=True)
+    warm_q = bound_at_level(bf_q, "2", u=u_q, cuts=cuts_q, extra_rows=row_block(rows_q), exact=True)
     _assert_exact_level2_optimal(solved, bf_q, u_q, cuts_q, rows_q, warm_q)
     lp, mono = one_shot_lp(bf_q.tensor, u_q, rows_q + _all_rows(cuts_q), exact=True)
     assert_lp_duality(lp, mono)
     assert warm_q.bound == mono.value
     solved.clear()
-    lp1_q = bound_at_level(bf_q, "1", u=u_q, extra_rows=rows_q, exact=True)
+    lp1_q = bound_at_level(bf_q, "1", u=u_q, extra_rows=row_block(rows_q), exact=True)
     _assert_exact_optimal(solved, bf_q, u_q, rows_q, lp1_q)
 
     u_f, cuts_f = upper_bounds(degree), build_cut_matrix(degree)
-    warm = bound_at_level(bf_f, "2", u=u_f, cuts=cuts_f, extra_rows=rows_f)
+    warm = bound_at_level(bf_f, "2", u=u_f, cuts=cuts_f, extra_rows=row_block(rows_f))
     _, cold = one_shot_lp(bf_f.tensor, u_f, rows_f + _all_rows(cuts_f))
-    lp1 = bound_at_level(bf_f, "1", u=u_f, extra_rows=rows_f)
+    lp1 = bound_at_level(bf_f, "1", u=u_f, extra_rows=row_block(rows_f))
     pairs = ((warm.bound, cold.value), (warm.bound, warm_q.bound), (lp1.bound, lp1_q.bound))
     for got, want in pairs:
         assert got == pytest.approx(float(want), rel=1e-9, abs=1e-12)
@@ -630,7 +639,7 @@ def test_float_infeasibility_is_confirmed_exactly(monkeypatch):
 
     monkeypatch.setattr(simplex.CutLP, "reoptimize", lying)
     with pytest.raises(RuntimeError, match="exact re-solve"):
-        bound_at_level(bf, "1", u=u, extra_rows=[row])
+        bound_at_level(bf, "1", u=u, extra_rows=row_block([row]))
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -641,8 +650,8 @@ def test_infeasible_lp_is_an_outcome(exact):
     rows = [([2 * one, 0 * one, 2 * one], 0 * one)]
     u = upper_bounds((2,), exact=exact)
     for out in (
-        bound_at_level(bf, "1", u=u, extra_rows=rows, exact=exact),
-        bound_at_level(bf, "2", u=u, extra_rows=rows, exact=exact),
+        bound_at_level(bf, "1", u=u, extra_rows=row_block(rows), exact=exact),
+        bound_at_level(bf, "2", u=u, extra_rows=row_block(rows), exact=exact),
     ):
         assert out.infeasible and out.bound is None
         assert out.lp_solves == (1 if exact else 2)  # float adds the exact re-check
@@ -700,7 +709,7 @@ def test_level2_against_highs():
     for degree in ((3, 3), (2, 2, 2), (6,)):
         cuts = build_cut_matrix(degree)
         u = upper_bounds(degree)
-        rows = cuts.rows(range(cuts.row_count))
+        rows = row_list(cuts.rows(range(cuts.row_count)))
         for _ in range(3):
             bf, _ = _float_image(*_costly_corner_instance(rng, degree, False))
             res = optimize.linprog(

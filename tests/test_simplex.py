@@ -9,7 +9,7 @@ from bernpop.bernstein import field, to_bernstein, upper_bounds
 from bernpop.poly import Box, Polynomial, to_unit_box
 from bernpop.relax import _greedy_knapsack
 from bernpop.simplex import INFEASIBLE, OPTIMAL, solve
-from conftest import assert_lp_duality, one_shot_lp
+from conftest import assert_lp_duality, one_shot_lp, row_block
 
 
 def _cut_lp(c, u, exact=False):
@@ -47,14 +47,14 @@ def test_infeasible():
     for exact in (False, True):
         F = Fraction if exact else float
         lp = _cut_lp([F(1), F(2)], [F(1), F(1)], exact)
-        lp.append_rows([([F(1), F(1)], F(1) / 2)])
+        lp.append_rows([[F(1), F(1)]], [F(1) / 2])
         assert solve(lp).status == INFEASIBLE
 
 
 def test_equality_and_inequality_mix():
     # min x + y st x + y = 1, x - y <= 0, 0 <= x,y <= 1 -> value 1
     lp = _cut_lp([1.0, 1.0], [1.0, 1.0])
-    lp.append_rows([([1.0, -1.0], 0.0)])
+    lp.append_rows([[1.0, -1.0]], [0.0])
     sol = solve(lp)
     assert sol.status == OPTIMAL
     assert sol.value == pytest.approx(1.0)
@@ -85,7 +85,7 @@ def test_knapsack_against_greedy(rng):
         lp = _cut_lp(c, u)
         _, z, last = _greedy_knapsack(c, u, field(False))
         cap = z[last] / 2
-        lp.append_rows([([float(j == last) for j in range(n)], cap)])
+        lp.append_rows([[float(j == last) for j in range(n)]], [cap])
         sol = solve(lp)
         tighter = [cap if j == last else v for j, v in enumerate(u)]
         if sum(tighter) < 1:
@@ -117,7 +117,7 @@ def test_exact_matches_float(rng):
 def test_exact_solution_is_rational():
     F = Fraction
     lp = _cut_lp([F(1), F(-1), F(0)], [F(1), F(1, 2), F(1)], exact=True)
-    lp.append_rows([([F(0), F(1), F(1)], F(3, 4))])  # z0 must take 1/4
+    lp.append_rows([[F(0), F(1), F(1)]], [F(3, 4)])  # z0 must take 1/4
     sol = solve(lp)
     assert sol.status == OPTIMAL
     assert sol.value == Fraction(-1, 4)
@@ -142,13 +142,13 @@ def test_cut_lp_reoptimizes_in_place(exact):
     c = [F(3), F(1), F(2)]
     u = [F(1), F(1, 2) if exact else 0.5, F(1)]
     lp = _cut_lp(c, u, exact)  # greedy: z = (0, 1/2, 1/2), value 3/2
-    lp.append_rows([([F(0), F(0), F(1)], F(1, 4) if exact else 0.25)])
+    lp.append_rows([[F(0), F(0), F(1)]], [F(1, 4) if exact else 0.25])
     sol = solve(lp)
     assert sol.status == OPTIMAL and sol.iterations > 0
     assert sol.value == pytest.approx(F(7, 4) if exact else 1.75)  # z = (1/4, 1/2, 1/4)
     if exact:
         assert_lp_duality(lp, sol)
-    lp.append_rows([([F(1), F(0), F(0)], F(0))])  # now z0 = 0 too: nothing fits
+    lp.append_rows([[F(1), F(0), F(0)]], [F(0)])  # now z0 = 0 too: nothing fits
     assert solve(lp).status == INFEASIBLE
     if exact:
         assert isinstance(sol.value, Fraction)
@@ -172,10 +172,10 @@ def test_float_solve_factorizes_once_to_confirm(monkeypatch):
     # optimum after pivoting, and one with no pivots not at all
     calls = _count_refactors(monkeypatch)
     lp = _cut_lp([3.0, 1.0, 2.0], [1.0, 0.5, 1.0])
-    lp.append_rows([([0.0, 0.0, 1.0], 0.25)])
+    lp.append_rows([[0.0, 0.0, 1.0]], [0.25])
     sol = solve(lp)
     assert sol.status == OPTIMAL and 0 < sol.iterations < 64 and len(calls) == 1
-    lp.append_rows([([1.0, 1.0, 1.0], 1.0)])  # redundant: sum z = 1 already
+    lp.append_rows([[1.0, 1.0, 1.0]], [1.0])  # redundant: sum z = 1 already
     sol = solve(lp)
     assert sol.status == OPTIMAL and sol.iterations == 0 and len(calls) == 1
     assert sol.value == pytest.approx(1.75)
@@ -190,8 +190,8 @@ def test_duality_holds_after_rounds_of_appends(rng):
         rows += _rows_around(rng, z0, 4)
         exact_lp, float_lp = _cut_lp(c, u, exact=True), _cut_lp(*_float_data(c, u, [])[:2])
         for row in rows:
-            exact_lp.append_rows([row])
-            float_lp.append_rows(_float_data([], [], [row])[2])
+            exact_lp.append_rows(*row_block([row]))
+            float_lp.append_rows(*row_block(_float_data([], [], [row])[2]))
             want, got = solve(exact_lp), solve(float_lp)
             assert_lp_duality(exact_lp, want)
             assert got.status == OPTIMAL
@@ -200,7 +200,7 @@ def test_duality_holds_after_rounds_of_appends(rng):
 
 def test_cut_lp_exact_image_keeps_rows():
     lp = _cut_lp([3.0, 1.0, 2.0], [1.0, 0.5, 1.0])
-    lp.append_rows([([0.0, 0.0, 1.0], 0.1)])
+    lp.append_rows([[0.0, 0.0, 1.0]], [0.1])
     image = lp.exact_image()
     assert image.exact and image.row_count == 1
     t = Fraction(0.1)  # the exact image of the float rhs
@@ -224,7 +224,7 @@ def _count_exact_images(monkeypatch) -> list:
 def _fallback_instance(rng):
     c, u, rows = _float_data(*_random_lp(rng)[:3])
     lp = _cut_lp(c, u)
-    lp.append_rows(rows)
+    lp.append_rows(*row_block(rows))
     want = solve(lp.exact_image())  # before any check is forced to fail
     return lp, want
 
@@ -263,7 +263,7 @@ def test_cut_lp_fallback_restarts_before_the_exact_image(monkeypatch, rng):
         assert sol.status == OPTIMAL and lp.fallbacks == 1 and not images
         assert sol.value == pytest.approx(float(want.value), rel=1e-9, abs=1e-12)
         # the rebuilt LP keeps its rows, and later solves run warm again
-        lp.append_rows([([1.0] * lp.n, 1.0)])  # redundant: sum z = 1 already
+        lp.append_rows([[1.0] * lp.n], [1.0])  # redundant: sum z = 1 already
         assert solve(lp).value == pytest.approx(sol.value, rel=1e-9, abs=1e-12)
         assert lp.fallbacks == 1
 
@@ -300,7 +300,7 @@ def test_vectorised_ratio_test_matches_loop(rng):
         if not exact:
             c, u, rows = _float_data(c, u, rows)
         lp = _cut_lp(c, u, exact)
-        lp.append_rows(rows)
+        lp.append_rows(*row_block(rows))
         cols = lp.G.shape[1]
         # random states; exact ties and zero entries are the cases a rule
         # change would show
