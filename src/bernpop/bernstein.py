@@ -78,7 +78,8 @@ class Field:
     d)`` is i/d in it, ``array`` converts (nested) sequences, and ``tol(t)``
     is a float tolerance: t, or 0 in exact arithmetic.  ``image(a)`` is a
     pair (N, D) with a == N / D, D > 0 and N an array ordered as a is:
-    float64 arrays over 1, Fractions as ``integer_image``."""
+    float64 arrays over 1, Fractions as ``integer_image``.  ``finite(a)``
+    says that no entry of a is an infinity or a NaN (Fractions never are)."""
 
     exact: bool
     dtype: type
@@ -90,6 +91,7 @@ class Field:
     array: Callable
     tol: Callable
     image: Callable
+    finite: Callable
 
 
 def integer_image(values) -> tuple[np.ndarray, int]:
@@ -113,10 +115,10 @@ def _over(numer: np.ndarray, den: int) -> np.ndarray:
 
 FLOAT = Field(False, float, 0.0, 1.0, 0.5, of=float, ratio=operator.truediv,
               array=lambda v: np.asarray(v, dtype=float), tol=lambda t: t,
-              image=lambda v: (np.asarray(v), 1))
+              image=lambda v: (np.asarray(v), 1), finite=lambda v: bool(np.isfinite(v).all()))
 EXACT = Field(True, object, Fraction(0), Fraction(1), Fraction(1, 2), of=Fraction, ratio=Fraction,
               array=lambda v: _fractions(np.array(v, dtype=object)), tol=lambda t: 0,
-              image=integer_image)
+              image=integer_image, finite=lambda v: True)
 
 
 def field(exact: bool) -> Field:

@@ -50,14 +50,15 @@ from .relax import (
 SPLIT_LONGEST = "longest_edge"
 SPLIT_ZERO = "zero_centered"
 
+# a box whose widest side is no wider closes with its bound, unsplit
+MIN_BOX_WIDTH = 1e-12
+
 
 @dataclass
 class BnbConfig:
     level: str = LEVEL_0
     epsilon: float = 1e-6
     max_boxes: int = 100_000
-    min_box_width: float = 1e-12
-    split: str = SPLIT_LONGEST
     exact: bool = False
 
     def __post_init__(self):
@@ -67,8 +68,6 @@ class BnbConfig:
             raise ValueError("epsilon must be positive")
         if self.max_boxes < 1:
             raise ValueError("max_boxes must be at least 1")
-        if self.split not in (SPLIT_LONGEST, SPLIT_ZERO):
-            raise ValueError(f"unknown split strategy {self.split!r}")
 
 
 @dataclass
@@ -140,12 +139,22 @@ def split_node(box: Box, tensors: tuple, strategy: str) -> tuple[tuple, tuple]:
 def relaxation_tensors(p: Polynomial, constraints: Sequence, box: Box, degree=None, exact=False):
     """The coefficient tensors of ``p`` and of each constraint on ``box``
     (Fractions when ``exact``), at the relaxation degree: ``degree``
-    (default: the objective's), raised where a constraint needs more."""
+    (default: the objective's), raised where a constraint needs more.  A
+    float tensor must be finite: where binary64 overflows on the box, this
+    is a ValueError that points to exact arithmetic."""
     delta = tuple(degree) if degree is not None else p.degree
     for g in constraints:
         delta = tuple(max(a, b) for a, b in zip(delta, g.degree))
-    units = (to_unit_box(f, box)[0] for f in (p, *constraints))
-    return tuple(to_bernstein(q, delta, exact).tensor for q in units)
+    F = field(exact)
+    with np.errstate(over="ignore", invalid="ignore"):  # the tensors are checked below
+        try:
+            units = (to_unit_box(f, box)[0] for f in (p, *constraints))
+            tensors = tuple(to_bernstein(q, delta, F.exact).tensor for q in units)
+        except OverflowError:  # a float power or conversion beyond binary64
+            tensors = None
+    if tensors is None or not all(map(F.finite, tensors)):
+        raise ValueError("the coefficients on the box overflow binary64; run with --arith rational")
+    return tensors
 
 
 def _monotonicity_signs(bf: BernsteinForm) -> tuple[str, ...]:
@@ -329,7 +338,7 @@ def _solve_problem(box, tensors, cfg, state, lift, stats, depth):
 
     counter = itertools.count()
     root_bound = BernsteinForm(tensors[0]).minimum[0]
-    heap: list = [(float(root_bound), next(counter), root_bound, box, tensors)]
+    heap: list = [(_heap_key(root_bound), next(counter), root_bound, box, tensors)]
     contrib = None
 
     def add_contrib(value):
@@ -400,14 +409,23 @@ def _solve_problem(box, tensors, cfg, state, lift, stats, depth):
                         stats.edge_elapsed += time.perf_counter() - t0
                     add_contrib(sub_lower)
                 continue
-        if cur.width(cur.widest_axis()) <= cfg.min_box_width:
+        if cur.width(cur.widest_axis()) <= MIN_BOX_WIDTH:
             stats.min_width_count += 1
             add_contrib(bound)
             continue
-        for child, child_tensors in split_node(cur, (t, *g_tensors), cfg.split):
-            heapq.heappush(heap, (float(bound), next(counter), bound, child, child_tensors))
+        key = _heap_key(bound)
+        for child, child_tensors in split_node(cur, (t, *g_tensors), SPLIT_LONGEST):
+            heapq.heappush(heap, (key, next(counter), bound, child, child_tensors))
 
     return contrib
+
+
+def _heap_key(bound) -> float:
+    """A bound's float heap key, an infinity for an exact one beyond binary64."""
+    try:
+        return float(bound)
+    except OverflowError:
+        return math.inf if bound > 0 else -math.inf
 
 
 def _make_lift(outer: Callable, fixed: list) -> Callable:

@@ -30,10 +30,6 @@ from .relax import LEVEL_0, LEVEL_1, LEVEL_2, LEVEL_FIRST, bound_at_level, const
 _LEVEL_KEYS = {LEVEL_0: "p0", LEVEL_FIRST: "first", LEVEL_1: "p1", LEVEL_2: "p2"}
 
 
-def _fraction_str(value) -> str:
-    return str(Fraction(value))
-
-
 def _existing(path: str) -> str:
     from pathlib import Path
 
@@ -58,17 +54,12 @@ def _parse_degree(text: str, objective_degree: tuple) -> tuple:
     return tuple(parts)
 
 
-def _bound_json(bound):
-    """A bound as a float; None (an infeasible LP) stays None."""
-    return None if bound is None else float(bound)
-
-
-def _verdict_bounds(verdict) -> dict:
-    """The two certificate bounds as floats, plus their exact strings when
-    they are Fractions (exact mode)."""
-    named = {"v_bound": verdict.v_bound, "vdot_bound": verdict.vdot_bound}
-    out = {k: float(v) for k, v in named.items()}
-    exact_strs = {k: _fraction_str(v) for k, v in named.items() if isinstance(v, Fraction)}
+def _bounds_json(named: dict) -> dict:
+    """Named bounds as floats (None, an infeasible LP, stays None) and,
+    under "exact_bounds", the exact strings of those that are Fractions
+    (exact mode)."""
+    out = {k: None if v is None else float(v) for k, v in named.items()}
+    exact_strs = {k: str(v) for k, v in named.items() if isinstance(v, Fraction)}
     if exact_strs:
         out["exact_bounds"] = exact_strs
     return out
@@ -80,7 +71,7 @@ def _witness_json(witness, exact: bool):
     if exact:
         return {
             "float": [float(v) for v in witness],
-            "exact": [_fraction_str(v) for v in witness],
+            "exact": [str(Fraction(v)) for v in witness],
         }
     return [float(v) for v in witness]
 
@@ -95,8 +86,7 @@ def _run_relax(args) -> tuple[int, dict]:
     extra_rows = constraint_rows(g_tensors)
     u = upper_bounds(bf.degree, exact=exact)
 
-    bounds: dict = {}
-    exact_strs: dict = {}
+    named: dict = {}
     timings: dict = {}
     point = None
     levels = list(_LEVEL_KEYS)
@@ -105,16 +95,10 @@ def _run_relax(args) -> tuple[int, dict]:
         t0 = time.perf_counter()
         out = bound_at_level(bf, level, u=u, extra_rows=extra_rows)
         timings[key] = time.perf_counter() - t0
-        bounds[key] = _bound_json(out.bound)
-        if exact and out.bound is not None:
-            exact_strs[key] = _fraction_str(out.bound)
+        named[key] = out.bound
         if point is None and not g_tensors:
             point = witness(bf, out)
-        if level == LEVEL_2:
-            bounds["p2_activated_rows"] = len(out.activated_rows)
-            bounds["p2_iterations"] = out.iterations
-            bounds["p2_pivots"] = out.pivots
-
+    bounds = _bounds_json(named)
     report = {
         "mode": "relax",
         "problem": problem.name,
@@ -123,32 +107,22 @@ def _run_relax(args) -> tuple[int, dict]:
         "bounds": bounds,
         "timings": timings,
     }
-    if exact_strs:
-        report["exact_bounds"] = exact_strs
+    if "exact_bounds" in bounds:
+        report["exact_bounds"] = bounds.pop("exact_bounds")
+    if args.level == LEVEL_2:
+        bounds["p2_activated_rows"] = len(out.activated_rows)
+        bounds["p2_iterations"] = out.iterations
+        bounds["p2_pivots"] = out.pivots
     if point is not None:
         report["witness"] = _witness_json(problem.box.point(point), exact)
     return 0, report
-
-
-def _bnb_config(args, problem=None) -> bnb_mod.BnbConfig:
-    eps = args.eps
-    if eps is None:
-        eps = problem.epsilon if problem is not None and problem.epsilon else 1e-6
-    return bnb_mod.BnbConfig(
-        level=args.level,
-        epsilon=eps,
-        max_boxes=args.max_boxes,
-        split=bnb_mod.SPLIT_ZERO if args.split == "zero" else bnb_mod.SPLIT_LONGEST,
-        exact=args.arith == "rational",
-    )
 
 
 def _bnb_section(result, exact: bool) -> dict:
     stats = dataclasses.asdict(result.stats)
     del stats["elapsed"], stats["edge_elapsed"]  # the timings section reports them
     return {
-        "lower": _bound_json(result.lower_bound),
-        "upper": _bound_json(result.upper_bound),
+        **_bounds_json({"lower": result.lower_bound, "upper": result.upper_bound}),
         "witness": _witness_json(result.witness, exact),
         "converged": result.converged,
         "stats": stats,
@@ -161,7 +135,8 @@ def _run_bnb(args) -> tuple[int, dict]:
     degree = None
     if args.degree:
         degree = _parse_degree(args.degree, problem.objective.degree)
-    cfg = _bnb_config(args, problem)
+    eps = args.eps if args.eps is not None else problem.epsilon or 1e-6
+    cfg = bnb_mod.BnbConfig(level=args.level, epsilon=eps, max_boxes=args.max_boxes, exact=exact)
     t0 = time.perf_counter()
     result = bnb_mod.branch_and_bound(
         problem.objective, problem.all_constraints(), problem.box, cfg, degree=degree
@@ -194,7 +169,7 @@ def _run_lyapunov(args) -> tuple[int, dict]:
         "problem": case.name,
         "level": cfg.level,
         "verdict": {
-            **_verdict_bounds(verdict),
+            **_bounds_json({"v_bound": verdict.v_bound, "vdot_bound": verdict.vdot_bound}),
             "stable": verdict.stable,
             "nodes": [verdict.v_run.nodes, verdict.vdot_run.nodes],
         },
@@ -207,55 +182,43 @@ def _run_lyapunov(args) -> tuple[int, dict]:
 
 
 def _run_bench(args) -> tuple[int, dict]:
-    registry = lyap_mod.benchmark_registry()
     exact = args.arith == "rational"
-    names = args.names or sorted(registry["pop"]) + sorted(registry["lyapunov"])
-    tasks = []
+    registry = lyap_mod.benchmark_registry(exact)
+    pops, cases = registry["pop"], registry["lyapunov"]
+    names = args.names or sorted(pops) + sorted(cases)
     for name in names:
-        if name in registry["pop"]:
-            tasks.append(("pop", name))
-        elif name in registry["lyapunov"]:
-            tasks.append(("lyapunov", name))
-        else:
+        if name not in pops and name not in cases:
             raise ValueError(f"unknown benchmark {name!r}")
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, not {args.jobs}")
-    # a fork-started pool starts all its workers at once: no more than cases
-    workers = min(args.jobs, len(tasks))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(_bench_one, [(k, n, args.level, exact) for k, n in tasks])
-            )
-    else:
-        results = [_bench_one((k, n, args.level, exact)) for k, n in tasks]
+    results = [
+        _bench_pop(name, pops[name], args.level, exact) if name in pops
+        else _bench_lyapunov(name, cases[name], args.level, exact)
+        for name in names
+    ]
     ok = all(r.pop("_ok") for r in results)
     report = {"mode": "bench", "level": args.level, "results": results}
     return (0 if ok else 2), report
 
 
-def _bench_one(task) -> dict:
-    kind, name, level, exact = task
-    registry = lyap_mod.benchmark_registry(exact)
-    if kind == "pop":
-        problem = registry["pop"][name]
-        cfg = bnb_mod.BnbConfig(
-            level=level, epsilon=problem.epsilon or 1e-6, max_boxes=200_000,
-            exact=exact,
-        )
-        t0 = time.perf_counter()
-        result = bnb_mod.branch_and_bound(
-            problem.objective, problem.all_constraints(), problem.box, cfg
-        )
-        row = bnb_mod.report_row(name, level, result)
-        row["kind"] = "pop"
-        row["known_optimum"] = problem.known_optimum
-        row["time_total"] = time.perf_counter() - t0
-        row["_ok"] = result.converged
-        return row
-    case = registry["lyapunov"][name]
+def _bench_pop(name: str, problem, level: str, exact: bool) -> dict:
+    cfg = bnb_mod.BnbConfig(
+        level=level, epsilon=problem.epsilon or 1e-6, max_boxes=200_000, exact=exact,
+    )
+    t0 = time.perf_counter()
+    result = bnb_mod.branch_and_bound(
+        problem.objective, problem.all_constraints(), problem.box, cfg
+    )
+    row = bnb_mod.report_row(name, level, result)
+    bounds = _bounds_json({"lower": result.lower_bound, "upper": result.upper_bound})
+    if "exact_bounds" in bounds:
+        row["exact_bounds"] = bounds["exact_bounds"]
+    row["kind"] = "pop"
+    row["known_optimum"] = problem.known_optimum
+    row["time_total"] = time.perf_counter() - t0
+    row["_ok"] = result.converged
+    return row
+
+
+def _bench_lyapunov(name: str, case, level: str, exact: bool) -> dict:
     cfg = lyap_mod.default_config()
     cfg.level = level
     cfg.exact = exact
@@ -264,7 +227,7 @@ def _bench_one(task) -> dict:
         "kind": "lyapunov",
         "label": name,
         "level": level,
-        **_verdict_bounds(verdict),
+        **_bounds_json({"v_bound": verdict.v_bound, "vdot_bound": verdict.vdot_bound}),
         "stable": verdict.stable,
         "expected": case.expected_verdict,
         "time_total": verdict.v_run.elapsed + verdict.vdot_run.elapsed,
@@ -370,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--degree", help="degree override for the relaxations")
     sp.add_argument("--eps", type=float, default=None, help="relative cutoff tolerance")
     sp.add_argument("--max-boxes", type=int, default=100_000)
-    sp.add_argument("--split", choices=["longest", "zero"], default="longest")
 
     sp = sub.add_parser("lyapunov", help="verify a Lyapunov certificate file")
     common(sp)
@@ -380,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="run bundled benchmarks")
     common(sp, with_input=False)
     sp.set_defaults(level="1")
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("names", nargs="*", help="benchmark names (default: all)")
     return parser
 
@@ -403,7 +364,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as err:
         print(f"error: cannot read input file: {err}", file=sys.stderr)
         return 1
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:  # e.g. an exact result beyond binary64
         print(f"error: {err}", file=sys.stderr)
         return 1
     return code

@@ -21,9 +21,11 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from .bernstein import BernsteinForm, field, to_bernstein, upper_bounds
-from .bnb import SPLIT_ZERO, BnbConfig, split_node
-from .poly import Box, Polynomial, lie_derivative, to_unit_box
+from .bernstein import BernsteinForm, field, upper_bounds
+from .bernstein import to_bernstein  # noqa: F401  (unused; perfbench/spans.py traces this binding)
+from .bnb import MIN_BOX_WIDTH, SPLIT_ZERO, BnbConfig, relaxation_tensors, split_node
+from .poly import Box, Polynomial, lie_derivative
+from .poly import to_unit_box  # noqa: F401  (unused; perfbench/spans.py traces this binding)
 from .problems import (
     checked,
     load_fixture,
@@ -89,12 +91,9 @@ class Verdict:
 
 
 def default_config(max_boxes: int = 50_000) -> BnbConfig:
-    return BnbConfig(
-        level=LEVEL_FIRST,
-        epsilon=STABILITY_TOL,
-        max_boxes=max_boxes,
-        split=SPLIT_ZERO,
-    )
+    """Certification reads a config's ``level``, ``max_boxes`` and ``exact``
+    only: it splits at zero and closes boxes on ``STABILITY_TOL``."""
+    return BnbConfig(level=LEVEL_FIRST, max_boxes=max_boxes)
 
 
 def certify_nonnegative(p: Polynomial, region: Box, cfg: Optional[BnbConfig] = None) -> VerificationRun:
@@ -104,8 +103,8 @@ def certify_nonnegative(p: Polynomial, region: Box, cfg: Optional[BnbConfig] = N
     improving no faster than the equilibrium rate), or split further.
     ``p`` and ``region`` are first converted into the field of
     ``cfg.exact``.  In exact mode a box is verified on bound >= 0, a
-    proof; float mode keeps a slack of epsilon (bound >= -epsilon) until
-    its bounds carry a rounding error radius.  The returned lower bound is
+    proof; float mode keeps a slack of ``STABILITY_TOL`` until its bounds
+    carry a rounding error radius.  The returned lower bound is
     the minimum over resolved boxes (a Fraction in exact mode), so a stall
     reports the obstacle that blocked certification.
     """
@@ -117,10 +116,10 @@ def certify_nonnegative(p: Polynomial, region: Box, cfg: Optional[BnbConfig] = N
     start = time.perf_counter()
     run = VerificationRun(0.0, 0, 0, 0, 0.0, False)
     lower = None
-    threshold = -F.tol(cfg.epsilon)
+    threshold = -F.tol(STABILITY_TOL)
     # the region's coefficient tensor is the only conversion; every other
     # box gets its tensor by splitting its parent's
-    root = to_bernstein(to_unit_box(p, region)[0], exact=F.exact).tensor
+    (root,) = relaxation_tensors(p, (), region, exact=F.exact)
     u = upper_bounds(p.degree, exact=F.exact)
     # depth-first entries: (box, tensor, gray ancestor bounds, guaranteed
     # parent bound); the history restarts once a box lies in a single
@@ -144,7 +143,7 @@ def certify_nonnegative(p: Polynomial, region: Box, cfg: Optional[BnbConfig] = N
             run.verified_boxes += 1
         elif not straddles and len(hist) >= 2 and bound <= hist[-2] / _STALL_FACTOR:
             run.stalled_boxes += 1
-        elif box.width(box.widest_axis()) <= cfg.min_box_width:
+        elif box.width(box.widest_axis()) <= MIN_BOX_WIDTH:
             run.stalled_boxes += 1
         else:
             child_hist = () if straddles else hist + (bound,)

@@ -298,7 +298,7 @@ def restrict_facet(p: Polynomial, axis: int, value) -> Polynomial:
 
 
 _TERM_RE = re.compile(
-    r"(?P<sign>[+-])?\s*(?P<coeff>\d+(?:\.\d+)?|\.\d+)?\s*(?P<vars>(?:[a-zA-Z]\^?\d*\s*)*)"
+    r"(?P<sign>[+-])?(?P<coeff>\d+(?:\.\d+)?|\.\d+)?(?P<vars>(?:[a-zA-Z](?:\^\d+)?)*)"
 )
 
 
@@ -306,7 +306,9 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> dict[Index, Fractio
     """Parse a plain-text polynomial like ``"40x^3y+10x^3-50x^2"``.
 
     Returns exponent-tuple -> Fraction (coefficients read exactly from the
-    decimal literals).  Variables must be single letters listed in order.
+    decimal literals).  Variables must be single letters listed in order,
+    each with an optional ``^`` and digits.  A term has a coefficient or a
+    variable, and ends at the next sign or at the end of the text.
     """
     var_pos = {v: i for i, v in enumerate(variables)}
     text = text.replace("−", "-").replace("**", "^").replace(" ", "").replace("\n", "")
@@ -316,7 +318,7 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> dict[Index, Fractio
     pos = 0
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos:
+        if not (m.group("coeff") or m.group("vars")) or text[m.end():m.end() + 1] not in "+-":
             raise ValueError(f"cannot parse polynomial near {text[pos:pos + 12]!r}")
         sign = -1 if m.group("sign") == "-" else 1
         coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)

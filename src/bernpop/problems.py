@@ -56,7 +56,9 @@ def poly_from_terms(dimension: int, entries: Sequence[dict], exact: bool = False
         exps = checked(entry, dict, what).get("exponents")
         if not isinstance(exps, list) or len(exps) != dimension:
             raise ValueError(f"exponents {exps!r} do not match dimension {dimension}")
-        idx = tuple(int(e) for e in exps)
+        if not all(type(e) is int and e >= 0 for e in exps):  # no bool, float or string
+            raise ValueError(f"exponents {exps!r} must be non-negative integers")
+        idx = tuple(exps)
         terms[idx] = terms.get(idx, 0) + parse_coeff(entry.get("coeff"), exact)
     return Polynomial(dimension, terms)
 

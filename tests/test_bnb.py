@@ -156,8 +156,6 @@ def test_config_validation():
         BnbConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         BnbConfig(max_boxes=0)
-    with pytest.raises(ValueError):
-        BnbConfig(split="diagonal")
 
 
 def test_univariate_square_all_levels():
@@ -215,14 +213,20 @@ def test_constrained_run_semialgebraic():
 
 
 def test_zero_centered_split_on_symmetric_problem():
-    p = Polynomial(2, {(2, 0): 1, (0, 2): 1})
-    res = branch_and_bound(
-        p, (), Box((-1.0, -1.0), (1.0, 1.0)),
-        BnbConfig(level="1", epsilon=1e-9, split="zero_centered"),
-    )
-    assert res.converged
-    assert res.upper_bound == pytest.approx(0.0, abs=1e-12)
-    assert res.lower_bound >= -1e-9
+    # x^2 + y^2 on [-1, 1]^2: two splits at zero leave four orthant boxes,
+    # each with the minimum 0 at its origin corner as a coefficient, so each
+    # box's smallest coefficient is the exact minimum
+    box = Box((-1.0, -1.0), (1.0, 1.0))
+    (root,) = bnb.relaxation_tensors(Polynomial(2, {(2, 0): 1, (0, 2): 1}), (), box)
+    assert root.min() < 0
+    orthants = []
+    for half, (t,) in split_node(box, (root,), SPLIT_ZERO):
+        orthants += split_node(half, (t,), SPLIT_ZERO)
+    assert sorted((b.lower, b.upper) for b, _ in orthants) == [
+        ((-1.0, -1.0), (0.0, 0.0)), ((-1.0, 0.0), (0.0, 1.0)),
+        ((0.0, -1.0), (1.0, 0.0)), ((0.0, 0.0), (1.0, 1.0)),
+    ]
+    assert all(t.min() == 0.0 for _, (t,) in orthants)
 
 
 def test_level_dominance_on_himmelblau():
@@ -433,7 +437,7 @@ def _d2_repro():
 
 
 @pytest.mark.parametrize(
-    "case, level, min_box_width",
+    "case, level, min_box_width",  # the width patches bnb.MIN_BOX_WIDTH
     [
         ("himmelblau", "0", 1e-12),
         ("himmelblau", "2", 1e-12),
@@ -458,12 +462,13 @@ def test_every_popped_node_closes_for_one_reason_or_splits(monkeypatch, case, le
 
     monkeypatch.setattr(bnb, "split_node", counted)
     monkeypatch.setattr(bnb, "_solve_problem", counted_worklist)
+    monkeypatch.setattr(bnb, "MIN_BOX_WIDTH", min_box_width)
     if case == "d2":
         p, constraints, box = _d2_repro()
     else:
         p, constraints, box = himmelblau(), (), Box((-5.0, -5.0), (5.0, 5.0))
     limited = case == "himmelblau_budget"
-    cfg = BnbConfig(level=level, min_box_width=min_box_width, max_boxes=50 if limited else 100_000)
+    cfg = BnbConfig(level=level, max_boxes=50 if limited else 100_000)
     res = branch_and_bound(p, constraints, box, cfg)
     # wide boxes and a short budget close unconverged
     assert res.converged == (min_box_width <= 1e-12 and not limited)

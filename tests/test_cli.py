@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -113,6 +114,15 @@ def test_rational_mode_reports_fraction_strings(capsys, fixture_dir):
     report = json.loads(out)
     assert report["exact_bounds"]["p0"] == "-1170"
     assert report["bounds"]["p0"] == -1170.0
+    # bnb reports its two bounds exactly beside their floats
+    argv = ["bnb", "--level", "0", "--output", "json", str(fixture_dir / "unitsq.json")]
+    _, out, _ = _run(capsys, argv + ["--arith", "rational"])
+    sec = json.loads(out)["bnb"]
+    exact = {k: Fraction(v) for k, v in sec["exact_bounds"].items()}
+    assert exact["lower"] <= exact["upper"]
+    assert (float(exact["lower"]), float(exact["upper"])) == (sec["lower"], sec["upper"])
+    _, out, _ = _run(capsys, argv)
+    assert "exact_bounds" not in json.loads(out)["bnb"]
 
 
 def test_rational_relax_reports_every_level_exactly(capsys, fixture_dir):
@@ -307,6 +317,7 @@ def test_bench_rational_mode_is_exact(capsys):
     rows = {r["label"]: r for r in json.loads(out)["results"]}
     assert rows["lyap1"]["v_bound"] == 0 and rows["lyap1"]["vdot_bound"] == 0
     assert rows["square1d"]["opt"] == 0
+    assert rows["square1d"]["exact_bounds"] == {"lower": "0", "upper": "0"}
 
 
 @pytest.mark.parametrize("level", ["1", "2"])
@@ -435,11 +446,16 @@ _CLEAN_PROBLEM = {
         ("constraints_linear", [[1]], '"constraints_linear" must be an object'),
         ("constraints_linear", {"A": [1], "b": [1]}, '"constraints_linear" must be an object'),
         ("epsilon", "x", '"epsilon" must be a number'),
+        # exponents once read with int(): 2.5 and "2" as 2, true as 1
+        ("objective", [{"exponents": [2.5], "coeff": 1}], "must be non-negative integers"),
+        ("objective", [{"exponents": ["2"], "coeff": 1}], "must be non-negative integers"),
+        ("objective", [{"exponents": [True], "coeff": 1}], "must be non-negative integers"),
     ],
     ids=[
         "box as a list", "box bounds as numbers", "objective as one term", "terms as lists",
         "dimension as a list", "constraints as a number", "constraint as one term",
         "linear constraints as a list", "linear row as a number", "epsilon as a string",
+        "float exponent", "string exponent", "bool exponent",
     ],
 )
 def test_bnb_wrongly_shaped_problem_is_a_clean_error(capsys, tmp_path, key, value, message):
@@ -465,10 +481,15 @@ _CLEAN_CASE = {
         ("dimension", [1], '"dimension" must be an integer'),
         ("variables", 5, '"variables" must be a list of names'),
         ("variables", [0], '"variables" must be a list of names'),
+        # powers once read as x^2 + 1/2, x - 1 and x
+        ("V", "x^2.5", "cannot parse polynomial"),
+        ("V", "x^-1", "cannot parse polynomial"),
+        ("V", "x^", "cannot parse polynomial"),
     ],
     ids=[
         "region as a list", "V as a number", "odes as a string", "ode as a number",
         "dimension as a list", "variables as a number", "variable as a number",
+        "fractional power", "negative power", "power without digits",
     ],
 )
 def test_lyapunov_wrongly_shaped_case_is_a_clean_error(capsys, tmp_path, key, value, message):
@@ -493,56 +514,65 @@ def test_bnb_reports_early_stops(capsys, fixture_dir):
     assert stats["cut_rounds"] > 0 and stats["rows_activated"] > 0
 
 
-def _without_timings(results):
-    timings = ("time", "time_edge", "time_total")
-    return [{k: v for k, v in r.items() if k not in timings} for r in results]
+def test_bench_loads_the_registry_once(capsys, monkeypatch):
+    # one load in the run's field serves the names and every case
+    import bernpop.lyapunov as lyap_mod
+
+    real, calls = lyap_mod.benchmark_registry, []
+
+    def counted(exact=False):
+        calls.append(exact)
+        return real(exact)
+
+    monkeypatch.setattr(lyap_mod, "benchmark_registry", counted)
+    for arith, exact in (("float", False), ("rational", True)):
+        calls.clear()
+        names = ["unitsq", "square1d", "lyap1", "lyap3"]
+        code, out, _ = _run(capsys, ["bench", "--arith", arith, "--output", "json", *names])
+        assert code == 0 and calls == [exact]
+        assert [r["label"] for r in json.loads(out)["results"]] == names
 
 
-def test_bench_jobs_match_a_serial_run(capsys):
-    reports = []
-    for jobs in ("1", "2"):
-        argv = ["bench", "--jobs", jobs, "--output", "json", "unitsq", "lyap1"]
-        code, out, _ = _run(capsys, argv)
-        assert code == 0
-        reports.append(json.loads(out))
-    serial, parallel = (_without_timings(r.pop("results")) for r in reports)
-    assert [r["label"] for r in serial] == ["unitsq", "lyap1"]
-    assert parallel == serial and reports[0] == reports[1]
+def _one_variable_problem(tmp_path, terms, bound):
+    return _write_problem(tmp_path, "big", {
+        "dimension": 1,
+        "objective": [{"exponents": [e], "coeff": c} for e, c in terms],
+        "box": {"lower": [-bound], "upper": [bound]},
+    })
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_bench_rejects_jobs_below_one(capsys, jobs):
-    code, out, err = _run(capsys, ["bench", "--jobs", jobs, "unitsq"])
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and "--jobs" in err
+@pytest.mark.parametrize(
+    "terms, bound, level, output",
+    [
+        ([(2, 1), (0, -1)], 1e200, "0", "text"),  # once an OverflowError traceback
+        ([(2, 1e300)], 1e10, "2", "text"),  # once "bounds: [inf, 0]  converged: True"
+        ([(2, 1e300)], 1e10, "2", "json"),  # once "Out of range float values"
+        ([(2, 1e300), (1, -1e300)], 1e10, "0", "text"),  # once a NaN warning, then a bad split
+    ],
+    ids=["box overflow", "infinite bound", "infinite bound json", "nan tensor"],
+)
+def test_float_overflow_is_a_clean_error(capsys, tmp_path, terms, bound, level, output):
+    path = _one_variable_problem(tmp_path, terms, bound)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, ["bnb", "--level", level, "--output", output, path])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "--arith rational" in err
+        # the run the message points to solves the problem exactly
+        code, out, err = _run(capsys, ["bnb", "--level", "0", "--arith", "rational", path])
+        assert code == 0 and err == ""
 
 
-def test_bench_pool_is_capped_at_the_cases(capsys, monkeypatch):
-    # a fork-started pool starts every worker at once, so two cases get two
-    # workers however many jobs are asked for, and one case runs serially;
-    # the recording pool runs the cases in this process and starts none
-    import concurrent.futures
-
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    for names in (["unitsq", "lyap1"], ["unitsq"]):
-        code, _, _ = _run(capsys, ["bench", "--jobs", "5", "--output", "json", *names])
-        assert code == 0
-    assert sizes == [2]
+def test_float_overflow_in_a_certificate_is_a_clean_error(capsys, tmp_path):
+    region = {"lower": [-1e200], "upper": [1e200]}
+    path = _write_problem(tmp_path, "big", {**_CLEAN_CASE, "region": region})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, ["lyapunov", path])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "--arith rational" in err
+        code, out, _ = _run(capsys, ["lyapunov", "--arith", "rational", path])
+        assert code == 0 and "verified" in out
 
 
 def _reject_non_finite(name):
