@@ -191,7 +191,7 @@ def axis_view(tensor: np.ndarray, axis: int) -> np.ndarray:
     return tensor.reshape(math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:]))
 
 
-def subdivide(tensor: np.ndarray, axis: int, t) -> tuple[np.ndarray, np.ndarray]:
+def subdivide(tensor: np.ndarray, axis: int, t, image=None) -> tuple[np.ndarray, np.ndarray]:
     """De Casteljau split of a coefficient tensor along ``axis`` at t in (0,1).
 
     Returns the tensors of the two pieces [0,t] and [t,1] of that axis, each
@@ -199,7 +199,8 @@ def subdivide(tensor: np.ndarray, axis: int, t) -> tuple[np.ndarray, np.ndarray]
     Every float step is c_i + t (c_{i+1} - c_i), which keeps a tensor that
     is constant along an axis exactly constant.  An exact tensor needs a rational t = p/q (an int or a Fraction): on the
     integer image N / D each step is (q - p) N_i + p N_{i+1}, step r lies
-    over D q^r, and both pieces are returned over D q^d.
+    over D q^r, and both pieces are returned over D q^d.  ``image`` is that
+    (N, D) when the caller has it already (``BernsteinForm.image``).
     """
     shape = tensor.shape
     d = shape[axis] - 1
@@ -207,7 +208,8 @@ def subdivide(tensor: np.ndarray, axis: int, t) -> tuple[np.ndarray, np.ndarray]
         if not isinstance(t, numbers.Rational):
             raise ValueError(f"split point {t!r} of an exact tensor is not rational")
         p, q = t.numerator, t.denominator
-        rows, den = integer_image(axis_view(tensor, axis))
+        numer, den = image if image is not None else integer_image(tensor)
+        rows = axis_view(numer, axis)
         left, right = np.empty_like(rows), np.empty_like(rows)
         left[:, 0], right[:, d] = rows[:, 0] * q**d, rows[:, d] * q**d
         for r in range(1, d + 1):

@@ -118,12 +118,13 @@ def cutoff_test(lower: object, incumbent: object, epsilon) -> bool:
     return threshold is not None and lower >= threshold
 
 
-def split_node(box: Box, tensors: tuple, strategy: str) -> tuple[tuple, tuple]:
+def split_node(box: Box, tensors: tuple, strategy: str, image=None) -> tuple[tuple, tuple]:
     """Bisect the widest axis of ``box`` and split each of its coefficient
     tensors alongside; returns (left box, left tensors), (right box, right
     tensors).  The zero-centered strategy splits at the origin instead of
     the midpoint whenever it lies strictly inside that side.  The box's
-    coordinates are in the tensors' field (float with no tensors)."""
+    coordinates are in the tensors' field (float with no tensors).
+    ``image`` is the first tensor's ``BernsteinForm.image``, if known."""
     F = field_of(tensors[0]) if tensors else FLOAT
     axis = box.widest_axis()
     lo, hi = box.lower[axis], box.upper[axis]
@@ -132,7 +133,7 @@ def split_node(box: Box, tensors: tuple, strategy: str) -> tuple[tuple, tuple]:
         at = F.zero
         t = (at - lo) / (hi - lo)
     left, right = box.split(axis, at)
-    halves = [subdivide(x, axis, t) for x in tensors]
+    halves = [subdivide(x, axis, t, image if i == 0 else None) for i, x in enumerate(tensors)]
     return (left, tuple(h[0] for h in halves)), (right, tuple(h[1] for h in halves))
 
 
@@ -414,7 +415,7 @@ def _solve_problem(box, tensors, cfg, state, lift, stats, depth):
             add_contrib(bound)
             continue
         key = _heap_key(bound)
-        for child, child_tensors in split_node(cur, (t, *g_tensors), SPLIT_LONGEST):
+        for child, child_tensors in split_node(cur, (t, *g_tensors), SPLIT_LONGEST, bf.image):
             heapq.heappush(heap, (key, next(counter), bound, child, child_tensors))
 
     return contrib

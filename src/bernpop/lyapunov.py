@@ -136,7 +136,8 @@ def certify_nonnegative(p: Polynomial, region: Box, cfg: Optional[BnbConfig] = N
             break
         box, tensor, hist, _ = stack.pop()
         run.nodes += 1
-        outcome = bound_at_level(BernsteinForm(tensor), cfg.level, u=u)
+        bf = BernsteinForm(tensor)
+        outcome = bound_at_level(bf, cfg.level, u=u)
         bound = outcome.bound
         straddles = any(lo < 0 < hi for lo, hi in zip(box.lower, box.upper))
         if bound >= threshold:
@@ -147,7 +148,7 @@ def certify_nonnegative(p: Polynomial, region: Box, cfg: Optional[BnbConfig] = N
             run.stalled_boxes += 1
         else:
             child_hist = () if straddles else hist + (bound,)
-            for child, (child_tensor,) in split_node(box, (tensor,), SPLIT_ZERO):
+            for child, (child_tensor,) in split_node(box, (tensor,), SPLIT_ZERO, bf.image):
                 stack.append((child, child_tensor, child_hist, bound))
             continue
         if lower is None or bound < lower:

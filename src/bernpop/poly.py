@@ -233,13 +233,18 @@ class Box:
         )
 
     def split(self, axis: int, at) -> tuple["Box", "Box"]:
-        if not self.lower[axis] < at < self.upper[axis]:
+        """The halves of the box below and above ``at`` on ``axis``.  They
+        skip ``__post_init__``: a point strictly between finite, ordered
+        bounds leaves them finite and ordered."""
+        lo, hi = self.lower, self.upper
+        if not lo[axis] < at < hi[axis]:
             raise ValueError("split point outside the open interval")
-        lo1, hi1 = list(self.lower), list(self.upper)
-        lo2, hi2 = list(self.lower), list(self.upper)
-        hi1[axis] = at
-        lo2[axis] = at
-        return Box(tuple(lo1), tuple(hi1)), Box(tuple(lo2), tuple(hi2))
+        left, right = object.__new__(Box), object.__new__(Box)
+        object.__setattr__(left, "lower", lo)
+        object.__setattr__(left, "upper", hi[:axis] + (at,) + hi[axis + 1 :])
+        object.__setattr__(right, "lower", lo[:axis] + (at,) + lo[axis + 1 :])
+        object.__setattr__(right, "upper", hi)
+        return left, right
 
     def point(self, z: Sequence) -> tuple:
         """The point lo + (hi - lo) * z of the box at unit coordinates z."""
@@ -309,9 +314,14 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> dict[Index, Fractio
     decimal literals).  Variables must be single letters listed in order,
     each with an optional ``^`` and digits.  A term has a coefficient or a
     variable, and ends at the next sign or at the end of the text.
+    Whitespace may stand at the ends and next to a sign, never inside a
+    term (``"2 3x"`` is not ``23x``).
     """
     var_pos = {v: i for i, v in enumerate(variables)}
-    text = text.replace("−", "-").replace("**", "^").replace(" ", "").replace("\n", "")
+    text = text.replace("−", "-").replace("**", "^")
+    if re.search(r"[^+\-\s]\s+[^+\-\s]", text):
+        raise ValueError(f"whitespace inside a term of polynomial {text!r}")
+    text = "".join(text.split())
     if not text:
         return {}
     terms: dict[Index, Fraction] = {}

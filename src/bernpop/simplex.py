@@ -1,31 +1,25 @@
 """The bounded dual simplex behind every relaxation LP.
 
-Small LPs only: the relaxations produce problems with a few hundred
-variables and at most a few hundred rows, so the engine keeps an explicit
-basis inverse.  Variable bounds are handled implicitly (never as rows).
-
 ``CutLP`` holds the level-1 LP ``min c.z, sum z = 1, 0 <= z <= u`` plus
 inequality rows appended one batch at a time, and re-optimises in place
-with a bounded dual simplex.  It starts from the greedy knapsack basis,
-which is dual feasible; each appended row enters with its slack basic,
-which keeps it dual feasible, and the basis inverse grows by a block
-formula.  Pivots update the inverse in product form and the entering
-column is chosen by a vectorised dual ratio test.  The same engine runs
-in both fields (a ``bernstein.Field``, fixed when the LP is built):
+with a bounded dual simplex (bounds are never rows) from the greedy
+knapsack basis, which is dual feasible; each appended row enters with its
+slack basic, which keeps it so.  Most cut rows stay loose, so only the
+working basis ``W = A[T, Q]`` is factored: T holds the tight rows (the
+unit-mass row and each row whose slack is nonbasic) and Q the basic
+structural columns, |T| = |Q| = k.  The loose rows' slacks, the duals
+``y_T = c_Q W^-1`` and the tableau rows follow from ``W^-1``; a pivot
+updates it in O(k^2), and appending rows leaves it as it is.  One engine
+serves both fields (a ``bernstein.Field``, fixed when the LP is built):
 
-* float mode refactorizes every 64 pivots, and a solve that pivoted
-  confirms its optimum on a fresh factorization before it returns.  The
-  next solve starts from that inverse, extended by the block formula for
-  the rows appended since, so it does not refactorize on entry.  A solve
-  that fails its dual-feasibility check or reaches its pivot cap is a
-  fallback: the LP is rebuilt from its greedy start with every row
-  appended at once, whose block-formula inverse is exact, and
-  re-optimised.  Only if that fails too is the exact image solved, and
-  its optimum returned in floats; the exact image is far slower on big
-  LPs, so it is never the first resort.
+* float mode refactorizes W every 64 pivots, and a solve that pivoted
+  confirms its optimum on a fresh factorization.  A solve that fails its
+  dual-feasibility check or reaches its pivot cap is a fallback: the LP is
+  rebuilt from its greedy start with every row appended at once and
+  re-optimised; only if that fails too is the exact image (far slower on
+  big LPs) solved and its optimum returned in floats.
 * exact mode works on object arrays of Fractions with zero tolerances and
-  a Bland-style rule, and never refactorizes: product-form updates are
-  exact.
+  a Bland-style rule, and never refactorizes: its updates are exact.
 
 ``solve`` re-optimises a ``CutLP`` in place; the relaxations call it, not
 ``CutLP.reoptimize``, so that one binding sees every LP solve.
@@ -67,21 +61,21 @@ def solve(lp: "CutLP") -> LPSolution:
 class CutLP:
     """``min c.z, sum z = 1, 0 <= z <= u`` plus rows ``a.z <= b`` appended
     over its life, kept at an optimal basis by a bounded dual simplex.
-
     ``start`` is a vertex of the level-1 LP whose one basic variable is
     ``basic`` and whose other nonzero entries sit at their caps; the caller
     guarantees that this basis is dual feasible, i.e. ``c_j <= c_basic``
     where ``z_j`` is at its cap and ``c_j >= c_basic`` where it is 0 (the
     greedy knapsack fill has this property).  Every variable, slacks
     included, has lower bound 0; slacks have no upper bound.  Columns are
-    the n structural variables followed by one slack per appended row; row
-    0 is the unit-mass equality.
+    the n structural variables followed by one slack per appended row (row
+    i's slack is column n + i - 1); row 0 is the unit-mass equality.  ``A``
+    and ``h`` hold the rows over the structural variables, and ``w_inv`` is
+    ``A[T, Q]^-1`` for T = ``tight`` (row 0 first) and Q = ``cols``.
     """
 
     def __init__(self, c: Sequence, upper: Sequence, start: Sequence, basic: int, F: Field):
         self.field, self.exact = F, F.exact
-        self.n = len(c)
-        self.fallbacks = 0
+        self.n, self.fallbacks = len(c), 0
         self._start = (list(c), list(upper), list(start), basic)
         self._restart()
 
@@ -90,81 +84,57 @@ class CutLP:
         F = self.field
         c, upper, start, basic = self._start
         self.c, self.hi = F.array(c), F.array(upper)
-        self.G = np.full((1, self.n), F.one, dtype=F.dtype)
+        self.A = np.full((1, self.n), F.one, dtype=F.dtype)
         self.h = np.full(1, F.one, dtype=F.dtype)
-        self.basis = np.array([basic])
-        self.is_basic = np.zeros(self.n, dtype=bool)
-        self.is_basic[basic] = True
+        self.tight, self.cols = np.array([0]), np.array([basic])
+        self.w_inv = np.full((1, 1), F.one, dtype=F.dtype)
+        self.is_basic = np.arange(self.n) == basic
         self.at_upper = np.array([j != basic and v != 0 for j, v in enumerate(start)])
         self.x = np.where(self.at_upper, self.hi, F.zero)
         self.x[basic] = self.h[0] - self.x.sum()
-        self.b_inv = np.full((1, 1), F.one, dtype=F.dtype)
         self.d = self.c - self.c[basic]
 
     @property
     def row_count(self) -> int:
         """Appended inequality rows (the unit-mass row not counted)."""
-        return self.G.shape[0] - 1
+        return len(self.h) - 1
 
     @property
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The appended rows as one block (a, b): their coefficients over the
-        structural variables, one row each, and their right-hand sides
-        (views of the LP's own arrays, to read, not to write)."""
-        return self.G[1:, : self.n], self.h[1:]
+        structural variables and their right-hand sides (read-only views)."""
+        return self.A[1:], self.h[1:]
 
     def append_rows(self, a, b) -> None:
         """Append the rows ``a[i].z <= b[i]`` of a block (a k x n matrix and
         k right-hand sides, converted into the LP's field), each with its
-        slack basic; the inverse grows by ``[[B^-1, 0], [-A_B B^-1, I]]``."""
-        F = self.field
-        a, b = F.array(a), F.array(b)
-        k = len(b)
-        if not k:
+        slack basic: they join the loose rows, so ``w_inv`` is unchanged."""
+        F, a, b = self.field, self.field.array(a), self.field.array(b)
+        if not (k := len(b)):
             return
-        m, cols = self.G.shape
-        eye = np.full((k, k), F.zero, dtype=F.dtype)
-        np.fill_diagonal(eye, F.one)
-        g = np.full((m + k, cols + k), F.zero, dtype=F.dtype)
-        g[:m, :cols] = self.G
-        g[m:, : self.n] = a
-        g[m:, cols:] = eye
-        b_inv = np.full((m + k, m + k), F.zero, dtype=F.dtype)
-        b_inv[:m, :m] = self.b_inv
-        b_inv[m:, :m] = -(g[m:, self.basis] @ self.b_inv)
-        b_inv[m:, m:] = eye
-        self.G, self.b_inv = g, b_inv
+        self.A = np.concatenate([self.A, a])
         self.h = np.concatenate([self.h, b])
         self.x = np.concatenate([self.x, b - a @ self.x[: self.n]])
-        zeros = np.full(k, F.zero, dtype=F.dtype)
-        self.c = np.concatenate([self.c, zeros])
-        self.d = np.concatenate([self.d, zeros])
+        self.d = np.concatenate([self.d, np.zeros(k, dtype=F.dtype)])
         self.hi = np.concatenate([self.hi, np.full(k, np.inf, dtype=self.hi.dtype)])
         self.at_upper = np.concatenate([self.at_upper, np.zeros(k, dtype=bool)])
         self.is_basic = np.concatenate([self.is_basic, np.ones(k, dtype=bool)])
-        self.basis = np.concatenate([self.basis, np.arange(cols, cols + k)])
 
     def exact_image(self) -> "CutLP":
-        """The same LP in Fractions (floats convert exactly), from the same
-        start and with the same rows."""
+        """The same LP, start and rows in Fractions (floats convert exactly)."""
         c, upper, start, basic = self._start
         image = CutLP(c, upper, start, basic, EXACT)
         image.append_rows(*self.rows)
         return image
 
     def reoptimize(self) -> LPSolution:
-        """Run the dual simplex from the current basis to an optimum.
-
-        A float solve that fails is counted in ``fallbacks`` and redone
-        from the start basis with every row appended at once; if that
-        fails as well, the exact image is solved and its optimum returned
-        in floats."""
+        """Run the dual simplex from the current basis to an optimum; a
+        failed float solve counts in ``fallbacks`` and is redone (see above)."""
         sol = self._dual_simplex()
         if sol.status != _FAILED:
             return sol
         self.fallbacks += 1
-        pivots = sol.iterations
-        rows = self.rows
+        pivots, rows = sol.iterations, self.rows
         self._restart()
         self.append_rows(*rows)
         sol = self._dual_simplex()
@@ -178,35 +148,29 @@ class CutLP:
         return sol
 
     def _dual_simplex(self) -> LPSolution:
-        """Pivot to an optimum or a proof of infeasibility.  A float solve
-        that fails its dual-feasibility check or reaches the pivot cap ends
-        with the private status ``_FAILED``."""
+        """Pivot to an optimum or a proof of infeasibility; a float solve that
+        fails its dual-feasibility check or hits the pivot cap ends ``_FAILED``."""
         pivots = since_factor = 0
-        cap = 50 * (self.G.shape[0] + self.G.shape[1])
+        cap = 50 * (len(self.h) + len(self.x))
         while True:
-            r = self._leaving_row()
-            if r is None:
-                if self.exact:
-                    return self._solution(pivots)
-                if since_factor:  # confirm on a fresh factorization
-                    self._refactor()
-                    since_factor = 0
-                    continue
-                if not self._dual_feasible():
-                    return LPSolution(_FAILED, iterations=pivots)
-                return self._solution(pivots)
-            if pivots >= cap:
-                status = ITERATION_LIMIT if self.exact else _FAILED
-                return LPSolution(status, iterations=pivots)
-            alpha = self.b_inv[r] @ self.G
-            q = self._entering(r, alpha)
+            leaving, q = self._leaving(), None
+            if leaving is not None and pivots >= cap:
+                return LPSolution(ITERATION_LIMIT if self.exact else _FAILED, iterations=pivots)
+            if leaving is not None:
+                alpha, rho = self._tableau_row(leaving)
+                q = self._entering(leaving, alpha)
             if q is None:
-                if not self.exact and since_factor:
+                if not self.exact and since_factor:  # confirm on a fresh factorization
                     self._refactor()
                     since_factor = 0
-                    continue
-                return LPSolution(INFEASIBLE, iterations=pivots)
-            stable = self._pivot(r, q, alpha)
+                elif leaving is not None:
+                    return LPSolution(INFEASIBLE, iterations=pivots)
+                elif self.exact or self._dual_feasible():
+                    return self._solution(pivots)
+                else:
+                    return LPSolution(_FAILED, iterations=pivots)
+                continue
+            stable = self._pivot(leaving, q, alpha, rho)
             pivots += 1
             since_factor += 1
             if not self.exact and (not stable or since_factor >= 64):
@@ -214,39 +178,57 @@ class CutLP:
                 since_factor = 0
 
     def _refactor(self) -> None:
-        """Float mode: recompute the inverse, basic values and reduced costs."""
-        B = self.G[:, self.basis]
+        """Float mode: invert W afresh; recompute basic values and duals."""
+        n, T, Q = self.n, self.tight, self.cols
+        A_T = self.A.take(T, 0)
         try:
-            self.b_inv = np.linalg.inv(B)
+            self.w_inv = np.linalg.inv(A_T.take(Q, 1))
         except np.linalg.LinAlgError:
-            self.b_inv = np.linalg.pinv(B)
-        nb = ~self.is_basic
-        self.x[self.basis] = self.b_inv @ (self.h - self.G[:, nb] @ self.x[nb])
-        self.d = self.c - (self.c[self.basis] @ self.b_inv) @ self.G
-        self.d[self.basis] = 0.0
+            self.w_inv = np.linalg.pinv(A_T.take(Q, 1))
+        z = np.where(self.is_basic[:n], 0.0, self.x[:n])
+        self.x[Q] = self.w_inv @ (self.h.take(T) - A_T @ z)
+        self.x[n:] = np.where(self.is_basic[n:], self.h[1:] - self.A[1:] @ self.x[:n], 0.0)
+        y = self.c.take(Q) @ self.w_inv  # basic variables' entries of d are never read
+        self.d[n - 1 :][T] = -y  # row 0's entry lands on column n - 1 ...
+        self.d[:n] = self.c - y @ A_T  # ... and is overwritten here
 
-    def _leaving_row(self) -> Optional[int]:
-        """Basis position of a primal-infeasible basic variable, or None:
-        the largest violation in float mode, the smallest variable index
-        in exact mode."""
-        xb = self.x[self.basis]
+    def _leaving(self) -> Optional[int]:
+        """A primal-infeasible basic variable, or None: the largest
+        violation in float mode, the smallest index in exact mode."""
         if self.exact:
-            bad = ((xb < 0) | (xb > self.hi[self.basis])).nonzero()[0]
-            if not bad.size:
-                return None
-            return int(bad[self.basis[bad].argmin()])
-        viol = np.maximum(-xb, xb - self.hi[self.basis])
-        r = int(viol.argmax())
-        return r if viol[r] > _FEAS_TOL else None
+            basic = self.is_basic.nonzero()[0]
+            xb = self.x[basic]
+            bad = basic[(xb < 0) | (xb > self.hi[basic])]
+            return int(bad[0]) if bad.size else None
+        # nonbasic variables sit exactly at a bound, where this reads 0
+        viol = np.maximum(-self.x, self.x - self.hi)
+        j = int(viol.argmax())
+        return j if viol[j] > _FEAS_TOL else None
 
-    def _entering(self, r: int, alpha: np.ndarray) -> Optional[int]:
+    def _tableau_row(self, leaving: int) -> tuple[np.ndarray, np.ndarray]:
+        """The tableau row of basic ``leaving``, and rho, the row of the full
+        basis inverse it comes from, over T: a row of ``w_inv`` for a
+        structural, ``-A[i, Q] w_inv`` (and a 1 at i) for a loose row's slack."""
+        F, n = self.field, self.n
+        alpha = np.zeros(len(self.x), dtype=F.dtype)  # exact zeros in both fields
+        if leaving < n:
+            rho = self.w_inv[self.cols.tolist().index(leaving)]
+        else:
+            rho = -(self.A[leaving - n + 1].take(self.cols) @ self.w_inv)
+        alpha[n - 1 :][self.tight] = rho  # row 0's entry lands on column n - 1 ...
+        np.matmul(rho, self.A.take(self.tight, 0), out=alpha[:n])  # ... and is overwritten
+        if leaving >= n:
+            alpha[:n] += self.A[leaving - n + 1]
+            alpha[leaving] = F.one
+        return alpha, rho
+
+    def _entering(self, leaving: int, alpha: np.ndarray) -> Optional[int]:
         """Dual ratio test on row ``alpha`` of the tableau; None when no
         nonbasic variable can move the leaving one toward its bound."""
         tol = self.field.tol(_PIVOT_TOL)
-        up = self.x[self.basis[r]] < 0  # the leaving variable must increase
-        # alpha signed by the direction each variable can move, negated at
-        # an upper bound: the candidates are the entries below -tol (up) or
-        # above tol (down)
+        up = self.x[leaving] < 0  # the leaving variable must increase
+        # alpha signed by the direction each variable can move (negated at an
+        # upper bound): candidates lie below -tol (up) or above tol (down)
         signed = np.where(self.at_upper, -alpha, alpha)
         movable = ~self.is_basic & (self.hi != 0)
         cand = (movable & (signed < -tol if up else signed > tol)).nonzero()[0]
@@ -260,29 +242,45 @@ class CutLP:
         ties = (ratios <= ratios.min() + 1e-12).nonzero()[0]
         return int(cand[ties[size[ties].argmax()]])  # ties: largest pivot
 
-    def _pivot(self, r: int, q: int, alpha: np.ndarray) -> bool:
-        """Swap basic ``basis[r]`` for nonbasic ``q``; returns whether the
-        pivot element was large enough for a product-form update."""
-        leaving = self.basis[r]
+    def _pivot(self, leaving: int, q: int, alpha: np.ndarray, rho: np.ndarray) -> bool:
+        """Swap basic ``leaving`` for nonbasic ``q`` in ``w_inv``, the full
+        basis inverse on rows Q and columns T: bordered by a leaving loose
+        slack's row (rho, 1), pivoted in product form, and shrunk by an
+        entering tight slack's row and column.  Returns whether the pivot
+        element was large enough for a product-form update."""
+        F, n, T, Q, inv = self.field, self.n, self.tight, self.cols, self.w_inv
         up = self.x[leaving] < 0
         theta = self.d[q] / alpha[q]
         self.d -= theta * alpha
-        self.d[self.basis] = self.field.zero
-        self.d[leaving] = -theta
-        self.d[q] = self.field.zero
-        col = self.b_inv @ self.G[:, q]
-        piv = col[r]
-        target = self.field.zero if up else self.hi[leaving]
+        self.d[leaving], self.d[q], k = -theta, F.zero, len(Q)
+        if leaving < n:
+            r = Q.tolist().index(leaving)
+        else:
+            r = k
+            inv = np.empty((k + 1, k + 1), dtype=F.dtype)
+            inv[:k, :k], inv[:k, k], inv[k, :k], inv[k, k] = self.w_inv, F.zero, rho, F.one
+            T, Q = np.concatenate((T, [leaving - n + 1])), np.concatenate((Q, [leaving]))
+        t = None if q < n else T.tolist().index(q - n + 1)  # q's tight row
+        col = inv @ self.A[:, q].take(T) if q < n else inv[:, t].copy()
+        piv, target = col[r], (F.zero if up else self.hi[leaving])
         step = (self.x[leaving] - target) / piv
-        self.x[self.basis] -= step * col
-        self.x[q] = self.x[q] + step
-        self.x[leaving] = target
-        self.basis[r] = q
+        # basic structurals move by -step * col, loose rows' slacks by step * act
+        act = self.A.take(self.cols, 1) @ col[:k]
+        if q < n:
+            act -= self.A[:, q]
+        slacks = self.x[n:]
+        np.add(slacks, step * act[1:], out=slacks, where=self.is_basic[n:])
+        self.x[self.cols] -= step * col[:k]
+        self.x[q], self.x[leaving] = self.x[q] + step, target
         self.is_basic[q], self.is_basic[leaving] = True, False
         self.at_upper[q], self.at_upper[leaving] = False, not up
-        row = self.b_inv[r] / piv
-        self.b_inv -= col[:, None] * row
-        self.b_inv[r] = row
+        row = inv[r] / piv
+        inv -= col[:, None] * row
+        inv[r], Q[r] = row, q
+        if q >= n:  # drop row r and column t: the last ones take their place
+            inv[r], inv[:, t], Q[r], T[t] = inv[-1], inv[:, -1], Q[-1], T[-1]
+            inv, Q, T = inv[:-1, :-1], Q[:-1], T[:-1]
+        self.w_inv, self.tight, self.cols = inv, T, Q
         return self.exact or abs(piv) > 1e-7
 
     def _dual_feasible(self) -> bool:
@@ -293,4 +291,4 @@ class CutLP:
 
     def _solution(self, pivots: int) -> LPSolution:
         z = self.x[: self.n]
-        return LPSolution(OPTIMAL, self.field.of(self.c[: self.n] @ z), z.tolist(), pivots)
+        return LPSolution(OPTIMAL, self.field.of(self.c @ z), z.tolist(), pivots)

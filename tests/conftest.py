@@ -469,8 +469,11 @@ def assert_lp_duality(lp, sol) -> None:
     h = _fractions([1] + [b for _, b in rows])
     cost = _fractions(list(c) + [0] * k)
     cap = list(map(Fraction, upper)) + [None] * k
-    x, basis = lp.x, [int(j) for j in lp.basis]
-    y = cost[basis] @ lp.b_inv
+    # the basis is Q plus the loose rows' slacks, so y is c_Q W^-1 on the
+    # tight rows T and 0 on the loose ones
+    x, basis = lp.x, lp.is_basic.nonzero()[0]
+    y = _fractions([0] * (k + 1))
+    y[lp.tight] = cost[lp.cols] @ lp.w_inv
     assert (y @ G[:, basis] == cost[basis]).all()
     assert (G @ x == h).all()
     assert all(v >= 0 and (hi is None or v <= hi) for v, hi in zip(x, cap))

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -573,6 +574,26 @@ def test_fully_bounded_box_offers_its_nominal_point(monkeypatch, level):
             assert after[0] != "offer"
             stopped += out.stopped
     assert offered and stopped
+
+
+def test_exact_split_reuses_the_objective_image(monkeypatch):
+    # each node's BernsteinForm already holds the integer image of its
+    # objective tensor, so splitting the node computes none again
+    from bernpop import bernstein
+
+    callers = []
+    real = bernstein.integer_image
+
+    def counting(values):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(values)
+
+    monkeypatch.setattr(bernstein, "integer_image", counting)
+    problem = load_problem(load_fixture("himmelblau"), True)
+    cfg = BnbConfig(level="0", epsilon=problem.epsilon, exact=True)
+    res = branch_and_bound(problem.objective, (), problem.box, cfg)
+    assert res.converged and res.stats.subdivisions > 100
+    assert "subdivide" not in callers
 
 
 def test_exhausted_exact_run_reports_a_fraction_lower_bound():

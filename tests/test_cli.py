@@ -485,11 +485,13 @@ _CLEAN_CASE = {
         ("V", "x^2.5", "cannot parse polynomial"),
         ("V", "x^-1", "cannot parse polynomial"),
         ("V", "x^", "cannot parse polynomial"),
+        # once read as 23x^2
+        ("V", "2 3x^2", "whitespace inside a term"),
     ],
     ids=[
         "region as a list", "V as a number", "odes as a string", "ode as a number",
         "dimension as a list", "variables as a number", "variable as a number",
-        "fractional power", "negative power", "power without digits",
+        "fractional power", "negative power", "power without digits", "space inside a term",
     ],
 )
 def test_lyapunov_wrongly_shaped_case_is_a_clean_error(capsys, tmp_path, key, value, message):

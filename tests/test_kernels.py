@@ -301,12 +301,14 @@ def test_subdivide_matches_loop(exact):
     # every axis of every case, degree-0 axes and 1-D tensors included
     for p, degree in _cases(exact):
         tensor = to_bernstein(p, degree, exact).tensor
+        image = BernsteinForm(tensor).image  # the one a B&B node hands over
         for axis in range(tensor.ndim):
             for t in _split_points(exact):
-                got, want = subdivide(tensor, axis, t), loop_subdivide(tensor, axis, t)
-                for g, w in zip(got, want):
-                    assert g.shape == w.shape and g.dtype == w.dtype
-                    assert _typed(g) == _typed(w)
+                want = loop_subdivide(tensor, axis, t)
+                for got in (subdivide(tensor, axis, t), subdivide(tensor, axis, t, image)):
+                    for g, w in zip(got, want):
+                        assert g.shape == w.shape and g.dtype == w.dtype
+                        assert _typed(g) == _typed(w)
 
 
 @pytest.mark.parametrize("exact", FIELDS)

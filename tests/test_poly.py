@@ -132,6 +132,21 @@ def test_box_validation():
         Box((0.0,), (float("inf"),))
 
 
+def test_box_split_builds_validated_halves():
+    for box, axis, at in [
+        (Box((-1.0, 0.0, 2.0), (1.0, 4.0, 3.0)), 1, 0.5),
+        (Box((Fraction(-1), Fraction(1, 3)), (Fraction(1, 2), Fraction(2))), 0, Fraction(-1, 7)),
+    ]:
+        left, right = box.split(axis, at)
+        lo, hi = list(box.lower), list(box.upper)
+        assert left == Box(tuple(lo), tuple(hi[:axis] + [at] + hi[axis + 1 :]))
+        assert right == Box(tuple(lo[:axis] + [at] + lo[axis + 1 :]), tuple(hi))
+        assert type(left.lower) is tuple and hash(left) == hash(Box(left.lower, left.upper))
+        for bad in (box.lower[axis], box.upper[axis], box.upper[axis] + 1, float("nan")):
+            with pytest.raises(ValueError, match="outside the open interval"):
+                box.split(axis, bad)
+
+
 def test_box_point():
     box = Box((-1.0, 0.0), (1.0, 4.0))
     assert box.point((0.5, 0.5)) == (0.0, 2.0)
@@ -218,6 +233,29 @@ def test_parse_polynomial_roundtrip():
     assert terms[(1, 2)] == 5
     assert terms[(0, 2)] == -5
     assert len(terms) == 7
+
+
+@pytest.mark.parametrize(
+    "text",
+    [" x^2+3y ", "x^2 + 3y", "x^2 +3y", "x^2+ 3y", "- x^2\t-\n3y", "x^2 − 3y"],
+    ids=["at the ends", "around a sign", "before a sign", "after a sign", "tabs and newlines",
+         "unicode minus"],
+)
+def test_parse_polynomial_allows_whitespace_at_ends_and_signs(text):
+    want = parse_polynomial(text.replace(" ", "").replace("\t", "").replace("\n", ""), ("x", "y"))
+    assert parse_polynomial(text, ("x", "y")) == want and len(want) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["2 3x", "x y", "3 x", "x ^2", "x^ 2", "1.5 y+x", "x+2\ty"],
+    ids=["between digits", "between variables", "after a coefficient", "before a caret",
+         "after a caret", "after a decimal", "a tab inside a term"],
+)
+def test_parse_polynomial_rejects_whitespace_inside_a_term(text):
+    # these once read as 23x, xy, 3x, x^2, x^2, 1.5y + x and x + 2y
+    with pytest.raises(ValueError, match="whitespace inside a term"):
+        parse_polynomial(text, ("x", "y"))
 
 
 def test_parse_polynomial_decimals_exact():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -168,8 +169,8 @@ def _count_refactors(monkeypatch) -> list:
 
 def test_float_solve_factorizes_once_to_confirm(monkeypatch):
     # the inverse a solve starts from is the last solve's confirmed one,
-    # grown by the block formula: a solve refactorizes only to confirm its
-    # optimum after pivoting, and one with no pivots not at all
+    # which appended rows leave as it is: a solve refactorizes only to
+    # confirm its optimum after pivoting, and one with no pivots not at all
     calls = _count_refactors(monkeypatch)
     lp = _cut_lp([3.0, 1.0, 2.0], [1.0, 0.5, 1.0])
     lp.append_rows([[0.0, 0.0, 1.0]], [0.25])
@@ -179,6 +180,63 @@ def test_float_solve_factorizes_once_to_confirm(monkeypatch):
     sol = solve(lp)
     assert sol.status == OPTIMAL and sol.iterations == 0 and len(calls) == 1
     assert sol.value == pytest.approx(1.75)
+
+
+def test_float_refactor_inverts_only_the_tight_block(monkeypatch):
+    # 40 redundant rows stay loose, and at the optimum z = (0.35, 0.4, 0.25)
+    # the rows z2 <= 0.25 and z1 <= 0.4 are tight: the refactorization
+    # inverts W over those two and the unit-mass row, 3 x 3 of 43 rows
+    blocks = []
+    real = simplex.CutLP._refactor
+
+    def spying(self):
+        real(self)
+        blocks.append((self.w_inv.shape, sorted(self.tight.tolist()), self.row_count))
+
+    monkeypatch.setattr(simplex.CutLP, "_refactor", spying)
+    lp = _cut_lp([3.0, 1.0, 2.0], [1.0, 0.5, 1.0])
+    loose = ([[1.0, 1.0, 1.0]] * 20, [2.0] * 20)
+    lp.append_rows(*loose)
+    lp.append_rows([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]], [0.25, 0.4])
+    lp.append_rows([[1.0, 2.0, 3.0]] * 20, [4.0] * 20)
+    sol = solve(lp)
+    assert sol.status == OPTIMAL and sol.iterations > 0
+    assert sol.value == pytest.approx(1.95) and sol.z == pytest.approx([0.35, 0.4, 0.25])
+    assert blocks == [((3, 3), [0, 21, 22], 42)]
+
+
+def test_exact_pivots_and_values_are_pinned(monkeypatch):
+    # exact pivots follow Bland's rule on exact values, so however the
+    # basis is stored, these append/solve rounds take the same pivots to
+    # the same Fractions; the figures were recorded from the engine that
+    # kept the whole m x m basis inverse, and the rounds take every kind
+    # of pivot (a slack or a structural leaving, a slack or one entering)
+    kinds = set()
+    real = simplex.CutLP._pivot
+
+    def spying(self, leaving, q, *args):
+        kinds.add((leaving >= self.n, q >= self.n))
+        return real(self, leaving, q, *args)
+
+    monkeypatch.setattr(simplex.CutLP, "_pivot", spying)
+    rng = random.Random(1729)
+    pivots, record = 0, []
+    for _ in range(50):
+        c, u, rows, z0 = _random_lp(rng)
+        rows += _rows_around(rng, z0, rng.randint(3, 8))
+        lp = _cut_lp(c, u, exact=True)
+        while rows:
+            size = rng.randint(1, 3)
+            block, rows = rows[:size], rows[size:]
+            lp.append_rows(*row_block(block))
+            sol = solve(lp)
+            pivots += sol.iterations
+            record.append(f"{sol.status} {sol.value} {sol.iterations}")
+    digest = hashlib.sha256("\n".join(record).encode()).hexdigest()
+    assert (pivots, len(record)) == (138, 208)
+    assert digest == "f00051fca85d309d9c1c86eebee80f2c43c9fdef5878539db5b7a9be57991dbe"
+    assert record[:2] == ["optimal -909/896 1", "optimal -909/896 0"]
+    assert len(kinds) == 4
 
 
 def test_duality_holds_after_rounds_of_appends(rng):
@@ -268,11 +326,11 @@ def test_cut_lp_fallback_restarts_before_the_exact_image(monkeypatch, rng):
         assert lp.fallbacks == 1
 
 
-def _loop_entering(lp, r, alpha):
+def _loop_entering(lp, leaving, alpha):
     """The per-candidate loop the vectorised dual ratio test stands for
     (reference): the smallest ratio, ties within 1e-12 to the largest
     |alpha| and then the smallest index; exact ties to the smallest index."""
-    up = lp.x[lp.basis[r]] < 0
+    up = lp.x[leaving] < 0
     tol = 0 if lp.exact else simplex._PIVOT_TOL
     ratios = {}
     for j in range(len(alpha)):
@@ -301,11 +359,11 @@ def test_vectorised_ratio_test_matches_loop(rng):
             c, u, rows = _float_data(c, u, rows)
         lp = _cut_lp(c, u, exact)
         lp.append_rows(*row_block(rows))
-        cols = lp.G.shape[1]
+        cols = len(lp.x)
         # random states; exact ties and zero entries are the cases a rule
         # change would show
-        lp.basis = nprng.permutation(cols)[: lp.G.shape[0]]
-        lp.is_basic = np.isin(np.arange(cols), lp.basis)
+        basis = nprng.permutation(cols)[: lp.row_count + 1]
+        lp.is_basic = np.isin(np.arange(cols), basis)
         lp.at_upper = ~lp.is_basic & nprng.choice([False, True], cols) & (lp.hi < np.inf)
         values = [-1, Fraction(-1, 2), 0, Fraction(1, 2), 1]
 
@@ -314,9 +372,9 @@ def test_vectorised_ratio_test_matches_loop(rng):
 
         lp.d = np.array(pick(cols), dtype=object if exact else float)
         alpha = np.array(pick(cols), dtype=object if exact else float)
-        r = int(nprng.integers(lp.G.shape[0]))
-        lp.x[lp.basis[r]] = pick(1)[0] - (Fraction(1, 4) if exact else 0.25)
-        assert lp._entering(r, alpha) == _loop_entering(lp, r, alpha)
+        leaving = int(basis[nprng.integers(len(basis))])
+        lp.x[leaving] = pick(1)[0] - (Fraction(1, 4) if exact else 0.25)
+        assert lp._entering(leaving, alpha) == _loop_entering(lp, leaving, alpha)
 
 
 def test_numpy_is_the_only_runtime_dependency():
