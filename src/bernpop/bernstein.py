@@ -15,10 +15,14 @@ applied in the same arithmetic order as the per-coefficient formulas, so
 both fields give the values those formulas give.  Flat positions, where a
 caller needs them, are the tensor's row-major order.
 
-The tensor is Fractions, but exact kernels compute on its integer image
-(``integer_image``: integer numerators over one common denominator):
-conversion, subdivision, ordering and sign tests run on Python ints, and
-Fractions are built only for what a kernel returns.
+Float conversion adds the terms' outer products a block of terms at a
+time, one term after another, so each coefficient is the per-monomial
+loop's to the bit.  The tensor is Fractions, but exact
+kernels compute on its integer image (``integer_image``: integer
+numerators over one common denominator): conversion contracts the dense
+numerator tensor with one integer matrix per axis, subdivision, ordering
+and sign tests run on Python ints, and Fractions are built only for what
+a kernel returns.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .poly import Index, Polynomial, multi_binom
+from .poly import Index, Polynomial, term_blocks
 
 # float64 holds every integer below this exactly
 _EXACT_INT = 2**53
@@ -78,8 +82,9 @@ class Field:
     d)`` is i/d in it, ``array`` converts (nested) sequences, and ``tol(t)``
     is a float tolerance: t, or 0 in exact arithmetic.  ``image(a)`` is a
     pair (N, D) with a == N / D, D > 0 and N an array ordered as a is:
-    float64 arrays over 1, Fractions as ``integer_image``.  ``finite(a)``
-    says that no entry of a is an infinity or a NaN (Fractions never are)."""
+    float64 arrays over 1, Fractions as ``integer_image``; ``over(N, D)``
+    is the array N / D in the field.  ``finite(a)`` says that no entry of
+    a is an infinity or a NaN (Fractions never are)."""
 
     exact: bool
     dtype: type
@@ -91,6 +96,7 @@ class Field:
     array: Callable
     tol: Callable
     image: Callable
+    over: Callable
     finite: Callable
 
 
@@ -115,10 +121,11 @@ def _over(numer: np.ndarray, den: int) -> np.ndarray:
 
 FLOAT = Field(False, float, 0.0, 1.0, 0.5, of=float, ratio=operator.truediv,
               array=lambda v: np.asarray(v, dtype=float), tol=lambda t: t,
-              image=lambda v: (np.asarray(v), 1), finite=lambda v: bool(np.isfinite(v).all()))
+              image=lambda v: (np.asarray(v, dtype=float), 1), over=operator.truediv,
+              finite=lambda v: bool(np.isfinite(v).all()))
 EXACT = Field(True, object, Fraction(0), Fraction(1), Fraction(1, 2), of=Fraction, ratio=Fraction,
               array=lambda v: _fractions(np.array(v, dtype=object)), tol=lambda t: 0,
-              image=integer_image, finite=lambda v: True)
+              image=integer_image, over=_over, finite=lambda v: True)
 
 
 def field(exact: bool) -> Field:
@@ -131,6 +138,13 @@ def field_of(tensor: np.ndarray) -> Field:
     return EXACT if tensor.dtype == object else FLOAT
 
 
+def field_of_scalars(values) -> Field:
+    """The field a conversion picks when its caller names none: exact iff
+    some value of the collection ``values`` is a Fraction."""
+    samples = dict(zip(map(type, values), values)).values()  # one value of each type
+    return field(any(isinstance(v, Fraction) for v in samples))
+
+
 def to_bernstein(
     p: Polynomial, degree: Index | None = None, exact: bool | None = None
 ) -> BernsteinForm:
@@ -141,12 +155,15 @@ def to_bernstein(
     exact iff some coefficient is a Fraction, so a polynomial with no
     terms gets float64 unless its caller says otherwise.
 
-    Monomial p_J adds p_J / C(delta,J) times the outer product of the
-    per-axis vectors C(i_l, j_l), i_l = j_l..delta_l, to the slab
-    [j_1:, ..., j_n:], one monomial after another in term order.  Exact
-    conversion accumulates integers over L, the lcm of the terms'
-    den(p_J) C(delta,J): monomial J adds num(p_J) L / (den(p_J) C(delta,J))
-    times the same outer product, and b = N / L at the end.
+    In float, monomial p_J adds p_J / C(delta,J), rounded once, times the
+    outer product of the per-axis rows C(i_l, j_l) of the binomial tables
+    (``_binomials``) to the tensor, one monomial after another in term
+    order; the outer products are built for a block of monomials at once
+    (``poly.term_blocks``).  An outer product of 2^53 or more is taken in
+    Python ints and rounded once.  Exact conversion is a
+    contraction: on the dense integer image N / D of the coefficients,
+    axis l applies the integer matrix C(i, j) L_l / C(delta_l, j), with
+    L_l the lcm of the C(delta_l, j), and b = N' / (D prod_l L_l).
     """
     delta = tuple(degree) if degree is not None else p.degree
     if len(delta) != p.dimension:
@@ -154,33 +171,85 @@ def to_bernstein(
     if any(d < e for d, e in zip(delta, p.degree)):
         raise ValueError(f"degree {delta} below polynomial degree {p.degree}")
     if exact is None:
-        exact = any(isinstance(c, Fraction) for c in p.terms.values())
+        exact = field_of_scalars(p.terms.values()).exact
     F = field(exact)
     shape = tuple(d + 1 for d in delta)
     if F.exact:
-        terms = [(jdx, Fraction(c), multi_binom(delta, jdx)) for jdx, c in p.terms.items()]
-        den = math.lcm(*[c.denominator * b for _, c, b in terms])
-        numer = np.zeros(shape, dtype=object)
-        for jdx, c, b in terms:
-            weights = outer_chain(_binomial_axes(jdx, delta), object)
-            scaled = c.numerator * (den // (c.denominator * b))
-            numer[tuple(slice(j, None) for j in jdx)] += scaled * weights
-        return BernsteinForm(_over(numer, den))
-    tensor = np.zeros(shape, dtype=float)
-    for jdx, c in p.terms.items():
-        axes = _binomial_axes(jdx, delta)
-        # round once: a Fraction coefficient is divided before it is converted,
-        # and binomial products of 2^53 or more are taken in Python ints
-        in_float = math.prod(a[-1] for a in axes) < _EXACT_INT
-        weights = outer_chain(axes, float if in_float else object).astype(float, copy=False)
-        scaled = float(c / multi_binom(delta, jdx))
-        tensor[tuple(slice(j, None) for j in jdx)] += scaled * weights
-    return BernsteinForm(tensor)
+        numer, den = integer_image(list(p.terms.values()))
+        dense = np.zeros(shape, dtype=object)
+        for jdx, v in zip(p.terms, numer.tolist()):
+            dense[jdx] = v
+        for l, d in enumerate(delta):
+            matrix, lcm = _contraction(d)
+            dense = np.moveaxis(np.tensordot(matrix, dense, axes=([1], [l])), 0, l)
+            den *= lcm
+        return BernsteinForm(_over(dense, den))
+    count, n = len(p.terms), len(delta)
+    exps = np.array(list(p.terms), dtype=np.intp).reshape(count, n)
+    tables = [_binomials(d) for d in delta]
+    binoms = np.ones(count, dtype=object)  # C(delta, J), in Python ints
+    for (ints, _), column in zip(tables, exps.T):
+        binoms = binoms * ints[column, -1]
+    # a Fraction p_J is divided before it is converted, so each p_J / C(delta, J)
+    # is rounded once
+    scaled = np.array(list(map(operator.truediv, p.terms.values(), binoms.tolist())), dtype=float)
+    big = binoms >= _EXACT_INT
+    rows = [floats[exps[:, l]] for l, (_, floats) in enumerate(tables)]
+    # off its slab a term's contribution is a signed zero, which adds nothing
+    # to a sum that starts at +0, unless p_J is not finite; only then must
+    # the slab mask it
+    masked = not np.isfinite(scaled).all()
+    total = np.zeros(math.prod(shape))
+    # float overflow gives inf and inf - inf NaN, without a warning, as in Python
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0, k1 in term_blocks(count, total.size):
+            weights = _outer_rows([row[k0:k1] for row in rows], k1 - k0)
+            for k in k0 + np.flatnonzero(big[k0:k1]):
+                # an integer product of 2^53 or more is rounded once
+                ints_row = outer_chain([ints[j] for (ints, _), j in zip(tables[::-1], exps[k][::-1])], object)
+                weights[k - k0] = ints_row.astype(float).ravel()
+            contributions = scaled[k0:k1, None] * weights
+            if masked:
+                contributions = np.where(weights != 0, contributions, 0)
+            # one add per term, in term order as the loop adds them (faster
+            # than np.add.accumulate, whose inner loop runs along the short
+            # block axis)
+            for contribution in contributions:
+                total += contribution
+    return BernsteinForm(np.ascontiguousarray(total.reshape(shape[::-1]).T))
 
 
-def _binomial_axes(jdx: Index, delta: Index) -> list[list[int]]:
-    """The per-axis vectors C(i, j_l), i = j_l..delta_l."""
-    return [[math.comb(i, j) for i in range(j, d + 1)] for j, d in zip(jdx, delta)]
+def _outer_rows(rows: Sequence[np.ndarray], count: int) -> np.ndarray:
+    """For each of ``count`` terms k (the first axis of every row array),
+    the products 1 * rows[0][k, i_0] * rows[1][k, i_1] * ..., multiplied
+    left to right, shaped (terms, positions) with the positions in
+    column-major order (i_0 varies fastest): each product then broadcasts
+    one axis's row over all the earlier axes at once, which is about a
+    third faster than row-major broadcasting over the short last axis."""
+    out = np.ones((count, 1))
+    for row in rows:
+        out = (out.reshape(count, 1, -1) * row.reshape(count, -1, 1)).reshape(count, -1)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _binomials(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The table of C(i, j), row j and column i = 0..d (0 where i < j), as
+    Python ints and as float64."""
+    ints = np.array([[math.comb(i, j) for i in range(d + 1)] for j in range(d + 1)], dtype=object)
+    floats = ints.astype(float)
+    ints.flags.writeable = floats.flags.writeable = False  # shared by every call
+    return ints, floats
+
+
+@functools.lru_cache(maxsize=None)
+def _contraction(d: int) -> tuple[np.ndarray, int]:
+    """The integer matrix C(i, j) L / C(d, j), row i and column j, of exact
+    conversion along an axis of degree d, and L = lcm_j C(d, j)."""
+    lcm = math.lcm(*(math.comb(d, j) for j in range(d + 1)))
+    matrix = _binomials(d)[0].T * np.array([lcm // math.comb(d, j) for j in range(d + 1)], dtype=object)
+    matrix.flags.writeable = False  # shared by every call
+    return matrix, lcm
 
 
 def axis_view(tensor: np.ndarray, axis: int) -> np.ndarray:

@@ -55,10 +55,10 @@ def _parse_degree(text: str, objective_degree: tuple) -> tuple:
 
 
 def _bounds_json(named: dict) -> dict:
-    """Named bounds as floats (None, an infeasible LP, stays None) and,
-    under "exact_bounds", the exact strings of those that are Fractions
-    (exact mode)."""
-    out = {k: None if v is None else float(v) for k, v in named.items()}
+    """Named bounds as floats (None, an infeasible LP, stays None, and so
+    does a Fraction beyond binary64) and, under "exact_bounds", the exact
+    strings of those that are Fractions (exact mode)."""
+    out = {k: bnb_mod.float_or_none(v) for k, v in named.items()}
     exact_strs = {k: str(v) for k, v in named.items() if isinstance(v, Fraction)}
     if exact_strs:
         out["exact_bounds"] = exact_strs
@@ -70,7 +70,7 @@ def _witness_json(witness, exact: bool):
         return None
     if exact:
         return {
-            "float": [float(v) for v in witness],
+            "float": [bnb_mod.float_or_none(v) for v in witness],
             "exact": [str(Fraction(v)) for v in witness],
         }
     return [float(v) for v in witness]
@@ -248,9 +248,10 @@ def _print_report(report: dict, output: str) -> None:
         for key in ("p0", "first", "p1", "p2"):
             if key in report["bounds"]:
                 value = report["bounds"][key]
-                line = f"  {key:>5} = {'-' if value is None else format(value, '.10g')}"
-                if "exact_bounds" in report and key in report["exact_bounds"]:
-                    line += f"  (= {report['exact_bounds'][key]})"
+                exact_str = report.get("exact_bounds", {}).get(key)
+                line = f"  {key:>5} = {bnb_mod.report_text(value, exact_str, '.10g')}"
+                if exact_str is not None and value is not None:
+                    line += f"  (= {exact_str})"
                 print(line)
         if "p2_activated_rows" in report["bounds"]:
             print(
@@ -274,10 +275,12 @@ def _print_report(report: dict, output: str) -> None:
             "cutoff_edge": s["edge_cutoffs"],
             "time_edge": report["timings"]["edge"],
             "opt": sec["upper"],
+            "exact_bounds": sec.get("exact_bounds", {}),
         }
         print(bnb_mod.format_report([row]))
         lower, upper = (
-            "-" if v is None else f"{v:.10g}" for v in (sec["lower"], sec["upper"])
+            bnb_mod.report_text(sec[key], row["exact_bounds"].get(key), ".10g")
+            for key in ("lower", "upper")
         )
         print(f"bounds: [{lower}, {upper}]  converged: {sec['converged']}")
         if sec["witness"] is not None:
@@ -288,8 +291,8 @@ def _print_report(report: dict, output: str) -> None:
         print(f"case {report['problem']} (level {report['level']}): {mark}")
         exact_strs = v.get("exact_bounds", {})
         for label, key in (("p_V*   ", "v_bound"), ("p_Vdot*", "vdot_bound")):
-            line = f"  {label} = {v[key]:.6g}"
-            if key in exact_strs:
+            line = f"  {label} = {bnb_mod.report_text(v[key], exact_strs.get(key), '.6g')}"
+            if key in exact_strs and v[key] is not None:
                 line += f"  (= {exact_strs[key]})"
             print(line)
     else:  # bench
@@ -299,9 +302,13 @@ def _print_report(report: dict, output: str) -> None:
         for r in report["results"]:
             if r["kind"] == "lyapunov":
                 mark = "ok" if r["stable"] == (r["expected"] == "pass") else "DIFFERS"
+                v_bound, vdot_bound = (
+                    bnb_mod.report_text(r[key], r.get("exact_bounds", {}).get(key), ".6g")
+                    for key in ("v_bound", "vdot_bound")
+                )
                 print(
-                    f"{r['label']}: p_V*={r['v_bound']:.6g} "
-                    f"p_Vdot*={r['vdot_bound']:.6g} "
+                    f"{r['label']}: p_V*={v_bound} "
+                    f"p_Vdot*={vdot_bound} "
                     f"{'verified' if r['stable'] else 'not verified'} "
                     f"(expected {r['expected']}; {mark})"
                 )

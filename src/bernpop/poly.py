@@ -7,30 +7,34 @@ both, because all combinatorial factors are exact integers and the only
 divisions performed are by integers (exact for Fractions).
 
 Polynomials are immutable once built; they can be shared freely between
-concurrent workers.
+concurrent workers.  The public constructor validates its exponents; the
+polynomials this module derives from valid ones (sums, products,
+derivatives, conversions, the unit-box map) are built by
+``Polynomial._derived``, which only drops zero coefficients.
+
+``to_unit_box`` is an array kernel: a block of terms is expanded at once
+into the products of per-axis table rows at the positions each term
+reaches, and ``np.add.at`` sums them position by position in term order,
+as the per-term expansion did, so float results are the loop's to the
+bit.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
+
+import numpy as np
 
 Index = tuple[int, ...]
 
 
 def index_add(i: Index, j: Index) -> Index:
     return tuple(a + b for a, b in zip(i, j))
-
-
-def multi_binom(i: Index, j: Index) -> int:
-    """Product of per-axis binomial coefficients C(i_l, j_l)."""
-    out = 1
-    for a, b in zip(i, j):
-        out *= math.comb(a, b)
-    return out
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,12 @@ class Polynomial:
     def __post_init__(self):
         clean = {}
         for idx, coeff in self.terms.items():
-            idx = tuple(int(e) for e in idx)
+            # plain ints pass the type test at once; numpy integers are Integral too
+            if not {int}.issuperset(map(type, idx)) and not all(
+                isinstance(e, numbers.Integral) and not isinstance(e, bool) for e in idx
+            ):
+                raise ValueError(f"exponents {tuple(idx)} must be non-negative integers")
+            idx = tuple(map(int, idx))
             if len(idx) != self.dimension:
                 raise ValueError(
                     f"exponent tuple {idx} does not match dimension {self.dimension}"
@@ -70,6 +79,21 @@ class Polynomial:
                 raise ValueError(f"degree {deg} is below the terms' degree {natural}")
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "degree", deg)
+
+    @classmethod
+    def _derived(cls, dimension: int, terms: Mapping, degree: Index | None = None) -> "Polynomial":
+        """A polynomial built from a valid one: ``terms`` has distinct
+        tuples of ``dimension`` non-negative ints as keys, and ``degree``,
+        when given, is at least the terms' own.  Zero coefficients are
+        dropped; nothing else is checked."""
+        clean = {idx: c for idx, c in terms.items() if c != 0}
+        if degree is None:
+            degree = tuple(map(max, zip(*clean))) if clean else (0,) * dimension
+        out = object.__new__(cls)
+        object.__setattr__(out, "dimension", dimension)
+        object.__setattr__(out, "terms", clean)
+        object.__setattr__(out, "degree", degree)
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -100,10 +124,10 @@ class Polynomial:
         terms = dict(self.terms)
         for idx, c in other.terms.items():
             terms[idx] = terms.get(idx, 0) + c
-        return Polynomial(self.dimension, terms)
+        return Polynomial._derived(self.dimension, terms)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.dimension, {i: -c for i, c in self.terms.items()})
+        return Polynomial._derived(self.dimension, {i: -c for i, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -115,17 +139,15 @@ class Polynomial:
             for i2, c2 in other.terms.items():
                 idx = index_add(i1, i2)
                 terms[idx] = terms.get(idx, 0) + c1 * c2
-        return Polynomial(self.dimension, terms)
+        return Polynomial._derived(self.dimension, terms)
 
     def scale(self, factor) -> "Polynomial":
-        return Polynomial(
-            self.dimension, {i: factor * c for i, c in self.terms.items()}
-        )
+        return Polynomial._derived(self.dimension, {i: factor * c for i, c in self.terms.items()})
 
     def convert(self, of) -> "Polynomial":
         """The same polynomial with every coefficient passed through ``of``
         (a field's ``of``: float, or Fraction, which converts exactly)."""
-        return Polynomial(self.dimension, {i: of(c) for i, c in self.terms.items()}, self.degree)
+        return Polynomial._derived(self.dimension, {i: of(c) for i, c in self.terms.items()}, self.degree)
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
@@ -164,7 +186,7 @@ class Polynomial:
             new = list(idx)
             new[axis] = e - 1
             terms[tuple(new)] = terms.get(tuple(new), 0) + e * c
-        return Polynomial(self.dimension, terms)
+        return Polynomial._derived(self.dimension, terms)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if not self.terms:
@@ -253,40 +275,95 @@ class Box:
         return tuple(lo + (hi - lo) * zi for lo, hi, zi in zip(self.lower, self.upper, z))
 
 
+# at most this many entries (terms times the positions each reaches) in
+# one block of a conversion kernel, so that its temporaries stay small
+BLOCK_ENTRIES = 4096
+
+
+def term_blocks(count: int, reach: int):
+    """Runs (k0, k1) of consecutive terms, in term order, of at most
+    ``BLOCK_ENTRIES`` entries for terms that reach at most ``reach``
+    positions each."""
+    step = max(1, BLOCK_ENTRIES // max(reach, 1))
+    return ((k0, min(k0 + step, count)) for k0 in range(0, count, step))
+
+
+def _expand(lead: np.ndarray, exps: np.ndarray, tables: Sequence[tuple]) -> tuple:
+    """The products lead[k] * table_0[e_k0, t_0] * table_1[e_k1, t_1] *
+    ..., multiplied left to right, at the flat row-major positions t where
+    no factor is zero, term after term and row-major within a term (the
+    order of a per-term loop that skips zero factors): (positions,
+    products).  ``tables`` holds each axis's (table, table != 0)."""
+    k = np.arange(len(lead))
+    key, val = np.zeros(len(lead), dtype=np.intp), lead
+    for j, (table, nonzero) in enumerate(tables):
+        ent, t = np.nonzero(nonzero[exps[k, j]])
+        k = k[ent]
+        key, val = key[ent] * table.shape[1] + t, val[ent] * table[exps[k, j], t]
+    return key, val
+
+
 def to_unit_box(p: Polynomial, box: Box) -> tuple[Polynomial, Box]:
     """Rewrite ``p`` on ``box`` as a polynomial on [0,1]^n.
 
-    Returns ``q`` with q(z) = p(box.point(z)), and the box.  The
-    substitution is expanded one variable at a time with exact integer
-    binomials, so the only rounding in float mode comes from coefficient
-    products and sums.
+    Returns ``q`` with q(z) = p(box.point(z)), and the box.  Substituting
+    x_j = o_j + s_j z_j expands the term c x^e into c times the product of
+    the per-axis rows C(e_j, t) s_j^t o_j^(e_j - t), t = 0..e_j, with exact
+    integer binomials.  The expansion is Fractions when a coefficient or a
+    bound is a Fraction, and float64 otherwise (``field_of_scalars``).
+
+    Each axis has one table of those rows, computed with scalar
+    arithmetic.  A block of terms (``term_blocks``) is expanded at once
+    (``_expand``): each term's coefficient times its rows, left to right,
+    at the positions where no factor is zero.  ``np.add.at`` adds the
+    products position by position in that order, so each coefficient is
+    summed and rounded as in a term-by-term loop, and the terms of ``q``
+    are in the order that loop inserts them: by the first term that
+    reaches them, then row-major.  Exact expansions run on integer images
+    (numerators over one common denominator per table), and Fractions are
+    built once, for the result.
     """
+    from .bernstein import field_of_scalars  # bernstein imports this module
+
     if box.dimension != p.dimension:
         raise ValueError("box dimension does not match polynomial")
-    terms: dict[Index, object] = {}
-    for idx, coeff in p.terms.items():
-        # partial maps exponent tuples of the already-substituted prefix
-        partial: dict[Index, object] = {(): coeff}
-        for j, e in enumerate(idx):
-            o, s = box.lower[j], box.width(j)
-            # (o + s z)^e expanded once per axis
-            expansion = [
-                math.comb(e, t) * (s**t) * (o ** (e - t)) for t in range(e + 1)
-            ]
-            nxt: dict[Index, object] = {}
-            for pre, c in partial.items():
-                for t, w in enumerate(expansion):
-                    if w == 0:
-                        continue
-                    key = pre + (t,)
-                    val = c * w
-                    nxt[key] = nxt.get(key, 0) + val
-            partial = nxt
-        for key, c in partial.items():
-            terms[key] = terms.get(key, 0) + c
+    F = field_of_scalars((*p.terms.values(), *box.lower, *box.upper))
+    n, count = p.dimension, len(p.terms)
+    exps = np.array(list(p.terms), dtype=np.intp).reshape(count, n)
+    top = exps.max(axis=0).tolist() if count else [0] * n
+    shape = tuple(d + 1 for d in top)
+    coeffs, den = F.image(list(p.terms.values()))
+    tables = []
+    for j, d in enumerate(top):
+        o, s = box.lower[j], box.width(j)
+        s_pow, o_pow = [s**t for t in range(d + 1)], [o**t for t in range(d + 1)]
+        table = [
+            [math.comb(e, t) * s_pow[t] * o_pow[e - t] for t in range(e + 1)] + [0] * (d - e)
+            for e in range(d + 1)
+        ]
+        numer, table_den = F.image(table)
+        tables.append((numer, numer != 0))
+        den *= table_den
+    size = math.prod(shape)
+    total = np.zeros(size, dtype=coeffs.dtype)
+    first = np.full(size, np.iinfo(np.intp).max)  # each position's first product
+    order, done = [np.zeros(0, dtype=np.intp)], 0  # positions by first product
+    # float overflow gives inf and inf - inf NaN, without a warning, as in Python
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0, k1 in term_blocks(count, int(np.prod(exps + 1, axis=1).max(initial=1))):
+            key, val = _expand(coeffs[k0:k1], exps[k0:k1], tables)
+            # unbuffered: a repeated position takes its products one by one
+            np.add.at(total, key, val)
+            index = np.arange(done, done + len(key))
+            np.minimum.at(first, key, index)
+            order.append(key[first[key] == index])
+            done += len(key)
+    order = np.concatenate(order)
+    keys = map(tuple, np.indices(shape).reshape(n, size).T[order].tolist())
+    terms = dict(zip(keys, F.over(total[order], den).tolist()))
     # keep the source degree vector: substitution cannot raise it, and the
     # Bernstein machinery expects the same tensor shape on every box
-    return Polynomial(p.dimension, terms, degree=p.degree), box
+    return Polynomial._derived(n, terms, p.degree), box
 
 
 def restrict_facet(p: Polynomial, axis: int, value) -> Polynomial:
@@ -299,7 +376,7 @@ def restrict_facet(p: Polynomial, axis: int, value) -> Polynomial:
         coeff = c * value**e if e else c
         key = idx[:axis] + idx[axis + 1 :]
         terms[key] = terms.get(key, 0) + coeff
-    return Polynomial(p.dimension - 1, terms)
+    return Polynomial._derived(p.dimension - 1, terms)
 
 
 _TERM_RE = re.compile(

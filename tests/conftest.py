@@ -22,8 +22,16 @@ import pytest
 
 from bernpop import simplex
 from bernpop.bernstein import _beta_peak, field, outer_chain, to_bernstein
-from bernpop.poly import Box, Polynomial, lie_derivative, multi_binom, to_unit_box
+from bernpop.poly import Box, Polynomial, lie_derivative, to_unit_box
 from bernpop.relax import _greedy_knapsack, nominal_point
+
+
+def multi_binom(i, j) -> int:
+    """Product of per-axis binomial coefficients C(i_l, j_l)."""
+    out = 1
+    for a, b in zip(i, j):
+        out *= math.comb(a, b)
+    return out
 
 
 def box_tensor(p: Polynomial, box: Box, degree=None, exact: bool = False) -> np.ndarray:
@@ -129,6 +137,38 @@ def loop_to_bernstein(p: Polynomial, degree=None) -> tuple:
                 pos += t * strides[l]
             coeffs[pos] += scaled * w
     return tuple(coeffs)
+
+
+def loop_to_unit_box(p: Polynomial, box: Box) -> tuple[Polynomial, Box]:
+    """The substitution x = o + s z expanded one term and one variable at
+    a time into a dict, skipping zero factors; keys are inserted in the
+    order the terms first reach them."""
+    if box.dimension != p.dimension:
+        raise ValueError("box dimension does not match polynomial")
+    terms: dict = {}
+    for idx, coeff in p.terms.items():
+        # partial maps exponent tuples of the already-substituted prefix
+        partial: dict = {(): coeff}
+        for j, e in enumerate(idx):
+            o, s = box.lower[j], box.width(j)
+            # (o + s z)^e expanded once per axis
+            expansion = [
+                math.comb(e, t) * (s**t) * (o ** (e - t)) for t in range(e + 1)
+            ]
+            nxt: dict = {}
+            for pre, c in partial.items():
+                for t, w in enumerate(expansion):
+                    if w == 0:
+                        continue
+                    key = pre + (t,)
+                    val = c * w
+                    nxt[key] = nxt.get(key, 0) + val
+            partial = nxt
+        for key, c in partial.items():
+            terms[key] = terms.get(key, 0) + c
+    # keep the source degree vector: substitution cannot raise it, and the
+    # Bernstein machinery expects the same tensor shape on every box
+    return Polynomial(p.dimension, terms, degree=p.degree), box
 
 
 def loop_bernstein_eval(coeffs, degree, point):

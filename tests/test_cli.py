@@ -577,6 +577,30 @@ def test_float_overflow_in_a_certificate_is_a_clean_error(capsys, tmp_path):
         assert code == 0 and "verified" in out
 
 
+def test_exact_result_beyond_binary64_is_reported(capsys, tmp_path):
+    # min of 1e300 x^2 on [1e10, 2e10] is 10^320, beyond binary64: it once
+    # ended in "error: integer division result too large for a float"
+    path = _write_problem(tmp_path, "big", {
+        "dimension": 1,
+        "objective": [{"exponents": [2], "coeff": 1e300}],
+        "box": {"lower": [1e10], "upper": [2e10]},
+    })
+    exact = str(10**320)
+    code, out, err = _run(capsys, ["bnb", "--level", "0", "--arith", "rational", "--output", "json", path])
+    assert code == 0 and err == ""
+    sec = json.loads(out, parse_constant=_reject_non_finite)["bnb"]
+    assert sec["lower"] is None and sec["upper"] is None
+    assert sec["exact_bounds"] == {"lower": exact, "upper": exact}
+    assert sec["witness"] == {"float": [1e10], "exact": ["10000000000"]}
+    code, out, err = _run(capsys, ["bnb", "--level", "0", "--arith", "rational", path])
+    assert code == 0 and err == "" and f"bounds: [{exact}, {exact}]" in out
+    code, out, err = _run(capsys, ["relax", "--level", "0", "--arith", "rational", "--output", "json", path])
+    report = json.loads(out, parse_constant=_reject_non_finite)
+    assert code == 0 and report["bounds"]["p0"] is None and report["exact_bounds"]["p0"] == exact
+    code, out, err = _run(capsys, ["relax", "--level", "0", "--arith", "rational", path])
+    assert code == 0 and err == "" and f"p0 = {exact}" in out
+
+
 def _reject_non_finite(name):
     raise ValueError(f"non-finite JSON constant {name}")
 

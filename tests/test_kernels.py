@@ -1,5 +1,6 @@
-"""The tensor kernels of bernstein.py and relax.py against their
-per-coefficient loop versions (tests/conftest.py), in both fields, and
+"""The tensor kernels of bernstein.py and relax.py, and the unit-box
+map of poly.py, against their per-coefficient loop versions
+(tests/conftest.py), in both fields, and
 the exact kernels that run on integer images (subdivision, cut scans,
 the incumbent's evaluation) against their Fraction oracles.
 
@@ -8,8 +9,10 @@ Every float kernel applies the loop's arithmetic in the loop's order
 row-major order), and every exact one computes the same rationals, so
 every comparison here is ``==``, floats included."""
 
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +30,7 @@ from bernpop.bernstein import (
     upper_bounds,
 )
 from bernpop.bnb import _evaluator, _monotonicity_signs
-from bernpop.poly import Polynomial
+from bernpop.poly import Box, Polynomial, to_unit_box
 from bernpop.relax import (
     _greedy_knapsack,
     build_cut_matrix,
@@ -45,6 +48,7 @@ from conftest import (
     loop_nominal_point,
     loop_subdivide,
     loop_to_bernstein,
+    loop_to_unit_box,
     loop_upper_bounds,
     row_list,
 )
@@ -115,6 +119,76 @@ def test_to_bernstein_matches_loop(exact):
             assert all(isinstance(c, Fraction) for c in _flat(bf))
 
 
+def _boxes(rng, n, exact):
+    """A random box and one whose lower bound is 0 on one axis (the loop
+    skips the zero factors o^(e-t) there), in the field."""
+    F = field(exact)
+    lower = [F.ratio(rng.randint(-9, 9), rng.choice((1, 3, 7))) for _ in range(n)]
+    width = [F.ratio(rng.randint(1, 9), rng.choice((1, 2, 7))) for _ in range(n)]
+    zero = list(lower)
+    zero[rng.randrange(n)] = F.zero
+    return [Box(tuple(lo), tuple(a + w for a, w in zip(lo, width))) for lo in (lower, zero)]
+
+
+@pytest.mark.parametrize("exact", FIELDS)
+def test_to_unit_box_matches_loop(exact):
+    # the same terms in the same order, with equal values; each case's
+    # degree is kept as the polynomial's own (elevated ones included)
+    rng = random.Random(13)
+    cases = [Polynomial(p.dimension, p.terms, degree) for p, degree in _cases(exact)]
+    one = field(exact).one
+    cases += [
+        Polynomial(3, {(2, 0, 1): 3 * one, (0, 0, 3): -one, (1, 0, 0): one / 7}),  # a degree-0 axis
+        Polynomial(2, {}, (3, 1)),  # no term, elevated
+    ]
+    reached = skipped = 0
+    for p in cases:
+        for box in _boxes(rng, p.dimension, exact):
+            q, same = to_unit_box(p, box)
+            want, _ = loop_to_unit_box(p, box)
+            assert same is box and q.degree == want.degree == p.degree
+            assert list(q.terms.items()) == list(want.terms.items())
+            if exact:
+                assert all(type(c) is Fraction for c in q.terms.values())
+            reached += len(q.terms)
+            skipped += 0 in box.lower and len(q.terms) < math.prod(d + 1 for d in p.degree)
+    assert reached and skipped
+
+
+def test_conversions_overflow_to_inf_as_in_the_loop():
+    # products beyond binary64 are inf, with no NaN where a skipped zero
+    # factor (a zero lower bound, or off a monomial's slab) meets them, and
+    # no numpy warning (an error under pytest here)
+    cases = [
+        (Polynomial(1, {(2,): 1e300, (1,): 1.0}), Box((1e10,), (2e10,))),
+        (Polynomial(2, {(2, 1): 1e300, (0, 0): 1.0}), Box((1e10, 0.0), (2e10, 1.0))),
+    ]
+    for p, box in cases:
+        q, _ = to_unit_box(p, box)
+        assert list(q.terms.items()) == list(loop_to_unit_box(p, box)[0].terms.items())
+        assert math.inf in q.terms.values()
+        tensor = _flat(to_bernstein(q))
+        assert tensor == list(loop_to_bernstein(q)) and not any(map(math.isnan, tensor))
+    assert 1.0 in tensor  # off the infinite monomials' slabs
+
+
+def test_conversions_work_in_small_blocks():
+    # a dense degree-(8,8,8) polynomial: 729 terms times 729 positions,
+    # about 4.3 MB for one unblocked float64 array
+    rng = random.Random(17)
+    p = Polynomial(3, {idx: rng.uniform(-1, 1) for idx in itertools.product(range(9), repeat=3)})
+    box = Box((-1.0, 0.0, 0.5), (1.0, 2.0, 3.0))
+    for convert in (lambda: to_bernstein(p), lambda: to_unit_box(p, box)):
+        tracemalloc.start()
+        try:
+            convert()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+    assert _flat(to_bernstein(p)) == list(loop_to_bernstein(p))
+
+
 def test_to_bernstein_field_is_the_callers():
     # no term to guess from: the caller's field decides
     assert to_bernstein(Polynomial.zero(2), (1, 1), exact=True).tensor.dtype == object
@@ -131,6 +205,14 @@ def test_to_bernstein_rounds_large_binomials_once():
     # and rounded once, as the loop does
     p = Polynomial(2, {(30, 30): 0.1, (1, 0): 0.7})
     assert _flat(to_bernstein(p, (60, 60))) == list(loop_to_bernstein(p, (60, 60)))
+
+
+def test_large_binomials_are_rounded_once_on_every_axis():
+    # asymmetric products C(60,30) C(61,29) and C(61,29) C(60,30) of 2^53
+    # or more, each next to terms whose products stay below it
+    for degree, big in [((60, 61), (30, 29)), ((61, 60), (29, 30))]:
+        p = Polynomial(2, {(1, 0): 0.7, big: 0.1, (0, 2): -0.3})
+        assert _flat(to_bernstein(p, degree)) == list(loop_to_bernstein(p, degree))
 
 
 @pytest.mark.parametrize("exact", FIELDS)

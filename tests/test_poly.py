@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bernpop.poly import (
@@ -58,6 +59,38 @@ def test_zero_coefficients_dropped():
     p = Polynomial(1, {(1,): 1}) - Polynomial(1, {(1,): 1})
     assert not p.terms
     assert p.degree == (0,)
+
+
+def test_constructor_rejects_float_exponent():
+    # once truncated to {(1,): 1.0}
+    with pytest.raises(ValueError, match="non-negative integers"):
+        Polynomial(1, {(1.5,): 1.0})
+
+
+def test_constructor_rejects_bool_exponent():
+    # once read as x
+    with pytest.raises(ValueError, match="non-negative integers"):
+        Polynomial(1, {(True,): 1.0})
+
+
+def test_constructor_accepts_numpy_integer_exponents():
+    p = Polynomial(2, {(np.int64(2), np.int32(0)): 1.0})
+    assert p.terms == {(2, 0): 1.0} and all(type(e) is int for e in next(iter(p.terms)))
+
+
+def test_derived_polynomials_equal_validated_ones(rng):
+    # sums, products, negation, derivatives, scaling, conversion and the
+    # unit-box map skip validation; each result is what the validating
+    # constructor builds from its terms and degree
+    for _ in range(10):
+        p, q = random_polynomial(rng, 2, 3), random_polynomial(rng, 2, 3)
+        box = random_box(rng, 2)
+        for r in (p + q, p - q, p * q, -p, p.derivative(1), p.scale(3), p.convert(Fraction),
+                  to_unit_box(p, box)[0], p - p):
+            again = Polynomial(r.dimension, r.terms, r.degree)
+            assert (r.terms, r.degree) == (again.terms, again.degree)
+            assert all(c != 0 for c in r.terms.values())
+            assert all(type(e) is int for idx in r.terms for e in idx)
 
 
 def test_derivative_simple():
