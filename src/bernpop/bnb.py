@@ -438,61 +438,3 @@ def _make_lift(outer: Callable, fixed: list) -> Callable:
 
     return lifted
 
-
-# ---------------------------------------------------------------------------
-# run report in the benchmark-table column layout
-
-
-def float_or_none(value):
-    """``float(value)`` for a reported value; None for None, and for an
-    exact value beyond binary64, whose exact string is reported instead."""
-    try:
-        return None if value is None else float(value)
-    except OverflowError:
-        return None
-
-
-def report_text(value, exact_str: str | None, spec: str) -> str:
-    """A reported float as text: the exact string where the float is
-    None but the exact value is known, '-' where neither is."""
-    if value is None:
-        return exact_str or "-"
-    return format(value, spec)
-
-
-def report_row(label: str, level: str, result: BnbResult) -> dict:
-    s = result.stats
-    return {
-        "label": label,
-        "level": level,
-        "sub": s.subdivisions,
-        "time": round(s.elapsed, 3),
-        "cutoff": s.cutoff_count,
-        "mono": s.mono_count,
-        "sub_edge": s.edge_subdivisions,
-        "cutoff_edge": s.edge_cutoffs,
-        "time_edge": round(s.edge_elapsed, 3),
-        "opt": float_or_none(result.upper_bound),
-        "lower": float_or_none(result.lower_bound),
-        "converged": result.converged,
-    }
-
-
-def format_report(rows: Sequence[dict]) -> str:
-    headers = ("ID", "Ineq", "Sub", "Time", "Cutoff", "Mono", "Sub*", "Cutoff*", "Time*", "Opt")
-    table = [headers]
-    for r in rows:
-        table.append(
-            (
-                str(r["label"]), str(r["level"]), str(r["sub"]), f"{r['time']:.2f}",
-                str(r["cutoff"]), str(r["mono"]), str(r["sub_edge"]),
-                str(r["cutoff_edge"]), f"{r['time_edge']:.2f}",
-                report_text(r["opt"], r.get("exact_bounds", {}).get("upper"), ".6g"),
-            )
-        )
-    widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
-    lines = [
-        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-        for row in table
-    ]
-    return "\n".join(lines)

@@ -19,6 +19,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from typing import Sequence
 
 from . import bnb as bnb_mod
 from . import lyapunov as lyap_mod
@@ -28,14 +29,6 @@ from .relax import LEVEL_0, LEVEL_1, LEVEL_2, LEVEL_FIRST, bound_at_level, const
 
 # the level chain in order of strength, with each level's report key
 _LEVEL_KEYS = {LEVEL_0: "p0", LEVEL_FIRST: "first", LEVEL_1: "p1", LEVEL_2: "p2"}
-
-
-def _existing(path: str) -> str:
-    from pathlib import Path
-
-    if not Path(path).exists():
-        raise FileNotFoundError(path)
-    return path
 
 
 def _parse_degree(text: str, objective_degree: tuple) -> tuple:
@@ -54,15 +47,92 @@ def _parse_degree(text: str, objective_degree: tuple) -> tuple:
     return tuple(parts)
 
 
+# ---------------------------------------------------------------------------
+# reported values and the benchmark-table row
+
+
+def float_or_none(value):
+    """``float(value)`` for a reported value; None for None, and for an
+    exact value beyond binary64, whose exact string is reported instead."""
+    try:
+        return None if value is None else float(value)
+    except OverflowError:
+        return None
+
+
+def report_text(value, exact_str: str | None, spec: str) -> str:
+    """A reported float as text: the exact string where the float is
+    None but the exact value is known, '-' where neither is."""
+    if value is None:
+        return exact_str or "-"
+    return format(value, spec)
+
+
 def _bounds_json(named: dict) -> dict:
     """Named bounds as floats (None, an infeasible LP, stays None, and so
     does a Fraction beyond binary64) and, under "exact_bounds", the exact
     strings of those that are Fractions (exact mode)."""
-    out = {k: bnb_mod.float_or_none(v) for k, v in named.items()}
+    out = {k: float_or_none(v) for k, v in named.items()}
     exact_strs = {k: str(v) for k, v in named.items() if isinstance(v, Fraction)}
     if exact_strs:
         out["exact_bounds"] = exact_strs
     return out
+
+
+def _bound_texts(bounds: dict, keys, spec: str) -> list[str]:
+    """``report_text`` of each key of ``_bounds_json`` output."""
+    exact_strs = bounds.get("exact_bounds", {})
+    return [report_text(bounds[key], exact_strs.get(key), spec) for key in keys]
+
+
+def _bound_lines(bounds: dict, labels: dict, spec: str) -> list[str]:
+    """A text line per labelled key of ``_bounds_json`` output, with the
+    exact string beside a float that has one."""
+    exact_strs = bounds.get("exact_bounds", {})
+    lines = []
+    for (key, label), text in zip(labels.items(), _bound_texts(bounds, labels, spec)):
+        exact_str = exact_strs.get(key) if bounds[key] is not None else None
+        lines.append(f"  {label} = {text}" + (f"  (= {exact_str})" if exact_str else ""))
+    return lines
+
+
+def report_row(label: str, level: str, result: bnb_mod.BnbResult) -> dict:
+    s = result.stats
+    bounds = _bounds_json({"lower": result.lower_bound, "upper": result.upper_bound})
+    return {
+        "label": label,
+        "level": level,
+        "sub": s.subdivisions,
+        "time": round(s.elapsed, 3),
+        "cutoff": s.cutoff_count,
+        "mono": s.mono_count,
+        "sub_edge": s.edge_subdivisions,
+        "cutoff_edge": s.edge_cutoffs,
+        "time_edge": round(s.edge_elapsed, 3),
+        "opt": bounds.pop("upper"),
+        **bounds,  # "lower", and "exact_bounds" in exact mode
+        "converged": result.converged,
+    }
+
+
+def format_report(rows: Sequence[dict]) -> str:
+    headers = ("ID", "Ineq", "Sub", "Time", "Cutoff", "Mono", "Sub*", "Cutoff*", "Time*", "Opt")
+    table = [headers]
+    for r in rows:
+        table.append(
+            (
+                str(r["label"]), str(r["level"]), str(r["sub"]), f"{r['time']:.2f}",
+                str(r["cutoff"]), str(r["mono"]), str(r["sub_edge"]),
+                str(r["cutoff_edge"]), f"{r['time_edge']:.2f}",
+                report_text(r["opt"], r.get("exact_bounds", {}).get("upper"), ".6g"),
+            )
+        )
+    widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
+    lines = [
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+        for row in table
+    ]
+    return "\n".join(lines)
 
 
 def _witness_json(witness, exact: bool):
@@ -70,15 +140,40 @@ def _witness_json(witness, exact: bool):
         return None
     if exact:
         return {
-            "float": [bnb_mod.float_or_none(v) for v in witness],
+            "float": [float_or_none(v) for v in witness],
             "exact": [str(Fraction(v)) for v in witness],
         }
     return [float(v) for v in witness]
 
 
-def _run_relax(args) -> tuple[int, dict]:
-    exact = args.arith == "rational"
-    problem = problems.load_problem(_existing(args.input), exact)
+# ---------------------------------------------------------------------------
+# modes: each returns its exit code, its JSON report and its text lines
+
+
+def _solve_pop(problem, level: str, exact: bool, max_boxes: int, eps=None, degree=None):
+    """Branch-and-bound on ``problem``, with the tolerance ``eps``, else the
+    file's "epsilon", else 1e-6: the result and its wall time."""
+    if eps is None:
+        eps = 1e-6 if problem.epsilon is None else problem.epsilon
+    cfg = bnb_mod.BnbConfig(level=level, epsilon=eps, max_boxes=max_boxes, exact=exact)
+    t0 = time.perf_counter()
+    result = bnb_mod.branch_and_bound(
+        problem.objective, problem.all_constraints(), problem.box, cfg, degree=degree
+    )
+    return result, time.perf_counter() - t0
+
+
+def _verify(case, level: str, exact: bool, max_boxes: int):
+    """The case's verdict, its bounds as ``_bounds_json`` reports them, and
+    whether both certification runs ended within ``max_boxes``."""
+    cfg = bnb_mod.BnbConfig(level=level, max_boxes=max_boxes, exact=exact)
+    verdict = lyap_mod.verify_lyapunov(case, cfg)
+    bounds = _bounds_json({"v_bound": verdict.v_bound, "vdot_bound": verdict.vdot_bound})
+    return verdict, bounds, not (verdict.v_run.exhausted or verdict.vdot_run.exhausted)
+
+
+def _run_relax(args, exact: bool) -> tuple[int, dict, list[str]]:
+    problem = problems.load_problem(args.input, exact)
     p = problem.objective
     degree = _parse_degree(args.degree, p.degree) if args.degree else None
     t, *g_tensors = bnb_mod.relaxation_tensors(p, problem.all_constraints(), problem.box, degree, exact)
@@ -99,221 +194,113 @@ def _run_relax(args) -> tuple[int, dict]:
         if point is None and not g_tensors:
             point = witness(bf, out)
     bounds = _bounds_json(named)
+    lines = [
+        f"problem {problem.name}  degree {bf.degree}",
+        *_bound_lines(bounds, {key: f"{key:>5}" for key in named}, ".10g"),
+    ]
     report = {
-        "mode": "relax",
-        "problem": problem.name,
-        "level": args.level,
-        "degree": list(bf.degree),
-        "bounds": bounds,
-        "timings": timings,
+        "mode": "relax", "problem": problem.name, "level": args.level,
+        "degree": list(bf.degree), "bounds": bounds, "timings": timings,
     }
     if "exact_bounds" in bounds:
         report["exact_bounds"] = bounds.pop("exact_bounds")
     if args.level == LEVEL_2:
-        bounds["p2_activated_rows"] = len(out.activated_rows)
-        bounds["p2_iterations"] = out.iterations
-        bounds["p2_pivots"] = out.pivots
+        rows, iterations, pivots = len(out.activated_rows), out.iterations, out.pivots
+        bounds.update(p2_activated_rows=rows, p2_iterations=iterations, p2_pivots=pivots)
+        lines.append(f"  cut rows activated: {rows} in {iterations} iterations ({pivots} pivots)")
     if point is not None:
         report["witness"] = _witness_json(problem.box.point(point), exact)
-    return 0, report
+        lines.append(f"  witness: {report['witness']}")
+    return 0, report, lines
 
 
-def _bnb_section(result, exact: bool) -> dict:
+def _run_bnb(args, exact: bool) -> tuple[int, dict, list[str]]:
+    problem = problems.load_problem(args.input, exact)
+    degree = _parse_degree(args.degree, problem.objective.degree) if args.degree else None
+    result, elapsed = _solve_pop(problem, args.level, exact, args.max_boxes, args.eps, degree)
     stats = dataclasses.asdict(result.stats)
     del stats["elapsed"], stats["edge_elapsed"]  # the timings section reports them
-    return {
+    section = {
         **_bounds_json({"lower": result.lower_bound, "upper": result.upper_bound}),
         "witness": _witness_json(result.witness, exact),
         "converged": result.converged,
         "stats": stats,
     }
-
-
-def _run_bnb(args) -> tuple[int, dict]:
-    exact = args.arith == "rational"
-    problem = problems.load_problem(_existing(args.input), exact)
-    degree = None
-    if args.degree:
-        degree = _parse_degree(args.degree, problem.objective.degree)
-    eps = args.eps if args.eps is not None else problem.epsilon or 1e-6
-    cfg = bnb_mod.BnbConfig(level=args.level, epsilon=eps, max_boxes=args.max_boxes, exact=exact)
-    t0 = time.perf_counter()
-    result = bnb_mod.branch_and_bound(
-        problem.objective, problem.all_constraints(), problem.box, cfg, degree=degree
-    )
-    elapsed = time.perf_counter() - t0
     report = {
-        "mode": "bnb",
-        "problem": problem.name,
-        "level": args.level,
-        "bnb": _bnb_section(result, exact),
-        "timings": {
-            "total": elapsed,
-            "main": result.stats.elapsed,
-            "edge": result.stats.edge_elapsed,
-        },
+        "mode": "bnb", "problem": problem.name, "level": args.level, "bnb": section,
+        "timings": {"total": elapsed, "main": result.stats.elapsed, "edge": result.stats.edge_elapsed},
     }
-    return (0 if result.converged else 2), report
+    lower, upper = _bound_texts(section, ("lower", "upper"), ".10g")
+    lines = [
+        format_report([report_row(problem.name, args.level, result)]),
+        f"bounds: [{lower}, {upper}]  converged: {result.converged}",
+    ]
+    if result.witness is not None:
+        lines.append(f"witness: {section['witness']}")
+    return (0 if result.converged else 2), report, lines
 
 
-def _run_lyapunov(args) -> tuple[int, dict]:
-    exact = args.arith == "rational"
-    case = lyap_mod.load_lyapunov_case(_existing(args.input), exact)
-    cfg = lyap_mod.default_config(max_boxes=args.max_boxes)
-    cfg.level = args.level
-    cfg.exact = exact
-    verdict = lyap_mod.verify_lyapunov(case, cfg)
-    reached = not (verdict.v_run.exhausted or verdict.vdot_run.exhausted)
+def _run_lyapunov(args, exact: bool) -> tuple[int, dict, list[str]]:
+    case = lyap_mod.load_lyapunov_case(args.input, exact)
+    verdict, bounds, reached = _verify(case, args.level, exact, args.max_boxes)
+    v_run, vdot_run = verdict.v_run, verdict.vdot_run
     report = {
         "mode": "lyapunov",
         "problem": case.name,
-        "level": cfg.level,
-        "verdict": {
-            **_bounds_json({"v_bound": verdict.v_bound, "vdot_bound": verdict.vdot_bound}),
-            "stable": verdict.stable,
-            "nodes": [verdict.v_run.nodes, verdict.vdot_run.nodes],
-        },
-        "timings": {
-            "v": verdict.v_run.elapsed,
-            "vdot": verdict.vdot_run.elapsed,
-        },
+        "level": args.level,
+        "verdict": {**bounds, "stable": verdict.stable, "nodes": [v_run.nodes, vdot_run.nodes]},
+        "timings": {"v": v_run.elapsed, "vdot": vdot_run.elapsed},
     }
-    return (0 if reached else 2), report
+    mark = "verified" if verdict.stable else "NOT verified"
+    lines = [
+        f"case {case.name} (level {args.level}): {mark}",
+        *_bound_lines(bounds, {"v_bound": "p_V*   ", "vdot_bound": "p_Vdot*"}, ".6g"),
+    ]
+    return (0 if reached else 2), report, lines
 
 
-def _run_bench(args) -> tuple[int, dict]:
-    exact = args.arith == "rational"
+def _run_bench(args, exact: bool) -> tuple[int, dict, list[str]]:
     registry = lyap_mod.benchmark_registry(exact)
     pops, cases = registry["pop"], registry["lyapunov"]
     names = args.names or sorted(pops) + sorted(cases)
     for name in names:
         if name not in pops and name not in cases:
             raise ValueError(f"unknown benchmark {name!r}")
-    results = [
-        _bench_pop(name, pops[name], args.level, exact) if name in pops
-        else _bench_lyapunov(name, cases[name], args.level, exact)
-        for name in names
-    ]
-    ok = all(r.pop("_ok") for r in results)
-    report = {"mode": "bench", "level": args.level, "results": results}
-    return (0 if ok else 2), report
-
-
-def _bench_pop(name: str, problem, level: str, exact: bool) -> dict:
-    cfg = bnb_mod.BnbConfig(
-        level=level, epsilon=problem.epsilon or 1e-6, max_boxes=200_000, exact=exact,
-    )
-    t0 = time.perf_counter()
-    result = bnb_mod.branch_and_bound(
-        problem.objective, problem.all_constraints(), problem.box, cfg
-    )
-    row = bnb_mod.report_row(name, level, result)
-    bounds = _bounds_json({"lower": result.lower_bound, "upper": result.upper_bound})
-    if "exact_bounds" in bounds:
-        row["exact_bounds"] = bounds["exact_bounds"]
-    row["kind"] = "pop"
-    row["known_optimum"] = problem.known_optimum
-    row["time_total"] = time.perf_counter() - t0
-    row["_ok"] = result.converged
-    return row
-
-
-def _bench_lyapunov(name: str, case, level: str, exact: bool) -> dict:
-    cfg = lyap_mod.default_config()
-    cfg.level = level
-    cfg.exact = exact
-    verdict = lyap_mod.verify_lyapunov(case, cfg)
-    row = {
-        "kind": "lyapunov",
-        "label": name,
-        "level": level,
-        **_bounds_json({"v_bound": verdict.v_bound, "vdot_bound": verdict.vdot_bound}),
-        "stable": verdict.stable,
-        "expected": case.expected_verdict,
-        "time_total": verdict.v_run.elapsed + verdict.vdot_run.elapsed,
-        "_ok": not (verdict.v_run.exhausted or verdict.vdot_run.exhausted),
-    }
-    if case.note:
-        row["note"] = case.note
-    return row
-
-
-def _print_report(report: dict, output: str) -> None:
-    if output == "json":
-        sys.stdout.write(problems.canonical_json(report))
-        return
-    mode = report["mode"]
-    if mode == "relax":
-        print(f"problem {report['problem']}  degree {tuple(report['degree'])}")
-        for key in ("p0", "first", "p1", "p2"):
-            if key in report["bounds"]:
-                value = report["bounds"][key]
-                exact_str = report.get("exact_bounds", {}).get(key)
-                line = f"  {key:>5} = {bnb_mod.report_text(value, exact_str, '.10g')}"
-                if exact_str is not None and value is not None:
-                    line += f"  (= {exact_str})"
-                print(line)
-        if "p2_activated_rows" in report["bounds"]:
-            print(
-                f"  cut rows activated: {report['bounds']['p2_activated_rows']}"
-                f" in {report['bounds']['p2_iterations']} iterations"
-                f" ({report['bounds']['p2_pivots']} pivots)"
-            )
-        if "witness" in report:
-            print(f"  witness: {report['witness']}")
-    elif mode == "bnb":
-        sec = report["bnb"]
-        s = sec["stats"]
+    results, lyap_lines, ok = [], [], True
+    for name in names:
+        if name in pops:
+            result, elapsed = _solve_pop(pops[name], args.level, exact, 200_000)
+            row = report_row(name, args.level, result)
+            row.update(kind="pop", known_optimum=pops[name].known_optimum, time_total=elapsed)
+            results.append(row)
+            ok = ok and result.converged
+            continue
+        case = cases[name]
+        verdict, bounds, reached = _verify(case, args.level, exact, 50_000)
         row = {
-            "label": report["problem"],
-            "level": report["level"],
-            "sub": s["subdivisions"],
-            "time": report["timings"]["main"],
-            "cutoff": s["cutoff_count"],
-            "mono": s["mono_count"],
-            "sub_edge": s["edge_subdivisions"],
-            "cutoff_edge": s["edge_cutoffs"],
-            "time_edge": report["timings"]["edge"],
-            "opt": sec["upper"],
-            "exact_bounds": sec.get("exact_bounds", {}),
+            "kind": "lyapunov",
+            "label": name,
+            "level": args.level,
+            **bounds,
+            "stable": verdict.stable,
+            "expected": case.expected_verdict,
+            "time_total": verdict.v_run.elapsed + verdict.vdot_run.elapsed,
         }
-        print(bnb_mod.format_report([row]))
-        lower, upper = (
-            bnb_mod.report_text(sec[key], row["exact_bounds"].get(key), ".10g")
-            for key in ("lower", "upper")
+        ok = ok and reached
+        v_text, vdot_text = _bound_texts(bounds, ("v_bound", "vdot_bound"), ".6g")
+        mark = "ok" if verdict.stable == (case.expected_verdict == "pass") else "DIFFERS"
+        lyap_lines.append(
+            f"{name}: p_V*={v_text} p_Vdot*={vdot_text} "
+            f"{'verified' if verdict.stable else 'not verified'} "
+            f"(expected {case.expected_verdict}; {mark})"
         )
-        print(f"bounds: [{lower}, {upper}]  converged: {sec['converged']}")
-        if sec["witness"] is not None:
-            print(f"witness: {sec['witness']}")
-    elif mode == "lyapunov":
-        v = report["verdict"]
-        mark = "verified" if v["stable"] else "NOT verified"
-        print(f"case {report['problem']} (level {report['level']}): {mark}")
-        exact_strs = v.get("exact_bounds", {})
-        for label, key in (("p_V*   ", "v_bound"), ("p_Vdot*", "vdot_bound")):
-            line = f"  {label} = {bnb_mod.report_text(v[key], exact_strs.get(key), '.6g')}"
-            if key in exact_strs and v[key] is not None:
-                line += f"  (= {exact_strs[key]})"
-            print(line)
-    else:  # bench
-        pop_rows = [r for r in report["results"] if r["kind"] == "pop"]
-        if pop_rows:
-            print(bnb_mod.format_report(pop_rows))
-        for r in report["results"]:
-            if r["kind"] == "lyapunov":
-                mark = "ok" if r["stable"] == (r["expected"] == "pass") else "DIFFERS"
-                v_bound, vdot_bound = (
-                    bnb_mod.report_text(r[key], r.get("exact_bounds", {}).get(key), ".6g")
-                    for key in ("v_bound", "vdot_bound")
-                )
-                print(
-                    f"{r['label']}: p_V*={v_bound} "
-                    f"p_Vdot*={vdot_bound} "
-                    f"{'verified' if r['stable'] else 'not verified'} "
-                    f"(expected {r['expected']}; {mark})"
-                )
-                if "note" in r:
-                    print(f"  note: {r['note']}")
+        if case.note:
+            row["note"] = case.note
+            lyap_lines.append(f"  note: {case.note}")
+        results.append(row)
+    pop_rows = [r for r in results if r["kind"] == "pop"]
+    lines = ([format_report(pop_rows)] if pop_rows else []) + lyap_lines
+    return (0 if ok else 2), {"mode": "bench", "level": args.level, "results": results}, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,26 +343,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    runners = {
-        "relax": _run_relax,
-        "bnb": _run_bnb,
-        "lyapunov": _run_lyapunov,
-        "bench": _run_bench,
-    }
+    runners = {"relax": _run_relax, "bnb": _run_bnb, "lyapunov": _run_lyapunov, "bench": _run_bench}
     try:
-        code, report = runners[args.mode](args)
-        _print_report(report, args.output)  # a non-finite value in JSON is a ValueError
+        code, report, lines = runners[args.mode](args, args.arith == "rational")
+        # a non-finite value in JSON is a ValueError
+        text = problems.canonical_json(report) if args.output == "json" else "\n".join(lines) + "\n"
     except json.JSONDecodeError as err:
         print(f"error: malformed JSON input: {err}", file=sys.stderr)
         return 1
-    except FileNotFoundError as err:
-        print(f"error: cannot read input file: {err}", file=sys.stderr)
+    except OSError as err:  # a missing path, a directory, no permission
+        print(f"error: cannot read input file: {err.filename}", file=sys.stderr)
         return 1
     except (ValueError, OverflowError) as err:  # e.g. an exact result beyond binary64
         print(f"error: {err}", file=sys.stderr)
         return 1
+    sys.stdout.write(text)
     return code
-
 
 if __name__ == "__main__":  # pragma: no cover
     sys.exit(main())

@@ -189,8 +189,8 @@ def verify_lyapunov(case: LyapunovCase, cfg: Optional[BnbConfig] = None) -> Verd
 
 
 def load_lyapunov_case(source, exact: bool = False) -> LyapunovCase:
-    """Build a case from a fixture dict, JSON text or JSON file with
-    plain-text polys."""
+    """Build a case from a fixture dict or a JSON file with plain-text
+    polys."""
     data, _ = read_json_object(source, "Lyapunov case file")
     try:
         dim = checked(data["dimension"], int, '"dimension" must be an integer')

@@ -1,4 +1,4 @@
-"""Problem JSON schema and the bundled benchmark registry.
+"""Problem JSON schema, its loaders and the bundled fixture files.
 
 A problem file looks like::
 
@@ -10,10 +10,11 @@ A problem file looks like::
 
 Coefficients are numbers or strings; strings such as ``"1/3"`` always
 parse as exact rationals, and in rational mode every number is read
-exactly from its decimal literal.  ``constraints_poly`` entries mean
-g(x) <= 0.  Lyapunov fixture files carry plain-text polynomials instead
-(``V``, ``odes``) plus the derivative polynomial printed in the source
-benches for cross-checking.
+exactly from its decimal literal.  A boolean is never a number.
+``constraints_poly`` entries mean g(x) <= 0.  Lyapunov fixture files
+carry plain-text polynomials instead (``V``, ``odes``) plus the
+derivative polynomial printed in the source benches for cross-checking;
+``lyapunov`` loads them and holds the benchmark registry.
 """
 
 from __future__ import annotations
@@ -33,7 +34,10 @@ def parse_coeff(value, exact: bool = False):
     """Number or string to a scalar; strings (e.g. "1/3") are exact, and
     in exact mode a float is read from its decimal literal."""
     if isinstance(value, str):
-        value = Fraction(value)
+        try:
+            value = Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"bad coefficient {value!r}: division by zero") from None
     elif isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"bad coefficient {value!r}")
     elif exact and isinstance(value, float):
@@ -42,9 +46,9 @@ def parse_coeff(value, exact: bool = False):
 
 
 def checked(value, kind, what: str):
-    """``value`` if it is an instance of ``kind``; a ValueError saying
-    ``what`` it must be otherwise."""
-    if not isinstance(value, kind):
+    """``value`` if it is an instance of ``kind`` and not a bool; a
+    ValueError saying ``what`` it must be otherwise."""
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{what}, got {value!r}")
     return value
 
@@ -100,23 +104,19 @@ def parse_box(data: dict, key: str, exact: bool = False) -> Box:
 
 
 def read_json_object(source, what: str) -> tuple[dict, Optional[str]]:
-    """The JSON object of a file path, of JSON text, or a dict as given,
-    with the file's stem (None for text or a dict); a ValueError saying
-    that ``what`` must contain a JSON object otherwise."""
-    stem = None
-    if isinstance(source, (str, Path)) and Path(str(source)).exists():
-        data, stem = json.loads(Path(source).read_text()), Path(source).stem
-    elif isinstance(source, str):
-        data = json.loads(source)
-    else:
-        data = source
+    """The JSON object of a file path, or a dict as given, with the file's
+    stem (None for a dict); a ValueError saying that ``what`` must contain
+    a JSON object otherwise.  A path that cannot be read is an OSError."""
+    if isinstance(source, dict):
+        return source, None
+    data = json.loads(Path(source).read_text())
     if not isinstance(data, dict):
         raise ValueError(f"{what} must contain a JSON object")
-    return data, stem
+    return data, Path(source).stem
 
 
 def load_problem(source, exact: bool = False) -> PopProblem:
-    """Parse a problem from a dict, JSON text, or file path."""
+    """Parse a problem from a dict or a file path."""
     data, stem = read_json_object(source, "problem file")
     num = (int, float, type(None))
     try:

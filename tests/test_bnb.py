@@ -15,8 +15,6 @@ from bernpop.bnb import (
     branch_and_bound,
     cutoff_test,
     edge_subproblem,
-    format_report,
-    report_row,
     sample_upper_bound,
     split_node,
 )
@@ -312,17 +310,6 @@ def test_bound_soundness_on_random_boxes(rng):
         for level in ("0", "first", "1", "2"):
             out = bound_at_level(bf, level)
             assert out.bound <= sampled + 1e-7
-
-
-def test_report_row_and_format():
-    res = branch_and_bound(
-        Polynomial(1, {(2,): 1}), (), Box((-1.0,), (1.0,)),
-        BnbConfig(level="0", epsilon=1e-6),
-    )
-    row = report_row("square", "0", res)
-    assert row["label"] == "square" and row["opt"] == pytest.approx(res.upper_bound)
-    text = format_report([row])
-    assert "Sub" in text and "square" in text.splitlines()[1]
 
 
 def _derivative_signs(p, box):

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from bernpop.cli import main
+from bernpop.bnb import BnbConfig, branch_and_bound
+from bernpop.cli import format_report, main, report_row
+from bernpop.poly import Box, Polynomial
 from bernpop.problems import canonical_json
 
 
@@ -84,6 +86,15 @@ def test_missing_file_distinct_error(capsys):
     code, _, err = _run(capsys, ["relax", "/no/such/file.json"])
     assert code == 1
     assert "cannot read input" in err
+
+
+@pytest.mark.parametrize("mode", ["relax", "bnb", "lyapunov"])
+def test_unreadable_input_is_a_clean_error(capsys, tmp_path, mode):
+    # a directory once ended in an IsADirectoryError traceback
+    for path in (str(tmp_path), str(tmp_path / "missing.json")):
+        code, out, err = _run(capsys, [mode, path])
+        assert code == 1 and out == ""
+        assert err == f"error: cannot read input file: {path}\n"
 
 
 def test_dimension_mismatch_distinct_error(tmp_path, capsys):
@@ -188,6 +199,24 @@ def test_bench_selected_names(capsys):
     assert kinds == {"square1d": "pop", "lyap1": "lyapunov"}
 
 
+def test_bench_rows_stay_clean_after_an_unreached_case(capsys, monkeypatch):
+    # an unreached case once stopped the scan that stripped an internal
+    # "_ok" flag from the rows, so every later row printed it
+    import bernpop.lyapunov as lyap_mod
+
+    real = lyap_mod.verify_lyapunov
+
+    def exhausted(case, cfg=None):
+        verdict = real(case, cfg)
+        verdict.v_run.exhausted = True
+        return verdict
+
+    monkeypatch.setattr(lyap_mod, "verify_lyapunov", exhausted)
+    code, out, _ = _run(capsys, ["bench", "--output", "json", "lyap1", "square1d"])
+    assert code == 2
+    assert all("_ok" not in row for row in json.loads(out)["results"])
+
+
 def test_bench_unknown_name(capsys):
     code, _, err = _run(capsys, ["bench", "nonexistent"])
     assert code == 1
@@ -203,6 +232,17 @@ def test_text_output_table_shape(capsys, fixture_dir):
     header = out.splitlines()[0]
     for col in ("ID", "Ineq", "Sub", "Time", "Cutoff", "Mono", "Sub*", "Cutoff*", "Time*", "Opt"):
         assert col in header
+
+
+def test_report_row_and_format():
+    res = branch_and_bound(
+        Polynomial(1, {(2,): 1}), (), Box((-1.0,), (1.0,)),
+        BnbConfig(level="0", epsilon=1e-6),
+    )
+    row = report_row("square", "0", res)
+    assert row["label"] == "square" and row["opt"] == pytest.approx(res.upper_bound)
+    text = format_report([row])
+    assert "Sub" in text and "square" in text.splitlines()[1]
 
 
 def _write_problem(tmp_path, name, data):
@@ -450,12 +490,22 @@ _CLEAN_PROBLEM = {
         ("objective", [{"exponents": [2.5], "coeff": 1}], "must be non-negative integers"),
         ("objective", [{"exponents": ["2"], "coeff": 1}], "must be non-negative integers"),
         ("objective", [{"exponents": [True], "coeff": 1}], "must be non-negative integers"),
+        # once a ZeroDivisionError traceback
+        ("objective", [{"exponents": [2], "coeff": "1/0"}], "bad coefficient '1/0'"),
+        ("box", {"lower": ["1/0"], "upper": [1]}, "bad coefficient '1/0'"),
+        ("constraints_linear", {"A": [["1/0"]], "b": [1]}, "bad coefficient '1/0'"),
+        # once a TypeError traceback, a run with epsilon 1 and an echoed true
+        ("dimension", True, '"dimension" must be an integer'),
+        ("epsilon", True, '"epsilon" must be a number'),
+        ("known_optimum", True, '"known_optimum" must be a number'),
     ],
     ids=[
         "box as a list", "box bounds as numbers", "objective as one term", "terms as lists",
         "dimension as a list", "constraints as a number", "constraint as one term",
         "linear constraints as a list", "linear row as a number", "epsilon as a string",
-        "float exponent", "string exponent", "bool exponent",
+        "float exponent", "string exponent", "bool exponent", "zero denominator coefficient",
+        "zero denominator box bound", "zero denominator linear entry", "bool dimension",
+        "bool epsilon", "bool known optimum",
     ],
 )
 def test_bnb_wrongly_shaped_problem_is_a_clean_error(capsys, tmp_path, key, value, message):
@@ -463,6 +513,17 @@ def test_bnb_wrongly_shaped_problem_is_a_clean_error(capsys, tmp_path, key, valu
     code, out, err = _run(capsys, ["bnb", path])
     assert code == 1 and out == ""
     assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
+def test_file_epsilon_is_used_when_present(capsys, tmp_path):
+    # a file's epsilon of 0 was once replaced by 1e-6; --eps 0 is an error too
+    path = _write_problem(tmp_path, "eps", {**_CLEAN_PROBLEM, "epsilon": 0})
+    for argv in (["bnb", path], ["bnb", "--eps", "0", _write_problem(tmp_path, "ok", _CLEAN_PROBLEM)]):
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == "" and err == "error: epsilon must be positive\n"
+    # --eps overrides the file's value
+    code, out, _ = _run(capsys, ["bnb", "--eps", "1e-6", path])
+    assert code == 0 and "converged: True" in out
 
 
 _CLEAN_CASE = {
@@ -487,11 +548,16 @@ _CLEAN_CASE = {
         ("V", "x^", "cannot parse polynomial"),
         # once read as 23x^2
         ("V", "2 3x^2", "whitespace inside a term"),
+        # once a ZeroDivisionError traceback
+        ("region", {"lower": ["1/0"], "upper": [1]}, "bad coefficient '1/0'"),
+        # once read as dimension 1
+        ("dimension", True, '"dimension" must be an integer'),
     ],
     ids=[
         "region as a list", "V as a number", "odes as a string", "ode as a number",
         "dimension as a list", "variables as a number", "variable as a number",
         "fractional power", "negative power", "power without digits", "space inside a term",
+        "zero denominator region bound", "bool dimension",
     ],
 )
 def test_lyapunov_wrongly_shaped_case_is_a_clean_error(capsys, tmp_path, key, value, message):

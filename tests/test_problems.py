@@ -131,7 +131,10 @@ def test_read_json_object_from_path_text_or_dict(tmp_path):
     path.write_text('{"a": 1}')
     assert read_json_object(str(path), "case file") == ({"a": 1}, "case")
     assert read_json_object(path, "case file") == ({"a": 1}, "case")
-    assert read_json_object('{"a": 1}', "case file") == ({"a": 1}, None)
     assert read_json_object({"a": 1}, "case file") == ({"a": 1}, None)
+    path.write_text("[1, 2]")
     with pytest.raises(ValueError, match="case file must contain a JSON object"):
-        read_json_object("[1, 2]", "case file")
+        read_json_object(path, "case file")
+    # a string is always a path, never JSON text
+    with pytest.raises(FileNotFoundError):
+        read_json_object('{"a": 1}', "case file")
