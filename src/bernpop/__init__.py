@@ -15,7 +15,6 @@ from .relax import (
 from .bnb import BnbConfig, BnbResult, BnbStats, branch_and_bound
 from .lyapunov import (
     LyapunovCase,
-    OdeSystem,
     Verdict,
     benchmark_registry,
     verify_lyapunov,
@@ -30,7 +29,6 @@ __all__ = [
     "CutMatrix",
     "LPSolution",
     "LyapunovCase",
-    "OdeSystem",
     "Polynomial",
     "RelaxationOutcome",
     "Verdict",

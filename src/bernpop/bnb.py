@@ -143,9 +143,7 @@ def relaxation_tensors(p: Polynomial, constraints: Sequence, box: Box, degree=No
     (default: the objective's), raised where a constraint needs more.  A
     float tensor must be finite: where binary64 overflows on the box, this
     is a ValueError that points to exact arithmetic."""
-    delta = tuple(degree) if degree is not None else p.degree
-    for g in constraints:
-        delta = tuple(max(a, b) for a, b in zip(delta, g.degree))
+    delta = tuple(map(max, zip(degree or p.degree, *(g.degree for g in constraints))))
     F = field(exact)
     with np.errstate(over="ignore", invalid="ignore"):  # the tensors are checked below
         try:
@@ -334,8 +332,8 @@ def _solve_problem(box, tensors, cfg, state, lift, stats, depth):
     coefficient, a valid bound on the box.
     """
     F, delta = field_of(tensors[0]), tuple(s - 1 for s in tensors[0].shape)
-    u = None if cfg.level == LEVEL_0 else upper_bounds(delta, exact=cfg.exact)
-    cuts = None if cfg.level != LEVEL_2 else build_cut_matrix(delta, cfg.exact)
+    u = None if cfg.level == LEVEL_0 else upper_bounds(delta, exact=F.exact)
+    cuts = None if cfg.level != LEVEL_2 else build_cut_matrix(delta, F.exact)
 
     counter = itertools.count()
     root_bound = BernsteinForm(tensors[0]).minimum[0]

@@ -158,7 +158,7 @@ def _solve_pop(problem, level: str, exact: bool, max_boxes: int, eps=None, degre
     cfg = bnb_mod.BnbConfig(level=level, epsilon=eps, max_boxes=max_boxes, exact=exact)
     t0 = time.perf_counter()
     result = bnb_mod.branch_and_bound(
-        problem.objective, problem.all_constraints(), problem.box, cfg, degree=degree
+        problem.objective, problem.constraints_poly, problem.box, cfg, degree=degree
     )
     return result, time.perf_counter() - t0
 
@@ -176,7 +176,7 @@ def _run_relax(args, exact: bool) -> tuple[int, dict, list[str]]:
     problem = problems.load_problem(args.input, exact)
     p = problem.objective
     degree = _parse_degree(args.degree, p.degree) if args.degree else None
-    t, *g_tensors = bnb_mod.relaxation_tensors(p, problem.all_constraints(), problem.box, degree, exact)
+    t, *g_tensors = bnb_mod.relaxation_tensors(p, problem.constraints_poly, problem.box, degree, exact)
     bf = BernsteinForm(t)
     extra_rows = constraint_rows(g_tensors)
     u = upper_bounds(bf.degree, exact=exact)

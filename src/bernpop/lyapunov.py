@@ -36,7 +36,7 @@ from .problems import (
     pop_fixture_names,
     read_json_object,
 )
-from .relax import LEVEL_FIRST, bound_at_level
+from .relax import LEVEL_2, LEVEL_FIRST, bound_at_level, build_cut_matrix
 
 # a float-mode certificate counts as verified once both bounds clear this
 # precision; exact mode needs both bounds >= 0
@@ -48,26 +48,12 @@ _STALL_FACTOR = 4
 
 
 @dataclass(frozen=True)
-class OdeSystem:
-    dimension: int
-    f: tuple
-
-    def __post_init__(self):
-        if len(self.f) != self.dimension:
-            raise ValueError("vector field length does not match dimension")
-        for component in self.f:
-            if component.dimension != self.dimension:
-                raise ValueError("vector field component dimension mismatch")
-
-
-@dataclass(frozen=True)
 class LyapunovCase:
     name: str
-    system: OdeSystem
+    odes: tuple  # the vector field f, one polynomial per variable
     v: Polynomial
     region: Box
     expected_verdict: str  # "pass" | "fail"
-    printed_vdot: Optional[Polynomial] = None
     note: Optional[str] = None  # what the fixture says about its verdict
 
 
@@ -121,6 +107,7 @@ def certify_nonnegative(p: Polynomial, region: Box, cfg: Optional[BnbConfig] = N
     # box gets its tensor by splitting its parent's
     (root,) = relaxation_tensors(p, (), region, exact=F.exact)
     u = upper_bounds(p.degree, exact=F.exact)
+    cuts = None if cfg.level != LEVEL_2 else build_cut_matrix(p.degree, F.exact)
     # depth-first entries: (box, tensor, gray ancestor bounds, guaranteed
     # parent bound); the history restarts once a box lies in a single
     # orthant, because the zero-decomposition splits before that are
@@ -137,7 +124,7 @@ def certify_nonnegative(p: Polynomial, region: Box, cfg: Optional[BnbConfig] = N
         box, tensor, hist, _ = stack.pop()
         run.nodes += 1
         bf = BernsteinForm(tensor)
-        outcome = bound_at_level(bf, cfg.level, u=u)
+        outcome = bound_at_level(bf, cfg.level, u=u, cuts=cuts)
         bound = outcome.bound
         straddles = any(lo < 0 < hi for lo, hi in zip(box.lower, box.upper))
         if bound >= threshold:
@@ -170,7 +157,7 @@ def verify_lyapunov(case: LyapunovCase, cfg: Optional[BnbConfig] = None) -> Verd
     v0 = v.eval(tuple(0 for _ in range(v.dimension)))
     if abs(v0) > F.tol(1e-12):
         warnings.warn(f"{case.name}: V(0) = {v0}, expected 0")
-    vdot = lie_derivative(v, [f.convert(F.of) for f in case.system.f])
+    vdot = lie_derivative(v, [f.convert(F.of) for f in case.odes])
     v_run = certify_nonnegative(v, case.region, cfg)
     vdot_run = certify_nonnegative(-vdot, case.region, cfg)
     tol = F.tol(STABILITY_TOL)
@@ -189,31 +176,35 @@ def verify_lyapunov(case: LyapunovCase, cfg: Optional[BnbConfig] = None) -> Verd
 
 
 def load_lyapunov_case(source, exact: bool = False) -> LyapunovCase:
-    """Build a case from a fixture dict or a JSON file with plain-text
-    polys."""
+    """A case from a fixture dict or a JSON file path, with plain-text polynomials."""
     data, _ = read_json_object(source, "Lyapunov case file")
     try:
         dim = checked(data["dimension"], int, '"dimension" must be an integer')
         variables = data.get("variables", ["x", "y", "z"][:dim])
-        for name in checked(variables, list, '"variables" must be a list of names'):
-            checked(name, str, '"variables" must be a list of names')
+        letters = isinstance(variables, list) and all(
+            isinstance(v, str) and len(v) == 1 and v.isascii() and v.isalpha() for v in variables
+        )
+        if not letters or len(set(variables)) != len(variables) or len(variables) != dim:
+            what = f'"variables" must be a list of names, {dim} distinct single letters'
+            raise ValueError(f"{what}, got {variables!r}")
         v = poly_from_text(data["V"], variables, exact)
         odes = checked(data["odes"], list, '"odes" must be a list of strings')
+        if len(odes) != dim:
+            raise ValueError("vector field length does not match dimension")
         f = tuple(poly_from_text(ode, variables, exact) for ode in odes)
         region = parse_box(data, "region", exact)
     except KeyError as missing:
         raise ValueError(f"Lyapunov case file is missing key {missing}") from None
-    printed = None
-    if data.get("printed_vdot"):
-        printed = poly_from_text(data["printed_vdot"], variables, exact)
+    verdict = data.get("expected_verdict", "pass")
+    if verdict not in ("pass", "fail"):
+        raise ValueError(f'"expected_verdict" must be "pass" or "fail", got {verdict!r}')
     return LyapunovCase(
-        name=data.get("name", "case"),
-        system=OdeSystem(dim, f),
+        name=checked(data.get("name", "case"), str, '"name" must be a string'),
+        odes=f,
         v=v,
         region=region,
-        expected_verdict=data.get("expected_verdict", "pass"),
-        printed_vdot=printed,
-        note=data.get("note"),
+        expected_verdict=verdict,
+        note=checked(data.get("note"), (str, type(None)), '"note" must be a string'),
     )
 
 

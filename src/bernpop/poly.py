@@ -42,13 +42,14 @@ class Polynomial:
     """A sparse polynomial sum_I c_I x^I with a per-variable degree vector.
 
     ``terms`` maps exponent tuples to nonzero coefficients.  ``degree`` is
-    the componentwise maximum of the exponents, or a user-supplied
-    elevation of it (never smaller).
+    the componentwise maximum of the exponents.  A relaxation at a higher
+    degree elevates the Bernstein form, not the polynomial: see
+    ``bernstein.to_bernstein``'s ``degree``, ``bnb.relaxation_tensors``'s
+    ``degree`` and the CLI's ``--degree``.
     """
 
     dimension: int
     terms: Mapping[Index, object] = field(default_factory=dict)
-    degree: Index = ()
 
     def __post_init__(self):
         clean = {}
@@ -68,32 +69,23 @@ class Polynomial:
             if coeff == 0:
                 continue
             clean[idx] = clean.get(idx, 0) + coeff if idx in clean else coeff
-        natural = tuple(
-            max((idx[l] for idx in clean), default=0) for l in range(self.dimension)
-        )
-        if self.degree == ():
-            deg = natural
-        else:
-            deg = tuple(int(d) for d in self.degree)
-            if len(deg) != self.dimension or any(d < n for d, n in zip(deg, natural)):
-                raise ValueError(f"degree {deg} is below the terms' degree {natural}")
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "degree", deg)
 
     @classmethod
-    def _derived(cls, dimension: int, terms: Mapping, degree: Index | None = None) -> "Polynomial":
+    def _derived(cls, dimension: int, terms: Mapping) -> "Polynomial":
         """A polynomial built from a valid one: ``terms`` has distinct
-        tuples of ``dimension`` non-negative ints as keys, and ``degree``,
-        when given, is at least the terms' own.  Zero coefficients are
-        dropped; nothing else is checked."""
+        tuples of ``dimension`` non-negative ints as keys.  Zero
+        coefficients are dropped; nothing else is checked."""
         clean = {idx: c for idx, c in terms.items() if c != 0}
-        if degree is None:
-            degree = tuple(map(max, zip(*clean))) if clean else (0,) * dimension
         out = object.__new__(cls)
         object.__setattr__(out, "dimension", dimension)
         object.__setattr__(out, "terms", clean)
-        object.__setattr__(out, "degree", degree)
         return out
+
+    @property
+    def degree(self) -> Index:
+        """The componentwise maximum of the exponents; zeros with no term."""
+        return tuple(map(max, zip(*self.terms))) if self.terms else (0,) * self.dimension
 
     # -- constructors -------------------------------------------------
 
@@ -147,7 +139,7 @@ class Polynomial:
     def convert(self, of) -> "Polynomial":
         """The same polynomial with every coefficient passed through ``of``
         (a field's ``of``: float, or Fraction, which converts exactly)."""
-        return Polynomial._derived(self.dimension, {i: of(c) for i, c in self.terms.items()}, self.degree)
+        return Polynomial._derived(self.dimension, {i: of(c) for i, c in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
@@ -306,7 +298,10 @@ def _expand(lead: np.ndarray, exps: np.ndarray, tables: Sequence[tuple]) -> tupl
 def to_unit_box(p: Polynomial, box: Box) -> tuple[Polynomial, Box]:
     """Rewrite ``p`` on ``box`` as a polynomial on [0,1]^n.
 
-    Returns ``q`` with q(z) = p(box.point(z)), and the box.  Substituting
+    Returns ``q`` with q(z) = p(box.point(z)), and the box.  Like every
+    polynomial, ``q`` has its own terms' degree, which is at most ``p``'s,
+    so a caller that needs one tensor shape passes its relaxation degree
+    to ``to_bernstein`` (as ``bnb.relaxation_tensors`` does).  Substituting
     x_j = o_j + s_j z_j expands the term c x^e into c times the product of
     the per-axis rows C(e_j, t) s_j^t o_j^(e_j - t), t = 0..e_j, with exact
     integer binomials.  The expansion is Fractions when a coefficient or a
@@ -361,9 +356,7 @@ def to_unit_box(p: Polynomial, box: Box) -> tuple[Polynomial, Box]:
     order = np.concatenate(order)
     keys = map(tuple, np.indices(shape).reshape(n, size).T[order].tolist())
     terms = dict(zip(keys, F.over(total[order], den).tolist()))
-    # keep the source degree vector: substitution cannot raise it, and the
-    # Bernstein machinery expects the same tensor shape on every box
-    return Polynomial._derived(n, terms, p.degree), box
+    return Polynomial._derived(n, terms), box
 
 
 def restrict_facet(p: Polynomial, axis: int, value) -> Polynomial:

@@ -11,9 +11,11 @@ A problem file looks like::
 Coefficients are numbers or strings; strings such as ``"1/3"`` always
 parse as exact rationals, and in rational mode every number is read
 exactly from its decimal literal.  A boolean is never a number.
-``constraints_poly`` entries mean g(x) <= 0.  Lyapunov fixture files
-carry plain-text polynomials instead (``V``, ``odes``) plus the
-derivative polynomial printed in the source benches for cross-checking;
+``constraints_poly`` entries mean g(x) <= 0, and each linear row
+a.x <= b loads as one more of them, the degree-1 a.x - b, after the
+file's own.  Lyapunov fixture files carry plain-text polynomials instead
+(``V``, ``odes``; the derivative printed in the source benches,
+``printed_vdot``, is for the tests' cross-check and not read here);
 ``lyapunov`` loads them and holds the benchmark registry.
 """
 
@@ -72,25 +74,9 @@ class PopProblem:
     name: str
     objective: Polynomial
     box: Box
-    constraints_poly: tuple
-    constraints_linear: Optional[tuple]  # (A, b) in original coordinates
+    constraints_poly: tuple  # every side constraint g(x) <= 0, linear rows last
     known_optimum: Optional[float] = None
     epsilon: Optional[float] = None
-
-    def all_constraints(self) -> tuple:
-        """Every side constraint as a polynomial g(x) <= 0: the polynomial
-        ones, then each linear row a.x <= b as the degree-1 a.x - b (with
-        Fraction coefficients when the problem was read exactly)."""
-        n = self.objective.dimension
-        linear = []
-        if self.constraints_linear:
-            a_mat, b_vec = self.constraints_linear
-            for row, b in zip(a_mat, b_vec):
-                terms = {(0,) * n: -b}
-                for j, a in enumerate(row):
-                    terms[tuple(int(l == j) for l in range(n))] = a
-                linear.append(Polynomial(n, terms))
-        return tuple(self.constraints_poly) + tuple(linear)
 
 
 def parse_box(data: dict, key: str, exact: bool = False) -> Box:
@@ -123,10 +109,8 @@ def load_problem(source, exact: bool = False) -> PopProblem:
         dim = checked(data["dimension"], int, '"dimension" must be an integer')
         objective = poly_from_terms(dim, data["objective"], exact)
         box = parse_box(data, "box", exact)
-        polys = data.get("constraints_poly", [])
-        checked(polys, list, '"constraints_poly" must be a list')
-        constraints = tuple(poly_from_terms(dim, entry, exact) for entry in polys)
-        linear = None
+        polys = checked(data.get("constraints_poly", []), list, '"constraints_poly" must be a list')
+        constraints = [poly_from_terms(dim, entry, exact) for entry in polys]
         if data.get("constraints_linear"):
             what = '"constraints_linear" must be an object with a list of rows "A" and a list "b"'
             lin = checked(data["constraints_linear"], dict, what)
@@ -137,17 +121,18 @@ def load_problem(source, exact: bool = False) -> PopProblem:
             b_vec = [parse_coeff(v, exact) for v in checked(lin["b"], list, what)]
             if any(len(row) != dim for row in a_mat) or len(a_mat) != len(b_vec):
                 raise ValueError("constraints_linear shapes are inconsistent")
-            linear = (a_mat, b_vec)
+            units = [tuple(int(l == j) for l in range(dim)) for j in range(dim)]
+            for row, b in zip(a_mat, b_vec):  # a.x <= b as a.x - b <= 0
+                constraints.append(Polynomial(dim, {(0,) * dim: -b, **dict(zip(units, row))}))
     except KeyError as missing:
         raise ValueError(f"problem file is missing key {missing}") from None
     if box.dimension != dim:
         raise ValueError("box dimension does not match problem dimension")
     return PopProblem(
-        name=data.get("name", stem or "problem"),
+        name=checked(data.get("name", stem or "problem"), str, '"name" must be a string'),
         objective=objective,
         box=box,
-        constraints_poly=constraints,
-        constraints_linear=linear,
+        constraints_poly=tuple(constraints),
         known_optimum=checked(data.get("known_optimum"), num, '"known_optimum" must be a number'),
         epsilon=checked(data.get("epsilon"), num, '"epsilon" must be a number'),
     )

@@ -23,6 +23,7 @@ import pytest
 from bernpop import simplex
 from bernpop.bernstein import _beta_peak, field, outer_chain, to_bernstein
 from bernpop.poly import Box, Polynomial, lie_derivative, to_unit_box
+from bernpop.problems import load_fixture, poly_from_text
 from bernpop.relax import _greedy_knapsack, nominal_point
 
 
@@ -166,9 +167,7 @@ def loop_to_unit_box(p: Polynomial, box: Box) -> tuple[Polynomial, Box]:
             partial = nxt
         for key, c in partial.items():
             terms[key] = terms.get(key, 0) + c
-    # keep the source degree vector: substitution cannot raise it, and the
-    # Bernstein machinery expects the same tensor shape on every box
-    return Polynomial(p.dimension, terms, degree=p.degree), box
+    return Polynomial(p.dimension, terms), box
 
 
 def loop_bernstein_eval(coeffs, degree, point):
@@ -405,15 +404,18 @@ def bernstein_to_polynomial(bf) -> Polynomial:
 
 def cross_check_appendix_derivatives(registry, tol: float = 1e-9) -> list[dict]:
     """Compare the recomputed flow derivative of each bundled case against
-    the derivative polynomial printed in its source, term by term."""
+    the derivative polynomial printed in its source (the fixture's
+    ``printed_vdot`` text), term by term."""
     reports = []
     for name, case in registry["lyapunov"].items():
-        computed = lie_derivative(case.v, case.system.f)
+        computed = lie_derivative(case.v, case.odes)
+        data = load_fixture(name)
         diffs = {}
-        if case.printed_vdot is not None:
-            for idx in sorted(set(computed.terms) | set(case.printed_vdot.terms)):
+        if data.get("printed_vdot"):
+            printed = poly_from_text(data["printed_vdot"], data["variables"])
+            for idx in sorted(set(computed.terms) | set(printed.terms)):
                 a = float(computed.terms.get(idx, 0))
-                b = float(case.printed_vdot.terms.get(idx, 0))
+                b = float(printed.terms.get(idx, 0))
                 if abs(a - b) > tol:
                     diffs[idx] = (a, b)
         reports.append({"name": name, "match": not diffs, "diffs": diffs})

@@ -169,7 +169,7 @@ def test_criterion_5_lyapunov_verdicts():
         # 1.6667, not 5/3); in exact arithmetic dV/dt is positive at points
         # of the closed box, so no sound verifier may certify it
         exact7 = load_lyapunov_case(load_fixture("lyap7"), exact=True)
-        vdot7 = lie_derivative(exact7.v, exact7.system.f)
+        vdot7 = lie_derivative(exact7.v, exact7.odes)
         assert vdot7.eval((Fraction(1), Fraction(-1), Fraction(1))) == Fraction(1, 5000)
         assert vdot7.eval((Fraction(-1), Fraction(0), Fraction(0))) == Fraction(1, 10000)
         v7 = verdicts["lyap7"]

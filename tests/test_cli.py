@@ -8,7 +8,7 @@ import pytest
 from bernpop.bnb import BnbConfig, branch_and_bound
 from bernpop.cli import format_report, main, report_row
 from bernpop.poly import Box, Polynomial
-from bernpop.problems import canonical_json
+from bernpop.problems import canonical_json, load_problem
 
 
 @pytest.fixture()
@@ -293,6 +293,49 @@ def test_relax_linear_constraints_rational(capsys, tmp_path):
     assert report["exact_bounds"]["p2"] == "-1"
 
 
+# minimise x^2 + y^2 - xy/2 on [-1,1]^2 subject to y - x^2 - 1/2 <= 0 and
+# -x - y <= -1/2; the linear row moves the optimum from 0 at (0, 0) to 3/32
+# at (1/4, 1/4)
+_CONSTRAINED_PROBLEM = {
+    "dimension": 2,
+    "objective": [
+        {"exponents": [2, 0], "coeff": 1}, {"exponents": [0, 2], "coeff": 1},
+        {"exponents": [1, 1], "coeff": "-1/2"},
+    ],
+    "box": {"lower": [-1, -1], "upper": [1, 1]},
+    "constraints_poly": [[
+        {"exponents": [0, 1], "coeff": 1}, {"exponents": [2, 0], "coeff": -1},
+        {"exponents": [0, 0], "coeff": -0.5},
+    ]],
+    "constraints_linear": {"A": [[-1, -1]], "b": [-0.5]},
+}
+
+
+@pytest.mark.parametrize("arith", ["float", "rational"])
+def test_loaded_constraints_are_every_constraint_of_the_file(capsys, tmp_path, arith):
+    # a library caller that passes the loaded problem's constraints_poly gets
+    # the CLI's answer, and its witness satisfies every row of the file; a
+    # linear row kept apart from constraints_poly was once dropped here
+    path = _write_problem(tmp_path, "constrained", _CONSTRAINED_PROBLEM)
+    exact = arith == "rational"
+    problem = load_problem(path, exact)
+    cfg = BnbConfig(level="1", exact=exact)
+    result = branch_and_bound(problem.objective, problem.constraints_poly, problem.box, cfg)
+    code, out, _ = _run(capsys, ["bnb", "--level", "1", "--arith", arith, "--output", "json", path])
+    sec = json.loads(out)["bnb"]
+    assert code == 0 and result.converged and sec["converged"]
+    assert [float(result.lower_bound), float(result.upper_bound)] == [sec["lower"], sec["upper"]]
+    witness = [Fraction(v) for v in result.witness]
+    if exact:
+        assert sec["exact_bounds"] == {"lower": str(result.lower_bound), "upper": "3/32"}
+        assert sec["witness"]["exact"] == [str(v) for v in witness]
+    else:
+        assert sec["witness"] == list(result.witness)
+    x, y = witness
+    assert y - x * x - Fraction(1, 2) <= 0 and -x - y <= Fraction(-1, 2)
+    assert x * x + y * y - x * y / 2 == Fraction(result.upper_bound) == Fraction(3, 32)
+
+
 @pytest.mark.parametrize("level", ["0", "1", "2"])
 def test_bnb_prunes_infeasible_boxes(capsys, tmp_path, level):
     # minimise x^2 + y^2 - x on [-1,1]^2 subject to x + 1/2 <= 0; optimum 3/4 at (-1/2, 0)
@@ -498,6 +541,9 @@ _CLEAN_PROBLEM = {
         ("dimension", True, '"dimension" must be an integer'),
         ("epsilon", True, '"epsilon" must be a number'),
         ("known_optimum", True, '"known_optimum" must be a number'),
+        # once echoed as a Python repr: "problem {'a': 1}"
+        ("name", {"a": 1}, '"name" must be a string'),
+        ("name", [1], '"name" must be a string'),
     ],
     ids=[
         "box as a list", "box bounds as numbers", "objective as one term", "terms as lists",
@@ -505,7 +551,7 @@ _CLEAN_PROBLEM = {
         "linear constraints as a list", "linear row as a number", "epsilon as a string",
         "float exponent", "string exponent", "bool exponent", "zero denominator coefficient",
         "zero denominator box bound", "zero denominator linear entry", "bool dimension",
-        "bool epsilon", "bool known optimum",
+        "bool epsilon", "bool known optimum", "name as an object", "name as a list",
     ],
 )
 def test_bnb_wrongly_shaped_problem_is_a_clean_error(capsys, tmp_path, key, value, message):
@@ -552,12 +598,24 @@ _CLEAN_CASE = {
         ("region", {"lower": ["1/0"], "upper": [1]}, "bad coefficient '1/0'"),
         # once read as dimension 1
         ("dimension", True, '"dimension" must be an integer'),
+        # once read as x_1^2 and verified, and as "unknown variable 'x'"
+        ("variables", ["x", "x"], "1 distinct single letters"),
+        ("variables", ["xy"], "1 distinct single letters"),
+        ("variables", ["x", "y"], "1 distinct single letters"),
+        ("odes", ["-x", "-x"], "vector field length does not match dimension"),
+        # once echoed as a Python repr, or compared with "pass" whatever it was
+        ("name", [1], '"name" must be a string'),
+        ("note", 5, '"note" must be a string'),
+        ("expected_verdict", "yes", '"expected_verdict" must be "pass" or "fail"'),
+        ("expected_verdict", True, '"expected_verdict" must be "pass" or "fail"'),
     ],
     ids=[
         "region as a list", "V as a number", "odes as a string", "ode as a number",
         "dimension as a list", "variables as a number", "variable as a number",
         "fractional power", "negative power", "power without digits", "space inside a term",
-        "zero denominator region bound", "bool dimension",
+        "zero denominator region bound", "bool dimension", "repeated variable",
+        "two-letter variable", "too many variables", "too many odes", "name as a list",
+        "note as a number", "unknown verdict", "bool verdict",
     ],
 )
 def test_lyapunov_wrongly_shaped_case_is_a_clean_error(capsys, tmp_path, key, value, message):

@@ -6,7 +6,6 @@ import pytest
 from bernpop.lyapunov import (
     STABILITY_TOL,
     LyapunovCase,
-    OdeSystem,
     benchmark_registry,
     certify_nonnegative,
     default_config,
@@ -48,7 +47,7 @@ def test_transcription_glitch_is_reported_not_trusted(registry):
     diffs = reports["lyap9"]["diffs"]
     assert (1, 0, 4) in diffs
     case = registry["lyapunov"]["lyap9"]
-    vdot = lie_derivative(case.v, case.system.f)
+    vdot = lie_derivative(case.v, case.odes)
     assert vdot.terms[(1, 0, 4)] == pytest.approx(-1.0)
 
 
@@ -101,17 +100,18 @@ def test_verify_case8_rejected(registry):
 
 
 def test_ode_system_validation():
+    # one vector-field component per variable, each in every variable
     with pytest.raises(ValueError):
-        OdeSystem(2, (Polynomial.variable(2, 0),))
+        lie_derivative(Polynomial.variable(2, 0), (Polynomial.variable(2, 0),))
     with pytest.raises(ValueError):
-        OdeSystem(1, (Polynomial.variable(2, 0),))
+        lie_derivative(Polynomial.variable(1, 0), (Polynomial.variable(2, 0),))
 
 
 def test_nonzero_at_origin_warns():
     v = Polynomial(1, {(2,): 1.0, (0,): 1.0})
     case = LyapunovCase(
         name="shifted",
-        system=OdeSystem(1, (Polynomial(1, {(1,): -1.0}),)),
+        odes=(Polynomial(1, {(1,): -1.0}),),
         v=v,
         region=Box((-1.0,), (1.0,)),
         expected_verdict="pass",
@@ -173,7 +173,7 @@ def test_exact_verdict_on_float_data_is_exact_in_that_data():
     floats = load_lyapunov_case(load_fixture("lyap7"))
     fractions = LyapunovCase(
         floats.name,
-        OdeSystem(floats.system.dimension, tuple(f.convert(Fraction) for f in floats.system.f)),
+        tuple(f.convert(Fraction) for f in floats.odes),
         floats.v.convert(Fraction), floats.region, floats.expected_verdict,
     )
     cfg = default_config()
@@ -223,3 +223,25 @@ def test_bad_region_is_a_value_error(region):
     for exact in (False, True):
         with pytest.raises(ValueError):
             load_lyapunov_case(data, exact)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_level2_certification_builds_one_cut_matrix(monkeypatch, exact):
+    # every box of a level-2 run shares one cut matrix, as branch-and-bound's
+    # boxes do; it was once rebuilt for each box
+    import bernpop.lyapunov
+    import bernpop.relax
+
+    build, calls = bernpop.relax.build_cut_matrix, []
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(bernpop.relax, "build_cut_matrix", counted)
+    monkeypatch.setattr(bernpop.lyapunov, "build_cut_matrix", counted, raising=False)
+    cfg = default_config()
+    cfg.level, cfg.exact = "2", exact
+    p = Polynomial(2, {(2, 0): 1.0, (1, 1): -0.8, (0, 2): 1.0})
+    run = certify_nonnegative(p, Box((-1.0, -1.0), (1.0, 1.0)), cfg)
+    assert run.nodes > 1 and calls == [((2, 2), exact)]

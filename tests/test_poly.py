@@ -81,13 +81,13 @@ def test_constructor_accepts_numpy_integer_exponents():
 def test_derived_polynomials_equal_validated_ones(rng):
     # sums, products, negation, derivatives, scaling, conversion and the
     # unit-box map skip validation; each result is what the validating
-    # constructor builds from its terms and degree
+    # constructor builds from its terms
     for _ in range(10):
         p, q = random_polynomial(rng, 2, 3), random_polynomial(rng, 2, 3)
         box = random_box(rng, 2)
         for r in (p + q, p - q, p * q, -p, p.derivative(1), p.scale(3), p.convert(Fraction),
                   to_unit_box(p, box)[0], p - p):
-            again = Polynomial(r.dimension, r.terms, r.degree)
+            again = Polynomial(r.dimension, r.terms)
             assert (r.terms, r.degree) == (again.terms, again.degree)
             assert all(c != 0 for c in r.terms.values())
             assert all(type(e) is int for idx in r.terms for e in idx)

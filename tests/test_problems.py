@@ -52,11 +52,11 @@ def test_load_problem_full_schema():
     }
     prob = load_problem(data)
     assert prob.objective.terms == {(2, 0): 1.0}
-    assert len(prob.constraints_poly) == 1
-    assert prob.constraints_linear[1] == [1.0]
+    assert len(prob.constraints_poly) == 2
+    assert prob.constraints_poly[1].terms == {(0, 0): -1.0, (1, 0): 1.0, (0, 1): 1.0}
 
 
-def test_all_constraints_turns_linear_rows_into_polynomials():
+def test_linear_rows_load_as_polynomial_constraints():
     data = {
         "dimension": 2,
         "objective": [{"exponents": [2, 0], "coeff": 1}],
@@ -64,7 +64,7 @@ def test_all_constraints_turns_linear_rows_into_polynomials():
         "constraints_poly": [[{"exponents": [1, 0], "coeff": 1}]],
         "constraints_linear": {"A": [[0.1, -2], [0, 3]], "b": ["1/3", 0]},
     }
-    poly_g, row1, row2 = load_problem(data, exact=True).all_constraints()
+    poly_g, row1, row2 = load_problem(data, exact=True).constraints_poly
     assert poly_g.terms == {(1, 0): 1}
     assert row1.terms == {(1, 0): Fraction(1, 10), (0, 1): -2, (0, 0): Fraction(-1, 3)}
     assert all(isinstance(c, Fraction) for c in row1.terms.values())
