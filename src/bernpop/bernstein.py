@@ -2,32 +2,30 @@
 
 Conversion from the monomial basis, de Casteljau evaluation and
 subdivision, and the basis upper bounds B(I/delta).  A polynomial's
-Bernstein form is one coefficient tensor of shape (delta_1+1, ...,
-delta_n+1): float64 for binary64 coefficients, or an
-object array of Fractions for exact ones.  A ``Field`` carries what the
+Bernstein form is its coefficient tensor of shape (delta_1+1, ...,
+delta_n+1), held as one image (N, D) with the tensor N / D: N is the
+float64 tensor and D is 1 in binary64, N an object array of Python ints
+and D a positive int in exact arithmetic.  A ``Field`` carries what the
 two differ in (dtype, constants, conversion, ratios, tolerances, the
 integer image); the caller names it at an entry point (``to_bernstein``
 infers it from the coefficients only when it is left out), and below
-that it is read off the tensor's dtype by ``field_of``.  Every kernel
-works on the whole tensor with per-axis array operations (outer products
-of per-axis vectors, de Casteljau steps on whole slices along one axis),
+that it is read off N's dtype by ``field_of``.  Every kernel works on
+the whole tensor with per-axis array operations (outer products of
+per-axis vectors, de Casteljau steps on whole slices along one axis),
 applied in the same arithmetic order as the per-coefficient formulas, so
-both fields give the values those formulas give.  Flat positions, where a
-caller needs them, are the tensor's row-major order.
+both fields give the values those formulas give.  Flat positions, where
+a caller needs them, are the tensor's row-major order.
 
 Float conversion adds the terms' outer products a block of terms at a
 time, one term after another, so each coefficient is the per-monomial
-loop's to the bit.  The tensor is Fractions, but exact
-kernels compute on its integer image (``integer_image``: integer
-numerators over one common denominator): conversion contracts the dense
-numerator tensor with one integer matrix per axis, subdivision, ordering
-and sign tests run on Python ints, and Fractions are built only for what
-a kernel returns.
+loop's to the bit.  Exact conversion contracts the integer image of the
+coefficients with one integer matrix per axis, and subdivision maps an
+image to its pieces'.  Orderings and signs read N, since D > 0, and
+Fractions are built only for the values a caller asks for in the field.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import numbers
@@ -46,33 +44,34 @@ _EXACT_INT = 2**53
 
 @dataclass(frozen=True, eq=False)
 class BernsteinForm:
-    """Coefficient tensor of a polynomial in the degree-delta basis."""
+    """A polynomial's coefficient tensor in the degree-delta basis, as
+    ``numer / den``: a float64 ``numer`` over 1, or an object array of
+    Python ints over one positive int."""
 
-    tensor: np.ndarray
-    degree: Index = dataclasses.field(init=False)
+    numer: np.ndarray
+    den: int = 1
 
-    def __post_init__(self):
-        object.__setattr__(self, "degree", tuple(s - 1 for s in self.tensor.shape))
+    @property
+    def degree(self) -> Index:
+        return tuple(s - 1 for s in self.numer.shape)
 
     @property
     def dimension(self) -> int:
         return len(self.degree)
 
     @functools.cached_property
-    def image(self) -> tuple[np.ndarray, object]:
-        """The tensor's ``Field.image`` (N, D), built once per form: the
-        tensor itself over 1 in float, integer numerators over their least
-        common denominator in exact mode.  N orders and signs as the
-        tensor does, so the minimum and the monotonicity signs read it."""
-        return field_of(self.tensor).image(self.tensor)
+    def tensor(self) -> np.ndarray:
+        """The coefficients in the field: ``numer`` itself in float, and
+        in exact mode its Fractions, built on first use."""
+        return np.asarray(field_of(self.numer).over(self.numer, self.den), dtype=self.numer.dtype)
 
     @functools.cached_property
     def minimum(self) -> tuple[object, Index]:
-        """Smallest coefficient and its lexicographically first index, found
-        once per form (on the image)."""
-        pos = int(self.image[0].argmin())
-        idx = np.unravel_index(pos, self.tensor.shape)
-        return self.tensor.item(pos), tuple(int(i) for i in idx)
+        """Smallest coefficient and its lexicographically first index,
+        found once per form on ``numer``."""
+        pos = int(self.numer.argmin())
+        idx = np.unravel_index(pos, self.numer.shape)
+        return field_of(self.numer).over(self.numer.item(pos), self.den), tuple(int(i) for i in idx)
 
 
 @dataclass(frozen=True)
@@ -83,8 +82,9 @@ class Field:
     is a float tolerance: t, or 0 in exact arithmetic.  ``image(a)`` is a
     pair (N, D) with a == N / D, D > 0 and N an array ordered as a is:
     float64 arrays over 1, Fractions as ``integer_image``; ``over(N, D)``
-    is the array N / D in the field.  ``finite(a)`` says that no entry of
-    a is an infinity or a NaN (Fractions never are)."""
+    is N / D in the field for an array or a number N (N itself in float,
+    where D is 1).  ``finite(a)`` says that no entry of a is an infinity
+    or a NaN (Fractions never are)."""
 
     exact: bool
     dtype: type
@@ -112,20 +112,15 @@ def integer_image(values) -> tuple[np.ndarray, int]:
 
 
 _fractions = np.frompyfunc(Fraction, 1, 1)  # Fraction(v) elementwise over object arrays
-_ratios = np.frompyfunc(Fraction, 2, 1)  # Fraction(n, d) elementwise
-
-
-def _over(numer: np.ndarray, den: int) -> np.ndarray:
-    """The Fractions N / D, as an object array shaped as N."""
-    return np.asarray(_ratios(numer, den), dtype=object)
+_ratios = np.frompyfunc(Fraction, 2, 1)  # Fraction(n, d) elementwise, or of one pair
 
 FLOAT = Field(False, float, 0.0, 1.0, 0.5, of=float, ratio=operator.truediv,
               array=lambda v: np.asarray(v, dtype=float), tol=lambda t: t,
-              image=lambda v: (np.asarray(v, dtype=float), 1), over=operator.truediv,
+              image=lambda v: (np.asarray(v, dtype=float), 1), over=lambda v, d: v,
               finite=lambda v: bool(np.isfinite(v).all()))
 EXACT = Field(True, object, Fraction(0), Fraction(1), Fraction(1, 2), of=Fraction, ratio=Fraction,
               array=lambda v: _fractions(np.array(v, dtype=object)), tol=lambda t: 0,
-              image=integer_image, over=_over, finite=lambda v: True)
+              image=integer_image, over=_ratios, finite=lambda v: True)
 
 
 def field(exact: bool) -> Field:
@@ -134,7 +129,7 @@ def field(exact: bool) -> Field:
 
 
 def field_of(tensor: np.ndarray) -> Field:
-    """The field of a coefficient tensor: exact iff its dtype is object."""
+    """The field of a tensor or a form's ``numer``: exact iff its dtype is object."""
     return EXACT if tensor.dtype == object else FLOAT
 
 
@@ -163,7 +158,7 @@ def to_bernstein(
     Python ints and rounded once.  Exact conversion is a
     contraction: on the dense integer image N / D of the coefficients,
     axis l applies the integer matrix C(i, j) L_l / C(delta_l, j), with
-    L_l the lcm of the C(delta_l, j), and b = N' / (D prod_l L_l).
+    L_l the lcm of the C(delta_l, j), and the form is (N', D prod_l L_l).
     """
     delta = tuple(degree) if degree is not None else p.degree
     if len(delta) != p.dimension:
@@ -183,7 +178,7 @@ def to_bernstein(
             matrix, lcm = _contraction(d)
             dense = np.moveaxis(np.tensordot(matrix, dense, axes=([1], [l])), 0, l)
             den *= lcm
-        return BernsteinForm(_over(dense, den))
+        return BernsteinForm(dense, den)
     count, n = len(p.terms), len(delta)
     exps = np.array(list(p.terms), dtype=np.intp).reshape(count, n)
     tables = [_binomials(d) for d in delta]
@@ -260,36 +255,34 @@ def axis_view(tensor: np.ndarray, axis: int) -> np.ndarray:
     return tensor.reshape(math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:]))
 
 
-def subdivide(tensor: np.ndarray, axis: int, t, image=None) -> tuple[np.ndarray, np.ndarray]:
-    """De Casteljau split of a coefficient tensor along ``axis`` at t in (0,1).
+def subdivide(bf: BernsteinForm, axis: int, t) -> tuple[BernsteinForm, BernsteinForm]:
+    """De Casteljau split of a form along ``axis`` at t in (0,1).
 
-    Returns the tensors of the two pieces [0,t] and [t,1] of that axis, each
+    Returns the forms of the two pieces [0,t] and [t,1] of that axis, each
     on its own unit box.  The steps run on whole slices of ``axis_view``.
     Every float step is c_i + t (c_{i+1} - c_i), which keeps a tensor that
-    is constant along an axis exactly constant.  An exact tensor needs a rational t = p/q (an int or a Fraction): on the
-    integer image N / D each step is (q - p) N_i + p N_{i+1}, step r lies
-    over D q^r, and both pieces are returned over D q^d.  ``image`` is that
-    (N, D) when the caller has it already (``BernsteinForm.image``).
+    is constant along an axis exactly constant.  An exact form needs a
+    rational t = p/q (an int or a Fraction).  Each step r is then
+    (q - p) N_i + p N_{i+1} on the numerators, over D q^r, and both pieces
+    are scaled to one denominator D q^d, left unreduced.
     """
-    shape = tensor.shape
-    d = shape[axis] - 1
-    if field_of(tensor).exact:
+    shape, d = bf.numer.shape, bf.degree[axis]
+    if field_of(bf.numer).exact:
         if not isinstance(t, numbers.Rational):
-            raise ValueError(f"split point {t!r} of an exact tensor is not rational")
+            raise ValueError(f"split point {t!r} of an exact form is not rational")
         p, q = t.numerator, t.denominator
-        numer, den = image if image is not None else integer_image(tensor)
-        rows = axis_view(numer, axis)
+        rows = axis_view(bf.numer, axis)
         left, right = np.empty_like(rows), np.empty_like(rows)
         left[:, 0], right[:, d] = rows[:, 0] * q**d, rows[:, d] * q**d
         for r in range(1, d + 1):
             rows = (q - p) * rows[:, :-1] + p * rows[:, 1:]
             scale = q ** (d - r)
             left[:, r], right[:, d - r] = rows[:, 0] * scale, rows[:, -1] * scale
-        den *= q**d
-        return _over(left, den).reshape(shape), _over(right, den).reshape(shape)
+        den = bf.den * q**d
+        return BernsteinForm(left.reshape(shape), den), BernsteinForm(right.reshape(shape), den)
     # step r overwrites indices 0..d-r in place and index d-r keeps it, so
     # the finished array is the right piece
-    right = axis_view(tensor, axis).copy()
+    right = axis_view(bf.numer, axis).copy()
     left = np.empty_like(right)
     left[:, 0] = right[:, 0]
     for r in range(1, d + 1):
@@ -297,7 +290,7 @@ def subdivide(tensor: np.ndarray, axis: int, t, image=None) -> tuple[np.ndarray,
         step *= t
         right[:, : d - r + 1] += step
         left[:, r] = right[:, 0]
-    return left.reshape(shape), right.reshape(shape)
+    return BernsteinForm(left.reshape(shape)), BernsteinForm(right.reshape(shape))
 
 
 def bernstein_eval(bf: BernsteinForm, point: Sequence) -> object:

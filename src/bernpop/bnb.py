@@ -1,20 +1,20 @@
 """Branch-and-bound global minimization over boxes.
 
 A (sub)problem is its box and, per box, one representation: the Bernstein
-coefficient tensor of the objective on it (and one per polynomial
-constraint).  Only the root is converted from the monomial basis
-(``relaxation_tensors``); children get their tensors by a de Casteljau
-split of the parent along the bisected axis, and edge subproblems by a
-face slice.  A popped box first offers its sample points to the
-incumbent (its centre and its smallest coefficient's grid point), and is
-then bounded at the configured relaxation level only as far as the
-incumbent cutoff needs: the bound stops at its first value that reaches
-the cutoff (see ``relax.bound_at_level``'s ``stop_at``).  A bound that
-ran to the end with an LP solution z also offers z's nominal point.  The
-box is then resolved by one of: infeasibility (some constraint tensor is
-positive, or the box's LP has no feasible point), the incumbent cutoff
-test (which closes every box whose bound one of the offered points
-attains, since the incumbent is then at most that bound), the
+form of the objective on it (and one per polynomial constraint).  Only
+the root is converted from the monomial basis (``relaxation_tensors``);
+children get their forms by a de Casteljau split of the parent along the
+bisected axis, and edge subproblems by a face slice.  A popped box first
+offers its sample points to the incumbent (its centre and its smallest
+coefficient's grid point), and is then bounded at the configured
+relaxation level only as far as the incumbent cutoff needs: the bound
+stops at its first value that reaches the cutoff (see
+``relax.bound_at_level``'s ``stop_at``).  A bound that ran to the end
+with an LP solution z also offers z's nominal point.  The box is then
+resolved by one of: infeasibility (some constraint's coefficients are
+all positive, or the box's LP has no feasible point), the incumbent
+cutoff test (which closes every box whose bound one of the offered
+points attains, since the incumbent is then at most that bound), the
 monotonicity test (which spawns a reduced "edge" subproblem solved
 recursively), or bisection.
 
@@ -118,14 +118,13 @@ def cutoff_test(lower: object, incumbent: object, epsilon) -> bool:
     return threshold is not None and lower >= threshold
 
 
-def split_node(box: Box, tensors: tuple, strategy: str, image=None) -> tuple[tuple, tuple]:
-    """Bisect the widest axis of ``box`` and split each of its coefficient
-    tensors alongside; returns (left box, left tensors), (right box, right
-    tensors).  The zero-centered strategy splits at the origin instead of
+def split_node(box: Box, forms: tuple, strategy: str) -> tuple[tuple, tuple]:
+    """Bisect the widest axis of ``box`` and split each of its Bernstein
+    forms alongside; returns (left box, left forms), (right box, right
+    forms).  The zero-centered strategy splits at the origin instead of
     the midpoint whenever it lies strictly inside that side.  The box's
-    coordinates are in the tensors' field (float with no tensors).
-    ``image`` is the first tensor's ``BernsteinForm.image``, if known."""
-    F = field_of(tensors[0]) if tensors else FLOAT
+    coordinates are in the forms' field (float with no forms)."""
+    F = field_of(forms[0].numer) if forms else FLOAT
     axis = box.widest_axis()
     lo, hi = box.lower[axis], box.upper[axis]
     at, t = lo + (hi - lo) / 2, F.half
@@ -133,31 +132,31 @@ def split_node(box: Box, tensors: tuple, strategy: str, image=None) -> tuple[tup
         at = F.zero
         t = (at - lo) / (hi - lo)
     left, right = box.split(axis, at)
-    halves = [subdivide(x, axis, t, image if i == 0 else None) for i, x in enumerate(tensors)]
+    halves = [subdivide(bf, axis, t) for bf in forms]
     return (left, tuple(h[0] for h in halves)), (right, tuple(h[1] for h in halves))
 
 
 def relaxation_tensors(p: Polynomial, constraints: Sequence, box: Box, degree=None, exact=False):
-    """The coefficient tensors of ``p`` and of each constraint on ``box``
-    (Fractions when ``exact``), at the relaxation degree: ``degree``
+    """The Bernstein forms of ``p`` and of each constraint on ``box``
+    (exact when ``exact``), at the relaxation degree: ``degree``
     (default: the objective's), raised where a constraint needs more.  A
-    float tensor must be finite: where binary64 overflows on the box, this
+    float form must be finite: where binary64 overflows on the box, this
     is a ValueError that points to exact arithmetic."""
     delta = tuple(map(max, zip(degree or p.degree, *(g.degree for g in constraints))))
     F = field(exact)
-    with np.errstate(over="ignore", invalid="ignore"):  # the tensors are checked below
+    with np.errstate(over="ignore", invalid="ignore"):  # the forms are checked below
         try:
             units = (to_unit_box(f, box)[0] for f in (p, *constraints))
-            tensors = tuple(to_bernstein(q, delta, F.exact).tensor for q in units)
+            forms = tuple(to_bernstein(q, delta, F.exact) for q in units)
         except OverflowError:  # a float power or conversion beyond binary64
-            tensors = None
-    if tensors is None or not all(map(F.finite, tensors)):
+            forms = None
+    if forms is None or not all(F.finite(bf.numer) for bf in forms):
         raise ValueError("the coefficients on the box overflow binary64; run with --arith rational")
-    return tensors
+    return forms
 
 
 def _monotonicity_signs(bf: BernsteinForm) -> tuple[str, ...]:
-    """Per-axis derivative sign read off the coefficient tensor.
+    """Per-axis derivative sign read off the form's coefficients.
 
     The forward differences b_{I+e_r} - b_I are, up to the positive factor
     delta_r / width_r, the Bernstein coefficients of dp/dx_r on the box, so
@@ -165,13 +164,13 @@ def _monotonicity_signs(bf: BernsteinForm) -> tuple[str, ...]:
     An axis along which the tensor is constant gives '+': the objective
     does not depend on it, and fixing its lower bound is lossless.
 
-    The differences run on the form's image (an exact tensor's signs are
-    its numerators'), and only on axes that pass a screen by the first
-    smallest and first largest coefficients: a '+' axis has them at
-    indices 0 and delta_r, a '-' axis at delta_r and 0, and a constant
-    one both at 0.  Any other axis is 'mixed' without a difference.
+    The differences run on ``numer``, whose signs are theirs since ``den``
+    > 0, and only on axes that pass a screen by the first smallest and
+    first largest coefficients: a '+' axis has them at indices 0 and
+    delta_r, a '-' axis at delta_r and 0, and a constant one both at 0.
+    Any other axis is 'mixed' without a difference.
     """
-    values = bf.image[0]
+    values = bf.numer
     low = bf.minimum[1]
     high = np.unravel_index(int(values.argmax()), values.shape)
     signs = []
@@ -190,19 +189,20 @@ def _monotonicity_signs(bf: BernsteinForm) -> tuple[str, ...]:
     return tuple(signs)
 
 
-def _face(tensor: np.ndarray, signs: Sequence[str]) -> np.ndarray:
-    """Coefficient tensor of the face that ``edge_subproblem`` keeps: index
-    0 on '+' axes, delta_r on '-' axes, the whole range on mixed ones.  A
-    face with no mixed axis is a vertex, a 0-d tensor whose one
-    coefficient is the polynomial's value there."""
-    return tensor[(*({"+": 0, "-": -1}.get(s, slice(None)) for s in signs), ...)]
+def _face(bf: BernsteinForm, signs: Sequence[str]) -> BernsteinForm:
+    """Form of the face that ``edge_subproblem`` keeps: index 0 on '+'
+    axes, delta_r on '-' axes, the whole range on mixed ones.  A face with
+    no mixed axis is a vertex, a 0-d form whose one coefficient is the
+    polynomial's value there."""
+    index = tuple({"+": 0, "-": -1}.get(s, slice(None)) for s in signs)
+    return BernsteinForm(bf.numer[(*index, ...)], bf.den)
 
 
 def edge_subproblem(box: Box, signs: Sequence[str]) -> tuple[Optional[Box], list[tuple]]:
     """Fix every non-mixed axis at its active bound ('+' -> lower,
     '-' -> upper) and drop those variables.  Returns the reduced box (None
     when no axis remains) and the (axis, value) substitutions performed,
-    in original axis order; the face tensor (``_face``) is the reduced
+    in original axis order; the face form (``_face``) is the reduced
     problem's objective."""
     free = [r for r, s in enumerate(signs) if s == "mixed"]
     active = {"+": box.lower, "-": box.upper}
@@ -304,8 +304,8 @@ def branch_and_bound(
         lower = p.eval(())
         state.offer(())
     else:
-        tensors = relaxation_tensors(p, constraints, box, degree, F.exact)
-        lower = _solve_problem(box, tensors, cfg, state, lift=lambda pt: pt, stats=stats, depth=0)
+        forms = relaxation_tensors(p, constraints, box, degree, F.exact)
+        lower = _solve_problem(box, forms, cfg, state, lift=lambda pt: pt, stats=stats, depth=0)
     stats.elapsed = time.perf_counter() - start - stats.edge_elapsed
     upper = state.incumbent
     converged = (
@@ -320,24 +320,24 @@ def branch_and_bound(
     )
 
 
-def _solve_problem(box, tensors, cfg, state, lift, stats, depth):
+def _solve_problem(box, forms, cfg, state, lift, stats, depth):
     """Worklist loop for one (sub)problem; returns its lower bound.
 
-    ``tensors`` holds the coefficient tensors of the objective and of each
+    ``forms`` holds the Bernstein forms of the objective and of each
     constraint on ``box``, all of one degree; every box in the worklist
     carries its own tuple of them, and they are all the loop reads of the
     problem.  ``lift`` maps a point of ``box`` to the top-level problem's
     coordinates.  Heap entries are (float key, tie counter, bound in the
-    run's field, box, tensors); the root's bound is its smallest
+    run's field, box, forms); the root's bound is its smallest
     coefficient, a valid bound on the box.
     """
-    F, delta = field_of(tensors[0]), tuple(s - 1 for s in tensors[0].shape)
+    F, delta = field_of(forms[0].numer), forms[0].degree
     u = None if cfg.level == LEVEL_0 else upper_bounds(delta, exact=F.exact)
     cuts = None if cfg.level != LEVEL_2 else build_cut_matrix(delta, F.exact)
 
     counter = itertools.count()
-    root_bound = BernsteinForm(tensors[0]).minimum[0]
-    heap: list = [(_heap_key(root_bound), next(counter), root_bound, box, tensors)]
+    root_bound = forms[0].minimum[0]
+    heap: list = [(_heap_key(root_bound), next(counter), root_bound, box, forms)]
     contrib = None
 
     def add_contrib(value):
@@ -351,22 +351,22 @@ def _solve_problem(box, tensors, cfg, state, lift, stats, depth):
             while heap:
                 add_contrib(heapq.heappop(heap)[2])
             break
-        _, _, _, cur, (t, *g_tensors) = heapq.heappop(heap)
+        _, _, _, cur, (bf, *g_forms) = heapq.heappop(heap)
         if depth == 0:
             stats.subdivisions += 1
         else:
             stats.edge_subdivisions += 1
 
-        if any(g.min() > 0 for g in g_tensors):
+        if any(g.numer.min() > 0 for g in g_forms):
             # some constraint is positive on the whole box: nothing feasible here
             stats.infeasible_count += 1
             continue
-        bf = BernsteinForm(t)
         # sample first, so that the bound need only reach the cutoff
         for pt in sample_upper_bound(cur, bf):
             state.offer(lift(pt))
         outcome = bound_at_level(
-            bf, cfg.level, u=u, cuts=cuts, extra_rows=constraint_rows(g_tensors),
+            bf, cfg.level, u=u, cuts=cuts,
+            extra_rows=None if u is None else constraint_rows(g_forms),  # level 0 reads no rows
             stop_at=cutoff_threshold(state.incumbent, state.epsilon),
         )
         stats.lp_solves += outcome.lp_solves
@@ -390,7 +390,7 @@ def _solve_problem(box, tensors, cfg, state, lift, stats, depth):
                 stats.edge_cutoffs += 1
             add_contrib(bound)
             continue
-        if not g_tensors:
+        if not g_forms:
             signs = _monotonicity_signs(bf)
             if any(s != "mixed" for s in signs):
                 stats.mono_count += 1
@@ -398,11 +398,11 @@ def _solve_problem(box, tensors, cfg, state, lift, stats, depth):
                 sub_lift = _make_lift(lift, fixed)
                 if reduced_box is None:  # a vertex: its one coefficient is the value there
                     state.offer(sub_lift(()))
-                    add_contrib(_face(t, signs).item())
+                    add_contrib(_face(bf, signs).tensor.item())
                 else:
                     t0 = time.perf_counter()
                     sub_lower = _solve_problem(
-                        reduced_box, (_face(t, signs),), cfg, state, sub_lift, stats, depth + 1,
+                        reduced_box, (_face(bf, signs),), cfg, state, sub_lift, stats, depth + 1,
                     )
                     if depth == 0:  # nested recursion is inside this window
                         stats.edge_elapsed += time.perf_counter() - t0
@@ -413,8 +413,8 @@ def _solve_problem(box, tensors, cfg, state, lift, stats, depth):
             add_contrib(bound)
             continue
         key = _heap_key(bound)
-        for child, child_tensors in split_node(cur, (t, *g_tensors), SPLIT_LONGEST, bf.image):
-            heapq.heappush(heap, (key, next(counter), bound, child, child_tensors))
+        for child, child_forms in split_node(cur, (bf, *g_forms), SPLIT_LONGEST):
+            heapq.heappush(heap, (key, next(counter), bound, child, child_forms))
 
     return contrib
 

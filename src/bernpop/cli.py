@@ -24,7 +24,7 @@ from typing import Sequence
 from . import bnb as bnb_mod
 from . import lyapunov as lyap_mod
 from . import problems
-from .bernstein import BernsteinForm, upper_bounds
+from .bernstein import upper_bounds
 from .relax import LEVEL_0, LEVEL_1, LEVEL_2, LEVEL_FIRST, bound_at_level, constraint_rows, witness
 
 # the level chain in order of strength, with each level's report key
@@ -176,9 +176,8 @@ def _run_relax(args, exact: bool) -> tuple[int, dict, list[str]]:
     problem = problems.load_problem(args.input, exact)
     p = problem.objective
     degree = _parse_degree(args.degree, p.degree) if args.degree else None
-    t, *g_tensors = bnb_mod.relaxation_tensors(p, problem.constraints_poly, problem.box, degree, exact)
-    bf = BernsteinForm(t)
-    extra_rows = constraint_rows(g_tensors)
+    bf, *g_forms = bnb_mod.relaxation_tensors(p, problem.constraints_poly, problem.box, degree, exact)
+    extra_rows = constraint_rows(g_forms)
     u = upper_bounds(bf.degree, exact=exact)
 
     named: dict = {}
@@ -191,7 +190,7 @@ def _run_relax(args, exact: bool) -> tuple[int, dict, list[str]]:
         out = bound_at_level(bf, level, u=u, extra_rows=extra_rows)
         timings[key] = time.perf_counter() - t0
         named[key] = out.bound
-        if point is None and not g_tensors:
+        if point is None and not g_forms:
             point = witness(bf, out)
     bounds = _bounds_json(named)
     lines = [

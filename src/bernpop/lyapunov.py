@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from .bernstein import BernsteinForm, field, upper_bounds
+from .bernstein import field, upper_bounds
 from .bernstein import to_bernstein  # noqa: F401  (unused; perfbench/spans.py traces this binding)
 from .bnb import MIN_BOX_WIDTH, SPLIT_ZERO, BnbConfig, relaxation_tensors, split_node
 from .poly import Box, Polynomial, lie_derivative
@@ -103,12 +103,12 @@ def certify_nonnegative(p: Polynomial, region: Box, cfg: Optional[BnbConfig] = N
     run = VerificationRun(0.0, 0, 0, 0, 0.0, False)
     lower = None
     threshold = -F.tol(STABILITY_TOL)
-    # the region's coefficient tensor is the only conversion; every other
-    # box gets its tensor by splitting its parent's
+    # the region's Bernstein form is the only conversion; every other box
+    # gets its form by splitting its parent's
     (root,) = relaxation_tensors(p, (), region, exact=F.exact)
     u = upper_bounds(p.degree, exact=F.exact)
     cuts = None if cfg.level != LEVEL_2 else build_cut_matrix(p.degree, F.exact)
-    # depth-first entries: (box, tensor, gray ancestor bounds, guaranteed
+    # depth-first entries: (box, form, gray ancestor bounds, guaranteed
     # parent bound); the history restarts once a box lies in a single
     # orthant, because the zero-decomposition splits before that are
     # structural, not chasing
@@ -121,9 +121,8 @@ def certify_nonnegative(p: Polynomial, region: Box, cfg: Optional[BnbConfig] = N
                 if lower is None or fallback < lower:
                     lower = fallback
             break
-        box, tensor, hist, _ = stack.pop()
+        box, bf, hist, _ = stack.pop()
         run.nodes += 1
-        bf = BernsteinForm(tensor)
         outcome = bound_at_level(bf, cfg.level, u=u, cuts=cuts)
         bound = outcome.bound
         straddles = any(lo < 0 < hi for lo, hi in zip(box.lower, box.upper))
@@ -135,8 +134,8 @@ def certify_nonnegative(p: Polynomial, region: Box, cfg: Optional[BnbConfig] = N
             run.stalled_boxes += 1
         else:
             child_hist = () if straddles else hist + (bound,)
-            for child, (child_tensor,) in split_node(box, (tensor,), SPLIT_ZERO, bf.image):
-                stack.append((child, child_tensor, child_hist, bound))
+            for child, (child_form,) in split_node(box, (bf,), SPLIT_ZERO):
+                stack.append((child, child_form, child_hist, bound))
             continue
         if lower is None or bound < lower:
             lower = bound
@@ -180,6 +179,8 @@ def load_lyapunov_case(source, exact: bool = False) -> LyapunovCase:
     data, _ = read_json_object(source, "Lyapunov case file")
     try:
         dim = checked(data["dimension"], int, '"dimension" must be an integer')
+        if dim > 3 and "variables" not in data:
+            raise ValueError(f'"variables" is required for dimension {dim} > 3')
         variables = data.get("variables", ["x", "y", "z"][:dim])
         letters = isinstance(variables, list) and all(
             isinstance(v, str) and len(v) == 1 and v.isascii() and v.isalpha() for v in variables

@@ -11,7 +11,7 @@ coefficients b of the objective:
   and top degree placeholders, added on demand as cutting planes.
 
 Side constraints g(x) <= 0 reach the LP as rows b(g) . z <= 0, one per
-constraint, read off the constraint's own coefficient tensor at the
+constraint, read off the constraint's own Bernstein form at the
 relaxation degree (linear constraints are degree-1 polynomials).  Levels
 1 and 2 share one cut loop, and ``bound_at_level`` is the one entry point
 to every level.  Every LP is a ``simplex.CutLP``, built only once there
@@ -203,14 +203,14 @@ def build_cut_matrix(degree: Index, exact: bool = False) -> CutMatrix:
     return CutMatrix(degree, field(exact))
 
 
-def constraint_rows(tensors: Sequence[np.ndarray]) -> Optional[tuple[np.ndarray, np.ndarray]]:
+def constraint_rows(forms: Sequence[BernsteinForm]) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """The LP rows b(g) . z <= 0 of side constraints g(x) <= 0, from their
-    coefficient tensors at the relaxation degree, as one block (a, b);
-    None when there is no constraint."""
-    if not tensors:
+    Bernstein forms at the relaxation degree, as one block (a, b); None
+    when there is no constraint."""
+    if not forms:
         return None
-    F = field_of(tensors[0])
-    return np.stack([g.ravel() for g in tensors]), np.full(len(tensors), F.zero, dtype=F.dtype)
+    F = field_of(forms[0].numer)
+    return np.stack([g.tensor.ravel() for g in forms]), np.full(len(forms), F.zero, dtype=F.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +241,7 @@ def grid_point(bf: BernsteinForm) -> tuple:
     """The grid point I/delta of the smallest coefficient's index I;
     degree-0 axes give 0."""
     _, idx = bf.minimum
-    F = field_of(bf.tensor)
+    F = field_of(bf.numer)
     return tuple(F.ratio(i, d) if d else 0 for i, d in zip(idx, bf.degree))
 
 
@@ -251,7 +251,7 @@ def witness(bf: BernsteinForm, outcome: RelaxationOutcome) -> Optional[tuple]:
     smallest coefficient's grid point) is tried first, then the centre;
     a value counts when it equals the bound, exactly in rational mode and
     to a relative tolerance in float."""
-    F = field_of(bf.tensor)
+    F = field_of(bf.numer)
     bound = F.of(outcome.bound)
     proposed = grid_point(bf) if outcome.z is None else nominal_point(outcome.z, bf.degree, F)
     tol = F.tol(_VALUE_TOL) * max(F.one, abs(bound))
@@ -266,12 +266,10 @@ def relax0(bf: BernsteinForm) -> RelaxationOutcome:
     return RelaxationOutcome(bound=bf.minimum[0])
 
 
-def _ascending(coeffs: np.ndarray, F: Field) -> np.ndarray:
-    """Positions by ascending coefficient, ties in position order: a stable
-    sort of the field's image (``Field.image``), numpy's on float64 and
-    Python's on the integer numerators of Fractions (faster than numpy's
-    on object arrays)."""
-    values, _ = F.image(coeffs)
+def _ascending(values: np.ndarray) -> np.ndarray:
+    """Positions by ascending value, ties in position order: numpy's
+    stable sort on a numeric array, Python's on an object array (a form's
+    integer numerators), which is faster than numpy's there."""
     if values.dtype != object:
         return np.argsort(values, kind="stable")
     values = values.tolist()
@@ -282,14 +280,15 @@ def _greedy_knapsack(coeffs: Sequence, u: Sequence, F: Field) -> tuple[object, l
     """Fill the cheapest coefficients to their caps until the unit mass is
     spent; returns the bound, z, and the last variable filled.  The
     level-1 LP  min b.z, sum z = 1, 0 <= z <= u  is separable, so this
-    fill is optimal; ties break by index order.
+    fill is optimal; ties break by index order.  A form's numerators N
+    fill as N / D does, and the bound is then D times the form's.
 
     That last variable is the one basic variable of an optimal basis of
     the level-1 LP: every other variable sits at 0 or at its cap, with
     c_j <= c_last where filled and c_j >= c_last where not.
     """
     coeffs, u = np.ravel(coeffs), np.ravel(u)
-    order = _ascending(coeffs, F)
+    order = _ascending(coeffs)
     remaining, bound = F.one, F.zero
     z = [F.zero] * len(coeffs)
     last = int(order[0])
@@ -312,21 +311,21 @@ def first_lp_bound(bf: BernsteinForm, u: Sequence):
     With coefficients sorted ascending and caps permuted alongside, the
     value  max(b_1, b_{q+1} + sum_{j<=q} b_j u_j)  is dual feasible, where
     q is the largest prefix of nonpositive coefficients whose caps still
-    fit inside the unit mass.
+    fit inside the unit mass, read off ``numer`` (only the value is divided).
     """
-    coeffs = bf.tensor.ravel()
-    order = _ascending(coeffs, field_of(bf.tensor))
+    coeffs, over = bf.numer.ravel(), field_of(bf.numer).over
+    order = _ascending(coeffs)
     b, uu = coeffs[order], np.ravel(u)[order]
     b0 = b.item(0)
     if b0 >= 0:
-        return b0
+        return over(b0, bf.den)
     last_nonpos = int(np.count_nonzero(b <= 0)) - 1  # 0-based l-1
     # running sums of the caps, added in order as a loop would; they never
     # decrease, so q counts the prefix that stays within the unit mass
     q = int(np.count_nonzero(np.add.accumulate(uu[:last_nonpos]) <= 1))
     partial = np.add.accumulate(b[:q] * uu[:q]).item(q - 1) if q else 0
     candidate = b.item(q) + partial
-    return candidate if candidate > b0 else b0
+    return over(candidate if candidate > b0 else b0, bf.den)
 
 
 def _cut_loop(bf, u, cuts, extra_rows, F: Field, stop_at=None) -> RelaxationOutcome:
@@ -347,7 +346,8 @@ def _cut_loop(bf, u, cuts, extra_rows, F: Field, stop_at=None) -> RelaxationOutc
     images of the same rows; a float verdict the exact solve refutes is
     an error rather than a pruned box.
     """
-    value, z, last = _greedy_knapsack(bf.tensor, u, F)
+    value, z, last = _greedy_knapsack(bf.numer, u, F)
+    value = F.over(value, bf.den)
     tol = F.tol(_VIOLATION_TOL)
     lp, rows = None, extra_rows
     active: list[int] = []
@@ -414,7 +414,7 @@ def bound_at_level(
 ) -> RelaxationOutcome:
     """Compute the bound of one relaxation level on a unit-box form: the
     one entry point to every level.  The arithmetic is the field of the
-    form's tensor; ``exact``, if given, must name that field.  ``u``
+    form; ``exact``, if given, must name that field.  ``u``
     defaults to the caps of the form's degree, and ``cuts``, read at
     level 2 only, to its full cut matrix.  ``extra_rows`` is a block
     (a, b) of side rows a.z <= b, as ``constraint_rows`` builds it, or None.
@@ -425,9 +425,9 @@ def bound_at_level(
     does (see ``_cut_loop``); either is marked ``stopped``.  A stopped
     bound is a valid lower bound at or below the level's full bound.
     """
-    F = field_of(bf.tensor)
+    F = field_of(bf.numer)
     if exact is not None and exact != F.exact:
-        raise ValueError(f"exact={exact} disagrees with the form's {bf.tensor.dtype} tensor")
+        raise ValueError(f"exact={exact} disagrees with the form's {bf.numer.dtype} numerators")
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}")
     if level == LEVEL_0 or stop_at is not None:

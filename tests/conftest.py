@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from bernpop import simplex
-from bernpop.bernstein import _beta_peak, field, outer_chain, to_bernstein
+from bernpop.bernstein import BernsteinForm, _beta_peak, field, integer_image, outer_chain, to_bernstein
 from bernpop.poly import Box, Polynomial, lie_derivative, to_unit_box
 from bernpop.problems import load_fixture, poly_from_text
 from bernpop.relax import _greedy_knapsack, nominal_point
@@ -35,11 +35,25 @@ def multi_binom(i, j) -> int:
     return out
 
 
-def box_tensor(p: Polynomial, box: Box, degree=None, exact: bool = False) -> np.ndarray:
-    """Coefficient tensor of ``p`` on ``box``, converted from the monomial
-    basis, in Fractions when ``exact`` and in float64 otherwise."""
+def box_form(p: Polynomial, box: Box, degree=None, exact: bool = False) -> BernsteinForm:
+    """Bernstein form of ``p`` on ``box``, converted from the monomial
+    basis, exact when ``exact`` and in float64 otherwise."""
     q, _ = to_unit_box(p, box)
-    return to_bernstein(q, degree, exact).tensor
+    return to_bernstein(q, degree, exact)
+
+
+def box_tensor(p: Polynomial, box: Box, degree=None, exact: bool = False) -> np.ndarray:
+    """Coefficient tensor of ``p`` on ``box`` (``box_form``'s), in
+    Fractions when ``exact`` and in float64 otherwise."""
+    return box_form(p, box, degree, exact).tensor
+
+
+def form_of(tensor: np.ndarray) -> BernsteinForm:
+    """The Bernstein form whose coefficients are ``tensor``: the float64
+    tensor itself over 1, or the integer image of an object tensor."""
+    if tensor.dtype == object:
+        return BernsteinForm(*integer_image(tensor))
+    return BernsteinForm(tensor)
 
 
 def himmelblau() -> Polynomial:

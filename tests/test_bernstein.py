@@ -222,41 +222,42 @@ def test_enclosure_gap_shrinks_with_degree():
 
 
 # ---------------------------------------------------------------------------
-# subdivision: a split tensor must equal a fresh conversion on the sub-box
+# subdivision: a split form must equal a fresh conversion on the sub-box
 
 
-def _fresh_tensor(p, box):
+def _fresh_form(p, box):
     q, _ = to_unit_box(p, box)
-    return to_bernstein(q).tensor
+    return to_bernstein(q)
 
 
 def _descend(p, box, depth, rng, pick_t):
     """Follow a random path of ``depth`` splits from ``box``: a random axis,
     a split parameter from ``pick_t``, a random side.  Returns the last box
-    and the tensor reached by de Casteljau splits alone."""
-    tensor = _fresh_tensor(p, box)
+    and the coefficient tensor reached by de Casteljau splits alone."""
+    bf = _fresh_form(p, box)
     for _ in range(depth):
         axis = rng.randrange(p.dimension)
         t = pick_t()
         lo, hi = box.lower[axis], box.upper[axis]
         side = rng.randrange(2)
-        tensor = subdivide(tensor, axis, t)[side]
+        bf = subdivide(bf, axis, t)[side]
         box = box.split(axis, lo + t * (hi - lo))[side]
-    return box, tensor
+    return box, bf.tensor
 
 
 def test_subdivide_univariate_square():
-    left, right = subdivide(np.array([0, 0, 1], dtype=object), 0, Fraction(1, 2))
-    assert list(left) == [0, 0, Fraction(1, 4)]
-    assert list(right) == [Fraction(1, 4), Fraction(1, 2), 1]
+    left, right = subdivide(BernsteinForm(np.array([0, 0, 1], dtype=object)), 0, Fraction(1, 2))
+    assert list(left.tensor) == [0, 0, Fraction(1, 4)]
+    assert list(right.tensor) == [Fraction(1, 4), Fraction(1, 2), 1]
+    assert left.numer.tolist() == [0, 0, 1] and left.den == 4
 
 
 def test_subdivide_keeps_constant_axis_exact(rng):
     # a tensor constant along axis 1 stays so at a non-dyadic split point
     col = np.array([rng.uniform(-5, 5) for _ in range(4)])
-    tensor = np.repeat(col[:, None], 3, axis=1)
-    for half in subdivide(tensor, 1, 0.3) + subdivide(tensor, 0, 0.3):
-        assert (np.diff(half, axis=1) == 0).all()
+    bf = BernsteinForm(np.repeat(col[:, None], 3, axis=1))
+    for half in subdivide(bf, 1, 0.3) + subdivide(bf, 0, 0.3):
+        assert half.den == 1 and (np.diff(half.numer, axis=1) == 0).all()
 
 
 @pytest.mark.parametrize("name", ["himmelblau", "motzkin3"])
@@ -274,7 +275,7 @@ def test_exact_descendant_equals_fresh_conversion(name):
 
     leaf, tensor = _descend(p, box, 20, rng, pick_t)
     assert tensor.dtype == object
-    assert (tensor == _fresh_tensor(p, leaf)).all()
+    assert (tensor == _fresh_form(p, leaf).tensor).all()
 
 
 @pytest.mark.parametrize("name", ["himmelblau", "motzkin3"])
@@ -283,9 +284,9 @@ def test_float_descendant_drift(name):
         p, box = himmelblau(), Box((-5.0, -5.0), (5.0, 5.0))
     else:
         p, box = motzkin3(), Box((-0.5,) * 3, (0.5,) * 3)
-    scale = np.abs(_fresh_tensor(p, box)).max()
+    scale = np.abs(_fresh_form(p, box).tensor).max()
     for seed in range(5):
         rng = random.Random(seed)
         leaf, tensor = _descend(p, box, 40, rng, lambda: 0.5)
         assert tensor.dtype == float
-        assert np.abs(tensor - _fresh_tensor(p, leaf)).max() <= 1e-12 * scale
+        assert np.abs(tensor - _fresh_form(p, leaf).tensor).max() <= 1e-12 * scale

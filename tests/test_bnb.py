@@ -18,11 +18,11 @@ from bernpop.bnb import (
     sample_upper_bound,
     split_node,
 )
-from bernpop.bernstein import FLOAT, BernsteinForm, to_bernstein
+from bernpop.bernstein import FLOAT, to_bernstein
 from bernpop.poly import Box, Polynomial, restrict_facet, to_unit_box
 from bernpop.problems import load_fixture, load_problem
 from bernpop.relax import RelaxationOutcome, nominal_point
-from conftest import algebraic4, box_tensor, himmelblau, himmelblau_exact, random_box, random_polynomial
+from conftest import algebraic4, box_form, box_tensor, himmelblau, himmelblau_exact, random_box, random_polynomial
 
 
 def test_cutoff_prunes_above_incumbent():
@@ -61,7 +61,7 @@ def test_split_zero_centered_falls_back_to_midpoint():
 
 def test_monotonicity_signs():
     def signs(p, box):
-        return _monotonicity_signs(BernsteinForm(box_tensor(p, box)))
+        return _monotonicity_signs(box_form(p, box))
 
     x = Polynomial.variable(1, 0)
     assert signs(x, Box((-2.0,), (5.0,))) == ("+",)
@@ -78,8 +78,8 @@ def test_edge_subproblem_single_axis():
     assert rbox.lower == (0.0,) and rbox.upper == (1.0,)
     assert fixed == [(0, 0.0)]
     # the face tensor is x2^2's on the reduced box
-    face = _face(box_tensor(p, box), ("+", "mixed"))
-    assert (face == box_tensor(Polynomial(1, {(2,): 1}), rbox, (2,))).all()
+    face = _face(box_form(p, box), ("+", "mixed"))
+    assert (face.tensor == box_tensor(Polynomial(1, {(2,): 1}), rbox, (2,))).all()
 
 
 def test_edge_subproblem_all_axes():
@@ -87,7 +87,7 @@ def test_edge_subproblem_all_axes():
     box = Box((0.0, 0.0), (1.0, 1.0))
     rbox, fixed = edge_subproblem(box, ("+", "-"))
     assert rbox is None
-    assert _face(box_tensor(p, box), ("+", "-")).item() == pytest.approx(-1.0)
+    assert _face(box_form(p, box), ("+", "-")).tensor.item() == pytest.approx(-1.0)
     assert fixed == [(0, 0.0), (1, 1.0)]
 
 
@@ -96,7 +96,7 @@ def test_edge_subproblem_square_on_positive_interval():
     box = Box((0.1,), (1.0,))
     rbox, _ = edge_subproblem(box, ("+",))
     assert rbox is None
-    assert _face(box_tensor(square, box), ("+",)).item() == pytest.approx(0.01)
+    assert _face(box_form(square, box), ("+",)).tensor.item() == pytest.approx(0.01)
 
 
 def test_fully_fixed_vertex_contributes_its_coefficient(monkeypatch):
@@ -217,15 +217,15 @@ def test_zero_centered_split_on_symmetric_problem():
     # box's smallest coefficient is the exact minimum
     box = Box((-1.0, -1.0), (1.0, 1.0))
     (root,) = bnb.relaxation_tensors(Polynomial(2, {(2, 0): 1, (0, 2): 1}), (), box)
-    assert root.min() < 0
+    assert root.minimum[0] < 0
     orthants = []
-    for half, (t,) in split_node(box, (root,), SPLIT_ZERO):
-        orthants += split_node(half, (t,), SPLIT_ZERO)
+    for half, (bf,) in split_node(box, (root,), SPLIT_ZERO):
+        orthants += split_node(half, (bf,), SPLIT_ZERO)
     assert sorted((b.lower, b.upper) for b, _ in orthants) == [
         ((-1.0, -1.0), (0.0, 0.0)), ((-1.0, 0.0), (0.0, 1.0)),
         ((0.0, -1.0), (1.0, 0.0)), ((0.0, 0.0), (1.0, 1.0)),
     ]
-    assert all(t.min() == 0.0 for _, (t,) in orthants)
+    assert all(bf.minimum[0] == 0.0 for _, (bf,) in orthants)
 
 
 def test_level_dominance_on_himmelblau():
@@ -334,7 +334,7 @@ def test_tensor_sign_test_at_least_as_decisive(rng):
         n = rng.randint(1, 3)
         p = random_polynomial(rng, n, 3)
         box = random_box(rng, n)
-        signs = _monotonicity_signs(BernsteinForm(box_tensor(p, box)))
+        signs = _monotonicity_signs(box_form(p, box))
         for ref, got in zip(_derivative_signs(p, box), signs):
             if ref != "mixed":
                 assert got == ref
@@ -356,11 +356,11 @@ def test_face_slice_equals_restricted_conversion():
 
     p = himmelblau_exact()
     box = Box((Fraction(1), Fraction(-2)), (Fraction(4), Fraction(3)))
-    tensor = box_tensor(p, box, exact=True)
+    bf = box_form(p, box, exact=True)
     for signs in (("+", "mixed"), ("-", "mixed"), ("mixed", "+"), ("mixed", "-")):
         rbox, [(axis, value)] = edge_subproblem(box, signs)
         reduced = restrict_facet(p, axis, value)
-        assert (_face(tensor, signs) == box_tensor(reduced, rbox, (4,), exact=True)).all()
+        assert (_face(bf, signs).tensor == box_tensor(reduced, rbox, (4,), exact=True)).all()
 
 
 def _constrained_square():
@@ -564,8 +564,9 @@ def test_fully_bounded_box_offers_its_nominal_point(monkeypatch, level):
 
 
 def test_exact_split_reuses_the_objective_image(monkeypatch):
-    # each node's BernsteinForm already holds the integer image of its
-    # objective tensor, so splitting the node computes none again
+    # each node's form is the integer image of its objective, and a split
+    # maps it to the children's images: only the root conversion computes
+    # an image
     from bernpop import bernstein
 
     callers = []
@@ -580,7 +581,36 @@ def test_exact_split_reuses_the_objective_image(monkeypatch):
     cfg = BnbConfig(level="0", epsilon=problem.epsilon, exact=True)
     res = branch_and_bound(problem.objective, (), problem.box, cfg)
     assert res.converged and res.stats.subdivisions > 100
-    assert "subdivide" not in callers
+    assert callers == ["to_bernstein"]
+
+
+@pytest.mark.parametrize("run", ["bnb", "lyapunov"])
+def test_exact_splits_build_no_fraction_tensor(monkeypatch, run):
+    # below the root, an exact level-0 B&B and an exact certification at
+    # level first carry integer images (N, D) only: every split child holds
+    # Python ints over a positive int, and none builds its Fraction tensor
+    from bernpop.lyapunov import load_lyapunov_case, verify_lyapunov
+
+    children = []
+    real = bnb.subdivide
+
+    def recording(bf, axis, t):
+        halves = real(bf, axis, t)
+        children.extend(halves)
+        return halves
+
+    monkeypatch.setattr(bnb, "subdivide", recording)
+    if run == "bnb":
+        problem = load_problem(load_fixture("himmelblau"), True)
+        cfg = BnbConfig(level="0", epsilon=problem.epsilon, exact=True)
+        assert branch_and_bound(problem.objective, (), problem.box, cfg).converged
+    else:
+        verify_lyapunov(load_lyapunov_case(load_fixture("lyap7"), True), BnbConfig(level="first", exact=True))
+    assert len(children) > 40
+    for bf in children:
+        assert type(bf.den) is int and bf.den > 0
+        assert all(type(v) is int for v in bf.numer.ravel().tolist())
+        assert "tensor" not in vars(bf)  # BernsteinForm.tensor caches what it builds
 
 
 def test_exhausted_exact_run_reports_a_fraction_lower_bound():

@@ -572,8 +572,9 @@ def test_file_epsilon_is_used_when_present(capsys, tmp_path):
     assert code == 0 and "converged: True" in out
 
 
+# "variables" left out: one dimension defaults to x
 _CLEAN_CASE = {
-    "dimension": 1, "variables": ["x"], "V": "x^2", "odes": ["-x"],
+    "dimension": 1, "V": "x^2", "odes": ["-x"],
     "region": {"lower": [-1], "upper": [1]},
 }
 
@@ -598,6 +599,8 @@ _CLEAN_CASE = {
         ("region", {"lower": ["1/0"], "upper": [1]}, "bad coefficient '1/0'"),
         # once read as dimension 1
         ("dimension", True, '"dimension" must be an integer'),
+        # once blamed on a "variables" key the file does not have
+        ("dimension", 4, '"variables" is required for dimension 4 > 3'),
         # once read as x_1^2 and verified, and as "unknown variable 'x'"
         ("variables", ["x", "x"], "1 distinct single letters"),
         ("variables", ["xy"], "1 distinct single letters"),
@@ -613,7 +616,8 @@ _CLEAN_CASE = {
         "region as a list", "V as a number", "odes as a string", "ode as a number",
         "dimension as a list", "variables as a number", "variable as a number",
         "fractional power", "negative power", "power without digits", "space inside a term",
-        "zero denominator region bound", "bool dimension", "repeated variable",
+        "zero denominator region bound", "bool dimension", "four variables unnamed",
+        "repeated variable",
         "two-letter variable", "too many variables", "too many odes", "name as a list",
         "note as a number", "unknown verdict", "bool verdict",
     ],

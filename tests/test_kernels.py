@@ -39,6 +39,7 @@ from bernpop.relax import (
 )
 from conftest import (
     basis_values,
+    form_of,
     loop_basis_values,
     loop_bernstein_eval,
     loop_first_lp_bound,
@@ -114,6 +115,7 @@ def test_to_bernstein_matches_loop(exact):
         bf = to_bernstein(p, degree, exact)
         assert bf.degree == degree
         assert bf.tensor.dtype == (object if exact else float)
+        _assert_image(bf)
         assert _flat(bf) == list(loop_to_bernstein(p, degree))
         if exact:
             assert all(isinstance(c, Fraction) for c in _flat(bf))
@@ -280,7 +282,7 @@ def test_monotonicity_signs_match_loop(exact):
     tensors = [to_bernstein(p, degree, exact).tensor for p, degree in _cases(exact)]
     ruled_out = passed_mixed = decisive = 0
     for tensor in tensors + _shaped_tensors(exact):
-        bf = BernsteinForm(tensor)
+        bf = form_of(tensor)
         got = _monotonicity_signs(bf)
         assert got == loop_monotonicity_signs(_flat(bf), bf.degree)
         coeffs = _flat(bf)
@@ -355,7 +357,7 @@ def test_greedy_and_first_lp_match_loop(exact):
             want = loop_greedy_knapsack(coeffs, u.tolist(), exact)
             assert _greedy_knapsack(tensor, u, field(exact)) == want
             want = loop_first_lp_bound(coeffs, u.tolist())
-            assert first_lp_bound(BernsteinForm(tensor), u) == want
+            assert first_lp_bound(form_of(tensor), u) == want
 
 
 def test_integer_image():
@@ -378,19 +380,27 @@ def _typed(tensor):
     return [(type(v), v) for v in tensor.ravel().tolist()]
 
 
+def _assert_image(bf):
+    """A form's image: float64 over 1, or Python ints over a positive int."""
+    if bf.numer.dtype == object:
+        assert type(bf.den) is int and bf.den > 0
+        assert all(type(v) is int for v in bf.numer.ravel().tolist())
+    else:
+        assert bf.den == 1 and bf.numer.dtype == float
+
+
 @pytest.mark.parametrize("exact", FIELDS)
 def test_subdivide_matches_loop(exact):
     # every axis of every case, degree-0 axes and 1-D tensors included
     for p, degree in _cases(exact):
-        tensor = to_bernstein(p, degree, exact).tensor
-        image = BernsteinForm(tensor).image  # the one a B&B node hands over
-        for axis in range(tensor.ndim):
+        bf = to_bernstein(p, degree, exact)
+        for axis in range(bf.dimension):
             for t in _split_points(exact):
-                want = loop_subdivide(tensor, axis, t)
-                for got in (subdivide(tensor, axis, t), subdivide(tensor, axis, t, image)):
-                    for g, w in zip(got, want):
-                        assert g.shape == w.shape and g.dtype == w.dtype
-                        assert _typed(g) == _typed(w)
+                want = loop_subdivide(bf.tensor, axis, t)
+                for g, w in zip(subdivide(bf, axis, t), want):
+                    _assert_image(g)
+                    assert g.degree == bf.degree and g.tensor.dtype == w.dtype
+                    assert _typed(g.tensor) == _typed(w)
 
 
 @pytest.mark.parametrize("exact", FIELDS)
@@ -400,24 +410,26 @@ def test_subdivide_chains_match_loop(exact):
     cases = [c for c in _cases(exact) if c[0].terms and len(c[1]) < 4]
     bits = 0
     for p, degree in cases[::6]:
-        got = want = to_bernstein(p, degree, exact).tensor
+        got = to_bernstein(p, degree, exact)
+        want = got.tensor
         for _ in range(40):
             axis, side = rng.randrange(len(degree)), rng.randrange(2)
             t = rng.choice(_split_points(exact))
             got, want = subdivide(got, axis, t)[side], loop_subdivide(want, axis, t)[side]
-            assert _typed(got) == _typed(want)
+            _assert_image(got)
+            assert _typed(got.tensor) == _typed(want)
         if exact:
-            bits = max(bits, max(v.denominator.bit_length() for v in got.ravel()))
+            bits = max(bits, max(v.denominator.bit_length() for v in got.tensor.ravel()))
     assert bits > 64 or not exact
 
 
 def test_subdivide_needs_a_rational_split_point_on_an_exact_tensor():
-    tensor = to_bernstein(Polynomial(2, {(2, 1): Fraction(1, 3)}), (2, 1), exact=True).tensor
+    bf = to_bernstein(Polynomial(2, {(2, 1): Fraction(1, 3)}), (2, 1), exact=True)
     for t in (0.5, np.float64(0.25)):
         with pytest.raises(ValueError):
-            subdivide(tensor, 0, t)
-    left, right = subdivide(tensor, 1, Fraction(1, 2))
-    assert _typed(left) == _typed(loop_subdivide(tensor, 1, Fraction(1, 2))[0])
+            subdivide(bf, 0, t)
+    left, right = subdivide(bf, 1, Fraction(1, 2))
+    assert _typed(left.tensor) == _typed(loop_subdivide(bf.tensor, 1, Fraction(1, 2))[0])
 
 
 @pytest.mark.parametrize("degree", [(4,), (3, 2), (0, 3), (2, 1, 2)])

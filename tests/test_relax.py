@@ -21,6 +21,7 @@ from conftest import (
     cut_pairs,
     elevation_row,
     exactness_check,
+    form_of,
     grid_min,
     himmelblau,
     iter_indices,
@@ -467,7 +468,7 @@ def _costly_corner_instance(rng, degree, with_rows):
         if all(i in (0, d) for i, d in zip(idx, degree)):
             v += 25
         coeffs.append(v)
-    bf = BernsteinForm(np.array(coeffs, dtype=object).reshape([d + 1 for d in degree]))
+    bf = form_of(np.array(coeffs, dtype=object).reshape([d + 1 for d in degree]))
     rows = []
     if with_rows:
         point = [Fraction(rng.randint(1, 7), 8) for _ in degree]
@@ -574,7 +575,7 @@ def test_warm_loop_equals_cold_full_lp(rng, monkeypatch, degree, with_rows):
 @pytest.mark.parametrize("with_rows", [False, True])
 def test_warm_loop_degenerate_starts(monkeypatch, name, degree, coeffs, rows, with_rows):
     rows = rows if with_rows else []
-    bf_q = BernsteinForm(
+    bf_q = form_of(
         np.array([Fraction(v) for v in coeffs], dtype=object).reshape([d + 1 for d in degree])
     )
     rows_q = [([Fraction(v) for v in a], Fraction(b)) for a, b in rows]
