@@ -15,8 +15,10 @@ resolved by one of: infeasibility (some constraint's coefficients are
 all positive, or the box's LP has no feasible point), the incumbent
 cutoff test (which closes every box whose bound one of the offered
 points attains, since the incumbent is then at most that bound), the
-monotonicity test (which spawns a reduced "edge" subproblem solved
-recursively), or bisection.
+monotonicity test, or bisection.  A box that is monotone along some
+axes closes by solving the face it is monotone toward, an "edge"
+subproblem solved recursively: the same kind of box, pinned to zero
+width on those axes, with its form sliced to degree 0 there.
 
 The worklist is best-first on the parent bound; each entry carries that
 bound in the run's field, so an exhausted budget reports a valid lower
@@ -111,13 +113,6 @@ def cutoff_threshold(incumbent: object, epsilon):
     return incumbent - epsilon * max(1, abs(incumbent))
 
 
-def cutoff_test(lower: object, incumbent: object, epsilon) -> bool:
-    """Prune a box whose bound cannot improve the incumbent by more than
-    the relative tolerance: lower >= incumbent - eps * max(1, |incumbent|)."""
-    threshold = cutoff_threshold(incumbent, epsilon)
-    return threshold is not None and lower >= threshold
-
-
 def split_node(box: Box, forms: tuple, strategy: str) -> tuple[tuple, tuple]:
     """Bisect the widest axis of ``box`` and split each of its Bernstein
     forms alongside; returns (left box, left forms), (right box, right
@@ -189,29 +184,18 @@ def _monotonicity_signs(bf: BernsteinForm) -> tuple[str, ...]:
     return tuple(signs)
 
 
-def _face(bf: BernsteinForm, signs: Sequence[str]) -> BernsteinForm:
-    """Form of the face that ``edge_subproblem`` keeps: index 0 on '+'
-    axes, delta_r on '-' axes, the whole range on mixed ones.  A face with
-    no mixed axis is a vertex, a 0-d form whose one coefficient is the
+def _face(box: Box, bf: BernsteinForm, signs: Sequence[str]) -> tuple[Box, BernsteinForm]:
+    """The face of ``box`` that the edge subproblem solves, and its form:
+    every non-mixed axis pinned at its active bound ('+' -> lower, '-' ->
+    upper), a side of zero width, and the form sliced there to its first
+    ('+') or last ('-') coefficients, degree 0 on that axis.  A pinned
+    axis reads '+' and stays pinned.  A face with no mixed axis is the
+    vertex ``face.lower``, and its form's one coefficient is the
     polynomial's value there."""
-    index = tuple({"+": 0, "-": -1}.get(s, slice(None)) for s in signs)
-    return BernsteinForm(bf.numer[(*index, ...)], bf.den)
-
-
-def edge_subproblem(box: Box, signs: Sequence[str]) -> tuple[Optional[Box], list[tuple]]:
-    """Fix every non-mixed axis at its active bound ('+' -> lower,
-    '-' -> upper) and drop those variables.  Returns the reduced box (None
-    when no axis remains) and the (axis, value) substitutions performed,
-    in original axis order; the face form (``_face``) is the reduced
-    problem's objective."""
-    free = [r for r, s in enumerate(signs) if s == "mixed"]
-    active = {"+": box.lower, "-": box.upper}
-    fixed = [(r, active[s][r]) for r, s in enumerate(signs) if s in active]
-    if not fixed:
-        raise ValueError("no monotone axis to substitute")
-    if not free:
-        return None, fixed
-    return Box(tuple(box.lower[r] for r in free), tuple(box.upper[r] for r in free)), fixed
+    lower = tuple(hi if s == "-" else lo for lo, hi, s in zip(box.lower, box.upper, signs))
+    upper = tuple(lo if s == "+" else hi for lo, hi, s in zip(box.lower, box.upper, signs))
+    index = tuple({"+": slice(None, 1), "-": slice(-1, None)}.get(s, slice(None)) for s in signs)
+    return Box._derived(lower, upper), BernsteinForm(bf.numer[index], bf.den)
 
 
 def sample_upper_bound(box: Box, bf: BernsteinForm) -> list[tuple]:
@@ -243,7 +227,8 @@ def _evaluator(p: Polynomial, F: Field) -> Callable:
 
 class _RunState:
     """Incumbent, node budget and cutoff tolerance (in the run's field)
-    shared across the recursion."""
+    shared across the recursion.  ``threshold`` is the incumbent's
+    ``cutoff_threshold``, set with each new incumbent."""
 
     def __init__(self, objective, constraints, cfg: BnbConfig, F: Field = FLOAT):
         self.objective = _evaluator(objective, F)
@@ -254,6 +239,7 @@ class _RunState:
         self.exhausted = False
         self.incumbent = None
         self.witness = None
+        self.threshold = None
 
     def charge(self) -> bool:
         if self.nodes >= self.max_boxes:
@@ -271,6 +257,7 @@ class _RunState:
         if self.incumbent is None or val < self.incumbent:
             self.incumbent = val
             self.witness = tuple(point)
+            self.threshold = cutoff_threshold(val, self.epsilon)
 
 
 def branch_and_bound(
@@ -305,29 +292,30 @@ def branch_and_bound(
         state.offer(())
     else:
         forms = relaxation_tensors(p, constraints, box, degree, F.exact)
-        lower = _solve_problem(box, forms, cfg, state, lift=lambda pt: pt, stats=stats, depth=0)
+        lower = _solve_problem(box, forms, cfg, state, stats, depth=0)
     stats.elapsed = time.perf_counter() - start - stats.edge_elapsed
-    upper = state.incumbent
+    threshold = state.threshold
     converged = (
-        not state.exhausted and lower is not None and cutoff_test(lower, upper, state.epsilon)
+        not state.exhausted and lower is not None and threshold is not None and lower >= threshold
     )
     return BnbResult(
         lower_bound=lower,
-        upper_bound=upper,
+        upper_bound=state.incumbent,
         witness=state.witness,
         stats=stats,
         converged=converged,
     )
 
 
-def _solve_problem(box, forms, cfg, state, lift, stats, depth):
+def _solve_problem(box, forms, cfg, state, stats, depth):
     """Worklist loop for one (sub)problem; returns its lower bound.
 
     ``forms`` holds the Bernstein forms of the objective and of each
     constraint on ``box``, all of one degree; every box in the worklist
     carries its own tuple of them, and they are all the loop reads of the
-    problem.  ``lift`` maps a point of ``box`` to the top-level problem's
-    coordinates.  Heap entries are (float key, tie counter, bound in the
+    problem.  An edge subproblem's ``box`` is a face of its parent's
+    (``_face``), in the problem's own coordinates, so its points are the
+    problem's.  Heap entries are (float key, tie counter, bound in the
     run's field, box, forms); the root's bound is its smallest
     coefficient, a valid bound on the box.
     """
@@ -363,11 +351,11 @@ def _solve_problem(box, forms, cfg, state, lift, stats, depth):
             continue
         # sample first, so that the bound need only reach the cutoff
         for pt in sample_upper_bound(cur, bf):
-            state.offer(lift(pt))
+            state.offer(pt)
         outcome = bound_at_level(
             bf, cfg.level, u=u, cuts=cuts,
             extra_rows=None if u is None else constraint_rows(g_forms),  # level 0 reads no rows
-            stop_at=cutoff_threshold(state.incumbent, state.epsilon),
+            stop_at=state.threshold,
         )
         stats.lp_solves += outcome.lp_solves
         stats.lp_pivots += outcome.pivots
@@ -381,9 +369,9 @@ def _solve_problem(box, forms, cfg, state, lift, stats, depth):
             continue
         bound = outcome.bound
         if outcome.z is not None and not outcome.stopped:
-            state.offer(lift(cur.point(nominal_point(outcome.z, delta, F))))
+            state.offer(cur.point(nominal_point(outcome.z, delta, F)))
 
-        if cutoff_test(bound, state.incumbent, state.epsilon):
+        if state.threshold is not None and bound >= state.threshold:
             if depth == 0:
                 stats.cutoff_count += 1
             else:
@@ -392,18 +380,16 @@ def _solve_problem(box, forms, cfg, state, lift, stats, depth):
             continue
         if not g_forms:
             signs = _monotonicity_signs(bf)
-            if any(s != "mixed" for s in signs):
+            # a pinned axis reads '+': only a side of positive width counts
+            if any(s != "mixed" and cur.width(r) for r, s in enumerate(signs)):
                 stats.mono_count += 1
-                reduced_box, fixed = edge_subproblem(cur, signs)
-                sub_lift = _make_lift(lift, fixed)
-                if reduced_box is None:  # a vertex: its one coefficient is the value there
-                    state.offer(sub_lift(()))
-                    add_contrib(_face(bf, signs).tensor.item())
+                face, face_form = _face(cur, bf, signs)
+                if "mixed" not in signs:  # a vertex: its one coefficient is the value there
+                    state.offer(face.lower)
+                    add_contrib(face_form.tensor.item())
                 else:
                     t0 = time.perf_counter()
-                    sub_lower = _solve_problem(
-                        reduced_box, (_face(bf, signs),), cfg, state, sub_lift, stats, depth + 1,
-                    )
+                    sub_lower = _solve_problem(face, (face_form,), cfg, state, stats, depth + 1)
                     if depth == 0:  # nested recursion is inside this window
                         stats.edge_elapsed += time.perf_counter() - t0
                     add_contrib(sub_lower)
@@ -425,14 +411,3 @@ def _heap_key(bound) -> float:
         return float(bound)
     except OverflowError:
         return math.inf if bound > 0 else -math.inf
-
-
-def _make_lift(outer: Callable, fixed: list) -> Callable:
-    def lifted(pt: tuple) -> tuple:
-        full = list(pt)
-        for axis, value in fixed:  # fixed is in ascending axis order
-            full.insert(axis, value)
-        return outer(tuple(full))
-
-    return lifted
-

@@ -205,7 +205,9 @@ def lie_derivative(v: Polynomial, field_polys: Sequence[Polynomial]) -> Polynomi
 
 @dataclass(frozen=True)
 class Box:
-    """An axis-aligned box with strictly positive widths."""
+    """An axis-aligned box.  One built from input has strictly positive
+    widths; a face of one (``Box._derived``) may have zero width on the
+    axes it pins."""
 
     lower: tuple
     upper: tuple
@@ -224,6 +226,15 @@ class Box:
                 raise ValueError(f"degenerate box side [{a}, {b}]")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+
+    @classmethod
+    def _derived(cls, lower: tuple, upper: tuple) -> "Box":
+        """A box built from a valid one (a split half or a face): finite
+        bounds with lower <= upper per axis.  Nothing is checked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "lower", lower)
+        object.__setattr__(out, "upper", upper)
+        return out
 
     @property
     def dimension(self) -> int:
@@ -248,17 +259,15 @@ class Box:
 
     def split(self, axis: int, at) -> tuple["Box", "Box"]:
         """The halves of the box below and above ``at`` on ``axis``.  They
-        skip ``__post_init__``: a point strictly between finite, ordered
-        bounds leaves them finite and ordered."""
+        are ``_derived``: a point strictly between finite, ordered bounds
+        leaves them finite and ordered."""
         lo, hi = self.lower, self.upper
         if not lo[axis] < at < hi[axis]:
             raise ValueError("split point outside the open interval")
-        left, right = object.__new__(Box), object.__new__(Box)
-        object.__setattr__(left, "lower", lo)
-        object.__setattr__(left, "upper", hi[:axis] + (at,) + hi[axis + 1 :])
-        object.__setattr__(right, "lower", lo[:axis] + (at,) + lo[axis + 1 :])
-        object.__setattr__(right, "upper", hi)
-        return left, right
+        return (
+            Box._derived(lo, hi[:axis] + (at,) + hi[axis + 1 :]),
+            Box._derived(lo[:axis] + (at,) + lo[axis + 1 :], hi),
+        )
 
     def point(self, z: Sequence) -> tuple:
         """The point lo + (hi - lo) * z of the box at unit coordinates z."""

@@ -13,32 +13,40 @@ from bernpop.bnb import (
     _face,
     _monotonicity_signs,
     branch_and_bound,
-    cutoff_test,
-    edge_subproblem,
+    cutoff_threshold,
     sample_upper_bound,
     split_node,
 )
 from bernpop.bernstein import FLOAT, to_bernstein
-from bernpop.poly import Box, Polynomial, restrict_facet, to_unit_box
+from bernpop.poly import Box, Polynomial, to_unit_box
 from bernpop.problems import load_fixture, load_problem
 from bernpop.relax import RelaxationOutcome, nominal_point
 from conftest import algebraic4, box_form, box_tensor, himmelblau, himmelblau_exact, random_box, random_polynomial
 
 
 def test_cutoff_prunes_above_incumbent():
-    assert cutoff_test(5.0, 0.0, 1e-9)
-    assert not cutoff_test(-1.0, 0.0, 1e-9)
+    assert 5.0 >= cutoff_threshold(0.0, 1e-9)
+    assert not -1.0 >= cutoff_threshold(0.0, 1e-9)
 
 
 def test_cutoff_boundary_arithmetic():
     eps = 1e-6
-    assert cutoff_test(1.0 - eps / 2, 1.0, eps)
-    assert not cutoff_test(1.0 - 2 * eps, 1.0, eps)
+    assert 1.0 - eps / 2 >= cutoff_threshold(1.0, eps)
+    assert not 1.0 - 2 * eps >= cutoff_threshold(1.0, eps)
 
 
 def test_cutoff_without_incumbent():
-    assert not cutoff_test(-10.0, None, 1e-9)
-    assert not cutoff_test(-10.0, math.inf, 1e-9)
+    assert cutoff_threshold(None, 1e-9) is None
+    assert cutoff_threshold(math.inf, 1e-9) is None
+
+
+def test_state_holds_the_threshold_of_its_incumbent():
+    state = _RunState(himmelblau(), (), BnbConfig(epsilon=1e-6), FLOAT)
+    assert state.threshold is None
+    state.offer((3.0, 2.0))  # a minimum: himmelblau is 0 there
+    assert state.incumbent == 0.0 and state.threshold == cutoff_threshold(0.0, state.epsilon)
+    state.offer((0.0, 0.0))  # not lower: the threshold stays
+    assert state.threshold == cutoff_threshold(0.0, state.epsilon)
 
 
 def test_split_longest_edge():
@@ -74,29 +82,32 @@ def test_monotonicity_signs():
 def test_edge_subproblem_single_axis():
     p = Polynomial(2, {(1, 0): 1, (0, 2): 1})  # x1 + x2^2
     box = Box((0.0, 0.0), (1.0, 1.0))
-    rbox, fixed = edge_subproblem(box, ("+", "mixed"))
-    assert rbox.lower == (0.0,) and rbox.upper == (1.0,)
-    assert fixed == [(0, 0.0)]
-    # the face tensor is x2^2's on the reduced box
-    face = _face(box_form(p, box), ("+", "mixed"))
-    assert (face.tensor == box_tensor(Polynomial(1, {(2,): 1}), rbox, (2,))).all()
+    face, form = _face(box, box_form(p, box), ("+", "mixed"))
+    assert face.lower == (0.0, 0.0) and face.upper == (0.0, 1.0)
+    assert form.degree == (0, 2)
+    # the face tensor is x2^2's on the free axis
+    assert (form.tensor[0] == box_tensor(Polynomial(1, {(2,): 1}), Box((0.0,), (1.0,)), (2,))).all()
+    # pinning the pinned axis again changes nothing
+    again, again_form = _face(face, form, ("+", "mixed"))
+    assert again == face and (again_form.tensor == form.tensor).all()
 
 
 def test_edge_subproblem_all_axes():
     p = Polynomial(2, {(1, 0): 1, (0, 1): -1})
     box = Box((0.0, 0.0), (1.0, 1.0))
-    rbox, fixed = edge_subproblem(box, ("+", "-"))
-    assert rbox is None
-    assert _face(box_form(p, box), ("+", "-")).tensor.item() == pytest.approx(-1.0)
-    assert fixed == [(0, 0.0), (1, 1.0)]
+    face, form = _face(box, box_form(p, box), ("+", "-"))
+    assert face.lower == face.upper == (0.0, 1.0)
+    assert form.degree == (0, 0)
+    assert form.tensor.item() == pytest.approx(-1.0)
 
 
 def test_edge_subproblem_square_on_positive_interval():
     square = Polynomial(1, {(2,): 1})
     box = Box((0.1,), (1.0,))
-    rbox, _ = edge_subproblem(box, ("+",))
-    assert rbox is None
-    assert _face(box_form(square, box), ("+",)).tensor.item() == pytest.approx(0.01)
+    face, form = _face(box, box_form(square, box), ("+",))
+    assert face.lower == face.upper == (0.1,)
+    assert form.degree == (0,)
+    assert form.tensor.item() == pytest.approx(0.01)
 
 
 def test_fully_fixed_vertex_contributes_its_coefficient(monkeypatch):
@@ -357,10 +368,51 @@ def test_face_slice_equals_restricted_conversion():
     p = himmelblau_exact()
     box = Box((Fraction(1), Fraction(-2)), (Fraction(4), Fraction(3)))
     bf = box_form(p, box, exact=True)
-    for signs in (("+", "mixed"), ("-", "mixed"), ("mixed", "+"), ("mixed", "-")):
-        rbox, [(axis, value)] = edge_subproblem(box, signs)
-        reduced = restrict_facet(p, axis, value)
-        assert (_face(bf, signs).tensor == box_tensor(reduced, rbox, (4,), exact=True)).all()
+    faces = (("+", "mixed"), ("-", "mixed"), ("mixed", "+"), ("mixed", "-"), ("-", "+"))
+    for signs in faces:
+        face, form = _face(box, bf, signs)
+        assert form.degree == tuple(4 if s == "mixed" else 0 for s in signs)
+        assert (form.tensor == box_tensor(p, face, form.degree, exact=True)).all()
+
+
+# x + y^4 - y^2 + z^4 - z^2 + 0.3yz on [0,1] x [-1,2]^2: increasing in x,
+# so the main box closes on its x = 0 face, where boxes monotone in y or
+# z close on faces of that face (depth 2)
+NESTED_FACES_COUNTS = {  # (main, edge, mono, edge cutoffs) nodes per (exact, level)
+    (False, "0"): (1, 206, 16, 96),
+    (False, "1"): (1, 125, 11, 58),
+    (False, "2"): (1, 102, 4, 50),
+    (True, "0"): (1, 192, 16, 89),
+    (True, "1"): (1, 125, 11, 58),
+    (True, "2"): (1, 102, 4, 50),
+}
+
+
+@pytest.mark.parametrize("exact, level", list(NESTED_FACES_COUNTS))
+def test_nested_faces(monkeypatch, exact, level):
+    terms = {(1, 0, 0): 1, (0, 4, 0): 1, (0, 2, 0): -1, (0, 0, 4): 1, (0, 0, 2): -1}
+    p = Polynomial(3, {**terms, (0, 1, 1): Fraction(3, 10)})
+    box = Box((0, -1, -1), (1, 2, 2))
+    depths = []
+    real = bnb._solve_problem
+
+    def recording(box, forms, cfg, state, stats, depth):
+        depths.append(depth)
+        return real(box, forms, cfg, state, stats, depth)
+
+    monkeypatch.setattr(bnb, "_solve_problem", recording)
+    res = branch_and_bound(p, (), box, BnbConfig(level=level, exact=exact))
+    s = res.stats
+    counts = (s.subdivisions, s.edge_subdivisions, s.mono_count, s.edge_cutoffs)
+    assert counts == NESTED_FACES_COUNTS[exact, level]
+    assert depths.count(2) > 0
+    if not exact and level == "0":
+        assert depths.count(2) == 15
+    assert res.converged
+    assert all(lo <= x <= hi for lo, x, hi in zip(box.lower, res.witness, box.upper))
+    # the upper bound is the objective at the witness, in the run's field
+    assert p.convert(Fraction if exact else float).eval(res.witness) == res.upper_bound
+    assert res.lower_bound <= res.upper_bound
 
 
 def _constrained_square():
@@ -553,9 +605,9 @@ def test_fully_bounded_box_offers_its_nominal_point(monkeypatch, level):
         after = events[i + 1] if i + 1 < len(events) else ("end",)
         if out.z is not None and not out.stopped:
             assert after[0] == "offer"
-            if box.dimension == 2:  # the main problem: its points need no lift
-                point = box.point(nominal_point(out.z, bf.degree, FLOAT))
-                assert after == ("offer", point)
+            # an edge subproblem's box is a face, in the problem's coordinates
+            point = box.point(nominal_point(out.z, bf.degree, FLOAT))
+            assert after == ("offer", point)
             offered += 1
         else:
             assert after[0] != "offer"
