@@ -211,7 +211,7 @@ def to_bernstein(
             # block axis)
             for contribution in contributions:
                 total += contribution
-    return BernsteinForm(np.ascontiguousarray(total.reshape(shape[::-1]).T))
+    return BernsteinForm(total.reshape(shape[::-1]).T.copy())  # C order, shape () kept
 
 
 def _outer_rows(rows: Sequence[np.ndarray], count: int) -> np.ndarray:

@@ -45,8 +45,8 @@ from .bernstein import (
 from .poly import Box, Polynomial, to_unit_box
 from .poly import restrict_facet  # noqa: F401  (unused; perfbench/spans.py traces this binding)
 from .relax import (
-    LEVEL_0, LEVEL_2, LEVELS, bound_at_level, build_cut_matrix, constraint_rows, grid_point,
-    nominal_point,
+    LEVEL_0, LEVEL_1, LEVEL_2, LEVELS, bound_at_level, build_cut_matrix, constraint_rows,
+    grid_point, nominal_point,
 )
 
 SPLIT_LONGEST = "longest_edge"
@@ -287,12 +287,8 @@ def branch_and_bound(
     stats = BnbStats()
     state = _RunState(p, constraints, cfg, F)
     start = time.perf_counter()
-    if p.dimension == 0:
-        lower = p.eval(())
-        state.offer(())
-    else:
-        forms = relaxation_tensors(p, constraints, box, degree, F.exact)
-        lower = _solve_problem(box, forms, cfg, state, stats, depth=0)
+    forms = relaxation_tensors(p, constraints, box, degree, F.exact)
+    lower = _solve_problem(box, forms, cfg, state, stats, depth=0)
     stats.elapsed = time.perf_counter() - start - stats.edge_elapsed
     threshold = state.threshold
     converged = (
@@ -322,6 +318,7 @@ def _solve_problem(box, forms, cfg, state, stats, depth):
     F, delta = field_of(forms[0].numer), forms[0].degree
     u = None if cfg.level == LEVEL_0 else upper_bounds(delta, exact=F.exact)
     cuts = None if cfg.level != LEVEL_2 else build_cut_matrix(delta, F.exact)
+    lp_level = cfg.level in (LEVEL_1, LEVEL_2)
 
     counter = itertools.count()
     root_bound = forms[0].minimum[0]
@@ -354,7 +351,7 @@ def _solve_problem(box, forms, cfg, state, stats, depth):
             state.offer(pt)
         outcome = bound_at_level(
             bf, cfg.level, u=u, cuts=cuts,
-            extra_rows=None if u is None else constraint_rows(g_forms),  # level 0 reads no rows
+            extra_rows=constraint_rows(g_forms) if lp_level else None,  # 0 and first read no rows
             stop_at=state.threshold,
         )
         stats.lp_solves += outcome.lp_solves
@@ -363,11 +360,10 @@ def _solve_problem(box, forms, cfg, state, stats, depth):
         stats.early_stops += outcome.stopped
         stats.cut_rounds += outcome.iterations
         stats.rows_activated += len(outcome.activated_rows)
-        if outcome.infeasible:
-            # the box's LP has no feasible point, confirmed in Fractions
+        bound = outcome.bound
+        if bound is None:  # the box's LP has no feasible point
             stats.infeasible_count += 1
             continue
-        bound = outcome.bound
         if outcome.z is not None and not outcome.stopped:
             state.offer(cur.point(nominal_point(outcome.z, delta, F)))
 

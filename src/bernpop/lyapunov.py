@@ -32,6 +32,7 @@ from .problems import (
     load_problem,
     lyapunov_fixture_names,
     parse_box,
+    parse_dimension,
     poly_from_text,
     pop_fixture_names,
     read_json_object,
@@ -178,7 +179,7 @@ def load_lyapunov_case(source, exact: bool = False) -> LyapunovCase:
     """A case from a fixture dict or a JSON file path, with plain-text polynomials."""
     data, _ = read_json_object(source, "Lyapunov case file")
     try:
-        dim = checked(data["dimension"], int, '"dimension" must be an integer')
+        dim = parse_dimension(data)
         if dim > 3 and "variables" not in data:
             raise ValueError(f'"variables" is required for dimension {dim} > 3')
         variables = data.get("variables", ["x", "y", "z"][:dim])

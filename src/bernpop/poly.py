@@ -205,9 +205,9 @@ def lie_derivative(v: Polynomial, field_polys: Sequence[Polynomial]) -> Polynomi
 
 @dataclass(frozen=True)
 class Box:
-    """An axis-aligned box.  One built from input has strictly positive
-    widths; a face of one (``Box._derived``) may have zero width on the
-    axes it pins."""
+    """An axis-aligned box with at least one side.  One built from input
+    has strictly positive widths; a face of one (``Box._derived``) may
+    have zero width on the axes it pins."""
 
     lower: tuple
     upper: tuple
@@ -217,6 +217,8 @@ class Box:
         hi = tuple(self.upper)
         if len(lo) != len(hi):
             raise ValueError("lower/upper length mismatch")
+        if not lo:
+            raise ValueError("a box needs at least one side")
         for a, b in zip(lo, hi):
             if isinstance(a, float) and not math.isfinite(a):
                 raise ValueError("non-finite box bound")

@@ -55,6 +55,14 @@ def checked(value, kind, what: str):
     return value
 
 
+def parse_dimension(data: dict) -> int:
+    """The file's "dimension": an int of at least 1."""
+    dim = checked(data["dimension"], int, '"dimension" must be an integer')
+    if dim < 1:
+        raise ValueError(f'"dimension" must be a positive integer, got {dim}')
+    return dim
+
+
 def poly_from_terms(dimension: int, entries: Sequence[dict], exact: bool = False) -> Polynomial:
     what = "a polynomial must be a list of term objects"
     terms = {}
@@ -106,7 +114,7 @@ def load_problem(source, exact: bool = False) -> PopProblem:
     data, stem = read_json_object(source, "problem file")
     num = (int, float, type(None))
     try:
-        dim = checked(data["dimension"], int, '"dimension" must be an integer')
+        dim = parse_dimension(data)
         objective = poly_from_terms(dim, data["objective"], exact)
         box = parse_box(data, "box", exact)
         polys = checked(data.get("constraints_poly", []), list, '"constraints_poly" must be a list')

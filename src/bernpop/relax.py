@@ -68,13 +68,12 @@ _VALUE_TOL = 1e-9
 @dataclass
 class RelaxationOutcome:
     """A relaxation's bound, its placeholder vector z (levels 1 and 2) and
-    the work it took."""
+    the work it took.  The bound is None when the LP has no feasible point."""
 
     bound: object
     z: Optional[list] = None
     activated_rows: tuple = ()
     iterations: int = 0  # cut rounds
-    infeasible: bool = False  # the LP has no feasible point (then bound is None)
     lp_solves: int = 0
     pivots: int = 0
     lp_fallbacks: int = 0  # float solves redone from the start (see simplex.CutLP)
@@ -341,10 +340,9 @@ def _cut_loop(bf, u, cuts, extra_rows, F: Field, stop_at=None) -> RelaxationOutc
     one reaches ``stop_at`` the loop returns it, marked ``stopped``,
     without appending or scanning further.
 
-    An infeasible LP ends in an outcome with no bound and ``infeasible``
-    set.  Float mode confirms infeasibility by re-solving the Fraction
-    images of the same rows; a float verdict the exact solve refutes is
-    an error rather than a pruned box.
+    Each solve ends optimal or infeasible, and a float infeasibility only
+    once the LP's exact image agrees (``simplex.CutLP.reoptimize``); an
+    infeasible LP ends the loop with no bound and no z.
     """
     value, z, last = _greedy_knapsack(bf.numer, u, F)
     value = F.over(value, bf.den)
@@ -366,22 +364,9 @@ def _cut_loop(bf, u, cuts, extra_rows, F: Field, stop_at=None) -> RelaxationOutc
             sol = simplex.solve(lp)
             solves += 1
             pivots += sol.iterations
-            if sol.status == simplex.INFEASIBLE and not F.exact:
-                check = simplex.solve(lp.exact_image())
-                solves += 1
-                pivots += check.iterations
-                if check.status != simplex.INFEASIBLE:
-                    raise RuntimeError(
-                        f"float LP reported infeasible, exact re-solve ended {check.status}"
-                    )
             if sol.status == simplex.INFEASIBLE:
-                return RelaxationOutcome(
-                    bound=None, activated_rows=tuple(active), iterations=rounds,
-                    infeasible=True, lp_solves=solves, pivots=pivots,
-                    lp_fallbacks=lp.fallbacks,
-                )
-            if sol.status != simplex.OPTIMAL:
-                raise RuntimeError(f"LP ended with status {sol.status}")
+                value = z = None
+                break
             value, z = sol.value, sol.z
             continue  # check the new value before scanning
         if cuts is None:

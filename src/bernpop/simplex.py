@@ -13,16 +13,18 @@ updates it in O(k^2), and appending rows leaves it as it is.  One engine
 serves both fields (a ``bernstein.Field``, fixed when the LP is built):
 
 * float mode refactorizes W every 64 pivots, and a solve that pivoted
-  confirms its optimum on a fresh factorization.  A solve that fails its
-  dual-feasibility check or reaches its pivot cap is a fallback: the LP is
-  rebuilt from its greedy start with every row appended at once and
-  re-optimised; only if that fails too is the exact image (far slower on
-  big LPs) solved and its optimum returned in floats.
+  confirms its optimum on a fresh factorization.  Only an optimal float
+  verdict stands.  A solve that fails its dual-feasibility check or
+  reaches its pivot cap is a fallback: the LP is rebuilt from its greedy
+  start with every row appended at once and re-optimised.  One that still
+  fails, or that ends infeasible, returns its exact image's verdict (far
+  slower on big LPs): the optimum in floats, or infeasibility.
 * exact mode works on object arrays of Fractions with zero tolerances and
   a Bland-style rule, and never refactorizes: its updates are exact.
 
-``solve`` re-optimises a ``CutLP`` in place; the relaxations call it, not
-``CutLP.reoptimize``, so that one binding sees every LP solve.
+``solve`` re-optimises a ``CutLP`` in place, to ``OPTIMAL`` or
+``INFEASIBLE``; the relaxations call it, not ``CutLP.reoptimize``, so
+that one binding sees every LP solve.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .bernstein import EXACT, Field
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-ITERATION_LIMIT = "iteration_limit"
 _FAILED = "failed"  # a float solve to redo (see CutLP.reoptimize)
 
 _FEAS_TOL = 1e-8
@@ -53,8 +54,9 @@ class LPSolution:
 
 
 def solve(lp: "CutLP") -> LPSolution:
-    """Re-optimise ``lp`` in place in its own arithmetic; statuses are
-    returned, never raised, and ``iterations`` are the pivots of this call."""
+    """Re-optimise ``lp`` in place in its own arithmetic: ``OPTIMAL`` or
+    ``INFEASIBLE``, and ``iterations`` are the pivots of this call, those
+    of a restart and of an exact image included."""
     return lp.reoptimize()
 
 
@@ -128,18 +130,19 @@ class CutLP:
         return image
 
     def reoptimize(self) -> LPSolution:
-        """Run the dual simplex from the current basis to an optimum; a
-        failed float solve counts in ``fallbacks`` and is redone (see above)."""
+        """Run the dual simplex from the current basis to an optimum or a
+        proof of infeasibility; a float verdict other than optimal is redone
+        or handed to the exact image (see above), a failed one counted in
+        ``fallbacks``."""
         sol = self._dual_simplex()
-        if sol.status != _FAILED:
-            return sol
-        self.fallbacks += 1
-        pivots, rows = sol.iterations, self.rows
-        self._restart()
-        self.append_rows(*rows)
-        sol = self._dual_simplex()
-        pivots += sol.iterations
+        pivots = sol.iterations
         if sol.status == _FAILED:
+            self.fallbacks, rows = self.fallbacks + 1, self.rows
+            self._restart()
+            self.append_rows(*rows)
+            sol = self._dual_simplex()
+            pivots += sol.iterations
+        if sol.status != OPTIMAL and not self.exact:
             sol = self.exact_image().reoptimize()
             pivots += sol.iterations
             if sol.status == OPTIMAL:
@@ -149,13 +152,16 @@ class CutLP:
 
     def _dual_simplex(self) -> LPSolution:
         """Pivot to an optimum or a proof of infeasibility; a float solve that
-        fails its dual-feasibility check or hits the pivot cap ends ``_FAILED``."""
+        fails its dual-feasibility check or hits the pivot cap ends ``_FAILED``,
+        and an exact one that hits the cap raises."""
         pivots = since_factor = 0
         cap = 50 * (len(self.h) + len(self.x))
         while True:
             leaving, q = self._leaving(), None
             if leaving is not None and pivots >= cap:
-                return LPSolution(ITERATION_LIMIT if self.exact else _FAILED, iterations=pivots)
+                if self.exact:  # Bland's rule cannot cycle: an engine fault
+                    raise RuntimeError(f"exact dual simplex reached its pivot cap of {cap}")
+                return LPSolution(_FAILED, iterations=pivots)
             if leaving is not None:
                 alpha, rho = self._tableau_row(leaving)
                 q = self._entering(leaving, alpha)

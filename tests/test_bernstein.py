@@ -34,6 +34,13 @@ def test_to_bernstein_square():
     assert bf.tensor.tolist() == [0, 0, 1]
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_to_bernstein_of_no_variables_is_a_scalar(exact):
+    # a float form once came back with shape (1,), which no 0-variable point fits
+    bf = to_bernstein(Polynomial(0, {(): Fraction(3) if exact else 3.0}), ())
+    assert bf.numer.shape == () and bf.tensor.item() == 3
+
+
 def test_to_bernstein_unit_partition():
     bf = to_bernstein(Polynomial.constant(2, 1), (2, 3))
     assert (bf.tensor == 1).all()

@@ -433,6 +433,24 @@ def test_infeasible_boxes_are_pruned(level):
     assert res.witness == pytest.approx((-0.5, 0.0), abs=1e-3)
 
 
+@pytest.mark.parametrize("level", ["0", "first", "1", "2"])
+def test_side_rows_are_built_only_for_lp_levels(monkeypatch, level):
+    # levels 0 and first read no constraint row: an exact run builds none,
+    # and levels 1 and 2 build one block per bounded box
+    blocks = []
+    real = bnb.constraint_rows
+
+    def counting(forms):
+        blocks.append(len(forms))
+        return real(forms)
+
+    monkeypatch.setattr(bnb, "constraint_rows", counting)
+    p, g, box = _constrained_square()
+    res = branch_and_bound(p, (g,), box, BnbConfig(level=level, epsilon=1e-3, exact=True))
+    assert res.converged and res.upper_bound == Fraction(3, 4)
+    assert (len(blocks) > 0) == (level in ("1", "2")) and set(blocks) <= {1}
+
+
 def test_all_boxes_infeasible_ends_without_bounds():
     x = Polynomial.variable(1, 0)
     g = Polynomial(1, {(2,): 1.0, (0,): 2.0})  # x^2 + 2 <= 0 has no solution
@@ -457,7 +475,7 @@ def test_infeasible_lp_prunes_the_box(level, exact):
     assert not res.converged
     assert res.lower_bound is None and res.upper_bound is None and res.witness is None
     assert res.stats.infeasible_count == 1
-    assert res.stats.lp_solves == (1 if exact else 2)  # float adds the exact re-check
+    assert res.stats.lp_solves == 1  # a float verdict's exact check is part of the one solve
 
 
 def test_lp_work_is_counted():

@@ -629,6 +629,25 @@ def test_lyapunov_wrongly_shaped_case_is_a_clean_error(capsys, tmp_path, key, va
     assert err.startswith("error:") and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+@pytest.mark.parametrize("arith", ["float", "rational"])
+def test_dimension_below_one_is_a_clean_error(capsys, tmp_path, arith, dim):
+    # once an IndexError traceback (lyapunov), "point length mismatch" in
+    # float and p0 = 3 in rational (relax), and a box "dimension" mismatch
+    problem = _write_problem(tmp_path, "p", {
+        "dimension": dim, "objective": [{"exponents": [], "coeff": 3}],
+        "box": {"lower": [], "upper": []},
+    })
+    case = _write_problem(tmp_path, "c", {
+        "dimension": dim, "V": "-1", "odes": [], "variables": [],
+        "region": {"lower": [], "upper": []},
+    })
+    for mode, path in (("relax", problem), ("bnb", problem), ("lyapunov", case)):
+        code, out, err = _run(capsys, [mode, "--arith", arith, path])
+        assert code == 1 and out == ""
+        assert err == f'error: "dimension" must be a positive integer, got {dim}\n'
+
+
 def test_bnb_reports_early_stops(capsys, fixture_dir):
     # boxes whose bound reaches the incumbent cutoff before the full level-2
     # cut loop ends stop there, and the JSON report counts them

@@ -163,6 +163,8 @@ def test_box_validation():
         Box((0.0, 1.0), (1.0,))
     with pytest.raises(ValueError):
         Box((0.0,), (float("inf"),))
+    with pytest.raises(ValueError, match="at least one side"):
+        Box((), ())
 
 
 def test_box_split_builds_validated_halves():

@@ -45,9 +45,9 @@ def _unit_form(p, box, degree=None, exact=False):
     return bf, box
 
 
-def _square_sum_form(degree=(2, 2)):
+def _square_sum_form(degree=(2, 2), exact=False):
     p = Polynomial(2, {(2, 0): 1, (0, 2): 1})
-    return _unit_form(p, Box((-1.0, -1.0), (1.0, 1.0)), degree)
+    return _unit_form(p, Box((-1.0, -1.0), (1.0, 1.0)), degree, exact)
 
 
 # -- level 0 ----------------------------------------------------------------
@@ -628,19 +628,23 @@ def test_exact_loop_never_refactorizes(monkeypatch):
 
 
 def test_float_infeasibility_is_confirmed_exactly(monkeypatch):
-    # a float verdict of infeasibility is re-checked in Fractions before a
-    # box may be pruned; a verdict the exact solve refutes is an error
-    bf, _ = _square_sum_form()
+    # a float verdict of infeasibility counts only once the LP's exact image
+    # agrees; where it does not, the bound is the exact optimum, in floats
+    bf, _ = _square_sum_form()  # coefficients c_i + c_j, c = (1, -1, 1)
     u = upper_bounds((2, 2))
-    row = ([1.0] * 9, 2.0)  # harmless: sum z = 1 already
-    real = simplex.CutLP.reoptimize
+    rows = row_block([([float(j == 4) for j in range(9)], 0.125)])  # the centre's z <= 1/8
+    exact_bf, _ = _square_sum_form(exact=True)
+    exact = bound_at_level(exact_bf, "1", u=upper_bounds((2, 2), exact=True), extra_rows=rows)
+    assert exact.bound == Fraction(-1, 4)
+    real = simplex.CutLP._dual_simplex
 
     def lying(self):
         return real(self) if self.exact else simplex.LPSolution(simplex.INFEASIBLE)
 
-    monkeypatch.setattr(simplex.CutLP, "reoptimize", lying)
-    with pytest.raises(RuntimeError, match="exact re-solve"):
-        bound_at_level(bf, "1", u=u, extra_rows=row_block([row]))
+    monkeypatch.setattr(simplex.CutLP, "_dual_simplex", lying)
+    out = bound_at_level(bf, "1", u=u, extra_rows=rows)
+    assert out.bound == float(exact.bound) and isinstance(out.bound, float)
+    assert out.lp_solves == 1 and out.lp_fallbacks == 0 and out.pivots == exact.pivots
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -654,8 +658,8 @@ def test_infeasible_lp_is_an_outcome(exact):
         bound_at_level(bf, "1", u=u, extra_rows=row_block(rows), exact=exact),
         bound_at_level(bf, "2", u=u, extra_rows=row_block(rows), exact=exact),
     ):
-        assert out.infeasible and out.bound is None
-        assert out.lp_solves == (1 if exact else 2)  # float adds the exact re-check
+        assert out.bound is None and out.z is None
+        assert out.lp_solves == 1  # a float verdict's exact check is part of the one solve
 
 
 def test_lp_counters():

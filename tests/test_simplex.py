@@ -326,6 +326,27 @@ def test_cut_lp_fallback_restarts_before_the_exact_image(monkeypatch, rng):
         assert lp.fallbacks == 1
 
 
+def test_float_infeasibility_is_the_exact_images_verdict(monkeypatch):
+    # a float solve that ends infeasible skips the restart and returns the
+    # exact image's verdict, here infeasibility too; no fallback is counted
+    images = _count_exact_images(monkeypatch)
+    lp = _cut_lp([1.0, 2.0], [1.0, 1.0])
+    lp.append_rows([[1.0, 1.0]], [0.5])
+    sol = solve(lp)
+    assert sol.status == INFEASIBLE and len(images) == 1 and lp.fallbacks == 0
+
+
+def test_exact_solve_at_its_pivot_cap_raises(monkeypatch):
+    # Bland's rule cannot cycle, so an exact solve that reaches its pivot
+    # cap (here: pivots that change nothing) is an engine fault, not a status
+    monkeypatch.setattr(simplex.CutLP, "_pivot", lambda self, *args: True)
+    F = Fraction
+    lp = _cut_lp([F(3), F(1), F(2)], [F(1), F(1, 2), F(1)], exact=True)
+    lp.append_rows([[0, 0, 1]], [F(1, 4)])
+    with pytest.raises(RuntimeError, match="pivot cap"):
+        solve(lp)
+
+
 def _loop_entering(lp, leaving, alpha):
     """The per-candidate loop the vectorised dual ratio test stands for
     (reference): the smallest ratio, ties within 1e-12 to the largest
