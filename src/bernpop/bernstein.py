@@ -19,8 +19,9 @@ a caller needs them, are the tensor's row-major order.
 Float conversion adds the terms' outer products a block of terms at a
 time, one term after another, so each coefficient is the per-monomial
 loop's to the bit.  Exact conversion contracts the integer image of the
-coefficients with one integer matrix per axis, and subdivision maps an
-image to its pieces'.  Orderings and signs read N, since D > 0, and
+coefficients with one integer matrix per axis, and subdivision maps a
+stack of images (a leading batch axis) to its pieces' in one call.
+Orderings and signs read N, since D > 0, and
 Fractions are built only for the values a caller asks for in the field.
 """
 
@@ -42,6 +43,26 @@ from .poly import Index, Polynomial, term_blocks
 _EXACT_INT = 2**53
 
 
+class _cached:
+    """``functools.cached_property`` without the lock that Python 3.11 takes
+    on every first access, a cost on the scale of the small forms' own
+    work: the value is computed on first access and stored in the
+    instance's ``__dict__`` under the attribute's name, where it shadows
+    this descriptor.  Two threads may both compute it; the values agree."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class BernsteinForm:
     """A polynomial's coefficient tensor in the degree-delta basis, as
@@ -59,19 +80,22 @@ class BernsteinForm:
     def dimension(self) -> int:
         return len(self.degree)
 
-    @functools.cached_property
+    @_cached
     def tensor(self) -> np.ndarray:
         """The coefficients in the field: ``numer`` itself in float, and
         in exact mode its Fractions, built on first use."""
         return np.asarray(field_of(self.numer).over(self.numer, self.den), dtype=self.numer.dtype)
 
-    @functools.cached_property
+    @_cached
     def minimum(self) -> tuple[object, Index]:
         """Smallest coefficient and its lexicographically first index,
         found once per form on ``numer``."""
         pos = int(self.numer.argmin())
-        idx = np.unravel_index(pos, self.numer.shape)
-        return field_of(self.numer).over(self.numer.item(pos), self.den), tuple(int(i) for i in idx)
+        value, idx = self.numer.item(pos), []
+        for size in reversed(self.numer.shape):  # row-major: the last axis varies fastest
+            pos, i = divmod(pos, size)
+            idx.append(i)
+        return field_of(self.numer).over(value, self.den), tuple(reversed(idx))
 
 
 @dataclass(frozen=True)
@@ -255,34 +279,37 @@ def axis_view(tensor: np.ndarray, axis: int) -> np.ndarray:
     return tensor.reshape(math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:]))
 
 
-def subdivide(bf: BernsteinForm, axis: int, t) -> tuple[BernsteinForm, BernsteinForm]:
-    """De Casteljau split of a form along ``axis`` at t in (0,1).
+def subdivide(numer: np.ndarray, axis: int, t) -> tuple[np.ndarray, np.ndarray, object]:
+    """De Casteljau split of a stack of numerators along ``axis`` at t in (0,1).
 
-    Returns the forms of the two pieces [0,t] and [t,1] of that axis, each
-    on its own unit box.  The steps run on whole slices of ``axis_view``.
-    Every float step is c_i + t (c_{i+1} - c_i), which keeps a tensor that
-    is constant along an axis exactly constant.  An exact form needs a
-    rational t = p/q (an int or a Fraction).  Each step r is then
-    (q - p) N_i + p N_{i+1} on the numerators, over D q^r, and both pieces
-    are scaled to one denominator D q^d, left unreduced.
+    ``numer`` holds forms' numerators along a leading batch axis, and
+    ``axis`` counts a member's axes.  Returns the stacks of the two pieces
+    [0,t] and [t,1] of that axis, each on its own unit box, and the factor
+    by which each member's ``den`` grows.  The steps run on whole slices of
+    ``axis_view``, the batch folded into its leading axis, so each member
+    gets the values a split of it alone gives.  Every float step is c_i +
+    t (c_{i+1} - c_i), which keeps a tensor that is constant along an axis
+    exactly constant, and the factor is 1.  An exact stack needs a
+    rational t = p/q (an int or a Fraction).  Each step r is then (q - p)
+    N_i + p N_{i+1} on the numerators, over D q^r, and both pieces are
+    scaled to one denominator D q^d, left unreduced: the factor is q^d.
     """
-    shape, d = bf.numer.shape, bf.degree[axis]
-    if field_of(bf.numer).exact:
+    shape, d = numer.shape, numer.shape[axis + 1] - 1
+    if field_of(numer).exact:
         if not isinstance(t, numbers.Rational):
             raise ValueError(f"split point {t!r} of an exact form is not rational")
         p, q = t.numerator, t.denominator
-        rows = axis_view(bf.numer, axis)
+        rows = axis_view(numer, axis + 1)
         left, right = np.empty_like(rows), np.empty_like(rows)
         left[:, 0], right[:, d] = rows[:, 0] * q**d, rows[:, d] * q**d
         for r in range(1, d + 1):
             rows = (q - p) * rows[:, :-1] + p * rows[:, 1:]
             scale = q ** (d - r)
             left[:, r], right[:, d - r] = rows[:, 0] * scale, rows[:, -1] * scale
-        den = bf.den * q**d
-        return BernsteinForm(left.reshape(shape), den), BernsteinForm(right.reshape(shape), den)
+        return left.reshape(shape), right.reshape(shape), q**d
     # step r overwrites indices 0..d-r in place and index d-r keeps it, so
     # the finished array is the right piece
-    right = axis_view(bf.numer, axis).copy()
+    right = axis_view(numer, axis + 1).copy()
     left = np.empty_like(right)
     left[:, 0] = right[:, 0]
     for r in range(1, d + 1):
@@ -290,7 +317,7 @@ def subdivide(bf: BernsteinForm, axis: int, t) -> tuple[BernsteinForm, Bernstein
         step *= t
         right[:, : d - r + 1] += step
         left[:, r] = right[:, 0]
-    return BernsteinForm(left.reshape(shape)), BernsteinForm(right.reshape(shape))
+    return left.reshape(shape), right.reshape(shape), 1
 
 
 def bernstein_eval(bf: BernsteinForm, point: Sequence) -> object:

@@ -4,26 +4,34 @@ A (sub)problem is its box and, per box, one representation: the Bernstein
 form of the objective on it (and one per polynomial constraint).  Only
 the root is converted from the monomial basis (``relaxation_tensors``);
 children get their forms by a de Casteljau split of the parent along the
-bisected axis, and edge subproblems by a face slice.  A popped box first
-offers its sample points to the incumbent (its centre and its smallest
-coefficient's grid point), and is then bounded at the configured
-relaxation level only as far as the incumbent cutoff needs: the bound
-stops at its first value that reaches the cutoff (see
-``relax.bound_at_level``'s ``stop_at``).  A bound that ran to the end
-with an LP solution z also offers z's nominal point.  The box is then
-resolved by one of: infeasibility (some constraint's coefficients are
-all positive, or the box's LP has no feasible point), the incumbent
-cutoff test (which closes every box whose bound one of the offered
-points attains, since the incumbent is then at most that bound), the
-monotonicity test, or bisection.  A box that is monotone along some
-axes closes by solving the face it is monotone toward, an "edge"
-subproblem solved recursively: the same kind of box, pinned to zero
-width on those axes, with its form sliced to degree 0 there.
+bisected axis, and edge subproblems by a face slice.
 
-The worklist is best-first on the parent bound; each entry carries that
-bound in the run's field, so an exhausted budget reports a valid lower
-bound.  Statistics for the main run and for the recursive edge
-subproblems are tracked separately.
+The worklist is best-first on the parent bound, and each round pops a
+batch of up to ``BATCH`` best boxes, as many as the node budget allows
+(one until there is an incumbent to cut against), and works on their
+stacked tensors.  A box with a constraint whose coefficients are all
+positive is infeasible and closes.  The others first offer their sample
+points to the incumbent (each box's centre and its smallest
+coefficient's grid point), all in one array evaluation.  Each box is
+then bounded at the configured relaxation level only as far as the
+incumbent cutoff needs: the bound stops at its first value that reaches
+the cutoff (see ``relax.bound_at_level``'s ``stop_at``).  A bound that
+ran to the end with an LP solution z also offers z's nominal point.
+Every popped box then closes for one reason or splits: its LP has no
+feasible point, or the cutoff test against the incumbent after all of
+the batch's offers closes it (every box whose bound one of the offered
+points attains, since the incumbent is then at most that bound), or the
+monotonicity test on the stack closes it, or it is at the minimum width,
+or it is bisected, the batch's splits one stacked de Casteljau call per
+axis.  A box that is monotone along some axes closes by solving the face
+it is monotone toward, an "edge" subproblem solved recursively: the same
+kind of box, pinned to zero width on those axes, with its form sliced to
+degree 0 there.  ``Box`` objects appear only there and at the points a
+box offers; the worklist holds corner tuples and numerator arrays.
+
+Each heap entry carries its parent's bound in the run's field, so an
+exhausted budget reports a valid lower bound.  Statistics for the main
+run and for the recursive edge subproblems are tracked separately.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from .poly import Box, Polynomial, to_unit_box
 from .poly import restrict_facet  # noqa: F401  (unused; perfbench/spans.py traces this binding)
 from .relax import (
     LEVEL_0, LEVEL_1, LEVEL_2, LEVELS, bound_at_level, build_cut_matrix, constraint_rows,
-    grid_point, nominal_point,
+    nominal_point,
 )
 
 SPLIT_LONGEST = "longest_edge"
@@ -54,6 +62,9 @@ SPLIT_ZERO = "zero_centered"
 
 # a box whose widest side is no wider closes with its bound, unsplit
 MIN_BOX_WIDTH = 1e-12
+
+# the most worklist entries one round pops and processes as one stack
+BATCH = 32
 
 
 @dataclass
@@ -113,22 +124,44 @@ def cutoff_threshold(incumbent: object, epsilon):
     return incumbent - epsilon * max(1, abs(incumbent))
 
 
-def split_node(box: Box, forms: tuple, strategy: str) -> tuple[tuple, tuple]:
-    """Bisect the widest axis of ``box`` and split each of its Bernstein
-    forms alongside; returns (left box, left forms), (right box, right
-    forms).  The zero-centered strategy splits at the origin instead of
-    the midpoint whenever it lies strictly inside that side.  The box's
-    coordinates are in the forms' field (float with no forms)."""
-    F = field_of(forms[0].numer) if forms else FLOAT
-    axis = box.widest_axis()
-    lo, hi = box.lower[axis], box.upper[axis]
-    at, t = lo + (hi - lo) / 2, F.half
-    if strategy == SPLIT_ZERO and lo < 0 < hi:
-        at = F.zero
-        t = (at - lo) / (hi - lo)
-    left, right = box.split(axis, at)
-    halves = [subdivide(bf, axis, t) for bf in forms]
-    return (left, tuple(h[0] for h in halves)), (right, tuple(h[1] for h in halves))
+def split_boxes(boxes: Sequence[tuple], numer: np.ndarray, strategy: str) -> list[tuple]:
+    """Bisect the widest side of each box (the first of equally wide ones)
+    and split its forms alongside.  ``boxes`` holds K (lower, upper)
+    corner tuples in the forms' field, and ``numer`` (K, m, *shape) the
+    numerators of each box's m forms.  The zero-centered strategy splits
+    at the origin instead of the midpoint whenever it lies strictly inside
+    that side.  Boxes that split on one axis at one t share one stacked
+    ``subdivide`` call.  Returns each box's lower child, then its upper
+    one, as (lower, upper, numerators (m, *shape), the factor by which
+    their denominators grow); each child's numerators are copied out of
+    the stacked split, so that no child keeps its batch's arrays alive."""
+    F = field_of(numer)
+    halves, groups = [], {}
+    for i, (lower, upper) in enumerate(boxes):
+        widths = [hi - lo for lo, hi in zip(lower, upper)]
+        axis = widths.index(max(widths))
+        lo, hi = lower[axis], upper[axis]
+        at, t = lo + (hi - lo) / 2, F.half
+        if strategy == SPLIT_ZERO and lo < 0 < hi:
+            at = F.zero
+            t = (at - lo) / (hi - lo)
+        if not lo < at < hi:
+            raise ValueError("split point outside the open interval")
+        below = (lower, upper[:axis] + (at,) + upper[axis + 1 :])
+        above = (lower[:axis] + (at,) + lower[axis + 1 :], upper)
+        halves.append((below, above))
+        groups.setdefault((axis, t), []).append(i)
+    children = [None] * (2 * len(boxes))
+    for (axis, t), members in groups.items():
+        # (G, m, *shape), split as G m members; one group is the whole batch
+        stack = numer if len(groups) == 1 else numer[members]
+        left, right, factor = subdivide(stack.reshape((-1,) + stack.shape[2:]), axis, t)
+        left, right = left.reshape(stack.shape), right.reshape(stack.shape)
+        for g, i in enumerate(members):
+            below, above = halves[i]
+            children[2 * i] = below + (left[g].copy(), factor)
+            children[2 * i + 1] = above + (right[g].copy(), factor)
+    return children
 
 
 def relaxation_tensors(p: Polynomial, constraints: Sequence, box: Box, degree=None, exact=False):
@@ -150,8 +183,9 @@ def relaxation_tensors(p: Polynomial, constraints: Sequence, box: Box, degree=No
     return forms
 
 
-def _monotonicity_signs(bf: BernsteinForm) -> tuple[str, ...]:
-    """Per-axis derivative sign read off the form's coefficients.
+def _monotonicity_signs(numer: np.ndarray) -> np.ndarray:
+    """Per-axis derivative signs of a stack of forms, read off their
+    numerators (K, *shape): a (K, n) array of '+', '-' or 'mixed'.
 
     The forward differences b_{I+e_r} - b_I are, up to the positive factor
     delta_r / width_r, the Bernstein coefficients of dp/dx_r on the box, so
@@ -159,29 +193,29 @@ def _monotonicity_signs(bf: BernsteinForm) -> tuple[str, ...]:
     An axis along which the tensor is constant gives '+': the objective
     does not depend on it, and fixing its lower bound is lossless.
 
-    The differences run on ``numer``, whose signs are theirs since ``den``
-    > 0, and only on axes that pass a screen by the first smallest and
-    first largest coefficients: a '+' axis has them at indices 0 and
-    delta_r, a '-' axis at delta_r and 0, and a constant one both at 0.
-    Any other axis is 'mixed' without a difference.
+    The differences run on the numerators, whose signs are the
+    coefficients' since ``den`` > 0, and only for the members and axes
+    that pass a screen by the first smallest and first largest
+    coefficients: a '+' axis has them at indices 0 and delta_r, a '-' axis
+    at delta_r and 0, and a constant one both at 0.  Any other axis is
+    'mixed' without a difference.
     """
-    values = bf.numer
-    low = bf.minimum[1]
-    high = np.unravel_index(int(values.argmax()), values.shape)
-    signs = []
-    for r, d in enumerate(bf.degree):
-        if (low[r], high[r]) not in ((0, 0), (0, d), (d, 0)):
-            signs.append("mixed")
+    count, shape = len(numer), numer.shape[1:]
+    flat = numer.reshape(count, -1)
+    low = np.unravel_index(flat.argmin(axis=1), shape)
+    high = np.unravel_index(flat.argmax(axis=1), shape)
+    signs = np.full((count, len(shape)), "mixed")
+    for r, d in enumerate(s - 1 for s in shape):
+        lo, hi = low[r], high[r]
+        screened = np.flatnonzero(((lo == 0) & ((hi == 0) | (hi == d))) | ((lo == d) & (hi == 0)))
+        if not screened.size:
             continue
-        rows = axis_view(values, r)
-        diff = rows[:, 1:] - rows[:, :-1]
-        if not diff.any() or (diff > 0).all():
-            signs.append("+")
-        elif (diff < 0).all():
-            signs.append("-")
-        else:
-            signs.append("mixed")
-    return tuple(signs)
+        rows = axis_view(numer[screened], r + 1)
+        diff = (rows[:, 1:] - rows[:, :-1]).reshape(len(screened), -1)
+        rising = (diff == 0).all(axis=1) | (diff > 0).all(axis=1)
+        signs[screened[rising], r] = "+"
+        signs[screened[~rising & (diff < 0).all(axis=1)], r] = "-"
+    return signs
 
 
 def _face(box: Box, bf: BernsteinForm, signs: Sequence[str]) -> tuple[Box, BernsteinForm]:
@@ -198,20 +232,34 @@ def _face(box: Box, bf: BernsteinForm, signs: Sequence[str]) -> tuple[Box, Berns
     return Box._derived(lower, upper), BernsteinForm(bf.numer[index], bf.den)
 
 
-def sample_upper_bound(box: Box, bf: BernsteinForm) -> list[tuple]:
-    """Candidate points for the incumbent, in the order to offer them: the
-    box center, then the grid point of the argmin Bernstein coefficient."""
-    return [box.center(), box.point(grid_point(bf))]
+def sample_upper_bound(corners: np.ndarray, numer: np.ndarray) -> np.ndarray:
+    """Candidate points for the incumbent from a stack of boxes (corners
+    (K, 2, n) in the field) and their objective numerators (K, *shape),
+    in the order to offer them: each box's centre, then the grid point
+    I/delta of its first smallest coefficient (degree-0 axes give 0), as
+    a (2K, n) array.  The centre is lo + (hi - lo) / 2 and the grid point
+    ``Box.point``'s arithmetic on the corners."""
+    F, count, shape = field_of(corners), len(corners), numer.shape[1:]
+    lower, width = corners[:, 0], corners[:, 1] - corners[:, 0]
+    index = np.unravel_index(numer.reshape(count, -1).argmin(axis=1), shape)
+    steps = [[F.ratio(i, s - 1) for i in range(s)] if s > 1 else [0] for s in shape]
+    grid = np.stack([np.array(step, dtype=F.dtype)[i] for step, i in zip(steps, index)], axis=1)
+    return np.stack([lower + width / 2, lower + width * grid], axis=1).reshape(2 * count, -1)
 
 
-def _evaluator(p: Polynomial, F: Field) -> Callable:
-    """p's value at a point: ``p.eval``, or in exact mode the same monomial
-    sum in integers at Fraction points.  With x_l = A_l / B over the
-    point's common denominator and c_I = C_I / E over the coefficients',
-    p(x) = sum_I C_I A^I B^(T - |I|) / (E B^T), T the largest total
-    degree, built as one Fraction (also for a constant or zero p)."""
+def _evaluator(p: Polynomial, F: Field) -> tuple[Callable, Callable]:
+    """p's value at a point, and its values at the rows of a point array
+    (an array in the field).
+
+    In float these are ``p.eval`` and ``p.eval_rows``, which agree to the
+    bit.  In exact mode a point's value is the same monomial sum in
+    integers at Fraction points: with x_l = A_l / B over the point's
+    common denominator and c_I = C_I / E over the coefficients', p(x) =
+    sum_I C_I A^I B^(T - |I|) / (E B^T), T the largest total degree,
+    built as one Fraction (also for a constant or zero p), and the rows'
+    values are that at each row."""
     if not F.exact:
-        return p.eval
+        return p.eval, p.eval_rows
     coeffs, scale = integer_image(list(p.terms.values()))
     top = max(map(sum, p.terms), default=0)
     terms = [(c, idx, top - sum(idx)) for c, idx in zip(coeffs.tolist(), p.terms)]
@@ -222,7 +270,10 @@ def _evaluator(p: Polynomial, F: Field) -> Callable:
         total = sum(c * den**rest * math.prod(map(pow, nums, idx)) for c, idx, rest in terms)
         return Fraction(total, scale * den**top)
 
-    return evaluate
+    def evaluate_rows(points: np.ndarray) -> np.ndarray:
+        return np.array([evaluate(point) for point in points.tolist()], dtype=object)
+
+    return evaluate, evaluate_rows
 
 
 class _RunState:
@@ -231,8 +282,10 @@ class _RunState:
     ``cutoff_threshold``, set with each new incumbent."""
 
     def __init__(self, objective, constraints, cfg: BnbConfig, F: Field = FLOAT):
-        self.objective = _evaluator(objective, F)
-        self.constraints = tuple(_evaluator(g, F) for g in constraints)
+        self.objective, self.objective_rows = _evaluator(objective, F)
+        pairs = [_evaluator(g, F) for g in constraints]
+        self.constraints = tuple(one for one, _ in pairs)
+        self.constraints_rows = tuple(rows for _, rows in pairs)
         self.max_boxes = cfg.max_boxes
         self.epsilon = F.of(cfg.epsilon)
         self.nodes = 0
@@ -241,23 +294,36 @@ class _RunState:
         self.witness = None
         self.threshold = None
 
-    def charge(self) -> bool:
-        if self.nodes >= self.max_boxes:
-            self.exhausted = True
-            return False
-        self.nodes += 1
-        return True
+    def charge(self, wanted: int) -> int:
+        """Charge up to ``wanted`` nodes to the budget; returns how many it
+        could, and marks the run exhausted when that is none."""
+        granted = min(wanted, self.max_boxes - self.nodes)
+        self.nodes += granted
+        self.exhausted = self.exhausted or not granted
+        return granted
 
     def offer(self, point: tuple) -> None:
         """Take a candidate point as the incumbent if it satisfies every
         constraint and the top-level objective is strictly lower there."""
         if any(g(point) > 0 for g in self.constraints):
             return
-        val = self.objective(point)
-        if self.incumbent is None or val < self.incumbent:
-            self.incumbent = val
+        self._take(point, self.objective(point))
+
+    def offer_rows(self, points: np.ndarray) -> None:
+        """``offer`` each row of ``points`` in turn, with every function
+        evaluated at all the rows at once."""
+        blocked = np.zeros(len(points), dtype=bool)
+        for g in self.constraints_rows:
+            blocked |= g(points) > 0
+        feasible = points[~blocked]
+        for point, value in zip(feasible.tolist(), self.objective_rows(feasible).tolist()):
+            self._take(point, value)
+
+    def _take(self, point, value) -> None:
+        if self.incumbent is None or value < self.incumbent:
+            self.incumbent = value
             self.witness = tuple(point)
-            self.threshold = cutoff_threshold(val, self.epsilon)
+            self.threshold = cutoff_threshold(value, self.epsilon)
 
 
 def branch_and_bound(
@@ -308,21 +374,30 @@ def _solve_problem(box, forms, cfg, state, stats, depth):
 
     ``forms`` holds the Bernstein forms of the objective and of each
     constraint on ``box``, all of one degree; every box in the worklist
-    carries its own tuple of them, and they are all the loop reads of the
+    carries its own block of their numerators (one array, objective
+    first) and their denominators, and they are all the loop reads of the
     problem.  An edge subproblem's ``box`` is a face of its parent's
     (``_face``), in the problem's own coordinates, so its points are the
     problem's.  Heap entries are (float key, tie counter, bound in the
-    run's field, box, forms); the root's bound is its smallest
-    coefficient, a valid bound on the box.
+    run's field, lower corner, upper corner, numerators (m, *shape),
+    denominators); the root's bound is its smallest coefficient, a valid
+    bound on the box.
+
+    Each round pops up to ``BATCH`` best entries (one while there is no
+    incumbent), as many as the node budget allows, stacks their
+    numerators and runs each step on the whole stack: the
+    constraint-infeasibility test, the sample points' offers, one bound
+    per box (``_bound_batch``), the cutoff test against the incumbent
+    after all of them, the monotonicity screen, and the split of the
+    boxes left open.
     """
     F, delta = field_of(forms[0].numer), forms[0].degree
     u = None if cfg.level == LEVEL_0 else upper_bounds(delta, exact=F.exact)
     cuts = None if cfg.level != LEVEL_2 else build_cut_matrix(delta, F.exact)
-    lp_level = cfg.level in (LEVEL_1, LEVEL_2)
-
     counter = itertools.count()
     root_bound = forms[0].minimum[0]
-    heap: list = [(_heap_key(root_bound), next(counter), root_bound, box, forms)]
+    block, dens = np.stack([bf.numer for bf in forms]), tuple(bf.den for bf in forms)
+    heap: list = [(_heap_key(root_bound), next(counter), root_bound, box.lower, box.upper, block, dens)]
     contrib = None
 
     def add_contrib(value):
@@ -331,27 +406,102 @@ def _solve_problem(box, forms, cfg, state, stats, depth):
             contrib = value
 
     while heap:
-        if not state.charge():
+        # with no incumbent nothing closes by the cutoff, and a batch would
+        # split all of its boxes: one box a round dives best-first to the
+        # first feasible point, as a search one box at a time does
+        count = state.charge(min(BATCH if state.threshold is not None else 1, len(heap)))
+        if not count:
             stats.budget_count += len(heap)
-            while heap:
-                add_contrib(heapq.heappop(heap)[2])
+            for entry in heap:
+                add_contrib(entry[2])
             break
-        _, _, _, cur, (bf, *g_forms) = heapq.heappop(heap)
+        batch = [heapq.heappop(heap)[3:] for _ in range(count)]
         if depth == 0:
-            stats.subdivisions += 1
+            stats.subdivisions += count
         else:
-            stats.edge_subdivisions += 1
+            stats.edge_subdivisions += count
+        numer = np.stack([entry[2] for entry in batch])
+        if numer.shape[1] > 1:
+            # some constraint is positive on the whole box: nothing feasible there
+            positive = numer[:, 1:].reshape(count, numer.shape[1] - 1, -1).min(axis=2) > 0
+            feasible = np.flatnonzero(~positive.any(axis=1))
+            stats.infeasible_count += count - len(feasible)
+            if not len(feasible):
+                continue
+            batch, numer = [batch[i] for i in feasible], numer[feasible]
+        corners = np.array([entry[:2] for entry in batch], dtype=F.dtype)
+        # sample first, so that each bound need only reach the cutoff
+        state.offer_rows(sample_upper_bound(corners, numer[:, 0]))
+        bounded = _bound_batch(batch, numer, cfg.level, u, cuts, state, stats)
 
-        if any(g.numer.min() > 0 for g in g_forms):
-            # some constraint is positive on the whole box: nothing feasible here
-            stats.infeasible_count += 1
+        # the cutoff test reads the incumbent after the whole batch's offers
+        threshold, survivors = state.threshold, []
+        for i, bound in bounded:
+            if threshold is not None and bound >= threshold:
+                if depth == 0:
+                    stats.cutoff_count += 1
+                else:
+                    stats.edge_cutoffs += 1
+                add_contrib(bound)
+            else:
+                survivors.append((i, bound))
+        if not survivors:
             continue
-        # sample first, so that the bound need only reach the cutoff
-        for pt in sample_upper_bound(cur, bf):
-            state.offer(pt)
+        rows = [i for i, _ in survivors]
+        widths = corners[rows, 1] - corners[rows, 0]
+        monotone = [False] * len(rows)
+        if numer.shape[1] == 1:  # the monotonicity test is for problems without constraints
+            signs = _monotonicity_signs(numer[rows, 0])
+            # a pinned axis reads '+': only a side of positive width counts
+            monotone = ((signs != "mixed") & (widths > 0)).any(axis=1).tolist()
+        narrow = widths.max(axis=1) <= MIN_BOX_WIDTH
+        split = []
+        for k, (i, bound) in enumerate(survivors):
+            if monotone[k]:
+                stats.mono_count += 1
+                lower, upper, _, dens = batch[i]
+                bf = BernsteinForm(numer[i, 0], dens[0])
+                face, face_form = _face(Box._derived(lower, upper), bf, signs[k])
+                if "mixed" not in signs[k]:  # a vertex: its one coefficient is the value there
+                    state.offer(face.lower)
+                    add_contrib(face_form.tensor.item())
+                else:
+                    t0 = time.perf_counter()
+                    add_contrib(_solve_problem(face, (face_form,), cfg, state, stats, depth + 1))
+                    if depth == 0:  # nested recursion is inside this window
+                        stats.edge_elapsed += time.perf_counter() - t0
+            elif narrow[k]:
+                stats.min_width_count += 1
+                add_contrib(bound)
+            else:
+                split.append((i, bound))
+        if not split:
+            continue
+        rows = [i for i, _ in split]
+        children = split_boxes([batch[i][:2] for i in rows], numer[rows], SPLIT_LONGEST)
+        for k, (i, bound) in enumerate(split):
+            key, dens = _heap_key(bound), batch[i][3]
+            for lower, upper, block, factor in children[2 * k : 2 * k + 2]:
+                den = tuple(d * factor for d in dens)
+                heapq.heappush(heap, (key, next(counter), bound, lower, upper, block, den))
+
+    return contrib
+
+
+def _bound_batch(batch, numer, level, u, cuts, state, stats) -> list[tuple]:
+    """Bound each box of a batch at ``level``, in order, only as far as the
+    cutoff needs (``stop_at``), and count its LP work; a bound that ran to
+    the end with an LP solution offers its nominal point at once.  Returns
+    (index, bound) for each box whose LP has a feasible point; the others
+    count as infeasible."""
+    F, delta = field_of(numer), tuple(s - 1 for s in numer.shape[2:])
+    bounded = []
+    for i, ((lower, upper, _, dens), block) in enumerate(zip(batch, numer)):
+        forms = tuple(map(BernsteinForm, block, dens))
         outcome = bound_at_level(
-            bf, cfg.level, u=u, cuts=cuts,
-            extra_rows=constraint_rows(g_forms) if lp_level else None,  # 0 and first read no rows
+            forms[0], level, u=u, cuts=cuts,
+            # levels 0 and first read no rows
+            extra_rows=constraint_rows(forms[1:]) if level in (LEVEL_1, LEVEL_2) else None,
             stop_at=state.threshold,
         )
         stats.lp_solves += outcome.lp_solves
@@ -360,45 +510,13 @@ def _solve_problem(box, forms, cfg, state, stats, depth):
         stats.early_stops += outcome.stopped
         stats.cut_rounds += outcome.iterations
         stats.rows_activated += len(outcome.activated_rows)
-        bound = outcome.bound
-        if bound is None:  # the box's LP has no feasible point
+        if outcome.bound is None:  # the box's LP has no feasible point
             stats.infeasible_count += 1
             continue
         if outcome.z is not None and not outcome.stopped:
-            state.offer(cur.point(nominal_point(outcome.z, delta, F)))
-
-        if state.threshold is not None and bound >= state.threshold:
-            if depth == 0:
-                stats.cutoff_count += 1
-            else:
-                stats.edge_cutoffs += 1
-            add_contrib(bound)
-            continue
-        if not g_forms:
-            signs = _monotonicity_signs(bf)
-            # a pinned axis reads '+': only a side of positive width counts
-            if any(s != "mixed" and cur.width(r) for r, s in enumerate(signs)):
-                stats.mono_count += 1
-                face, face_form = _face(cur, bf, signs)
-                if "mixed" not in signs:  # a vertex: its one coefficient is the value there
-                    state.offer(face.lower)
-                    add_contrib(face_form.tensor.item())
-                else:
-                    t0 = time.perf_counter()
-                    sub_lower = _solve_problem(face, (face_form,), cfg, state, stats, depth + 1)
-                    if depth == 0:  # nested recursion is inside this window
-                        stats.edge_elapsed += time.perf_counter() - t0
-                    add_contrib(sub_lower)
-                continue
-        if cur.width(cur.widest_axis()) <= MIN_BOX_WIDTH:
-            stats.min_width_count += 1
-            add_contrib(bound)
-            continue
-        key = _heap_key(bound)
-        for child, child_forms in split_node(cur, (bf, *g_forms), SPLIT_LONGEST):
-            heapq.heappush(heap, (key, next(counter), bound, child, child_forms))
-
-    return contrib
+            state.offer(Box._derived(lower, upper).point(nominal_point(outcome.z, delta, F)))
+        bounded.append((i, outcome.bound))
+    return bounded
 
 
 def _heap_key(bound) -> float:

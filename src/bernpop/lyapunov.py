@@ -21,9 +21,9 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from .bernstein import field, upper_bounds
+from .bernstein import BernsteinForm, field, upper_bounds
 from .bernstein import to_bernstein  # noqa: F401  (unused; perfbench/spans.py traces this binding)
-from .bnb import MIN_BOX_WIDTH, SPLIT_ZERO, BnbConfig, relaxation_tensors, split_node
+from .bnb import MIN_BOX_WIDTH, SPLIT_ZERO, BnbConfig, relaxation_tensors, split_boxes
 from .poly import Box, Polynomial, lie_derivative
 from .poly import to_unit_box  # noqa: F401  (unused; perfbench/spans.py traces this binding)
 from .problems import (
@@ -131,12 +131,15 @@ def certify_nonnegative(p: Polynomial, region: Box, cfg: Optional[BnbConfig] = N
             run.verified_boxes += 1
         elif not straddles and len(hist) >= 2 and bound <= hist[-2] / _STALL_FACTOR:
             run.stalled_boxes += 1
-        elif box.width(box.widest_axis()) <= MIN_BOX_WIDTH:
+        elif max(map(box.width, range(box.dimension))) <= MIN_BOX_WIDTH:
             run.stalled_boxes += 1
         else:
             child_hist = () if straddles else hist + (bound,)
-            for child, (child_form,) in split_node(box, (bf,), SPLIT_ZERO):
-                stack.append((child, child_form, child_hist, bound))
+            # the box's one form, split as a stack of one
+            children = split_boxes([(box.lower, box.upper)], bf.numer[None, None], SPLIT_ZERO)
+            for lo, hi, block, factor in children:
+                child = Box._derived(lo, hi), BernsteinForm(block[0], bf.den * factor)
+                stack.append(child + (child_hist, bound))
             continue
         if lower is None or bound < lower:
             lower = bound

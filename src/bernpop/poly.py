@@ -166,6 +166,26 @@ class Polynomial:
             total = total + term
         return total
 
+    def eval_rows(self, points: np.ndarray) -> np.ndarray:
+        """``eval`` at each row of a float64 point array, as one array
+        evaluation with ``eval``'s arithmetic: each term is its coefficient
+        times the powers x**e (Python's float power, one per axis and
+        exponent) multiplied left to right, and the terms are added in term
+        order to a sum that starts at 0, so each value is ``eval``'s to the
+        bit.  A product or a sum that overflows is an inf, as in Python."""
+        columns, powers = points.T.tolist(), {}
+        total = np.zeros(len(points))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for idx, c in self.terms.items():
+                term = c
+                for axis, e in enumerate(idx):
+                    if e:
+                        if (axis, e) not in powers:
+                            powers[axis, e] = np.array([x**e for x in columns[axis]])
+                        term = term * powers[axis, e]
+                total = total + term
+        return total
+
     def derivative(self, axis: int) -> "Polynomial":
         """Formal partial derivative along ``axis`` (0-based)."""
         if not 0 <= axis < self.dimension:
@@ -244,20 +264,6 @@ class Box:
 
     def width(self, axis: int):
         return self.upper[axis] - self.lower[axis]
-
-    def widest_axis(self) -> int:
-        """Index of the widest side; lowest index wins ties."""
-        best, best_w = 0, self.width(0)
-        for j in range(1, self.dimension):
-            w = self.width(j)
-            if w > best_w:
-                best, best_w = j, w
-        return best
-
-    def center(self) -> tuple:
-        return tuple(
-            lo + (hi - lo) / 2 for lo, hi in zip(self.lower, self.upper)
-        )
 
     def split(self, axis: int, at) -> tuple["Box", "Box"]:
         """The halves of the box below and above ``at`` on ``axis``.  They

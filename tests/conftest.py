@@ -21,7 +21,10 @@ import numpy as np
 import pytest
 
 from bernpop import simplex
-from bernpop.bernstein import BernsteinForm, _beta_peak, field, integer_image, outer_chain, to_bernstein
+from bernpop.bernstein import (
+    BernsteinForm, _beta_peak, field, integer_image, outer_chain, subdivide, to_bernstein,
+)
+from bernpop.bnb import split_boxes
 from bernpop.poly import Box, Polynomial, lie_derivative, to_unit_box
 from bernpop.problems import load_fixture, poly_from_text
 from bernpop.relax import _greedy_knapsack, nominal_point
@@ -46,6 +49,23 @@ def box_tensor(p: Polynomial, box: Box, degree=None, exact: bool = False) -> np.
     """Coefficient tensor of ``p`` on ``box`` (``box_form``'s), in
     Fractions when ``exact`` and in float64 otherwise."""
     return box_form(p, box, degree, exact).tensor
+
+
+def split_form(bf: BernsteinForm, axis: int, t) -> tuple[BernsteinForm, BernsteinForm]:
+    """The two pieces of one form, split by the stacked ``subdivide`` as a
+    batch of one."""
+    left, right, factor = subdivide(bf.numer[None], axis, t)
+    return BernsteinForm(left[0], bf.den * factor), BernsteinForm(right[0], bf.den * factor)
+
+
+def split_node(box: Box, forms: tuple, strategy: str) -> tuple[tuple, tuple]:
+    """``bnb.split_boxes`` on one box and its forms: (left box, left
+    forms), (right box, right forms)."""
+    numer = np.stack([bf.numer for bf in forms])[None]
+    return tuple(
+        (Box._derived(lower, upper), tuple(BernsteinForm(n, bf.den * f) for n, bf in zip(block, forms)))
+        for lower, upper, block, f in split_boxes([(box.lower, box.upper)], numer, strategy)
+    )
 
 
 def form_of(tensor: np.ndarray) -> BernsteinForm:

@@ -26,6 +26,7 @@ from conftest import (
     monomial_bernstein_row,
     motzkin3,
     random_polynomial,
+    split_form,
 )
 
 
@@ -247,13 +248,15 @@ def _descend(p, box, depth, rng, pick_t):
         t = pick_t()
         lo, hi = box.lower[axis], box.upper[axis]
         side = rng.randrange(2)
-        bf = subdivide(bf, axis, t)[side]
+        bf = split_form(bf, axis, t)[side]
         box = box.split(axis, lo + t * (hi - lo))[side]
     return box, bf.tensor
 
 
 def test_subdivide_univariate_square():
-    left, right = subdivide(BernsteinForm(np.array([0, 0, 1], dtype=object)), 0, Fraction(1, 2))
+    left, right, factor = subdivide(np.array([[0, 0, 1]], dtype=object), 0, Fraction(1, 2))
+    assert left.tolist() == [[0, 0, 1]] and right.tolist() == [[1, 2, 4]] and factor == 4
+    left, right = split_form(BernsteinForm(np.array([0, 0, 1], dtype=object)), 0, Fraction(1, 2))
     assert list(left.tensor) == [0, 0, Fraction(1, 4)]
     assert list(right.tensor) == [Fraction(1, 4), Fraction(1, 2), 1]
     assert left.numer.tolist() == [0, 0, 1] and left.den == 4
@@ -263,7 +266,7 @@ def test_subdivide_keeps_constant_axis_exact(rng):
     # a tensor constant along axis 1 stays so at a non-dyadic split point
     col = np.array([rng.uniform(-5, 5) for _ in range(4)])
     bf = BernsteinForm(np.repeat(col[:, None], 3, axis=1))
-    for half in subdivide(bf, 1, 0.3) + subdivide(bf, 0, 0.3):
+    for half in split_form(bf, 1, 0.3) + split_form(bf, 0, 0.3):
         assert half.den == 1 and (np.diff(half.numer, axis=1) == 0).all()
 
 

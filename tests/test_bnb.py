@@ -1,7 +1,10 @@
+import heapq
 import math
 import sys
+import types
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bernpop import bnb
@@ -15,13 +18,15 @@ from bernpop.bnb import (
     branch_and_bound,
     cutoff_threshold,
     sample_upper_bound,
-    split_node,
 )
-from bernpop.bernstein import FLOAT, to_bernstein
+from bernpop.bernstein import FLOAT, BernsteinForm, to_bernstein
 from bernpop.poly import Box, Polynomial, to_unit_box
 from bernpop.problems import load_fixture, load_problem
 from bernpop.relax import RelaxationOutcome, nominal_point
-from conftest import algebraic4, box_form, box_tensor, himmelblau, himmelblau_exact, random_box, random_polynomial
+from conftest import (
+    algebraic4, box_form, box_tensor, himmelblau, himmelblau_exact, random_box, random_polynomial,
+    split_node,
+)
 
 
 def test_cutoff_prunes_above_incumbent():
@@ -49,27 +54,33 @@ def test_state_holds_the_threshold_of_its_incumbent():
     assert state.threshold == cutoff_threshold(0.0, state.epsilon)
 
 
+def _split(box, strategy):
+    """``split_node`` on ``box`` with a constant form, for its geometry:
+    the stacked split of the forms is ``split_boxes``'s, as B&B's."""
+    return split_node(box, (BernsteinForm(np.zeros((1,) * box.dimension)),), strategy)
+
+
 def test_split_longest_edge():
-    (left, _), (right, _) = split_node(Box((0.0, 0.0), (1.0, 1.0)), (), SPLIT_LONGEST)
+    (left, _), (right, _) = _split(Box((0.0, 0.0), (1.0, 1.0)), SPLIT_LONGEST)
     assert left.upper == (0.5, 1.0)
     assert right.lower == (0.5, 0.0)
 
 
 def test_split_zero_centered():
-    (left, _), (right, _) = split_node(Box((-1.0,), (1.0,)), (), SPLIT_ZERO)
+    (left, _), (right, _) = _split(Box((-1.0,), (1.0,)), SPLIT_ZERO)
     assert left.upper == (0.0,) and right.lower == (0.0,)
-    (left, _), (right, _) = split_node(Box((-1.0,), (3.0,)), (), SPLIT_ZERO)
+    (left, _), (right, _) = _split(Box((-1.0,), (3.0,)), SPLIT_ZERO)
     assert left.upper == (0.0,) and right.lower == (0.0,)
 
 
 def test_split_zero_centered_falls_back_to_midpoint():
-    (left, _), (right, _) = split_node(Box((1.0,), (3.0,)), (), SPLIT_ZERO)
+    (left, _), (right, _) = _split(Box((1.0,), (3.0,)), SPLIT_ZERO)
     assert left.upper == (2.0,)
 
 
 def test_monotonicity_signs():
     def signs(p, box):
-        return _monotonicity_signs(box_form(p, box))
+        return tuple(_monotonicity_signs(box_form(p, box).numer[None])[0])
 
     x = Polynomial.variable(1, 0)
     assert signs(x, Box((-2.0,), (5.0,))) == ("+",)
@@ -125,11 +136,17 @@ def test_fully_fixed_vertex_contributes_its_coefficient(monkeypatch):
     assert res.converged
 
 
+def _samples(box, bf):
+    """``sample_upper_bound`` of one box and its form, as tuples."""
+    corners = np.array([[box.lower, box.upper]])
+    return [tuple(row) for row in sample_upper_bound(corners, bf.numer[None]).tolist()]
+
+
 def test_sample_upper_bound_center():
     square = Polynomial(1, {(2,): 1})
     box = Box((-1.0,), (1.0,))
     q, _ = to_unit_box(square, box)
-    center, grid = sample_upper_bound(box, to_bernstein(q, (2,)))
+    center, grid = _samples(box, to_bernstein(q, (2,)))
     assert center == (0.0,) and square.eval(center) == pytest.approx(0.0)
     assert grid == (0.0,)  # the middle coefficient, -1, is the smallest
 
@@ -138,14 +155,17 @@ def test_sample_upper_bound_grid_argmin():
     box = Box((-5.0, -5.0), (5.0, 5.0))
     q, _ = to_unit_box(himmelblau(), box)
     bf = to_bernstein(q, (4, 4))
-    points = sample_upper_bound(box, bf)
+    points = _samples(box, bf)
     assert points[0] == (0.0, 0.0) and len(points) == 2
     assert himmelblau().eval(points[1]) >= 0.0
-    # the state takes the lower of the two
+    # the state takes the lower of the two, one at a time or as rows
     state = _RunState(himmelblau(), (), BnbConfig(max_boxes=10))
     for pt in points:
         state.offer(pt)
     assert state.incumbent == min(himmelblau().eval(pt) for pt in points)
+    rows = _RunState(himmelblau(), (), BnbConfig(max_boxes=10))
+    rows.offer_rows(np.array(points))
+    assert (rows.incumbent, rows.witness) == (state.incumbent, state.witness)
 
 
 def test_sample_upper_bound_infeasible():
@@ -154,9 +174,24 @@ def test_sample_upper_bound_infeasible():
     box = Box((0.0,), (1.0,))
     q, _ = to_unit_box(p, box)
     state = _RunState(p, (g,), BnbConfig(max_boxes=10))
-    for pt in sample_upper_bound(box, to_bernstein(q, (2,))):
+    points = _samples(box, to_bernstein(q, (2,)))
+    for pt in points:
         state.offer(pt)
+    state.offer_rows(np.array(points))
     assert state.incumbent is None and state.witness is None
+
+
+def test_offered_rows_take_the_first_lowest_feasible_point():
+    # (x - 1)^2 subject to 1/4 - x <= 0: rows are offered in order, as one
+    # point after another, so of two feasible points of equal value the
+    # first is taken
+    p = Polynomial(1, {(2,): 1.0, (1,): -2.0, (0,): 1.0})
+    g = Polynomial(1, {(0,): 0.25, (1,): -1.0})
+    state = _RunState(p, (g,), BnbConfig(max_boxes=10))
+    state.offer_rows(np.array([[0.0], [1.5], [0.5], [2.0]]))
+    assert state.incumbent == 0.25 and state.witness == (1.5,)
+    state.offer_rows(np.array([[0.5], [1.25]]))  # not lower, then lower
+    assert state.incumbent == 0.0625 and state.witness == (1.25,)
 
 
 def test_config_validation():
@@ -345,7 +380,7 @@ def test_tensor_sign_test_at_least_as_decisive(rng):
         n = rng.randint(1, 3)
         p = random_polynomial(rng, n, 3)
         box = random_box(rng, n)
-        signs = _monotonicity_signs(box_form(p, box))
+        signs = tuple(_monotonicity_signs(box_form(p, box).numer[None])[0])
         for ref, got in zip(_derivative_signs(p, box), signs):
             if ref != "mixed":
                 assert got == ref
@@ -379,12 +414,12 @@ def test_face_slice_equals_restricted_conversion():
 # so the main box closes on its x = 0 face, where boxes monotone in y or
 # z close on faces of that face (depth 2)
 NESTED_FACES_COUNTS = {  # (main, edge, mono, edge cutoffs) nodes per (exact, level)
-    (False, "0"): (1, 206, 16, 96),
+    (False, "0"): (1, 168, 16, 77),
     (False, "1"): (1, 125, 11, 58),
-    (False, "2"): (1, 102, 4, 50),
-    (True, "0"): (1, 192, 16, 89),
+    (False, "2"): (1, 100, 4, 49),
+    (True, "0"): (1, 168, 16, 77),
     (True, "1"): (1, 125, 11, 58),
-    (True, "2"): (1, 102, 4, 50),
+    (True, "2"): (1, 100, 4, 49),
 }
 
 
@@ -494,6 +529,98 @@ def _d2_repro():
     return p, (g,), Box((-1.0, -1.0), (1.0, 1.0))
 
 
+def _count_pushes(monkeypatch):
+    """Record every heap push of the worklists, and the root of each
+    worklist (``_solve_problem`` call), which starts the heap unpushed."""
+    pushes, worklists = [], []
+    real_solve = bnb._solve_problem
+
+    def push(heap, entry):
+        pushes.append(entry)
+        heapq.heappush(heap, entry)
+
+    def counted_worklist(*args, **kwargs):
+        worklists.append(args)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(bnb, "heapq", types.SimpleNamespace(heappush=push, heappop=heapq.heappop))
+    monkeypatch.setattr(bnb, "_solve_problem", counted_worklist)
+    return pushes, worklists
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("case", ["himmelblau", "constrained"])
+def test_budget_running_out_inside_a_batch(monkeypatch, case, exact):
+    # the budget grants only part of the batch a round asks for; the
+    # entries it leaves on the heap are drained into the budget count and
+    # the lower bound, and no popped entry goes unprocessed
+    grants = []
+    real_charge = _RunState.charge
+
+    def charge(self, wanted):
+        grants.append((wanted, real_charge(self, wanted)))
+        return grants[-1][1]
+
+    monkeypatch.setattr(_RunState, "charge", charge)
+    pushes, worklists = _count_pushes(monkeypatch)
+    if case == "himmelblau":
+        # 1 + 2 + 4 + 8 boxes, then 15 of a round of 16; edge subproblems
+        # of that round start with no budget left
+        problem = load_problem(load_fixture("himmelblau"), exact)
+        p, constraints, box, budget = problem.objective, (), problem.box, 30
+    else:
+        p, g, box = _constrained_square()
+        constraints, budget = (g,), 40
+    res = branch_and_bound(p, constraints, box, BnbConfig(level="0", max_boxes=budget, exact=exact))
+    s = res.stats
+    assert any(0 < granted < wanted for wanted, granted in grants)
+    assert grants[-1][1] == 0 and s.budget_count > 0
+    popped = s.subdivisions + s.edge_subdivisions
+    assert popped == sum(granted for _, granted in grants) == budget
+    assert len(worklists) + len(pushes) == popped + s.budget_count
+    assert res.lower_bound <= res.upper_bound
+    assert res.converged is False
+    assert isinstance(res.lower_bound, Fraction) == exact
+
+
+def test_rounds_take_one_box_until_an_incumbent(monkeypatch):
+    # x1 + 9 x0 x1^3 - 2/7 x0^2 x2^3 subject to 4/3 x2^2 <= 0: only the
+    # face x2 = 0 is feasible, and no sample point is until the search
+    # reaches it.  Rounds of 32 boxes from the start split every box they
+    # pop and took 2 599 nodes; one box a round dives to the first
+    # feasible point best-first, as a search one box at a time does (189)
+    wanted = []
+    real_charge = _RunState.charge
+
+    def charge(self, count):
+        wanted.append((count, self.threshold is None))
+        return real_charge(self, count)
+
+    monkeypatch.setattr(_RunState, "charge", charge)
+    p = Polynomial(3, {(0, 1, 0): 1.0, (1, 3, 0): 9.0, (2, 0, 3): -2 / 7})
+    g = Polynomial(3, {(0, 0, 2): 4 / 3})
+    box = Box((-3.0, -1.5, 0.0), (-1.5, -0.5, 2.0))
+    res = branch_and_bound(p, (g,), box, BnbConfig(level="0"))
+    assert res.converged and res.upper_bound == 1.1875 and res.witness == (-1.5, -0.5, 0.0)
+    assert all(count == 1 for count, unset in wanted if unset)
+    assert any(count > 1 for count, unset in wanted if not unset)
+    assert res.stats.subdivisions < 300
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_heap_entries_own_their_numerators(monkeypatch, exact):
+    # each child is copied out of its batch's stacked split: an entry that
+    # held a view would keep the whole stack alive while it waits
+    pushes, _ = _count_pushes(monkeypatch)
+    problem = load_problem(load_fixture("himmelblau"), exact)
+    cfg = BnbConfig(level="0", epsilon=problem.epsilon, exact=exact)
+    assert branch_and_bound(problem.objective, (), problem.box, cfg).converged
+    assert len(pushes) > 100
+    for *_, lower, upper, block, dens in pushes:
+        assert block.base is None and block.flags.owndata
+        assert type(lower) is type(upper) is tuple and len(dens) == len(block) == 1
+
+
 @pytest.mark.parametrize(
     "case, level, min_box_width",  # the width patches bnb.MIN_BOX_WIDTH
     [
@@ -507,19 +634,9 @@ def _d2_repro():
     ],
 )
 def test_every_popped_node_closes_for_one_reason_or_splits(monkeypatch, case, level, min_box_width):
-    splits, worklists = [], []
-    real_split, real_solve = bnb.split_node, bnb._solve_problem
-
-    def counted(*args):
-        splits.append(args)
-        return real_split(*args)
-
-    def counted_worklist(*args, **kwargs):
-        worklists.append(args)
-        return real_solve(*args, **kwargs)
-
-    monkeypatch.setattr(bnb, "split_node", counted)
-    monkeypatch.setattr(bnb, "_solve_problem", counted_worklist)
+    # a batch splits its open boxes together: each split pushes two
+    # children, so the splits are half the pushes
+    pushes, worklists = _count_pushes(monkeypatch)
     monkeypatch.setattr(bnb, "MIN_BOX_WIDTH", min_box_width)
     if case == "d2":
         p, constraints, box = _d2_repro()
@@ -534,10 +651,11 @@ def test_every_popped_node_closes_for_one_reason_or_splits(monkeypatch, case, le
     closures = (
         s.cutoff_count + s.edge_cutoffs + s.mono_count + s.infeasible_count + s.min_width_count
     )
-    assert s.subdivisions + s.edge_subdivisions == closures + len(splits)
+    assert len(pushes) % 2 == 0
+    assert s.subdivisions + s.edge_subdivisions == closures + len(pushes) // 2
     # every entry pushed (one root per worklist, two per split) was popped
     # or drained when the budget ran out
-    pushed = len(worklists) + 2 * len(splits)
+    pushed = len(worklists) + len(pushes)
     assert pushed == s.subdivisions + s.edge_subdivisions + s.budget_count
     assert (s.budget_count > 0) == limited
     assert (s.min_width_count > 0) == (min_box_width > 1e-12)
@@ -549,14 +667,15 @@ def test_every_popped_node_closes_for_one_reason_or_splits(monkeypatch, case, le
 def test_level0_closures_are_cutoff_closures(exact):
     # at level 0 a box whose smallest coefficient is a corner one is closed
     # by the cutoff: its grid point, offered before the bound, attains it;
-    # nodes, bounds and witness are those of the former exact closures,
-    # which are now counted with the cutoff closures (141 + 32 + 133)
+    # bounds and witness are those of the former exact closures, which are
+    # now counted with the cutoff closures (141 + 32 + 133 before batches
+    # of boxes; batches moved the nodes from 437 + 206)
     problem = load_problem(load_fixture("himmelblau"), exact)
     cfg = BnbConfig(level="0", epsilon=problem.epsilon, exact=exact)
     res = branch_and_bound(problem.objective, (), problem.box, cfg)
     s = res.stats
-    assert (s.subdivisions, s.edge_subdivisions) == (437, 206)
-    assert (s.cutoff_count, s.edge_cutoffs, s.mono_count) == (187, 119, 32)
+    assert (s.subdivisions, s.edge_subdivisions) == (433, 184)
+    assert (s.cutoff_count, s.edge_cutoffs, s.mono_count) == (185, 108, 32)
     if exact:
         assert res.lower_bound == Fraction(-36112019881555, 56668397794435742564352)
         assert res.upper_bound == Fraction(31980883136065, 1208925819614629174706176)
@@ -589,37 +708,48 @@ def test_cut_counters_sum_the_run_outcomes(monkeypatch):
 
 @pytest.mark.parametrize("level", ["1", "2"])
 def test_fully_bounded_box_offers_its_nominal_point(monkeypatch, level):
-    # each popped box offers its two sample points, then is bounded; a
-    # bound that ran to the end offers the nominal point of its z next,
-    # and one that stopped at the cutoff offers nothing
+    # each batch of popped boxes offers its sample points, two a box, then
+    # each box is bounded; a bound that ran to the end offers the nominal
+    # point of its z next, and one that stopped at the cutoff offers nothing
     events = []
-    real_offer, real_bound = _RunState.offer, bnb.bound_at_level
+    real_offer, real_rows, real_bound = _RunState.offer, _RunState.offer_rows, bnb.bound_at_level
     real_sample = bnb.sample_upper_bound
 
     def offer(self, point):
         events.append(("offer", tuple(point)))
         real_offer(self, point)
 
+    def offer_rows(self, points):
+        events.append(("rows", len(points)))
+        real_rows(self, points)
+
     def bound(bf, *args, **kwargs):
         out = real_bound(bf, *args, **kwargs)
         events.append(("bound", out, bf))
         return out
 
-    def sample(box, bf):
-        events.append(("sample", box))
-        return real_sample(box, bf)
+    def sample(corners, numer):
+        events.append(("sample", corners, numer))
+        return real_sample(corners, numer)
 
     monkeypatch.setattr(_RunState, "offer", offer)
+    monkeypatch.setattr(_RunState, "offer_rows", offer_rows)
     monkeypatch.setattr(bnb, "bound_at_level", bound)
     monkeypatch.setattr(bnb, "sample_upper_bound", sample)
     res = branch_and_bound(himmelblau(), (), Box((-5.0, -5.0), (5.0, 5.0)), BnbConfig(level=level))
     assert res.converged
     offered = stopped = 0
     for i, event in enumerate(events):
+        if event[0] == "sample":
+            assert events[i + 1] == ("rows", 2 * len(event[1]))
         if event[0] != "bound":
             continue
         _, out, bf = event
-        box = next(e[1] for e in reversed(events[:i]) if e[0] == "sample")
+        # the box is the one of the latest batch whose form this is
+        _, corners, numer = next(e for e in reversed(events[:i]) if e[0] == "sample")
+        (k,) = [k for k in range(len(numer)) if np.shares_memory(bf.numer, numer[k])]
+        (lower, upper) = corners[k].tolist()
+        box = Box._derived(tuple(lower), tuple(upper))
         after = events[i + 1] if i + 1 < len(events) else ("end",)
         if out.z is not None and not out.stopped:
             assert after[0] == "offer"
@@ -661,23 +791,35 @@ def test_exact_splits_build_no_fraction_tensor(monkeypatch, run):
     # Python ints over a positive int, and none builds its Fraction tensor
     from bernpop.lyapunov import load_lyapunov_case, verify_lyapunov
 
-    children = []
-    real = bnb.subdivide
+    from bernpop import lyapunov
 
-    def recording(bf, axis, t):
-        halves = real(bf, axis, t)
-        children.extend(halves)
-        return halves
+    pieces, forms = [], []
+    real_split, real_bound = bnb.subdivide, bnb.bound_at_level
+
+    def recording(numer, axis, t):
+        out = real_split(numer, axis, t)
+        pieces.append(out)
+        return out
+
+    def bounding(bf, *args, **kwargs):
+        forms.append(bf)
+        return real_bound(bf, *args, **kwargs)
 
     monkeypatch.setattr(bnb, "subdivide", recording)
+    monkeypatch.setattr(bnb if run == "bnb" else lyapunov, "bound_at_level", bounding)
     if run == "bnb":
         problem = load_problem(load_fixture("himmelblau"), True)
         cfg = BnbConfig(level="0", epsilon=problem.epsilon, exact=True)
         assert branch_and_bound(problem.objective, (), problem.box, cfg).converged
     else:
         verify_lyapunov(load_lyapunov_case(load_fixture("lyap7"), True), BnbConfig(level="first", exact=True))
-    assert len(children) > 40
-    for bf in children:
+    assert sum(len(left) for left, _, _ in pieces) > 20 and len(forms) > 40
+    for left, right, factor in pieces:
+        assert type(factor) is int and factor > 0
+        assert all(type(v) is int for v in left.ravel().tolist() + right.ravel().tolist())
+    # every box's form, below the roots, is the image its parent's split
+    # gave, and its Fraction tensor is never built
+    for bf in forms[1:]:
         assert type(bf.den) is int and bf.den > 0
         assert all(type(v) is int for v in bf.numer.ravel().tolist())
         assert "tensor" not in vars(bf)  # BernsteinForm.tensor caches what it builds

@@ -29,7 +29,7 @@ from bernpop.bernstein import (
     to_bernstein,
     upper_bounds,
 )
-from bernpop.bnb import _evaluator, _monotonicity_signs
+from bernpop.bnb import _evaluator, _monotonicity_signs, sample_upper_bound
 from bernpop.poly import Box, Polynomial, to_unit_box
 from bernpop.relax import (
     _greedy_knapsack,
@@ -52,6 +52,7 @@ from conftest import (
     loop_to_unit_box,
     loop_upper_bounds,
     row_list,
+    split_form,
 )
 
 FIELDS = [False, True]
@@ -283,7 +284,7 @@ def test_monotonicity_signs_match_loop(exact):
     ruled_out = passed_mixed = decisive = 0
     for tensor in tensors + _shaped_tensors(exact):
         bf = form_of(tensor)
-        got = _monotonicity_signs(bf)
+        got = tuple(_monotonicity_signs(bf.numer[None])[0])
         assert got == loop_monotonicity_signs(_flat(bf), bf.degree)
         coeffs = _flat(bf)
         low = loop_min_coefficient(coeffs, bf.degree)[1]
@@ -295,6 +296,20 @@ def test_monotonicity_signs_match_loop(exact):
             passed_mixed += passes and sign == "mixed"
             decisive += sign != "mixed"
     assert ruled_out and passed_mixed and decisive
+
+
+@pytest.mark.parametrize("exact", FIELDS)
+def test_stacked_monotonicity_signs_match_each_member(exact):
+    # the built tensors of one shape, stacked: each member's numerators
+    # over its own denominator, and each row is that member's signs alone
+    by_shape = {}
+    for tensor in _shaped_tensors(exact):
+        by_shape.setdefault(tensor.shape, []).append(form_of(tensor))
+    for forms in by_shape.values():
+        stacked = _monotonicity_signs(np.stack([bf.numer for bf in forms]))
+        assert stacked.shape == (len(forms), forms[0].dimension)
+        for row, bf in zip(stacked, forms):
+            assert tuple(row) == loop_monotonicity_signs(_flat(bf), bf.degree)
 
 
 @pytest.mark.parametrize("exact", FIELDS)
@@ -397,7 +412,7 @@ def test_subdivide_matches_loop(exact):
         for axis in range(bf.dimension):
             for t in _split_points(exact):
                 want = loop_subdivide(bf.tensor, axis, t)
-                for g, w in zip(subdivide(bf, axis, t), want):
+                for g, w in zip(split_form(bf, axis, t), want):
                     _assert_image(g)
                     assert g.degree == bf.degree and g.tensor.dtype == w.dtype
                     assert _typed(g.tensor) == _typed(w)
@@ -415,7 +430,7 @@ def test_subdivide_chains_match_loop(exact):
         for _ in range(40):
             axis, side = rng.randrange(len(degree)), rng.randrange(2)
             t = rng.choice(_split_points(exact))
-            got, want = subdivide(got, axis, t)[side], loop_subdivide(want, axis, t)[side]
+            got, want = split_form(got, axis, t)[side], loop_subdivide(want, axis, t)[side]
             _assert_image(got)
             assert _typed(got.tensor) == _typed(want)
         if exact:
@@ -427,9 +442,122 @@ def test_subdivide_needs_a_rational_split_point_on_an_exact_tensor():
     bf = to_bernstein(Polynomial(2, {(2, 1): Fraction(1, 3)}), (2, 1), exact=True)
     for t in (0.5, np.float64(0.25)):
         with pytest.raises(ValueError):
-            subdivide(bf, 0, t)
-    left, right = subdivide(bf, 1, Fraction(1, 2))
+            subdivide(bf.numer[None], 0, t)
+    left, right = split_form(bf, 1, Fraction(1, 2))
     assert _typed(left.tensor) == _typed(loop_subdivide(bf.tensor, 1, Fraction(1, 2))[0])
+
+
+def _members(exact, seed=41):
+    """Stacks of forms of one shape, one stack per case: the case's form
+    and pieces of it from one to four splits deep, so in exact arithmetic
+    the members have different denominators."""
+    rng = random.Random(seed)
+    stacks = []
+    for p, degree in _cases(exact)[::3]:
+        forms = [to_bernstein(p, degree, exact)]
+        for depth in range(1, 5):
+            bf = forms[0]
+            for _ in range(depth):
+                axis, t = rng.randrange(len(degree)), rng.choice(_split_points(exact))
+                bf = split_form(bf, axis, t)[rng.randrange(2)]
+            forms.append(bf)
+        stacks.append(forms)
+    return stacks
+
+
+@pytest.mark.parametrize("exact", FIELDS)
+def test_stacked_subdivide_matches_loop_on_every_member(exact):
+    # every axis, t = 1/2 and a zero-centred t, stacks of one and of five
+    # members of mixed depth: each member's pieces are loop_subdivide's, to
+    # the bit in float; in exact arithmetic the numerators and denominators
+    # are the member's own split's, and their values the loop's
+    dens = set()
+    for forms in _members(exact):
+        for stack in (forms[:1], forms):
+            numer = np.stack([bf.numer for bf in stack])
+            for axis in range(forms[0].dimension):
+                for t in (_split_points(exact)[0], _split_points(exact)[-1]):
+                    left, right, factor = subdivide(numer, axis, t)
+                    assert left.shape == right.shape == numer.shape
+                    assert left.dtype == right.dtype == numer.dtype
+                    for k, bf in enumerate(stack):
+                        want = loop_subdivide(bf.tensor, axis, t)
+                        if not exact:
+                            assert factor == 1
+                            assert left[k].tobytes() == want[0].tobytes()
+                            assert right[k].tobytes() == want[1].tobytes()
+                            continue
+                        alone = subdivide(bf.numer[None], axis, t)
+                        assert (left[k] == alone[0][0]).all() and (right[k] == alone[1][0]).all()
+                        assert factor == alone[2] and type(factor) is int
+                        for piece, w in zip((left[k], right[k]), want):
+                            _assert_image(BernsteinForm(piece, bf.den * factor))
+                            assert _typed(BernsteinForm(piece, bf.den * factor).tensor) == _typed(w)
+            dens.update(bf.den for bf in stack)
+    assert len(dens) > 5 or not exact
+
+
+def _sample_rows(rng, n, exact, count=12):
+    """Rows of sample points in the field: box centres, grid points and
+    random points, with zeros, negatives and repeated coordinates."""
+    F = field(exact)
+    rows = [[F.zero] * n, [F.of(-2)] * n]
+    for _ in range(count):
+        rows.append([F.ratio(rng.randint(-40, 40), rng.choice((1, 2, 7, 16))) for _ in range(n)])
+    if not exact:
+        rows += [[rng.uniform(-5, 5) for _ in range(n)] for _ in range(count)]
+    return np.array(rows, dtype=F.dtype)
+
+
+@pytest.mark.parametrize("exact", FIELDS)
+def test_batched_sample_evaluation_matches_one_point_evaluation(exact):
+    # seeded random 1-3-variable polynomials: the rows' values are
+    # Polynomial.eval's to the bit in float and _evaluator's in exact
+    # arithmetic, at every row of one array
+    rng = random.Random(43)
+    F = field(exact)
+    for n in (1, 2, 3):
+        for _ in range(15):
+            terms = {
+                tuple(rng.randint(0, 4) for _ in range(n)): _scalar(rng, exact)
+                for _ in range(rng.randint(1, 8))
+            }
+            p = Polynomial(n, terms).convert(F.of)
+            one, rows = _evaluator(p, F)
+            points = _sample_rows(rng, n, exact)
+            got = rows(points)
+            assert got.dtype == F.dtype and got.shape == (len(points),)
+            for point, value in zip(points.tolist(), got.tolist()):
+                if exact:
+                    want = one(point)
+                    assert value == want and type(value) is Fraction
+                else:
+                    want = p.eval(point)
+                    assert np.float64(value).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("exact", FIELDS)
+def test_sample_points_are_box_centres_and_grid_points(exact):
+    # a stack of boxes, faces with pinned axes among them: each box's
+    # centre lo + (hi - lo) / 2 and its first smallest coefficient's grid
+    # point, with Box.point's arithmetic on its corners
+    rng = random.Random(47)
+    F = field(exact)
+    for p, degree in _cases(exact)[::4]:
+        n = len(degree)
+        boxes = _boxes(rng, n, exact)
+        pinned = boxes[0].lower[:1] + boxes[0].upper[1:]  # a face: axis 0 pinned at its lower bound
+        boxes.append(Box._derived(boxes[0].lower, pinned))
+        forms = [to_bernstein(p, degree, exact)] * len(boxes)
+        corners = np.array([[b.lower, b.upper] for b in boxes], dtype=F.dtype)
+        points = sample_upper_bound(corners, np.stack([bf.numer for bf in forms]))
+        assert points.shape == (2 * len(boxes), n)
+        for k, (box, bf) in enumerate(zip(boxes, forms)):
+            _, idx = bf.minimum
+            grid = tuple(F.ratio(i, d) if d else 0 for i, d in zip(idx, bf.degree))
+            centre = tuple(lo + (hi - lo) / 2 for lo, hi in zip(box.lower, box.upper))
+            assert tuple(points[2 * k].tolist()) == centre
+            assert tuple(points[2 * k + 1].tolist()) == box.point(grid)
 
 
 @pytest.mark.parametrize("degree", [(4,), (3, 2), (0, 3), (2, 1, 2)])
@@ -469,7 +597,7 @@ def test_offer_evaluation_matches_monomial_loop():
         Polynomial.zero(3),
     ]
     for p in polys:
-        evaluate = _evaluator(p, EXACT)
+        evaluate = _evaluator(p, EXACT)[0]
         for _ in range(3):
             point = tuple(
                 Fraction(rng.randint(-30, 30), rng.choice((1, 2, 7) + COPRIME))
@@ -480,6 +608,6 @@ def test_offer_evaluation_matches_monomial_loop():
     # float coefficients count at their exact ratios; float mode keeps the loop
     q = Polynomial(1, {(1,): 0.1, (0,): Fraction(1, 3)})
     point = (Fraction(1, 3),)
-    got = _evaluator(q, EXACT)(point)
+    got = _evaluator(q, EXACT)[0](point)
     assert got == q.convert(Fraction).eval(point) and type(got) is Fraction
-    assert _evaluator(q, FLOAT) == q.eval
+    assert _evaluator(q, FLOAT)[0] == q.eval
