@@ -43,26 +43,6 @@ from .poly import Index, Polynomial, term_blocks
 _EXACT_INT = 2**53
 
 
-class _cached:
-    """``functools.cached_property`` without the lock that Python 3.11 takes
-    on every first access, a cost on the scale of the small forms' own
-    work: the value is computed on first access and stored in the
-    instance's ``__dict__`` under the attribute's name, where it shadows
-    this descriptor.  Two threads may both compute it; the values agree."""
-
-    def __init__(self, func):
-        self.func, self.__doc__ = func, func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
 @dataclass(frozen=True, eq=False)
 class BernsteinForm:
     """A polynomial's coefficient tensor in the degree-delta basis, as
@@ -80,22 +60,16 @@ class BernsteinForm:
     def dimension(self) -> int:
         return len(self.degree)
 
-    @_cached
+    @property
     def tensor(self) -> np.ndarray:
         """The coefficients in the field: ``numer`` itself in float, and
-        in exact mode its Fractions, built on first use."""
+        in exact mode its Fractions, built on each read."""
         return np.asarray(field_of(self.numer).over(self.numer, self.den), dtype=self.numer.dtype)
 
-    @_cached
-    def minimum(self) -> tuple[object, Index]:
-        """Smallest coefficient and its lexicographically first index,
-        found once per form on ``numer``."""
-        pos = int(self.numer.argmin())
-        value, idx = self.numer.item(pos), []
-        for size in reversed(self.numer.shape):  # row-major: the last axis varies fastest
-            pos, i = divmod(pos, size)
-            idx.append(i)
-        return field_of(self.numer).over(value, self.den), tuple(reversed(idx))
+    @property
+    def minimum(self):
+        """The smallest coefficient in the field, found on ``numer``."""
+        return field_of(self.numer).over(self.numer.item(int(self.numer.argmin())), self.den)
 
 
 @dataclass(frozen=True)

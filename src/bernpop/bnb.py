@@ -26,8 +26,9 @@ or it is bisected, the batch's splits one stacked de Casteljau call per
 axis.  A box that is monotone along some axes closes by solving the face
 it is monotone toward, an "edge" subproblem solved recursively: the same
 kind of box, pinned to zero width on those axes, with its form sliced to
-degree 0 there.  ``Box`` objects appear only there and at the points a
-box offers; the worklist holds corner tuples and numerator arrays.
+degree 0 there.  ``Box`` is the input type only: a (sub)problem and
+every worklist entry hold a box as its corner tuples (lower, upper), and
+its forms as numerator arrays.
 
 Each heap entry carries its parent's bound in the run's field, so an
 exhausted budget reports a valid lower bound.  Statistics for the main
@@ -54,7 +55,7 @@ from .poly import Box, Polynomial, to_unit_box
 from .poly import restrict_facet  # noqa: F401  (unused; perfbench/spans.py traces this binding)
 from .relax import (
     LEVEL_0, LEVEL_1, LEVEL_2, LEVELS, bound_at_level, build_cut_matrix, constraint_rows,
-    nominal_point,
+    nominal_point, sample_upper_bound,
 )
 
 SPLIT_LONGEST = "longest_edge"
@@ -218,33 +219,19 @@ def _monotonicity_signs(numer: np.ndarray) -> np.ndarray:
     return signs
 
 
-def _face(box: Box, bf: BernsteinForm, signs: Sequence[str]) -> tuple[Box, BernsteinForm]:
-    """The face of ``box`` that the edge subproblem solves, and its form:
-    every non-mixed axis pinned at its active bound ('+' -> lower, '-' ->
-    upper), a side of zero width, and the form sliced there to its first
-    ('+') or last ('-') coefficients, degree 0 on that axis.  A pinned
-    axis reads '+' and stays pinned.  A face with no mixed axis is the
-    vertex ``face.lower``, and its form's one coefficient is the
-    polynomial's value there."""
-    lower = tuple(hi if s == "-" else lo for lo, hi, s in zip(box.lower, box.upper, signs))
-    upper = tuple(lo if s == "+" else hi for lo, hi, s in zip(box.lower, box.upper, signs))
+def _face(lower: tuple, upper: tuple, numer: np.ndarray, signs: Sequence[str]) -> tuple:
+    """The face of the box (``lower``, ``upper``) that the edge subproblem
+    solves, and its form's numerators ``numer`` sliced there: every
+    non-mixed axis pinned at its active bound ('+' -> lower, '-' ->
+    upper), a side of zero width, and the numerators cut to their first
+    ('+') or last ('-') entries, degree 0 on that axis.  A pinned axis
+    reads '+' and stays pinned.  Returns (lower, upper, numerators); a
+    face with no mixed axis is the vertex at its lower corner, and its
+    one coefficient is the polynomial's value there."""
+    face_lower = tuple(hi if s == "-" else lo for lo, hi, s in zip(lower, upper, signs))
+    face_upper = tuple(lo if s == "+" else hi for lo, hi, s in zip(lower, upper, signs))
     index = tuple({"+": slice(None, 1), "-": slice(-1, None)}.get(s, slice(None)) for s in signs)
-    return Box._derived(lower, upper), BernsteinForm(bf.numer[index], bf.den)
-
-
-def sample_upper_bound(corners: np.ndarray, numer: np.ndarray) -> np.ndarray:
-    """Candidate points for the incumbent from a stack of boxes (corners
-    (K, 2, n) in the field) and their objective numerators (K, *shape),
-    in the order to offer them: each box's centre, then the grid point
-    I/delta of its first smallest coefficient (degree-0 axes give 0), as
-    a (2K, n) array.  The centre is lo + (hi - lo) / 2 and the grid point
-    ``Box.point``'s arithmetic on the corners."""
-    F, count, shape = field_of(corners), len(corners), numer.shape[1:]
-    lower, width = corners[:, 0], corners[:, 1] - corners[:, 0]
-    index = np.unravel_index(numer.reshape(count, -1).argmin(axis=1), shape)
-    steps = [[F.ratio(i, s - 1) for i in range(s)] if s > 1 else [0] for s in shape]
-    grid = np.stack([np.array(step, dtype=F.dtype)[i] for step, i in zip(steps, index)], axis=1)
-    return np.stack([lower + width / 2, lower + width * grid], axis=1).reshape(2 * count, -1)
+    return face_lower, face_upper, numer[index]
 
 
 def _evaluator(p: Polynomial, F: Field) -> tuple[Callable, Callable]:
@@ -354,7 +341,7 @@ def branch_and_bound(
     state = _RunState(p, constraints, cfg, F)
     start = time.perf_counter()
     forms = relaxation_tensors(p, constraints, box, degree, F.exact)
-    lower = _solve_problem(box, forms, cfg, state, stats, depth=0)
+    lower = _solve_problem(box.lower, box.upper, forms, cfg, state, stats, depth=0)
     stats.elapsed = time.perf_counter() - start - stats.edge_elapsed
     threshold = state.threshold
     converged = (
@@ -369,19 +356,19 @@ def branch_and_bound(
     )
 
 
-def _solve_problem(box, forms, cfg, state, stats, depth):
+def _solve_problem(lower, upper, forms, cfg, state, stats, depth):
     """Worklist loop for one (sub)problem; returns its lower bound.
 
     ``forms`` holds the Bernstein forms of the objective and of each
-    constraint on ``box``, all of one degree; every box in the worklist
-    carries its own block of their numerators (one array, objective
-    first) and their denominators, and they are all the loop reads of the
-    problem.  An edge subproblem's ``box`` is a face of its parent's
-    (``_face``), in the problem's own coordinates, so its points are the
-    problem's.  Heap entries are (float key, tie counter, bound in the
-    run's field, lower corner, upper corner, numerators (m, *shape),
-    denominators); the root's bound is its smallest coefficient, a valid
-    bound on the box.
+    constraint on the box with corners ``lower`` and ``upper``, all of one
+    degree; every box in the worklist carries its own block of their
+    numerators (one array, objective first) and their denominators, and
+    they are all the loop reads of the problem.  An edge subproblem's box
+    is a face of its parent's (``_face``), in the problem's own
+    coordinates, so its points are the problem's.  Heap entries are
+    (float key, tie counter, bound in the run's field, lower corner, upper
+    corner, numerators (m, *shape), denominators); the root's bound is its
+    smallest coefficient, a valid bound on the box.
 
     Each round pops up to ``BATCH`` best entries (one while there is no
     incumbent), as many as the node budget allows, stacks their
@@ -395,9 +382,9 @@ def _solve_problem(box, forms, cfg, state, stats, depth):
     u = None if cfg.level == LEVEL_0 else upper_bounds(delta, exact=F.exact)
     cuts = None if cfg.level != LEVEL_2 else build_cut_matrix(delta, F.exact)
     counter = itertools.count()
-    root_bound = forms[0].minimum[0]
+    root_bound = forms[0].minimum
     block, dens = np.stack([bf.numer for bf in forms]), tuple(bf.den for bf in forms)
-    heap: list = [(_heap_key(root_bound), next(counter), root_bound, box.lower, box.upper, block, dens)]
+    heap: list = [(_heap_key(root_bound), next(counter), root_bound, lower, upper, block, dens)]
     contrib = None
 
     def add_contrib(value):
@@ -460,14 +447,16 @@ def _solve_problem(box, forms, cfg, state, stats, depth):
             if monotone[k]:
                 stats.mono_count += 1
                 lower, upper, _, dens = batch[i]
-                bf = BernsteinForm(numer[i, 0], dens[0])
-                face, face_form = _face(Box._derived(lower, upper), bf, signs[k])
+                face_lower, face_upper, face_numer = _face(lower, upper, numer[i, 0], signs[k])
+                face_form = BernsteinForm(face_numer, dens[0])
                 if "mixed" not in signs[k]:  # a vertex: its one coefficient is the value there
-                    state.offer(face.lower)
-                    add_contrib(face_form.tensor.item())
+                    state.offer(face_lower)
+                    add_contrib(face_form.minimum)
                 else:
                     t0 = time.perf_counter()
-                    add_contrib(_solve_problem(face, (face_form,), cfg, state, stats, depth + 1))
+                    add_contrib(
+                        _solve_problem(face_lower, face_upper, (face_form,), cfg, state, stats, depth + 1)
+                    )
                     if depth == 0:  # nested recursion is inside this window
                         stats.edge_elapsed += time.perf_counter() - t0
             elif narrow[k]:
@@ -514,7 +503,8 @@ def _bound_batch(batch, numer, level, u, cuts, state, stats) -> list[tuple]:
             stats.infeasible_count += 1
             continue
         if outcome.z is not None and not outcome.stopped:
-            state.offer(Box._derived(lower, upper).point(nominal_point(outcome.z, delta, F)))
+            z = nominal_point(outcome.z, delta, F)
+            state.offer(tuple(lo + (hi - lo) * zi for lo, hi, zi in zip(lower, upper, z)))
         bounded.append((i, outcome.bound))
     return bounded
 

@@ -109,37 +109,36 @@ def certify_nonnegative(p: Polynomial, region: Box, cfg: Optional[BnbConfig] = N
     (root,) = relaxation_tensors(p, (), region, exact=F.exact)
     u = upper_bounds(p.degree, exact=F.exact)
     cuts = None if cfg.level != LEVEL_2 else build_cut_matrix(p.degree, F.exact)
-    # depth-first entries: (box, form, gray ancestor bounds, guaranteed
-    # parent bound); the history restarts once a box lies in a single
-    # orthant, because the zero-decomposition splits before that are
-    # structural, not chasing
-    stack: list[tuple[Box, object, tuple, object]] = [(region, root, (), None)]
+    # depth-first entries: (lower corner, upper corner, form, gray ancestor
+    # bounds, guaranteed parent bound); the history restarts once a box
+    # lies in a single orthant, because the zero-decomposition splits
+    # before that are structural, not chasing
+    stack: list[tuple] = [(region.lower, region.upper, root, (), None)]
     while stack:
         if run.nodes >= cfg.max_boxes:
             run.exhausted = True
-            for _, _, _, guaranteed in stack:
+            for *_, guaranteed in stack:
                 fallback = -float("inf") if guaranteed is None else guaranteed
                 if lower is None or fallback < lower:
                     lower = fallback
             break
-        box, bf, hist, _ = stack.pop()
+        box_lower, box_upper, bf, hist, _ = stack.pop()
         run.nodes += 1
         outcome = bound_at_level(bf, cfg.level, u=u, cuts=cuts)
         bound = outcome.bound
-        straddles = any(lo < 0 < hi for lo, hi in zip(box.lower, box.upper))
+        straddles = any(lo < 0 < hi for lo, hi in zip(box_lower, box_upper))
         if bound >= threshold:
             run.verified_boxes += 1
         elif not straddles and len(hist) >= 2 and bound <= hist[-2] / _STALL_FACTOR:
             run.stalled_boxes += 1
-        elif max(map(box.width, range(box.dimension))) <= MIN_BOX_WIDTH:
+        elif max(hi - lo for lo, hi in zip(box_lower, box_upper)) <= MIN_BOX_WIDTH:
             run.stalled_boxes += 1
         else:
             child_hist = () if straddles else hist + (bound,)
             # the box's one form, split as a stack of one
-            children = split_boxes([(box.lower, box.upper)], bf.numer[None, None], SPLIT_ZERO)
+            children = split_boxes([(box_lower, box_upper)], bf.numer[None, None], SPLIT_ZERO)
             for lo, hi, block, factor in children:
-                child = Box._derived(lo, hi), BernsteinForm(block[0], bf.den * factor)
-                stack.append(child + (child_hist, bound))
+                stack.append((lo, hi, BernsteinForm(block[0], bf.den * factor), child_hist, bound))
             continue
         if lower is None or bound < lower:
             lower = bound

@@ -225,9 +225,9 @@ def lie_derivative(v: Polynomial, field_polys: Sequence[Polynomial]) -> Polynomi
 
 @dataclass(frozen=True)
 class Box:
-    """An axis-aligned box with at least one side.  One built from input
-    has strictly positive widths; a face of one (``Box._derived``) may
-    have zero width on the axes it pins."""
+    """An axis-aligned box with at least one side, each of strictly
+    positive width: an input type.  The solvers hold a box as its corner
+    tuples (lower, upper)."""
 
     lower: tuple
     upper: tuple
@@ -249,33 +249,12 @@ class Box:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
-    @classmethod
-    def _derived(cls, lower: tuple, upper: tuple) -> "Box":
-        """A box built from a valid one (a split half or a face): finite
-        bounds with lower <= upper per axis.  Nothing is checked."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "lower", lower)
-        object.__setattr__(out, "upper", upper)
-        return out
-
     @property
     def dimension(self) -> int:
         return len(self.lower)
 
     def width(self, axis: int):
         return self.upper[axis] - self.lower[axis]
-
-    def split(self, axis: int, at) -> tuple["Box", "Box"]:
-        """The halves of the box below and above ``at`` on ``axis``.  They
-        are ``_derived``: a point strictly between finite, ordered bounds
-        leaves them finite and ordered."""
-        lo, hi = self.lower, self.upper
-        if not lo[axis] < at < hi[axis]:
-            raise ValueError("split point outside the open interval")
-        return (
-            Box._derived(lo, hi[:axis] + (at,) + hi[axis + 1 :]),
-            Box._derived(lo[:axis] + (at,) + lo[axis + 1 :], hi),
-        )
 
     def point(self, z: Sequence) -> tuple:
         """The point lo + (hi - lo) * z of the box at unit coordinates z."""

@@ -26,11 +26,11 @@ fill and each LP iterate are tried in turn, cheapest first, and the first
 that reaches the target is returned, marked ``stopped``.
 
 A relaxation certifies nothing beyond its bound.  Each level proposes a
-point (``grid_point`` of the smallest coefficient at level 0, the
-``nominal_point`` of the LP's z above it); branch-and-bound offers it to
-the incumbent, so the cutoff closes a box its own point attains, and
-``witness`` reports a proposed point or the centre where the objective
-attains the bound.
+point (the grid point of the smallest coefficient at level 0, from
+``sample_upper_bound``, the ``nominal_point`` of the LP's z above it);
+branch-and-bound offers it to the incumbent, so the cutoff closes a box
+its own point attains, and ``witness`` reports a proposed point or the
+centre where the objective attains the bound.
 """
 
 from __future__ import annotations
@@ -236,25 +236,39 @@ def nominal_point(z: Sequence, degree: Index, F: Field) -> tuple:
     return tuple(point)
 
 
-def grid_point(bf: BernsteinForm) -> tuple:
-    """The grid point I/delta of the smallest coefficient's index I;
-    degree-0 axes give 0."""
-    _, idx = bf.minimum
-    F = field_of(bf.numer)
-    return tuple(F.ratio(i, d) if d else 0 for i, d in zip(idx, bf.degree))
+def sample_upper_bound(corners: np.ndarray, numer: np.ndarray) -> np.ndarray:
+    """Candidate points for an upper bound from a stack of boxes (corners
+    (K, 2, n) in the field) and their objective numerators (K, *shape),
+    in the order to offer them: each box's centre, then the grid point
+    I/delta of its first smallest coefficient (degree-0 axes give 0), as
+    a (2K, n) array.  The centre is lo + (hi - lo) / 2 and the grid point
+    lo + (hi - lo) * (I/delta), ``Box.point``'s arithmetic."""
+    F, count, shape = field_of(corners), len(corners), numer.shape[1:]
+    lower, width = corners[:, 0], corners[:, 1] - corners[:, 0]
+    pos = numer.reshape(count, -1).argmin(axis=1)
+    grid = np.empty((count, len(shape)), dtype=F.dtype)
+    for r in reversed(range(len(shape))):  # row-major: the last axis varies fastest
+        pos, index = np.divmod(pos, shape[r])
+        d = shape[r] - 1
+        steps = [F.ratio(i, d) for i in range(d + 1)] if d else [0]
+        grid[:, r] = np.array(steps, dtype=F.dtype)[index]
+    return np.stack([lower + width / 2, lower + width * grid], axis=1).reshape(2 * count, len(shape))
 
 
 def witness(bf: BernsteinForm, outcome: RelaxationOutcome) -> Optional[tuple]:
     """A unit-box point where the form attains ``outcome.bound``, or None.
     The level's proposed point (the nominal point of z, or with no z the
-    smallest coefficient's grid point) is tried first, then the centre;
-    a value counts when it equals the bound, exactly in rational mode and
-    to a relative tolerance in float."""
+    smallest coefficient's grid point) is tried first, then the centre,
+    both from ``sample_upper_bound`` on the unit box; a value counts when
+    it equals the bound, exactly in rational mode and to a relative
+    tolerance in float."""
     F = field_of(bf.numer)
     bound = F.of(outcome.bound)
-    proposed = grid_point(bf) if outcome.z is None else nominal_point(outcome.z, bf.degree, F)
+    unit = np.array([[(F.zero,) * bf.dimension, (F.one,) * bf.dimension]], dtype=F.dtype)
+    centre, grid = map(tuple, sample_upper_bound(unit, bf.numer[None]).tolist())
+    proposed = grid if outcome.z is None else nominal_point(outcome.z, bf.degree, F)
     tol = F.tol(_VALUE_TOL) * max(F.one, abs(bound))
-    for point in (proposed, (F.half,) * bf.dimension):
+    for point in (proposed, centre):
         if abs(F.of(bernstein_eval(bf, point)) - bound) <= tol:
             return point
     return None
@@ -262,7 +276,7 @@ def witness(bf: BernsteinForm, outcome: RelaxationOutcome) -> Optional[tuple]:
 
 def relax0(bf: BernsteinForm) -> RelaxationOutcome:
     """Level 0: the smallest Bernstein coefficient."""
-    return RelaxationOutcome(bound=bf.minimum[0])
+    return RelaxationOutcome(bound=bf.minimum)
 
 
 def _ascending(values: np.ndarray) -> np.ndarray:

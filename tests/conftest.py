@@ -22,12 +22,12 @@ import pytest
 
 from bernpop import simplex
 from bernpop.bernstein import (
-    BernsteinForm, _beta_peak, field, integer_image, outer_chain, subdivide, to_bernstein,
+    BernsteinForm, _beta_peak, field, field_of, integer_image, outer_chain, subdivide, to_bernstein,
 )
 from bernpop.bnb import split_boxes
 from bernpop.poly import Box, Polynomial, lie_derivative, to_unit_box
 from bernpop.problems import load_fixture, poly_from_text
-from bernpop.relax import _greedy_knapsack, nominal_point
+from bernpop.relax import _greedy_knapsack, nominal_point, sample_upper_bound
 
 
 def multi_binom(i, j) -> int:
@@ -58,14 +58,23 @@ def split_form(bf: BernsteinForm, axis: int, t) -> tuple[BernsteinForm, Bernstei
     return BernsteinForm(left[0], bf.den * factor), BernsteinForm(right[0], bf.den * factor)
 
 
-def split_node(box: Box, forms: tuple, strategy: str) -> tuple[tuple, tuple]:
-    """``bnb.split_boxes`` on one box and its forms: (left box, left
-    forms), (right box, right forms)."""
+def split_node(lower: tuple, upper: tuple, forms: tuple, strategy: str) -> tuple[tuple, tuple]:
+    """``bnb.split_boxes`` on one box, given by its corners, and its forms:
+    (left lower, left upper, left forms), (right lower, right upper,
+    right forms)."""
     numer = np.stack([bf.numer for bf in forms])[None]
     return tuple(
-        (Box._derived(lower, upper), tuple(BernsteinForm(n, bf.den * f) for n, bf in zip(block, forms)))
-        for lower, upper, block, f in split_boxes([(box.lower, box.upper)], numer, strategy)
+        (lo, hi, tuple(BernsteinForm(n, bf.den * f) for n, bf in zip(block, forms)))
+        for lo, hi, block, f in split_boxes([(lower, upper)], numer, strategy)
     )
+
+
+def unit_grid_point(bf: BernsteinForm) -> tuple:
+    """The grid point I/delta of the form's first smallest coefficient,
+    as ``relax.sample_upper_bound`` gives it on the unit box."""
+    F = field_of(bf.numer)
+    unit = np.array([[(F.zero,) * bf.dimension, (F.one,) * bf.dimension]], dtype=F.dtype)
+    return tuple(sample_upper_bound(unit, bf.numer[None])[1].tolist())
 
 
 def form_of(tensor: np.ndarray) -> BernsteinForm:

@@ -265,7 +265,7 @@ def test_criterion_6d_roundtrip_and_enclosure():
             for _ in range(200):
                 z = (rng.random(), rng.random())
                 assert abs(bernstein_eval(bf, z) - p.eval(z)) <= 1e-9
-            lo, _ = bf.minimum
+            lo = bf.minimum
             hi = bf.tensor.max()
             box = Box((0.0, 0.0), (1.0, 1.0))
             assert lo <= grid_min(p, box, 17) + 1e-9

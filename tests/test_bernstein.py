@@ -14,7 +14,6 @@ from bernpop.bernstein import (
     upper_bounds,
 )
 from bernpop.poly import Box, Polynomial, to_unit_box
-from bernpop.relax import grid_point
 from conftest import (
     bernstein_basis_polynomial,
     bernstein_to_polynomial,
@@ -27,6 +26,7 @@ from conftest import (
     motzkin3,
     random_polynomial,
     split_form,
+    unit_grid_point,
 )
 
 
@@ -108,7 +108,7 @@ def test_enclosure_against_grid(rng):
     for _ in range(8):
         p = random_polynomial(rng, 2, 3)
         bf = to_bernstein(p)
-        lo, _ = bf.minimum
+        lo = bf.minimum
         hi = bf.tensor.max()
         sampled = grid_min(p, Box((0.0, 0.0), (1.0, 1.0)), 17)
         assert lo <= sampled + 1e-9
@@ -190,32 +190,30 @@ def test_monomial_row_matches_conversion():
 def test_min_coefficient_himmelblau():
     q, _ = to_unit_box(himmelblau_exact(), Box((Fraction(-5),) * 2, (Fraction(5),) * 2))
     bf = to_bernstein(q, (4, 4))
-    value, idx = bf.minimum
-    assert value == -1170 and idx == (3, 3)  # an inner index, not a corner
+    assert bf.minimum == -1170
+    assert unit_grid_point(bf) == (Fraction(3, 4),) * 2  # an inner index, not a corner
 
 
 def test_min_coefficient_symmetric_square():
     p, _ = to_unit_box(Polynomial(1, {(2,): 1}), Box((-1.0,), (1.0,)))
     bf = to_bernstein(p, (2,))
-    value, idx = bf.minimum
-    assert value == pytest.approx(-1.0)
-    assert idx == (1,)
+    assert bf.minimum == pytest.approx(-1.0)
+    assert unit_grid_point(bf) == (0.5,)
 
 
 def test_min_coefficient_tie_break():
+    # ties go to the first index in row-major order, (0, 1)
     bf = BernsteinForm(np.array([[0.5, 0.0], [0.0, 1.0]]))
-    _, idx = bf.minimum
-    assert idx == (0, 1)
+    assert bf.minimum == 0.0 and unit_grid_point(bf) == (0.0, 1.0)
 
 
 def test_linear_minimum_is_attained_at_its_corner():
     # a corner coefficient is the polynomial's value at that corner, so
     # the smallest coefficient's grid point attains it
     bf = to_bernstein(Polynomial(1, {(1,): 1}), (2,))
-    value, idx = bf.minimum
-    assert value == 0 and idx == (0,)
-    assert grid_point(bf) == (0,)
-    assert bernstein_eval(bf, grid_point(bf)) == value
+    assert bf.minimum == 0
+    assert unit_grid_point(bf) == (0,)
+    assert bernstein_eval(bf, unit_grid_point(bf)) == bf.minimum
 
 
 def test_enclosure_gap_shrinks_with_degree():
@@ -224,7 +222,7 @@ def test_enclosure_gap_shrinks_with_degree():
     errors = []
     for d in (4, 6, 10):
         bf = to_bernstein(q, (d, d))
-        lo, _ = bf.minimum
+        lo = bf.minimum
         errors.append(true_min - lo)
     assert errors[0] >= errors[1] >= errors[2] > 0
 
@@ -249,7 +247,11 @@ def _descend(p, box, depth, rng, pick_t):
         lo, hi = box.lower[axis], box.upper[axis]
         side = rng.randrange(2)
         bf = split_form(bf, axis, t)[side]
-        box = box.split(axis, lo + t * (hi - lo))[side]
+        at = (lo + t * (hi - lo),)
+        if side:
+            box = Box(box.lower[:axis] + at + box.lower[axis + 1 :], box.upper)
+        else:
+            box = Box(box.lower, box.upper[:axis] + at + box.upper[axis + 1 :])
     return box, bf.tensor
 
 

@@ -17,12 +17,11 @@ from bernpop.bnb import (
     _monotonicity_signs,
     branch_and_bound,
     cutoff_threshold,
-    sample_upper_bound,
 )
 from bernpop.bernstein import FLOAT, BernsteinForm, to_bernstein
-from bernpop.poly import Box, Polynomial, to_unit_box
+from bernpop.poly import Box, Polynomial, restrict_facet, to_unit_box
 from bernpop.problems import load_fixture, load_problem
-from bernpop.relax import RelaxationOutcome, nominal_point
+from bernpop.relax import RelaxationOutcome, nominal_point, sample_upper_bound
 from conftest import (
     algebraic4, box_form, box_tensor, himmelblau, himmelblau_exact, random_box, random_polynomial,
     split_node,
@@ -54,28 +53,45 @@ def test_state_holds_the_threshold_of_its_incumbent():
     assert state.threshold == cutoff_threshold(0.0, state.epsilon)
 
 
-def _split(box, strategy):
-    """``split_node`` on ``box`` with a constant form, for its geometry:
-    the stacked split of the forms is ``split_boxes``'s, as B&B's."""
-    return split_node(box, (BernsteinForm(np.zeros((1,) * box.dimension)),), strategy)
+def _split(lower, upper, strategy):
+    """The corners of the halves ``split_node`` makes of a box with a
+    constant form, for their geometry: the stacked split of the forms is
+    ``split_boxes``'s, as B&B's."""
+    form = BernsteinForm(np.zeros((1,) * len(lower)))
+    return [(lo, hi) for lo, hi, _ in split_node(lower, upper, (form,), strategy)]
 
 
 def test_split_longest_edge():
-    (left, _), (right, _) = _split(Box((0.0, 0.0), (1.0, 1.0)), SPLIT_LONGEST)
-    assert left.upper == (0.5, 1.0)
-    assert right.lower == (0.5, 0.0)
+    (_, left_upper), (right_lower, _) = _split((0.0, 0.0), (1.0, 1.0), SPLIT_LONGEST)
+    assert left_upper == (0.5, 1.0)
+    assert right_lower == (0.5, 0.0)
 
 
 def test_split_zero_centered():
-    (left, _), (right, _) = _split(Box((-1.0,), (1.0,)), SPLIT_ZERO)
-    assert left.upper == (0.0,) and right.lower == (0.0,)
-    (left, _), (right, _) = _split(Box((-1.0,), (3.0,)), SPLIT_ZERO)
-    assert left.upper == (0.0,) and right.lower == (0.0,)
+    (_, left_upper), (right_lower, _) = _split((-1.0,), (1.0,), SPLIT_ZERO)
+    assert left_upper == (0.0,) and right_lower == (0.0,)
+    (_, left_upper), (right_lower, _) = _split((-1.0,), (3.0,), SPLIT_ZERO)
+    assert left_upper == (0.0,) and right_lower == (0.0,)
 
 
 def test_split_zero_centered_falls_back_to_midpoint():
-    (left, _), (right, _) = _split(Box((1.0,), (3.0,)), SPLIT_ZERO)
-    assert left.upper == (2.0,)
+    (_, left_upper), _ = _split((1.0,), (3.0,), SPLIT_ZERO)
+    assert left_upper == (2.0,)
+
+
+def test_split_boxes_builds_halves_inside_the_open_interval():
+    # the halves share the split point and keep every other side; a side
+    # whose midpoint rounds onto one of its ends cannot be halved
+    for lower, upper, axis, at in [
+        ((-1.0, 0.0, 2.0), (1.0, 4.0, 3.0), 1, 2.0),
+        ((Fraction(-1), Fraction(1, 3)), (Fraction(1, 2), Fraction(1)), 0, Fraction(-1, 4)),
+    ]:
+        (left_lower, left_upper), (right_lower, right_upper) = _split(lower, upper, SPLIT_LONGEST)
+        assert left_lower == lower and right_upper == upper
+        assert left_upper == upper[:axis] + (at,) + upper[axis + 1 :]
+        assert right_lower == lower[:axis] + (at,) + lower[axis + 1 :]
+    with pytest.raises(ValueError, match="outside the open interval"):
+        _split((1.0,), (math.nextafter(1.0, 2.0),), SPLIT_LONGEST)
 
 
 def test_monotonicity_signs():
@@ -90,33 +106,36 @@ def test_monotonicity_signs():
     assert signs(square, Box((-1.0,), (-0.1,))) == ("-",)
 
 
+def _face_of(p, box, signs):
+    """``_face`` of ``box`` and ``p``'s form on it: the face's corners and
+    the sliced form."""
+    lower, upper, numer = _face(box.lower, box.upper, box_form(p, box).numer, signs)
+    return lower, upper, BernsteinForm(numer)
+
+
 def test_edge_subproblem_single_axis():
     p = Polynomial(2, {(1, 0): 1, (0, 2): 1})  # x1 + x2^2
-    box = Box((0.0, 0.0), (1.0, 1.0))
-    face, form = _face(box, box_form(p, box), ("+", "mixed"))
-    assert face.lower == (0.0, 0.0) and face.upper == (0.0, 1.0)
+    lower, upper, form = _face_of(p, Box((0.0, 0.0), (1.0, 1.0)), ("+", "mixed"))
+    assert lower == (0.0, 0.0) and upper == (0.0, 1.0)
     assert form.degree == (0, 2)
     # the face tensor is x2^2's on the free axis
     assert (form.tensor[0] == box_tensor(Polynomial(1, {(2,): 1}), Box((0.0,), (1.0,)), (2,))).all()
     # pinning the pinned axis again changes nothing
-    again, again_form = _face(face, form, ("+", "mixed"))
-    assert again == face and (again_form.tensor == form.tensor).all()
+    again = _face(lower, upper, form.numer, ("+", "mixed"))
+    assert again[:2] == (lower, upper) and (again[2] == form.numer).all()
 
 
 def test_edge_subproblem_all_axes():
     p = Polynomial(2, {(1, 0): 1, (0, 1): -1})
-    box = Box((0.0, 0.0), (1.0, 1.0))
-    face, form = _face(box, box_form(p, box), ("+", "-"))
-    assert face.lower == face.upper == (0.0, 1.0)
+    lower, upper, form = _face_of(p, Box((0.0, 0.0), (1.0, 1.0)), ("+", "-"))
+    assert lower == upper == (0.0, 1.0)
     assert form.degree == (0, 0)
     assert form.tensor.item() == pytest.approx(-1.0)
 
 
 def test_edge_subproblem_square_on_positive_interval():
-    square = Polynomial(1, {(2,): 1})
-    box = Box((0.1,), (1.0,))
-    face, form = _face(box, box_form(square, box), ("+",))
-    assert face.lower == face.upper == (0.1,)
+    lower, upper, form = _face_of(Polynomial(1, {(2,): 1}), Box((0.1,), (1.0,)), ("+",))
+    assert lower == upper == (0.1,)
     assert form.degree == (0,)
     assert form.tensor.item() == pytest.approx(0.01)
 
@@ -126,7 +145,7 @@ def test_fully_fixed_vertex_contributes_its_coefficient(monkeypatch):
     # axis; a bound that is not past the cutoff reaches it,
     # and the vertex contributes the face's one coefficient, p(1/10)
     square = Polynomial(1, {(2,): Fraction(1)})
-    weak = lambda bf, *args, **kwargs: RelaxationOutcome(bound=bf.minimum[0] - 1)
+    weak = lambda bf, *args, **kwargs: RelaxationOutcome(bound=bf.minimum - 1)
     monkeypatch.setattr(bnb, "bound_at_level", weak)
     box = Box((Fraction(1, 10),), (Fraction(1),))
     res = branch_and_bound(square, (), box, BnbConfig(level="0", exact=True))
@@ -263,15 +282,15 @@ def test_zero_centered_split_on_symmetric_problem():
     # box's smallest coefficient is the exact minimum
     box = Box((-1.0, -1.0), (1.0, 1.0))
     (root,) = bnb.relaxation_tensors(Polynomial(2, {(2, 0): 1, (0, 2): 1}), (), box)
-    assert root.minimum[0] < 0
+    assert root.minimum < 0
     orthants = []
-    for half, (bf,) in split_node(box, (root,), SPLIT_ZERO):
-        orthants += split_node(half, (bf,), SPLIT_ZERO)
-    assert sorted((b.lower, b.upper) for b, _ in orthants) == [
+    for lower, upper, (bf,) in split_node(box.lower, box.upper, (root,), SPLIT_ZERO):
+        orthants += split_node(lower, upper, (bf,), SPLIT_ZERO)
+    assert sorted((lower, upper) for lower, upper, _ in orthants) == [
         ((-1.0, -1.0), (0.0, 0.0)), ((-1.0, 0.0), (0.0, 1.0)),
         ((0.0, -1.0), (1.0, 0.0)), ((0.0, 0.0), (1.0, 1.0)),
     ]
-    assert all(bf.minimum[0] == 0.0 for _, (bf,) in orthants)
+    assert all(bf.minimum == 0.0 for _, _, (bf,) in orthants)
 
 
 def test_level_dominance_on_himmelblau():
@@ -398,16 +417,28 @@ def test_tensor_sign_test_at_least_as_decisive(rng):
 
 
 def test_face_slice_equals_restricted_conversion():
-    from fractions import Fraction
-
+    # a face's sliced form is the conversion of p restricted to the face:
+    # p with its pinned variables substituted, on the box of its free axes
     p = himmelblau_exact()
     box = Box((Fraction(1), Fraction(-2)), (Fraction(4), Fraction(3)))
     bf = box_form(p, box, exact=True)
     faces = (("+", "mixed"), ("-", "mixed"), ("mixed", "+"), ("mixed", "-"), ("-", "+"))
     for signs in faces:
-        face, form = _face(box, bf, signs)
+        lower, upper, numer = _face(box.lower, box.upper, bf.numer, signs)
+        form = BernsteinForm(numer, bf.den)
         assert form.degree == tuple(4 if s == "mixed" else 0 for s in signs)
-        assert (form.tensor == box_tensor(p, face, form.degree, exact=True)).all()
+        free = [r for r, s in enumerate(signs) if s == "mixed"]
+        if not free:  # a vertex: its one coefficient is the value there
+            assert lower == upper and form.tensor.item() == p.eval(lower)
+            continue
+        q = p
+        for r in reversed(range(len(signs))):
+            if r not in free:
+                assert lower[r] == upper[r]
+                q = restrict_facet(q, r, lower[r])
+        sides = Box(tuple(lower[r] for r in free), tuple(upper[r] for r in free))
+        want = box_tensor(q, sides, (4,) * len(free), exact=True)
+        assert (form.tensor.reshape(want.shape) == want).all()
 
 
 # x + y^4 - y^2 + z^4 - z^2 + 0.3yz on [0,1] x [-1,2]^2: increasing in x,
@@ -431,9 +462,9 @@ def test_nested_faces(monkeypatch, exact, level):
     depths = []
     real = bnb._solve_problem
 
-    def recording(box, forms, cfg, state, stats, depth):
+    def recording(lower, upper, forms, cfg, state, stats, depth):
         depths.append(depth)
-        return real(box, forms, cfg, state, stats, depth)
+        return real(lower, upper, forms, cfg, state, stats, depth)
 
     monkeypatch.setattr(bnb, "_solve_problem", recording)
     res = branch_and_bound(p, (), box, BnbConfig(level=level, exact=exact))
@@ -748,13 +779,14 @@ def test_fully_bounded_box_offers_its_nominal_point(monkeypatch, level):
         # the box is the one of the latest batch whose form this is
         _, corners, numer = next(e for e in reversed(events[:i]) if e[0] == "sample")
         (k,) = [k for k in range(len(numer)) if np.shares_memory(bf.numer, numer[k])]
-        (lower, upper) = corners[k].tolist()
-        box = Box._derived(tuple(lower), tuple(upper))
+        lower, upper = corners[k].tolist()
         after = events[i + 1] if i + 1 < len(events) else ("end",)
         if out.z is not None and not out.stopped:
             assert after[0] == "offer"
-            # an edge subproblem's box is a face, in the problem's coordinates
-            point = box.point(nominal_point(out.z, bf.degree, FLOAT))
+            # an edge subproblem's box is a face, in the problem's coordinates,
+            # and z maps onto it with Box.point's arithmetic
+            z = nominal_point(out.z, bf.degree, FLOAT)
+            point = tuple(lo + (hi - lo) * zi for lo, hi, zi in zip(lower, upper, z))
             assert after == ("offer", point)
             offered += 1
         else:
@@ -793,8 +825,13 @@ def test_exact_splits_build_no_fraction_tensor(monkeypatch, run):
 
     from bernpop import lyapunov
 
-    pieces, forms = [], []
+    pieces, forms, reads = [], [], []
     real_split, real_bound = bnb.subdivide, bnb.bound_at_level
+    real_tensor = BernsteinForm.tensor.fget
+
+    def reading(bf):
+        reads.append(bf)
+        return real_tensor(bf)
 
     def recording(numer, axis, t):
         out = real_split(numer, axis, t)
@@ -807,6 +844,7 @@ def test_exact_splits_build_no_fraction_tensor(monkeypatch, run):
 
     monkeypatch.setattr(bnb, "subdivide", recording)
     monkeypatch.setattr(bnb if run == "bnb" else lyapunov, "bound_at_level", bounding)
+    monkeypatch.setattr(BernsteinForm, "tensor", property(reading))
     if run == "bnb":
         problem = load_problem(load_fixture("himmelblau"), True)
         cfg = BnbConfig(level="0", epsilon=problem.epsilon, exact=True)
@@ -822,7 +860,9 @@ def test_exact_splits_build_no_fraction_tensor(monkeypatch, run):
     for bf in forms[1:]:
         assert type(bf.den) is int and bf.den > 0
         assert all(type(v) is int for v in bf.numer.ravel().tolist())
-        assert "tensor" not in vars(bf)  # BernsteinForm.tensor caches what it builds
+    assert not {id(bf) for bf in reads} & {id(bf) for bf in forms[1:]}
+    # the probe sees a read of a bounded form
+    assert forms[-1].tensor.dtype == object and reads[-1] is forms[-1]
 
 
 def test_exhausted_exact_run_reports_a_fraction_lower_bound():

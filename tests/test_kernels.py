@@ -29,13 +29,14 @@ from bernpop.bernstein import (
     to_bernstein,
     upper_bounds,
 )
-from bernpop.bnb import _evaluator, _monotonicity_signs, sample_upper_bound
+from bernpop.bnb import _evaluator, _monotonicity_signs
 from bernpop.poly import Box, Polynomial, to_unit_box
 from bernpop.relax import (
     _greedy_knapsack,
     build_cut_matrix,
     first_lp_bound,
     nominal_point,
+    sample_upper_bound,
 )
 from conftest import (
     basis_values,
@@ -53,6 +54,7 @@ from conftest import (
     loop_upper_bounds,
     row_list,
     split_form,
+    unit_grid_point,
 )
 
 FIELDS = [False, True]
@@ -232,12 +234,16 @@ def test_bernstein_eval_matches_loop(exact):
 
 @pytest.mark.parametrize("exact", FIELDS)
 def test_min_coefficient_matches_loop(exact):
+    # the smallest coefficient, and the grid point I/delta of its first index
+    F = field(exact)
     for p, degree in _cases(exact):
         bf = to_bernstein(p, degree, exact)
-        assert bf.minimum == loop_min_coefficient(_flat(bf), degree)
-    # ties go to the first index in row-major order
+        value, idx = loop_min_coefficient(_flat(bf), degree)
+        assert bf.minimum == value
+        assert unit_grid_point(bf) == tuple(F.ratio(i, d) if d else 0 for i, d in zip(idx, degree))
+    # ties go to the first index in row-major order, here (0, 1)
     ties = BernsteinForm(np.array([[2.0, -1.0, 0.0], [-1.0, 3.0, -1.0]]))
-    assert ties.minimum == (-1.0, (0, 1))
+    assert ties.minimum == -1.0 and unit_grid_point(ties) == (0.0, 0.5)
 
 
 def _profile(kind, n, rng):
@@ -545,19 +551,21 @@ def test_sample_points_are_box_centres_and_grid_points(exact):
     F = field(exact)
     for p, degree in _cases(exact)[::4]:
         n = len(degree)
-        boxes = _boxes(rng, n, exact)
-        pinned = boxes[0].lower[:1] + boxes[0].upper[1:]  # a face: axis 0 pinned at its lower bound
-        boxes.append(Box._derived(boxes[0].lower, pinned))
-        forms = [to_bernstein(p, degree, exact)] * len(boxes)
-        corners = np.array([[b.lower, b.upper] for b in boxes], dtype=F.dtype)
-        points = sample_upper_bound(corners, np.stack([bf.numer for bf in forms]))
+        boxes = [(box.lower, box.upper) for box in _boxes(rng, n, exact)]
+        lower, upper = boxes[0]
+        boxes.append((lower, lower[:1] + upper[1:]))  # a face: axis 0 pinned at its lower bound
+        bf = to_bernstein(p, degree, exact)
+        corners = np.array(boxes, dtype=F.dtype)
+        points = sample_upper_bound(corners, np.stack([bf.numer] * len(boxes)))
         assert points.shape == (2 * len(boxes), n)
-        for k, (box, bf) in enumerate(zip(boxes, forms)):
-            _, idx = bf.minimum
-            grid = tuple(F.ratio(i, d) if d else 0 for i, d in zip(idx, bf.degree))
-            centre = tuple(lo + (hi - lo) / 2 for lo, hi in zip(box.lower, box.upper))
+        _, idx = loop_min_coefficient(_flat(bf), degree)
+        grid = tuple(F.ratio(i, d) if d else 0 for i, d in zip(idx, degree))
+        for k, (lower, upper) in enumerate(boxes):
+            centre = tuple(lo + (hi - lo) / 2 for lo, hi in zip(lower, upper))
             assert tuple(points[2 * k].tolist()) == centre
-            assert tuple(points[2 * k + 1].tolist()) == box.point(grid)
+            assert tuple(points[2 * k + 1].tolist()) == tuple(
+                lo + (hi - lo) * g for lo, hi, g in zip(lower, upper, grid)
+            )
 
 
 @pytest.mark.parametrize("degree", [(4,), (3, 2), (0, 3), (2, 1, 2)])

@@ -167,21 +167,6 @@ def test_box_validation():
         Box((), ())
 
 
-def test_box_split_builds_validated_halves():
-    for box, axis, at in [
-        (Box((-1.0, 0.0, 2.0), (1.0, 4.0, 3.0)), 1, 0.5),
-        (Box((Fraction(-1), Fraction(1, 3)), (Fraction(1, 2), Fraction(2))), 0, Fraction(-1, 7)),
-    ]:
-        left, right = box.split(axis, at)
-        lo, hi = list(box.lower), list(box.upper)
-        assert left == Box(tuple(lo), tuple(hi[:axis] + [at] + hi[axis + 1 :]))
-        assert right == Box(tuple(lo[:axis] + [at] + lo[axis + 1 :]), tuple(hi))
-        assert type(left.lower) is tuple and hash(left) == hash(Box(left.lower, left.upper))
-        for bad in (box.lower[axis], box.upper[axis], box.upper[axis] + 1, float("nan")):
-            with pytest.raises(ValueError, match="outside the open interval"):
-                box.split(axis, bad)
-
-
 def test_box_point():
     box = Box((-1.0, 0.0), (1.0, 4.0))
     assert box.point((0.5, 0.5)) == (0.0, 2.0)

@@ -89,6 +89,14 @@ def test_witness_tries_the_proposed_point_then_the_centre(exact):
     assert relax.witness(bf, near) == (None if exact else (0.0,))
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_witness_of_a_form_of_no_variable(exact):
+    # the one coefficient is the value everywhere, at the one point ()
+    bf = to_bernstein(Polynomial(0, {(): Fraction(3) if exact else 3.0}), ())
+    out = relax0(bf)
+    assert out.bound == 3 and relax.witness(bf, out) == ()
+
+
 # -- level 1 and the first-LP bound ------------------------------------------
 
 
