@@ -111,6 +111,8 @@ def integer_image(values) -> tuple[np.ndarray, int]:
 
 _fractions = np.frompyfunc(Fraction, 1, 1)  # Fraction(v) elementwise over object arrays
 _ratios = np.frompyfunc(Fraction, 2, 1)  # Fraction(n, d) elementwise, or of one pair
+_numerators = np.frompyfunc(operator.attrgetter("numerator"), 1, 1)  # of rationals, elementwise
+_denominators = np.frompyfunc(operator.attrgetter("denominator"), 1, 1)
 
 FLOAT = Field(False, float, 0.0, 1.0, 0.5, of=float, ratio=operator.truediv,
               array=lambda v: np.asarray(v, dtype=float), tol=lambda t: t,
@@ -254,44 +256,54 @@ def axis_view(tensor: np.ndarray, axis: int) -> np.ndarray:
 
 
 def subdivide(numer: np.ndarray, axis: int, t) -> tuple[np.ndarray, np.ndarray, object]:
-    """De Casteljau split of a stack of numerators along ``axis`` at t in (0,1).
+    """De Casteljau split of a stack of numerators along ``axis`` at t in [0,1].
 
     ``numer`` holds forms' numerators along a leading batch axis, and
-    ``axis`` counts a member's axes.  Returns the stacks of the two pieces
-    [0,t] and [t,1] of that axis, each on its own unit box, and the factor
-    by which each member's ``den`` grows.  The steps run on whole slices of
+    ``axis`` counts a member's axes.  t is one split point for every
+    member, or a vector of one per member.  Returns the stacks of the two
+    pieces [0,t] and [t,1] of that axis, each on its own unit box, and the
+    factor by which each member's ``den`` grows: one number for one t, one
+    per member for a vector.  The steps run on whole slices of
     ``axis_view``, the batch folded into its leading axis, so each member
-    gets the values a split of it alone gives.  Every float step is c_i +
-    t (c_{i+1} - c_i), which keeps a tensor that is constant along an axis
-    exactly constant, and the factor is 1.  An exact stack needs a
-    rational t = p/q (an int or a Fraction).  Each step r is then (q - p)
-    N_i + p N_{i+1} on the numerators, over D q^r, and both pieces are
-    scaled to one denominator D q^d, left unreduced: the factor is q^d.
+    gets the values a split of it alone at its t gives.  Every float step
+    is c_i + t (c_{i+1} - c_i), which keeps a tensor that is constant
+    along an axis exactly constant, and the factor is 1.  An exact stack
+    needs rational split points t = p/q (ints or Fractions).  Each step r
+    is then (q - p) N_i + p N_{i+1} on the numerators, over D q^r, and
+    both pieces are scaled to one denominator D q^d, left unreduced: the
+    factor is q^d.
     """
     shape, d = numer.shape, numer.shape[axis + 1] - 1
+    # the split axis first, over the batch and the other axes folded: each
+    # step then runs on whole contiguous slices
+    rows = axis_view(numer, axis + 1).swapaxes(0, 1)
+    t = np.asarray(t, dtype=numer.dtype)
+    # a member's t, repeated over the slices it folds into the batch axis
+    each = np.repeat(t, rows.shape[1] // max(len(numer), 1))[:, None] if t.ndim else t
     if field_of(numer).exact:
-        if not isinstance(t, numbers.Rational):
+        if not all(isinstance(v, numbers.Rational) for v in t.ravel().tolist()):
             raise ValueError(f"split point {t!r} of an exact form is not rational")
-        p, q = t.numerator, t.denominator
-        rows = axis_view(numer, axis + 1)
+        p, q = _numerators(each), _denominators(each)
         left, right = np.empty_like(rows), np.empty_like(rows)
-        left[:, 0], right[:, d] = rows[:, 0] * q**d, rows[:, d] * q**d
+        left[0], right[d] = rows[0] * q**d, rows[d] * q**d
         for r in range(1, d + 1):
-            rows = (q - p) * rows[:, :-1] + p * rows[:, 1:]
+            rows = (q - p) * rows[:-1] + p * rows[1:]
             scale = q ** (d - r)
-            left[:, r], right[:, d - r] = rows[:, 0] * scale, rows[:, -1] * scale
-        return left.reshape(shape), right.reshape(shape), q**d
-    # step r overwrites indices 0..d-r in place and index d-r keeps it, so
-    # the finished array is the right piece
-    right = axis_view(numer, axis + 1).copy()
-    left = np.empty_like(right)
-    left[:, 0] = right[:, 0]
-    for r in range(1, d + 1):
-        step = right[:, 1 : d - r + 2] - right[:, : d - r + 1]
-        step *= t
-        right[:, : d - r + 1] += step
-        left[:, r] = right[:, 0]
-    return left.reshape(shape), right.reshape(shape), 1
+            left[r], right[d - r] = rows[0] * scale, rows[-1] * scale
+        factor = _denominators(t) ** d
+    else:
+        # step r overwrites indices 0..d-r in place and index d-r keeps it,
+        # so the finished array is the right piece
+        right = rows.copy()
+        left = np.empty_like(right)
+        left[0] = right[0]
+        for r in range(1, d + 1):
+            step = right[1 : d - r + 2] - right[: d - r + 1]
+            step *= each
+            right[: d - r + 1] += step
+            left[r] = right[0]
+        factor = 1
+    return left.swapaxes(0, 1).reshape(shape), right.swapaxes(0, 1).reshape(shape), factor
 
 
 def bernstein_eval(bf: BernsteinForm, point: Sequence) -> object:

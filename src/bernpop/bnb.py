@@ -37,6 +37,7 @@ run and for the recursive edge subproblems are tracked separately.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -66,6 +67,13 @@ MIN_BOX_WIDTH = 1e-12
 
 # the most worklist entries one round pops and processes as one stack
 BATCH = 32
+
+# contraction cuts a side to the grid 1/CONTRACTION_GRID, outward, when it
+# keeps less than CONTRACTION_RATIO of it (0 restricts no box); it sweeps
+# the axes CONTRACTION_SWEEPS times a round
+CONTRACTION_GRID = 64
+CONTRACTION_RATIO = 0.9
+CONTRACTION_SWEEPS = 2
 
 
 @dataclass
@@ -98,6 +106,8 @@ class BnbStats:
     lp_pivots: int = 0
     lp_fallbacks: int = 0
     early_stops: int = 0  # bounds stopped once they reached the cutoff
+    contracted: int = 0  # boxes cut to a part of some side by contraction (at either depth)
+    contraction_closures: int = 0  # boxes contraction left empty (at either depth)
     cut_rounds: int = 0  # cut-loop rounds (RelaxationOutcome.iterations)
     rows_activated: int = 0  # cut rows the rounds appended
     elapsed: float = 0.0
@@ -117,12 +127,30 @@ def cutoff_threshold(incumbent: object, epsilon):
     """The bound at which a box can no longer improve the incumbent by more
     than the relative tolerance, incumbent - eps * max(1, |incumbent|), in
     the field of the incumbent and ``epsilon``; None while there is no
-    finite incumbent."""
+    finite incumbent.  A float threshold is the least float at or above
+    the rational value, so that the gap to the incumbent never exceeds
+    the tolerance and is as near to it as binary64 allows; a Fraction one
+    is the value itself."""
     if incumbent is None:
         return None
     if isinstance(incumbent, float) and math.isinf(incumbent):
         return None
-    return incumbent - epsilon * max(1, abs(incumbent))
+    value = incumbent - epsilon * max(1, abs(incumbent))
+    # the rational value n / d (d > 0), from the exact ratios of the operands
+    (a, b), (c, e) = incumbent.as_integer_ratio(), epsilon.as_integer_ratio()
+    m, k = (abs(a), b) if abs(a) > b else (1, 1)  # max(1, |incumbent|) = m / k
+    n, d = a * e * k - c * m * b, b * e * k
+
+    def excess(v) -> int:  # of the sign of v - n / d
+        p, q = v.as_integer_ratio()
+        return p * d - n * q
+
+    # each loop steps one float; a Fraction value is n / d and never steps
+    while excess(value) < 0:
+        value = math.nextafter(value, math.inf)
+    while excess(value) > 0 and excess(math.nextafter(value, -math.inf)) >= 0:
+        value = math.nextafter(value, -math.inf)
+    return value
 
 
 def split_boxes(boxes: Sequence[tuple], numer: np.ndarray, strategy: str) -> list[tuple]:
@@ -131,11 +159,12 @@ def split_boxes(boxes: Sequence[tuple], numer: np.ndarray, strategy: str) -> lis
     corner tuples in the forms' field, and ``numer`` (K, m, *shape) the
     numerators of each box's m forms.  The zero-centered strategy splits
     at the origin instead of the midpoint whenever it lies strictly inside
-    that side.  Boxes that split on one axis at one t share one stacked
-    ``subdivide`` call.  Returns each box's lower child, then its upper
-    one, as (lower, upper, numerators (m, *shape), the factor by which
-    their denominators grow); each child's numerators are copied out of
-    the stacked split, so that no child keeps its batch's arrays alive."""
+    that side.  Boxes that split on one axis share one stacked
+    ``subdivide`` call, each at its own t.  Returns each box's lower
+    child, then its upper one, as (lower, upper, numerators (m, *shape),
+    the factor by which their denominators grow); each child's numerators
+    are copied out of the stacked split, so that no child keeps its
+    batch's arrays alive."""
     F = field_of(numer)
     halves, groups = [], {}
     for i, (lower, upper) in enumerate(boxes):
@@ -151,14 +180,15 @@ def split_boxes(boxes: Sequence[tuple], numer: np.ndarray, strategy: str) -> lis
         below = (lower, upper[:axis] + (at,) + upper[axis + 1 :])
         above = (lower[:axis] + (at,) + lower[axis + 1 :], upper)
         halves.append((below, above))
-        groups.setdefault((axis, t), []).append(i)
+        groups.setdefault(axis, []).append((i, t))
     children = [None] * (2 * len(boxes))
-    for (axis, t), members in groups.items():
-        # (G, m, *shape), split as G m members; one group is the whole batch
-        stack = numer if len(groups) == 1 else numer[members]
-        left, right, factor = subdivide(stack.reshape((-1,) + stack.shape[2:]), axis, t)
-        left, right = left.reshape(stack.shape), right.reshape(stack.shape)
-        for g, i in enumerate(members):
+    for axis, members in groups.items():
+        # (G, m, *shape), a member a box with its m forms; one group is the whole batch
+        rows = [i for i, _ in members]
+        stack = numer if len(groups) == 1 else numer[rows]
+        t = np.array([t for _, t in members], dtype=F.dtype)
+        left, right, factors = subdivide(stack, axis + 1, t)
+        for g, (i, factor) in enumerate(zip(rows, np.broadcast_to(factors, len(rows)).tolist())):
             below, above = halves[i]
             children[2 * i] = below + (left[g].copy(), factor)
             children[2 * i + 1] = above + (right[g].copy(), factor)
@@ -417,8 +447,10 @@ def _solve_problem(lower, upper, forms, cfg, state, stats, depth):
                 continue
             batch, numer = [batch[i] for i in feasible], numer[feasible]
         corners = np.array([entry[:2] for entry in batch], dtype=F.dtype)
-        # sample first, so that each bound need only reach the cutoff
-        state.offer_rows(sample_upper_bound(corners, numer[:, 0]))
+        # sample first, so that each bound need only reach the cutoff; with
+        # constraints, also where the largest of them is smallest
+        selectors = (numer[:, 0],) + ((_constraint_selector(numer, batch),) if numer.shape[1] > 1 else ())
+        state.offer_rows(sample_upper_bound(corners, *selectors))
         bounded = _bound_batch(batch, numer, cfg.level, u, cuts, state, stats)
 
         # the cutoff test reads the incumbent after the whole batch's offers
@@ -435,6 +467,17 @@ def _solve_problem(lower, upper, forms, cfg, state, stats, depth):
         if not survivors:
             continue
         rows = [i for i, _ in survivors]
+        numer, corners = numer[rows], corners[rows]
+        dens = np.array([batch[i][3] for i in rows], dtype=object)
+        kept, cut = _contract(corners, numer, dens, threshold)
+        stats.contracted += int((cut & kept).sum())
+        stats.contraction_closures += int((~kept).sum())
+        if threshold is not None and cut.any():
+            # every part cut away has p > threshold there or is infeasible
+            add_contrib(threshold)
+        rows = np.flatnonzero(kept)
+        if not len(rows):
+            continue
         widths = corners[rows, 1] - corners[rows, 0]
         monotone = [False] * len(rows)
         if numer.shape[1] == 1:  # the monotonicity test is for problems without constraints
@@ -443,12 +486,13 @@ def _solve_problem(lower, upper, forms, cfg, state, stats, depth):
             monotone = ((signs != "mixed") & (widths > 0)).any(axis=1).tolist()
         narrow = widths.max(axis=1) <= MIN_BOX_WIDTH
         split = []
-        for k, (i, bound) in enumerate(survivors):
+        for k, i in enumerate(rows.tolist()):
+            bound = survivors[i][1]
             if monotone[k]:
                 stats.mono_count += 1
-                lower, upper, _, dens = batch[i]
+                lower, upper = map(tuple, corners[i].tolist())
                 face_lower, face_upper, face_numer = _face(lower, upper, numer[i, 0], signs[k])
-                face_form = BernsteinForm(face_numer, dens[0])
+                face_form = BernsteinForm(face_numer, dens[i][0])
                 if "mixed" not in signs[k]:  # a vertex: its one coefficient is the value there
                     state.offer(face_lower)
                     add_contrib(face_form.minimum)
@@ -463,18 +507,190 @@ def _solve_problem(lower, upper, forms, cfg, state, stats, depth):
                 stats.min_width_count += 1
                 add_contrib(bound)
             else:
-                split.append((i, bound))
+                split.append(i)
         if not split:
             continue
-        rows = [i for i, _ in split]
-        children = split_boxes([batch[i][:2] for i in rows], numer[rows], SPLIT_LONGEST)
-        for k, (i, bound) in enumerate(split):
-            key, dens = _heap_key(bound), batch[i][3]
+        boxes = [tuple(map(tuple, corners[i].tolist())) for i in split]
+        children = split_boxes(boxes, numer[split], SPLIT_LONGEST)
+        for k, i in enumerate(split):
+            bound = survivors[i][1]
+            key = _heap_key(bound)
             for lower, upper, block, factor in children[2 * k : 2 * k + 2]:
-                den = tuple(d * factor for d in dens)
+                den = tuple(d * factor for d in dens[i])
                 heapq.heappush(heap, (key, next(counter), bound, lower, upper, block, den))
 
     return contrib
+
+
+def _contract(corners: np.ndarray, numer: np.ndarray, dens: list, threshold) -> tuple[np.ndarray, np.ndarray]:
+    """Cut a stack of boxes to where their forms can still be <= 0, in place.
+
+    The forms are p - ``threshold`` (once there is one) and each
+    constraint, read off ``numer`` (K, m, *shape) and ``dens`` (K tuples
+    of m denominators); ``corners`` (K, 2, n) holds the boxes.  Along an
+    axis r of positive width and degree d >= 1, let m_i be the smallest
+    coefficient of a form with index i on r (``_axis_minima``).  By the
+    convex-hull property the form is > 0 wherever the lower hull of the
+    points (i/d, m_i) is > 0, so it can be <= 0 only on an interval
+    [t0, t1] of the side (``_hull_intervals``).  The forms' intervals are
+    intersected, and a box with an empty one closes.  One whose kept
+    share t1 - t0 is less than ``CONTRACTION_RATIO`` is restricted to it:
+    its forms by two stacked ``subdivide`` calls per axis, its corners to
+    match, its denominators by their factors (``_restrict``).  A sweep
+    computes every axis's interval from the same forms and then cuts the
+    axes in turn; each of the ``CONTRACTION_SWEEPS`` sweeps reads only
+    the boxes the previous one cut.  The sign of a coefficient of
+    p - threshold is that of N D' - N' D for p's N / D and the threshold's
+    N' / D', so both fields run the same integer or float operations.
+    Returns the boxes left open and the boxes cut (K booleans each)."""
+    F, count = field_of(numer), len(numer)
+    degrees = np.array(numer.shape[2:]) - 1
+    kept, cut = np.ones(count, dtype=bool), np.zeros(count, dtype=bool)
+    first = 1 if threshold is None else 0  # the first form tested
+    if first == numer.shape[1] or not degrees.any():
+        return kept, cut
+    if threshold is not None:
+        shift, scale = F.image([threshold])
+    active = np.arange(count)  # the boxes whose forms the sweep reads
+    flat = degrees == 0
+    for _ in range(CONTRACTION_SWEEPS):
+        minima = _axis_minima(numer[active, first:])
+        if threshold is not None:
+            den = dens[active, 0].astype(numer.dtype)
+            minima[:, 0] = minima[:, 0] * scale - shift[0] * den[:, None, None]
+        starts, ends = _hull_intervals(minima, degrees)
+        lo, hi = np.maximum(starts.max(axis=1), 0), np.minimum(ends.min(axis=1), CONTRACTION_GRID)
+        # a side of zero width or of degree 0 is kept whole
+        box = corners[active]
+        whole = (box[:, 1] <= box[:, 0]) | flat
+        empty = ((lo > hi) & ~whole).any(axis=1)
+        shrink = (hi - lo < CONTRACTION_RATIO * CONTRACTION_GRID) & ~(whole | empty[:, None])
+        gone = active[empty]
+        kept[gone], cut[gone] = False, True
+        on = np.flatnonzero(shrink.any(axis=1))
+        if not len(on):
+            break
+        active, shrink = active[on], shrink[on]
+        cut[active] = True
+        # a side not cut keeps [0, 1]
+        _restrict(corners, numer, dens, active, np.where(shrink, lo[on], 0), np.where(shrink, hi[on], CONTRACTION_GRID))
+    return kept, cut
+
+
+def _axis_minima(stack: np.ndarray) -> np.ndarray:
+    """The smallest entry of each form with index i on axis r, for a stack
+    (A, f, *shape): an (A, f, n, D + 1) array, D the largest degree, with
+    1 past an axis's own degree.  The forms go last in one transposed
+    copy, so each reduction runs over whole contiguous rows of them, and
+    each axis's reduction starts from the previous one's."""
+    count, forms, shape = len(stack), stack.shape[1], stack.shape[2:]
+    tail = count * forms
+    rows = np.ascontiguousarray(stack.reshape(tail, -1).T).reshape(shape + (tail,))
+    out = np.ones((len(shape), max(shape), tail), dtype=stack.dtype)
+    for r, size in enumerate(shape):
+        out[r, :size] = rows.min(axis=tuple(range(1, rows.ndim - 1)))
+        rows = rows.min(axis=0)
+    return out.transpose(2, 0, 1).reshape(count, forms, len(shape), max(shape))
+
+
+def _hull_intervals(minima: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Grid intervals [t0, t1] where the lower convex hull of the points
+    (i/d, m_i) is <= 0, for minima m (A, f, n, D + 1) along axes of
+    ``degrees`` d: the smallest and the largest of the grid points i/d
+    with m_i <= 0 and of the zero crossings (j m_i - i m_j) / (d (m_i -
+    m_j)) of the segments from a point with m_i > 0 to one with m_j <= 0,
+    in units of 1/``CONTRACTION_GRID``, t0 rounded down and t1 up (floor
+    divisions, in integers on an exact stack).  Returns (A, f, n) int
+    arrays t0 and t1; a form with no point <= 0 gets t0 > t1."""
+    grid = CONTRACTION_GRID
+    real, floors, ceils = _grid_points(tuple(degrees.tolist()))
+    below = (minima <= 0) & real
+    starts = np.where(below, floors, grid + 1).min(axis=-1)
+    ends = np.where(below, ceils, -1).max(axis=-1)
+    *rows, i, j = np.nonzero(((minima > 0) & real)[..., :, None] & below[..., None, :])
+    if len(i):
+        # int64 indices times an object array give Python ints
+        mi, mj = minima[(*rows, i)], minima[(*rows, j)]
+        num, den = (grid * j) * mi - (grid * i) * mj, degrees[rows[-1]] * (mi - mj)
+        np.minimum.at(starts, tuple(rows), (num // den).astype(np.int64))
+        np.maximum.at(ends, tuple(rows), (-(-num // den)).astype(np.int64))
+    return starts, ends
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_points(degrees: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For axes of ``degrees`` d, padded to the largest: which indices i
+    are the axis's own, and the grid point i/d in units of
+    1/``CONTRACTION_GRID`` rounded down and up, each (n, D + 1)."""
+    index, per = np.arange(max(degrees) + 1), np.maximum(degrees, 1)[:, None]
+    steps = index * CONTRACTION_GRID
+    points = index <= np.array(degrees)[:, None], steps // per, -(-steps // per)
+    for array in points:
+        array.flags.writeable = False  # shared by every call
+    return points
+
+
+def _restrict(corners, numer, dens, boxes, starts, ends) -> None:
+    """Restrict the ``boxes`` of a stack to [t0, t1] on each side, in
+    place, with t0 = starts/G and t1 = ends/G for the grid G, (k, n) ints:
+    along each axis that some box cuts, the forms' [t0, 1] piece at t0,
+    then that piece's [0, s] one at s = (t1 - t0) / (1 - t0), taken as
+    the [1 - s, 1] piece of the form reversed along the axis, so that a
+    side a box keeps splits at t = 0, which changes nothing.  The corners
+    of a cut side move to lo + (hi - lo) t0 and lo + (hi - lo) t1, and the
+    denominators ``dens`` (K, m) grow by the splits' factors."""
+    ratios, grid = _grid_ratios(field_of(numer)), CONTRACTION_GRID
+    stack, grows = numer[boxes], np.ones(len(boxes), dtype=object)
+    raise_lower, drop_upper = starts > 0, ends < grid
+    for axis in range(starts.shape[1]):
+        # the boxes that cut this axis, split apart from the others when not all do
+        on = np.flatnonzero(raise_lower[:, axis] | drop_upper[:, axis])
+        if not len(on):
+            continue
+        part = stack if len(on) == len(stack) else stack[on]
+        a, b = starts[on, axis], ends[on, axis]
+        if a.any():
+            _, part, factor = subdivide(part, axis + 1, ratios[a, grid])
+            grows[on] *= factor
+        if (b < grid).any():
+            _, flipped, factor = subdivide(np.flip(part, axis + 2), axis + 1, ratios[grid - b, grid - a])
+            part = np.flip(flipped, axis + 2)
+            grows[on] *= factor
+        stack[on] = part
+    numer[boxes] = stack
+    dens[boxes] *= grows[:, None]
+    lower, upper = corners[boxes, 0], corners[boxes, 1]
+    width = upper - lower
+    corners[boxes, 0] = lower + width * ratios[starts, grid]  # lower itself where t0 = 0
+    corners[boxes, 1] = np.where(drop_upper, lower + width * ratios[ends, grid], upper)
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_ratios(F: Field) -> np.ndarray:
+    """The ratios y/x of grid counts 0 <= y <= x <= ``CONTRACTION_GRID``,
+    x >= 1, in the field, at [y, x] (0 elsewhere)."""
+    grid = CONTRACTION_GRID
+    ratios = np.full((grid + 1, grid + 1), F.zero, dtype=F.dtype)
+    for x in range(1, grid + 1):
+        ratios[: x + 1, x] = [F.ratio(y, x) for y in range(x + 1)]
+    ratios.flags.writeable = False  # shared by every call
+    return ratios
+
+
+def _constraint_selector(numer: np.ndarray, batch: Sequence) -> np.ndarray:
+    """Per box of a stack, a tensor (K, *shape) whose first smallest entry
+    is where the largest constraint coefficient is smallest, and among
+    those positions where the objective's is smallest.  The constraints
+    are compared on one scale a box: each one's numerators times the
+    product of the other constraints' denominators (``batch`` holds each
+    box's denominators)."""
+    count, forms = numer.shape[:2]
+    scales = [[math.prod(dens[1:]) // den for den in dens[1:]] for _, _, _, dens in batch]
+    scales = np.array(scales, dtype=numer.dtype).reshape((count, forms - 1) + (1,) * (numer.ndim - 2))
+    largest = (numer[:, 1:] * scales).max(axis=1).reshape(count, -1)
+    objective = numer[:, 0].reshape(count, -1)
+    ties = largest == largest.min(axis=1, keepdims=True)
+    return np.where(ties, objective, objective.max(axis=1, keepdims=True)).reshape(numer[:, 0].shape)
 
 
 def _bound_batch(batch, numer, level, u, cuts, state, stats) -> list[tuple]:

@@ -18,7 +18,7 @@ from bernpop.bnb import (
     branch_and_bound,
     cutoff_threshold,
 )
-from bernpop.bernstein import FLOAT, BernsteinForm, to_bernstein
+from bernpop.bernstein import FLOAT, BernsteinForm, field, to_bernstein
 from bernpop.poly import Box, Polynomial, restrict_facet, to_unit_box
 from bernpop.problems import load_fixture, load_problem
 from bernpop.relax import RelaxationOutcome, nominal_point, sample_upper_bound
@@ -143,10 +143,13 @@ def test_edge_subproblem_square_on_positive_interval():
 def test_fully_fixed_vertex_contributes_its_coefficient(monkeypatch):
     # x^2 on [1/10, 1] is increasing, so the monotone step fixes its only
     # axis; a bound that is not past the cutoff reaches it,
-    # and the vertex contributes the face's one coefficient, p(1/10)
+    # and the vertex contributes the face's one coefficient, p(1/10).
+    # Contraction is off: every coefficient is above the threshold, so it
+    # would close the box before the monotone step
     square = Polynomial(1, {(2,): Fraction(1)})
     weak = lambda bf, *args, **kwargs: RelaxationOutcome(bound=bf.minimum - 1)
     monkeypatch.setattr(bnb, "bound_at_level", weak)
+    monkeypatch.setattr(bnb, "CONTRACTION_SWEEPS", 0)
     box = Box((Fraction(1, 10),), (Fraction(1),))
     res = branch_and_bound(square, (), box, BnbConfig(level="0", exact=True))
     assert res.stats.mono_count == 1 and res.stats.subdivisions == 1
@@ -335,10 +338,12 @@ def test_exact_mode_on_float_box_computes_in_fractions(level):
     # -1/36 is the true minimum, at (0, 1/6)
     assert on_floats.lower_bound <= Fraction(-1, 36) <= on_floats.upper_bound
     if level == "1":
-        # the box that sets the lower bound stops at its smallest
-        # coefficient, which already reaches the cutoff
-        assert on_floats.lower_bound == Fraction(-3641, 131072)
-        assert on_floats.upper_bound == Fraction(-29127, 1048576)
+        # the lower bound is the threshold of the final incumbent: a
+        # contraction cut away a part above it
+        den = 3802951800684688204490109616128
+        assert on_floats.lower_bound == Fraction(-105641333453829440742515426141, den)
+        assert on_floats.upper_bound == Fraction(-105637530502028756054483026781, den)
+        assert on_floats.lower_bound == cutoff_threshold(on_floats.upper_bound, Fraction(1e-6))
 
 
 @pytest.mark.parametrize("level", ["0", "2"])
@@ -445,12 +450,12 @@ def test_face_slice_equals_restricted_conversion():
 # so the main box closes on its x = 0 face, where boxes monotone in y or
 # z close on faces of that face (depth 2)
 NESTED_FACES_COUNTS = {  # (main, edge, mono, edge cutoffs) nodes per (exact, level)
-    (False, "0"): (1, 168, 16, 77),
-    (False, "1"): (1, 125, 11, 58),
-    (False, "2"): (1, 100, 4, 49),
-    (True, "0"): (1, 168, 16, 77),
-    (True, "1"): (1, 125, 11, 58),
-    (True, "2"): (1, 100, 4, 49),
+    (False, "0"): (1, 40, 4, 9),
+    (False, "1"): (1, 37, 5, 9),
+    (False, "2"): (1, 37, 5, 16),
+    (True, "0"): (1, 40, 4, 9),
+    (True, "1"): (1, 37, 5, 9),
+    (True, "2"): (1, 37, 5, 16),
 }
 
 
@@ -473,7 +478,7 @@ def test_nested_faces(monkeypatch, exact, level):
     assert counts == NESTED_FACES_COUNTS[exact, level]
     assert depths.count(2) > 0
     if not exact and level == "0":
-        assert depths.count(2) == 15
+        assert depths.count(2) == 3
     assert res.converged
     assert all(lo <= x <= hi for lo, x, hi in zip(box.lower, res.witness, box.upper))
     # the upper bound is the objective at the witness, in the run's field
@@ -488,12 +493,19 @@ def _constrained_square():
     return p, g, Box((-1.0, -1.0), (1.0, 1.0))
 
 
+@pytest.mark.parametrize("sweeps", [0, bnb.CONTRACTION_SWEEPS])
 @pytest.mark.parametrize("level", ["0", "1", "2"])
-def test_infeasible_boxes_are_pruned(level):
+def test_infeasible_boxes_are_pruned(monkeypatch, level, sweeps):
+    # without contraction the boxes where x > -1/2 close as infeasible;
+    # with it the constraint cuts them off the root box
+    monkeypatch.setattr(bnb, "CONTRACTION_SWEEPS", sweeps)
     p, g, box = _constrained_square()
     res = branch_and_bound(p, (g,), box, BnbConfig(level=level, epsilon=1e-6))
     assert res.converged
-    assert res.stats.infeasible_count > 0
+    if sweeps:
+        assert res.stats.contracted > 0 and res.stats.infeasible_count == 0
+    else:
+        assert res.stats.infeasible_count > 0 and res.stats.contracted == 0
     assert res.lower_bound <= 0.75 <= res.upper_bound <= 0.75 + 1e-6
     assert g.eval(res.witness) <= 0
     assert res.witness == pytest.approx((-0.5, 0.0), abs=1e-3)
@@ -600,8 +612,9 @@ def test_budget_running_out_inside_a_batch(monkeypatch, case, exact):
         problem = load_problem(load_fixture("himmelblau"), exact)
         p, constraints, box, budget = problem.objective, (), problem.box, 30
     else:
+        # the root, then 1 of a round of 2 (the whole run takes 3 boxes)
         p, g, box = _constrained_square()
-        constraints, budget = (g,), 40
+        constraints, budget = (g,), 2
     res = branch_and_bound(p, constraints, box, BnbConfig(level="0", max_boxes=budget, exact=exact))
     s = res.stats
     assert any(0 < granted < wanted for wanted, granted in grants)
@@ -658,6 +671,8 @@ def test_heap_entries_own_their_numerators(monkeypatch, exact):
         ("himmelblau", "0", 1e-12),
         ("himmelblau", "2", 1e-12),
         ("d2", "2", 1e-12),
+        # without contraction the constrained repro closes boxes as infeasible
+        ("d2_uncontracted", "2", 1e-12),
         ("himmelblau", "0", 0.5),
         # 50 nodes: the budget runs out inside an edge subproblem, and both
         # worklists drain
@@ -669,7 +684,9 @@ def test_every_popped_node_closes_for_one_reason_or_splits(monkeypatch, case, le
     # children, so the splits are half the pushes
     pushes, worklists = _count_pushes(monkeypatch)
     monkeypatch.setattr(bnb, "MIN_BOX_WIDTH", min_box_width)
-    if case == "d2":
+    if case == "d2_uncontracted":
+        monkeypatch.setattr(bnb, "CONTRACTION_SWEEPS", 0)
+    if case.startswith("d2"):
         p, constraints, box = _d2_repro()
     else:
         p, constraints, box = himmelblau(), (), Box((-5.0, -5.0), (5.0, 5.0))
@@ -681,6 +698,7 @@ def test_every_popped_node_closes_for_one_reason_or_splits(monkeypatch, case, le
     s = res.stats
     closures = (
         s.cutoff_count + s.edge_cutoffs + s.mono_count + s.infeasible_count + s.min_width_count
+        + s.contraction_closures
     )
     assert len(pushes) % 2 == 0
     assert s.subdivisions + s.edge_subdivisions == closures + len(pushes) // 2
@@ -690,8 +708,12 @@ def test_every_popped_node_closes_for_one_reason_or_splits(monkeypatch, case, le
     assert pushed == s.subdivisions + s.edge_subdivisions + s.budget_count
     assert (s.budget_count > 0) == limited
     assert (s.min_width_count > 0) == (min_box_width > 1e-12)
-    if case == "d2":
-        assert s.infeasible_count > 0
+    if case == "d2":  # contraction cuts the infeasible part off the root box
+        assert s.contracted > 0 and s.infeasible_count == 0
+    elif case == "d2_uncontracted":
+        assert s.infeasible_count > 0 and s.contracted == s.contraction_closures == 0
+    else:
+        assert s.contraction_closures > 0
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -700,21 +722,35 @@ def test_level0_closures_are_cutoff_closures(exact):
     # by the cutoff: its grid point, offered before the bound, attains it;
     # bounds and witness are those of the former exact closures, which are
     # now counted with the cutoff closures (141 + 32 + 133 before batches
-    # of boxes; batches moved the nodes from 437 + 206)
+    # of boxes; batches moved the nodes from 437 + 206, contraction from
+    # 433 + 184).  Both fields close the same boxes for the same reasons;
+    # the lower bound is the threshold of the final incumbent
     problem = load_problem(load_fixture("himmelblau"), exact)
     cfg = BnbConfig(level="0", epsilon=problem.epsilon, exact=exact)
     res = branch_and_bound(problem.objective, (), problem.box, cfg)
     s = res.stats
-    assert (s.subdivisions, s.edge_subdivisions) == (433, 184)
-    assert (s.cutoff_count, s.edge_cutoffs, s.mono_count) == (185, 108, 32)
+    assert (s.subdivisions, s.edge_subdivisions) == (103, 48)
+    assert (s.cutoff_count, s.edge_cutoffs, s.mono_count) == (19, 27, 15)
+    assert (s.contracted, s.contraction_closures) == (80, 22)
     if exact:
-        assert res.lower_bound == Fraction(-36112019881555, 56668397794435742564352)
-        assert res.upper_bound == Fraction(31980883136065, 1208925819614629174706176)
-        assert res.witness == (Fraction(3758545, 1048576), Fraction(-484475, 262144))
+        den = 10576895500643977583230644928524336637254474927428499508554380724390492659780981533203027367035444557561459392400373732868096
+        assert res.lower_bound == Fraction(
+            -10392339027590043413839859626646075200177523818643283336875928596404711539545370500542512900732492494223564395679663,
+            den,
+        )
+        assert res.upper_bound == Fraction(
+            184556473053934828136669764616413531494923621594057697843400015400581051648255446277606346262758755452750246539345,
+            den,
+        )
+        assert res.witness == (
+            Fraction(-299427836403945009894210967055, 79228162514264337593543950336),
+            Fraction(-33295467584688446749929528962045, 10141204801825835211973625643008),
+        )
     else:
-        assert res.lower_bound == -6.372822504752725e-10
-        assert res.upper_bound == 2.646061147970613e-11
-        assert res.witness == (3.584427833557129, -1.8481254577636719)
+        assert res.lower_bound == -9.82549070409732e-10
+        assert res.upper_bound == 1.745092959026806e-11
+        assert res.witness == (-3.7793106251837614, -3.283186587326773)
+    assert res.lower_bound == cutoff_threshold(res.upper_bound, field(exact).of(problem.epsilon))
     assert res.converged
 
 
@@ -747,7 +783,9 @@ def test_fully_bounded_box_offers_its_nominal_point(monkeypatch, level):
     real_sample = bnb.sample_upper_bound
 
     def offer(self, point):
-        events.append(("offer", tuple(point)))
+        # a monotone box's vertex face offers its point from the worklist
+        kind = "offer" if sys._getframe(1).f_code.co_name == "_bound_batch" else "vertex"
+        events.append((kind, tuple(point)))
         real_offer(self, point)
 
     def offer_rows(self, points):
@@ -853,7 +891,9 @@ def test_exact_splits_build_no_fraction_tensor(monkeypatch, run):
         verify_lyapunov(load_lyapunov_case(load_fixture("lyap7"), True), BnbConfig(level="first", exact=True))
     assert sum(len(left) for left, _, _ in pieces) > 20 and len(forms) > 40
     for left, right, factor in pieces:
-        assert type(factor) is int and factor > 0
+        # one factor for one split point, one per member for a vector of them
+        factors = np.broadcast_to(np.asarray(factor, dtype=object), len(left)).tolist()
+        assert all(type(f) is int and f > 0 for f in factors)
         assert all(type(v) is int for v in left.ravel().tolist() + right.ravel().tolist())
     # every box's form, below the roots, is the image its parent's split
     # gave, and its Fraction tensor is never built
@@ -867,14 +907,15 @@ def test_exact_splits_build_no_fraction_tensor(monkeypatch, run):
 
 def test_exhausted_exact_run_reports_a_fraction_lower_bound():
     # the lower bound of an exhausted run is the smallest bound left on the
-    # heap, kept in the run's field: here a box bound of -4675/192, which a
-    # float key would round above
+    # heap, kept in the run's field: here a box bound that a float key
+    # would round above (-4675/192 before contraction)
     problem = load_problem(load_fixture("himmelblau"), True)
     cfg = BnbConfig(level="0", epsilon=1e-9, max_boxes=50, exact=True)
     res = branch_and_bound(problem.objective, (), problem.box, cfg)
     assert not res.converged
     assert isinstance(res.lower_bound, Fraction)
-    assert res.lower_bound <= Fraction(-4675, 192)
+    assert res.lower_bound == Fraction(-50239638736642946698265215, 4835703278458516698824704)
+    assert Fraction(float(res.lower_bound)) > res.lower_bound
 
 
 @pytest.mark.parametrize("exact", [False, True])

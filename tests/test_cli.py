@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from bernpop import bnb as bnb_mod
 from bernpop.bnb import BnbConfig, branch_and_bound
 from bernpop.cli import format_report, main, report_row
 from bernpop.poly import Box, Polynomial
@@ -337,8 +338,10 @@ def test_loaded_constraints_are_every_constraint_of_the_file(capsys, tmp_path, a
 
 
 @pytest.mark.parametrize("level", ["0", "1", "2"])
-def test_bnb_prunes_infeasible_boxes(capsys, tmp_path, level):
-    # minimise x^2 + y^2 - x on [-1,1]^2 subject to x + 1/2 <= 0; optimum 3/4 at (-1/2, 0)
+def test_bnb_prunes_infeasible_boxes(capsys, tmp_path, monkeypatch, level):
+    # minimise x^2 + y^2 - x on [-1,1]^2 subject to x + 1/2 <= 0; optimum 3/4 at (-1/2, 0).
+    # Contraction cuts the part where x > -1/2 off the root box; without
+    # it, the boxes there close as infeasible
     path = _write_problem(tmp_path, "half", {
         "dimension": 2,
         "objective": [
@@ -350,14 +353,20 @@ def test_bnb_prunes_infeasible_boxes(capsys, tmp_path, level):
             [{"exponents": [1, 0], "coeff": 1}, {"exponents": [0, 0], "coeff": 0.5}]
         ],
     })
-    code, out, _ = _run(capsys, ["bnb", "--level", level, "--output", "json", path])
-    assert code == 0
-    sec = json.loads(out)["bnb"]
-    assert sec["converged"]
-    assert sec["lower"] <= 0.75 <= sec["upper"] <= 0.75 + 1e-6
-    assert sec["witness"] == pytest.approx([-0.5, 0.0], abs=1e-3)
-    assert sec["witness"][0] <= -0.5
-    assert sec["stats"]["infeasible_count"] > 0
+    for sweeps in (bnb_mod.CONTRACTION_SWEEPS, 0):
+        monkeypatch.setattr(bnb_mod, "CONTRACTION_SWEEPS", sweeps)
+        code, out, _ = _run(capsys, ["bnb", "--level", level, "--output", "json", path])
+        assert code == 0
+        sec = json.loads(out)["bnb"]
+        assert sec["converged"]
+        assert sec["lower"] <= 0.75 <= sec["upper"] <= 0.75 + 1e-6
+        assert sec["witness"] == pytest.approx([-0.5, 0.0], abs=1e-3)
+        assert sec["witness"][0] <= -0.5
+        stats = sec["stats"]
+        if sweeps:
+            assert stats["contracted"] > 0 and stats["infeasible_count"] == 0
+        else:
+            assert stats["infeasible_count"] > 0 and stats["contracted"] == stats["contraction_closures"] == 0
 
 
 def test_bnb_infeasible_problem_is_a_clean_verdict(capsys, tmp_path):
