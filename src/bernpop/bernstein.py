@@ -20,7 +20,8 @@ Float conversion adds the terms' outer products a block of terms at a
 time, one term after another, so each coefficient is the per-monomial
 loop's to the bit.  Exact conversion contracts the integer image of the
 coefficients with one integer matrix per axis, and subdivision maps a
-stack of images (a leading batch axis) to its pieces' in one call.
+stack of images (a leading batch axis) to its pieces' in one call, at
+one split point or at one per member.
 Orderings and signs read N, since D > 0, and
 Fractions are built only for the values a caller asks for in the field.
 """
@@ -262,16 +263,17 @@ def subdivide(numer: np.ndarray, axis: int, t) -> tuple[np.ndarray, np.ndarray, 
     ``axis`` counts a member's axes.  t is one split point for every
     member, or a vector of one per member.  Returns the stacks of the two
     pieces [0,t] and [t,1] of that axis, each on its own unit box, and the
-    factor by which each member's ``den`` grows: one number for one t, one
-    per member for a vector.  The steps run on whole slices of
-    ``axis_view``, the batch folded into its leading axis, so each member
-    gets the values a split of it alone at its t gives.  Every float step
-    is c_i + t (c_{i+1} - c_i), which keeps a tensor that is constant
-    along an axis exactly constant, and the factor is 1.  An exact stack
-    needs rational split points t = p/q (ints or Fractions).  Each step r
-    is then (q - p) N_i + p N_{i+1} on the numerators, over D q^r, and
-    both pieces are scaled to one denominator D q^d, left unreduced: the
-    factor is q^d.
+    factor by which each member's ``den`` grows.  The steps run on whole
+    slices of ``axis_view`` with the split axis first (the batch and the
+    other axes folded behind it), so each member gets the values a split
+    of it alone at its t gives.  Every float step is c_i + t (c_{i+1} -
+    c_i), which keeps a tensor that is constant along an axis exactly
+    constant, and a [t,1] piece at t = 0 exactly the member; the factor is
+    1.  An exact stack needs rational split points t = p/q (ints or
+    Fractions).  Each step r is then (q - p) N_i + p N_{i+1} on the
+    numerators, over D q^r, and both pieces are scaled to one denominator
+    D q^d, left unreduced: the factor is q^d, a number for one t and one
+    per member for a vector.
     """
     shape, d = numer.shape, numer.shape[axis + 1] - 1
     # the split axis first, over the batch and the other axes folded: each

@@ -4,28 +4,42 @@ A (sub)problem is its box and, per box, one representation: the Bernstein
 form of the objective on it (and one per polynomial constraint).  Only
 the root is converted from the monomial basis (``relaxation_tensors``);
 children get their forms by a de Casteljau split of the parent along the
-bisected axis, and edge subproblems by a face slice.
+bisected axis, contracted boxes by two splits along each cut axis, and
+edge subproblems by a face slice.
 
 The worklist is best-first on the parent bound, and each round pops a
 batch of up to ``BATCH`` best boxes, as many as the node budget allows
 (one until there is an incumbent to cut against), and works on their
 stacked tensors.  A box with a constraint whose coefficients are all
 positive is infeasible and closes.  The others first offer their sample
-points to the incumbent (each box's centre and its smallest
-coefficient's grid point), all in one array evaluation.  Each box is
-then bounded at the configured relaxation level only as far as the
-incumbent cutoff needs: the bound stops at its first value that reaches
-the cutoff (see ``relax.bound_at_level``'s ``stop_at``).  A bound that
-ran to the end with an LP solution z also offers z's nominal point.
-Every popped box then closes for one reason or splits: its LP has no
-feasible point, or the cutoff test against the incumbent after all of
-the batch's offers closes it (every box whose bound one of the offered
-points attains, since the incumbent is then at most that bound), or the
-monotonicity test on the stack closes it, or it is at the minimum width,
-or it is bisected, the batch's splits one stacked de Casteljau call per
-axis.  A box that is monotone along some axes closes by solving the face
-it is monotone toward, an "edge" subproblem solved recursively: the same
-kind of box, pinned to zero width on those axes, with its form sliced to
+points to the incumbent (each box's centre, its smallest coefficient's
+grid point and, with constraints, the grid point where the largest
+constraint coefficient is smallest), all in one array evaluation.  Each
+box is then bounded at the configured relaxation level only as far as
+the incumbent cutoff needs: the bound stops at its first value that
+reaches the cutoff (see ``relax.bound_at_level``'s ``stop_at``).  A
+bound that ran to the end with an LP solution z also offers z's nominal
+point.  Every popped box then closes for one reason or splits: its LP
+has no feasible point, or the cutoff test against the incumbent after
+all of the batch's offers closes it (every box whose bound one of the
+offered points attains, since the incumbent is then at most that
+bound), or contraction leaves nothing of it, or the monotonicity test on
+the stack closes it, or it is at the minimum width, or it is bisected,
+the batch's splits one stacked de Casteljau call per axis.
+
+Contraction (``_contract``) runs on the boxes the cutoff test leaves
+open, in ``CONTRACTION_SWEEPS`` sweeps: by the convex-hull property,
+p - threshold and each constraint can be <= 0 only on an interval of
+each side, read off the smallest coefficient at each index along it.  A
+box shrinks to the intersection, rounded outward to the grid
+1/``CONTRACTION_GRID``, when that keeps less than ``CONTRACTION_RATIO``
+of a side, and closes when it is empty.  Every part cut away has p
+above the threshold or is infeasible, so it contributes the threshold
+of that moment to the lower bound.
+
+A box that is monotone along some axes closes by solving the face it is
+monotone toward, an "edge" subproblem solved recursively: the same kind
+of box, pinned to zero width on those axes, with its form sliced to
 degree 0 there.  ``Box`` is the input type only: a (sub)problem and
 every worklist entry hold a box as its corner tuples (lower, upper), and
 its forms as numerator arrays.
@@ -184,11 +198,15 @@ def split_boxes(boxes: Sequence[tuple], numer: np.ndarray, strategy: str) -> lis
     children = [None] * (2 * len(boxes))
     for axis, members in groups.items():
         # (G, m, *shape), a member a box with its m forms; one group is the whole batch
-        rows = [i for i, _ in members]
-        stack = numer if len(groups) == 1 else numer[rows]
-        t = np.array([t for _, t in members], dtype=F.dtype)
-        left, right, factors = subdivide(stack, axis + 1, t)
-        for g, (i, factor) in enumerate(zip(rows, np.broadcast_to(factors, len(rows)).tolist())):
+        rows, ts = zip(*members)
+        stack = numer if len(groups) == 1 else numer[list(rows)]
+        if ts.count(ts[0]) == len(ts):  # one t for the group, as bisection gives
+            left, right, factor = subdivide(stack, axis + 1, ts[0])
+            factors = [factor] * len(rows)
+        else:
+            left, right, factors = subdivide(stack, axis + 1, np.array(ts, dtype=F.dtype))
+            factors = np.broadcast_to(factors, len(rows)).tolist()
+        for g, (i, factor) in enumerate(zip(rows, factors)):
             below, above = halves[i]
             children[2 * i] = below + (left[g].copy(), factor)
             children[2 * i + 1] = above + (right[g].copy(), factor)
@@ -405,8 +423,8 @@ def _solve_problem(lower, upper, forms, cfg, state, stats, depth):
     numerators and runs each step on the whole stack: the
     constraint-infeasibility test, the sample points' offers, one bound
     per box (``_bound_batch``), the cutoff test against the incumbent
-    after all of them, the monotonicity screen, and the split of the
-    boxes left open.
+    after all of them, contraction (``_contract``), the monotonicity
+    screen, and the split of the boxes left open.
     """
     F, delta = field_of(forms[0].numer), forms[0].degree
     u = None if cfg.level == LEVEL_0 else upper_bounds(delta, exact=F.exact)

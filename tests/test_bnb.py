@@ -607,8 +607,9 @@ def test_budget_running_out_inside_a_batch(monkeypatch, case, exact):
     monkeypatch.setattr(_RunState, "charge", charge)
     pushes, worklists = _count_pushes(monkeypatch)
     if case == "himmelblau":
-        # 1 + 2 + 4 + 8 boxes, then 15 of a round of 16; edge subproblems
-        # of that round start with no budget left
+        # 1 + 2 + 4 + 8 boxes, an edge subproblem's 1 + 2 + 2 + 2 + 2, then
+        # 6 of a round of 10; edge subproblems of that round start with no
+        # budget left
         problem = load_problem(load_fixture("himmelblau"), exact)
         p, constraints, box, budget = problem.objective, (), problem.box, 30
     else:
