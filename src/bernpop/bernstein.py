@@ -83,7 +83,9 @@ class Field:
     float64 arrays over 1, Fractions as ``integer_image``; ``over(N, D)``
     is N / D in the field for an array or a number N (N itself in float,
     where D is 1).  ``finite(a)`` says that no entry of a is an infinity
-    or a NaN (Fractions never are)."""
+    or a NaN (Fractions never are).  ``lowest(N, D)`` puts a stack of
+    images, numerators (K, m, *shape) over denominators (K, m), in lowest
+    terms (as they are in float)."""
 
     exact: bool
     dtype: type
@@ -97,6 +99,15 @@ class Field:
     image: Callable
     over: Callable
     finite: Callable
+    lowest: Callable
+
+
+def lowest_terms(numer: np.ndarray, dens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each image of an exact stack, numerators (K, m, *shape) of Python
+    ints over denominators (K, m), divided by the gcd of its numerators
+    and its denominator."""
+    gcd = np.gcd(np.gcd.reduce(numer.reshape(numer.shape[:2] + (-1,)), axis=-1), dens)
+    return numer // gcd.reshape(gcd.shape + (1,) * (numer.ndim - 2)), dens // gcd
 
 
 def integer_image(values) -> tuple[np.ndarray, int]:
@@ -118,10 +129,10 @@ _denominators = np.frompyfunc(operator.attrgetter("denominator"), 1, 1)
 FLOAT = Field(False, float, 0.0, 1.0, 0.5, of=float, ratio=operator.truediv,
               array=lambda v: np.asarray(v, dtype=float), tol=lambda t: t,
               image=lambda v: (np.asarray(v, dtype=float), 1), over=lambda v, d: v,
-              finite=lambda v: bool(np.isfinite(v).all()))
+              finite=lambda v: bool(np.isfinite(v).all()), lowest=lambda n, d: (n, d))
 EXACT = Field(True, object, Fraction(0), Fraction(1), Fraction(1, 2), of=Fraction, ratio=Fraction,
               array=lambda v: _fractions(np.array(v, dtype=object)), tol=lambda t: 0,
-              image=integer_image, over=_ratios, finite=lambda v: True)
+              image=integer_image, over=_ratios, finite=lambda v: True, lowest=lowest_terms)
 
 
 def field(exact: bool) -> Field:

@@ -27,12 +27,12 @@ bound), or contraction leaves nothing of it, or the monotonicity test on
 the stack closes it, or it is at the minimum width, or it is bisected,
 the batch's splits one stacked de Casteljau call per axis.
 
-Contraction (``_contract``) runs on the boxes the cutoff test leaves
-open, in ``CONTRACTION_SWEEPS`` sweeps: by the convex-hull property,
+Contraction (``contraction.contract``) runs on the boxes the cutoff test
+leaves open, in ``contraction.SWEEPS`` sweeps: by the convex-hull property,
 p - threshold and each constraint can be <= 0 only on an interval of
 each side, read off the smallest coefficient at each index along it.  A
 box shrinks to the intersection, rounded outward to the grid
-1/``CONTRACTION_GRID``, when that keeps less than ``CONTRACTION_RATIO``
+1/``contraction.GRID``, when that keeps less than ``contraction.RATIO``
 of a side, and closes when it is empty.  Every part cut away has p
 above the threshold or is infeasible, so it contributes the threshold
 of that moment to the lower bound.
@@ -51,7 +51,6 @@ run and for the recursive edge subproblems are tracked separately.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import math
@@ -62,6 +61,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import contraction
 from .bernstein import (
     FLOAT, BernsteinForm, Field, axis_view, field, field_of, integer_image, subdivide,
     to_bernstein, upper_bounds,
@@ -81,13 +81,6 @@ MIN_BOX_WIDTH = 1e-12
 
 # the most worklist entries one round pops and processes as one stack
 BATCH = 32
-
-# contraction cuts a side to the grid 1/CONTRACTION_GRID, outward, when it
-# keeps less than CONTRACTION_RATIO of it (0 restricts no box); it sweeps
-# the axes CONTRACTION_SWEEPS times a round
-CONTRACTION_GRID = 64
-CONTRACTION_RATIO = 0.9
-CONTRACTION_SWEEPS = 2
 
 
 @dataclass
@@ -423,7 +416,7 @@ def _solve_problem(lower, upper, forms, cfg, state, stats, depth):
     numerators and runs each step on the whole stack: the
     constraint-infeasibility test, the sample points' offers, one bound
     per box (``_bound_batch``), the cutoff test against the incumbent
-    after all of them, contraction (``_contract``), the monotonicity
+    after all of them, contraction (``contraction.contract``), the monotonicity
     screen, and the split of the boxes left open.
     """
     F, delta = field_of(forms[0].numer), forms[0].degree
@@ -487,7 +480,7 @@ def _solve_problem(lower, upper, forms, cfg, state, stats, depth):
         rows = [i for i, _ in survivors]
         numer, corners = numer[rows], corners[rows]
         dens = np.array([batch[i][3] for i in rows], dtype=object)
-        kept, cut = _contract(corners, numer, dens, threshold)
+        kept, cut = contraction.contract(corners, numer, dens, threshold)
         stats.contracted += int((cut & kept).sum())
         stats.contraction_closures += int((~kept).sum())
         if threshold is not None and cut.any():
@@ -538,161 +531,6 @@ def _solve_problem(lower, upper, forms, cfg, state, stats, depth):
                 heapq.heappush(heap, (key, next(counter), bound, lower, upper, block, den))
 
     return contrib
-
-
-def _contract(corners: np.ndarray, numer: np.ndarray, dens: list, threshold) -> tuple[np.ndarray, np.ndarray]:
-    """Cut a stack of boxes to where their forms can still be <= 0, in place.
-
-    The forms are p - ``threshold`` (once there is one) and each
-    constraint, read off ``numer`` (K, m, *shape) and ``dens`` (K tuples
-    of m denominators); ``corners`` (K, 2, n) holds the boxes.  Along an
-    axis r of positive width and degree d >= 1, let m_i be the smallest
-    coefficient of a form with index i on r (``_axis_minima``).  By the
-    convex-hull property the form is > 0 wherever the lower hull of the
-    points (i/d, m_i) is > 0, so it can be <= 0 only on an interval
-    [t0, t1] of the side (``_hull_intervals``).  The forms' intervals are
-    intersected, and a box with an empty one closes.  One whose kept
-    share t1 - t0 is less than ``CONTRACTION_RATIO`` is restricted to it:
-    its forms by two stacked ``subdivide`` calls per axis, its corners to
-    match, its denominators by their factors (``_restrict``).  A sweep
-    computes every axis's interval from the same forms and then cuts the
-    axes in turn; each of the ``CONTRACTION_SWEEPS`` sweeps reads only
-    the boxes the previous one cut.  The sign of a coefficient of
-    p - threshold is that of N D' - N' D for p's N / D and the threshold's
-    N' / D', so both fields run the same integer or float operations.
-    Returns the boxes left open and the boxes cut (K booleans each)."""
-    F, count = field_of(numer), len(numer)
-    degrees = np.array(numer.shape[2:]) - 1
-    kept, cut = np.ones(count, dtype=bool), np.zeros(count, dtype=bool)
-    first = 1 if threshold is None else 0  # the first form tested
-    if first == numer.shape[1] or not degrees.any():
-        return kept, cut
-    if threshold is not None:
-        shift, scale = F.image([threshold])
-    active = np.arange(count)  # the boxes whose forms the sweep reads
-    flat = degrees == 0
-    for _ in range(CONTRACTION_SWEEPS):
-        minima = _axis_minima(numer[active, first:])
-        if threshold is not None:
-            den = dens[active, 0].astype(numer.dtype)
-            minima[:, 0] = minima[:, 0] * scale - shift[0] * den[:, None, None]
-        starts, ends = _hull_intervals(minima, degrees)
-        lo, hi = np.maximum(starts.max(axis=1), 0), np.minimum(ends.min(axis=1), CONTRACTION_GRID)
-        # a side of zero width or of degree 0 is kept whole
-        box = corners[active]
-        whole = (box[:, 1] <= box[:, 0]) | flat
-        empty = ((lo > hi) & ~whole).any(axis=1)
-        shrink = (hi - lo < CONTRACTION_RATIO * CONTRACTION_GRID) & ~(whole | empty[:, None])
-        gone = active[empty]
-        kept[gone], cut[gone] = False, True
-        on = np.flatnonzero(shrink.any(axis=1))
-        if not len(on):
-            break
-        active, shrink = active[on], shrink[on]
-        cut[active] = True
-        # a side not cut keeps [0, 1]
-        _restrict(corners, numer, dens, active, np.where(shrink, lo[on], 0), np.where(shrink, hi[on], CONTRACTION_GRID))
-    return kept, cut
-
-
-def _axis_minima(stack: np.ndarray) -> np.ndarray:
-    """The smallest entry of each form with index i on axis r, for a stack
-    (A, f, *shape): an (A, f, n, D + 1) array, D the largest degree, with
-    1 past an axis's own degree.  The forms go last in one transposed
-    copy, so each reduction runs over whole contiguous rows of them, and
-    each axis's reduction starts from the previous one's."""
-    count, forms, shape = len(stack), stack.shape[1], stack.shape[2:]
-    tail = count * forms
-    rows = np.ascontiguousarray(stack.reshape(tail, -1).T).reshape(shape + (tail,))
-    out = np.ones((len(shape), max(shape), tail), dtype=stack.dtype)
-    for r, size in enumerate(shape):
-        out[r, :size] = rows.min(axis=tuple(range(1, rows.ndim - 1)))
-        rows = rows.min(axis=0)
-    return out.transpose(2, 0, 1).reshape(count, forms, len(shape), max(shape))
-
-
-def _hull_intervals(minima: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Grid intervals [t0, t1] where the lower convex hull of the points
-    (i/d, m_i) is <= 0, for minima m (A, f, n, D + 1) along axes of
-    ``degrees`` d: the smallest and the largest of the grid points i/d
-    with m_i <= 0 and of the zero crossings (j m_i - i m_j) / (d (m_i -
-    m_j)) of the segments from a point with m_i > 0 to one with m_j <= 0,
-    in units of 1/``CONTRACTION_GRID``, t0 rounded down and t1 up (floor
-    divisions, in integers on an exact stack).  Returns (A, f, n) int
-    arrays t0 and t1; a form with no point <= 0 gets t0 > t1."""
-    grid = CONTRACTION_GRID
-    real, floors, ceils = _grid_points(tuple(degrees.tolist()))
-    below = (minima <= 0) & real
-    starts = np.where(below, floors, grid + 1).min(axis=-1)
-    ends = np.where(below, ceils, -1).max(axis=-1)
-    *rows, i, j = np.nonzero(((minima > 0) & real)[..., :, None] & below[..., None, :])
-    if len(i):
-        # int64 indices times an object array give Python ints
-        mi, mj = minima[(*rows, i)], minima[(*rows, j)]
-        num, den = (grid * j) * mi - (grid * i) * mj, degrees[rows[-1]] * (mi - mj)
-        np.minimum.at(starts, tuple(rows), (num // den).astype(np.int64))
-        np.maximum.at(ends, tuple(rows), (-(-num // den)).astype(np.int64))
-    return starts, ends
-
-
-@functools.lru_cache(maxsize=None)
-def _grid_points(degrees: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For axes of ``degrees`` d, padded to the largest: which indices i
-    are the axis's own, and the grid point i/d in units of
-    1/``CONTRACTION_GRID`` rounded down and up, each (n, D + 1)."""
-    index, per = np.arange(max(degrees) + 1), np.maximum(degrees, 1)[:, None]
-    steps = index * CONTRACTION_GRID
-    points = index <= np.array(degrees)[:, None], steps // per, -(-steps // per)
-    for array in points:
-        array.flags.writeable = False  # shared by every call
-    return points
-
-
-def _restrict(corners, numer, dens, boxes, starts, ends) -> None:
-    """Restrict the ``boxes`` of a stack to [t0, t1] on each side, in
-    place, with t0 = starts/G and t1 = ends/G for the grid G, (k, n) ints:
-    along each axis that some box cuts, the forms' [t0, 1] piece at t0,
-    then that piece's [0, s] one at s = (t1 - t0) / (1 - t0), taken as
-    the [1 - s, 1] piece of the form reversed along the axis, so that a
-    side a box keeps splits at t = 0, which changes nothing.  The corners
-    of a cut side move to lo + (hi - lo) t0 and lo + (hi - lo) t1, and the
-    denominators ``dens`` (K, m) grow by the splits' factors."""
-    ratios, grid = _grid_ratios(field_of(numer)), CONTRACTION_GRID
-    stack, grows = numer[boxes], np.ones(len(boxes), dtype=object)
-    raise_lower, drop_upper = starts > 0, ends < grid
-    for axis in range(starts.shape[1]):
-        # the boxes that cut this axis, split apart from the others when not all do
-        on = np.flatnonzero(raise_lower[:, axis] | drop_upper[:, axis])
-        if not len(on):
-            continue
-        part = stack if len(on) == len(stack) else stack[on]
-        a, b = starts[on, axis], ends[on, axis]
-        if a.any():
-            _, part, factor = subdivide(part, axis + 1, ratios[a, grid])
-            grows[on] *= factor
-        if (b < grid).any():
-            _, flipped, factor = subdivide(np.flip(part, axis + 2), axis + 1, ratios[grid - b, grid - a])
-            part = np.flip(flipped, axis + 2)
-            grows[on] *= factor
-        stack[on] = part
-    numer[boxes] = stack
-    dens[boxes] *= grows[:, None]
-    lower, upper = corners[boxes, 0], corners[boxes, 1]
-    width = upper - lower
-    corners[boxes, 0] = lower + width * ratios[starts, grid]  # lower itself where t0 = 0
-    corners[boxes, 1] = np.where(drop_upper, lower + width * ratios[ends, grid], upper)
-
-
-@functools.lru_cache(maxsize=None)
-def _grid_ratios(F: Field) -> np.ndarray:
-    """The ratios y/x of grid counts 0 <= y <= x <= ``CONTRACTION_GRID``,
-    x >= 1, in the field, at [y, x] (0 elsewhere)."""
-    grid = CONTRACTION_GRID
-    ratios = np.full((grid + 1, grid + 1), F.zero, dtype=F.dtype)
-    for x in range(1, grid + 1):
-        ratios[: x + 1, x] = [F.ratio(y, x) for y in range(x + 1)]
-    ratios.flags.writeable = False  # shared by every call
-    return ratios
 
 
 def _constraint_selector(numer: np.ndarray, batch: Sequence) -> np.ndarray:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bernpop import bnb
+from bernpop import bnb, contraction
 from bernpop.bnb import (
     BnbConfig,
     SPLIT_LONGEST,
@@ -149,7 +149,7 @@ def test_fully_fixed_vertex_contributes_its_coefficient(monkeypatch):
     square = Polynomial(1, {(2,): Fraction(1)})
     weak = lambda bf, *args, **kwargs: RelaxationOutcome(bound=bf.minimum - 1)
     monkeypatch.setattr(bnb, "bound_at_level", weak)
-    monkeypatch.setattr(bnb, "CONTRACTION_SWEEPS", 0)
+    monkeypatch.setattr(contraction, "SWEEPS", 0)
     box = Box((Fraction(1, 10),), (Fraction(1),))
     res = branch_and_bound(square, (), box, BnbConfig(level="0", exact=True))
     assert res.stats.mono_count == 1 and res.stats.subdivisions == 1
@@ -493,22 +493,22 @@ def _constrained_square():
     return p, g, Box((-1.0, -1.0), (1.0, 1.0))
 
 
-@pytest.mark.parametrize("sweeps", [0, bnb.CONTRACTION_SWEEPS])
 @pytest.mark.parametrize("level", ["0", "1", "2"])
-def test_infeasible_boxes_are_pruned(monkeypatch, level, sweeps):
-    # without contraction the boxes where x > -1/2 close as infeasible;
-    # with it the constraint cuts them off the root box
-    monkeypatch.setattr(bnb, "CONTRACTION_SWEEPS", sweeps)
+def test_infeasible_boxes_are_pruned(monkeypatch, level):
+    # with contraction the constraint cuts the part where x > -1/2 off the
+    # root box; without it, the boxes there close as infeasible
     p, g, box = _constrained_square()
-    res = branch_and_bound(p, (g,), box, BnbConfig(level=level, epsilon=1e-6))
-    assert res.converged
-    if sweeps:
-        assert res.stats.contracted > 0 and res.stats.infeasible_count == 0
-    else:
-        assert res.stats.infeasible_count > 0 and res.stats.contracted == 0
-    assert res.lower_bound <= 0.75 <= res.upper_bound <= 0.75 + 1e-6
-    assert g.eval(res.witness) <= 0
-    assert res.witness == pytest.approx((-0.5, 0.0), abs=1e-3)
+    for sweeps in (contraction.SWEEPS, 0):
+        monkeypatch.setattr(contraction, "SWEEPS", sweeps)
+        res = branch_and_bound(p, (g,), box, BnbConfig(level=level, epsilon=1e-6))
+        assert res.converged
+        if sweeps:
+            assert res.stats.contracted > 0 and res.stats.infeasible_count == 0
+        else:
+            assert res.stats.infeasible_count > 0 and res.stats.contracted == 0
+        assert res.lower_bound <= 0.75 <= res.upper_bound <= 0.75 + 1e-6
+        assert g.eval(res.witness) <= 0
+        assert res.witness == pytest.approx((-0.5, 0.0), abs=1e-3)
 
 
 @pytest.mark.parametrize("level", ["0", "first", "1", "2"])
@@ -686,7 +686,7 @@ def test_every_popped_node_closes_for_one_reason_or_splits(monkeypatch, case, le
     pushes, worklists = _count_pushes(monkeypatch)
     monkeypatch.setattr(bnb, "MIN_BOX_WIDTH", min_box_width)
     if case == "d2_uncontracted":
-        monkeypatch.setattr(bnb, "CONTRACTION_SWEEPS", 0)
+        monkeypatch.setattr(contraction, "SWEEPS", 0)
     if case.startswith("d2"):
         p, constraints, box = _d2_repro()
     else:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bernpop import bnb as bnb_mod
+from bernpop import contraction
 from bernpop.bnb import BnbConfig, branch_and_bound
 from bernpop.cli import format_report, main, report_row
 from bernpop.poly import Box, Polynomial
@@ -353,8 +353,8 @@ def test_bnb_prunes_infeasible_boxes(capsys, tmp_path, monkeypatch, level):
             [{"exponents": [1, 0], "coeff": 1}, {"exponents": [0, 0], "coeff": 0.5}]
         ],
     })
-    for sweeps in (bnb_mod.CONTRACTION_SWEEPS, 0):
-        monkeypatch.setattr(bnb_mod, "CONTRACTION_SWEEPS", sweeps)
+    for sweeps in (contraction.SWEEPS, 0):
+        monkeypatch.setattr(contraction, "SWEEPS", sweeps)
         code, out, _ = _run(capsys, ["bnb", "--level", level, "--output", "json", path])
         assert code == 0
         sec = json.loads(out)["bnb"]

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bernpop import bnb
+from bernpop import contraction
 from bernpop.bernstein import BernsteinForm, to_bernstein
 from bernpop.bnb import BnbConfig, branch_and_bound, cutoff_threshold
 from bernpop.poly import Box, Polynomial, to_unit_box
@@ -35,12 +35,12 @@ def test_float_threshold_is_the_least_float_within_the_tolerance():
 
 
 def _contract_one(p: Polynomial, threshold: Fraction):
-    """``bnb._contract`` on the exact form of a univariate ``p`` on [0, 1],
+    """``contraction.contract`` on the exact form of a univariate ``p`` on [0, 1],
     as a stack of one box; returns (open, t0, t1, restricted form's tensor)."""
     bf = to_bernstein(p, exact=True)
     corners = np.array([[[Fraction(0)], [Fraction(1)]]], dtype=object)
     numer, dens = bf.numer[None, None].copy(), np.array([[bf.den]], dtype=object)
-    kept, _ = bnb._contract(corners, numer, dens, threshold)
+    kept, _ = contraction.contract(corners, numer, dens, threshold)
     (t0,), (t1,) = corners[0].tolist()
     return bool(kept[0]), t0, t1, BernsteinForm(numer[0, 0], dens[0, 0]).tensor
 
@@ -66,7 +66,7 @@ def test_contracted_interval_holds_every_point_at_or_below_the_threshold():
             closed += 1
             continue
         # each sweep cuts to its own grid of 64 cells
-        grid_cells = bnb.CONTRACTION_GRID**bnb.CONTRACTION_SWEEPS
+        grid_cells = contraction.GRID**contraction.SWEEPS
         assert 0 <= t0 <= t1 <= 1 and (t0 * grid_cells).denominator == (t1 * grid_cells).denominator == 1
         if t0 == t1:  # a point: every coefficient is the value there
             assert tensor.tolist() == [p.eval((t0,))] * (degree + 1)
@@ -117,7 +117,7 @@ def test_contraction_differential(monkeypatch, constrained):
                 cfg = BnbConfig(level=level, epsilon=1e-4, max_boxes=20_000, exact=exact)
                 contracted = branch_and_bound(pf, gf, box, cfg)
                 with monkeypatch.context() as m:
-                    m.setattr(bnb, "CONTRACTION_RATIO", 0)
+                    m.setattr(contraction, "RATIO", 0)
                     plain = branch_and_bound(pf, gf, box, cfg)
                 assert contracted.converged == plain.converged, (k, level, exact)
                 assert contracted.converged
