@@ -460,7 +460,9 @@ def _solve_problem(lower, upper, forms, cfg, state, stats, depth):
         corners = np.array([entry[:2] for entry in batch], dtype=F.dtype)
         # sample first, so that each bound need only reach the cutoff; with
         # constraints, also where the largest of them is smallest
-        selectors = (numer[:, 0],) + ((_constraint_selector(numer, batch),) if numer.shape[1] > 1 else ())
+        selectors = [numer[:, 0]]
+        if numer.shape[1] > 1:
+            selectors.append(_constraint_selector(numer, batch))
         state.offer_rows(sample_upper_bound(corners, *selectors))
         bounded = _bound_batch(batch, numer, cfg.level, u, cuts, state, stats)
 

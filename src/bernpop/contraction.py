@@ -30,7 +30,7 @@ RATIO = 0.9
 SWEEPS = 2
 
 
-def contract(corners: np.ndarray, numer: np.ndarray, dens: np.ndarray, threshold) -> tuple[np.ndarray, np.ndarray]:
+def contract(corners: np.ndarray, numer: np.ndarray, dens: np.ndarray, threshold) -> tuple:
     """Cut a stack of boxes to where their forms can still be <= 0, in place.
 
     The forms are p - ``threshold`` (once there is one) and each
@@ -79,7 +79,8 @@ def contract(corners: np.ndarray, numer: np.ndarray, dens: np.ndarray, threshold
         active, shrink = active[on], shrink[on]
         cut[active] = True
         # a side not cut keeps [0, 1]
-        _restrict(corners, numer, dens, active, np.where(shrink, lo[on], 0), np.where(shrink, hi[on], GRID))
+        lo, hi = np.where(shrink, lo[on], 0), np.where(shrink, hi[on], GRID)
+        _restrict(corners, numer, dens, active, lo, hi)
     return kept, cut
 
 
@@ -109,7 +110,7 @@ def _hull_intervals(minima: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray
     divisions, in integers on an exact stack).  Returns (A, f, n) int
     arrays t0 and t1; a form with no point <= 0 gets t0 > t1."""
     grid = GRID
-    real, floors, ceils = _grid_points(tuple(degrees.tolist()))
+    real, floors, ceils = _grid_points(tuple(degrees.tolist()), grid)
     below = (minima <= 0) & real
     starts = np.where(below, floors, grid + 1).min(axis=-1)
     ends = np.where(below, ceils, -1).max(axis=-1)
@@ -124,12 +125,12 @@ def _hull_intervals(minima: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
-def _grid_points(degrees: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _grid_points(degrees: tuple, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For axes of ``degrees`` d, padded to the largest: which indices i
-    are the axis's own, and the grid point i/d in units of
-    1/``GRID`` rounded down and up, each (n, D + 1)."""
+    are the axis's own, and the grid point i/d in units of 1/``grid``
+    rounded down and up, each (n, D + 1)."""
     index, per = np.arange(max(degrees) + 1), np.maximum(degrees, 1)[:, None]
-    steps = index * GRID
+    steps = index * grid
     points = index <= np.array(degrees)[:, None], steps // per, -(-steps // per)
     for array in points:
         array.flags.writeable = False  # shared by every call
@@ -146,7 +147,7 @@ def _restrict(corners, numer, dens, boxes, starts, ends) -> None:
     of a cut side move to lo + (hi - lo) t0 and lo + (hi - lo) t1, and the
     denominators ``dens`` (K, m) grow by the splits' factors."""
     F, grid = field_of(numer), GRID
-    ratios = _grid_ratios(F)
+    ratios = _grid_ratios(F, grid)
     stack, grows = numer[boxes], np.ones(len(boxes), dtype=object)
     raise_lower, drop_upper = starts > 0, ends < grid
     for axis in range(starts.shape[1]):
@@ -160,8 +161,9 @@ def _restrict(corners, numer, dens, boxes, starts, ends) -> None:
             _, part, factor = subdivide(part, axis + 1, ratios[a])
             grows[on] *= factor
         if (b < grid).any():
-            shares = np.array([F.ratio(y, x) for x, y in zip((grid - a).tolist(), (grid - b).tolist())], dtype=F.dtype)
-            _, flipped, factor = subdivide(np.flip(part, axis + 2), axis + 1, shares)
+            shares = [F.ratio(y, x) for x, y in zip((grid - a).tolist(), (grid - b).tolist())]
+            flipped = np.flip(part, axis + 2)
+            _, flipped, factor = subdivide(flipped, axis + 1, np.array(shares, dtype=F.dtype))
             part = np.flip(flipped, axis + 2)
             grows[on] *= factor
         stack[on] = part
@@ -173,8 +175,8 @@ def _restrict(corners, numer, dens, boxes, starts, ends) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def _grid_ratios(F: Field) -> np.ndarray:
-    """The grid points y/``GRID``, y = 0, ..., the grid, in the field."""
-    ratios = np.array([F.ratio(y, GRID) for y in range(GRID + 1)], dtype=F.dtype)
+def _grid_ratios(F: Field, grid: int) -> np.ndarray:
+    """The grid points y/``grid``, y = 0, ..., ``grid``, in the field."""
+    ratios = np.array([F.ratio(y, grid) for y in range(grid + 1)], dtype=F.dtype)
     ratios.flags.writeable = False  # shared by every call
     return ratios

@@ -246,7 +246,8 @@ def sample_upper_bound(corners: np.ndarray, *numers: np.ndarray) -> np.ndarray:
     lo) * (I/delta), ``Box.point``'s arithmetic."""
     F, count, shape = field_of(corners), len(corners), numers[0].shape[1:]
     lower, width = corners[:, 0], corners[:, 1] - corners[:, 0]
-    steps = [np.array([F.ratio(i, s - 1) for i in range(s)] if s > 1 else [0], dtype=F.dtype) for s in shape]
+    steps = [np.array([F.ratio(i, s - 1) for i in range(s)] if s > 1 else [0], dtype=F.dtype)
+             for s in shape]
     points = [lower + width / 2]
     for numer in numers:
         pos = numer.reshape(count, -1).argmin(axis=1)

@@ -94,6 +94,24 @@ def test_split_boxes_builds_halves_inside_the_open_interval():
         _split((1.0,), (math.nextafter(1.0, 2.0),), SPLIT_LONGEST)
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_split_boxes_splits_each_box_at_its_own_point(exact):
+    # zero-centred splits of two boxes on one axis at different t share one
+    # stacked split, and each box gets the children a split of it alone gives
+    F = field(exact)
+    p = Polynomial(2, {(3, 0): F.of(1), (1, 1): F.of(-2), (0, 2): F.of(3)})
+    boxes = [((F.of(-1), F.of(0)), (F.of(3), F.of(1))), ((F.of(-2), F.of(0)), (F.of(1), F.of(1)))]
+    forms = [box_form(p, Box(*box), exact=exact) for box in boxes]
+    numer = np.stack([bf.numer for bf in forms])[:, None]
+    together = bnb.split_boxes(boxes, numer, SPLIT_ZERO)
+    for k, box in enumerate(boxes):
+        alone = bnb.split_boxes([box], numer[k : k + 1], SPLIT_ZERO)
+        for got, want in zip(together[2 * k : 2 * k + 2], alone):
+            assert got[:2] == want[:2] and got[3] == want[3]
+            assert got[2].tolist() == want[2].tolist()
+    assert together[0][1][0] == together[2][1][0] == 0  # both split at the origin
+
+
 def test_monotonicity_signs():
     def signs(p, box):
         return tuple(_monotonicity_signs(box_form(p, box).numer[None])[0])

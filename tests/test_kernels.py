@@ -503,6 +503,30 @@ def test_stacked_subdivide_matches_loop_on_every_member(exact):
     assert len(dens) > 5 or not exact
 
 
+@pytest.mark.parametrize("exact", FIELDS)
+def test_subdivide_takes_one_split_point_per_member(exact):
+    # a vector of split points, 0 and 1 included, splits each member of a
+    # stack at its own t: its pieces and factor are the ones a split of it
+    # alone at that t gives (to the bit in float), and t = 0 keeps it whole
+    # as its [t, 1] piece
+    points = [field(exact).zero] + _split_points(exact) + [field(exact).one]
+    zeros = 0
+    for forms in _members(exact):
+        numer = np.stack([bf.numer for bf in forms])
+        for axis in range(forms[0].dimension):
+            t = np.array([points[(k + axis) % len(points)] for k in range(len(forms))], dtype=numer.dtype)
+            left, right, factors = subdivide(numer, axis, t)
+            factors = np.broadcast_to(np.asarray(factors, dtype=object), len(forms)).tolist()
+            for k, bf in enumerate(forms):
+                alone = subdivide(bf.numer[None], axis, t[k])
+                assert left[k].tolist() == alone[0][0].tolist() and right[k].tolist() == alone[1][0].tolist()
+                assert factors[k] == alone[2]
+                if t[k] == 0:
+                    assert right[k].tolist() == bf.numer.tolist() and factors[k] == 1
+                    zeros += 1
+    assert zeros > 3
+
+
 def _sample_rows(rng, n, exact, count=12):
     """Rows of sample points in the field: box centres, grid points and
     random points, with zeros, negatives and repeated coordinates."""
