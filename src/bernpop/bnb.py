@@ -505,7 +505,7 @@ def _solve_problem(lower, upper, forms, cfg, state, stats, depth):
                 stats.mono_count += 1
                 lower, upper = map(tuple, corners[i].tolist())
                 face_lower, face_upper, face_numer = _face(lower, upper, numer[i, 0], signs[k])
-                face_form = BernsteinForm(face_numer, dens[i][0])
+                face_form = BernsteinForm(face_numer, dens[i, 0])
                 if "mixed" not in signs[k]:  # a vertex: its one coefficient is the value there
                     state.offer(face_lower)
                     add_contrib(face_form.minimum)
