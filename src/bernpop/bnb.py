@@ -13,7 +13,7 @@ batch of up to ``BATCH`` best boxes, as many as the node budget allows
 stacked tensors.  A box with a constraint whose coefficients are all
 positive is infeasible and closes.  The others first offer their sample
 points to the incumbent (each box's centre, its smallest coefficient's
-grid point and, with constraints, the grid point where the largest
+grid point and, with constraints, the vertex where the largest
 constraint coefficient is smallest), all in one array evaluation.  Each
 box is then bounded at the configured relaxation level only as far as
 the incumbent cutoff needs: the bound stops at its first value that
@@ -193,12 +193,8 @@ def split_boxes(boxes: Sequence[tuple], numer: np.ndarray, strategy: str) -> lis
         # (G, m, *shape), a member a box with its m forms; one group is the whole batch
         rows, ts = zip(*members)
         stack = numer if len(groups) == 1 else numer[list(rows)]
-        if ts.count(ts[0]) == len(ts):  # one t for the group, as bisection gives
-            left, right, factor = subdivide(stack, axis + 1, ts[0])
-            factors = [factor] * len(rows)
-        else:
-            left, right, factors = subdivide(stack, axis + 1, np.array(ts, dtype=F.dtype))
-            factors = np.broadcast_to(factors, len(rows)).tolist()
+        left, right, factors = subdivide(stack, axis + 1, np.array(ts, dtype=F.dtype))
+        factors = np.broadcast_to(factors, len(rows)).tolist()
         for g, (i, factor) in enumerate(zip(rows, factors)):
             below, above = halves[i]
             children[2 * i] = below + (left[g].copy(), factor)
@@ -459,11 +455,13 @@ def _solve_problem(lower, upper, forms, cfg, state, stats, depth):
             batch, numer = [batch[i] for i in feasible], numer[feasible]
         corners = np.array([entry[:2] for entry in batch], dtype=F.dtype)
         # sample first, so that each bound need only reach the cutoff; with
-        # constraints, also where the largest of them is smallest
-        selectors = [numer[:, 0]]
+        # constraints, also at the vertex where the largest of them is smallest
+        points = sample_upper_bound(corners, numer[:, 0])
         if numer.shape[1] > 1:
-            selectors.append(_constraint_selector(numer, batch))
-        state.offer_rows(sample_upper_bound(corners, *selectors))
+            n = points.shape[1]
+            per_box = (points.reshape(len(batch), -1, n), _constraint_vertex(corners, numer, batch)[:, None])
+            points = np.concatenate(per_box, axis=1).reshape(-1, n)
+        state.offer_rows(points)
         bounded = _bound_batch(batch, numer, cfg.level, u, cuts, state, stats)
 
         # the cutoff test reads the incumbent after the whole batch's offers
@@ -535,20 +533,28 @@ def _solve_problem(lower, upper, forms, cfg, state, stats, depth):
     return contrib
 
 
-def _constraint_selector(numer: np.ndarray, batch: Sequence) -> np.ndarray:
-    """Per box of a stack, a tensor (K, *shape) whose first smallest entry
-    is where the largest constraint coefficient is smallest, and among
-    those positions where the objective's is smallest.  The constraints
-    are compared on one scale a box: each one's numerators times the
-    product of the other constraints' denominators (``batch`` holds each
-    box's denominators)."""
-    count, forms = numer.shape[:2]
+def _constraint_vertex(corners: np.ndarray, numer: np.ndarray, batch: Sequence) -> np.ndarray:
+    """Per box of a stack (corners (K, 2, n)), the vertex where the
+    largest constraint coefficient is smallest, and among those the first
+    where the objective's is smallest, as a (K, n) array of the corners'
+    own coordinates.  A vertex's coefficients are the forms' values
+    there, so it is feasible when that largest one is <= 0.  The
+    constraints are compared on one scale a box: each one's numerators
+    times the product of the other constraints' denominators (``batch``
+    holds each box's denominators)."""
+    count, forms, n = numer.shape[0], numer.shape[1], numer.ndim - 2
+    for r in range(n):  # keep the first and the last index on each axis
+        numer = numer.take([0, -1], axis=2 + r)
     scales = [[math.prod(dens[1:]) // den for den in dens[1:]] for _, _, _, dens in batch]
-    scales = np.array(scales, dtype=numer.dtype).reshape((count, forms - 1) + (1,) * (numer.ndim - 2))
+    scales = np.array(scales, dtype=numer.dtype).reshape((count, forms - 1) + (1,) * n)
     largest = (numer[:, 1:] * scales).max(axis=1).reshape(count, -1)
     objective = numer[:, 0].reshape(count, -1)
     ties = largest == largest.min(axis=1, keepdims=True)
-    return np.where(ties, objective, objective.max(axis=1, keepdims=True)).reshape(numer[:, 0].shape)
+    # the smallest objective among the ties: the others read the largest, which no tie exceeds
+    best = np.where(ties, objective, objective.max(axis=1, keepdims=True)).min(axis=1, keepdims=True)
+    pos = (ties & (objective == best)).argmax(axis=1)
+    high = np.stack(np.unravel_index(pos, (2,) * n), axis=1) == 1
+    return np.where(high, corners[:, 1], corners[:, 0])
 
 
 def _bound_batch(batch, numer, level, u, cuts, state, stats) -> list[tuple]:

@@ -144,15 +144,15 @@ def _restrict(corners, numer, dens, boxes, starts, ends) -> None:
     then that piece's [0, s] one at s = (t1 - t0) / (1 - t0), taken as
     the [1 - s, 1] piece of the form reversed along the axis, so that a
     side a box keeps splits at t = 0, which changes nothing.  The corners
-    of a cut side move to lo + (hi - lo) t0 and lo + (hi - lo) t1, and the
-    denominators ``dens`` (K, m) grow by the splits' factors."""
+    of a cut side move to lo + (hi - lo) t0 and lo + (hi - lo) t1 (hi
+    where t = 1), and the denominators ``dens`` (K, m) grow by the
+    splits' factors."""
     F, grid = field_of(numer), GRID
     ratios = _grid_ratios(F, grid)
     stack, grows = numer[boxes], np.ones(len(boxes), dtype=object)
-    raise_lower, drop_upper = starts > 0, ends < grid
     for axis in range(starts.shape[1]):
         # the boxes that cut this axis, split apart from the others when not all do
-        on = np.flatnonzero(raise_lower[:, axis] | drop_upper[:, axis])
+        on = np.flatnonzero((starts[:, axis] > 0) | (ends[:, axis] < grid))
         if not len(on):
             continue
         part = stack if len(on) == len(stack) else stack[on]
@@ -161,7 +161,9 @@ def _restrict(corners, numer, dens, boxes, starts, ends) -> None:
             _, part, factor = subdivide(part, axis + 1, ratios[a])
             grows[on] *= factor
         if (b < grid).any():
-            shares = [F.ratio(y, x) for x, y in zip((grid - a).tolist(), (grid - b).tolist())]
+            # a side kept as the point t0 = t1 = 1 (x = 0) splits at 0
+            rests, keeps = (grid - a).tolist(), (grid - b).tolist()
+            shares = [F.ratio(y, x) if x else F.zero for x, y in zip(rests, keeps)]
             flipped = np.flip(part, axis + 2)
             _, flipped, factor = subdivide(flipped, axis + 1, np.array(shares, dtype=F.dtype))
             part = np.flip(flipped, axis + 2)
@@ -170,7 +172,8 @@ def _restrict(corners, numer, dens, boxes, starts, ends) -> None:
     numer[boxes], dens[boxes] = F.lowest(stack, dens[boxes] * grows[:, None])
     lower, upper = corners[boxes].transpose(1, 0, 2)
     moved = lower + (upper - lower) * ratios[np.stack((starts, ends))]  # lower itself where t0 = 0
-    moved[1] = np.where(drop_upper, moved[1], upper)
+    # upper itself where t0 or t1 is 1: a float lo + (hi - lo) may round past hi
+    moved = np.where(np.stack((starts, ends)) == grid, upper, moved)
     corners[boxes] = moved.transpose(1, 0, 2)
 
 

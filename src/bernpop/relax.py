@@ -236,27 +236,23 @@ def nominal_point(z: Sequence, degree: Index, F: Field) -> tuple:
     return tuple(point)
 
 
-def sample_upper_bound(corners: np.ndarray, *numers: np.ndarray) -> np.ndarray:
+def sample_upper_bound(corners: np.ndarray, numer: np.ndarray) -> np.ndarray:
     """Candidate points for an upper bound from a stack of boxes (corners
-    (K, 2, n) in the field) and one or more stacks of numerators (K,
-    *shape) that pick grid points, in the order to offer them: each box's
-    centre, then for each stack the grid point I/delta of its first
-    smallest entry (degree-0 axes give 0), as a (K (1 + len(numers)), n)
-    array.  The centre is lo + (hi - lo) / 2 and a grid point lo + (hi -
-    lo) * (I/delta), ``Box.point``'s arithmetic."""
-    F, count, shape = field_of(corners), len(corners), numers[0].shape[1:]
+    (K, 2, n) in the field) and their objective numerators (K, *shape),
+    in the order to offer them: each box's centre, then the grid point
+    I/delta of its first smallest coefficient (degree-0 axes give 0), as
+    a (2K, n) array.  The centre is lo + (hi - lo) / 2 and the grid point
+    lo + (hi - lo) * (I/delta), ``Box.point``'s arithmetic."""
+    F, count, shape = field_of(corners), len(corners), numer.shape[1:]
     lower, width = corners[:, 0], corners[:, 1] - corners[:, 0]
-    steps = [np.array([F.ratio(i, s - 1) for i in range(s)] if s > 1 else [0], dtype=F.dtype)
-             for s in shape]
-    points = [lower + width / 2]
-    for numer in numers:
-        pos = numer.reshape(count, -1).argmin(axis=1)
-        grid = np.empty((count, len(shape)), dtype=F.dtype)
-        for r in reversed(range(len(shape))):  # row-major: the last axis varies fastest
-            pos, index = np.divmod(pos, shape[r])
-            grid[:, r] = steps[r][index]
-        points.append(lower + width * grid)
-    return np.stack(points, axis=1).reshape(len(points) * count, len(shape))
+    pos = numer.reshape(count, -1).argmin(axis=1)
+    grid = np.empty((count, len(shape)), dtype=F.dtype)
+    for r in reversed(range(len(shape))):  # row-major: the last axis varies fastest
+        pos, index = np.divmod(pos, shape[r])
+        d = shape[r] - 1
+        steps = [F.ratio(i, d) for i in range(d + 1)] if d else [0]
+        grid[:, r] = np.array(steps, dtype=F.dtype)[index]
+    return np.stack([lower + width / 2, lower + width * grid], axis=1).reshape(2 * count, len(shape))
 
 
 def witness(bf: BernsteinForm, outcome: RelaxationOutcome) -> Optional[tuple]:

@@ -77,6 +77,38 @@ def test_contracted_interval_holds_every_point_at_or_below_the_threshold():
     assert cut > 10 and closed > 10
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_restrict_keeps_a_point_at_the_upper_end_beside_an_upper_cut(exact):
+    # one stacked restriction of two boxes along their one axis: the first
+    # to the point t0 = t1 = 1 (a form <= 0 only on its box's upper face),
+    # the second to [0, 1/2].  The point keeps the upper corner itself
+    # (lo + (hi - lo) * 1 rounds above hi in binary64 here) and a form
+    # whose every coefficient is p(hi); the half keeps p on its half
+    F, dtype = (Fraction, object) if exact else (float, float)
+    lo, hi = F("-0.1"), F("0.3")
+    assert exact or lo + (hi - lo) > hi
+    p = Polynomial(1, {(2,): 3, (1,): -1, (0,): 2}).convert(F)
+
+    def form(upper):
+        q, _ = to_unit_box(p, Box((lo,), (upper,)))
+        return to_bernstein(q, (2,), exact=exact)
+
+    bf = form(hi)
+    corners = np.array([[[lo], [hi]]] * 2, dtype=dtype)
+    numer, dens = np.stack([bf.numer[None]] * 2), np.array([[bf.den]] * 2, dtype=object)
+    grid = contraction.GRID
+    starts, ends = np.array([[grid], [0]]), np.array([[grid], [grid // 2]])
+    contraction._restrict(corners, numer, dens, np.arange(2), starts, ends)
+    mid = lo + (hi - lo) * F(1) / 2
+    assert corners.tolist() == [[[hi], [hi]], [[lo], [mid]]]
+    point, half = (BernsteinForm(numer[k, 0], dens[k, 0]).tensor for k in range(2))
+    want_point, want_half = np.full(3, p.eval((hi,))), form(mid).tensor
+    if exact:
+        assert point.tolist() == want_point.tolist() and half.tolist() == want_half.tolist()
+    else:
+        assert np.allclose(point, want_point, rtol=1e-14) and np.allclose(half, want_half, rtol=1e-14)
+
+
 def _random_problem(rng: random.Random, dimension: int, constrained: bool):
     """A small POP with rational data: an objective of degree <= 3, a box
     with sides k/4, and optionally one constraint of degree <= 2 that
@@ -150,20 +182,40 @@ def test_constrained_curve():
     assert res.stats.contracted > 0
 
 
+# (objective, constraint, box, witness, optimum, nodes) of problems feasible
+# only on a face of the box.  D11: x1 + 9 x0 x1^3 - 2/7 x0^2 x2^3 subject to
+# 4/3 x2^2 <= 0, feasible on x2 = 0, optimum 19/16 at the corner
+# (-3/2, -1/2, 0).  On [0, 1], minimise x subject to (x - 1)^2 <= 0, and its
+# mirror image -x subject to x^2 <= 0: feasible only at x = 1 (x = 0), the
+# constraint's coefficients (1, 0, 0) tie at an inner grid point, where it
+# is positive, and at that end
+FACE_FEASIBLE = {
+    "d11": (
+        Polynomial(3, {(0, 1, 0): 1, (1, 3, 0): 9, (2, 0, 3): Fraction(-2, 7)}),
+        Polynomial(3, {(0, 0, 2): Fraction(4, 3)}),
+        Box((Fraction(-3), Fraction(-3, 2), Fraction(0)), (Fraction(-3, 2), Fraction(-1, 2), Fraction(2))),
+        (Fraction(-3, 2), Fraction(-1, 2), 0), Fraction(19, 16), 5,
+    ),
+    "upper_end": (
+        Polynomial(1, {(1,): 1}), Polynomial(1, {(2,): 1, (1,): -2, (0,): 1}), Box((0,), (1,)), (1,), 1, 11,
+    ),
+    "lower_end": (Polynomial(1, {(1,): -1}), Polynomial(1, {(2,): 1}), Box((0,), (1,)), (0,), 0, 11),
+}
+
+
 @pytest.mark.parametrize("exact", [False, True])
-def test_face_feasible_problem_converges(exact):
-    # x1 + 9 x0 x1^3 - 2/7 x0^2 x2^3 subject to 4/3 x2^2 <= 0: only the face
-    # x2 = 0 is feasible.  The grid point where the constraint's largest
-    # coefficient is smallest (ties to the objective's) lies on it, so level
-    # 0 finds its optimum 19/16 at the corner (-3/2, -1/2, 0) in both fields
-    # (exact level 0 found no feasible point in 5 000 nodes before)
+@pytest.mark.parametrize("case", list(FACE_FEASIBLE))
+def test_face_feasible_problem_converges(case, exact):
+    # the vertex where the constraint's largest coefficient is smallest
+    # (ties to the objective's) lies on the feasible face, so level 0 finds
+    # the optimum there in both fields.  Before, exact level 0 found no
+    # feasible point on any of them (D11: in 5 000 nodes), nor float on the
+    # lower end, where an inner grid point was offered and contraction
+    # halved the side toward the end without reaching it
+    p, g, box, witness, optimum, nodes = FACE_FEASIBLE[case]
     F = Fraction if exact else float
-    p = Polynomial(3, {(0, 1, 0): Fraction(1), (1, 3, 0): Fraction(9), (2, 0, 3): Fraction(-2, 7)})
-    g = Polynomial(3, {(0, 0, 2): Fraction(4, 3)})
-    box = Box((Fraction(-3), Fraction(-3, 2), Fraction(0)), (Fraction(-3, 2), Fraction(-1, 2), Fraction(2)))
     cfg = BnbConfig(level="0", exact=exact, max_boxes=5000)
     res = branch_and_bound(p.convert(F), (g.convert(F),), box, cfg)
-    assert res.converged and res.witness[2] == 0
-    assert tuple(map(Fraction, res.witness)) == (Fraction(-3, 2), Fraction(-1, 2), 0)
-    assert res.upper_bound == Fraction(19, 16)
-    assert res.stats.subdivisions == 5
+    assert res.converged and tuple(map(Fraction, res.witness)) == witness
+    assert res.upper_bound == optimum
+    assert res.stats.subdivisions == nodes
