@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bernpop import contraction
+from bernpop import bnb, contraction
 from bernpop.bernstein import BernsteinForm, to_bernstein
 from bernpop.bnb import BnbConfig, branch_and_bound, cutoff_threshold
 from bernpop.poly import Box, Polynomial, to_unit_box
@@ -219,3 +219,23 @@ def test_face_feasible_problem_converges(case, exact):
     assert res.converged and tuple(map(Fraction, res.witness)) == witness
     assert res.upper_bound == optimum
     assert res.stats.subdivisions == nodes
+
+
+def test_constraint_vertex_compares_scaled_constraints_and_breaks_ties_among_ties():
+    # the first box's constraint is smallest at its upper vertex (0 < 1),
+    # where the objective, 5, is as large as at the lower one: the tie
+    # break looks at the tied vertices only.  The inner grid point, where
+    # the constraint reads -3, is no vertex.  The second box's constraints
+    # are (3/2, 1/2) and (2, 4) at its ends, so the largest is smaller at
+    # the lower end, though the numerators (6 and 2 over 4) say otherwise
+    numer = np.array([
+        [[5, 0, 5], [1, -3, 0], [-1, -1, -1]],
+        [[0, 0, 0], [6, 0, 2], [2, 0, 4]],
+    ], dtype=object)
+    batch = [(None, None, None, (1, 1, 1)), (None, None, None, (1, 4, 1))]
+    corners = np.array([[[0], [1]], [[10], [20]]], dtype=object)
+    assert bnb._constraint_vertex(corners, numer, batch).tolist() == [[1], [10]]
+    # two axes: the one vertex with the constraint at 0 is (upper x, lower y)
+    numer = np.array([[[[0, 0], [0, 0]], [[1, 1], [0, 1]]]], dtype=object)
+    corners = np.array([[[0, 0], [1, 2]]], dtype=object)
+    assert bnb._constraint_vertex(corners, numer, [(None, None, None, (1, 1))]).tolist() == [[1, 0]]
