@@ -85,7 +85,12 @@ class Field:
     where D is 1).  ``finite(a)`` says that no entry of a is an infinity
     or a NaN (Fractions never are).  ``lowest(N, D)`` puts a stack of
     images, numerators (K, m, *shape) over denominators (K, m), in lowest
-    terms (as they are in float)."""
+    terms (as they are in float).  ``normal(a, b)`` divides each row a[k,
+    j] of a float stack (A, f, ...) and the number b[k, j] by one power of
+    two, exactly, so that a few sums and products of its entries stay
+    finite: to below 1 once some magnitude reaches 2^512, not at all
+    before; ints cannot overflow, so exact ones are returned as they
+    are."""
 
     exact: bool
     dtype: type
@@ -100,6 +105,7 @@ class Field:
     over: Callable
     finite: Callable
     lowest: Callable
+    normal: Callable
 
 
 def lowest_terms(numer: np.ndarray, dens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -108,6 +114,20 @@ def lowest_terms(numer: np.ndarray, dens: np.ndarray) -> tuple[np.ndarray, np.nd
     and its denominator."""
     gcd = np.gcd(np.gcd.reduce(numer.reshape(numer.shape[:2] + (-1,)), axis=-1), dens)
     return numer // gcd.reshape(gcd.shape + (1,) * (numer.ndim - 2)), dens // gcd
+
+
+def normal_rows(rows: np.ndarray, extra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row rows[k, j] (of a float stack (A, f, ...)) and the number
+    extra[k, j] times 2^-e, e the binary exponent of their largest
+    magnitude (frexp's: that magnitude is then in [1/2, 1)); a row of
+    zeros, infinities or NaNs keeps e = 0.  While every magnitude is below
+    2^512, where sums and products of a few entries with small ints
+    cannot overflow, both are returned as they are."""
+    if np.abs(rows).max(initial=0.0) < 2.0**512 and np.abs(extra).max(initial=0.0) < 2.0**512:
+        return rows, extra
+    tops = np.abs(rows.reshape(extra.shape + (-1,))).max(axis=-1, initial=0.0)
+    exponents = -np.frexp(np.maximum(tops, np.abs(extra)))[1]
+    return np.ldexp(rows, exponents.reshape(extra.shape + (1,) * (rows.ndim - extra.ndim))), np.ldexp(extra, exponents)
 
 
 def integer_image(values) -> tuple[np.ndarray, int]:
@@ -129,10 +149,12 @@ _denominators = np.frompyfunc(operator.attrgetter("denominator"), 1, 1)
 FLOAT = Field(False, float, 0.0, 1.0, 0.5, of=float, ratio=operator.truediv,
               array=lambda v: np.asarray(v, dtype=float), tol=lambda t: t,
               image=lambda v: (np.asarray(v, dtype=float), 1), over=lambda v, d: v,
-              finite=lambda v: bool(np.isfinite(v).all()), lowest=lambda n, d: (n, d))
+              finite=lambda v: bool(np.isfinite(v).all()), lowest=lambda n, d: (n, d),
+              normal=normal_rows)
 EXACT = Field(True, object, Fraction(0), Fraction(1), Fraction(1, 2), of=Fraction, ratio=Fraction,
               array=lambda v: _fractions(np.array(v, dtype=object)), tol=lambda t: 0,
-              image=integer_image, over=_ratios, finite=lambda v: True, lowest=lowest_terms)
+              image=integer_image, over=_ratios, finite=lambda v: True, lowest=lowest_terms,
+              normal=lambda a, b: (a, b))
 
 
 def field(exact: bool) -> Field:

@@ -4,8 +4,8 @@ A (sub)problem is its box and, per box, one representation: the Bernstein
 form of the objective on it (and one per polynomial constraint).  Only
 the root is converted from the monomial basis (``relaxation_tensors``);
 children get their forms by a de Casteljau split of the parent along the
-bisected axis, contracted boxes by two splits along each cut axis, and
-edge subproblems by a face slice.
+bisected axis, contracted boxes by one grid-interval matrix product
+along each cut axis, and edge subproblems by a face slice.
 
 The worklist is best-first on the parent bound, and each round pops a
 batch of up to ``BATCH`` best boxes, as many as the node budget allows

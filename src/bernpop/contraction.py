@@ -10,18 +10,21 @@ projected-polyhedron step; the prune of Nataraj and Arounassalame's
 Bernstein branch and prune).  ``contract`` reads that interval off every
 box of a stack, rounds it outward to the grid 1/``GRID``, closes a box
 where it is empty and restricts one where it keeps less than ``RATIO``
-of a side, ``SWEEPS`` times.  Both fields run the same code on the
-forms' images: floats, or cross-multiplied Python ints with floor
-divisions and rational split points on the grid.
+of a side, ``SWEEPS`` times.  Every end of a cut lies on the grid, so
+restricting a side of degree d to [a/G, b/G] is one fixed matrix M(a,
+b), built from two cached tables a degree (``_grid_tables``).  Both
+fields run the same code on the forms' images: floats, or
+cross-multiplied Python ints with floor divisions and integer tables.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
-from .bernstein import Field, field_of, subdivide
+from .bernstein import Field, field_of
 
 # a side is cut to the grid 1/GRID, outward, when that keeps less than
 # RATIO of it (0 restricts no box); the axes are swept SWEEPS times a round
@@ -42,13 +45,15 @@ def contract(corners: np.ndarray, numer: np.ndarray, dens: np.ndarray, threshold
     points (i/d, m_i) is <= 0 (``_hull_intervals``).  The forms'
     intervals are intersected, and a box with an empty one closes.  One
     whose kept share t1 - t0 is less than ``RATIO`` is restricted to it:
-    its forms by two stacked ``subdivide`` calls per axis, its corners to
-    match, its denominators by their factors (``_restrict``).  A sweep
+    its forms by one matrix product per cut axis, its corners to match,
+    its denominators by the matrices' factors (``_restrict``).  A sweep
     computes every axis's interval from the same forms and then cuts the
     axes in turn; each of the ``SWEEPS`` sweeps reads only the boxes the
     previous one cut.  The sign of a coefficient of p - threshold is that
-    of N D' - N' D for p's N / D and the threshold's N' / D'.  Returns
-    the boxes left open and the boxes cut (K booleans each)."""
+    of N D' - N' D for p's N / D and the threshold's N' / D'; in float,
+    each form's minima and its threshold are first divided by one power
+    of two (``Field.normal``), so that huge coefficients cannot overflow.
+    Returns the boxes left open and the boxes cut (K booleans each)."""
     F, count = field_of(numer), len(numer)
     degrees = np.array(numer.shape[2:]) - 1
     kept, cut = np.ones(count, dtype=bool), np.zeros(count, dtype=bool)
@@ -61,9 +66,12 @@ def contract(corners: np.ndarray, numer: np.ndarray, dens: np.ndarray, threshold
     flat = degrees == 0
     for _ in range(SWEEPS):
         minima = _axis_minima(numer[active, first:])
+        offsets = np.zeros(minima.shape[:2], dtype=numer.dtype)  # what each form subtracts
         if threshold is not None:
-            den = dens[active, 0].astype(numer.dtype)
-            minima[:, 0] = minima[:, 0] * scale - shift[0] * den[:, None, None]
+            minima[:, 0] *= scale
+            offsets[:, 0] = shift[0] * dens[active, 0].astype(numer.dtype)
+        minima, offsets = F.normal(minima, offsets)
+        minima -= offsets[:, :, None, None]
         starts, ends = _hull_intervals(minima, degrees)
         lo, hi = np.maximum(starts.max(axis=1), 0), np.minimum(ends.min(axis=1), GRID)
         # a side of zero width or of degree 0 is kept whole
@@ -139,42 +147,67 @@ def _grid_points(degrees: tuple, grid: int) -> tuple[np.ndarray, np.ndarray, np.
 
 def _restrict(corners, numer, dens, boxes, starts, ends) -> None:
     """Restrict the ``boxes`` of a stack to [t0, t1] on each side, in
-    place, with t0 = starts/G and t1 = ends/G for the grid G, (k, n) ints:
-    along each axis that some box cuts, the forms' [t0, 1] piece at t0,
-    then that piece's [0, s] one at s = (t1 - t0) / (1 - t0), taken as
-    the [1 - s, 1] piece of the form reversed along the axis, so that a
-    side a box keeps splits at t = 0, which changes nothing.  The corners
-    of a cut side move to lo + (hi - lo) t0 and lo + (hi - lo) t1 (hi
-    where t = 1), and the denominators ``dens`` (K, m) grow by the
-    splits' factors."""
+    place, with t0 = a/G and t1 = b/G for the grid G, ``starts`` a and
+    ``ends`` b (k, n) ints.  Along each axis that some box cuts, the
+    forms of the boxes that cut it are multiplied by each box's matrix
+    M(a, b), in one broadcast product over the axis (``_grid_tables``).
+    The corners of a cut side move to lo + (hi - lo) t0 and lo + (hi -
+    lo) t1 (hi where t = 1), and the denominators ``dens`` (K, m) grow by
+    G^d for each cut axis of degree d (1 in float)."""
     F, grid = field_of(numer), GRID
     ratios = _grid_ratios(F, grid)
     stack, grows = numer[boxes], np.ones(len(boxes), dtype=object)
+    cuts = (starts > 0) | (ends < grid)
     for axis in range(starts.shape[1]):
         # the boxes that cut this axis, split apart from the others when not all do
-        on = np.flatnonzero((starts[:, axis] > 0) | (ends[:, axis] < grid))
+        on = np.flatnonzero(cuts[:, axis])
         if not len(on):
             continue
         part = stack if len(on) == len(stack) else stack[on]
-        a, b = starts[on, axis], ends[on, axis]
-        if a.any():
-            _, part, factor = subdivide(part, axis + 1, ratios[a])
-            grows[on] *= factor
-        if (b < grid).any():
-            # a side kept as the point t0 = t1 = 1 (x = 0) splits at 0
-            rests, keeps = (grid - a).tolist(), (grid - b).tolist()
-            shares = [F.ratio(y, x) if x else F.zero for x, y in zip(rests, keeps)]
-            flipped = np.flip(part, axis + 2)
-            _, flipped, factor = subdivide(flipped, axis + 1, np.array(shares, dtype=F.dtype))
-            part = np.flip(flipped, axis + 2)
-            grows[on] *= factor
-        stack[on] = part
+        d = part.shape[axis + 2] - 1
+        left, right, sums, factor = _grid_tables(F, d)
+        lefts, rights = left[ends[on, axis]], right[starts[on, axis]]
+        matrices = (lefts[..., :, None] * rights[..., None, :]).reshape(len(on), d + 1, -1) @ sums
+        rows = part.reshape(len(on), -1, d + 1, math.prod(part.shape[axis + 3:]))
+        stack[on] = (matrices[:, None] @ rows).reshape(part.shape)
+        grows[on] *= factor
     numer[boxes], dens[boxes] = F.lowest(stack, dens[boxes] * grows[:, None])
     lower, upper = corners[boxes].transpose(1, 0, 2)
-    moved = lower + (upper - lower) * ratios[np.stack((starts, ends))]  # lower itself where t0 = 0
+    ts = np.stack((starts, ends))  # t0 and t1 in units of 1/G
+    moved = lower + (upper - lower) * ratios[ts]  # lower itself where t0 = 0
     # upper itself where t0 or t1 is 1: a float lo + (hi - lo) may round past hi
-    moved = np.where(np.stack((starts, ends)) == grid, upper, moved)
+    moved = np.where(ts == grid, upper, moved)
     corners[boxes] = moved.transpose(1, 0, 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_tables(F: Field, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, object]:
+    """The restriction of a degree-d axis to [a/G, b/G], for the grid G:
+    coefficient i of the restricted form is sum_j M_ij c_j, M the blossom
+    at b/G i times and a/G d - i times, so that M_ij = sum_{l + m = j}
+    B^i_l(b/G) B^{d-i}_m(a/G).  Returns the tables left[b, i, l] = C(i, l)
+    b^l (G - b)^(i - l) / G^d and right[a, i, m] = C(d - i, m) a^m (G -
+    a)^(d - i - m), the 0/1 matrix ``sums`` that adds the products
+    left[b, i, l] right[a, i, m] with l + m = j (row (d + 1) l + m, column
+    j) into M over the factor returned last, by which a denominator
+    grows.  Exact tables hold ints, G^d moved into the factor; float ones
+    hold binary64 over 1, exact for d <= 8, where every entry is an
+    integer below 2^53 times the power of two G^-d."""
+    grid, index = GRID, np.arange(d + 1)
+    points = np.arange(grid + 1, dtype=F.dtype)[:, None]
+    # powers[y, i] holds the coefficients of ((G - y) + y z)^i, one power after another
+    powers = np.zeros((grid + 1, d + 1, d + 1), dtype=F.dtype)
+    powers[:, 0, 0] = 1
+    for i in range(d):
+        powers[:, i + 1] = (grid - points) * powers[:, i]
+        powers[:, i + 1, 1:] += points * powers[:, i, :-1]
+    # the image of 1 / G^d: G^-d over 1 in float, 1 over G^d exact
+    (unit,), factor = F.image([F.ratio(1, grid**d)])
+    sums = (np.add.outer(index, index).reshape(-1, 1) == index).astype(int).astype(F.dtype)
+    tables = powers * unit, powers[:, ::-1], sums
+    for table in tables:
+        table.flags.writeable = False  # shared by every call
+    return *tables, factor
 
 
 @functools.lru_cache(maxsize=None)

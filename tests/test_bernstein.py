@@ -7,6 +7,8 @@ import pytest
 import numpy as np
 
 from bernpop.bernstein import (
+    EXACT,
+    FLOAT,
     BernsteinForm,
     bernstein_eval,
     subdivide,
@@ -302,3 +304,24 @@ def test_float_descendant_drift(name):
         leaf, tensor = _descend(p, box, 40, rng, lambda: 0.5)
         assert tensor.dtype == float
         assert np.abs(tensor - _fresh_form(p, leaf).tensor).max() <= 1e-12 * scale
+
+
+def test_normal_scales_each_row_by_a_power_of_two_only_when_huge():
+    # two boxes of two forms: once some magnitude reaches 2^512, every row
+    # and its number are scaled by 2^-e, e the frexp exponent of their
+    # largest magnitude (0 for a row of zeros); ordinary rows, and every
+    # exact row, are left alone
+    rows = np.array([[[3e306, -5e306], [2.0**-40, 3.0]], [[0.0, 0.0], [-1e-300, 7e-301]]])
+    extra = np.array([[-9e307, 0.0], [0.0, 1e-300]])
+    scaled, scaled_extra = FLOAT.normal(rows, extra)
+    for k in range(2):
+        for j in range(2):
+            top = max(abs(v) for v in rows[k, j].tolist() + [extra[k, j]])
+            e = math.frexp(top)[1]
+            assert scaled[k, j].tolist() == [math.ldexp(v, -e) for v in rows[k, j].tolist()]
+            assert scaled_extra[k, j] == math.ldexp(extra[k, j], -e)
+            assert top == 0 or 0.5 <= max(abs(scaled[k, j]).max(), abs(scaled_extra[k, j])) < 1
+    small = rows / 2.0**600
+    assert FLOAT.normal(small, extra * 0)[0] is small
+    ints = np.array([[[10**400, -3]]], dtype=object)
+    assert EXACT.normal(ints, ints[..., 0])[0] is ints

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bernpop import bnb, contraction
-from bernpop.bernstein import BernsteinForm, to_bernstein
+from bernpop.bernstein import BernsteinForm, lowest_terms, to_bernstein
 from bernpop.bnb import BnbConfig, branch_and_bound, cutoff_threshold
 from bernpop.poly import Box, Polynomial, to_unit_box
 
@@ -107,6 +107,114 @@ def test_restrict_keeps_a_point_at_the_upper_end_beside_an_upper_cut(exact):
         assert point.tolist() == want_point.tolist() and half.tolist() == want_half.tolist()
     else:
         assert np.allclose(point, want_point, rtol=1e-14) and np.allclose(half, want_half, rtol=1e-14)
+
+
+def _on_grid_interval(q: Polynomial, sides) -> Polynomial:
+    """q(a/G + (b - a)/G x) along each axis, for the grid G and ``sides``
+    (a, b): q on a grid sub-box of the unit box, a side of zero width
+    included, by substitution."""
+    n, grid = q.dimension, contraction.GRID
+    maps = [
+        Polynomial.constant(n, Fraction(a, grid)) + Polynomial.variable(n, r).scale(Fraction(b - a, grid))
+        for r, (a, b) in enumerate(sides)
+    ]
+    out = Polynomial.zero(n)
+    for index, c in q.terms.items():
+        term = Polynomial.constant(n, c)
+        for r, e in enumerate(index):
+            term = term * maps[r] ** e
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_stacked_restriction_on_several_axes(dimension):
+    # seeded forms (two per box) on stacks where each axis is cut by some
+    # boxes and kept whole by others, with the ends [0, G], [G, G] and
+    # [0, 0] among the cuts.  Exact images are the conversions of the
+    # forms on the sub-boxes, in lowest terms; float ones agree to 1e-14;
+    # a whole side keeps its corners, and a box with no cut side its
+    # forms, bit for bit
+    rng, grid = random.Random(31 + dimension), contraction.GRID
+    for _ in range(4):
+        degree = tuple(rng.randint(1, 4) for _ in range(dimension))
+        lower = tuple(Fraction(rng.randint(-8, 4), 4) for _ in range(dimension))
+        upper = tuple(lo + Fraction(rng.randint(1, 8), 3) for lo in lower)
+        box = Box(lower, upper)
+
+        def term():
+            return tuple(rng.randint(0, d) for d in degree), Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+        originals = [Polynomial(dimension, dict(term() for _ in range(6))) for _ in range(2)]
+        polys = [to_unit_box(p, box)[0] for p in originals]
+        forms = [to_bernstein(q, degree, exact=True) for q in polys]
+
+        def side():
+            a = rng.randint(0, grid)
+            return a, rng.randint(a, grid)
+
+        whole = [(0, grid)] * dimension
+        cuts = [
+            whole,
+            [side()] + whole[1:],
+            [(grid, grid), (0, 0)] + [side() for _ in range(dimension - 2)],
+            [side() for _ in range(dimension)],
+            [(0, grid)] + [side() for _ in range(dimension - 1)],
+            [(0, 0)] + whole[1:-1] + [(grid, grid)],
+        ]
+        starts, ends = (np.array([[s[k] for s in box_cuts] for box_cuts in cuts]) for k in (0, 1))
+        count = len(cuts)
+        numer, dens = lowest_terms(
+            np.stack([np.stack([bf.numer for bf in forms])] * count),
+            np.array([[bf.den for bf in forms]] * count, dtype=object),
+        )
+        corners = np.array([[lower, upper]] * count, dtype=object)
+        floats = numer.astype(float) / dens.astype(float).reshape(count, 2, *(1,) * dimension)
+        float_corners = corners.astype(float)
+        float_dens = np.ones((count, 2), dtype=object)
+        numer0, dens0, floats0, float_corners0 = (a.copy() for a in (numer, dens, floats, float_corners))
+        contraction._restrict(corners, numer, dens, np.arange(count), starts, ends)
+        contraction._restrict(float_corners, floats, float_dens, np.arange(count), starts, ends)
+        for k in range(count):
+            for q, image, den, approx in zip(polys, numer[k], dens[k], floats[k]):
+                want = to_bernstein(_on_grid_interval(q, cuts[k]), degree, exact=True).tensor
+                assert BernsteinForm(image, den).tensor.tolist() == want.tolist()
+                assert math.gcd(den, *image.ravel().tolist()) == 1
+                assert np.allclose(approx, want.astype(float), rtol=1e-14, atol=1e-14 * abs(want).max())
+            sub = corners[k].tolist()
+            if all(lo < hi for lo, hi in zip(*sub)):
+                # the forms and the corners match: p converted on the sub-box
+                q, _ = to_unit_box(originals[0], Box(*sub))
+                want = to_bernstein(q, degree, exact=True).tensor
+                assert BernsteinForm(numer[k, 0], dens[k, 0]).tensor.tolist() == want.tolist()
+            for r, (a, b) in enumerate(cuts[k]):
+                if (a, b) == (0, grid):
+                    assert corners[k, :, r].tolist() == [lower[r], upper[r]]
+                    assert float_corners[k, :, r].tolist() == float_corners0[k, :, r].tolist()
+                else:
+                    width = upper[r] - lower[r]
+                    want = [lower[r] + width * Fraction(t, grid) for t in (a, b)]
+                    assert corners[k, :, r].tolist() == want
+        # the first box cuts no side
+        assert numer[0].tolist() == numer0[0].tolist() and dens[0].tolist() == dens0[0].tolist()
+        assert floats[0].tobytes() == floats0[0].tobytes()
+
+
+def test_huge_coefficients_keep_the_lower_bound_below_the_minimum():
+    # minimise 9e306 x^3 - 6e306 x on [0, 1]: the minimum -4e306 sqrt(2/9)
+    # is at x = sqrt(2)/3.  The float hull crossings overflowed (an int64
+    # cast of NaN that np.maximum.at ignores), so contraction cut away the
+    # part holding the minimiser and float level 0 reported the lower
+    # bound -1.8806e306, above it; the exact run is the reference
+    p = Polynomial(1, {(3,): Fraction(9 * 10**306), (1,): Fraction(-6 * 10**306)})
+    box = Box((Fraction(0),), (Fraction(1),))
+    runs = {
+        exact: branch_and_bound(p.convert(F), (), box, BnbConfig(level="0", exact=exact))
+        for exact, F in ((False, float), (True, Fraction))
+    }
+    assert all(res.converged for res in runs.values())
+    assert Fraction(runs[False].lower_bound) <= runs[True].upper_bound
+    assert runs[True].lower_bound**2 >= Fraction(16 * 10**612) * 2 / 9 >= runs[True].upper_bound**2
 
 
 def _random_problem(rng: random.Random, dimension: int, constrained: bool):
