@@ -73,7 +73,9 @@ class BernsteinForm:
         return field_of(self.numer).over(self.numer.item(int(self.numer.argmin())), self.den)
 
 
-@dataclass(frozen=True)
+# the two fields are singletons, equal and hashed by identity: the caches
+# keyed on them would otherwise hash three Fractions a lookup
+@dataclass(frozen=True, eq=False)
 class Field:
     """One scalar field: binary64 on float64 arrays, or the rationals on
     object arrays of Fractions.  ``of`` converts a scalar into it, ``ratio(i,

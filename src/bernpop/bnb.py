@@ -280,8 +280,9 @@ def _evaluator(p: Polynomial, F: Field) -> tuple[Callable, Callable]:
     integers at Fraction points: with x_l = A_l / B over the point's
     common denominator and c_I = C_I / E over the coefficients', p(x) =
     sum_I C_I A^I B^(T - |I|) / (E B^T), T the largest total degree,
-    built as one Fraction (also for a constant or zero p), and the rows'
-    values are that at each row."""
+    built as one Fraction (also for a constant or zero p).  The rows'
+    values are the same sums over one common denominator B of all the
+    rows, each monomial taken at every row at once."""
     if not F.exact:
         return p.eval, p.eval_rows
     coeffs, scale = integer_image(list(p.terms.values()))
@@ -295,7 +296,18 @@ def _evaluator(p: Polynomial, F: Field) -> tuple[Callable, Callable]:
         return Fraction(total, scale * den**top)
 
     def evaluate_rows(points: np.ndarray) -> np.ndarray:
-        return np.array([evaluate(point) for point in points.tolist()], dtype=object)
+        nums, den = integer_image(points)
+        powers = {}  # (l, e): A_l^e at every row
+        total = np.zeros(len(points), dtype=object)
+        for c, idx, rest in terms:
+            term = c * den**rest
+            for axis, e in enumerate(idx):
+                if e:
+                    if (axis, e) not in powers:
+                        powers[axis, e] = nums[:, axis] ** e
+                    term = term * powers[axis, e]
+            total += term
+        return F.over(total, scale * den**top)
 
     return evaluate, evaluate_rows
 

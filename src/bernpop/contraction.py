@@ -155,7 +155,6 @@ def _restrict(corners, numer, dens, boxes, starts, ends) -> None:
     lo) t1 (hi where t = 1), and the denominators ``dens`` (K, m) grow by
     G^d for each cut axis of degree d (1 in float)."""
     F, grid = field_of(numer), GRID
-    ratios = _grid_ratios(F, grid)
     stack, grows = numer[boxes], np.ones(len(boxes), dtype=object)
     cuts = (starts > 0) | (ends < grid)
     for axis in range(starts.shape[1]):
@@ -165,35 +164,40 @@ def _restrict(corners, numer, dens, boxes, starts, ends) -> None:
             continue
         part = stack if len(on) == len(stack) else stack[on]
         d = part.shape[axis + 2] - 1
-        left, right, sums, factor = _grid_tables(F, d)
-        lefts, rights = left[ends[on, axis]], right[starts[on, axis]]
-        matrices = (lefts[..., :, None] * rights[..., None, :]).reshape(len(on), d + 1, -1) @ sums
+        left, right, factor = _grid_tables(F, d)
+        # M_ij = sum_l left[b, i, l] right[a, i, l, j], one row vector product per i
+        matrices = (left[ends[on, axis], :, None] @ right[starts[on, axis]])[:, :, 0]
         rows = part.reshape(len(on), -1, d + 1, math.prod(part.shape[axis + 3:]))
         stack[on] = (matrices[:, None] @ rows).reshape(part.shape)
         grows[on] *= factor
     numer[boxes], dens[boxes] = F.lowest(stack, dens[boxes] * grows[:, None])
-    lower, upper = corners[boxes].transpose(1, 0, 2)
+    # lo + (hi - lo) t on the images of the corners and of the grid points
+    # (ints in exact mode, t = y / G), so each exact corner is one Fraction
+    box = corners[boxes]
+    image, den = F.image(box)
+    lower, upper = image.transpose(1, 0, 2)
+    ratios, scale = _grid_ratios(F, grid)
     ts = np.stack((starts, ends))  # t0 and t1 in units of 1/G
-    moved = lower + (upper - lower) * ratios[ts]  # lower itself where t0 = 0
+    moved = F.over(lower * scale + (upper - lower) * ratios[ts], den * scale)  # lower where t0 = 0
     # upper itself where t0 or t1 is 1: a float lo + (hi - lo) may round past hi
-    moved = np.where(ts == grid, upper, moved)
+    moved = np.where(ts == grid, box[:, 1], moved)
     corners[boxes] = moved.transpose(1, 0, 2)
 
 
 @functools.lru_cache(maxsize=None)
-def _grid_tables(F: Field, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, object]:
+def _grid_tables(F: Field, d: int) -> tuple[np.ndarray, np.ndarray, object]:
     """The restriction of a degree-d axis to [a/G, b/G], for the grid G:
     coefficient i of the restricted form is sum_j M_ij c_j, M the blossom
     at b/G i times and a/G d - i times, so that M_ij = sum_{l + m = j}
     B^i_l(b/G) B^{d-i}_m(a/G).  Returns the tables left[b, i, l] = C(i, l)
-    b^l (G - b)^(i - l) / G^d and right[a, i, m] = C(d - i, m) a^m (G -
-    a)^(d - i - m), the 0/1 matrix ``sums`` that adds the products
-    left[b, i, l] right[a, i, m] with l + m = j (row (d + 1) l + m, column
-    j) into M over the factor returned last, by which a denominator
-    grows.  Exact tables hold ints, G^d moved into the factor; float ones
-    hold binary64 over 1, exact for d <= 8, where every entry is an
-    integer below 2^53 times the power of two G^-d."""
-    grid, index = GRID, np.arange(d + 1)
+    b^l (G - b)^(i - l) / G^d and right[a, i, l, j] = C(d - i, m) a^m (G
+    - a)^(d - i - m) at m = j - l (0 where m is not in 0, ..., d - i), so
+    that M_ij = sum_l left[b, i, l] right[a, i, l, j] over the factor
+    returned last, by which a denominator grows.  Exact tables hold ints,
+    G^d moved into the factor; float ones hold binary64 over 1, exact for
+    d <= 8, where every entry of M is an integer below 2^53 times the
+    power of two G^-d."""
+    grid = GRID
     points = np.arange(grid + 1, dtype=F.dtype)[:, None]
     # powers[y, i] holds the coefficients of ((G - y) + y z)^i, one power after another
     powers = np.zeros((grid + 1, d + 1, d + 1), dtype=F.dtype)
@@ -203,16 +207,22 @@ def _grid_tables(F: Field, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
         powers[:, i + 1, 1:] += points * powers[:, i, :-1]
     # the image of 1 / G^d: G^-d over 1 in float, 1 over G^d exact
     (unit,), factor = F.image([F.ratio(1, grid**d)])
-    sums = (np.add.outer(index, index).reshape(-1, 1) == index).astype(int).astype(F.dtype)
-    tables = powers * unit, powers[:, ::-1], sums
+    # row l of right[a, i] is powers[a, d - i] shifted l places; past column d it
+    # only meets l > i, where left[b, i, l] is 0
+    right = np.zeros((grid + 1, d + 1, d + 1, 2 * d + 1), dtype=F.dtype)
+    for shift in range(d + 1):
+        right[:, :, shift, shift : shift + d + 1] = powers[:, ::-1]
+    tables = powers * unit, np.ascontiguousarray(right[..., : d + 1])
     for table in tables:
         table.flags.writeable = False  # shared by every call
     return *tables, factor
 
 
 @functools.lru_cache(maxsize=None)
-def _grid_ratios(F: Field, grid: int) -> np.ndarray:
-    """The grid points y/``grid``, y = 0, ..., ``grid``, in the field."""
-    ratios = np.array([F.ratio(y, grid) for y in range(grid + 1)], dtype=F.dtype)
+def _grid_ratios(F: Field, grid: int) -> tuple[np.ndarray, object]:
+    """The image of the grid points y/``grid``, y = 0, ..., ``grid``, in
+    the field: the points over 1 in float, the ints y over ``grid``
+    exact."""
+    ratios, scale = F.image([F.ratio(y, grid) for y in range(grid + 1)])
     ratios.flags.writeable = False  # shared by every call
-    return ratios
+    return ratios, scale

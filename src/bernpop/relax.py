@@ -35,6 +35,7 @@ centre where the objective attains the bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -242,17 +243,33 @@ def sample_upper_bound(corners: np.ndarray, numer: np.ndarray) -> np.ndarray:
     in the order to offer them: each box's centre, then the grid point
     I/delta of its first smallest coefficient (degree-0 axes give 0), as
     a (2K, n) array.  The centre is lo + (hi - lo) / 2 and the grid point
-    lo + (hi - lo) * (I/delta), ``Box.point``'s arithmetic."""
+    lo + (hi - lo) * (I/delta), ``Box.point``'s arithmetic, done on the
+    images of the corners and of 1/2 and I/delta (``Field.image``): in
+    float that is the same sum, and in exact mode each point's entry is
+    one Fraction of ints."""
     F, count, shape = field_of(corners), len(corners), numer.shape[1:]
-    lower, width = corners[:, 0], corners[:, 1] - corners[:, 0]
+    image, den = F.image(corners)
+    lower, width = image[:, 0], image[:, 1] - image[:, 0]
     pos = numer.reshape(count, -1).argmin(axis=1)
     grid = np.empty((count, len(shape)), dtype=F.dtype)
+    scales = np.ones(len(shape), dtype=object)  # of the grid column of each axis
     for r in reversed(range(len(shape))):  # row-major: the last axis varies fastest
         pos, index = np.divmod(pos, shape[r])
-        d = shape[r] - 1
-        steps = [F.ratio(i, d) for i in range(d + 1)] if d else [0]
-        grid[:, r] = np.array(steps, dtype=F.dtype)[index]
-    return np.stack([lower + width / 2, lower + width * grid], axis=1).reshape(2 * count, len(shape))
+        steps, scales[r] = _grid_steps(F, shape[r] - 1)
+        grid[:, r] = steps[index]
+    halves, two = _grid_steps(F, 2)
+    centres = F.over(lower * two + width * halves[1], den * two)
+    points = F.over(lower * scales.astype(F.dtype) + width * grid, den * scales)
+    return np.stack([centres, points], axis=1).reshape(2 * count, len(shape))
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_steps(F: Field, d: int) -> tuple[np.ndarray, object]:
+    """The image of the grid points i/d, i = 0, ..., d, in the field
+    (of the one point 0 for d = 0)."""
+    steps, scale = F.image([F.ratio(i, d) for i in range(d + 1)] if d else [0])
+    steps.flags.writeable = False  # shared by every call
+    return steps, scale
 
 
 def witness(bf: BernsteinForm, outcome: RelaxationOutcome) -> Optional[tuple]:

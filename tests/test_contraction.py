@@ -195,6 +195,10 @@ def test_stacked_restriction_on_several_axes(dimension):
                     width = upper[r] - lower[r]
                     want = [lower[r] + width * Fraction(t, grid) for t in (a, b)]
                     assert corners[k, :, r].tolist() == want
+                    # float: lo + (hi - lo) * (t / G) bit for bit, hi itself at t = G
+                    lo, hi = float_corners0[k, :, r]
+                    want = [hi if t == grid else lo + (hi - lo) * (t / grid) for t in (a, b)]
+                    assert float_corners[k, :, r].tobytes() == np.array(want).tobytes()
         # the first box cuts no side
         assert numer[0].tolist() == numer0[0].tolist() and dens[0].tolist() == dens0[0].tolist()
         assert floats[0].tobytes() == floats0[0].tobytes()
