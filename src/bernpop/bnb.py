@@ -7,35 +7,41 @@ children get their forms by a de Casteljau split of the parent along the
 bisected axis, contracted boxes by one grid-interval matrix product
 along each cut axis, and edge subproblems by a face slice.
 
-The worklist is best-first on the parent bound, and each round pops a
-batch of up to ``BATCH`` best boxes, as many as the node budget allows
-(one until there is an incumbent to cut against), and works on their
-stacked tensors.  A box with a constraint whose coefficients are all
-positive is infeasible and closes.  The others first offer their sample
-points to the incumbent (each box's centre, its smallest coefficient's
-grid point and, with constraints, the vertex where the largest
-constraint coefficient is smallest), all in one array evaluation.  Each
-box is then bounded at the configured relaxation level only as far as
-the incumbent cutoff needs: the bound stops at its first value that
-reaches the cutoff (see ``relax.bound_at_level``'s ``stop_at``).  A
-bound that ran to the end with an LP solution z also offers z's nominal
-point.  Every popped box then closes for one reason or splits: its LP
-has no feasible point, or the cutoff test against the incumbent after
-all of the batch's offers closes it (every box whose bound one of the
-offered points attains, since the incumbent is then at most that
-bound), or contraction leaves nothing of it, or the monotonicity test on
-the stack closes it, or it is at the minimum width, or it is bisected,
-the batch's splits one stacked de Casteljau call per axis.
+Every box is screened when it is made and bounded when it is popped,
+so that an LP runs only where the cheaper Bernstein tests cannot decide
+a box.  The screen (``_screen``) takes the root, and then the children
+of each round's splits as one stack.  A box with a constraint whose
+coefficients are all positive is infeasible and closes.  The others
+offer their sample points to the incumbent (each box's centre, its
+smallest coefficient's grid point and, with constraints, the vertex
+where the largest constraint coefficient is smallest), all in one array
+evaluation.  After the stack's offers, a box whose smallest coefficient
+reaches the cutoff closes, contraction closes those it leaves empty and
+cuts others, and the monotonicity test closes a box by its face.  What
+is left is pushed, keyed by its parent's bound.
 
-Contraction (``contraction.contract``) runs on the boxes the cutoff test
-leaves open, in ``contraction.SWEEPS`` sweeps: by the convex-hull property,
-p - threshold and each constraint can be <= 0 only on an interval of
-each side, read off the smallest coefficient at each index along it.  A
-box shrinks to the intersection, rounded outward to the grid
-1/``contraction.GRID``, when that keeps less than ``contraction.RATIO``
-of a side, and closes when it is empty.  Every part cut away has p
-above the threshold or is infeasible, so it contributes the threshold
-of that moment to the lower bound.
+The worklist is best-first on that bound, and each round pops a batch
+of up to ``BATCH`` best boxes, as many as the node budget allows (one
+until there is an incumbent to cut against).  Each popped box is
+bounded at the configured relaxation level, on its contracted form,
+only as far as the incumbent cutoff needs: the bound stops at its first
+value that reaches the cutoff (see ``relax.bound_at_level``'s
+``stop_at``).  A bound that ran to the end with an LP solution z also
+offers z's nominal point.  Every popped box then closes for one reason
+or splits: its LP has no feasible point, or the cutoff test against the
+incumbent after all of the batch's offers closes it, or it is at the
+minimum width, or it is bisected, the batch's splits one stacked de
+Casteljau call per axis.
+
+Contraction (``contraction.contract``) runs on the boxes the screen's
+cutoff test leaves open, in ``contraction.SWEEPS`` sweeps: by the
+convex-hull property, p - threshold and each constraint can be <= 0
+only on an interval of each side, read off the smallest coefficient at
+each index along it.  A box shrinks to the intersection, rounded
+outward to the grid 1/``contraction.GRID``, when that keeps less than
+``contraction.RATIO`` of a side, and closes when it is empty.  Every
+part cut away has p above the threshold or is infeasible, so it
+contributes the threshold of that moment to the lower bound.
 
 A box that is monotone along some axes closes by solving the face it is
 monotone toward, an "edge" subproblem solved recursively: the same kind
@@ -101,12 +107,12 @@ class BnbConfig:
 
 @dataclass
 class BnbStats:
-    subdivisions: int = 0
-    cutoff_count: int = 0
-    mono_count: int = 0
-    edge_subdivisions: int = 0
-    edge_cutoffs: int = 0
-    infeasible_count: int = 0
+    subdivisions: int = 0  # popped boxes of the main worklist, each bounded once
+    cutoff_count: int = 0  # closed by the cutoff: screened (smallest coefficient) or popped (bound)
+    mono_count: int = 0  # closed by a face at the screen (at either depth)
+    edge_subdivisions: int = 0  # popped boxes of the edge subproblems
+    edge_cutoffs: int = 0  # closed by the cutoff in the edge subproblems, screened or popped
+    infeasible_count: int = 0  # a constraint positive at the screen, or no LP point (at either depth)
     min_width_count: int = 0  # closed at the minimum box width (at either depth)
     budget_count: int = 0  # left in a worklist when the node budget ran out (at either depth)
     lp_solves: int = 0
@@ -416,31 +422,41 @@ def _solve_problem(lower, upper, forms, cfg, state, stats, depth):
     is a face of its parent's (``_face``), in the problem's own
     coordinates, so its points are the problem's.  Heap entries are
     (float key, tie counter, bound in the run's field, lower corner, upper
-    corner, numerators (m, *shape), denominators); the root's bound is its
-    smallest coefficient, a valid bound on the box.
+    corner, numerators (m, *shape), denominators), the bound that of the
+    box's parent; the root's is its smallest coefficient.
 
-    Each round pops up to ``BATCH`` best entries (one while there is no
-    incumbent), as many as the node budget allows, stacks their
-    numerators and runs each step on the whole stack: the
-    constraint-infeasibility test, the sample points' offers, one bound
-    per box (``_bound_batch``), the cutoff test against the incumbent
-    after all of them, contraction (``contraction.contract``), the monotonicity
-    screen, and the split of the boxes left open.
+    Every box is screened as it is made (``_screen``): the root, then each
+    round's children as one stack.  Each round pops up to ``BATCH`` best
+    entries (one while there is no incumbent), as many as the node budget
+    allows, bounds each one (``_bound_batch``), closes it by the cutoff
+    against the incumbent after all of them or at the minimum width, and
+    splits the rest.  The level's caps and cut matrix are built at the
+    first pop, so a problem whose root closes at its screen builds
+    neither.
     """
     F, delta = field_of(forms[0].numer), forms[0].degree
-    u = None if cfg.level == LEVEL_0 else upper_bounds(delta, exact=F.exact)
-    cuts = None if cfg.level != LEVEL_2 else build_cut_matrix(delta, F.exact)
     counter = itertools.count()
-    root_bound = forms[0].minimum
-    block, dens = np.stack([bf.numer for bf in forms]), tuple(bf.den for bf in forms)
-    heap: list = [(_heap_key(root_bound), next(counter), root_bound, lower, upper, block, dens)]
+    heap: list = []
+    tables = None  # (caps, cut matrix) of the level
     contrib = None
 
     def add_contrib(value):
         nonlocal contrib
-        if contrib is None or value < contrib:
+        if value is not None and (contrib is None or value < contrib):
             contrib = value
 
+    def screen(corners, numer, dens, bounds):
+        entries, value = _screen(corners, numer, dens, bounds, cfg, state, stats, depth)
+        add_contrib(value)
+        for entry in entries:
+            heapq.heappush(heap, (_heap_key(entry[0]), next(counter)) + entry)
+
+    screen(
+        np.array([[lower, upper]], dtype=F.dtype),
+        np.stack([bf.numer for bf in forms])[None],
+        np.array([[bf.den for bf in forms]], dtype=object),
+        [forms[0].minimum],
+    )
     while heap:
         # with no incumbent nothing closes by the cutoff, and a batch would
         # split all of its boxes: one box a round dives best-first to the
@@ -451,113 +467,144 @@ def _solve_problem(lower, upper, forms, cfg, state, stats, depth):
             for entry in heap:
                 add_contrib(entry[2])
             break
-        batch = [heapq.heappop(heap)[3:] for _ in range(count)]
+        # (bound, lower, upper, numerators, denominators) per box
+        batch = [heapq.heappop(heap)[2:] for _ in range(count)]
         if depth == 0:
             stats.subdivisions += count
         else:
             stats.edge_subdivisions += count
-        numer = np.stack([entry[2] for entry in batch])
-        if numer.shape[1] > 1:
-            # some constraint is positive on the whole box: nothing feasible there
-            positive = numer[:, 1:].reshape(count, numer.shape[1] - 1, -1).min(axis=2) > 0
-            feasible = np.flatnonzero(~positive.any(axis=1))
-            stats.infeasible_count += count - len(feasible)
-            if not len(feasible):
-                continue
-            batch, numer = [batch[i] for i in feasible], numer[feasible]
-        corners = np.array([entry[:2] for entry in batch], dtype=F.dtype)
-        # sample first, so that each bound need only reach the cutoff; with
-        # constraints, also at the vertex where the largest of them is smallest
-        points = sample_upper_bound(corners, numer[:, 0])
-        if numer.shape[1] > 1:
-            n = points.shape[1]
-            per_box = (points.reshape(len(batch), -1, n), _constraint_vertex(corners, numer, batch)[:, None])
-            points = np.concatenate(per_box, axis=1).reshape(-1, n)
-        state.offer_rows(points)
-        bounded = _bound_batch(batch, numer, cfg.level, u, cuts, state, stats)
+        if tables is None:
+            u = None if cfg.level == LEVEL_0 else upper_bounds(delta, exact=F.exact)
+            tables = (u, None if cfg.level != LEVEL_2 else build_cut_matrix(delta, F.exact))
+        numer = np.stack([entry[3] for entry in batch])
+        bounded = _bound_batch(batch, numer, cfg.level, *tables, state, stats)
 
         # the cutoff test reads the incumbent after the whole batch's offers
-        threshold, survivors = state.threshold, []
+        threshold, split = state.threshold, []
         for i, bound in bounded:
+            _, lower, upper, _, _ = batch[i]
             if threshold is not None and bound >= threshold:
                 if depth == 0:
                     stats.cutoff_count += 1
                 else:
                     stats.edge_cutoffs += 1
                 add_contrib(bound)
-            else:
-                survivors.append((i, bound))
-        if not survivors:
-            continue
-        rows = [i for i, _ in survivors]
-        numer, corners = numer[rows], corners[rows]
-        dens = np.array([batch[i][3] for i in rows], dtype=object)
-        kept, cut = contraction.contract(corners, numer, dens, threshold)
-        stats.contracted += int((cut & kept).sum())
-        stats.contraction_closures += int((~kept).sum())
-        if threshold is not None and cut.any():
-            # every part cut away has p > threshold there or is infeasible
-            add_contrib(threshold)
-        rows = np.flatnonzero(kept)
-        if not len(rows):
-            continue
-        widths = corners[rows, 1] - corners[rows, 0]
-        monotone = [False] * len(rows)
-        if numer.shape[1] == 1:  # the monotonicity test is for problems without constraints
-            signs = _monotonicity_signs(numer[rows, 0])
-            # a pinned axis reads '+': only a side of positive width counts
-            monotone = ((signs != "mixed") & (widths > 0)).any(axis=1).tolist()
-        narrow = widths.max(axis=1) <= MIN_BOX_WIDTH
-        split = []
-        for k, i in enumerate(rows.tolist()):
-            bound = survivors[i][1]
-            if monotone[k]:
-                stats.mono_count += 1
-                lower, upper = map(tuple, corners[i].tolist())
-                face_lower, face_upper, face_numer = _face(lower, upper, numer[i, 0], signs[k])
-                face_form = BernsteinForm(face_numer, dens[i, 0])
-                if "mixed" not in signs[k]:  # a vertex: its one coefficient is the value there
-                    state.offer(face_lower)
-                    add_contrib(face_form.minimum)
-                else:
-                    t0 = time.perf_counter()
-                    add_contrib(
-                        _solve_problem(face_lower, face_upper, (face_form,), cfg, state, stats, depth + 1)
-                    )
-                    if depth == 0:  # nested recursion is inside this window
-                        stats.edge_elapsed += time.perf_counter() - t0
-            elif narrow[k]:
+            elif max(hi - lo for lo, hi in zip(lower, upper)) <= MIN_BOX_WIDTH:
                 stats.min_width_count += 1
                 add_contrib(bound)
             else:
-                split.append(i)
+                split.append((i, bound))
         if not split:
             continue
-        boxes = [tuple(map(tuple, corners[i].tolist())) for i in split]
-        children = split_boxes(boxes, numer[split], SPLIT_LONGEST)
-        for k, i in enumerate(split):
-            bound = survivors[i][1]
-            key = _heap_key(bound)
-            for lower, upper, block, factor in children[2 * k : 2 * k + 2]:
-                den = tuple(d * factor for d in dens[i])
-                heapq.heappush(heap, (key, next(counter), bound, lower, upper, block, den))
+        rows = [i for i, _ in split]
+        children = split_boxes([batch[i][1:3] for i in rows], numer[rows], SPLIT_LONGEST)
+        parents = [split[k // 2] for k in range(len(children))]  # (index, bound) of each child's
+        dens = [[d * child[3] for d in batch[i][4]] for (i, _), child in zip(parents, children)]
+        screen(
+            np.array([child[:2] for child in children], dtype=F.dtype),
+            np.stack([child[2] for child in children]),
+            np.array(dens, dtype=object),
+            [bound for _, bound in parents],
+        )
 
     return contrib
 
 
-def _constraint_vertex(corners: np.ndarray, numer: np.ndarray, batch: Sequence) -> np.ndarray:
+def _screen(corners, numer, dens, bounds, cfg, state, stats, depth) -> tuple[list, object]:
+    """Screen a stack of boxes as they are made: their corners (K, 2, n),
+    their forms' images ``numer`` (K, m, *shape) over ``dens`` (K, m), and
+    each box's parent's bound in ``bounds``.  In turn, a box closes when
+    some constraint is positive on all of it; the stack offers its sample
+    points, with constraints also ``_constraint_vertex``; a box closes
+    whose smallest coefficient reaches the cutoff; contraction cuts the
+    others and closes those it empties (every part cut away contributes
+    the threshold); and without constraints, a box monotone along a side
+    of positive width closes by its face, an edge subproblem one level
+    deeper or a vertex's one coefficient.  Returns the boxes left open,
+    as (bound, lower, upper, numerators, denominators), each with its own
+    numerators, and the smallest value the closed ones contribute to the
+    lower bound (None when none does)."""
+    F, closed = field_of(numer), []
+
+    def keep(rows):
+        nonlocal corners, numer, dens, bounds
+        corners, numer, dens, bounds = corners[rows], numer[rows], dens[rows], [bounds[i] for i in rows]
+
+    if numer.shape[1] > 1:
+        # some constraint is positive on the whole box: nothing feasible there
+        positive = numer[:, 1:].reshape(len(numer), numer.shape[1] - 1, -1).min(axis=2) > 0
+        rows = np.flatnonzero(~positive.any(axis=1))
+        stats.infeasible_count += len(numer) - len(rows)
+        keep(rows)
+        if not len(rows):
+            return [], None
+    points = sample_upper_bound(corners, numer[:, 0])
+    if numer.shape[1] > 1:
+        n = points.shape[1]
+        per_box = (points.reshape(len(numer), -1, n), _constraint_vertex(corners, numer, dens)[:, None])
+        points = np.concatenate(per_box, axis=1).reshape(-1, n)
+    state.offer_rows(points)
+
+    threshold = state.threshold
+    if threshold is not None:
+        minima = F.over(numer[:, 0].reshape(len(numer), -1).min(axis=1), dens[:, 0]).tolist()
+        reached = [value >= threshold for value in minima]
+        if any(reached):
+            if depth == 0:
+                stats.cutoff_count += sum(reached)
+            else:
+                stats.edge_cutoffs += sum(reached)
+            closed.append(min(value for value, up in zip(minima, reached) if up))
+            keep([i for i, up in enumerate(reached) if not up])
+            if not bounds:
+                return [], closed[0]
+    kept, cut = contraction.contract(corners, numer, dens, threshold)
+    stats.contracted += int((cut & kept).sum())
+    stats.contraction_closures += int((~kept).sum())
+    if threshold is not None and cut.any():
+        # every part cut away has p > threshold there or is infeasible
+        closed.append(threshold)
+
+    rows = np.flatnonzero(kept)
+    monotone = [False] * len(rows)
+    if numer.shape[1] == 1 and len(rows):  # the monotonicity test is for problems without constraints
+        signs = _monotonicity_signs(numer[rows, 0])
+        # a pinned axis reads '+': only a side of positive width counts
+        widths = corners[rows, 1] - corners[rows, 0]
+        monotone = ((signs != "mixed") & (widths > 0)).any(axis=1).tolist()
+    entries = []
+    for k, i in enumerate(rows.tolist()):
+        lower, upper = map(tuple, corners[i].tolist())
+        if not monotone[k]:
+            entries.append((bounds[i], lower, upper, numer[i].copy(), tuple(dens[i].tolist())))
+            continue
+        stats.mono_count += 1
+        face_lower, face_upper, face_numer = _face(lower, upper, numer[i, 0], signs[k])
+        face_form = BernsteinForm(face_numer, dens[i, 0])
+        if "mixed" not in signs[k]:  # a vertex: its one coefficient is the value there
+            state.offer(face_lower)
+            closed.append(face_form.minimum)
+        else:
+            t0 = time.perf_counter()
+            closed.append(_solve_problem(face_lower, face_upper, (face_form,), cfg, state, stats, depth + 1))
+            if depth == 0:  # nested recursion is inside this window
+                stats.edge_elapsed += time.perf_counter() - t0
+    return entries, min(closed, default=None)
+
+
+def _constraint_vertex(corners: np.ndarray, numer: np.ndarray, dens: Sequence) -> np.ndarray:
     """Per box of a stack (corners (K, 2, n)), the vertex where the
     largest constraint coefficient is smallest, and among those the first
     where the objective's is smallest, as a (K, n) array of the corners'
     own coordinates.  A vertex's coefficients are the forms' values
     there, so it is feasible when that largest one is <= 0.  The
     constraints are compared on one scale a box: each one's numerators
-    times the product of the other constraints' denominators (``batch``
-    holds each box's denominators)."""
+    times the product of the other constraints' denominators (``dens``
+    holds each box's denominators, objective first)."""
     count, forms, n = numer.shape[0], numer.shape[1], numer.ndim - 2
     for r in range(n):  # keep the first and the last index on each axis
         numer = numer.take([0, -1], axis=2 + r)
-    scales = [[math.prod(dens[1:]) // den for den in dens[1:]] for _, _, _, dens in batch]
+    scales = [[math.prod(row[1:]) // den for den in row[1:]] for row in map(list, dens)]
     scales = np.array(scales, dtype=numer.dtype).reshape((count, forms - 1) + (1,) * n)
     largest = (numer[:, 1:] * scales).max(axis=1).reshape(count, -1)
     objective = numer[:, 0].reshape(count, -1)
@@ -570,14 +617,16 @@ def _constraint_vertex(corners: np.ndarray, numer: np.ndarray, batch: Sequence) 
 
 
 def _bound_batch(batch, numer, level, u, cuts, state, stats) -> list[tuple]:
-    """Bound each box of a batch at ``level``, in order, only as far as the
-    cutoff needs (``stop_at``), and count its LP work; a bound that ran to
-    the end with an LP solution offers its nominal point at once.  Returns
-    (index, bound) for each box whose LP has a feasible point; the others
-    count as infeasible."""
+    """Bound each popped box of a batch, (parent bound, lower, upper,
+    numerators, denominators) with its numerators stacked in ``numer``,
+    at ``level``, in order, only as far as the cutoff needs (``stop_at``),
+    and count its LP work; a bound that ran to the end with an LP
+    solution offers its nominal point at once.  Returns (index, bound) for
+    each box whose LP has a feasible point; the others count as
+    infeasible."""
     F, delta = field_of(numer), tuple(s - 1 for s in numer.shape[2:])
     bounded = []
-    for i, ((lower, upper, _, dens), block) in enumerate(zip(batch, numer)):
+    for i, ((_, lower, upper, _, dens), block) in enumerate(zip(batch, numer)):
         forms = tuple(map(BernsteinForm, block, dens))
         outcome = bound_at_level(
             forms[0], level, u=u, cuts=cuts,

@@ -1,3 +1,4 @@
+import collections
 import heapq
 import math
 import sys
@@ -21,7 +22,7 @@ from bernpop.bnb import (
 from bernpop.bernstein import FLOAT, BernsteinForm, field, to_bernstein
 from bernpop.poly import Box, Polynomial, restrict_facet, to_unit_box
 from bernpop.problems import load_fixture, load_problem
-from bernpop.relax import RelaxationOutcome, nominal_point, sample_upper_bound
+from bernpop.relax import nominal_point, sample_upper_bound
 from conftest import (
     algebraic4, box_form, box_tensor, himmelblau, himmelblau_exact, random_box, random_polynomial,
     split_node,
@@ -159,18 +160,17 @@ def test_edge_subproblem_square_on_positive_interval():
 
 
 def test_fully_fixed_vertex_contributes_its_coefficient(monkeypatch):
-    # x^2 on [1/10, 1] is increasing, so the monotone step fixes its only
-    # axis; a bound that is not past the cutoff reaches it,
-    # and the vertex contributes the face's one coefficient, p(1/10).
-    # Contraction is off: every coefficient is above the threshold, so it
-    # would close the box before the monotone step
+    # x^2 on [1/10, 1] is increasing, so the root's screen fixes its only
+    # axis, and the vertex contributes the face's one coefficient, p(1/10),
+    # and offers its point.  The sample points are withheld: the grid point
+    # of the smallest coefficient is that vertex, whose value would close
+    # the root by the cutoff before the monotone step.  With no incumbent
+    # and no constraint, contraction has nothing to cut
     square = Polynomial(1, {(2,): Fraction(1)})
-    weak = lambda bf, *args, **kwargs: RelaxationOutcome(bound=bf.minimum - 1)
-    monkeypatch.setattr(bnb, "bound_at_level", weak)
-    monkeypatch.setattr(contraction, "SWEEPS", 0)
+    monkeypatch.setattr(_RunState, "offer_rows", lambda self, points: None)
     box = Box((Fraction(1, 10),), (Fraction(1),))
     res = branch_and_bound(square, (), box, BnbConfig(level="0", exact=True))
-    assert res.stats.mono_count == 1 and res.stats.subdivisions == 1
+    assert res.stats.mono_count == 1 and res.stats.subdivisions == 0
     assert res.lower_bound == square.eval((Fraction(1, 10),)) == Fraction(1, 100)
     assert res.upper_bound == Fraction(1, 100) and res.witness == (Fraction(1, 10),)
     assert res.converged
@@ -465,15 +465,15 @@ def test_face_slice_equals_restricted_conversion():
 
 
 # x + y^4 - y^2 + z^4 - z^2 + 0.3yz on [0,1] x [-1,2]^2: increasing in x,
-# so the main box closes on its x = 0 face, where boxes monotone in y or
-# z close on faces of that face (depth 2)
+# so the main box closes on its x = 0 face at its screen, unpopped, and
+# boxes monotone in y or z close on faces of that face (depth 2)
 NESTED_FACES_COUNTS = {  # (main, edge, mono, edge cutoffs) nodes per (exact, level)
-    (False, "0"): (1, 40, 4, 9),
-    (False, "1"): (1, 37, 5, 9),
-    (False, "2"): (1, 37, 5, 16),
-    (True, "0"): (1, 40, 4, 9),
-    (True, "1"): (1, 37, 5, 9),
-    (True, "2"): (1, 37, 5, 16),
+    (False, "0"): (0, 18, 4, 8),
+    (False, "1"): (0, 17, 6, 6),
+    (False, "2"): (0, 17, 7, 4),
+    (True, "0"): (0, 18, 4, 8),
+    (True, "1"): (0, 17, 6, 6),
+    (True, "2"): (0, 17, 7, 4),
 }
 
 
@@ -591,8 +591,9 @@ def _d2_repro():
 
 
 def _count_pushes(monkeypatch):
-    """Record every heap push of the worklists, and the root of each
-    worklist (``_solve_problem`` call), which starts the heap unpushed."""
+    """Record every heap push of the worklists, and each worklist
+    (``_solve_problem`` call), whose root is pushed too unless its screen
+    closes it."""
     pushes, worklists = [], []
     real_solve = bnb._solve_problem
 
@@ -623,35 +624,40 @@ def test_budget_running_out_inside_a_batch(monkeypatch, case, exact):
         return grants[-1][1]
 
     monkeypatch.setattr(_RunState, "charge", charge)
-    pushes, worklists = _count_pushes(monkeypatch)
+    pushes, _ = _count_pushes(monkeypatch)
     if case == "himmelblau":
-        # 1 + 2 + 4 + 8 boxes, an edge subproblem's 1 + 2 + 2 + 2 + 2, then
-        # 6 of a round of 10; edge subproblems of that round start with no
-        # budget left
+        # 1 + 2 + 4 boxes, 4 in edge subproblems, 5, 4 more in edge
+        # subproblems, 4, then 4 of a round of 6; an edge subproblem of that
+        # round starts with no budget left
         problem = load_problem(load_fixture("himmelblau"), exact)
-        p, constraints, box, budget = problem.objective, (), problem.box, 30
+        p, constraints, box, budget = problem.objective, (), problem.box, 28
     else:
-        # the root, then 1 of a round of 2 (the whole run takes 3 boxes)
-        p, g, box = _constrained_square()
-        constraints, budget = (g,), 2
+        # x + y subject to 2 - xy <= 0 on [0, 3]^2: the root, 2, then 2 of a
+        # round of 4 (the square of the other tests takes one pop in all)
+        F = field(exact)
+        p = Polynomial(2, {(1, 0): F.of(1), (0, 1): F.of(1)})
+        constraints = (Polynomial(2, {(0, 0): F.of(2), (1, 1): F.of(-1)}),)
+        box, budget = Box((0, 0), (3, 3)), 5
     res = branch_and_bound(p, constraints, box, BnbConfig(level="0", max_boxes=budget, exact=exact))
     s = res.stats
     assert any(0 < granted < wanted for wanted, granted in grants)
     assert grants[-1][1] == 0 and s.budget_count > 0
     popped = s.subdivisions + s.edge_subdivisions
     assert popped == sum(granted for _, granted in grants) == budget
-    assert len(worklists) + len(pushes) == popped + s.budget_count
+    assert len(pushes) == popped + s.budget_count
     assert res.lower_bound <= res.upper_bound
     assert res.converged is False
     assert isinstance(res.lower_bound, Fraction) == exact
 
 
 def test_rounds_take_one_box_until_an_incumbent(monkeypatch):
-    # x1 + 9 x0 x1^3 - 2/7 x0^2 x2^3 subject to 4/3 x2^2 <= 0: only the
-    # face x2 = 0 is feasible, and no sample point is until the search
-    # reaches it.  Rounds of 32 boxes from the start split every box they
-    # pop and took 2 599 nodes; one box a round dives to the first
-    # feasible point best-first, as a search one box at a time does (189)
+    # x + y subject to (x - 1/3)^2 + (y - 1/3)^2 <= 1e-4 on [0, 1]^2: no
+    # sample point of the first six boxes lies in the small disc, and each
+    # of their rounds takes one box, diving best-first as a search one box
+    # at a time does; once a point of the disc is offered, rounds take
+    # batches.  D11, x1 + 9 x0 x1^3 - 2/7 x0^2 x2^3 subject to
+    # 4/3 x2^2 <= 0, has an incumbent from its root's screen on: the
+    # vertex offered there is feasible
     wanted = []
     real_charge = _RunState.charge
 
@@ -666,6 +672,14 @@ def test_rounds_take_one_box_until_an_incumbent(monkeypatch):
     res = branch_and_bound(p, (g,), box, BnbConfig(level="0"))
     assert res.converged and res.upper_bound == 1.1875 and res.witness == (-1.5, -0.5, 0.0)
     assert all(count == 1 for count, unset in wanted if unset)
+    wanted.clear()
+    p = Polynomial(2, {(1, 0): 1.0, (0, 1): 1.0})
+    g = Polynomial(2, {(2, 0): 1.0, (1, 0): -2 / 3, (0, 2): 1.0, (0, 1): -2 / 3, (0, 0): 2 / 9 - 1e-4})
+    res = branch_and_bound(p, (g,), Box((0.0, 0.0), (1.0, 1.0)), BnbConfig(level="0"))
+    assert res.converged and g.eval(res.witness) <= 0
+    assert res.upper_bound == pytest.approx(2 / 3 - math.sqrt(2) / 100, abs=1e-6)
+    assert sum(unset for _, unset in wanted) > 1
+    assert all(count == 1 for count, unset in wanted if unset)
     assert any(count > 1 for count, unset in wanted if not unset)
     assert res.stats.subdivisions < 300
 
@@ -678,7 +692,7 @@ def test_heap_entries_own_their_numerators(monkeypatch, exact):
     problem = load_problem(load_fixture("himmelblau"), exact)
     cfg = BnbConfig(level="0", epsilon=problem.epsilon, exact=exact)
     assert branch_and_bound(problem.objective, (), problem.box, cfg).converged
-    assert len(pushes) > 100
+    assert len(pushes) > 50
     for *_, lower, upper, block, dens in pushes:
         assert block.base is None and block.flags.owndata
         assert type(lower) is type(upper) is tuple and len(dens) == len(block) == 1
@@ -693,15 +707,33 @@ def test_heap_entries_own_their_numerators(monkeypatch, exact):
         # without contraction the constrained repro closes boxes as infeasible
         ("d2_uncontracted", "2", 1e-12),
         ("himmelblau", "0", 0.5),
-        # 50 nodes: the budget runs out inside an edge subproblem, and both
+        # 10 nodes: the budget runs out inside an edge subproblem, and both
         # worklists drain
         ("himmelblau_budget", "0", 1e-12),
     ],
 )
 def test_every_popped_node_closes_for_one_reason_or_splits(monkeypatch, case, level, min_box_width):
-    # a batch splits its open boxes together: each split pushes two
-    # children, so the splits are half the pushes
+    # every box is made (a worklist's root, or one of the two children of a
+    # split) and screened: it closes there or is pushed.  Every pushed box
+    # is popped, or left on a worklist when the budget runs out.  Every
+    # popped box is bounded and closes by the cutoff, by an LP with no
+    # feasible point or at the minimum width, or is split.  Each closure
+    # is told apart by the function that counts it
     pushes, worklists = _count_pushes(monkeypatch)
+    added = _count_additions(monkeypatch)
+    made, splits = [], []
+    real_screen, real_split = bnb._screen, bnb.split_boxes
+
+    def screen(corners, *args):
+        made.append(len(corners))
+        return real_screen(corners, *args)
+
+    def split(boxes, *args):
+        splits.append(len(boxes))
+        return real_split(boxes, *args)
+
+    monkeypatch.setattr(bnb, "_screen", screen)
+    monkeypatch.setattr(bnb, "split_boxes", split)
     monkeypatch.setattr(bnb, "MIN_BOX_WIDTH", min_box_width)
     if case == "d2_uncontracted":
         monkeypatch.setattr(contraction, "SWEEPS", 0)
@@ -710,21 +742,28 @@ def test_every_popped_node_closes_for_one_reason_or_splits(monkeypatch, case, le
     else:
         p, constraints, box = himmelblau(), (), Box((-5.0, -5.0), (5.0, 5.0))
     limited = case == "himmelblau_budget"
-    cfg = BnbConfig(level=level, max_boxes=50 if limited else 100_000)
+    cfg = BnbConfig(level=level, max_boxes=10 if limited else 100_000)
     res = branch_and_bound(p, constraints, box, cfg)
     # wide boxes and a short budget close unconverged
     assert res.converged == (min_box_width <= 1e-12 and not limited)
     s = res.stats
+    at_screen = ("infeasible_count", "cutoff_count", "edge_cutoffs", "contraction_closures", "mono_count")
+    screened = sum(added[counter, "_screen"] for counter in at_screen)
+    bounded = (
+        added["cutoff_count", "_solve_problem"] + added["edge_cutoffs", "_solve_problem"]
+        + added["infeasible_count", "_bound_batch"] + s.min_width_count
+    )
+    popped = s.subdivisions + s.edge_subdivisions
+    assert sum(made) == len(worklists) + 2 * sum(splits)
+    assert sum(made) == screened + len(pushes)
+    assert len(pushes) == popped + s.budget_count
+    assert popped == bounded + sum(splits)
+    # no closure is counted anywhere else
     closures = (
         s.cutoff_count + s.edge_cutoffs + s.mono_count + s.infeasible_count + s.min_width_count
         + s.contraction_closures
     )
-    assert len(pushes) % 2 == 0
-    assert s.subdivisions + s.edge_subdivisions == closures + len(pushes) // 2
-    # every entry pushed (one root per worklist, two per split) was popped
-    # or drained when the budget ran out
-    pushed = len(worklists) + len(pushes)
-    assert pushed == s.subdivisions + s.edge_subdivisions + s.budget_count
+    assert closures == screened + bounded
     assert (s.budget_count > 0) == limited
     assert (s.min_width_count > 0) == (min_box_width > 1e-12)
     if case == "d2":  # contraction cuts the infeasible part off the root box
@@ -735,6 +774,98 @@ def test_every_popped_node_closes_for_one_reason_or_splits(monkeypatch, case, le
         assert s.contraction_closures > 0
 
 
+def _count_bounds(monkeypatch) -> list:
+    """Record the numerators of every form ``bnb.bound_at_level`` bounds."""
+    forms = []
+    real = bnb.bound_at_level
+
+    def counting(bf, *args, **kwargs):
+        forms.append(bf.numer.tolist())
+        return real(bf, *args, **kwargs)
+
+    monkeypatch.setattr(bnb, "bound_at_level", counting)
+    return forms
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("level", ["0", "1", "2"])
+@pytest.mark.parametrize("name, epsilon", [("himmelblau", None), ("motzkin3", 1e-3), ("algebraic4", None)])
+def test_one_bound_per_popped_box(monkeypatch, name, epsilon, level, exact):
+    # the benchmark's traced identity, bounds == nodes + edge nodes: every
+    # popped box is bounded once, and a box that closes unbounded (at its
+    # screen) is never popped.  Exact motzkin3 at level 2 runs 4 of its 31
+    # boxes, the rest on the heap when the budget runs out: the whole run
+    # takes about 24 s
+    bounds = _count_bounds(monkeypatch)
+    problem = load_problem(load_fixture(name), exact)
+    budget = 4 if (name, level, exact) == ("motzkin3", "2", True) else 100_000
+    cfg = BnbConfig(level=level, epsilon=epsilon or problem.epsilon, max_boxes=budget, exact=exact)
+    res = branch_and_bound(problem.objective, (), problem.box, cfg)
+    assert res.converged == (budget > 4)
+    assert len(bounds) == res.stats.subdivisions + res.stats.edge_subdivisions
+    if name == "algebraic4":  # the root closes at its screen
+        assert bounds == [] and res.stats.cutoff_count == 1
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("level", ["0", "1", "2"])
+def test_one_bound_per_popped_box_with_a_constraint(monkeypatch, level, exact):
+    # x + y subject to 2 - xy <= 0 on [0, 3]^2 (optimum 2 sqrt 2), and the
+    # same run cut short by a budget of 5 boxes
+    bounds = _count_bounds(monkeypatch)
+    F = field(exact)
+    p = Polynomial(2, {(1, 0): F.of(1), (0, 1): F.of(1)})
+    g = Polynomial(2, {(0, 0): F.of(2), (1, 1): F.of(-1)})
+    for budget in (100_000, 5):
+        bounds.clear()
+        cfg = BnbConfig(level=level, max_boxes=budget, exact=exact)
+        res = branch_and_bound(p, (g,), Box((0, 0), (3, 3)), cfg)
+        assert res.converged == (budget > 5) and (res.stats.budget_count > 0) == (budget == 5)
+        assert res.lower_bound <= 0 or res.lower_bound**2 <= 8
+        assert len(bounds) == res.stats.subdivisions + res.stats.edge_subdivisions
+
+
+@pytest.mark.parametrize("level", ["0", "2"])
+def test_boxes_closed_at_their_screen_are_never_bounded(monkeypatch, level):
+    # a box that contraction empties, or that closes as monotone, at its
+    # screen is never pushed, so no bound reads its form
+    bounds = _count_bounds(monkeypatch)
+    emptied, monotone = [], []
+    real_contract, real_face = contraction.contract, bnb._face
+
+    def contract(corners, numer, dens, threshold):
+        kept, cut = real_contract(corners, numer, dens, threshold)
+        emptied.extend(numer[k, 0].tolist() for k in np.flatnonzero(~kept))
+        return kept, cut
+
+    def face(lower, upper, numer, signs):
+        monotone.append(numer.tolist())
+        return real_face(lower, upper, numer, signs)
+
+    monkeypatch.setattr(contraction, "contract", contract)
+    monkeypatch.setattr(bnb, "_face", face)
+    res = branch_and_bound(himmelblau(), (), Box((-5.0, -5.0), (5.0, 5.0)), BnbConfig(level=level))
+    s = res.stats
+    assert res.converged
+    assert len(emptied) == s.contraction_closures > 0 and len(monotone) == s.mono_count > 0
+    assert len(bounds) == s.subdivisions + s.edge_subdivisions
+    assert not any(form in emptied or form in monotone for form in bounds)
+
+
+def _count_additions(monkeypatch):
+    """What each function adds to each ``BnbStats`` counter of a run, as
+    a Counter keyed (counter, function name)."""
+    added = collections.Counter()
+
+    class Recording(bnb.BnbStats):
+        def __setattr__(self, name, value):
+            added[name, sys._getframe(1).f_code.co_name] += value - getattr(self, name)
+            super().__setattr__(name, value)
+
+    monkeypatch.setattr(bnb, "BnbStats", Recording)
+    return added
+
+
 @pytest.mark.parametrize("exact", [False, True])
 def test_level0_closures_are_cutoff_closures(exact):
     # at level 0 a box whose smallest coefficient is a corner one is closed
@@ -742,33 +873,34 @@ def test_level0_closures_are_cutoff_closures(exact):
     # bounds and witness are those of the former exact closures, which are
     # now counted with the cutoff closures (141 + 32 + 133 before batches
     # of boxes; batches moved the nodes from 437 + 206, contraction from
-    # 433 + 184).  Both fields close the same boxes for the same reasons;
-    # the lower bound is the threshold of the final incumbent
+    # 433 + 184, screening each box as it is made from 103 + 48).  Both
+    # fields close the same boxes for the same reasons; the lower bound is
+    # the threshold of the final incumbent
     problem = load_problem(load_fixture("himmelblau"), exact)
     cfg = BnbConfig(level="0", epsilon=problem.epsilon, exact=exact)
     res = branch_and_bound(problem.objective, (), problem.box, cfg)
     s = res.stats
-    assert (s.subdivisions, s.edge_subdivisions) == (103, 48)
-    assert (s.cutoff_count, s.edge_cutoffs, s.mono_count) == (19, 27, 15)
+    assert (s.subdivisions, s.edge_subdivisions) == (51, 17)
+    assert (s.cutoff_count, s.edge_cutoffs, s.mono_count) == (17, 25, 15)
     assert (s.contracted, s.contraction_closures) == (80, 22)
     if exact:
-        den = 10576895500643977583230644928524336637254474927428499508554380724390492659780981533203027367035444557561459392400373732868096
+        den = 195109284394749514461349826862072894109287383916560696928697309976585733676235351257519131441468248197489183195087913930965498479955517831643136
         assert res.lower_bound == Fraction(
-            -10392339027590043413839859626646075200177523818643283336875928596404711539545370500542512900732492494223564395679663,
+            -185059899584678025562659803289511943446790528774020222306323111169126328385818501331553299635233767984625051015258147712332943994913903,
             den,
         )
         assert res.upper_bound == Fraction(
-            184556473053934828136669764616413531494923621594057697843400015400581051648255446277606346262758755452750246539345,
+            10049384810071501050406763866132954015059273581321945603060819873960482273754812133764012940894851737505532948112302210917598957403025,
             den,
         )
         assert res.witness == (
-            Fraction(-299427836403945009894210967055, 79228162514264337593543950336),
-            Fraction(-33295467584688446749929528962045, 10141204801825835211973625643008),
+            Fraction(2382261089888464894544219022457181965, 664613997892457936451903530140172288),
+            Fraction(-2287867502716529830362768425, 1237940039285380274899124224),
         )
     else:
-        assert res.lower_bound == -9.82549070409732e-10
-        assert res.upper_bound == 1.745092959026806e-11
-        assert res.witness == (-3.7793106251837614, -3.283186587326773)
+        assert res.lower_bound == -9.48499862512108e-10
+        assert res.upper_bound == 5.150013748789206e-11
+        assert res.witness == (3.5844281002849745, -1.8481246507199462)
     assert res.lower_bound == cutoff_threshold(res.upper_bound, field(exact).of(problem.epsilon))
     assert res.converged
 
@@ -794,12 +926,13 @@ def test_cut_counters_sum_the_run_outcomes(monkeypatch):
 
 @pytest.mark.parametrize("level", ["1", "2"])
 def test_fully_bounded_box_offers_its_nominal_point(monkeypatch, level):
-    # each batch of popped boxes offers its sample points, two a box, then
-    # each box is bounded; a bound that ran to the end offers the nominal
-    # point of its z next, and one that stopped at the cutoff offers nothing
+    # each stack of boxes offers its sample points as it is made, two a box;
+    # each popped box is bounded, and a bound that ran to the end offers the
+    # nominal point of its z next, and one that stopped at the cutoff
+    # offers nothing
     events = []
     real_offer, real_rows, real_bound = _RunState.offer, _RunState.offer_rows, bnb.bound_at_level
-    real_sample = bnb.sample_upper_bound
+    real_sample, real_batch = bnb.sample_upper_bound, bnb._bound_batch
 
     def offer(self, point):
         # a monotone box's vertex face offers its point from the worklist
@@ -820,10 +953,15 @@ def test_fully_bounded_box_offers_its_nominal_point(monkeypatch, level):
         events.append(("sample", corners, numer))
         return real_sample(corners, numer)
 
+    def bound_batch(batch, numer, *args):
+        events.append(("batch", batch, numer))
+        return real_batch(batch, numer, *args)
+
     monkeypatch.setattr(_RunState, "offer", offer)
     monkeypatch.setattr(_RunState, "offer_rows", offer_rows)
     monkeypatch.setattr(bnb, "bound_at_level", bound)
     monkeypatch.setattr(bnb, "sample_upper_bound", sample)
+    monkeypatch.setattr(bnb, "_bound_batch", bound_batch)
     res = branch_and_bound(himmelblau(), (), Box((-5.0, -5.0), (5.0, 5.0)), BnbConfig(level=level))
     assert res.converged
     offered = stopped = 0
@@ -834,9 +972,9 @@ def test_fully_bounded_box_offers_its_nominal_point(monkeypatch, level):
             continue
         _, out, bf = event
         # the box is the one of the latest batch whose form this is
-        _, corners, numer = next(e for e in reversed(events[:i]) if e[0] == "sample")
+        _, batch, numer = next(e for e in reversed(events[:i]) if e[0] == "batch")
         (k,) = [k for k in range(len(numer)) if np.shares_memory(bf.numer, numer[k])]
-        lower, upper = corners[k].tolist()
+        _, lower, upper, _, _ = batch[k]
         after = events[i + 1] if i + 1 < len(events) else ("end",)
         if out.z is not None and not out.stopped:
             assert after[0] == "offer"
@@ -869,7 +1007,7 @@ def test_exact_split_reuses_the_objective_image(monkeypatch):
     problem = load_problem(load_fixture("himmelblau"), True)
     cfg = BnbConfig(level="0", epsilon=problem.epsilon, exact=True)
     res = branch_and_bound(problem.objective, (), problem.box, cfg)
-    assert res.converged and res.stats.subdivisions > 100
+    assert res.converged and res.stats.subdivisions > 50
     assert callers == ["to_bernstein"]
 
 
@@ -927,14 +1065,18 @@ def test_exact_splits_build_no_fraction_tensor(monkeypatch, run):
 def test_exhausted_exact_run_reports_a_fraction_lower_bound():
     # the lower bound of an exhausted run is the smallest bound left on the
     # heap, kept in the run's field: here a box bound that a float key
-    # would round above (-4675/192 before contraction)
+    # would round above
     problem = load_problem(load_fixture("himmelblau"), True)
-    cfg = BnbConfig(level="0", epsilon=1e-9, max_boxes=50, exact=True)
+    cfg = BnbConfig(level="0", epsilon=1e-9, max_boxes=49, exact=True)
     res = branch_and_bound(problem.objective, (), problem.box, cfg)
     assert not res.converged
     assert isinstance(res.lower_bound, Fraction)
-    assert res.lower_bound == Fraction(-50239638736642946698265215, 4835703278458516698824704)
+    assert res.lower_bound == Fraction(
+        -101213615953270771245770867683528384698450582324251384602914336721264175,
+        452312848583266388373324160190187140051835877600158453279131187530910662656,
+    )
     assert Fraction(float(res.lower_bound)) > res.lower_bound
+    assert res.lower_bound <= 0  # himmelblau's minimum
 
 
 @pytest.mark.parametrize("exact", [False, True])

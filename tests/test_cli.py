@@ -409,7 +409,12 @@ def test_bench_rational_mode_is_exact(capsys):
     rows = {r["label"]: r for r in json.loads(out)["results"]}
     assert rows["lyap1"]["v_bound"] == 0 and rows["lyap1"]["vdot_bound"] == 0
     assert rows["square1d"]["opt"] == 0
-    assert rows["square1d"]["exact_bounds"] == {"lower": "0", "upper": "0"}
+    # the root's screen offers x = 0 and contracts the root around it, and
+    # the part cut away contributes the cutoff threshold 0 - eps (the float
+    # 1e-9, exactly), the run's lower bound
+    bounds = rows["square1d"]["exact_bounds"]
+    assert bounds == {"lower": str(-Fraction(1e-9)), "upper": "0"}
+    assert Fraction(bounds["lower"]) <= 0
 
 
 @pytest.mark.parametrize("level", ["1", "2"])

@@ -306,12 +306,12 @@ FACE_FEASIBLE = {
         Polynomial(3, {(0, 1, 0): 1, (1, 3, 0): 9, (2, 0, 3): Fraction(-2, 7)}),
         Polynomial(3, {(0, 0, 2): Fraction(4, 3)}),
         Box((Fraction(-3), Fraction(-3, 2), Fraction(0)), (Fraction(-3, 2), Fraction(-1, 2), Fraction(2))),
-        (Fraction(-3, 2), Fraction(-1, 2), 0), Fraction(19, 16), 5,
+        (Fraction(-3, 2), Fraction(-1, 2), 0), Fraction(19, 16), 2,
     ),
     "upper_end": (
-        Polynomial(1, {(1,): 1}), Polynomial(1, {(2,): 1, (1,): -2, (0,): 1}), Box((0,), (1,)), (1,), 1, 11,
+        Polynomial(1, {(1,): 1}), Polynomial(1, {(2,): 1, (1,): -2, (0,): 1}), Box((0,), (1,)), (1,), 1, 5,
     ),
-    "lower_end": (Polynomial(1, {(1,): -1}), Polynomial(1, {(2,): 1}), Box((0,), (1,)), (0,), 0, 11),
+    "lower_end": (Polynomial(1, {(1,): -1}), Polynomial(1, {(2,): 1}), Box((0,), (1,)), (0,), 0, 5),
 }
 
 
@@ -344,10 +344,10 @@ def test_constraint_vertex_compares_scaled_constraints_and_breaks_ties_among_tie
         [[5, 0, 5], [1, -3, 0], [-1, -1, -1]],
         [[0, 0, 0], [6, 0, 2], [2, 0, 4]],
     ], dtype=object)
-    batch = [(None, None, None, (1, 1, 1)), (None, None, None, (1, 4, 1))]
+    dens = [(1, 1, 1), (1, 4, 1)]
     corners = np.array([[[0], [1]], [[10], [20]]], dtype=object)
-    assert bnb._constraint_vertex(corners, numer, batch).tolist() == [[1], [10]]
+    assert bnb._constraint_vertex(corners, numer, dens).tolist() == [[1], [10]]
     # two axes: the one vertex with the constraint at 0 is (upper x, lower y)
     numer = np.array([[[[0, 0], [0, 0]], [[1, 1], [0, 1]]]], dtype=object)
     corners = np.array([[[0, 0], [1, 2]]], dtype=object)
-    assert bnb._constraint_vertex(corners, numer, [(None, None, None, (1, 1))]).tolist() == [[1, 0]]
+    assert bnb._constraint_vertex(corners, numer, [(1, 1)]).tolist() == [[1, 0]]
