@@ -1,37 +1,37 @@
 """Branch-and-bound global minimization over boxes.
 
-A (sub)problem is its box and, per box, one representation: the Bernstein
-form of the objective on it (and one per polynomial constraint).  Only
-the root is converted from the monomial basis (``relaxation_tensors``);
-children get their forms by a de Casteljau split of the parent along the
-bisected axis, contracted boxes by one grid-interval matrix product
-along each cut axis, and edge subproblems by a face slice.
+A box has one representation: its corners and the Bernstein form of the
+objective on it (and one per polynomial constraint).  Only the root is
+converted from the monomial basis (``relaxation_tensors``); children get
+their forms by a de Casteljau split of the parent along the bisected
+axis, contracted boxes by one grid-interval matrix product along each
+cut axis, and faces by a face slice.
 
 Every box is screened when it is made and bounded when it is popped,
 so that an LP runs only where the cheaper Bernstein tests cannot decide
 a box.  The screen (``_screen``) takes the root, and then the children
-of each round's splits as one stack.  A box with a constraint whose
-coefficients are all positive is infeasible and closes.  The others
-offer their sample points to the incumbent (each box's centre, its
-smallest coefficient's grid point and, with constraints, the vertex
-where the largest constraint coefficient is smallest), all in one array
-evaluation.  After the stack's offers, a box whose smallest coefficient
-reaches the cutoff closes, contraction closes those it leaves empty and
-cuts others, and the monotonicity test closes a box by its face.  What
-is left is pushed, keyed by its parent's bound.
+of each round's splits, with the faces the previous screen made, as one
+stack.  A box with a constraint whose coefficients are all positive is
+infeasible and closes.  The others offer their sample points to the
+incumbent (each box's centre, its smallest coefficient's grid point
+and, with constraints, the vertex where the largest constraint
+coefficient is smallest), all in one array evaluation.  After the
+stack's offers, a box whose smallest coefficient reaches the cutoff
+closes, contraction closes those it leaves empty and cuts others, and
+the monotonicity test replaces a box by the face it is monotone toward.
+What is left is pushed, keyed by its parent's bound.
 
 The worklist is best-first on that bound, and each round pops a batch
-of up to ``BATCH`` best boxes, as many as the node budget allows (one
-until there is an incumbent to cut against).  Each popped box is
-bounded at the configured relaxation level, on its contracted form,
-only as far as the incumbent cutoff needs: the bound stops at its first
-value that reaches the cutoff (see ``relax.bound_at_level``'s
-``stop_at``).  A bound that ran to the end with an LP solution z also
-offers z's nominal point.  Every popped box then closes for one reason
-or splits: its LP has no feasible point, or the cutoff test against the
-incumbent after all of the batch's offers closes it, or it is at the
-minimum width, or it is bisected, the batch's splits one stacked de
-Casteljau call per axis.
+of up to ``BATCH`` best boxes, as many as the node budget allows.  Each
+popped box is bounded at the configured relaxation level, on its
+contracted form, only as far as the incumbent cutoff needs: the bound
+stops at its first value that reaches the cutoff (see
+``relax.bound_at_level``'s ``stop_at``).  A bound that ran to the end
+with an LP solution z also offers z's nominal point.  Every popped box
+then closes for one reason or splits: its LP has no feasible point, or
+the cutoff test against the incumbent after all of the batch's offers
+closes it, or it is at the minimum width, or it is bisected, the
+batch's splits one stacked de Casteljau call per axis.
 
 Contraction (``contraction.contract``) runs on the boxes the screen's
 cutoff test leaves open, in ``contraction.SWEEPS`` sweeps: by the
@@ -43,16 +43,19 @@ outward to the grid 1/``contraction.GRID``, when that keeps less than
 part cut away has p above the threshold or is infeasible, so it
 contributes the threshold of that moment to the lower bound.
 
-A box that is monotone along some axes closes by solving the face it is
-monotone toward, an "edge" subproblem solved recursively: the same kind
-of box, pinned to zero width on those axes, with its form sliced to
-degree 0 there.  ``Box`` is the input type only: a (sub)problem and
-every worklist entry hold a box as its corner tuples (lower, upper), and
+A box that is monotone along some axes is replaced by the face it is
+monotone toward (``_face``), pinned to zero width on those axes, its
+form constant along them so that it keeps the stack's shape; a vertex
+offers its point and closes at once.  A side of zero width is never
+split, tested for monotonicity or contracted, so a face, and a face of
+a face, is an ordinary box of the one worklist.  ``Box`` is the input
+type only: every box is held as its corner tuples (lower, upper), and
 its forms as numerator arrays.
 
-Each heap entry carries its parent's bound in the run's field, so an
-exhausted budget reports a valid lower bound.  Statistics for the main
-run and for the recursive edge subproblems are tracked separately.
+Each heap entry, and each face waiting for its screen, carries its
+parent's bound in the run's field, so an exhausted budget reports a
+valid lower bound.  The statistics count the boxes with a side of zero
+width (faces) apart from the others.
 """
 
 from __future__ import annotations
@@ -107,24 +110,23 @@ class BnbConfig:
 
 @dataclass
 class BnbStats:
-    subdivisions: int = 0  # popped boxes of the main worklist, each bounded once
-    cutoff_count: int = 0  # closed by the cutoff: screened (smallest coefficient) or popped (bound)
-    mono_count: int = 0  # closed by a face at the screen (at either depth)
-    edge_subdivisions: int = 0  # popped boxes of the edge subproblems
-    edge_cutoffs: int = 0  # closed by the cutoff in the edge subproblems, screened or popped
-    infeasible_count: int = 0  # a constraint positive at the screen, or no LP point (at either depth)
-    min_width_count: int = 0  # closed at the minimum box width (at either depth)
-    budget_count: int = 0  # left in a worklist when the node budget ran out (at either depth)
+    subdivisions: int = 0  # popped boxes with no side of zero width, each bounded once
+    cutoff_count: int = 0  # of those, closed by the cutoff: screened (smallest coefficient) or popped (bound)
+    mono_count: int = 0  # replaced by a face at the screen
+    edge_subdivisions: int = 0  # popped faces (boxes with a side of zero width), each bounded once
+    edge_cutoffs: int = 0  # faces closed by the cutoff, screened or popped
+    infeasible_count: int = 0  # a constraint positive at the screen, or no LP point
+    min_width_count: int = 0  # closed at the minimum box width
+    budget_count: int = 0  # left on the worklist or waiting for a screen when the node budget ran out
     lp_solves: int = 0
     lp_pivots: int = 0
     lp_fallbacks: int = 0
     early_stops: int = 0  # bounds stopped once they reached the cutoff
-    contracted: int = 0  # boxes cut to a part of some side by contraction (at either depth)
-    contraction_closures: int = 0  # boxes contraction left empty (at either depth)
+    contracted: int = 0  # boxes cut to a part of some side by contraction
+    contraction_closures: int = 0  # boxes contraction left empty
     cut_rounds: int = 0  # cut-loop rounds (RelaxationOutcome.iterations)
     rows_activated: int = 0  # cut rows the rounds appended
     elapsed: float = 0.0
-    edge_elapsed: float = 0.0
 
 
 @dataclass
@@ -263,8 +265,8 @@ def _monotonicity_signs(numer: np.ndarray) -> np.ndarray:
 
 
 def _face(lower: tuple, upper: tuple, numer: np.ndarray, signs: Sequence[str]) -> tuple:
-    """The face of the box (``lower``, ``upper``) that the edge subproblem
-    solves, and its form's numerators ``numer`` sliced there: every
+    """The face of the box (``lower``, ``upper``) that a monotone box is
+    replaced by, and its form's numerators ``numer`` sliced there: every
     non-mixed axis pinned at its active bound ('+' -> lower, '-' ->
     upper), a side of zero width, and the numerators cut to their first
     ('+') or last ('-') entries, degree 0 on that axis.  A pinned axis
@@ -319,8 +321,8 @@ def _evaluator(p: Polynomial, F: Field) -> tuple[Callable, Callable]:
 
 
 class _RunState:
-    """Incumbent, node budget and cutoff tolerance (in the run's field)
-    shared across the recursion.  ``threshold`` is the incumbent's
+    """Incumbent, node budget and cutoff tolerance of a run (in its
+    field).  ``threshold`` is the incumbent's
     ``cutoff_threshold``, set with each new incumbent."""
 
     def __init__(self, objective, constraints, cfg: BnbConfig, F: Field = FLOAT):
@@ -396,8 +398,8 @@ def branch_and_bound(
     state = _RunState(p, constraints, cfg, F)
     start = time.perf_counter()
     forms = relaxation_tensors(p, constraints, box, degree, F.exact)
-    lower = _solve_problem(box.lower, box.upper, forms, cfg, state, stats, depth=0)
-    stats.elapsed = time.perf_counter() - start - stats.edge_elapsed
+    lower = _solve_problem(box.lower, box.upper, forms, cfg, state, stats)
+    stats.elapsed = time.perf_counter() - start
     threshold = state.threshold
     converged = (
         not state.exhausted and lower is not None and threshold is not None and lower >= threshold
@@ -411,28 +413,27 @@ def branch_and_bound(
     )
 
 
-def _solve_problem(lower, upper, forms, cfg, state, stats, depth):
-    """Worklist loop for one (sub)problem; returns its lower bound.
+def _solve_problem(lower, upper, forms, cfg, state, stats):
+    """The worklist loop of a run; returns its lower bound.
 
     ``forms`` holds the Bernstein forms of the objective and of each
     constraint on the box with corners ``lower`` and ``upper``, all of one
-    degree; every box in the worklist carries its own block of their
-    numerators (one array, objective first) and their denominators, and
-    they are all the loop reads of the problem.  An edge subproblem's box
-    is a face of its parent's (``_face``), in the problem's own
-    coordinates, so its points are the problem's.  Heap entries are
-    (float key, tie counter, bound in the run's field, lower corner, upper
-    corner, numerators (m, *shape), denominators), the bound that of the
-    box's parent; the root's is its smallest coefficient.
+    degree; every box carries its own block of their numerators (one array,
+    objective first) and their denominators, and they are all the loop
+    reads of the problem.  A box is (bound, lower corner, upper corner,
+    numerators (m, *shape), denominators), the bound that of its parent,
+    the root's its smallest coefficient; a heap entry is a box behind its
+    float key and a tie counter.
 
     Every box is screened as it is made (``_screen``): the root, then each
-    round's children as one stack.  Each round pops up to ``BATCH`` best
-    entries (one while there is no incumbent), as many as the node budget
-    allows, bounds each one (``_bound_batch``), closes it by the cutoff
-    against the incumbent after all of them or at the minimum width, and
-    splits the rest.  The level's caps and cut matrix are built at the
-    first pop, so a problem whose root closes at its screen builds
-    neither.
+    round's children and the faces the previous screen made, as one stack;
+    faces are screened on their own when the heap is empty or a round
+    splits nothing.  Each round pops up to ``BATCH`` best entries, as many
+    as the node budget allows, bounds each one (``_bound_batch``), closes
+    it by the cutoff against the incumbent after all of them or at the
+    minimum width, and splits the rest.  The level's caps and cut matrix
+    are built at the first pop, so a problem whose root closes at its
+    screen builds neither.
     """
     F, delta = field_of(forms[0].numer), forms[0].degree
     counter = itertools.count()
@@ -445,38 +446,36 @@ def _solve_problem(lower, upper, forms, cfg, state, stats, depth):
         if value is not None and (contrib is None or value < contrib):
             contrib = value
 
-    def screen(corners, numer, dens, bounds):
-        entries, value = _screen(corners, numer, dens, bounds, cfg, state, stats, depth)
+    def screen(boxes) -> list:
+        if not boxes:
+            return []
+        entries, faces, value = _screen(boxes, state, stats)
         add_contrib(value)
         for entry in entries:
             heapq.heappush(heap, (_heap_key(entry[0]), next(counter)) + entry)
+        return faces
 
-    screen(
-        np.array([[lower, upper]], dtype=F.dtype),
-        np.stack([bf.numer for bf in forms])[None],
-        np.array([[bf.den for bf in forms]], dtype=object),
-        [forms[0].minimum],
-    )
-    while heap:
-        # with no incumbent nothing closes by the cutoff, and a batch would
-        # split all of its boxes: one box a round dives best-first to the
-        # first feasible point, as a search one box at a time does
-        count = state.charge(min(BATCH if state.threshold is not None else 1, len(heap)))
-        if not count:
-            stats.budget_count += len(heap)
-            for entry in heap:
-                add_contrib(entry[2])
+    root = (forms[0].minimum, lower, upper, np.stack([bf.numer for bf in forms]), tuple(bf.den for bf in forms))
+    faces = screen([root])
+    while heap or faces:
+        if not heap:  # faces wait for a round's children, or for the heap to empty
+            faces = screen(faces)
+            continue
+        count = state.charge(min(BATCH, len(heap)))
+        if not count:  # the boxes left, and the faces still waiting for their screen
+            stats.budget_count += len(heap) + len(faces)
+            for bound in [entry[2] for entry in heap] + [face[0] for face in faces]:
+                add_contrib(bound)
             break
-        # (bound, lower, upper, numerators, denominators) per box
         batch = [heapq.heappop(heap)[2:] for _ in range(count)]
-        if depth == 0:
-            stats.subdivisions += count
-        else:
-            stats.edge_subdivisions += count
+        # a box with a side of zero width is a face (the root has none)
+        on_face = [any(lo == hi for lo, hi in zip(lower, upper)) for _, lower, upper, _, _ in batch]
+        stats.edge_subdivisions += sum(on_face)
+        stats.subdivisions += count - sum(on_face)
         if tables is None:
             u = None if cfg.level == LEVEL_0 else upper_bounds(delta, exact=F.exact)
             tables = (u, None if cfg.level != LEVEL_2 else build_cut_matrix(delta, F.exact))
-        numer = np.stack([entry[3] for entry in batch])
+        numer = np.stack([box[3] for box in batch])
         bounded = _bound_batch(batch, numer, cfg.level, *tables, state, stats)
 
         # the cutoff test reads the incumbent after the whole batch's offers
@@ -484,47 +483,44 @@ def _solve_problem(lower, upper, forms, cfg, state, stats, depth):
         for i, bound in bounded:
             _, lower, upper, _, _ = batch[i]
             if threshold is not None and bound >= threshold:
-                if depth == 0:
-                    stats.cutoff_count += 1
-                else:
-                    stats.edge_cutoffs += 1
+                stats.edge_cutoffs += on_face[i]
+                stats.cutoff_count += not on_face[i]
                 add_contrib(bound)
             elif max(hi - lo for lo, hi in zip(lower, upper)) <= MIN_BOX_WIDTH:
                 stats.min_width_count += 1
                 add_contrib(bound)
             else:
                 split.append((i, bound))
-        if not split:
-            continue
         rows = [i for i, _ in split]
         children = split_boxes([batch[i][1:3] for i in rows], numer[rows], SPLIT_LONGEST)
         parents = [split[k // 2] for k in range(len(children))]  # (index, bound) of each child's
-        dens = [[d * child[3] for d in batch[i][4]] for (i, _), child in zip(parents, children)]
-        screen(
-            np.array([child[:2] for child in children], dtype=F.dtype),
-            np.stack([child[2] for child in children]),
-            np.array(dens, dtype=object),
-            [bound for _, bound in parents],
-        )
+        children = [
+            (bound, lower, upper, block, tuple(d * factor for d in batch[i][4]))
+            for (i, bound), (lower, upper, block, factor) in zip(parents, children)
+        ]
+        faces = screen(children + faces)
 
     return contrib
 
 
-def _screen(corners, numer, dens, bounds, cfg, state, stats, depth) -> tuple[list, object]:
-    """Screen a stack of boxes as they are made: their corners (K, 2, n),
-    their forms' images ``numer`` (K, m, *shape) over ``dens`` (K, m), and
-    each box's parent's bound in ``bounds``.  In turn, a box closes when
-    some constraint is positive on all of it; the stack offers its sample
-    points, with constraints also ``_constraint_vertex``; a box closes
-    whose smallest coefficient reaches the cutoff; contraction cuts the
-    others and closes those it empties (every part cut away contributes
-    the threshold); and without constraints, a box monotone along a side
-    of positive width closes by its face, an edge subproblem one level
-    deeper or a vertex's one coefficient.  Returns the boxes left open,
-    as (bound, lower, upper, numerators, denominators), each with its own
-    numerators, and the smallest value the closed ones contribute to the
-    lower bound (None when none does)."""
-    F, closed = field_of(numer), []
+def _screen(boxes, state, stats) -> tuple[list, list, object]:
+    """Screen a stack of boxes as they are made, each (bound, lower,
+    upper, numerators (m, *shape), denominators), the bound its parent's.
+    In turn, a box closes when some constraint is positive on all of it;
+    the stack offers its sample points, with constraints also
+    ``_constraint_vertex``; a box closes whose smallest coefficient
+    reaches the cutoff; contraction cuts the others and closes those it
+    empties (every part cut away contributes the threshold); and without
+    constraints, a box monotone along a side of positive width is
+    replaced by its face, or closes by a vertex's one coefficient.
+    Returns the boxes left open, each with its own numerators, the faces
+    made, each with its box's bound and its form broadcast along the
+    pinned axes to the stack's shape, and the smallest value the closed
+    boxes contribute to the lower bound (None when none does)."""
+    F, closed = field_of(boxes[0][3]), []
+    bounds, lowers, uppers, numer, dens = zip(*boxes)
+    corners = np.array(list(zip(lowers, uppers)), dtype=F.dtype)
+    numer, dens = np.stack(numer), np.array(dens, dtype=object)
 
     def keep(rows):
         nonlocal corners, numer, dens, bounds
@@ -537,7 +533,7 @@ def _screen(corners, numer, dens, bounds, cfg, state, stats, depth) -> tuple[lis
         stats.infeasible_count += len(numer) - len(rows)
         keep(rows)
         if not len(rows):
-            return [], None
+            return [], [], None
     points = sample_upper_bound(corners, numer[:, 0])
     if numer.shape[1] > 1:
         n = points.shape[1]
@@ -548,16 +544,15 @@ def _screen(corners, numer, dens, bounds, cfg, state, stats, depth) -> tuple[lis
     threshold = state.threshold
     if threshold is not None:
         minima = F.over(numer[:, 0].reshape(len(numer), -1).min(axis=1), dens[:, 0]).tolist()
-        reached = [value >= threshold for value in minima]
-        if any(reached):
-            if depth == 0:
-                stats.cutoff_count += sum(reached)
-            else:
-                stats.edge_cutoffs += sum(reached)
+        reached = np.array([value >= threshold for value in minima], dtype=bool)
+        if reached.any():
+            on_face = (corners[:, 0] == corners[:, 1]).any(axis=1)
+            stats.edge_cutoffs += int((reached & on_face).sum())
+            stats.cutoff_count += int((reached & ~on_face).sum())
             closed.append(min(value for value, up in zip(minima, reached) if up))
-            keep([i for i, up in enumerate(reached) if not up])
+            keep(np.flatnonzero(~reached))
             if not bounds:
-                return [], closed[0]
+                return [], [], closed[0]
     kept, cut = contraction.contract(corners, numer, dens, threshold)
     stats.contracted += int((cut & kept).sum())
     stats.contraction_closures += int((~kept).sum())
@@ -572,24 +567,23 @@ def _screen(corners, numer, dens, bounds, cfg, state, stats, depth) -> tuple[lis
         # a pinned axis reads '+': only a side of positive width counts
         widths = corners[rows, 1] - corners[rows, 0]
         monotone = ((signs != "mixed") & (widths > 0)).any(axis=1).tolist()
-    entries = []
+    entries, faces = [], []
     for k, i in enumerate(rows.tolist()):
         lower, upper = map(tuple, corners[i].tolist())
+        box_dens = tuple(dens[i].tolist())
         if not monotone[k]:
-            entries.append((bounds[i], lower, upper, numer[i].copy(), tuple(dens[i].tolist())))
+            entries.append((bounds[i], lower, upper, numer[i].copy(), box_dens))
             continue
         stats.mono_count += 1
         face_lower, face_upper, face_numer = _face(lower, upper, numer[i, 0], signs[k])
-        face_form = BernsteinForm(face_numer, dens[i, 0])
-        if "mixed" not in signs[k]:  # a vertex: its one coefficient is the value there
+        if "mixed" in signs[k]:
+            # constant along the pinned axes: the face polynomial's form at the stack's degree
+            face_numer = np.broadcast_to(face_numer, numer.shape[1:])
+            faces.append((bounds[i], face_lower, face_upper, face_numer, box_dens))
+        else:  # a vertex: its one coefficient is the value there
             state.offer(face_lower)
-            closed.append(face_form.minimum)
-        else:
-            t0 = time.perf_counter()
-            closed.append(_solve_problem(face_lower, face_upper, (face_form,), cfg, state, stats, depth + 1))
-            if depth == 0:  # nested recursion is inside this window
-                stats.edge_elapsed += time.perf_counter() - t0
-    return entries, min(closed, default=None)
+            closed.append(BernsteinForm(face_numer, dens[i, 0]).minimum)
+    return entries, faces, min(closed, default=None)
 
 
 def _constraint_vertex(corners: np.ndarray, numer: np.ndarray, dens: Sequence) -> np.ndarray:

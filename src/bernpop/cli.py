@@ -108,7 +108,6 @@ def report_row(label: str, level: str, result: bnb_mod.BnbResult) -> dict:
         "mono": s.mono_count,
         "sub_edge": s.edge_subdivisions,
         "cutoff_edge": s.edge_cutoffs,
-        "time_edge": round(s.edge_elapsed, 3),
         "opt": bounds.pop("upper"),
         **bounds,  # "lower", and "exact_bounds" in exact mode
         "converged": result.converged,
@@ -116,14 +115,13 @@ def report_row(label: str, level: str, result: bnb_mod.BnbResult) -> dict:
 
 
 def format_report(rows: Sequence[dict]) -> str:
-    headers = ("ID", "Ineq", "Sub", "Time", "Cutoff", "Mono", "Sub*", "Cutoff*", "Time*", "Opt")
+    headers = ("ID", "Ineq", "Sub", "Time", "Cutoff", "Mono", "Sub*", "Cutoff*", "Opt")
     table = [headers]
     for r in rows:
         table.append(
             (
                 str(r["label"]), str(r["level"]), str(r["sub"]), f"{r['time']:.2f}",
-                str(r["cutoff"]), str(r["mono"]), str(r["sub_edge"]),
-                str(r["cutoff_edge"]), f"{r['time_edge']:.2f}",
+                str(r["cutoff"]), str(r["mono"]), str(r["sub_edge"]), str(r["cutoff_edge"]),
                 report_text(r["opt"], r.get("exact_bounds", {}).get("upper"), ".6g"),
             )
         )
@@ -218,7 +216,7 @@ def _run_bnb(args, exact: bool) -> tuple[int, dict, list[str]]:
     degree = _parse_degree(args.degree, problem.objective.degree) if args.degree else None
     result, elapsed = _solve_pop(problem, args.level, exact, args.max_boxes, args.eps, degree)
     stats = dataclasses.asdict(result.stats)
-    del stats["elapsed"], stats["edge_elapsed"]  # the timings section reports them
+    del stats["elapsed"]  # the timings section reports it
     section = {
         **_bounds_json({"lower": result.lower_bound, "upper": result.upper_bound}),
         "witness": _witness_json(result.witness, exact),
@@ -227,7 +225,7 @@ def _run_bnb(args, exact: bool) -> tuple[int, dict, list[str]]:
     }
     report = {
         "mode": "bnb", "problem": problem.name, "level": args.level, "bnb": section,
-        "timings": {"total": elapsed, "main": result.stats.elapsed, "edge": result.stats.edge_elapsed},
+        "timings": {"total": elapsed, "main": result.stats.elapsed},
     }
     lower, upper = _bound_texts(section, ("lower", "upper"), ".10g")
     lines = [

@@ -465,38 +465,43 @@ def test_face_slice_equals_restricted_conversion():
 
 
 # x + y^4 - y^2 + z^4 - z^2 + 0.3yz on [0,1] x [-1,2]^2: increasing in x,
-# so the main box closes on its x = 0 face at its screen, unpopped, and
-# boxes monotone in y or z close on faces of that face (depth 2)
-NESTED_FACES_COUNTS = {  # (main, edge, mono, edge cutoffs) nodes per (exact, level)
-    (False, "0"): (0, 18, 4, 8),
-    (False, "1"): (0, 17, 6, 6),
-    (False, "2"): (0, 17, 7, 4),
-    (True, "0"): (0, 18, 4, 8),
-    (True, "1"): (0, 17, 6, 6),
-    (True, "2"): (0, 17, 7, 4),
+# so the main box is replaced by its x = 0 face at its screen, unpopped,
+# and boxes of that face monotone in y or z by faces of that face
+NESTED_FACES_COUNTS = {  # (main, face, mono, face cutoffs) nodes per (exact, level)
+    (False, "0"): (0, 18, 4, 9),
+    (False, "1"): (0, 16, 5, 6),
+    (False, "2"): (0, 16, 6, 5),
+    (True, "0"): (0, 18, 4, 9),
+    (True, "1"): (0, 16, 5, 6),
+    (True, "2"): (0, 16, 6, 5),
 }
 
 
 @pytest.mark.parametrize("exact, level", list(NESTED_FACES_COUNTS))
 def test_nested_faces(monkeypatch, exact, level):
+    # faces and faces of faces are boxes of the one worklist: the run makes
+    # one worklist, and pops boxes with two sides of zero width from it
     terms = {(1, 0, 0): 1, (0, 4, 0): 1, (0, 2, 0): -1, (0, 0, 4): 1, (0, 0, 2): -1}
     p = Polynomial(3, {**terms, (0, 1, 1): Fraction(3, 10)})
     box = Box((0, -1, -1), (1, 2, 2))
-    depths = []
-    real = bnb._solve_problem
+    _, worklists = _count_pushes(monkeypatch)
+    pinned = []  # the number of zero-width sides of each popped box
+    real_batch = bnb._bound_batch
 
-    def recording(lower, upper, forms, cfg, state, stats, depth):
-        depths.append(depth)
-        return real(lower, upper, forms, cfg, state, stats, depth)
+    def bound_batch(batch, *args):
+        pinned.extend(sum(lo == hi for lo, hi in zip(lower, upper)) for _, lower, upper, _, _ in batch)
+        return real_batch(batch, *args)
 
-    monkeypatch.setattr(bnb, "_solve_problem", recording)
+    monkeypatch.setattr(bnb, "_bound_batch", bound_batch)
     res = branch_and_bound(p, (), box, BnbConfig(level=level, exact=exact))
     s = res.stats
     counts = (s.subdivisions, s.edge_subdivisions, s.mono_count, s.edge_cutoffs)
     assert counts == NESTED_FACES_COUNTS[exact, level]
-    assert depths.count(2) > 0
-    if not exact and level == "0":
-        assert depths.count(2) == 3
+    assert len(worklists) == 1
+    assert len(pinned) == s.subdivisions + s.edge_subdivisions
+    # faces of faces are popped; a vertex closes at once, unpopped
+    assert pinned.count(3) == 0
+    assert pinned.count(2) == (1 if level == "2" else 2)
     assert res.converged
     assert all(lo <= x <= hi for lo, x, hi in zip(box.lower, res.witness, box.upper))
     # the upper bound is the objective at the witness, in the run's field
@@ -591,9 +596,9 @@ def _d2_repro():
 
 
 def _count_pushes(monkeypatch):
-    """Record every heap push of the worklists, and each worklist
-    (``_solve_problem`` call), whose root is pushed too unless its screen
-    closes it."""
+    """Record every heap push of the worklist, and each worklist
+    (``_solve_problem`` call, one a run), whose root is pushed too unless
+    its screen closes it."""
     pushes, worklists = [], []
     real_solve = bnb._solve_problem
 
@@ -614,21 +619,27 @@ def _count_pushes(monkeypatch):
 @pytest.mark.parametrize("case", ["himmelblau", "constrained"])
 def test_budget_running_out_inside_a_batch(monkeypatch, case, exact):
     # the budget grants only part of the batch a round asks for; the
-    # entries it leaves on the heap are drained into the budget count and
-    # the lower bound, and no popped entry goes unprocessed
-    grants = []
-    real_charge = _RunState.charge
+    # entries it leaves on the heap, and the faces waiting for their
+    # screen, are drained into the budget count and the lower bound, and
+    # no popped entry goes unprocessed
+    grants, faces = [], []
+    real_charge, real_screen = _RunState.charge, bnb._screen
 
     def charge(self, wanted):
         grants.append((wanted, real_charge(self, wanted)))
         return grants[-1][1]
 
+    def screen(*args):
+        out = real_screen(*args)
+        faces.append(out[1])
+        return out
+
     monkeypatch.setattr(_RunState, "charge", charge)
+    monkeypatch.setattr(bnb, "_screen", screen)
     pushes, _ = _count_pushes(monkeypatch)
     if case == "himmelblau":
-        # 1 + 2 + 4 boxes, 4 in edge subproblems, 5, 4 more in edge
-        # subproblems, 4, then 4 of a round of 6; an edge subproblem of that
-        # round starts with no budget left
+        # 1 + 2 + 4 + 5 + 4 + 8 boxes, then 4 of a round of 5; a face of
+        # that round's screen waits for the next
         problem = load_problem(load_fixture("himmelblau"), exact)
         p, constraints, box, budget = problem.objective, (), problem.box, 28
     else:
@@ -644,43 +655,55 @@ def test_budget_running_out_inside_a_batch(monkeypatch, case, exact):
     assert grants[-1][1] == 0 and s.budget_count > 0
     popped = s.subdivisions + s.edge_subdivisions
     assert popped == sum(granted for _, granted in grants) == budget
-    assert len(pushes) == popped + s.budget_count
+    waiting = faces[-1]  # the last screen's faces are never screened
+    assert len(waiting) == (1 if case == "himmelblau" else 0)
+    assert len(pushes) + len(waiting) == popped + s.budget_count
     assert res.lower_bound <= res.upper_bound
+    assert all(res.lower_bound <= bound for bound, *_ in waiting)
     assert res.converged is False
     assert isinstance(res.lower_bound, Fraction) == exact
 
 
-def test_rounds_take_one_box_until_an_incumbent(monkeypatch):
-    # x + y subject to (x - 1/3)^2 + (y - 1/3)^2 <= 1e-4 on [0, 1]^2: no
-    # sample point of the first six boxes lies in the small disc, and each
-    # of their rounds takes one box, diving best-first as a search one box
-    # at a time does; once a point of the disc is offered, rounds take
-    # batches.  D11, x1 + 9 x0 x1^3 - 2/7 x0^2 x2^3 subject to
-    # 4/3 x2^2 <= 0, has an incumbent from its root's screen on: the
-    # vertex offered there is feasible
-    wanted = []
+def test_rounds_take_a_batch_before_an_incumbent(monkeypatch):
+    # every round asks for up to BATCH boxes, as many as the heap holds,
+    # also while there is no incumbent: the screen offers each box's
+    # sample points, with constraints the vertex where the largest
+    # constraint coefficient is smallest, and contraction cuts the boxes
+    # toward the feasible set before they are popped, so a dive of one box
+    # a round saves next to nothing (196 nodes against 197 on the disc
+    # below).  D11,
+    # x1 + 9 x0 x1^3 - 2/7 x0^2 x2^3 subject to 4/3 x2^2 <= 0, has an
+    # incumbent from its root's screen on: the vertex offered there is
+    # feasible.  x + y subject to (x - 1/3)^2 + (y - 1/3)^2 <= 1e-4 on
+    # [0, 1]^2 has none for its first rounds: no sample point of its
+    # first boxes lies in the small disc
+    asked, heaps = [], []  # (count, heap length, no incumbent yet) per round
     real_charge = _RunState.charge
 
+    def push(heap, entry):
+        heaps[:] = [heap]
+        heapq.heappush(heap, entry)
+
     def charge(self, count):
-        wanted.append((count, self.threshold is None))
+        asked.append((count, len(heaps[0]), self.threshold is None))
         return real_charge(self, count)
 
+    monkeypatch.setattr(bnb, "heapq", types.SimpleNamespace(heappush=push, heappop=heapq.heappop))
     monkeypatch.setattr(_RunState, "charge", charge)
     p = Polynomial(3, {(0, 1, 0): 1.0, (1, 3, 0): 9.0, (2, 0, 3): -2 / 7})
     g = Polynomial(3, {(0, 0, 2): 4 / 3})
     box = Box((-3.0, -1.5, 0.0), (-1.5, -0.5, 2.0))
     res = branch_and_bound(p, (g,), box, BnbConfig(level="0"))
     assert res.converged and res.upper_bound == 1.1875 and res.witness == (-1.5, -0.5, 0.0)
-    assert all(count == 1 for count, unset in wanted if unset)
-    wanted.clear()
+    assert all(count == min(bnb.BATCH, size) for count, size, _ in asked)
+    asked.clear()
     p = Polynomial(2, {(1, 0): 1.0, (0, 1): 1.0})
     g = Polynomial(2, {(2, 0): 1.0, (1, 0): -2 / 3, (0, 2): 1.0, (0, 1): -2 / 3, (0, 0): 2 / 9 - 1e-4})
     res = branch_and_bound(p, (g,), Box((0.0, 0.0), (1.0, 1.0)), BnbConfig(level="0"))
     assert res.converged and g.eval(res.witness) <= 0
     assert res.upper_bound == pytest.approx(2 / 3 - math.sqrt(2) / 100, abs=1e-6)
-    assert sum(unset for _, unset in wanted) > 1
-    assert all(count == 1 for count, unset in wanted if unset)
-    assert any(count > 1 for count, unset in wanted if not unset)
+    assert all(count == min(bnb.BATCH, size) for count, size, _ in asked)
+    assert any(count > 1 for count, _, unset in asked if unset)
     assert res.stats.subdivisions < 300
 
 
@@ -707,26 +730,29 @@ def test_heap_entries_own_their_numerators(monkeypatch, exact):
         # without contraction the constrained repro closes boxes as infeasible
         ("d2_uncontracted", "2", 1e-12),
         ("himmelblau", "0", 0.5),
-        # 10 nodes: the budget runs out inside an edge subproblem, and both
-        # worklists drain
+        # 10 nodes: the budget runs out while two faces wait for their screen
         ("himmelblau_budget", "0", 1e-12),
     ],
 )
 def test_every_popped_node_closes_for_one_reason_or_splits(monkeypatch, case, level, min_box_width):
-    # every box is made (a worklist's root, or one of the two children of a
-    # split) and screened: it closes there or is pushed.  Every pushed box
-    # is popped, or left on a worklist when the budget runs out.  Every
+    # every box is made (the root, one of the two children of a split, or
+    # the face of a box monotone along some side that is not a vertex) and
+    # screened: it closes there or is pushed, unless the budget runs out
+    # while it is a face waiting for its screen.  Every pushed box is
+    # popped, or left on the worklist when the budget runs out.  Every
     # popped box is bounded and closes by the cutoff, by an LP with no
     # feasible point or at the minimum width, or is split.  Each closure
     # is told apart by the function that counts it
     pushes, worklists = _count_pushes(monkeypatch)
     added = _count_additions(monkeypatch)
-    made, splits = [], []
+    screened, faces, splits = [], [], []  # per screen and split call
     real_screen, real_split = bnb._screen, bnb.split_boxes
 
-    def screen(corners, *args):
-        made.append(len(corners))
-        return real_screen(corners, *args)
+    def screen(boxes, *args):
+        screened.append(len(boxes))
+        out = real_screen(boxes, *args)
+        faces.append(len(out[1]))
+        return out
 
     def split(boxes, *args):
         splits.append(len(boxes))
@@ -748,23 +774,28 @@ def test_every_popped_node_closes_for_one_reason_or_splits(monkeypatch, case, le
     assert res.converged == (min_box_width <= 1e-12 and not limited)
     s = res.stats
     at_screen = ("infeasible_count", "cutoff_count", "edge_cutoffs", "contraction_closures", "mono_count")
-    screened = sum(added[counter, "_screen"] for counter in at_screen)
+    closed_at_screen = sum(added[counter, "_screen"] for counter in at_screen)
     bounded = (
         added["cutoff_count", "_solve_problem"] + added["edge_cutoffs", "_solve_problem"]
         + added["infeasible_count", "_bound_batch"] + s.min_width_count
     )
     popped = s.subdivisions + s.edge_subdivisions
-    assert sum(made) == len(worklists) + 2 * sum(splits)
-    assert sum(made) == screened + len(pushes)
-    assert len(pushes) == popped + s.budget_count
+    assert len(worklists) == 1
+    made = 1 + 2 * sum(splits) + sum(faces)
+    waiting = made - sum(screened)  # faces made but never screened
+    assert sum(screened) == closed_at_screen + len(pushes)
+    assert len(pushes) + waiting == popped + s.budget_count
     assert popped == bounded + sum(splits)
     # no closure is counted anywhere else
     closures = (
         s.cutoff_count + s.edge_cutoffs + s.mono_count + s.infeasible_count + s.min_width_count
         + s.contraction_closures
     )
-    assert closures == screened + bounded
+    assert closures == closed_at_screen + bounded
     assert (s.budget_count > 0) == limited
+    assert waiting == (2 if limited else 0)
+    # a monotone box is replaced by its face, or closes by a vertex's value
+    assert sum(faces) <= s.mono_count and (sum(faces) > 0) == (not constraints)
     assert (s.min_width_count > 0) == (min_box_width > 1e-12)
     if case == "d2":  # contraction cuts the infeasible part off the root box
         assert s.contracted > 0 and s.infeasible_count == 0
@@ -791,7 +822,7 @@ def _count_bounds(monkeypatch) -> list:
 @pytest.mark.parametrize("level", ["0", "1", "2"])
 @pytest.mark.parametrize("name, epsilon", [("himmelblau", None), ("motzkin3", 1e-3), ("algebraic4", None)])
 def test_one_bound_per_popped_box(monkeypatch, name, epsilon, level, exact):
-    # the benchmark's traced identity, bounds == nodes + edge nodes: every
+    # the benchmark's traced identity, bounds == nodes + face nodes: every
     # popped box is bounded once, and a box that closes unbounded (at its
     # screen) is never popped.  Exact motzkin3 at level 2 runs 4 of its 31
     # boxes, the rest on the heap when the budget runs out: the whole run
@@ -873,16 +904,17 @@ def test_level0_closures_are_cutoff_closures(exact):
     # bounds and witness are those of the former exact closures, which are
     # now counted with the cutoff closures (141 + 32 + 133 before batches
     # of boxes; batches moved the nodes from 437 + 206, contraction from
-    # 433 + 184, screening each box as it is made from 103 + 48).  Both
+    # 433 + 184, screening each box as it is made from 103 + 48, faces on
+    # the one worklist from 51 + 17).  Both
     # fields close the same boxes for the same reasons; the lower bound is
     # the threshold of the final incumbent
     problem = load_problem(load_fixture("himmelblau"), exact)
     cfg = BnbConfig(level="0", epsilon=problem.epsilon, exact=exact)
     res = branch_and_bound(problem.objective, (), problem.box, cfg)
     s = res.stats
-    assert (s.subdivisions, s.edge_subdivisions) == (51, 17)
-    assert (s.cutoff_count, s.edge_cutoffs, s.mono_count) == (17, 25, 15)
-    assert (s.contracted, s.contraction_closures) == (80, 22)
+    assert (s.subdivisions, s.edge_subdivisions) == (51, 3)
+    assert (s.cutoff_count, s.edge_cutoffs, s.mono_count) == (17, 9, 15)
+    assert (s.contracted, s.contraction_closures) == (66, 23)
     if exact:
         den = 195109284394749514461349826862072894109287383916560696928697309976585733676235351257519131441468248197489183195087913930965498479955517831643136
         assert res.lower_bound == Fraction(
@@ -907,7 +939,7 @@ def test_level0_closures_are_cutoff_closures(exact):
 
 def test_cut_counters_sum_the_run_outcomes(monkeypatch):
     # the run's cut rounds and activated rows are those of its bounds,
-    # edge subproblems included
+    # faces included
     outcomes = []
     real = bnb.bound_at_level
 
@@ -978,7 +1010,7 @@ def test_fully_bounded_box_offers_its_nominal_point(monkeypatch, level):
         after = events[i + 1] if i + 1 < len(events) else ("end",)
         if out.z is not None and not out.stopped:
             assert after[0] == "offer"
-            # an edge subproblem's box is a face, in the problem's coordinates,
+            # a face is in the problem's coordinates,
             # and z maps onto it with Box.point's arithmetic
             z = nominal_point(out.z, bf.degree, FLOAT)
             point = tuple(lo + (hi - lo) * zi for lo, hi, zi in zip(lower, upper, z))
@@ -1067,22 +1099,51 @@ def test_exhausted_exact_run_reports_a_fraction_lower_bound():
     # heap, kept in the run's field: here a box bound that a float key
     # would round above
     problem = load_problem(load_fixture("himmelblau"), True)
-    cfg = BnbConfig(level="0", epsilon=1e-9, max_boxes=49, exact=True)
+    cfg = BnbConfig(level="0", epsilon=1e-9, max_boxes=51, exact=True)
     res = branch_and_bound(problem.objective, (), problem.box, cfg)
     assert not res.converged
     assert isinstance(res.lower_bound, Fraction)
     assert res.lower_bound == Fraction(
-        -101213615953270771245770867683528384698450582324251384602914336721264175,
-        452312848583266388373324160190187140051835877600158453279131187530910662656,
+        -30720015106188515905650421550066072125972379512223896666601878093096846406840029457890241886022810323775,
+        2**368,
     )
     assert Fraction(float(res.lower_bound)) > res.lower_bound
     assert res.lower_bound <= 0  # himmelblau's minimum
 
 
+def test_exhausted_run_counts_the_faces_waiting_for_their_screen(monkeypatch):
+    # a face made at one screen waits for the next round's; when the budget
+    # runs out first, the waiting faces count in budget_count with the
+    # boxes left on the heap, and their carried bounds join the lower bound
+    pushes, _ = _count_pushes(monkeypatch)
+    faces = []  # the faces each screen made
+    real_screen = bnb._screen
+
+    def screen(*args):
+        out = real_screen(*args)
+        faces.append(out[1])
+        return out
+
+    monkeypatch.setattr(bnb, "_screen", screen)
+    problem = load_problem(load_fixture("himmelblau"), True)
+    cfg = BnbConfig(level="0", epsilon=problem.epsilon, max_boxes=11, exact=True)
+    res = branch_and_bound(problem.objective, (), problem.box, cfg)
+    s = res.stats
+    waiting = faces[-1]  # the last screen's faces are never screened
+    assert len(waiting) == 3
+    popped = s.subdivisions + s.edge_subdivisions
+    assert popped == 11
+    assert s.budget_count == len(pushes) - popped + len(waiting)
+    assert not res.converged and isinstance(res.lower_bound, Fraction)
+    assert res.lower_bound <= 0  # himmelblau's minimum
+    assert res.lower_bound <= res.upper_bound
+    assert all(res.lower_bound <= bound for bound, *_ in waiting)
+
+
 @pytest.mark.parametrize("exact", [False, True])
 def test_exhausted_run_lower_bound_is_finite_and_valid(exact):
-    # an edge subproblem cut off by the budget before its first box
-    # contributes its face's smallest coefficient, never -inf
+    # a face still waiting for its screen when the budget runs out
+    # contributes the bound it carries, never -inf
     problem = load_problem(load_fixture("himmelblau"), exact)
     for budget in range(1, 60):
         cfg = BnbConfig(level="0", epsilon=1e-9, max_boxes=budget, exact=exact)
